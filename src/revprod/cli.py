@@ -4,9 +4,6 @@ Every command is deterministic given (config, seed, input files): output
 JSON is written with sorted keys, floats use shortest round-trip formatting,
 and no timestamps are recorded.  Exit codes: 0 success, 2 validation failure,
 3 solver or estimation failure, 4 I/O failure.
-
-The REVPROD_THREADS environment variable sets the default worker count for
-multi-start estimation (overridable per config).
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ import argparse
 import importlib.resources
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -97,14 +93,13 @@ def _moment_system(cfg: RunConfig, panel, mode: str):
             kwargs["instruments"] = instruments
         ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
     else:
-        cal_e = est.cal_e if est.cal_e is not None else cfg.sim.shocks.cal_e
         kwargs = {}
         if instruments is not None:
             kwargs["instruments"] = instruments
         if est.level_instruments is not None:
             kwargs["level_instruments"] = est.level_instruments
         ms = build_revenue_moments(
-            kind, fs, panel, g_degree=est.g_degree, cal_e=cal_e, which_v=est.which_v, **kwargs
+            kind, fs, panel, g_degree=est.g_degree, cal_e=est.cal_e, which_v=est.which_v, **kwargs
         )
     return fs, ms
 
@@ -115,17 +110,12 @@ def cmd_estimate(args) -> int:
     mode = args.mode
     fs, ms = _moment_system(cfg, panel, mode)
     est = cfg.estimation
-    threads = est.threads
-    env_threads = os.environ.get("REVPROD_THREADS")
-    if env_threads and est.threads == 1:
-        threads = max(1, int(env_threads))
     result = gmm_minimize(
         ms,
         weighting=est.weighting,
         restarts=est.restarts,
         seed=est.restart_seed,
         screen=est.screen,
-        threads=threads,
     )
     payload = result.to_dict()
     payload["first_stage"] = {
@@ -158,8 +148,7 @@ def cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     est = cfg.estimation
-    cal_e = est.cal_e if est.cal_e is not None else cfg.sim.shocks.cal_e
-    _, ms = _moment_system(cfg, panel, "revenue")
+    fs, ms = _moment_system(cfg, panel, "revenue")
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +156,7 @@ def cmd_diagnose(args) -> int:
         panel,
         cfg.sim.tech,
         ms,
-        cal_e=cal_e,
+        cal_e=est.cal_e if est.cal_e is not None else fs.cal_e_hat,
         fd_step=cfg.diagnostics.fd_step,
         flat_tol=cfg.diagnostics.flat_tol,
         rank_rtol=cfg.diagnostics.rank_rtol,

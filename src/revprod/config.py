@@ -31,10 +31,11 @@ class EstimationSettings:
     screen: int = 256
     restart_seed: int = 7
     which_v: str = "M"
-    cal_e: Optional[float] = None  # None: use the simulated value when known, else estimate
+    # explicit [estimation] value, else the [shocks] value when the file has
+    # that section, else None: estimate from the first-stage residuals
+    cal_e: Optional[float] = None
     instruments: Optional[tuple] = None  # None: package default set
     level_instruments: Optional[tuple] = None
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ _KNOWN_KEYS = {
         "cal_e",
         "instruments",
         "level_instruments",
-        "threads",
     },
     "diagnostics": {"fd_step", "flat_tol", "rank_rtol", "equivalence_tol"},
 }
@@ -226,6 +226,10 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
     which_v = (e.get("which_v", "M") if parser.has_section("estimation") else "M").strip().upper()
     if which_v not in ("L", "M"):
         raise ConfigError(f"{path}: [estimation] which_v must be L or M")
+    if cal_e_raw not in (None, ""):
+        cal_e = float(cal_e_raw)
+    else:
+        cal_e = shocks.cal_e if parser.has_section("shocks") else None
     est = EstimationSettings(
         first_stage_degree=_getint(e, "first_stage_degree", 3),
         g_degree=_getint(e, "g_degree", 1),
@@ -234,10 +238,9 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         screen=_getint(e, "screen", 256),
         restart_seed=_getint(e, "restart_seed", 7),
         which_v=which_v,
-        cal_e=float(cal_e_raw) if cal_e_raw not in (None, "") else None,
+        cal_e=cal_e,
         instruments=tuple(inst.split()) if inst else None,
         level_instruments=tuple(lvl.split()) if lvl is not None else None,
-        threads=_getint(e, "threads", 1),
     )
     dg = section("diagnostics")
     diag = DiagnosticSettings(

@@ -14,8 +14,13 @@ flat directions; the residual provably never touches them, which makes the
 flatness bit-exact rather than approximate.
 
 The Markov conditional mean g(.) is a polynomial of configurable degree whose
-coefficients are concentrated out by least squares inside every residual
-evaluation, so the GMM search space contains only technology parameters.
+coefficients are concentrated out in closed form: at every parameter vector
+the demeaned current productivity is regressed on the demeaned powers of its
+centred lag (for degree one, the slope a.b / a.a) and the intercept is
+recovered from the means, so the GMM search space contains only technology
+parameters.  Each
+parameter vector goes through one evaluation: one prediction over all panel
+rows, indexed into current and lagged rows, then the concentration above.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "MomentSystem",
     "EstimateResult",
     "first_stage_project",
-    "estimate_cal_e",
     "build_quantity_moments",
     "build_revenue_moments",
     "gmm_minimize",
@@ -56,10 +60,8 @@ BASIC_INSTRUMENTS = ("const", "k_t", "l_lag", "m_lag", "pl_lag", "pm_lag")
 DEFAULT_INSTRUMENTS = BASIC_INSTRUMENTS + ("pl_t", "pm_t", "prel2_t", "k2_t", "pl2_t", "pm2_t")
 
 DEFAULT_BOUNDS = {
-    ("CD", "quantity"): {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)},
-    ("CD", "revenue"): {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)},
-    ("CES", "quantity"): {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)},
-    ("CES", "revenue"): {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)},
+    "CD": {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)},
+    "CES": {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)},
 }
 
 _MIN_CAPITAL_SHARE = 5e-3
@@ -168,10 +170,6 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     return FirstStage(mode=mode, degree=used, fitted=fitted, residuals=resid, r_squared=r2)
 
 
-def estimate_cal_e(first_stage: FirstStage) -> float:
-    return first_stage.cal_e_hat
-
-
 # ---------------------------------------------------------------------------
 # Moment systems
 # ---------------------------------------------------------------------------
@@ -181,9 +179,14 @@ def estimate_cal_e(first_stage: FirstStage) -> float:
 class MomentSystem:
     """Conditional-moment system on the Markov innovation of recovered productivity.
 
-    residual(theta) returns the innovation series; moments(theta) its
-    instrument cross-products.  The Markov polynomial is re-fit by least
-    squares at every theta, so g's coefficients never enter theta.
+    Every statistic at a parameter vector theta reads one private evaluation.
+    The predictor runs once over all panel rows; recovered productivity
+    (first-stage fitted value minus prediction) is indexed into current and
+    lagged rows; and the Markov polynomial g is concentrated out in closed
+    form by regressing demeaned current productivity on the demeaned powers
+    of centred lagged productivity, so g's coefficients never enter theta.
+    moments(theta) are the instrument cross-products of the innovation left
+    over.
 
     Revenue systems additionally carry level moments on the revenue-equation
     residual itself.  Productivity cancels out of the revenue equation, so
@@ -201,73 +204,88 @@ class MomentSystem:
     Z: np.ndarray
     instrument_names: tuple
     n_obs: int
-    _predict: callable = field(repr=False)
-    _y_t: np.ndarray = field(repr=False)
-    _y_lag: np.ndarray = field(repr=False)
+    _predict: callable = field(repr=False)  # theta -> (prediction on all rows, penalty)
+    _fitted: np.ndarray = field(repr=False)  # first-stage fitted values, all rows
+    _cur: np.ndarray = field(repr=False)
+    _lag: np.ndarray = field(repr=False)
     level_Z: Optional[np.ndarray] = field(default=None, repr=False)
     level_instrument_names: tuple = ()
 
-    def omega_series(self, theta: np.ndarray):
-        pred_t, pred_lag, penalty = self._predict(np.asarray(theta, float))
-        return self._y_t - pred_t, self._y_lag - pred_lag, penalty
+    def _evaluate(self, theta):
+        """Innovation, level residual, penalty and the pieces of g at theta.
+
+        g is fit in powers of the centred lag, which span the same space as
+        powers of the lag itself but keep the normal equations well
+        conditioned at any degree; for degree one the slope is a.b / a.a.
+        Means are taken as sum / n, which is what ndarray.mean computes,
+        without its per-call overhead.
+        """
+        pred, penalty = self._predict(np.asarray(theta, float))
+        w = self._fitted - pred
+        w_t, w_lag = w[self._cur], w[self._lag]
+        n = w_t.size
+        lag_mean = w_lag.sum() / n
+        powers = np.empty((self.g_degree, n))
+        powers[0] = w_lag - lag_mean
+        for d in range(1, self.g_degree):
+            powers[d] = powers[d - 1] * powers[0]
+        power_means = powers.sum(axis=1) / n
+        powers -= power_means[:, None]
+        w_mean = w_t.sum() / n
+        y = w_t - w_mean
+        slope = np.linalg.solve(powers.dot(powers.T), powers.dot(y))
+        xi = y - slope.dot(powers)
+        return xi, w_t, penalty, (lag_mean, w_mean, power_means, slope)
 
     def g_coefficients(self, theta) -> np.ndarray:
-        w_t, w_lag, _ = self.omega_series(theta)
-        X = np.column_stack([w_lag**d for d in range(self.g_degree + 1)])
-        coef, *_ = np.linalg.lstsq(X, w_t, rcond=None)
+        """Markov polynomial coefficients in powers of the lag, constant first."""
+        lag_mean, w_mean, power_means, slope = self._evaluate(theta)[3]
+        centred = np.concatenate([[w_mean - power_means @ slope], slope])
+        coef = np.zeros(self.g_degree + 1)
+        for k, c in enumerate(centred):
+            for j in range(k + 1):
+                coef[j] += c * math.comb(k, j) * (-lag_mean) ** (k - j)
         return coef
-
-    def residual(self, theta) -> np.ndarray:
-        w_t, w_lag, _ = self.omega_series(theta)
-        X = np.column_stack([w_lag**d for d in range(self.g_degree + 1)])
-        coef, *_ = np.linalg.lstsq(X, w_t, rcond=None)
-        return w_t - X @ coef
 
     @property
     def n_moments(self) -> int:
         extra = 0 if self.level_Z is None else self.level_Z.shape[1]
         return self.Z.shape[1] + extra
 
-    def moments(self, theta) -> np.ndarray:
-        m = self.Z.T @ self.residual(theta) / self.n_obs
+    def _stack_moments(self, xi, level) -> np.ndarray:
+        m = xi.dot(self.Z) / self.n_obs
         if self.level_Z is None:
             return m
-        w_t, _, _ = self.omega_series(theta)
-        return np.concatenate([m, self.level_Z.T @ w_t / self.n_obs])
+        return np.concatenate([m, level.dot(self.level_Z) / self.n_obs])
 
-    def _per_obs_moments(self, theta) -> np.ndarray:
-        xi = self.residual(theta)
-        G = self.Z * xi[:, None]
-        if self.level_Z is not None:
-            w_t, _, _ = self.omega_series(theta)
-            G = np.column_stack([G, self.level_Z * w_t[:, None]])
-        return G
+    def moments(self, theta) -> np.ndarray:
+        xi, level, _, _ = self._evaluate(theta)
+        return self._stack_moments(xi, level)
 
     def moment_covariance(self, theta) -> np.ndarray:
-        G = self._per_obs_moments(theta)
+        xi, level, _, _ = self._evaluate(theta)
+        G = self.Z * xi[:, None]
+        if self.level_Z is not None:
+            G = np.column_stack([G, self.level_Z * level[:, None]])
         return G.T @ G / self.n_obs
 
     def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        _, _, penalty = self.omega_series(theta)
-        m = self.moments(theta)
+        xi, level, penalty, _ = self._evaluate(theta)
+        m = self._stack_moments(xi, level)
         if weight is None:
-            val = float(m @ m)
+            val = float(m.dot(m))
         else:
-            val = float(m @ weight @ m)
+            val = float(m.dot(weight).dot(m))
         return self.n_obs * (val + penalty)
 
 
-def _lag_bundle(panel: Panel):
+def _lag_bundle(panel: Panel, names: Sequence[str]):
+    """Current/lagged row indices plus full-length log columns of the panel."""
     cur, lag = panel.lag_index()
     if cur.size == 0:
         raise PanelFormatError("panel has no consecutive firm-periods; lags unavailable")
-    cols = {}
-    for name in ("K", "L", "M", "pL", "pM", "sL_star", "sM_star"):
-        v = np.log(panel.col(name))
-        cols[name + "_t"] = v[cur]
-        cols[name + "_lag"] = v[lag]
-    return cur, lag, cols
+    return cur, lag, {name: np.log(panel.col(name)) for name in names}
 
 
 def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarray:
@@ -297,18 +315,13 @@ def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarr
 
 
 def _quantity_predictor(tech_kind: str, cols):
-    k_t, l_t, m_t = cols["K_t"], cols["L_t"], cols["M_t"]
-    k_g, l_g, m_g = cols["K_lag"], cols["L_lag"], cols["M_lag"]
+    k, l, m = cols["K"], cols["L"], cols["M"]
 
     if tech_kind == "CD":
 
         def predict(theta):
             bK, bL, bM = theta
-            return (
-                bK * k_t + bL * l_t + bM * m_t,
-                bK * k_g + bL * l_g + bM * m_g,
-                0.0,
-            )
+            return bK * k + bL * l + bM * m, 0.0
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
@@ -319,20 +332,14 @@ def _quantity_predictor(tech_kind: str, cols):
         if bK < _MIN_CAPITAL_SHARE:
             penalty = 1e4 * (_MIN_CAPITAL_SHARE - bK) ** 2
             bK = _MIN_CAPITAL_SHARE
-        q_t = (v / sg) * np.log(bK * np.exp(sg * k_t) + bL * np.exp(sg * l_t) + bM * np.exp(sg * m_t))
-        q_g = (v / sg) * np.log(bK * np.exp(sg * k_g) + bL * np.exp(sg * l_g) + bM * np.exp(sg * m_g))
-        return q_t, q_g, penalty
+        return (v / sg) * np.log(bK * np.exp(sg * k) + bL * np.exp(sg * l) + bM * np.exp(sg * m)), penalty
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
 
 def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
-    l_t, m_t = cols["L_t"], cols["M_t"]
-    l_g, m_g = cols["L_lag"], cols["M_lag"]
-    pl_t, pm_t = cols["pL_t"], cols["pM_t"]
-    pl_g, pm_g = cols["pL_lag"], cols["pM_lag"]
-    share = "sL_star" if which_v == "L" else "sM_star"
-    s_t, s_g = cols[share + "_t"], cols[share + "_lag"]
+    l, m, pl, pm = cols["L"], cols["M"], cols["pL"], cols["pM"]
+    s = cols["sL_star" if which_v == "L" else "sM_star"]
 
     if tech_kind == "CD":
         # beta_K occupies a slot in theta but is never read below; the ratio
@@ -342,36 +349,26 @@ def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
             a = bL / (bL + bM)
             w_v = a if which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
-            lin_t = a * (l_t + pl_t) + (1.0 - a) * (m_t + pm_t)
-            lin_g = a * (l_g + pl_g) + (1.0 - a) * (m_g + pm_g)
-            return (
-                theta0 + lin_t - s_t - log_cal_e,
-                theta0 + lin_g - s_g - log_cal_e,
-                0.0,
-            )
+            lin = a * (l + pl) + (1.0 - a) * (m + pm)
+            return theta0 + lin - s - log_cal_e, 0.0
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
-    v_t = l_t if which_v == "L" else m_t
-    v_g = l_g if which_v == "L" else m_g
+    v_in = l if which_v == "L" else m
 
     def predict(theta):
         sg, bL, bM, _ = theta  # v never read
         bV = bL if which_v == "L" else bM
         e = sg / (sg - 1.0)
-        agg_t = np.log(bL * np.exp(sg * l_t) + bM * np.exp(sg * m_t))
-        agg_g = np.log(bL * np.exp(sg * l_g) + bM * np.exp(sg * m_g))
-        B_t = np.log(np.exp(e * pl_t) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm_t) * bM ** (-1.0 / (sg - 1.0)))
-        B_g = np.log(np.exp(e * pl_g) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm_g) * bM ** (-1.0 / (sg - 1.0)))
-        r_t = np.log(bV) + sg * v_t + (1.0 - sg) / sg * agg_t + (sg - 1.0) / sg * B_t - s_t - log_cal_e
-        r_g = np.log(bV) + sg * v_g + (1.0 - sg) / sg * agg_g + (sg - 1.0) / sg * B_g - s_g - log_cal_e
-        return r_t, r_g, 0.0
+        agg = np.log(bL * np.exp(sg * l) + bM * np.exp(sg * m))
+        B = np.log(np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0)))
+        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s - log_cal_e, 0.0
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
 
-def _bounds_tuple(tech_kind: str, mode: str, names, overrides=None):
-    table = dict(DEFAULT_BOUNDS[(tech_kind, mode)])
+def _bounds_tuple(tech_kind: str, names, overrides=None):
+    table = dict(DEFAULT_BOUNDS[tech_kind])
     if overrides:
         table.update(overrides)
     return tuple(table[n] for n in names)
@@ -389,21 +386,22 @@ def build_quantity_moments(
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
     fitted = fitted_qstar.fitted if isinstance(fitted_qstar, FirstStage) else np.asarray(fitted_qstar, float)
-    cur, lag, cols = _lag_bundle(panel)
+    cur, lag, cols = _lag_bundle(panel, ("K", "L", "M"))
     predict, names = _quantity_predictor(tech_kind, cols)
     Z = _instrument_matrix(panel, cur, lag, instruments)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=_bounds_tuple(tech_kind, "quantity", names, bounds),
+        bounds=_bounds_tuple(tech_kind, names, bounds),
         g_degree=g_degree,
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
         _predict=predict,
-        _y_t=fitted[cur],
-        _y_lag=fitted[lag],
+        _fitted=fitted,
+        _cur=cur,
+        _lag=lag,
     )
 
 
@@ -441,7 +439,7 @@ def build_revenue_moments(
         fitted = np.asarray(fitted_rstar, float)
         if cal_e is None:
             raise ValueError("cal_e is required when fitted values are passed as a raw array")
-    cur, lag, cols = _lag_bundle(panel)
+    cur, lag, cols = _lag_bundle(panel, ("L", "M", "pL", "pM", "sL_star", "sM_star"))
     predict, names = _revenue_predictor(tech_kind, cols, which_v, math.log(cal_e))
     Z = _instrument_matrix(panel, cur, lag, instruments)
     level_Z = None
@@ -451,14 +449,15 @@ def build_revenue_moments(
         mode="revenue",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=_bounds_tuple(tech_kind, "revenue", names, bounds),
+        bounds=_bounds_tuple(tech_kind, names, bounds),
         g_degree=g_degree,
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
         _predict=predict,
-        _y_t=fitted[cur],
-        _y_lag=fitted[lag],
+        _fitted=fitted,
+        _cur=cur,
+        _lag=lag,
         level_Z=level_Z,
         level_instrument_names=tuple(level_instruments),
     )
@@ -558,7 +557,6 @@ def gmm_minimize(
     restarts: int = 20,
     seed: int = 7,
     screen: int = 256,
-    threads: int = 1,
 ) -> EstimateResult:
     """Multi-start minimization of the GMM quadratic form.
 
@@ -566,16 +564,13 @@ def gmm_minimize(
     stage-one minimum by the (regularized) inverse moment covariance at the
     stage-one argmin and re-minimizes.  All local minima are reported, not
     just the best: with flat directions the set is the diagnostic object.
-    Restarts can run on a thread pool; results are merged by restart index,
-    so the outcome does not depend on the worker count.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     starts = _draw_starts(ms, start, restarts, seed, screen=screen)
 
-    def solve_one(idx_x0):
-        idx, x0 = idx_x0
-        fun = lambda th: ms.objective(th, solve_one.W)
+    def solve_one(idx, x0, W):
+        fun = lambda th: ms.objective(th, W)
         res = minimize(
             fun,
             x0,
@@ -611,15 +606,7 @@ def gmm_minimize(
         }
 
     def run_stage(W, theta_starts):
-        solve_one.W = W
-        tasks = list(enumerate(theta_starts))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(solve_one, tasks))
-        else:
-            outcomes = [solve_one(t) for t in tasks]
+        outcomes = [solve_one(idx, x0, W) for idx, x0 in enumerate(theta_starts)]
         found = [o for o in outcomes if not o.get("failed")]
         failures = [o for o in outcomes if o.get("failed")]
         if not found:

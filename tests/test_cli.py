@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -225,3 +226,31 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
     for out_name, schema_name in pairs:
         schema = json.loads(importlib.resources.files("revprod.schemas").joinpath(schema_name).read_text())
         jsonschema.validate(json.loads((tmp_path / out_name).read_text()), schema)
+
+
+def test_revenue_cal_e_estimated_without_shocks_section(ces_ini, tmp_path):
+    # simulate with sigma_eps = 0.25; estimate and diagnose with a config
+    # that has no [shocks] section, as for data from outside the simulator
+    sim_ini = tmp_path / "sim.ini"
+    sim_ini.write_text(ces_ini.read_text() + "\n[shocks]\nsigma_eps = 0.25\n")
+    assert main(["simulate", "--config", str(sim_ini), "--out", str(tmp_path)]) == EXIT_OK
+    panel = str(tmp_path / "panel.csv")
+    cheap = "\n[estimation]\nrestarts = 2\nscreen = 16\n"
+    base = ces_ini.read_text().split("[estimation]")[0]
+    no_shocks = tmp_path / "no_shocks.ini"
+    no_shocks.write_text(base + cheap)
+    assert main(["estimate", panel, "--config", str(no_shocks), "--mode", "revenue", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["diagnose", panel, "--config", str(no_shocks), "--out", str(tmp_path / "a")]) == EXIT_OK
+    res = json.loads((tmp_path / "a" / "estimate_revenue.json").read_text())
+    cal_e_hat = res["first_stage"]["cal_e_hat"]
+    assert abs(cal_e_hat - math.exp(0.5 * 0.25**2)) < 0.01  # far from the sigma_eps = 0.1 default, 1.005
+
+    # the same runs with that estimate given explicitly produce the same numbers
+    explicit = tmp_path / "explicit.ini"
+    explicit.write_text(base + cheap + f"cal_e = {cal_e_hat!r}\n")
+    assert main(["estimate", panel, "--config", str(explicit), "--mode", "revenue", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert main(["diagnose", panel, "--config", str(explicit), "--out", str(tmp_path / "b")]) == EXIT_OK
+    res_b = json.loads((tmp_path / "b" / "estimate_revenue.json").read_text())
+    assert res_b["estimates"] == res["estimates"]
+    assert res_b["objective"] == res["objective"]
+    assert (tmp_path / "a" / "identification_report.json").read_bytes() == (tmp_path / "b" / "identification_report.json").read_bytes()
