@@ -10,7 +10,6 @@ non-recovery) into executable diagnostics.
 __version__ = "0.1.0"
 
 from .costmin import (
-    C2Value,
     CostSolution,
     SolverError,
     c2_min,
@@ -45,7 +44,7 @@ from .estimate import (
     first_stage_project,
     gmm_minimize,
 )
-from .panel_io import FirmPeriod, Panel, PanelFormatError, read_panel_csv, write_panel_csv
+from .panel_io import Panel, PanelFormatError, read_panel_csv, write_panel_csv
 from .simulate import (
     CapitalPolicy,
     PanelCheckReport,

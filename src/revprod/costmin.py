@@ -29,7 +29,6 @@ from .technology import CES, DomainError, Technology, _check_positive
 __all__ = [
     "SolverError",
     "CostSolution",
-    "C2Value",
     "cost_min_numeric",
     "unit_cost_numeric",
     "c2_min",
@@ -64,16 +63,6 @@ class CostSolution:
     converged: bool
     iterations: int
     kkt_residual: float
-
-
-@dataclass(frozen=True)
-class C2Value:
-    """Unit aggregate cost: minimum flexible expenditure subject to h >= 1."""
-
-    value: float
-    kind: str
-    pL: float
-    pM: float
 
 
 def _attainability_guard(tech: Technology, K: float, target: float) -> None:
@@ -212,7 +201,7 @@ def unit_cost_numeric(tech: Technology, K: float, pL: float, pM: float) -> CostS
     return _solve_log_program(tech, float(K), float(pL), float(pM), None)
 
 
-def c2_min(tech: Technology, K, pL, pM) -> C2Value:
+def c2_min(tech: Technology, K, pL, pM) -> float:
     """Unit aggregate cost via the closed-form dual of the parametric family.
 
     Both families are self-dual, so the minimum of the unit-aggregate program
@@ -221,8 +210,7 @@ def c2_min(tech: Technology, K, pL, pM) -> C2Value:
     either family, so the value is capital-free.
     """
     _check_positive(K=K, pL=pL, pM=pM)
-    value = tech.unit_cost(pL, pM)
-    return C2Value(value=value, kind=tech.kind, pL=pL, pM=pM)
+    return tech.unit_cost(pL, pM)
 
 
 def conditional_demands(tech: Technology, K, pL, pM, target):
@@ -284,7 +272,7 @@ def factorization_check(tech: Technology, K: float, pL: float, pM: float, target
     _check_positive(K=K, pL=pL, pM=pM, target=target)
     net = target / math.exp(omega)
     numeric = cost_min_numeric(tech, K, pL, pM, net).total_cost
-    factored = f_inverse_root(tech, K, net) * c2_min(tech, K, pL, pM).value
+    factored = f_inverse_root(tech, K, net) * c2_min(tech, K, pL, pM)
     return abs(numeric - factored) / numeric
 
 

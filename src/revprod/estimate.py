@@ -21,6 +21,15 @@ recovered from the means, so the GMM search space contains only technology
 parameters.  Each
 parameter vector goes through one evaluation: one prediction over all panel
 rows, indexed into current and lagged rows, then the concentration above.
+
+The local searches are L-BFGS-B with the exact gradient of the objective.
+Each predictor also returns its Jacobian, built from the exp/log arrays of
+the prediction, and the gradient is propagated in reverse through the
+moments and the concentrated-out g, so a value and its gradient cost one
+evaluation.  There is no derivative-free polish: a search that stops ABNORMAL
+(a line search that finds no decrease, typically at a minimum where rounding
+leaves none to find) is reported as not converged, with the optimizer's
+message, at the point where it stopped.
 """
 
 from __future__ import annotations
@@ -204,7 +213,7 @@ class MomentSystem:
     Z: np.ndarray
     instrument_names: tuple
     n_obs: int
-    _predict: callable = field(repr=False)  # theta -> (prediction on all rows, penalty)
+    _predict: callable = field(repr=False)  # theta -> (prediction on all rows, penalty, derivatives)
     _fitted: np.ndarray = field(repr=False)  # first-stage fitted values, all rows
     _cur: np.ndarray = field(repr=False)
     _lag: np.ndarray = field(repr=False)
@@ -212,15 +221,17 @@ class MomentSystem:
     level_instrument_names: tuple = ()
 
     def _evaluate(self, theta):
-        """Innovation, level residual, penalty and the pieces of g at theta.
+        """Innovation, level residual, penalty, predictor derivatives and g at theta.
 
         g is fit in powers of the centred lag, which span the same space as
         powers of the lag itself but keep the normal equations well
         conditioned at any degree; for degree one the slope is a.b / a.a.
         Means are taken as sum / n, which is what ndarray.mean computes,
-        without its per-call overhead.
+        without its per-call overhead.  The last item holds the pieces of g:
+        lag mean, current mean, power means, slope, the demeaned powers X
+        and their Gram matrix X X'.
         """
-        pred, penalty = self._predict(np.asarray(theta, float))
+        pred, penalty, derivatives = self._predict(np.asarray(theta, float))
         w = self._fitted - pred
         w_t, w_lag = w[self._cur], w[self._lag]
         n = w_t.size
@@ -233,13 +244,14 @@ class MomentSystem:
         powers -= power_means[:, None]
         w_mean = w_t.sum() / n
         y = w_t - w_mean
-        slope = np.linalg.solve(powers.dot(powers.T), powers.dot(y))
+        gram = powers.dot(powers.T)
+        slope = np.linalg.solve(gram, powers.dot(y))
         xi = y - slope.dot(powers)
-        return xi, w_t, penalty, (lag_mean, w_mean, power_means, slope)
+        return xi, w_t, penalty, derivatives, (lag_mean, w_mean, power_means, slope, powers, gram)
 
     def g_coefficients(self, theta) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first."""
-        lag_mean, w_mean, power_means, slope = self._evaluate(theta)[3]
+        lag_mean, w_mean, power_means, slope, _, _ = self._evaluate(theta)[4]
         centred = np.concatenate([[w_mean - power_means @ slope], slope])
         coef = np.zeros(self.g_degree + 1)
         for k, c in enumerate(centred):
@@ -259,25 +271,61 @@ class MomentSystem:
         return np.concatenate([m, level.dot(self.level_Z) / self.n_obs])
 
     def moments(self, theta) -> np.ndarray:
-        xi, level, _, _ = self._evaluate(theta)
+        xi, level = self._evaluate(theta)[:2]
         return self._stack_moments(xi, level)
 
     def moment_covariance(self, theta) -> np.ndarray:
-        xi, level, _, _ = self._evaluate(theta)
+        xi, level = self._evaluate(theta)[:2]
         G = self.Z * xi[:, None]
         if self.level_Z is not None:
             G = np.column_stack([G, self.level_Z * level[:, None]])
         return G.T @ G / self.n_obs
 
+    def _quadratic_form(self, m, penalty, weight):
+        mw = m if weight is None else m.dot(weight)
+        return self.n_obs * (float(mw.dot(m)) + penalty), mw
+
     def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        xi, level, penalty, _ = self._evaluate(theta)
+        xi, level, penalty, _, _ = self._evaluate(theta)
+        return self._quadratic_form(self._stack_moments(xi, level), penalty, weight)[0]
+
+    def objective_and_gradient(self, theta, weight: Optional[np.ndarray] = None):
+        """objective(theta, weight) and its exact gradient from one evaluation.
+
+        The gradient runs in reverse: with u the symmetrized W m and q = Z u_xi,
+        the derivative of q'xi through the concentrated-out g is a weight r_cur
+        on the current rows' productivity plus r_lag on the lagged rows', so
+        no n x p moment Jacobian is formed.  With a = (X X')^-1 X q and qt the
+        demeaned residual of q on X,
+        r_cur = qt (+ level_Z u_level in revenue mode) and
+        r_lag = -demean(sum_k (k+1) c^k (slope_k qt + a_k xi)),
+        c being the centred lag.  Productivity is fitted minus prediction, so
+        grad J = -2 dpred r + n grad penalty.
+        """
+        xi, level, penalty, derivatives, (_, _, power_means, slope, X, gram) = self._evaluate(theta)
         m = self._stack_moments(xi, level)
-        if weight is None:
-            val = float(m.dot(m))
-        else:
-            val = float(m.dot(weight).dot(m))
-        return self.n_obs * (val + penalty)
+        value, mw = self._quadratic_form(m, penalty, weight)
+        u = m if weight is None else 0.5 * (mw + weight.dot(m))
+        n_xi = self.Z.shape[1]
+        q = self.Z.dot(u[:n_xi])
+        a = np.linalg.solve(gram, X.dot(q))
+        qt = q - a.dot(X)
+        qt -= qt.sum() / qt.size
+        r_cur = qt if self.level_Z is None else qt + self.level_Z.dot(u[n_xi:])
+        r_lag = slope[0] * qt + a[0] * xi
+        if self.g_degree > 1:
+            c = X[0] + power_means[0]  # undo the demeaning of the first power
+            c_pow = np.ones_like(c)
+            for k in range(1, self.g_degree):
+                c_pow = c_pow * c
+                r_lag += (k + 1) * c_pow * (slope[k] * qt + a[k] * xi)
+        r_lag = r_lag.sum() / r_lag.size - r_lag
+        r = np.zeros(self._fitted.size)
+        r[self._cur] = r_cur
+        r[self._lag] += r_lag
+        dpred, dpenalty = derivatives()
+        return value, -2.0 * dpred.dot(r) + self.n_obs * dpenalty
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -314,25 +362,52 @@ def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarr
     return np.column_stack([tokens[n]() for n in names])
 
 
+# A predictor maps theta to (prediction on all panel rows, penalty, derivatives),
+# where derivatives() returns the p x N Jacobian of the prediction and the
+# gradient of the penalty, computed from the arrays the prediction already
+# built.  Rows of coordinates the predictor never reads are exactly zero.
+
+
 def _quantity_predictor(tech_kind: str, cols):
     k, l, m = cols["K"], cols["L"], cols["M"]
 
     if tech_kind == "CD":
+        jac = np.vstack([k, l, m])
+        derivatives = lambda: (jac, np.zeros(3))
 
         def predict(theta):
             bK, bL, bM = theta
-            return bK * k + bL * l + bM * m, 0.0
+            return bK * k + bL * l + bM * m, 0.0, derivatives
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
     def predict(theta):
         sg, bL, bM, v = theta
-        bK = 1.0 - bL - bM
+        bK_raw = bK = 1.0 - bL - bM
+        clipped = bK < _MIN_CAPITAL_SHARE
         penalty = 0.0
-        if bK < _MIN_CAPITAL_SHARE:
+        if clipped:
             penalty = 1e4 * (_MIN_CAPITAL_SHARE - bK) ** 2
             bK = _MIN_CAPITAL_SHARE
-        return (v / sg) * np.log(bK * np.exp(sg * k) + bL * np.exp(sg * l) + bM * np.exp(sg * m)), penalty
+        ek, el, em = np.exp(sg * k), np.exp(sg * l), np.exp(sg * m)
+        agg = bK * ek + bL * el + bM * em
+        log_agg = np.log(agg)
+        pred = (v / sg) * log_agg
+
+        def derivatives():
+            # the capital share 1 - bL - bM moves with bL and bM unless clipped
+            d_bL, d_bM = el, em
+            if not clipped:
+                d_bL, d_bM = el - ek, em - ek
+            scale = (v / sg) / agg
+            d_sg = (v * (bK * k * ek + bL * l * el + bM * m * em) / agg - pred) / sg
+            jac = np.vstack([d_sg, scale * d_bL, scale * d_bM, log_agg / sg])
+            dpen = np.zeros(4)
+            if clipped:
+                dpen[1:3] = 2e4 * (_MIN_CAPITAL_SHARE - bK_raw)
+            return jac, dpen
+
+        return pred, penalty, derivatives
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
@@ -342,6 +417,9 @@ def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
     s = cols["sL_star" if which_v == "L" else "sM_star"]
 
     if tech_kind == "CD":
+        l_pl, m_pm = l + pl, m + pm
+        gap = l_pl - m_pm
+
         # beta_K occupies a slot in theta but is never read below; the ratio
         # a = beta_L/(beta_L+beta_M) is the only flexible-block content.
         def predict(theta):
@@ -349,8 +427,19 @@ def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
             a = bL / (bL + bM)
             w_v = a if which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
-            lin = a * (l + pl) + (1.0 - a) * (m + pm)
-            return theta0 + lin - s - log_cal_e, 0.0
+            lin = a * l_pl + (1.0 - a) * m_pm
+            pred = theta0 + lin - s - log_cal_e
+
+            def derivatives():
+                d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
+                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) + gap
+                tot2 = (bL + bM) ** 2
+                jac = np.zeros((3, gap.size))
+                jac[1] = d_a * (bM / tot2)
+                jac[2] = d_a * (-bL / tot2)
+                return jac, np.zeros(3)
+
+            return pred, 0.0, derivatives
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
@@ -360,9 +449,33 @@ def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
         sg, bL, bM, _ = theta  # v never read
         bV = bL if which_v == "L" else bM
         e = sg / (sg - 1.0)
-        agg = np.log(bL * np.exp(sg * l) + bM * np.exp(sg * m))
-        B = np.log(np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0)))
-        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s - log_cal_e, 0.0
+        el, em = np.exp(sg * l), np.exp(sg * m)
+        cL = np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0))
+        cM = np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0))
+        sum_a, sum_c = bL * el + bM * em, cL + cM
+        agg, B = np.log(sum_a), np.log(sum_c)
+        pred = np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s - log_cal_e
+
+        def derivatives():
+            # d log cV / d sg = (log bV - pV) / (sg - 1)^2 and d log cV / d bV
+            # = -1 / ((sg - 1) bV); the v row stays zero
+            sA = ((1.0 - sg) / sg) / sum_a
+            sB = (1.0 / sg) / sum_c
+            d_sg = (
+                v_in
+                + (B - agg) / sg**2
+                + sA * (bL * l * el + bM * m * em)
+                + (sB / (sg - 1.0)) * (cL * (math.log(bL) - pl) + cM * (math.log(bM) - pm))
+            )
+            d_bL = sA * el - sB * cL / bL
+            d_bM = sA * em - sB * cM / bM
+            if which_v == "L":
+                d_bL += 1.0 / bL
+            else:
+                d_bM += 1.0 / bM
+            return np.vstack([d_sg, d_bL, d_bM, np.zeros(el.size)]), np.zeros(4)
+
+        return pred, 0.0, derivatives
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
@@ -564,45 +677,34 @@ def gmm_minimize(
     stage-one minimum by the (regularized) inverse moment covariance at the
     stage-one argmin and re-minimizes.  All local minima are reported, not
     just the best: with flat directions the set is the diagnostic object.
+    Each minimum records L-BFGS-B's own verdict: converged is its success
+    flag, message its termination text and n_evals its count of
+    value-and-gradient evaluations.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     starts = _draw_starts(ms, start, restarts, seed, screen=screen)
 
     def solve_one(idx, x0, W):
-        fun = lambda th: ms.objective(th, W)
         res = minimize(
-            fun,
+            ms.objective_and_gradient,
             x0,
+            args=(W,),
+            jac=True,
             method="L-BFGS-B",
             bounds=ms.bounds,
             options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
         )
-        converged = bool(res.success)
-        x, f, nit = res.x, res.fun, int(res.nit)
-        if not converged and np.all(np.isfinite(x)):
-            # the line search can abort on bit-flat directions even at the
-            # minimum; a derivative-free polish certifies (or improves) it
-            lo = np.array([b[0] for b in ms.bounds])
-            hi = np.array([b[1] for b in ms.bounds])
-            nm = minimize(
-                lambda th: fun(np.clip(th, lo, hi)),
-                x,
-                method="Nelder-Mead",
-                options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
-            )
-            if np.all(np.isfinite(nm.x)) and nm.fun <= f + 1e-12 * max(1.0, abs(f)):
-                x, f = np.clip(nm.x, lo, hi), min(f, nm.fun)
-                nit += int(nm.nit)
-                converged = bool(nm.success)
-        if not np.all(np.isfinite(x)):
+        if not np.all(np.isfinite(res.x)):
             return {"start_index": int(idx), "failed": True, "message": str(res.message)}
         return {
             "start_index": int(idx),
-            "theta": [float(v) for v in x],
-            "objective": float(f),
-            "converged": converged,
-            "n_iter": nit,
+            "theta": [float(v) for v in res.x],
+            "objective": float(res.fun),
+            "converged": bool(res.success),
+            "message": str(res.message),
+            "n_iter": int(res.nit),
+            "n_evals": int(res.nfev),
         }
 
     def run_stage(W, theta_starts):

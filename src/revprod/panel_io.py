@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "PanelFormatError",
-    "FirmPeriod",
     "Panel",
     "COLUMNS",
     "OPTIONAL_COLUMNS",
@@ -56,39 +55,6 @@ _INT_COLUMNS = {"firm_id", "t"}
 
 class PanelFormatError(ValueError):
     """Raised when a panel file or in-memory panel violates the schema."""
-
-
-@dataclass(frozen=True)
-class FirmPeriod:
-    """One firm-time observation.
-
-    Qstar is planned output Q / exp(eps); the target revenue share of a
-    flexible input V is pV*V divided by target revenue P * Qstar * cal_e,
-    i.e. the share of ex-ante expected revenue spent on that input.  pK is
-    carried as an observable but enters no equation.
-    """
-
-    firm_id: int
-    t: int
-    K: float
-    L: float
-    M: float
-    pL: float
-    pM: float
-    pK: float
-    omega: Optional[float]
-    eps: Optional[float]
-    Q: Optional[float]
-    P: Optional[float]
-    R: float
-    sL_star: float
-    sM_star: float
-
-    @property
-    def Qstar(self) -> Optional[float]:
-        if self.Q is None or self.eps is None:
-            return None
-        return self.Q / np.exp(self.eps)
 
 
 @dataclass
@@ -157,31 +123,6 @@ class Panel:
         if not self.has("eps"):
             raise PanelFormatError("Rstar requires the eps column")
         return self.data["R"] / np.exp(self.data["eps"])
-
-    def row(self, i: int) -> FirmPeriod:
-        d = self.data
-
-        def get(c):
-            v = d.get(c)
-            return None if v is None else v[i]
-
-        return FirmPeriod(
-            firm_id=int(d["firm_id"][i]),
-            t=int(d["t"][i]),
-            K=float(d["K"][i]),
-            L=float(d["L"][i]),
-            M=float(d["M"][i]),
-            pL=float(d["pL"][i]),
-            pM=float(d["pM"][i]),
-            pK=float(d["pK"][i]),
-            omega=get("omega"),
-            eps=get("eps"),
-            Q=get("Q"),
-            P=get("P"),
-            R=float(d["R"][i]),
-            sL_star=float(d["sL_star"][i]),
-            sM_star=float(d["sM_star"][i]),
-        )
 
     def lag_index(self):
         """Row indices (current, previous) for consecutive periods within a firm."""

@@ -76,7 +76,7 @@ class TestNumericOracle:
 
 class TestUnitAggregateCost:
     def test_cd_symmetric_value(self):
-        assert c2_min(CobbDouglas(0.2, 0.3, 0.3), 1.0, 1.0, 1.0).value == pytest.approx(2.0, rel=1e-12)
+        assert c2_min(CobbDouglas(0.2, 0.3, 0.3), 1.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_cd_closed_form_vs_numeric(self):
         rng = np.random.default_rng(37)
@@ -84,7 +84,7 @@ class TestUnitAggregateCost:
             for _ in range(25):
                 tech = random_technology(rng, kind)
                 _, _, _, pL, pM = random_point(rng)
-                closed = c2_min(tech, 1.0, pL, pM).value
+                closed = c2_min(tech, 1.0, pL, pM)
                 numeric = unit_cost_numeric(tech, 1.0, pL, pM).total_cost
                 assert abs(closed - numeric) <= 1e-7 * closed
 
@@ -93,15 +93,15 @@ class TestUnitAggregateCost:
         for kind in ("CD", "CES"):
             tech = random_technology(rng, kind)
             _, _, _, pL, pM = random_point(rng)
-            c1 = c2_min(tech, 1.0, pL, pM).value
-            c2 = c2_min(tech, 1.0, 2.0 * pL, 2.0 * pM).value
+            c1 = c2_min(tech, 1.0, pL, pM)
+            c2 = c2_min(tech, 1.0, 2.0 * pL, 2.0 * pM)
             assert abs(c2 - 2.0 * c1) <= 1e-10 * c1
 
     def test_capital_free(self):
         tech = CobbDouglas(0.3, 0.3, 0.4)
-        assert c2_min(tech, 0.5, 1.1, 0.9).value == c2_min(tech, 8.0, 1.1, 0.9).value
+        assert c2_min(tech, 0.5, 1.1, 0.9) == c2_min(tech, 8.0, 1.1, 0.9)
         ces = CES(0.3, 0.4, 0.5, 0.9)
-        assert c2_min(ces, 0.5, 1.1, 0.9).value == c2_min(ces, 8.0, 1.1, 0.9).value
+        assert c2_min(ces, 0.5, 1.1, 0.9) == c2_min(ces, 8.0, 1.1, 0.9)
 
 
 class TestFactorization:

@@ -269,6 +269,59 @@ class TestFusedCore:
         ms._predict = counting
         ms.objective(theta_true(small_ces_config))
         assert len(calls) == 1
+        ms.objective_and_gradient(theta_true(small_ces_config))
+        assert len(calls) == 2
+
+
+def _central_difference(ms, theta, weight):
+    grad = np.zeros(theta.size)
+    for i in range(theta.size):
+        h = 1e-6 * max(1.0, abs(theta[i]))
+        step = np.zeros(theta.size)
+        step[i] = h
+        grad[i] = (ms.objective(theta + step, weight) - ms.objective(theta - step, weight)) / (2.0 * h)
+    return grad
+
+
+class TestGradient:
+    @pytest.mark.parametrize("g_degree", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_matches_central_difference(self, kind, mode, g_degree, cd_panel, cd_config, ces_panel, ces_config):
+        panel, cfg = (cd_panel, cd_config) if kind == "CD" else (ces_panel, ces_config)
+        fs = first_stage_project(panel, mode, 3)
+        if mode == "quantity":
+            ms = build_quantity_moments(kind, fs, panel, g_degree=g_degree)
+        else:
+            ms = build_revenue_moments(kind, fs, panel, g_degree=g_degree, cal_e=cfg.shocks.cal_e)
+        rng = np.random.default_rng(200 + g_degree)
+        A = rng.normal(size=(ms.n_moments, ms.n_moments))
+        W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
+        lo = np.array([b[0] for b in ms.bounds])
+        hi = np.array([b[1] for b in ms.bounds])
+        thetas = list(lo + rng.uniform(0.05, 0.95, size=(6, lo.size)) * (hi - lo))
+        if kind == "CES":
+            # beta_L + beta_M above 1 - _MIN_CAPITAL_SHARE: the clipped-capital branch
+            thetas += [np.array([0.4, 0.55, 0.5, 0.9]), np.array([0.7, 0.45, 0.58, 1.1])]
+        flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
+        for theta in thetas:
+            for weight in (None, W):
+                value, grad = ms.objective_and_gradient(theta, weight)
+                assert _rel_gap(value, ms.objective(theta, weight)) <= 1e-12
+                fd = _central_difference(ms, theta, weight)
+                assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
+                if mode == "revenue":
+                    assert grad[flat] == 0.0
+
+    def test_penalty_gradient_on_clipped_shares(self, small_ces_panel):
+        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        ms = build_quantity_moments("CES", fs, small_ces_panel)
+        theta = np.array([0.5, 0.55, 0.5, 0.9])
+        _, penalty, derivatives = ms._predict(theta)
+        _, dpenalty = derivatives()
+        excess = theta[1] + theta[2] - (1.0 - _MIN_CAPITAL_SHARE)
+        assert penalty == pytest.approx(1e4 * excess**2, rel=1e-12)
+        assert dpenalty == pytest.approx([0.0, 2e4 * excess, 2e4 * excess, 0.0], rel=1e-12)
 
 
 class TestGmmMinimize:

@@ -82,12 +82,6 @@ def test_unsorted_input_is_sorted(small_cd_panel):
         assert np.array_equal(panel.col(c), small_cd_panel.col(c)), c
 
 
-def test_row_view(small_cd_panel):
-    fp = small_cd_panel.row(3)
-    assert fp.Qstar == pytest.approx(fp.Q / np.exp(fp.eps))
-    assert fp.firm_id == int(small_cd_panel.col("firm_id")[3])
-
-
 def test_lag_index_respects_firm_boundaries(small_cd_panel):
     cur, lag = small_cd_panel.lag_index()
     fid = small_cd_panel.col("firm_id")
