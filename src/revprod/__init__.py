@@ -66,8 +66,6 @@ from .technology import (
     ValidityReport,
     evaluate_quantity,
     h_separable,
-    log_revenue_cd,
-    log_revenue_ces,
     markup_production_approach,
     output_elasticity,
     price_from_markup,

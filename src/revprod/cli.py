@@ -86,16 +86,10 @@ def _moment_system(cfg: RunConfig, panel, mode: str):
     est = cfg.estimation
     fs = first_stage_project(panel, mode, est.first_stage_degree)
     kind = cfg.sim.tech.kind
-    instruments = est.instruments
+    kwargs = {} if est.instruments is None else {"instruments": est.instruments}
     if mode == "quantity":
-        kwargs = {}
-        if instruments is not None:
-            kwargs["instruments"] = instruments
         ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
     else:
-        kwargs = {}
-        if instruments is not None:
-            kwargs["instruments"] = instruments
         if est.level_instruments is not None:
             kwargs["level_instruments"] = est.level_instruments
         ms = build_revenue_moments(

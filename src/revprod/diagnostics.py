@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import MomentSystem, first_stage_project
+from .estimate import REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor
 from .panel_io import Panel
-from .technology import CES, CobbDouglas, Technology, log_revenue_cd, log_revenue_ces
+from .technology import CES, CobbDouglas, Technology
 
 __all__ = [
     "ProfileCurve",
@@ -49,14 +49,12 @@ RANK_RTOL = 1e-8
 EQUIVALENCE_TOL = 1e-10
 
 
-def _log_revenue(tech: Technology, panel: Panel, which_v: str) -> np.ndarray:
-    l, m = np.log(panel.col("L")), np.log(panel.col("M"))
-    pl, pm = np.log(panel.col("pL")), np.log(panel.col("pM"))
-    share = panel.col("sL_star") if which_v == "L" else panel.col("sM_star")
-    s_log = np.log(share)
-    if isinstance(tech, CobbDouglas):
-        return log_revenue_cd(tech, l, m, pl, pm, s_log, 1.0, which_v)
-    return log_revenue_ces(tech, l, m, pl, pm, s_log, 1.0, which_v)
+def _theta(tech: Technology, names) -> np.ndarray:
+    return np.array([getattr(tech, n) for n in names])
+
+
+def _revenue_columns(panel: Panel) -> dict:
+    return {c: np.log(panel.col(c)) for c in REVENUE_COLUMNS}
 
 
 def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Panel) -> float:
@@ -71,9 +69,11 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
         raise ValueError(f"technology kinds differ: {tech_a.kind} vs {tech_b.kind}")
     if len(panel) == 0:
         return 0.0
+    cols = _revenue_columns(panel)
     gap = 0.0
     for v in ("L", "M"):
-        d = np.abs(_log_revenue(tech_a, panel, v) - _log_revenue(tech_b, panel, v))
+        predict, names = revenue_predictor(tech_a.kind, cols, v, 0.0)
+        d = np.abs(predict(_theta(tech_a, names))[0] - predict(_theta(tech_b, names))[0])
         gap = max(gap, float(np.max(d)))
     return gap
 
@@ -283,7 +283,8 @@ def omega_recovery_attempt(
     if mode == "revenue":
         if cal_e is None:
             cal_e = first_stage_project(panel, "revenue", first_stage_degree).cal_e_hat
-        pred = _log_revenue(tech, panel, which_v) - math.log(cal_e)
+        predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v, 0.0)
+        pred = predict(_theta(tech, names))[0] - math.log(cal_e)
         resid = np.log(panel.col("R")) - pred
     else:
         fs = first_stage_project(panel, "quantity", first_stage_degree)
@@ -370,11 +371,10 @@ def build_identification_report(
     which_v: str = "M",
 ) -> IdentificationReport:
     """End-to-end identification report for one panel and moment system."""
-    if isinstance(tech, CobbDouglas):
-        center = {"beta_K": tech.beta_K, "beta_L": tech.beta_L, "beta_M": tech.beta_M}
-    else:
-        center = {"sigma": tech.sigma, "beta_L": tech.beta_L, "beta_M": tech.beta_M, "v": tech.v}
-    theta0 = np.array([center[n] for n in ms.param_names])
+    if tech.kind != ms.tech_kind:
+        raise ValueError(f"technology kind {tech.kind} does not match the {ms.tech_kind} moment system")
+    center = {n: getattr(tech, n) for n in ms.param_names}
+    theta0 = _theta(tech, ms.param_names)
 
     free_param, free_alt = _free_param_variant(tech)
     gap_free = observational_equivalence(tech, free_alt, panel)

@@ -7,11 +7,14 @@ of its first-order Markov process against predetermined instruments.
 
 The revenue route runs the same machinery with log revenue in place of log
 quantity and the parametric revenue predictor in place of the production
-function.  Its parameter vector deliberately carries the coordinates that the
-revenue predictor never reads (the capital exponent for Cobb-Douglas, returns
-to scale for CES) so that downstream diagnostics can exhibit the resulting
-flat directions; the residual provably never touches them, which makes the
-flatness bit-exact rather than approximate.
+function.  revenue_predictor is the package's only parametric log-revenue
+formula, one closed form per family: the diagnostics evaluate it at a
+technology's parameters too, so the estimator and the equivalence
+certificates read the same expression.  Its parameter vector deliberately
+carries the coordinates that the formula never reads (the capital exponent
+for Cobb-Douglas, returns to scale for CES) so that downstream diagnostics
+can exhibit the resulting flat directions; the residual provably never
+touches them, which makes the flatness bit-exact rather than approximate.
 
 The Markov conditional mean g(.) is a polynomial of configurable degree whose
 coefficients are concentrated out in closed form: at every parameter vector
@@ -53,6 +56,7 @@ __all__ = [
     "first_stage_project",
     "build_quantity_moments",
     "build_revenue_moments",
+    "revenue_predictor",
     "gmm_minimize",
     "DEFAULT_INSTRUMENTS",
     "DEFAULT_BOUNDS",
@@ -412,7 +416,24 @@ def _quantity_predictor(tech_kind: str, cols):
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
 
-def _revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
+REVENUE_COLUMNS = ("L", "M", "pL", "pM", "sL_star", "sM_star")
+
+
+def revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
+    """Parametric log target revenue, one closed form per family.
+
+    cols maps the names in REVENUE_COLUMNS to the logs of those columns
+    (arrays or scalars); which_v picks the flexible input whose revenue
+    equation is used, and log_cal_e is subtracted from every prediction.
+    Returns (predict, param_names): predict(theta), with theta ordered as
+    param_names, gives (prediction, penalty, derivatives) as described above.
+    The formula is built from h and the unit aggregate cost alone: it never
+    reads the capital exponent (Cobb-Douglas) or returns to scale (CES), so
+    parameter vectors that differ only there give bit-identical predictions,
+    and (beta_L, beta_M) enter only through their ratio.
+    """
+    if which_v not in ("L", "M"):
+        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
     l, m, pl, pm = cols["L"], cols["M"], cols["pL"], cols["pM"]
     s = cols["sL_star" if which_v == "L" else "sM_star"]
 
@@ -542,8 +563,6 @@ def build_revenue_moments(
     """
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
     if isinstance(fitted_rstar, FirstStage):
         if cal_e is None:
             cal_e = fitted_rstar.cal_e_hat
@@ -552,8 +571,8 @@ def build_revenue_moments(
         fitted = np.asarray(fitted_rstar, float)
         if cal_e is None:
             raise ValueError("cal_e is required when fitted values are passed as a raw array")
-    cur, lag, cols = _lag_bundle(panel, ("L", "M", "pL", "pM", "sL_star", "sM_star"))
-    predict, names = _revenue_predictor(tech_kind, cols, which_v, math.log(cal_e))
+    cur, lag, cols = _lag_bundle(panel, REVENUE_COLUMNS)
+    predict, names = revenue_predictor(tech_kind, cols, which_v, math.log(cal_e))
     Z = _instrument_matrix(panel, cur, lag, instruments)
     level_Z = None
     if level_instruments:

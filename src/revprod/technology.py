@@ -10,13 +10,16 @@ log Hicks-neutral productivity and eps is an ex-post log output shock.  The
 flexible-input aggregate h is stored homogeneous of degree one; the degree of
 returns is absorbed into the outer function F.  That normalization makes the
 unit aggregate cost (the minimum flexible-input expenditure needed to reach
-h = 1) a well-defined object, which in turn makes the revenue-side formulas
-below purely a composition of h and that unit cost.
+h = 1) a well-defined object, which in turn makes target revenue purely a
+composition of h and that unit cost.
 
-The revenue predictors in this module deliberately never read the capital
-exponent (Cobb-Douglas), the returns-to-scale parameter (CES), or omega:
-they are built only from h and the unit aggregate cost, so equality of
-predictions across those parameters is structural, not numerical.
+revenue_pf_reduced_form below is the level form of that composition, built
+from a technology's unit_cost and h_dlog methods; the panel checks use it as
+the independent reference.  The parametric log-revenue formula that the
+estimator and the identification diagnostics evaluate lives in one place,
+revprod.estimate.revenue_predictor.  Neither reads the capital exponent
+(Cobb-Douglas), the returns-to-scale parameter (CES), or omega, so equality
+of predictions across those parameters is structural, not numerical.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ __all__ = [
     "markup_production_approach",
     "price_from_markup",
     "revenue_pf_reduced_form",
-    "log_revenue_cd",
-    "log_revenue_ces",
     "validate_technology",
 ]
 
@@ -353,58 +354,6 @@ def revenue_pf_reduced_form(tech: Technology, K, L, M, pL, pM, s_star, cal_e, wh
     _check_positive(K=K, L=L, M=M, pL=pL, pM=pM, s_star=s_star, cal_e=cal_e)
     c2 = tech.unit_cost(pL, pM)
     return c2 * tech.h_dlog(L, M, which_v) / (np.asarray(s_star, float) * np.asarray(cal_e, float))
-
-
-def log_revenue_cd(params: CobbDouglas, l, m, pl, pm, s_star_log, cal_e, which_v: str):
-    """Log target revenue for the Cobb-Douglas case.
-
-    Arguments are logs (inputs, input prices, and the log target revenue
-    share); the realized shock is excluded and added by the caller.  The
-    intercept is written in terms of the aggregate weight a = beta_L/(beta_L+beta_M)
-    only, which is the entire content of the flexible block:
-
-        theta0 = log(weight of V) - a*log(a) - (1-a)*log(1-a)
-
-    so the prediction is invariant to beta_K and to common rescaling of
-    (beta_L, beta_M).
-    """
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
-    if params.beta_L + params.beta_M <= 0.0:
-        raise DomainError("beta_L + beta_M must be positive")
-    a = params.labor_weight
-    w_v = a if which_v == "L" else 1.0 - a
-    theta0 = math.log(w_v) - a * math.log(a) - (1.0 - a) * math.log(1.0 - a)
-    return (
-        theta0
-        + a * (np.asarray(l, float) + np.asarray(pl, float))
-        + (1.0 - a) * (np.asarray(m, float) + np.asarray(pm, float))
-        - np.asarray(s_star_log, float)
-        - np.log(np.asarray(cal_e, float))
-    )
-
-
-def log_revenue_ces(params: CES, l, m, pl, pm, s_star_log, cal_e, which_v: str):
-    """Log target revenue for the CES case; invariant to v and omega by construction."""
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
-    s = params.sigma
-    if s == 0.0 or s == 1.0:
-        raise ParameterError("sigma in {0, 1} is not supported")
-    bV = params.beta_L if which_v == "L" else params.beta_M
-    v_log = np.asarray(l if which_v == "L" else m, float)
-    l = np.asarray(l, float)
-    m = np.asarray(m, float)
-    agg = params.beta_L * np.exp(s * l) + params.beta_M * np.exp(s * m)
-    B = params.price_index(np.exp(np.asarray(pl, float)), np.exp(np.asarray(pm, float)))
-    return (
-        math.log(bV)
-        + s * v_log
-        + (1.0 - s) / s * np.log(agg)
-        + (s - 1.0) / s * np.log(B)
-        - np.asarray(s_star_log, float)
-        - np.log(np.asarray(cal_e, float))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from revprod.estimate import revenue_predictor
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas
 
@@ -78,3 +81,12 @@ def random_point(rng):
     K, L, M = np.exp(rng.normal(0.0, 0.5, 3))
     pL, pM = np.exp(rng.normal(0.0, 0.3, 2))
     return K, L, M, pL, pM
+
+
+def predicted_log_revenue(tech, l, m, pl, pm, s_log, cal_e, which_v):
+    """revenue_predictor evaluated at tech's parameters; arguments are logs
+    (inputs, input prices, target share of which_v) except cal_e."""
+    share = "sL_star" if which_v == "L" else "sM_star"
+    cols = {"L": l, "M": m, "pL": pl, "pM": pm, share: s_log}
+    predict, names = revenue_predictor(tech.kind, cols, which_v, math.log(cal_e))
+    return predict(np.array([getattr(tech, n) for n in names]))[0]

@@ -30,9 +30,9 @@ from revprod.estimate import (
     gmm_minimize,
 )
 from revprod.simulate import SimConfig, simulate_panel
-from revprod.technology import CES, CobbDouglas, log_revenue_cd, log_revenue_ces, revenue_pf_reduced_form
+from revprod.technology import CES, CobbDouglas, revenue_pf_reduced_form
 
-from conftest import TRUE_CD, TRUE_CES, random_point, random_technology
+from conftest import TRUE_CD, TRUE_CES, predicted_log_revenue, random_point, random_technology
 
 pytestmark = pytest.mark.acceptance
 
@@ -131,14 +131,14 @@ def test_criterion_4_certificates(cd_panel, cd_config, ces_panel, ces_config):
     p = cd_panel
     args_cd = (np.log(p.col("L")), np.log(p.col("M")), np.log(p.col("pL")), np.log(p.col("pM")),
                np.log(p.col("sM_star")), cd_config.shocks.cal_e, "M")
-    a = log_revenue_cd(CobbDouglas(0.05, 0.3, 0.4), *args_cd)
-    b = log_revenue_cd(CobbDouglas(0.80, 0.3, 0.4), *args_cd)
+    a = predicted_log_revenue(CobbDouglas(0.05, 0.3, 0.4), *args_cd)
+    b = predicted_log_revenue(CobbDouglas(0.80, 0.3, 0.4), *args_cd)
     assert np.array_equal(a, b), "CD predictions differ across beta_K"
     q = ces_panel
     args_ces = (np.log(q.col("L")), np.log(q.col("M")), np.log(q.col("pL")), np.log(q.col("pM")),
                 np.log(q.col("sM_star")), ces_config.shocks.cal_e, "M")
-    c = log_revenue_ces(CES(0.3, 0.4, 0.5, 0.7), *args_ces)
-    d = log_revenue_ces(CES(0.3, 0.4, 0.5, 1.25), *args_ces)
+    c = predicted_log_revenue(CES(0.3, 0.4, 0.5, 0.7), *args_ces)
+    d = predicted_log_revenue(CES(0.3, 0.4, 0.5, 1.25), *args_ces)
     assert np.array_equal(c, d), "CES predictions differ across v"
 
     # objective profiles: v exactly flat, sigma at least 100x above the threshold

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,8 @@ from revprod.estimate import build_quantity_moments, build_revenue_moments, firs
 from revprod.panel_io import COLUMNS, Panel
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas, ShockConfig
+
+from conftest import predicted_log_revenue
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +161,8 @@ class TestOmegaRecovery:
             seed=31,
         )
         panel = simulate_panel(cfg)
-        from revprod.diagnostics import _log_revenue
-
-        resid = np.log(panel.col("R")) - (_log_revenue(ces_tech, panel, "M") - math.log(cfg.shocks.cal_e))
+        logs = [np.log(panel.col(c)) for c in ("L", "M", "pL", "pM", "sM_star")]
+        resid = np.log(panel.col("R")) - predicted_log_revenue(ces_tech, *logs, cfg.shocks.cal_e, "M")
         assert np.var(resid) == pytest.approx(0.12**2, rel=0.1)
 
     def test_skipped_without_omega_column(self, small_ces_panel, ces_tech):
@@ -193,6 +192,12 @@ class TestReport:
         assert rep.verdicts["beta_L"] == "identified-ratio-only"
         assert rep.verdicts["beta_M"] == "identified-ratio-only"
         assert rep.verdicts["omega"] == "not identified"
+
+    def test_technology_kind_must_match_system(self, ces_panel, ces_config, cd_revenue_ms):
+        # a CES technology has a beta_K too, so without the check it would
+        # silently centre a Cobb-Douglas system at (1 - beta_L - beta_M, ...)
+        with pytest.raises(ValueError, match="does not match"):
+            build_identification_report(ces_panel, ces_config.tech, cd_revenue_ms, cal_e=ces_config.shocks.cal_e)
 
     def test_json_round_trip_identical(self, ces_panel, ces_config, ces_revenue_ms):
         rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms, cal_e=ces_config.shocks.cal_e)

@@ -10,8 +10,6 @@ from revprod.technology import (
     ParameterError,
     evaluate_quantity,
     h_separable,
-    log_revenue_cd,
-    log_revenue_ces,
     markup_production_approach,
     output_elasticity,
     price_from_markup,
@@ -19,7 +17,7 @@ from revprod.technology import (
     validate_technology,
 )
 
-from conftest import random_point, random_technology
+from conftest import predicted_log_revenue, random_point, random_technology
 
 
 class TestEvaluateQuantity:
@@ -152,14 +150,14 @@ class TestRevenuePredictors:
 
     def test_log_revenue_cd_no_beta_k_path(self):
         l, m, pl, pm, s, cal = 0.2, -0.1, 0.05, 0.1, math.log(0.3), 1.005
-        lo = log_revenue_cd(CobbDouglas(0.05, 0.3, 0.4), l, m, pl, pm, s, cal, "L")
-        hi = log_revenue_cd(CobbDouglas(0.85, 0.3, 0.4), l, m, pl, pm, s, cal, "L")
+        lo = predicted_log_revenue(CobbDouglas(0.05, 0.3, 0.4), l, m, pl, pm, s, cal, "L")
+        hi = predicted_log_revenue(CobbDouglas(0.85, 0.3, 0.4), l, m, pl, pm, s, cal, "L")
         assert lo == hi
 
     def test_log_revenue_ces_no_v_path(self):
         l, m, pl, pm, s, cal = 0.2, -0.1, 0.05, 0.1, math.log(0.3), 1.005
-        lo = log_revenue_ces(CES(0.3, 0.4, 0.5, 0.6), l, m, pl, pm, s, cal, "M")
-        hi = log_revenue_ces(CES(0.3, 0.4, 0.5, 1.4), l, m, pl, pm, s, cal, "M")
+        lo = predicted_log_revenue(CES(0.3, 0.4, 0.5, 0.6), l, m, pl, pm, s, cal, "M")
+        hi = predicted_log_revenue(CES(0.3, 0.4, 0.5, 1.4), l, m, pl, pm, s, cal, "M")
         assert lo == hi
 
     def test_cd_symmetric_intercept(self):
@@ -168,12 +166,12 @@ class TestRevenuePredictors:
         # paths agree on this; the reduced form is the arbiter)
         tech = CobbDouglas(0.25, 0.35, 0.35)
         l, m, pl, pm, s, cal = 0.3, -0.2, 0.1, -0.1, math.log(0.3), 1.0
-        got = log_revenue_cd(tech, l, m, pl, pm, s, cal, "L")
+        got = predicted_log_revenue(tech, l, m, pl, pm, s, cal, "L")
         assert got == pytest.approx(0.5 * (l + pl) + 0.5 * (m + pm) - s, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     @pytest.mark.parametrize("which_v", ["L", "M"])
-    def test_parametric_matches_reduced_form(self, kind, which_v):
+    def test_parametric_matches_reduced_form(self, kind, which_v, request):
         rng = np.random.default_rng(11)
         for _ in range(40):
             tech = random_technology(rng, kind)
@@ -181,9 +179,18 @@ class TestRevenuePredictors:
             s_star = rng.uniform(0.1, 0.6)
             cal_e = math.exp(0.5 * rng.uniform(0.0, 0.3) ** 2)
             red = revenue_pf_reduced_form(tech, K, L, M, pL, pM, s_star, cal_e, which_v)
-            fn = log_revenue_cd if kind == "CD" else log_revenue_ces
-            par = fn(tech, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, which_v)
+            par = predicted_log_revenue(
+                tech, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, which_v
+            )
             assert math.log(red) == pytest.approx(par, abs=1e-8)
+
+        # on a shipped panel, the formula at the true parameters reproduces
+        # the simulator's planned revenue R* = R / exp(eps)
+        p = request.getfixturevalue(f"{kind.lower()}_panel")
+        cfg = request.getfixturevalue(f"{kind.lower()}_config")
+        logs = [np.log(p.col(c)) for c in ("L", "M", "pL", "pM", f"s{which_v}_star")]
+        par = predicted_log_revenue(cfg.tech, *logs, cfg.shocks.cal_e, which_v)
+        assert np.max(np.abs(par - np.log(p.rstar))) <= 1e-12
 
     def test_ces_share_rescaling_is_invariant(self):
         # (beta_L, beta_M) -> (c beta_L, c beta_M) leaves the prediction
@@ -197,8 +204,9 @@ class TestRevenuePredictors:
             for _ in range(10):
                 K, L, M, pL, pM = random_point(rng)
                 s_star, cal_e = 0.3, 1.005
-                a = log_revenue_ces(base, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, "M")
-                b = log_revenue_ces(scaled, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, "M")
+                logs = (math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star))
+                a = predicted_log_revenue(base, *logs, cal_e, "M")
+                b = predicted_log_revenue(scaled, *logs, cal_e, "M")
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_two_input_consistency_on_panel(self, ces_panel, ces_config):
