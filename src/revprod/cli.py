@@ -32,7 +32,8 @@ from .panel_io import PanelFormatError, read_panel_csv, write_panel_csv
 from .simulate import SimulationError, simulate_panel, verify_panel
 from .technology import DomainError, ParameterError
 
-logger = logging.getLogger(__name__)
+# named explicitly so that `python -m revprod.cli` logs under "revprod" too
+logger = logging.getLogger("revprod.cli")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -154,7 +155,6 @@ def cmd_diagnose(args) -> int:
         fd_step=cfg.diagnostics.fd_step,
         flat_tol=cfg.diagnostics.flat_tol,
         rank_rtol=cfg.diagnostics.rank_rtol,
-        equivalence_tol=cfg.diagnostics.equivalence_tol,
         which_v=est.which_v,
     )
     report_path = out_dir / "identification_report.json"
@@ -201,6 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate firm panels, estimate production functions, and diagnose what revenue data can identify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--log-level",
+        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        default="INFO",
+        help="level of the package's log messages (default INFO)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a panel from a config")
@@ -236,6 +242,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # set on every call: basicConfig only configures the first one in a process
+    logging.getLogger("revprod").setLevel(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, PanelFormatError, ParameterError, DomainError, ValueError) as exc:

@@ -43,7 +43,6 @@ class DiagnosticSettings:
     fd_step: float = 1e-5
     flat_tol: float = 1e-10
     rank_rtol: float = 1e-8
-    equivalence_tol: float = 1e-10
 
 
 @dataclass
@@ -90,7 +89,7 @@ _KNOWN_KEYS = {
         "instruments",
         "level_instruments",
     },
-    "diagnostics": {"fd_step", "flat_tol", "rank_rtol", "equivalence_tol"},
+    "diagnostics": {"fd_step", "flat_tol", "rank_rtol"},
 }
 
 
@@ -247,7 +246,6 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         fd_step=_getfloat(dg, "fd_step", 1e-5),
         flat_tol=_getfloat(dg, "flat_tol", 1e-10),
         rank_rtol=_getfloat(dg, "rank_rtol", 1e-8),
-        equivalence_tol=_getfloat(dg, "equivalence_tol", 1e-10),
     )
 
     return RunConfig(

@@ -10,10 +10,14 @@ C = F_inverse(K, T) * C2(pL, pM), with C2 the minimum expenditure needed to
 reach h = 1.  Everything downstream (marginal cost, input-price identities,
 the revenue predictors) is a composition of those two pieces.
 
-Two independent routes are kept side by side on purpose: a derivative-based
-numeric solver in log-input space (the oracle), and the closed-form dual
-objects of the two parametric families.  Tests require them to agree; the
-closed forms are the fast production path.
+Two independent routes are kept side by side on purpose: a numeric solver in
+log-input space (the oracle), and the closed-form dual objects of the two
+parametric families.  Tests require them to agree; the closed forms are the
+fast production path.  The oracle takes arrays and solves every row in one
+damped-Newton pass on the stationarity/feasibility system, with a
+forward-difference Jacobian built from primal objects only (output,
+elasticities, h), so it never reads the duals it checks.  Rows whose KKT
+residual stays above tolerance are named in the SolverError.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .technology import CES, DomainError, Technology, _check_positive
 
@@ -40,7 +44,8 @@ __all__ = [
     "foc_input_price",
 ]
 
-KKT_TOL = 1e-9
+KKT_TOL = 1e-9  # a row whose relative KKT residual stays above this fails
+NEWTON_TOL = 1e-12  # a row stops one Newton step after its residual reaches this
 MAX_ITER = 200
 
 
@@ -54,151 +59,134 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostSolution:
-    """Solution of the short-run cost minimization program."""
+    """Solution of the short-run cost minimization program, one entry per row."""
 
-    L_star: float
-    M_star: float
-    total_cost: float
-    lam: float  # multiplier of the output constraint, currency per output unit
+    L_star: np.ndarray
+    M_star: np.ndarray
+    total_cost: np.ndarray
+    lam: np.ndarray  # multiplier of the output constraint, currency per output unit
     converged: bool
-    iterations: int
-    kkt_residual: float
+    iterations: int  # Newton steps taken by the batch
+    kkt_residual: np.ndarray
 
 
-def _attainability_guard(tech: Technology, K: float, target: float) -> None:
+def _attainability_guard(tech: Technology, K, target) -> None:
+    """Reject CES targets that no interior (L, M) reaches, naming the rows."""
     if isinstance(tech, CES):
+        K, target = np.broadcast_arrays(np.asarray(K, float), np.asarray(target, float))
         bound = tech.beta_K ** (tech.v / tech.sigma) * K**tech.v
-        if tech.sigma > 0.0 and target <= bound:
+        if tech.sigma > 0.0:
+            bad, limit = target <= bound, "at or below the capital-only floor"
+        else:
+            bad, limit = target >= bound, "at or above the capacity ceiling implied by the fixed capital stock"
+        if np.any(bad):
+            rows = np.flatnonzero(bad)
             raise DomainError(
-                f"target {target:g} at or below the capital-only floor {bound:g}; "
+                f"target {target.flat[rows[0]]:g} {limit} {bound.flat[rows[0]]:g} at rows {rows[:10].tolist()}; "
                 "flexible-input demand is not interior"
             )
-        if tech.sigma < 0.0 and target >= bound:
-            raise DomainError(
-                f"target {target:g} at or above the capacity ceiling {bound:g} "
-                "implied by the fixed capital stock"
-            )
 
 
-def _solve_log_program(tech: Technology, K: float, pL: float, pM: float, log_target) -> CostSolution:
-    """Derivative-based solve of min pL*e^z1 + pM*e^z2 s.t. constraint(z) >= 0.
+def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
+    """Damped Newton on the KKT system of min pL*e^z1 + pM*e^z2 s.t. c(z) >= 0.
 
-    log_target is None for the unit-aggregate program (constraint log h >= 0)
-    and the log of the output target otherwise.  Works in log-input space so
-    positivity is automatic; the constraint gradient is the analytic pair of
-    output (or aggregate) elasticities.  After the local solver, a Newton
-    polish on the stationarity/feasibility system drives the relative KKT
-    residual below tolerance.
+    target is None for the unit-aggregate program (c = log h) and the output
+    target otherwise (c = log F - log target).  All rows are solved in one
+    pass: from z = 0, each step solves the 2x2 system
+    [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the constraint's
+    elasticity in V, against a forward-difference Jacobian, and is clipped to
+    +-1 in each log input.  A row takes one more step after its relative KKT
+    residual first reaches NEWTON_TOL and then stops moving, so rows solved
+    together or alone end at the same point; the pass ends when every row
+    has stopped, or after MAX_ITER steps.  Only primal objects and finite
+    differences are used, so the solution stays independent of the
+    closed-form duals.
     """
+    shape = np.broadcast(K, pL, pM, 1.0 if target is None else target).shape
+    K, pL, pM = (np.broadcast_to(np.asarray(x, float), shape).ravel() for x in (K, pL, pM))
+    if target is not None:
+        target = np.broadcast_to(np.asarray(target, float), shape).ravel()
+        log_target = np.log(target)
 
-    def constraint(z):
+    def kkt(z):
         L, M = np.exp(z)
-        if log_target is None:
-            return float(np.log(tech.h(L, M)))
-        return float(np.log(tech.output(K, L, M)) - log_target)
-
-    def constraint_grad(z):
-        L, M = np.exp(z)
-        if log_target is None:
-            gl = float(tech.h_dlog(L, M, "L") / tech.h(L, M))
-            gm = float(tech.h_dlog(L, M, "M") / tech.h(L, M))
+        if target is None:
+            h = tech.h(L, M)
+            c, aL, aM = np.log(h), tech.h_dlog(L, M, "L") / h, tech.h_dlog(L, M, "M") / h
         else:
-            gl = float(tech.elasticity(K, L, M, "L"))
-            gm = float(tech.elasticity(K, L, M, "M"))
-        return np.array([gl, gm])
+            c = np.log(tech.output(K, L, M)) - log_target
+            aL, aM = tech.elasticity(K, L, M, "L"), tech.elasticity(K, L, M, "M")
+        gL, gM = pL * L, pM * M
+        system = np.array([np.log(gL / aL) - np.log(gM / aM), c])
+        # multiplier of the log-constraint (projection of the objective
+        # gradient on the constraint gradient) and the relative residual
+        nu = (gL * aL + gM * aM) / (aL * aL + aM * aM)
+        stat = np.maximum(np.abs(gL - nu * aL), np.abs(gM - nu * aM)) / np.maximum(gL, gM)
+        return system, nu, np.maximum(stat, np.abs(c))
 
-    def objective(z):
-        return pL * math.exp(z[0]) + pM * math.exp(z[1])
-
-    def objective_grad(z):
-        return np.array([pL * math.exp(z[0]), pM * math.exp(z[1])])
-
-    z0 = np.zeros(2)
-    res = minimize(
-        objective,
-        z0,
-        jac=objective_grad,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": constraint, "jac": constraint_grad}],
-        options={"ftol": 1e-14, "maxiter": MAX_ITER},
-    )
-    z = np.asarray(res.x, dtype=float)
-    iters = int(res.nit)
-
-    def kkt_state(z):
-        g = objective_grad(z)
-        a = constraint_grad(z)
-        nu = float(g @ a / (a @ a))
-        stat = np.max(np.abs(g - nu * a)) / np.max(np.abs(g))
-        feas = abs(constraint(z))
-        return nu, max(stat, feas)
-
-    # Newton polish on [stationarity ratio, feasibility]; Jacobian by finite
-    # differences so the polish stays independent of any closed-form dual.
-    def system(z):
-        g = objective_grad(z)
-        a = constraint_grad(z)
-        return np.array([math.log(g[0] / a[0]) - math.log(g[1] / a[1]), constraint(z)])
-
-    nu, resid = kkt_state(z)
-    for _ in range(30):
-        if resid <= 1e-12:
+    # each evaluation covers z and its two forward-difference probes
+    hstep = 1e-7
+    probes = np.array([[0.0, hstep, 0.0], [0.0, 0.0, hstep]])[:, :, None]
+    z = np.zeros((2, K.size))
+    moving = np.ones(K.size, dtype=bool)
+    for iters in range(MAX_ITER + 1):
+        system, nu, resid = kkt(z[:, None, :] + probes)
+        nu, resid = nu[0], resid[0]
+        if iters == MAX_ITER or not moving.any():
             break
-        Fz = system(z)
-        J = np.empty((2, 2))
-        hstep = 1e-7
-        for j in range(2):
-            zp = z.copy()
-            zp[j] += hstep
-            J[:, j] = (system(zp) - Fz) / hstep
-        try:
-            step = np.linalg.solve(J, -Fz)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        z = z + np.clip(step, -1.0, 1.0)
-        iters += 1
-        nu, resid = kkt_state(z)
-
-    if resid > KKT_TOL:
-        raise SolverError(
-            f"cost minimization did not reach KKT tolerance (residual {resid:.3e})",
-            last_iterate=np.exp(z),
-        )
+        Fz = system[:, 0]
+        (j11, j12), (j21, j22) = (system[:, 1:] - Fz[:, None]) / hstep
+        # A singular or non-finite Jacobian leaves its row in place; the
+        # residual check below then reports the row.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.array([j12 * Fz[1] - j22 * Fz[0], j21 * Fz[0] - j11 * Fz[1]]) / (j11 * j22 - j12 * j21)
+        z = z + np.where(moving & np.isfinite(step).all(axis=0), np.clip(step, -1.0, 1.0), 0.0)
+        # the step taken from a residual within NEWTON_TOL is a row's last
+        moving &= ~(resid <= NEWTON_TOL)
 
     L, M = np.exp(z)
-    cost = pL * L + pM * M
+    bad = ~(resid <= KKT_TOL)
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        raise SolverError(
+            f"cost minimization did not reach KKT tolerance {KKT_TOL:g} at {rows.size} of {bad.size} rows "
+            f"{rows[:10].tolist()} (worst residual {np.max(resid[bad]):.3e})",
+            last_iterate=(L.reshape(shape), M.reshape(shape)),
+        )
     # nu is the multiplier of the log-constraint; divide by the target level
     # to get currency per output unit.
-    lam = nu / math.exp(log_target) if log_target is not None else nu
+    lam = nu if target is None else nu / target
     return CostSolution(
-        L_star=float(L),
-        M_star=float(M),
-        total_cost=float(cost),
-        lam=float(lam),
+        L_star=L.reshape(shape),
+        M_star=M.reshape(shape),
+        total_cost=(pL * L + pM * M).reshape(shape),
+        lam=lam.reshape(shape),
         converged=True,
         iterations=iters,
-        kkt_residual=float(resid),
+        kkt_residual=resid.reshape(shape),
     )
 
 
-def cost_min_numeric(tech: Technology, K: float, pL: float, pM: float, target: float) -> CostSolution:
+def cost_min_numeric(tech: Technology, K, pL, pM, target) -> CostSolution:
     """Numeric oracle for the short-run program min pL*L + pM*M s.t. F(K, h) >= target.
 
-    The target is expressed in output units net of productivity (the caller
-    divides out exp(omega) first).  The reported multiplier is the derivative
-    of minimized cost with respect to the target.
+    Arguments broadcast against each other; every row is solved in one
+    batched Newton pass and the solution fields are arrays of the broadcast
+    shape (0-d for scalar arguments).  The target is expressed in output
+    units net of productivity (the caller divides out exp(omega) first).
+    The reported multiplier is the derivative of minimized cost with respect
+    to the target.  Raises SolverError naming the rows whose KKT residual
+    stays above KKT_TOL.
     """
     _check_positive(K=K, pL=pL, pM=pM, target=target)
     _attainability_guard(tech, K, target)
-    return _solve_log_program(tech, float(K), float(pL), float(pM), math.log(target))
+    return _solve_log_program(tech, K, pL, pM, target)
 
 
-def unit_cost_numeric(tech: Technology, K: float, pL: float, pM: float) -> CostSolution:
-    """Numeric oracle for the unit-aggregate program min pL*L + pM*M s.t. h >= 1."""
+def unit_cost_numeric(tech: Technology, K, pL, pM) -> CostSolution:
+    """Numeric oracle for the unit-aggregate program min pL*L + pM*M s.t. h >= 1 (batched)."""
     _check_positive(K=K, pL=pL, pM=pM)
-    return _solve_log_program(tech, float(K), float(pL), float(pM), None)
+    return _solve_log_program(tech, K, pL, pM, None)
 
 
 def c2_min(tech: Technology, K, pL, pM) -> float:
@@ -271,7 +259,7 @@ def factorization_check(tech: Technology, K: float, pL: float, pM: float, target
     """
     _check_positive(K=K, pL=pL, pM=pM, target=target)
     net = target / math.exp(omega)
-    numeric = cost_min_numeric(tech, K, pL, pM, net).total_cost
+    numeric = float(cost_min_numeric(tech, K, pL, pM, net).total_cost)
     factored = f_inverse_root(tech, K, net) * c2_min(tech, K, pL, pM)
     return abs(numeric - factored) / numeric
 

@@ -46,7 +46,6 @@ __all__ = [
 
 FLAT_TOL = 1e-10
 RANK_RTOL = 1e-8
-EQUIVALENCE_TOL = 1e-10
 
 
 def _theta(tech: Technology, names) -> np.ndarray:
@@ -60,10 +59,11 @@ def _revenue_columns(panel: Panel) -> dict:
 def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Panel) -> float:
     """Largest log-revenue prediction gap between two technologies on a panel.
 
-    A gap at or below EQUIVALENCE_TOL certifies the pair observationally
-    equivalent with respect to the revenue equation.  The ex-ante shock
-    scaling and the share columns cancel from the difference, so only the
-    technologies matter.
+    The gap is reported as measured; no threshold turns it into a verdict.
+    A pair differing only in a coordinate the revenue predictor never reads
+    gives exactly 0.0, because both predictions are the same float
+    operations on the same columns.  The ex-ante shock scaling and the share
+    columns cancel from the difference, so only the technologies matter.
     """
     if tech_a.kind != tech_b.kind:
         raise ValueError(f"technology kinds differ: {tech_a.kind} vs {tech_b.kind}")
@@ -367,7 +367,6 @@ def build_identification_report(
     fd_step: float = 1e-5,
     flat_tol: float = FLAT_TOL,
     rank_rtol: float = RANK_RTOL,
-    equivalence_tol: float = EQUIVALENCE_TOL,
     which_v: str = "M",
 ) -> IdentificationReport:
     """End-to-end identification report for one panel and moment system."""
@@ -433,5 +432,5 @@ def build_identification_report(
             "skipped": omega_rec.skipped,
         },
         verdicts=verdicts,
-        thresholds={"flat_tol": flat_tol, "rank_rtol": rank_rtol, "equivalence_tol": equivalence_tol},
+        thresholds={"flat_tol": flat_tol, "rank_rtol": rank_rtol},
     )

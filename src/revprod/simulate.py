@@ -139,8 +139,8 @@ class SimConfig:
     n_periods: int = 10
     burn_in: int = BURN_IN_DEFAULT
     seed: int = 0
-    input_solver: str = "closed_form"  # or "numeric": route every observation
-    # through the scalar KKT solver instead of the closed-form demands
+    input_solver: str = "closed_form"  # or "numeric": solve every observation's
+    # inputs with the batched KKT oracle instead of the closed-form demands
 
     def __post_init__(self):
         if self.n_firms < 0 or self.n_periods < 1 or self.burn_in < 0:
@@ -288,11 +288,8 @@ def simulate_panel(cfg: SimConfig) -> Panel:
     P = mu * lam
 
     if cfg.input_solver == "numeric":
-        L = np.empty_like(y)
-        M = np.empty_like(y)
-        for i in range(y.size):
-            sol = costmin.cost_min_numeric(tech, K[i], pL[i], pM[i], float(tech.F(K[i], y[i])))
-            L[i], M[i] = sol.L_star, sol.M_star
+        sol = costmin.cost_min_numeric(tech, K, pL, pM, tech.F(K, y))
+        L, M = sol.L_star, sol.M_star
     else:
         L1, M1 = tech.unit_demand(pL, pM)
         L, M = y * L1, y * M1

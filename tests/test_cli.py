@@ -75,6 +75,18 @@ def test_simulate_seed_override_changes_panel(ces_ini, tmp_path):
     assert (tmp_path / "a" / "panel.csv").read_bytes() != (tmp_path / "c" / "panel.csv").read_bytes()
 
 
+def test_log_level_controls_info_lines(ces_ini, tmp_path, caplog):
+    assert main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert "wrote" in caplog.text
+    caplog.clear()
+    assert main(["--log-level", "WARNING", "simulate", "--config", str(ces_ini), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert (tmp_path / "b" / "panel.csv").exists()
+    assert "wrote" not in caplog.text
+    # the next call without the option is back at the INFO default
+    assert main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert "wrote" in caplog.text
+
+
 def test_empty_panel_header_only(tmp_path):
     ini = tmp_path / "empty.ini"
     ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[panel]\nn_firms = 0\nn_periods = 1\n")
@@ -163,6 +175,8 @@ def test_diagnose_ces_verdicts(ces_ini, tmp_path):
     assert rep["verdicts"]["beta_L"] == "identified-ratio-only"
     assert rep["verdicts"]["v"] == "not identified"
     assert rep["verdicts"]["omega"] == "not identified"
+    # only thresholds that decide a verdict are reported
+    assert set(rep["thresholds"]) == {"flat_tol", "rank_rtol"}
 
 
 def test_diagnose_cd_verdicts(cd_ini, tmp_path):
@@ -194,6 +208,12 @@ def test_diagnose_deterministic_report(ces_ini, tmp_path):
 def test_unknown_config_section_rejected(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[typo_section]\nx = 1\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_removed_equivalence_tol_key_rejected(tmp_path):
+    ini = tmp_path / "old.ini"
+    ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[diagnostics]\nequivalence_tol = 1e-10\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from revprod import costmin
 from revprod.costmin import (
+    SolverError,
     c2_min,
     closed_form_cost,
     conditional_demands,
@@ -72,6 +74,54 @@ class TestNumericOracle:
         floor = tech.beta_K ** (tech.v / tech.sigma) * 1.0**tech.v
         with pytest.raises(DomainError):
             cost_min_numeric(tech, 1.0, 1.0, 1.0, 0.5 * floor)
+
+    def test_unattainable_row_named_in_batch(self):
+        tech = CES(0.3, 0.4, 0.5, 0.9)
+        K = np.full(6, 1.0)
+        floor = tech.beta_K ** (tech.v / tech.sigma)
+        target = np.full(6, 4.0 * floor)
+        target[3] = 0.5 * floor
+        with pytest.raises(DomainError, match=r"rows \[3\]"):
+            cost_min_numeric(tech, K, 1.0, 1.0, target)
+
+
+class TestBatchedOracle:
+    def test_batch_matches_row_by_row(self):
+        rng = np.random.default_rng(73)
+        tech = random_technology(rng, "CES")
+        K, L, M, pL, pM = np.exp(rng.normal(0.0, [[0.5], [0.5], [0.5], [0.3], [0.3]], (5, 200)))
+        target = tech.output(K, L, M)
+        batch = cost_min_numeric(tech, K, pL, pM, target)
+        assert batch.L_star.shape == (200,)
+        for i in range(200):
+            one = cost_min_numeric(tech, K[i], pL[i], pM[i], target[i])
+            for field in ("L_star", "M_star", "total_cost", "lam"):
+                a, b = getattr(batch, field)[i], getattr(one, field)
+                assert abs(a - b) <= 1e-14 * abs(b), field
+
+    def test_scalar_call_gives_0d_arrays(self):
+        sol = cost_min_numeric(CobbDouglas(0.3, 0.3, 0.4), 1.0, 1.0, 1.0, 1.0)
+        assert sol.L_star.shape == () and sol.kkt_residual.shape == ()
+        assert type(sol.iterations) is int and sol.converged is True
+
+    def test_unit_cost_on_price_grid(self):
+        pL, pM = np.meshgrid(np.exp(np.linspace(-1.0, 1.0, 15)), np.exp(np.linspace(-1.0, 1.0, 15)))
+        for tech in (CobbDouglas(0.2, 0.3, 0.45), CES(0.3, 0.4, 0.5, 0.9), CES(0.35, 0.3, -0.8, 1.1)):
+            sol = unit_cost_numeric(tech, 1.0, pL, pM)
+            closed = c2_min(tech, 1.0, pL, pM)
+            assert sol.total_cost.shape == pL.shape
+            assert np.max(np.abs(sol.total_cost - closed) / closed) <= 1e-12
+
+    def test_failing_rows_named(self, monkeypatch):
+        tech = CobbDouglas(0.25, 0.3, 0.4)
+        pL = np.array([1.0, 1.0, 3.0, 1.0, 0.2])
+        target = np.array([1.0, 1.0, 40.0, 1.0, 1e-3])
+        # one clipped Newton step cannot reach rows 2 and 4 from z = 0
+        monkeypatch.setattr(costmin, "MAX_ITER", 1)
+        with pytest.raises(SolverError, match=r"rows \[2, 4\]") as err:
+            cost_min_numeric(tech, 1.0, pL, 1.0, target)
+        L, M = err.value.last_iterate
+        assert L.shape == M.shape == (5,)
 
 
 class TestUnitAggregateCost:

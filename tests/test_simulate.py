@@ -158,6 +158,15 @@ class TestInputSolverRoute:
         for c in ("L", "M", "R", "sM_star"):
             assert np.allclose(a.col(c), b.col(c), rtol=1e-8), c
 
+    @pytest.mark.parametrize("which", ["cd", "ces"])
+    def test_full_panel_numeric_matches_closed_form(self, which, request):
+        cfg = request.getfixturevalue(f"{which}_config")
+        closed = request.getfixturevalue(f"{which}_panel")
+        numeric = simulate_panel(dataclasses.replace(cfg, input_solver="numeric"))
+        assert len(numeric) == 5000
+        for c in ("L", "M"):
+            np.testing.assert_allclose(numeric.col(c), closed.col(c), rtol=1e-12, atol=0.0, err_msg=c)
+
 
 class TestConfigValidation:
     def test_scale_above_markup_rejected(self, ces_tech):
