@@ -29,10 +29,15 @@ The local searches are L-BFGS-B with the exact gradient of the objective.
 Each predictor also returns its Jacobian, built from the exp/log arrays of
 the prediction, and the gradient is propagated in reverse through the
 moments and the concentrated-out g, so a value and its gradient cost one
-evaluation.  There is no derivative-free polish: a search that stops ABNORMAL
-(a line search that finds no decrease, typically at a minimum where rounding
-leaves none to find) is reported as not converged, with the optimizer's
-message, at the point where it stopped.
+evaluation.  A search stops once an iteration lowers the objective by less
+than a relative 1e-12, about twice the measured rounding noise of J at the
+quantity minima; a tighter tolerance only ends searches ABNORMAL at their
+minimum.  Two-step weighting re-minimizes once per distinct stage-one
+minimum: restarts that reach the same point (as every restart of an
+identified fit does) share one stage-two search and are counted in its
+n_starts, while minima spread along flat revenue directions keep a search
+each.  Every minimum lists the coordinates it left on a bound (at_bound); one
+on a bound is never reported converged.  There is no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -682,6 +687,47 @@ def regularized_inverse(cov: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
     return np.linalg.inv(cov + ridge * scale * np.eye(cov.shape[0]))
 
 
+# L-BFGS-B stops once an iteration lowers J by less than this relative amount.
+# It is about 2x the relative rounding noise of J at the quantity minima
+# (~5e-13, the sd of J under 1e-14 relative perturbations of theta; ~5e-14
+# at the revenue minima).  A tighter value asks for decreases that rounding
+# hides, so searches end ABNORMAL in a failed line search at their minimum.
+_FTOL = 1e-12
+
+# Stage-one minima that agree to this fraction of the box width in every
+# coordinate are one minimum and share one stage-two search.  Restarts of an
+# identified fit land within ~3e-7 of each other; minima spread along flat
+# revenue directions lie at least ~2e-3 apart.
+_SAME_MINIMUM_TOL = 1e-5
+
+# A coordinate this close to a bound (as a fraction of the box width) is
+# reported in at_bound.
+_AT_BOUND_TOL = 1e-10
+
+
+def _group_minima(minima, lo, hi, tol: float = _SAME_MINIMUM_TOL):
+    """Stage-one minima grouped as one minimum each, as (representative, size).
+
+    Minima are taken in order of objective, ties broken by start_index; each
+    joins the first group whose representative (its first member) lies within
+    tol * (hi - lo) of it in every coordinate, or else starts a new group.
+    Groups are returned in the order of their representatives' start_index;
+    lo and hi are the arrays of lower and upper bounds.
+    """
+    reach = tol * (hi - lo)
+    groups = []  # [representative, its theta, size]
+    for m in sorted(minima, key=lambda m: (m["objective"], m["start_index"])):
+        x = np.array(m["theta"])
+        for g in groups:
+            if np.all(np.abs(x - g[1]) <= reach):
+                g[2] += 1
+                break
+        else:
+            groups.append([m, x, 1])
+    groups.sort(key=lambda g: g[0]["start_index"])
+    return [(rep, size) for rep, _, size in groups]
+
+
 def gmm_minimize(
     ms: MomentSystem,
     weighting: str = "two-step",
@@ -692,19 +738,34 @@ def gmm_minimize(
 ) -> EstimateResult:
     """Multi-start minimization of the GMM quadratic form.
 
-    weighting 'identity' runs a single stage; 'two-step' reweights every
-    stage-one minimum by the (regularized) inverse moment covariance at the
-    stage-one argmin and re-minimizes.  All local minima are reported, not
-    just the best: with flat directions the set is the diagnostic object.
-    Each minimum records L-BFGS-B's own verdict: converged is its success
-    flag, message its termination text and n_evals its count of
-    value-and-gradient evaluations.
+    weighting 'identity' runs a single stage.  'two-step' reweights by the
+    (regularized) inverse moment covariance at the best stage-one minimum and
+    re-minimizes once per distinct stage-one minimum: minima that agree to
+    _SAME_MINIMUM_TOL of the box width in every coordinate form one group
+    (see _group_minima), whose stage-two search starts from its lowest-J
+    member and keeps that member's start_index.  So an identified fit, whose
+    restarts all reach one point, runs one stage-two search, while minima
+    spread along flat revenue directions keep one each.
+
+    All local minima are reported, not just the best: with flat directions
+    the set is the diagnostic object.  Each minimum records n_starts, the
+    number of stage-one minima it stands for (1 under identity weighting);
+    at_bound, the names of coordinates within _AT_BOUND_TOL of the box width
+    of a bound; L-BFGS-B's termination message and its count of
+    value-and-gradient evaluations n_evals.  converged is L-BFGS-B's success
+    flag for a minimum off the bounds; a minimum on a bound is never reported
+    converged, since a zero projected gradient there can mark a box corner far
+    above the best J.  Searches stop at the relative decrease _FTOL, set from
+    the rounding noise of J.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     starts = _draw_starts(ms, start, restarts, seed, screen=screen)
+    lo = np.array([b[0] for b in ms.bounds])
+    hi = np.array([b[1] for b in ms.bounds])
+    edge = _AT_BOUND_TOL * (hi - lo)
 
-    def solve_one(idx, x0, W):
+    def solve_one(idx, x0, n_starts, W):
         res = minimize(
             ms.objective_and_gradient,
             x0,
@@ -712,37 +773,41 @@ def gmm_minimize(
             jac=True,
             method="L-BFGS-B",
             bounds=ms.bounds,
-            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
+            options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
         if not np.all(np.isfinite(res.x)):
             return {"start_index": int(idx), "failed": True, "message": str(res.message)}
+        on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
+        at_bound = [n for n, b in zip(ms.param_names, on_bound) if b]
         return {
             "start_index": int(idx),
             "theta": [float(v) for v in res.x],
             "objective": float(res.fun),
-            "converged": bool(res.success),
+            "converged": bool(res.success) and not at_bound,
+            "at_bound": at_bound,
+            "n_starts": int(n_starts),
             "message": str(res.message),
             "n_iter": int(res.nit),
             "n_evals": int(res.nfev),
         }
 
-    def run_stage(W, theta_starts):
-        outcomes = [solve_one(idx, x0, W) for idx, x0 in enumerate(theta_starts)]
+    def run_stage(W, jobs):
+        outcomes = [solve_one(idx, x0, n, W) for idx, x0, n in jobs]
         found = [o for o in outcomes if not o.get("failed")]
         failures = [o for o in outcomes if o.get("failed")]
         if not found:
             raise EstimationError("all GMM restarts failed to converge", trace=failures)
         return found
 
-    minima = run_stage(None, starts)
+    minima = run_stage(None, [(idx, x0, 1) for idx, x0 in enumerate(starts)])
     best = min(minima, key=lambda m: m["objective"])
     theta1 = np.array(best["theta"])
 
     if weighting == "two-step":
         cov = ms.moment_covariance(theta1)
         W = regularized_inverse(cov)
-        stage2_starts = np.array([m["theta"] for m in minima])
-        minima = run_stage(W, stage2_starts)
+        groups = _group_minima(minima, lo, hi)
+        minima = run_stage(W, [(rep["start_index"], rep["theta"], n) for rep, n in groups])
         best = min(minima, key=lambda m: m["objective"])
 
     theta_hat = np.array(best["theta"])

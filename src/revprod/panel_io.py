@@ -134,19 +134,30 @@ class Panel:
         return cur, cur - 1
 
 
-def _format_value(col: str, value) -> str:
+# Rows are formatted in blocks of this many: each column of a block is
+# formatted in one pass, without holding every field of the panel as a string.
+_WRITE_BLOCK_ROWS = 512
+
+
+def _format_column(col: str, values) -> list:
     if col in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
+        return [str(v) for v in np.asarray(values).astype(np.int64).tolist()]
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 def write_panel_csv(panel: Panel, path) -> None:
+    """Write the panel column by column, in the csv module's default dialect.
+
+    No field can contain a delimiter or a quote character, so rows are joined
+    directly and end in the CRLF terminator that csv.writer uses.
+    """
     present = [c for c in COLUMNS if panel.has(c)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(present)
-        for i in range(len(panel)):
-            writer.writerow([_format_value(c, panel.data[c][i]) for c in present])
+        fh.write(",".join(present) + "\r\n")
+        for start in range(0, len(panel), _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            columns = [_format_column(c, panel.data[c][block]) for c in present]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
 
 
 def read_panel_csv(path) -> Panel:

@@ -6,6 +6,7 @@ import pytest
 from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
     BASIC_INSTRUMENTS,
+    _group_minima,
     build_quantity_moments,
     build_revenue_moments,
     first_stage_project,
@@ -339,16 +340,63 @@ class TestGmmMinimize:
         for name, true in zip(res.param_names, theta_true(ces_config)):
             assert res.estimates[name] == pytest.approx(true, abs=0.12)
 
-    def test_revenue_ces_minima_span_flat_direction(self, ces_panel, ces_config):
+    @pytest.mark.parametrize("weighting", ["identity", "two-step"])
+    def test_revenue_ces_minima_span_flat_direction(self, ces_panel, ces_config, weighting):
+        # minima spread along the flat v direction are distinct, so two-step
+        # runs one stage-two search for each and the spread survives
         fs = first_stage_project(ces_panel, "revenue", 3)
         ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
-        res = gmm_minimize(ms, weighting="identity", restarts=20, seed=5)
+        res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
+        assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"]
         objs = np.array([m["objective"] for m in res.minima])
         near_best = objs <= objs.min() * (1.0 + 1e-6) + 1e-15
         v_values = np.array([m["theta"][3] for m in res.minima])[near_best]
         assert v_values.max() - v_values.min() >= 0.4
         rel_spread = (objs[near_best].max() - objs[near_best].min()) / max(objs.min(), 1e-300)
         assert rel_spread < 1e-6
+
+    def test_quantity_restarts_share_one_stage_two_search(self, ces_panel):
+        fs = first_stage_project(ces_panel, "quantity", 3)
+        ms = build_quantity_moments("CES", fs, ces_panel)
+        res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
+        assert len(res.minima) == 1
+        (only,) = res.minima
+        assert only["n_starts"] == 20 == res.diagnostics["n_restarts"]
+        assert only["converged"] is True
+        assert only["at_bound"] == []
+
+    def test_corner_minimum_not_converged(self, ces_panel, ces_config):
+        # the box corner sigma = 0.9, beta_L = 0.05, beta_M = 0.6 has a zero
+        # projected gradient in revenue mode, which L-BFGS-B reports as success
+        fs = first_stage_project(ces_panel, "revenue", 3)
+        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+        res = gmm_minimize(ms, weighting="two-step", start=[0.9, 0.05, 0.6, 0.9], restarts=1)
+        (corner,) = res.minima
+        assert corner["at_bound"] == ["sigma", "beta_L", "beta_M"]
+        assert corner["converged"] is False
+        assert res.diagnostics["n_converged"] == 0
+
+    def test_grouping_rule_on_synthetic_minima(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([2.0, 5.0])
+        width = hi - lo
+
+        def minimum(idx, objective, offset):
+            return {"start_index": idx, "objective": objective, "theta": list(1.5 + offset * width)}
+
+        # 1e-6 of the width apart: one minimum, represented by the lower J
+        groups = _group_minima([minimum(0, 2.0, 0.0), minimum(1, 1.0, 1e-6)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(1, 2)]
+        # equal J: the lower start_index represents the group
+        groups = _group_minima([minimum(3, 1.0, 1e-6), minimum(2, 1.0, 0.0)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(2, 2)]
+        # 1e-3 of the width apart: two minima
+        groups = _group_minima([minimum(0, 1.0, 0.0), minimum(1, 1.0, 1e-3)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(0, 1), (1, 1)]
+        # apart in one coordinate only is still apart
+        far = minimum(1, 1.0, 0.0)
+        far["theta"][1] += 1e-3 * width[1]
+        groups = _group_minima([minimum(0, 1.0, 0.0), far], lo, hi)
+        assert [n for _, n in groups] == [1, 1]
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, "quantity", 3)

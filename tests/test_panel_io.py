@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from revprod import panel_io
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError, read_panel_csv, write_panel_csv
 
 
@@ -10,6 +13,34 @@ def test_round_trip_bit_exact(small_cd_panel, tmp_path):
     back = read_panel_csv(path)
     for c in COLUMNS:
         assert np.array_equal(small_cd_panel.col(c), back.col(c)), c
+
+
+def _reference_write(panel, path):
+    # one csv.writer row per firm-period, each value formatted on its own
+    present = [c for c in COLUMNS if panel.has(c)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(present)
+        for i in range(len(panel)):
+            writer.writerow(
+                [str(int(panel.data[c][i])) if c in ("firm_id", "t") else repr(float(panel.data[c][i]))
+                 for c in present]
+            )
+
+
+@pytest.mark.parametrize("block_rows", [7, panel_io._WRITE_BLOCK_ROWS])
+@pytest.mark.parametrize("optional", [True, False], ids=["all-columns", "revenue-only"])
+def test_columnar_writer_matches_row_writer(small_ces_panel, tmp_path, monkeypatch, optional, block_rows):
+    # a 7-row block makes the 480-row panel end in a partial block
+    monkeypatch.setattr(panel_io, "_WRITE_BLOCK_ROWS", block_rows)
+    data = {c: small_ces_panel.col(c) for c in COLUMNS}
+    if not optional:
+        for c in ("omega", "eps", "Q", "P"):
+            data[c] = None
+    panel = Panel(data=data)
+    write_panel_csv(panel, tmp_path / "columnar.csv")
+    _reference_write(panel, tmp_path / "rows.csv")
+    assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_revenue_only_file(small_cd_panel, tmp_path):
