@@ -9,10 +9,12 @@ and no timestamps are recorded.  Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +43,23 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _load_schema(name: str) -> dict:
-    ref = importlib.resources.files("revprod.schemas").joinpath(name)
-    return json.loads(ref.read_text())
+@functools.cache
+def _validator(schema_name: str):
+    """Validator of a shipped schema, checked against its metaschema once.
+
+    Built once per process: the metaschema check is most of the cost of
+    jsonschema.validate, which repeats it on every call.
+    """
+    import jsonschema
+
+    schema = json.loads(importlib.resources.files("revprod.schemas").joinpath(schema_name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _write_json(payload: dict, path: Path, schema_name: str) -> None:
-    import jsonschema
-
-    jsonschema.validate(payload, _load_schema(schema_name))
+    _validator(schema_name).validate(payload)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -144,6 +154,14 @@ def cmd_diagnose(args) -> int:
     panel = read_panel_csv(args.panel)
     est = cfg.estimation
     fs, ms = _moment_system(cfg, panel, "revenue")
+    curve = None
+    if args.scan:
+        # checked before the report, so that a bad scan writes nothing
+        if args.scan not in ms.param_names:
+            raise ValueError(f"--scan: unknown parameter {args.scan!r}; have {list(ms.param_names)}")
+        if args.grid:
+            center = [getattr(cfg.sim.tech, n) for n in ms.param_names]
+            curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -162,13 +180,14 @@ def cmd_diagnose(args) -> int:
     logger.info("wrote %s", report_path)
 
     if args.scan:
-        grid = _parse_grid(args.grid) if args.grid else np.linspace(0.7, 1.3, 25)
-        center = [report.center[n] for n in ms.param_names]
-        curve = profile_scan(ms, args.scan, grid, center)
+        if curve is None:
+            # the report's own profile, on a grid that keeps CES sigma inside
+            # the estimator's bounds
+            curve = report.profiles[args.scan]
         scan_path = out_dir / f"profile_{args.scan}.csv"
         with open(scan_path, "w") as fh:
             fh.write(f"{args.scan},objective\n")
-            for g, v in zip(curve.grid, curve.objective):
+            for g, v in zip(curve["grid"], curve["objective"]):
                 fh.write(f"{g!r},{v!r}\n")
         logger.info("wrote %s", scan_path)
     return EXIT_OK

@@ -104,9 +104,17 @@ def profile_scan(
     other_params: Sequence[float],
     weight: Optional[np.ndarray] = None,
 ) -> ProfileCurve:
-    """Objective values along a grid for one parameter, others held fixed."""
+    """Objective values along a grid for one parameter, others held fixed.
+
+    A CES sigma grid may not contain 0 or 1, where the CES formulas divide
+    by sigma or by sigma - 1.
+    """
     if param_name not in ms.param_names:
         raise ValueError(f"unknown parameter {param_name!r}; have {ms.param_names}")
+    if ms.tech_kind == "CES" and param_name == "sigma":
+        singular = [float(g) for g in grid if g in (0.0, 1.0)]
+        if singular:
+            raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
     j = ms.param_names.index(param_name)
     theta = np.asarray(other_params, float).copy()
     vals = []

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 from .panel_io import Panel, PanelFormatError
@@ -117,13 +118,18 @@ def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
 
 @dataclass
 class FirstStage:
-    """Polynomial projection of log output (or log revenue) on observables."""
+    """Polynomial projection of log output (or log revenue) on observables.
+
+    rank is the numerical rank of the polynomial design, below its column
+    count whenever cost minimization makes the observables collinear.
+    """
 
     mode: str
     degree: int
     fitted: np.ndarray
     residuals: np.ndarray
     r_squared: float
+    rank: int
 
     @property
     def cal_e_hat(self) -> float:
@@ -139,6 +145,15 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     degree reduction with a warning; the structural collinearity that cost
     minimization imposes on the observables is handled by the minimum-norm
     projection instead.
+
+    The projection goes through scipy.linalg, not numpy.linalg.  numpy and
+    scipy each load their own OpenBLAS; numpy's lstsq on this design wakes
+    numpy's thread pool, whose workers then spin for ~0.1 s while the BLAS
+    and LAPACK calls inside L-BFGS-B wait for a CPU in scipy's pool.  The
+    rank cutoff is numpy's (eps * max(n, p) relative to the largest singular
+    value), which keeps the rank and the fitted values bit-identical to
+    numpy's; scipy's default cutoff keeps one more direction of the
+    collinear CES design and moves the fitted values by up to 1.6e-3.
     """
     if mode not in ("quantity", "revenue"):
         raise ValueError(f"mode must be 'quantity' or 'revenue', got {mode!r}")
@@ -174,7 +189,8 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
         )
         used -= 1
     design = _poly_design(Xs, used)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    # scipy.linalg with numpy's cutoff; see the docstring
+    coef, _, rank, _ = scipy.linalg.lstsq(design, y, cond=np.finfo(float).eps * max(design.shape))
     if rank < design.shape[1]:
         logger.debug(
             "first stage design spans %d of %d columns (collinear observables); using minimum-norm projection",
@@ -185,7 +201,7 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     resid = y - fitted
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return FirstStage(mode=mode, degree=used, fitted=fitted, residuals=resid, r_squared=r2)
+    return FirstStage(mode=mode, degree=used, fitted=fitted, residuals=resid, r_squared=r2, rank=int(rank))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import importlib.resources
 import json
 import math
 
+import jsonschema
+import numpy as np
 import pytest
 
-from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
 from revprod.panel_io import read_panel_csv
 
 CES_CONFIG = """
@@ -198,6 +201,31 @@ def test_diagnose_scan_writes_profile_csv(ces_ini, tmp_path):
     assert len(set(values)) == 1  # flat direction
 
 
+def test_diagnose_scan_defaults_to_report_grid(ces_ini, tmp_path):
+    # the default sigma grid stays inside the estimator's bounds, away from
+    # sigma = 1, where the CES formulas divide by zero
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "sigma", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    rows = (tmp_path / "profile_sigma.csv").read_text().splitlines()
+    assert rows[0] == "sigma,objective"
+    grid, values = zip(*[map(float, r.split(",")) for r in rows[1:]])
+    profile = json.loads((tmp_path / "identification_report.json").read_text())["profiles"]["sigma"]
+    assert list(grid) == profile["grid"]
+    assert list(values) == profile["objective"]
+    assert max(grid) <= 0.9
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_diagnose_scan_grid_at_ces_sigma_one_rejected(ces_ini, tmp_path, caplog):
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "sigma", "--grid", "0.7:1.3:25", "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert "sigma = 1.0" in caplog.text
+    assert not (tmp_path / "profile_sigma.csv").exists()
+    assert not (tmp_path / "identification_report.json").exists()
+
+
 def test_diagnose_deterministic_report(ces_ini, tmp_path):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "r1")])
@@ -246,6 +274,40 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
     for out_name, schema_name in pairs:
         schema = json.loads(importlib.resources.files("revprod.schemas").joinpath(schema_name).read_text())
         jsonschema.validate(json.loads((tmp_path / out_name).read_text()), schema)
+
+
+def test_shipped_schemas_pass_metaschema():
+    files = [f for f in importlib.resources.files("revprod.schemas").iterdir() if f.name.endswith(".json")]
+    assert len(files) == 4
+    for f in files:
+        schema = json.loads(f.read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_invalid_payload_rejected_and_not_written(tmp_path):
+    good = {"n_rows": 3, "violations": {}, "passed": True}
+    _write_json(good, tmp_path / "good.json", "verify_report.schema.json")
+    with pytest.raises(jsonschema.ValidationError):
+        _write_json({**good, "n_rows": -1}, tmp_path / "bad.json", "verify_report.schema.json")
+    assert (tmp_path / "good.json").exists() and not (tmp_path / "bad.json").exists()
+
+
+def test_estimate_calls_no_numpy_decomposition(ces_ini, tmp_path, monkeypatch):
+    # numpy and scipy each load their own OpenBLAS.  A numpy lstsq, qr, svd
+    # or eigh at the first stage's size (5,000 x 56) wakes numpy's thread
+    # pool, whose workers then spin while the BLAS calls inside L-BFGS-B wait
+    # for a CPU in scipy's pool.  Measured on a 2-core host, 20 CES quantity
+    # restarts spent 0.26 s in L-BFGS-B, and 0.03-0.08 s more right after
+    # one of those numpy calls; after scipy.linalg.lstsq, nothing more.
+    assert main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)]) == EXIT_OK
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg decomposition called on the estimate path")
+
+    for name in ("lstsq", "qr", "svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for mode in ("quantity", "revenue"):
+        assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--mode", mode, "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_revenue_cal_e_estimated_without_shocks_section(ces_ini, tmp_path):

@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from revprod.config import parse_config
 from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
     BASIC_INSTRUMENTS,
@@ -58,6 +61,21 @@ class TestFirstStage:
         panel = simulate_panel(cfg)
         fs = first_stage_project(panel, "quantity", 3)
         assert fs.degree < 3
+
+    @pytest.mark.parametrize("config", ["ces.ini", "cd.ini"])
+    def test_matches_numpy_lstsq_bitwise(self, config, monkeypatch):
+        # the projection runs through scipy.linalg with numpy's rank cutoff;
+        # scipy's default cutoff gives the CES design rank 36, not 35
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / config)
+        panel = simulate_panel(cfg.sim)
+        degree = cfg.estimation.first_stage_degree
+        for mode in ("quantity", "revenue"):
+            fs = first_stage_project(panel, mode, degree)
+            with monkeypatch.context() as m:
+                m.setattr(scipy.linalg, "lstsq", lambda a, b, cond=None: np.linalg.lstsq(a, b, rcond=None))
+                ref = first_stage_project(panel, mode, degree)
+            assert fs.rank == ref.rank < 56
+            assert np.array_equal(fs.fitted, ref.fitted)
 
 
 class TestMomentSystems:
