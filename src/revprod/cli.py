@@ -144,12 +144,17 @@ def cmd_estimate(args) -> int:
 def _parse_grid(spec: str):
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        grid = np.linspace(float(start), float(stop), int(count))
     except ValueError as exc:
         raise ConfigError(f"--grid expects start:stop:count, got {spec!r}") from exc
+    if grid.size == 0:
+        raise ConfigError(f"--grid count must be >= 1, got {spec!r}")
+    return grid
 
 
 def cmd_diagnose(args) -> int:
+    if args.grid and not args.scan:
+        raise ConfigError("--grid needs --scan to name the parameter it profiles")
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     est = cfg.estimation

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,18 +151,18 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown keys in [{section}]: {sorted(unknown)}")
 
-    run = parser["run"] if parser.has_section("run") else parser["DEFAULT"]
-    seed = run.getint("seed", fallback=None) if parser.has_section("run") else None
+    def section(name):
+        return parser[name] if parser.has_section(name) else parser["DEFAULT"]
+
+    run = section("run")
+    seed = _getint(run, "seed", None)
     if seed is None:
         if require_seed:
             raise ConfigError(f"{path}: [run] seed is required for simulation")
         seed = 0
-    out_dir = run.get("out_dir", ".") if parser.has_section("run") else "."
+    out_dir = run.get("out_dir", ".")
 
     tech = _technology(parser)
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else parser["DEFAULT"]
 
     d = section("demand")
     demand = DemandConfig(
@@ -210,25 +211,27 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
             n_periods=_getint(pa, "n_periods", 10),
             burn_in=_getint(pa, "burn_in", 50),
             seed=seed,
-            input_solver=pa.get("input_solver", "closed_form") if parser.has_section("panel") else "closed_form",
+            input_solver=pa.get("input_solver", "closed_form"),
         )
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     e = section("estimation")
-    inst = e.get("instruments", fallback=None) if parser.has_section("estimation") else None
-    lvl = e.get("level_instruments", fallback=None) if parser.has_section("estimation") else None
-    cal_e_raw = e.get("cal_e", fallback=None) if parser.has_section("estimation") else None
-    weighting = e.get("weighting", "two-step") if parser.has_section("estimation") else "two-step"
+    lvl = e.get("level_instruments")
+    weighting = e.get("weighting", "two-step")
     if weighting not in ("identity", "two-step"):
         raise ConfigError(f"{path}: [estimation] weighting must be identity or two-step")
-    which_v = (e.get("which_v", "M") if parser.has_section("estimation") else "M").strip().upper()
+    which_v = e.get("which_v", "M").strip().upper()
     if which_v not in ("L", "M"):
         raise ConfigError(f"{path}: [estimation] which_v must be L or M")
-    if cal_e_raw not in (None, ""):
-        cal_e = float(cal_e_raw)
-    else:
-        cal_e = shocks.cal_e if parser.has_section("shocks") else None
+    cal_e = shocks.cal_e if parser.has_section("shocks") else None
+    if e.get("cal_e"):
+        try:
+            cal_e = float(e["cal_e"])
+        except ValueError:
+            cal_e = math.nan
+        if not (math.isfinite(cal_e) and cal_e > 0.0):
+            raise ConfigError(f"{path}: [estimation] cal_e must be finite and > 0, got {e['cal_e']!r}")
     est = EstimationSettings(
         first_stage_degree=_getint(e, "first_stage_degree", 3),
         g_degree=_getint(e, "g_degree", 1),
@@ -238,7 +241,7 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         restart_seed=_getint(e, "restart_seed", 7),
         which_v=which_v,
         cal_e=cal_e,
-        instruments=tuple(inst.split()) if inst else None,
+        instruments=tuple(e.get("instruments", "").split()) or None,
         level_instruments=tuple(lvl.split()) if lvl is not None else None,
     )
     dg = section("diagnostics")

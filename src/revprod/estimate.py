@@ -74,8 +74,11 @@ logger = logging.getLogger(__name__)
 # directions too weak to recover at desk scale (asymptotic sd on sigma well
 # above 1 at N=500, T=10); the default set therefore adds current input-price
 # logs, which the generating processes make independent of the productivity
-# innovation, plus squares that carry the substitution curvature.
-BASIC_INSTRUMENTS = ("const", "k_t", "l_lag", "m_lag", "pl_lag", "pm_lag")
+# innovation, plus squares that carry the substitution curvature.  m_lag is
+# not among them: cost minimization makes log L - log M an exact affine
+# function of log pL - log pM, so l_lag, m_lag, pl_lag, pm_lag and const are
+# collinear on every panel, and _instrument_matrix rejects such a set.
+BASIC_INSTRUMENTS = ("const", "k_t", "l_lag", "pl_lag", "pm_lag")
 DEFAULT_INSTRUMENTS = BASIC_INSTRUMENTS + ("pl_t", "pm_t", "prel2_t", "k2_t", "pl2_t", "pm2_t")
 
 DEFAULT_BOUNDS = {
@@ -87,11 +90,7 @@ _MIN_CAPITAL_SHARE = 5e-3
 
 
 class EstimationError(RuntimeError):
-    """Raised when every restart of the GMM search fails; carries the trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Raised when every GMM restart fails or there is no two-step weight."""
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +361,25 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
 
 
 def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarray:
-    logcol = lambda c: np.log(panel.col(c))
-    tokens = {
-        "const": lambda: np.ones(cur.size),
-        "k_t": lambda: logcol("K")[cur],
-        "k_lag": lambda: logcol("K")[lag],
-        "l_t": lambda: logcol("L")[cur],
-        "l_lag": lambda: logcol("L")[lag],
-        "m_t": lambda: logcol("M")[cur],
-        "m_lag": lambda: logcol("M")[lag],
-        "pl_t": lambda: logcol("pL")[cur],
-        "pl_lag": lambda: logcol("pL")[lag],
-        "pm_t": lambda: logcol("pM")[cur],
-        "pm_lag": lambda: logcol("pM")[lag],
-        "k2_t": lambda: logcol("K")[cur] ** 2,
-        "pl2_t": lambda: logcol("pL")[cur] ** 2,
-        "pm2_t": lambda: logcol("pM")[cur] ** 2,
-        "prel2_t": lambda: (logcol("pL")[cur] - logcol("pM")[cur]) ** 2,
-        "prel2_lag": lambda: (logcol("pL")[lag] - logcol("pM")[lag]) ** 2,
-    }
+    """Named instrument columns over the current rows; rejects a set without full column rank."""
+    tokens = {"const": np.ones(cur.size)}
+    for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
+        x = np.log(panel.col(col))
+        tokens[tok + "_t"], tokens[tok + "_lag"] = x[cur], x[lag]
+    for tok in ("k", "pl", "pm"):
+        tokens[tok + "2_t"] = tokens[tok + "_t"] ** 2
+    for when in ("_t", "_lag"):
+        tokens["prel2" + when] = (tokens["pl" + when] - tokens["pm" + when]) ** 2
     bad = [n for n in names if n not in tokens]
     if bad:
         raise ValueError(f"unknown instrument tokens {bad}; known: {sorted(tokens)}")
-    return np.column_stack([tokens[n]() for n in names])
+    Z = np.column_stack([tokens[n] for n in names])
+    # numpy's rank cutoff on a pivoted QR, whose |R_ii| fall and whose last pivot is the most dependent column
+    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
+    d = np.abs(np.diag(R))
+    if d.size < len(names) or d[-1] <= np.finfo(float).eps * max(Z.shape) * d[0]:
+        raise ValueError(f"instruments {' '.join(names)} are collinear on this panel: {names[piv[-1]]} depends on the others")
+    return Z
 
 
 # A predictor maps theta to (prediction on all panel rows, penalty, derivatives),
@@ -689,20 +684,6 @@ def _draw_starts(ms: MomentSystem, start, restarts: int, seed: int, screen: int 
     return starts
 
 
-def regularized_inverse(cov: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
-    """Symmetric positive-definite inverse of a possibly singular covariance.
-
-    Cost minimization makes some instruments exactly collinear on generated
-    panels, so the moment covariance is structurally rank-deficient; a ridge
-    proportional to the largest eigenvalue keeps the implied weights bounded.
-    """
-    cov = 0.5 * (cov + cov.T)
-    scale = float(np.max(np.linalg.eigvalsh(cov)))
-    if scale <= 0.0:
-        return np.eye(cov.shape[0])
-    return np.linalg.inv(cov + ridge * scale * np.eye(cov.shape[0]))
-
-
 # L-BFGS-B stops once an iteration lowers J by less than this relative amount.
 # It is about 2x the relative rounding noise of J at the quantity minima
 # (~5e-13, the sd of J under 1e-14 relative perturbations of theta; ~5e-14
@@ -744,6 +725,18 @@ def _group_minima(minima, lo, hi, tol: float = _SAME_MINIMUM_TOL):
     return [(rep, size) for rep, _, size in groups]
 
 
+def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
+    """Cholesky inverse of the moment covariance at theta.  With full-rank instruments
+    it fails only when the panel has too few lag rows for its moments."""
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ms.moment_covariance(theta)), np.eye(ms.n_moments))
+    except scipy.linalg.LinAlgError as exc:
+        raise EstimationError(
+            "two-step weighting: the moment covariance at the stage-one estimate is not positive "
+            f"definite (n_obs = {ms.n_obs}, n_moments = {ms.n_moments}): {exc}"
+        ) from exc
+
+
 def gmm_minimize(
     ms: MomentSystem,
     weighting: str = "two-step",
@@ -755,13 +748,13 @@ def gmm_minimize(
     """Multi-start minimization of the GMM quadratic form.
 
     weighting 'identity' runs a single stage.  'two-step' reweights by the
-    (regularized) inverse moment covariance at the best stage-one minimum and
-    re-minimizes once per distinct stage-one minimum: minima that agree to
-    _SAME_MINIMUM_TOL of the box width in every coordinate form one group
-    (see _group_minima), whose stage-two search starts from its lowest-J
-    member and keeps that member's start_index.  So an identified fit, whose
-    restarts all reach one point, runs one stage-two search, while minima
-    spread along flat revenue directions keep one each.
+    Cholesky inverse of the moment covariance at the best stage-one minimum
+    (_two_step_weight) and re-minimizes once per distinct stage-one minimum:
+    minima that agree to _SAME_MINIMUM_TOL of the box width in every
+    coordinate form one group (see _group_minima), whose stage-two search
+    starts from its lowest-J member and keeps that member's start_index.  So
+    an identified fit, whose restarts all reach one point, runs one stage-two
+    search, while minima spread along flat revenue directions keep one each.
 
     All local minima are reported, not just the best: with flat directions
     the set is the diagnostic object.  Each minimum records n_starts, the
@@ -776,6 +769,8 @@ def gmm_minimize(
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     starts = _draw_starts(ms, start, restarts, seed, screen=screen)
     lo = np.array([b[0] for b in ms.bounds])
     hi = np.array([b[1] for b in ms.bounds])
@@ -810,24 +805,20 @@ def gmm_minimize(
     def run_stage(W, jobs):
         outcomes = [solve_one(idx, x0, n, W) for idx, x0, n in jobs]
         found = [o for o in outcomes if not o.get("failed")]
-        failures = [o for o in outcomes if o.get("failed")]
         if not found:
-            raise EstimationError("all GMM restarts failed to converge", trace=failures)
+            raise EstimationError("all GMM restarts failed to converge")
         return found
 
     minima = run_stage(None, [(idx, x0, 1) for idx, x0 in enumerate(starts)])
     best = min(minima, key=lambda m: m["objective"])
-    theta1 = np.array(best["theta"])
 
     if weighting == "two-step":
-        cov = ms.moment_covariance(theta1)
-        W = regularized_inverse(cov)
+        W = _two_step_weight(ms, best["theta"])
         groups = _group_minima(minima, lo, hi)
         minima = run_stage(W, [(rep["start_index"], rep["theta"], n) for rep, n in groups])
         best = min(minima, key=lambda m: m["objective"])
 
     theta_hat = np.array(best["theta"])
-    cov_final = ms.moment_covariance(theta_hat)
     n_converged = sum(1 for m in minima if m["converged"])
     if n_converged == 0:
         logger.warning("no restart reported clean convergence; returning best iterate")
@@ -838,7 +829,7 @@ def gmm_minimize(
         estimates={n: float(v) for n, v in zip(ms.param_names, theta_hat)},
         objective=float(best["objective"]),
         weighting=weighting,
-        moment_cov=cov_final,
+        moment_cov=ms.moment_covariance(theta_hat),
         minima=minima,
         g_coefficients=list(ms.g_coefficients(theta_hat)),
         diagnostics={

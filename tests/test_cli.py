@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
+from revprod.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, _write_json, main
 from revprod.panel_io import read_panel_csv
 
 CES_CONFIG = """
@@ -226,6 +226,22 @@ def test_diagnose_scan_grid_at_ces_sigma_one_rejected(ces_ini, tmp_path, caplog)
     assert not (tmp_path / "identification_report.json").exists()
 
 
+def test_diagnose_grid_without_scan_rejected(ces_ini, tmp_path, caplog):
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--grid", "0.7:1.3:5", "--out", str(tmp_path / "d")])
+    assert rc == EXIT_VALIDATION
+    assert "--grid" in caplog.text
+    assert not (tmp_path / "d").exists()
+
+
+def test_diagnose_empty_grid_rejected(ces_ini, tmp_path, caplog):
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "v", "--grid", "0.7:1.3:0", "--out", str(tmp_path / "d")])
+    assert rc == EXIT_VALIDATION
+    assert "--grid count must be >= 1" in caplog.text
+    assert not (tmp_path / "d").exists()
+
+
 def test_diagnose_deterministic_report(ces_ini, tmp_path):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "r1")])
@@ -243,6 +259,36 @@ def test_removed_equivalence_tol_key_rejected(tmp_path):
     ini = tmp_path / "old.ini"
     ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[diagnostics]\nequivalence_tol = 1e-10\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+def test_invalid_cal_e_rejected(ces_ini, tmp_path, caplog, value):
+    ini = tmp_path / "cal_e.ini"
+    ini.write_text(ces_ini.read_text() + f"cal_e = {value}\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "[estimation] cal_e must be finite and > 0" in caplog.text
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_restarts_below_one_rejected(ces_ini, tmp_path, caplog, restarts):
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    ini = tmp_path / "restarts.ini"
+    ini.write_text(ces_ini.read_text().replace("restarts = 3", f"restarts = {restarts}"))
+    rc = main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ini), "--mode", "quantity", "--out", str(tmp_path / "e")])
+    assert rc == EXIT_VALIDATION
+    assert "restarts must be >= 1" in caplog.text
+
+
+def test_two_step_weight_needs_more_rows_than_moments(cd_ini, tmp_path, caplog):
+    # 3 firms x 5 periods leave 12 lag rows for the 16 revenue moments, so the
+    # moment covariance is singular and there is no two-step weight
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(cd_ini.read_text().replace("n_firms = 100", "n_firms = 3").replace("n_periods = 8", "n_periods = 5"))
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    rc = main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ini), "--mode", "revenue", "--out", str(tmp_path / "e")])
+    assert rc == EXIT_SOLVER
+    assert "n_obs = 12, n_moments = 16" in caplog.text
+    assert not (tmp_path / "e" / "estimate_revenue.json").exists()
 
 
 def test_missing_seed_rejected_for_simulate(tmp_path):
@@ -304,7 +350,7 @@ def test_estimate_calls_no_numpy_decomposition(ces_ini, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg decomposition called on the estimate path")
 
-    for name in ("lstsq", "qr", "svd", "eigh"):
+    for name in ("lstsq", "qr", "svd", "eigh", "eigvalsh", "inv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     for mode in ("quantity", "revenue"):
         assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--mode", mode, "--out", str(tmp_path)]) == EXIT_OK

@@ -9,16 +9,23 @@ from revprod.config import parse_config
 from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
     BASIC_INSTRUMENTS,
+    DEFAULT_INSTRUMENTS,
+    DEFAULT_LEVEL_INSTRUMENTS,
     _group_minima,
+    _instrument_matrix,
+    _two_step_weight,
     build_quantity_moments,
     build_revenue_moments,
     first_stage_project,
     gmm_minimize,
-    regularized_inverse,
 )
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import ShockConfig
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = ["configs/ces.ini", "configs/cd.ini", "perfbench/configs/cd-oracle.ini"]
 
 
 def theta_true(cfg):
@@ -66,7 +73,7 @@ class TestFirstStage:
     def test_matches_numpy_lstsq_bitwise(self, config, monkeypatch):
         # the projection runs through scipy.linalg with numpy's rank cutoff;
         # scipy's default cutoff gives the CES design rank 36, not 35
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / config)
+        cfg = parse_config(ROOT / "configs" / config)
         panel = simulate_panel(cfg.sim)
         degree = cfg.estimation.first_stage_degree
         for mode in ("quantity", "revenue"):
@@ -155,6 +162,33 @@ class TestMomentSystems:
         fs = first_stage_project(small_ces_panel, "quantity", 3)
         with pytest.raises(ValueError, match="unknown instrument"):
             build_quantity_moments("CES", fs, small_ces_panel, instruments=("const", "bogus"))
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_default_instruments_full_rank_on_shipped_panels(self, config):
+        # cost minimization ties log L - log M to log pL - log pM exactly, so
+        # the default sets must not hold both input lags with both price lags
+        cfg = parse_config(ROOT / config)
+        panel = simulate_panel(cfg.sim)
+        cur, lag = panel.lag_index()
+        for names in (DEFAULT_INSTRUMENTS, DEFAULT_LEVEL_INSTRUMENTS):
+            Z = _instrument_matrix(panel, cur, lag, names)
+            assert np.linalg.matrix_rank(Z) == len(names)
+            R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
+            assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
+        # so the moment covariance at the truth is well conditioned in both modes
+        for mode in ("quantity", "revenue"):
+            fs = first_stage_project(panel, mode, cfg.estimation.first_stage_degree)
+            build = build_quantity_moments if mode == "quantity" else build_revenue_moments
+            ms = build(cfg.sim.tech.kind, fs, panel)
+            assert np.linalg.cond(ms.moment_covariance(theta_true(cfg.sim))) < 1e4
+
+    def test_collinear_instrument_set_rejected(self, small_ces_panel):
+        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        collinear = ("const", "l_lag", "m_lag", "pl_lag", "pm_lag")
+        with pytest.raises(ValueError, match="instruments const l_lag m_lag pl_lag pm_lag are collinear"):
+            build_quantity_moments("CES", fs, small_ces_panel, instruments=collinear)
+        with pytest.raises(ValueError, match="collinear"):
+            build_revenue_moments("CES", fs, small_ces_panel, cal_e=1.0, level_instruments=("const", "const"))
 
 
 class ReferenceCore:
@@ -419,10 +453,10 @@ class TestGmmMinimize:
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, "quantity", 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
-        cov = ms.moment_covariance(theta_true(small_ces_config))
-        W = regularized_inverse(cov)
-        assert np.allclose(W, W.T)
-        assert np.all(np.linalg.eigvalsh(W) > 0.0)
+        theta = theta_true(small_ces_config)
+        W = _two_step_weight(ms, theta)
+        assert np.allclose(W, W.T, rtol=0.0, atol=1e-12 * np.max(np.abs(W)))
+        assert np.max(np.abs(W @ ms.moment_covariance(theta) - np.eye(ms.n_moments))) < 1e-10
 
     def test_objective_nonnegative(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, "quantity", 3)
