@@ -77,6 +77,8 @@ def _provenance(command: str, cfg: RunConfig, outputs, extra=None) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = parse_config(args.config, require_seed=args.seed is None)
     if args.seed is not None:
         import dataclasses

@@ -156,6 +156,8 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
 
     run = section("run")
     seed = _getint(run, "seed", None)
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{path}: [run] seed must be >= 0, got {seed}")
     if seed is None:
         if require_seed:
             raise ConfigError(f"{path}: [run] seed is required for simulation")
@@ -232,13 +234,16 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
             cal_e = math.nan
         if not (math.isfinite(cal_e) and cal_e > 0.0):
             raise ConfigError(f"{path}: [estimation] cal_e must be finite and > 0, got {e['cal_e']!r}")
+    restart_seed = _getint(e, "restart_seed", 7)
+    if restart_seed < 0:
+        raise ConfigError(f"{path}: [estimation] restart_seed must be >= 0, got {restart_seed}")
     est = EstimationSettings(
         first_stage_degree=_getint(e, "first_stage_degree", 3),
         g_degree=_getint(e, "g_degree", 1),
         weighting=weighting,
         restarts=_getint(e, "restarts", 20),
         screen=_getint(e, "screen", 256),
-        restart_seed=_getint(e, "restart_seed", 7),
+        restart_seed=restart_seed,
         which_v=which_v,
         cal_e=cal_e,
         instruments=tuple(e.get("instruments", "").split()) or None,

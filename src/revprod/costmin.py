@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .technology import CES, DomainError, Technology, _check_positive
 
@@ -228,6 +227,8 @@ def f_inverse_root(tech: Technology, K: float, z: float, rtol: float = 1e-12) ->
     Independent of the closed-form inverse: brackets the root by geometric
     expansion and hands it to a bracketing solver on the log residual.
     """
+    from scipy.optimize import brentq
+
     _check_positive(K=K, z=z)
 
     def resid(w):

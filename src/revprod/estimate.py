@@ -49,8 +49,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize
 
 from .panel_io import Panel, PanelFormatError
 
@@ -69,6 +67,15 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+# A module-level name that gmm_minimize looks up on each call, so callers can patch it (perfbench counts searches).
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: only estimate searches need scipy.optimize."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
 
 # The basic conditioning-set instruments alone leave the CES curvature
 # directions too weak to recover at desk scale (asymptotic sd on sigma well
@@ -154,6 +161,8 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     numpy's; scipy's default cutoff keeps one more direction of the
     collinear CES design and moves the fitted values by up to 1.6e-3.
     """
+    import scipy.linalg
+
     if mode not in ("quantity", "revenue"):
         raise ValueError(f"mode must be 'quantity' or 'revenue', got {mode!r}")
     if degree < 1:
@@ -362,6 +371,8 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
 
 def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarray:
     """Named instrument columns over the current rows; rejects a set without full column rank."""
+    import scipy.linalg
+
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
         x = np.log(panel.col(col))
@@ -728,6 +739,8 @@ def _group_minima(minima, lo, hi, tol: float = _SAME_MINIMUM_TOL):
 def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
     """Cholesky inverse of the moment covariance at theta.  With full-rank instruments
     it fails only when the panel has too few lag rows for its moments."""
+    import scipy.linalg
+
     try:
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ms.moment_covariance(theta)), np.eye(ms.n_moments))
     except scipy.linalg.LinAlgError as exc:

@@ -1,13 +1,19 @@
 import importlib.resources
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import revprod
 from revprod.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, _write_json, main
 from revprod.panel_io import read_panel_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CES_CONFIG = """
 [run]
@@ -279,6 +285,25 @@ def test_restarts_below_one_rejected(ces_ini, tmp_path, caplog, restarts):
     assert "restarts must be >= 1" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "old, new, extra, message",
+    [
+        ("seed = 4242", "seed = -1", [], "[run] seed must be >= 0, got -1"),
+        ("screen = 128", "screen = 128\nrestart_seed = -3", [], "[estimation] restart_seed must be >= 0, got -3"),
+        ("", "", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ],
+    ids=["run_seed", "restart_seed", "seed_option"],
+)
+def test_negative_seed_rejected(ces_ini, tmp_path, caplog, old, new, extra, message):
+    # numpy's own error for a negative seed names neither the key nor the value
+    ini = tmp_path / "seed.ini"
+    ini.write_text(ces_ini.read_text().replace(old, new))
+    rc = main(["simulate", "--config", str(ini), *extra, "--out", str(tmp_path / "s")])
+    assert rc == EXIT_VALIDATION
+    assert message in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
 def test_two_step_weight_needs_more_rows_than_moments(cd_ini, tmp_path, caplog):
     # 3 firms x 5 periods leave 12 lag rows for the 16 revenue moments, so the
     # moment covariance is singular and there is no two-step weight
@@ -382,3 +407,39 @@ def test_revenue_cal_e_estimated_without_shocks_section(ces_ini, tmp_path):
     assert res_b["estimates"] == res["estimates"]
     assert res_b["objective"] == res["objective"]
     assert (tmp_path / "a" / "identification_report.json").read_bytes() == (tmp_path / "b" / "identification_report.json").read_bytes()
+
+
+IMPORT_GRAPH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from revprod.cli import main, parse_config
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg, out = "configs/ces.ini", sys.argv[2]
+parse_config(cfg)
+seen = {"import": scipy_modules(), "rc": []}
+seen["rc"].append(main(["--log-level", "WARNING", "simulate", "--config", cfg, "--out", out]))
+seen["rc"].append(main(["--log-level", "WARNING", "verify", out + "/panel.csv", "--config", cfg, "--out", out]))
+seen["simulate_verify"] = scipy_modules()
+seen["rc"].append(main(["--log-level", "WARNING", "diagnose", out + "/panel.csv", "--config", cfg, "--out", out]))
+seen["diagnose"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_the_scipy_they_call(tmp_path):
+    # scipy.linalg and scipy.optimize cost ~0.7 s of each command's start-up;
+    # simulate and verify call neither, diagnose calls scipy.linalg only.  A
+    # fresh interpreter, since this one has imported scipy already.
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, str(Path(revprod.__file__).parents[1]), str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["rc"] == [EXIT_OK] * 3
+    assert seen["import"] == []
+    assert seen["simulate_verify"] == []
+    assert "scipy.optimize" not in seen["diagnose"]
