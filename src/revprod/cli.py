@@ -96,26 +96,23 @@ def cmd_simulate(args) -> int:
 
 
 def _moment_system(cfg: RunConfig, panel, mode: str):
+    """The configured moment system, and what the estimate reports beside the fit in that mode."""
     est = cfg.estimation
-    fs = first_stage_project(panel, mode, est.first_stage_degree)
     kind = cfg.sim.tech.kind
     kwargs = {} if est.instruments is None else {"instruments": est.instruments}
-    if mode == "quantity":
-        ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
-    else:
-        if est.level_instruments is not None:
-            kwargs["level_instruments"] = est.level_instruments
-        ms = build_revenue_moments(
-            kind, fs, panel, g_degree=est.g_degree, cal_e=est.cal_e, which_v=est.which_v, **kwargs
-        )
-    return fs, ms
+    if mode == "revenue":
+        ms = build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs)
+        return ms, {"non_identified_axes": ["beta_K"] if kind == "CD" else ["v"]}
+    fs = first_stage_project(panel, est.first_stage_degree)
+    ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
+    return ms, {"first_stage": {"degree": fs.degree, "r_squared": fs.r_squared}}
 
 
 def cmd_estimate(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     mode = args.mode
-    fs, ms = _moment_system(cfg, panel, mode)
+    ms, extra = _moment_system(cfg, panel, mode)
     est = cfg.estimation
     result = gmm_minimize(
         ms,
@@ -125,13 +122,7 @@ def cmd_estimate(args) -> int:
         screen=est.screen,
     )
     payload = result.to_dict()
-    payload["first_stage"] = {
-        "degree": fs.degree,
-        "r_squared": fs.r_squared,
-        "cal_e_hat": fs.cal_e_hat,
-    }
-    if mode == "revenue":
-        payload["non_identified_axes"] = ["beta_K"] if cfg.sim.tech.kind == "CD" else ["v"]
+    payload.update(extra)
     payload["provenance"] = _provenance(
         "estimate", cfg, [], extra={"panel": Path(args.panel).name, "mode": mode}
     )
@@ -160,7 +151,7 @@ def cmd_diagnose(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     est = cfg.estimation
-    fs, ms = _moment_system(cfg, panel, "revenue")
+    ms, _ = _moment_system(cfg, panel, "revenue")
     curve = None
     if args.scan:
         # checked before the report, so that a bad scan writes nothing
@@ -176,7 +167,6 @@ def cmd_diagnose(args) -> int:
         panel,
         cfg.sim.tech,
         ms,
-        cal_e=est.cal_e if est.cal_e is not None else fs.cal_e_hat,
         fd_step=cfg.diagnostics.fd_step,
         flat_tol=cfg.diagnostics.flat_tol,
         rank_rtol=cfg.diagnostics.rank_rtol,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,11 +31,7 @@ class EstimationSettings:
     screen: int = 256
     restart_seed: int = 7
     which_v: str = "M"
-    # explicit [estimation] value, else the [shocks] value when the file has
-    # that section, else None: estimate from the first-stage residuals
-    cal_e: Optional[float] = None
     instruments: Optional[tuple] = None  # None: package default set
-    level_instruments: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -86,9 +81,7 @@ _KNOWN_KEYS = {
         "screen",
         "restart_seed",
         "which_v",
-        "cal_e",
         "instruments",
-        "level_instruments",
     },
     "diagnostics": {"fd_step", "flat_tol", "rank_rtol"},
 }
@@ -219,21 +212,12 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     e = section("estimation")
-    lvl = e.get("level_instruments")
     weighting = e.get("weighting", "two-step")
     if weighting not in ("identity", "two-step"):
         raise ConfigError(f"{path}: [estimation] weighting must be identity or two-step")
     which_v = e.get("which_v", "M").strip().upper()
     if which_v not in ("L", "M"):
         raise ConfigError(f"{path}: [estimation] which_v must be L or M")
-    cal_e = shocks.cal_e if parser.has_section("shocks") else None
-    if e.get("cal_e"):
-        try:
-            cal_e = float(e["cal_e"])
-        except ValueError:
-            cal_e = math.nan
-        if not (math.isfinite(cal_e) and cal_e > 0.0):
-            raise ConfigError(f"{path}: [estimation] cal_e must be finite and > 0, got {e['cal_e']!r}")
     restart_seed = _getint(e, "restart_seed", 7)
     if restart_seed < 0:
         raise ConfigError(f"{path}: [estimation] restart_seed must be >= 0, got {restart_seed}")
@@ -245,9 +229,7 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         screen=_getint(e, "screen", 256),
         restart_seed=restart_seed,
         which_v=which_v,
-        cal_e=cal_e,
         instruments=tuple(e.get("instruments", "").split()) or None,
-        level_instruments=tuple(lvl.split()) if lvl is not None else None,
     )
     dg = section("diagnostics")
     diag = DiagnosticSettings(

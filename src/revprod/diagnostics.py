@@ -62,8 +62,8 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
     The gap is reported as measured; no threshold turns it into a verdict.
     A pair differing only in a coordinate the revenue predictor never reads
     gives exactly 0.0, because both predictions are the same float
-    operations on the same columns.  The ex-ante shock scaling and the share
-    columns cancel from the difference, so only the technologies matter.
+    operations on the same columns.  The share columns cancel from the
+    difference, so only the technologies matter.
     """
     if tech_a.kind != tech_b.kind:
         raise ValueError(f"technology kinds differ: {tech_a.kind} vs {tech_b.kind}")
@@ -72,7 +72,7 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
     cols = _revenue_columns(panel)
     gap = 0.0
     for v in ("L", "M"):
-        predict, names = revenue_predictor(tech_a.kind, cols, v, 0.0)
+        predict, names = revenue_predictor(tech_a.kind, cols, v)
         d = np.abs(predict(_theta(tech_a, names))[0] - predict(_theta(tech_b, names))[0])
         gap = max(gap, float(np.max(d)))
     return gap
@@ -270,14 +270,14 @@ def omega_recovery_attempt(
     panel: Panel,
     tech: Technology,
     mode: str,
-    cal_e: Optional[float] = None,
     which_v: str = "M",
     first_stage_degree: int = 3,
 ) -> OmegaRecovery:
     """Try to recover simulated productivity from estimation residuals.
 
     Revenue mode computes log R minus the parametric revenue prediction
-    (which should carry only the ex-post shock); quantity mode computes the
+    (which should carry only the ex-post shock, less the constant
+    log E[exp eps], which no correlation sees); quantity mode computes the
     proxy-recovered series fitted minus predicted log output.  Panels without
     a true productivity column yield a skipped report.
     """
@@ -289,13 +289,10 @@ def omega_recovery_attempt(
         return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True, note="panel has no omega column")
     omega = panel.col("omega")
     if mode == "revenue":
-        if cal_e is None:
-            cal_e = first_stage_project(panel, "revenue", first_stage_degree).cal_e_hat
-        predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v, 0.0)
-        pred = predict(_theta(tech, names))[0] - math.log(cal_e)
-        resid = np.log(panel.col("R")) - pred
+        predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
+        resid = np.log(panel.col("R")) - predict(_theta(tech, names))[0]
     else:
-        fs = first_stage_project(panel, "quantity", first_stage_degree)
+        fs = first_stage_project(panel, first_stage_degree)
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
         resid = fs.fitted - q_pred
     if np.std(resid) == 0.0 or np.std(omega) == 0.0:
@@ -371,7 +368,6 @@ def build_identification_report(
     panel: Panel,
     tech: Technology,
     ms: MomentSystem,
-    cal_e: Optional[float] = None,
     fd_step: float = 1e-5,
     flat_tol: float = FLAT_TOL,
     rank_rtol: float = RANK_RTOL,
@@ -394,7 +390,7 @@ def build_identification_report(
     profiles["beta_scale"] = beta_scale_scan(ms, theta0)
 
     rank = jacobian_rank(ms, theta0, fd_step=fd_step, rank_rtol=rank_rtol)
-    omega_rec = omega_recovery_attempt(panel, tech, ms.mode, cal_e=cal_e, which_v=which_v)
+    omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v)
 
     verdicts = {}
     scale_flat = profiles["beta_scale"].flatness <= flat_tol

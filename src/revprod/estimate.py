@@ -1,34 +1,41 @@
-"""Proxy-variable GMM for quantity production functions and the revenue analogue.
+"""GMM on the quantity production function and on the revenue equation.
+
+Both routes set instrument cross-products of a residual to zero,
+E[z * e(theta)] = 0, on the current rows of the panel (the firm-periods whose
+firm is observed one period earlier), and share every line of the moment,
+covariance, objective and gradient code (MomentSystem).  They differ only in
+the residual e and its pullback.
 
 The quantity route is the identified benchmark: project out the ex-post shock
 with a flexible polynomial first stage, recover the productivity series
-implied by a candidate parameter vector, and form moments on the innovation
-of its first-order Markov process against predetermined instruments.
+implied by a candidate parameter vector, and take as residual the innovation
+of its first-order Markov process.  The Markov conditional mean g(.) is a
+polynomial of configurable degree whose coefficients are concentrated out in
+closed form: at every parameter vector the demeaned current productivity is
+regressed on the demeaned powers of its centred lag (for degree one, the
+slope a.b / a.a) and the intercept is recovered from the means, so the GMM
+search space contains only technology parameters.
 
-The revenue route runs the same machinery with log revenue in place of log
-quantity and the parametric revenue predictor in place of the production
-function.  revenue_predictor is the package's only parametric log-revenue
-formula, one closed form per family: the diagnostics evaluate it at a
-technology's parameters too, so the estimator and the equivalence
+The revenue route rests on the paper's central fact: productivity cancels
+from the revenue equation.  revenue_predictor gives log ex-ante expected
+revenue, so at the true parameters log R minus the prediction is the ex-post
+shock eps less log E[exp eps], and the residual r = exp(log R - pred) - 1 is
+exp(eps) / E[exp eps] - 1, which has mean zero whatever the shock
+distribution.  There is no first stage, no productivity process and no value
+of E[exp eps] to supply.  revenue_predictor is the package's only parametric
+log-revenue formula, one closed form per family: the diagnostics evaluate it
+at a technology's parameters too, so the estimator and the equivalence
 certificates read the same expression.  Its parameter vector deliberately
 carries the coordinates that the formula never reads (the capital exponent
 for Cobb-Douglas, returns to scale for CES) so that downstream diagnostics
 can exhibit the resulting flat directions; the residual provably never
 touches them, which makes the flatness bit-exact rather than approximate.
 
-The Markov conditional mean g(.) is a polynomial of configurable degree whose
-coefficients are concentrated out in closed form: at every parameter vector
-the demeaned current productivity is regressed on the demeaned powers of its
-centred lag (for degree one, the slope a.b / a.a) and the intercept is
-recovered from the means, so the GMM search space contains only technology
-parameters.  Each
-parameter vector goes through one evaluation: one prediction over all panel
-rows, indexed into current and lagged rows, then the concentration above.
-
-The local searches are L-BFGS-B with the exact gradient of the objective.
-Each predictor also returns its Jacobian, built from the exp/log arrays of
-the prediction, and the gradient is propagated in reverse through the
-moments and the concentrated-out g, so a value and its gradient cost one
+Each parameter vector goes through one evaluation: one prediction, then the
+residual.  The local searches are L-BFGS-B with the exact gradient of the
+objective.  Each predictor also returns its Jacobian, built from the exp/log
+arrays of the prediction, and the gradient is propagated in reverse through
+the moments and the residual, so a value and its gradient cost one
 evaluation.  A search stops once an iteration lowers the objective by less
 than a relative 1e-12, about twice the measured rounding noise of J at the
 quantity minima; a tighter tolerance only ends searches ABNORMAL at their
@@ -124,28 +131,22 @@ def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
 
 @dataclass
 class FirstStage:
-    """Polynomial projection of log output (or log revenue) on observables.
+    """Polynomial projection of log output on observables.
 
     rank is the numerical rank of the polynomial design, below its column
     count whenever cost minimization makes the observables collinear.
     """
 
-    mode: str
     degree: int
     fitted: np.ndarray
     residuals: np.ndarray
     r_squared: float
     rank: int
 
-    @property
-    def cal_e_hat(self) -> float:
-        """Ex-ante shock expectation implied by the projection residuals."""
-        return math.exp(0.5 * float(np.var(self.residuals)))
 
-
-def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -> FirstStage:
-    """Regress log Q (quantity mode) or log R (revenue mode) on a polynomial
-    in log inputs and log input prices; returns fitted values and residuals.
+def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
+    """Regress log Q on a polynomial in log inputs and log input prices;
+    returns fitted values and residuals.
 
     An underdetermined fit (fewer rows than polynomial columns) triggers
     degree reduction with a warning; the structural collinearity that cost
@@ -163,16 +164,11 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     """
     import scipy.linalg
 
-    if mode not in ("quantity", "revenue"):
-        raise ValueError(f"mode must be 'quantity' or 'revenue', got {mode!r}")
     if degree < 1:
         raise ValueError("polynomial degree must be >= 1")
-    if mode == "quantity":
-        if not panel.has("Q"):
-            raise PanelFormatError("quantity mode requires the Q column (quantities unobserved)")
-        y = np.log(panel.col("Q"))
-    else:
-        y = np.log(panel.col("R"))
+    if not panel.has("Q"):
+        raise PanelFormatError("quantity mode requires the Q column (quantities unobserved)")
+    y = np.log(panel.col("Q"))
     logs = np.column_stack(
         [np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")]
     )
@@ -209,7 +205,7 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
     resid = y - fitted
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
-    return FirstStage(mode=mode, degree=used, fitted=fitted, residuals=resid, r_squared=r2, rank=int(rank))
+    return FirstStage(degree=used, fitted=fitted, residuals=resid, r_squared=r2, rank=int(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -219,99 +215,53 @@ def first_stage_project(panel: Panel, mode: str = "quantity", degree: int = 3) -
 
 @dataclass
 class MomentSystem:
-    """Conditional-moment system on the Markov innovation of recovered productivity.
+    """Moment conditions E[z * e(theta)] = 0 on the current rows of a panel.
 
-    Every statistic at a parameter vector theta reads one private evaluation.
-    The predictor runs once over all panel rows; recovered productivity
-    (first-stage fitted value minus prediction) is indexed into current and
-    lagged rows; and the Markov polynomial g is concentrated out in closed
-    form by regressing demeaned current productivity on the demeaned powers
-    of centred lagged productivity, so g's coefficients never enter theta.
-    moments(theta) are the instrument cross-products of the innovation left
-    over.
+    Every statistic at a parameter vector theta reads one private evaluation:
+    the predictor runs once, and _residual maps its prediction to the
+    residual e on the current rows and to e's pullback.  The pullback takes
+    weights q on the current rows and returns the gradient of q'e with
+    respect to minus the prediction, so the objective's gradient is
+    -2 dpred pullback(Z u) + n grad penalty, u being the symmetrized W m, and
+    no n x p moment Jacobian is formed.
 
-    Revenue systems additionally carry level moments on the revenue-equation
-    residual itself.  Productivity cancels out of the revenue equation, so
-    (unlike the quantity case, where the recovered series has a free mean)
-    its level is informative: without these moments the Cobb-Douglas revenue
-    equation, whose entire parameter content on cost-minimizing data is an
-    intercept, would be invisible to the Markov block.
+    The residual comes from the build function.  build_quantity_moments: the innovation
+    of the recovered productivity's Markov process (_MarkovInnovation), whose
+    degree is g_degree.  build_revenue_moments: r = exp(log R - pred) - 1,
+    the ex-post shock relative to its mean at the true parameters; revenue
+    systems have no productivity process, so their g_degree is None.
     """
 
     mode: str
     tech_kind: str
     param_names: tuple
     bounds: tuple
-    g_degree: int
     Z: np.ndarray
     instrument_names: tuple
     n_obs: int
-    _predict: callable = field(repr=False)  # theta -> (prediction on all rows, penalty, derivatives)
-    _fitted: np.ndarray = field(repr=False)  # first-stage fitted values, all rows
-    _cur: np.ndarray = field(repr=False)
-    _lag: np.ndarray = field(repr=False)
-    level_Z: Optional[np.ndarray] = field(default=None, repr=False)
-    level_instrument_names: tuple = ()
+    _predict: callable = field(repr=False)  # theta -> (prediction, penalty, derivatives)
+    _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
+    g_degree: Optional[int] = None
 
     def _evaluate(self, theta):
-        """Innovation, level residual, penalty, predictor derivatives and g at theta.
-
-        g is fit in powers of the centred lag, which span the same space as
-        powers of the lag itself but keep the normal equations well
-        conditioned at any degree; for degree one the slope is a.b / a.a.
-        Means are taken as sum / n, which is what ndarray.mean computes,
-        without its per-call overhead.  The last item holds the pieces of g:
-        lag mean, current mean, power means, slope, the demeaned powers X
-        and their Gram matrix X X'.
-        """
+        """Residual, penalty, predictor derivatives and residual pullback at theta."""
         pred, penalty, derivatives = self._predict(np.asarray(theta, float))
-        w = self._fitted - pred
-        w_t, w_lag = w[self._cur], w[self._lag]
-        n = w_t.size
-        lag_mean = w_lag.sum() / n
-        powers = np.empty((self.g_degree, n))
-        powers[0] = w_lag - lag_mean
-        for d in range(1, self.g_degree):
-            powers[d] = powers[d - 1] * powers[0]
-        power_means = powers.sum(axis=1) / n
-        powers -= power_means[:, None]
-        w_mean = w_t.sum() / n
-        y = w_t - w_mean
-        gram = powers.dot(powers.T)
-        slope = np.linalg.solve(gram, powers.dot(y))
-        xi = y - slope.dot(powers)
-        return xi, w_t, penalty, derivatives, (lag_mean, w_mean, power_means, slope, powers, gram)
+        e, pullback = self._residual(pred)
+        return e, penalty, derivatives, pullback
 
     def g_coefficients(self, theta) -> np.ndarray:
-        """Markov polynomial coefficients in powers of the lag, constant first."""
-        lag_mean, w_mean, power_means, slope, _, _ = self._evaluate(theta)[4]
-        centred = np.concatenate([[w_mean - power_means @ slope], slope])
-        coef = np.zeros(self.g_degree + 1)
-        for k, c in enumerate(centred):
-            for j in range(k + 1):
-                coef[j] += c * math.comb(k, j) * (-lag_mean) ** (k - j)
-        return coef
+        """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
+        return self._residual.coefficients(self._predict(np.asarray(theta, float))[0])
 
     @property
     def n_moments(self) -> int:
-        extra = 0 if self.level_Z is None else self.level_Z.shape[1]
-        return self.Z.shape[1] + extra
-
-    def _stack_moments(self, xi, level) -> np.ndarray:
-        m = xi.dot(self.Z) / self.n_obs
-        if self.level_Z is None:
-            return m
-        return np.concatenate([m, level.dot(self.level_Z) / self.n_obs])
+        return self.Z.shape[1]
 
     def moments(self, theta) -> np.ndarray:
-        xi, level = self._evaluate(theta)[:2]
-        return self._stack_moments(xi, level)
+        return self._evaluate(theta)[0].dot(self.Z) / self.n_obs
 
     def moment_covariance(self, theta) -> np.ndarray:
-        xi, level = self._evaluate(theta)[:2]
-        G = self.Z * xi[:, None]
-        if self.level_Z is not None:
-            G = np.column_stack([G, self.level_Z * level[:, None]])
+        G = self.Z * self._evaluate(theta)[0][:, None]
         return G.T @ G / self.n_obs
 
     def _quadratic_form(self, m, penalty, weight):
@@ -320,45 +270,89 @@ class MomentSystem:
 
     def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        xi, level, penalty, _, _ = self._evaluate(theta)
-        return self._quadratic_form(self._stack_moments(xi, level), penalty, weight)[0]
+        e, penalty = self._evaluate(theta)[:2]
+        return self._quadratic_form(e.dot(self.Z) / self.n_obs, penalty, weight)[0]
 
     def objective_and_gradient(self, theta, weight: Optional[np.ndarray] = None):
-        """objective(theta, weight) and its exact gradient from one evaluation.
-
-        The gradient runs in reverse: with u the symmetrized W m and q = Z u_xi,
-        the derivative of q'xi through the concentrated-out g is a weight r_cur
-        on the current rows' productivity plus r_lag on the lagged rows', so
-        no n x p moment Jacobian is formed.  With a = (X X')^-1 X q and qt the
-        demeaned residual of q on X,
-        r_cur = qt (+ level_Z u_level in revenue mode) and
-        r_lag = -demean(sum_k (k+1) c^k (slope_k qt + a_k xi)),
-        c being the centred lag.  Productivity is fitted minus prediction, so
-        grad J = -2 dpred r + n grad penalty.
-        """
-        xi, level, penalty, derivatives, (_, _, power_means, slope, X, gram) = self._evaluate(theta)
-        m = self._stack_moments(xi, level)
+        """objective(theta, weight) and its exact gradient from one evaluation."""
+        e, penalty, derivatives, pullback = self._evaluate(theta)
+        m = e.dot(self.Z) / self.n_obs
         value, mw = self._quadratic_form(m, penalty, weight)
         u = m if weight is None else 0.5 * (mw + weight.dot(m))
-        n_xi = self.Z.shape[1]
-        q = self.Z.dot(u[:n_xi])
-        a = np.linalg.solve(gram, X.dot(q))
-        qt = q - a.dot(X)
-        qt -= qt.sum() / qt.size
-        r_cur = qt if self.level_Z is None else qt + self.level_Z.dot(u[n_xi:])
-        r_lag = slope[0] * qt + a[0] * xi
-        if self.g_degree > 1:
-            c = X[0] + power_means[0]  # undo the demeaning of the first power
-            c_pow = np.ones_like(c)
-            for k in range(1, self.g_degree):
-                c_pow = c_pow * c
-                r_lag += (k + 1) * c_pow * (slope[k] * qt + a[k] * xi)
-        r_lag = r_lag.sum() / r_lag.size - r_lag
-        r = np.zeros(self._fitted.size)
-        r[self._cur] = r_cur
-        r[self._lag] += r_lag
+        r = pullback(self.Z.dot(u))
         dpred, dpenalty = derivatives()
         return value, -2.0 * dpred.dot(r) + self.n_obs * dpenalty
+
+
+class _MarkovInnovation:
+    """Residual of quantity systems: the innovation of recovered productivity.
+
+    Productivity is the first-stage fitted value minus the prediction, both
+    over all panel rows, indexed into current and lagged rows.  g is fit in
+    powers of the centred lag, which span the same space as powers of the
+    lag itself but keep the normal equations well conditioned at any degree;
+    for degree one the slope is a.b / a.a.  Means are taken as sum / n, which
+    is what ndarray.mean computes, without its per-call overhead.
+    """
+
+    def __init__(self, fitted: np.ndarray, cur: np.ndarray, lag: np.ndarray, degree: int):
+        self.fitted, self.cur, self.lag, self.degree = fitted, cur, lag, degree
+
+    def _fit(self, pred):
+        """Innovation and the pieces of g: lag mean, current mean, power
+        means, slope, the demeaned powers X and their Gram matrix X X'."""
+        w = self.fitted - pred
+        w_t, w_lag = w[self.cur], w[self.lag]
+        n = w_t.size
+        lag_mean = w_lag.sum() / n
+        powers = np.empty((self.degree, n))
+        powers[0] = w_lag - lag_mean
+        for d in range(1, self.degree):
+            powers[d] = powers[d - 1] * powers[0]
+        power_means = powers.sum(axis=1) / n
+        powers -= power_means[:, None]
+        w_mean = w_t.sum() / n
+        y = w_t - w_mean
+        gram = powers.dot(powers.T)
+        slope = np.linalg.solve(gram, powers.dot(y))
+        xi = y - slope.dot(powers)
+        return xi, (lag_mean, w_mean, power_means, slope, powers, gram)
+
+    def __call__(self, pred):
+        xi, (_, _, power_means, slope, X, gram) = self._fit(pred)
+
+        def pullback(q):
+            """Through the concentrated-out g, the derivative of q'xi is a
+            weight on the current rows' productivity plus one on the lagged
+            rows'.  With a = (X X')^-1 X q and qt the demeaned residual of q on
+            X, they are qt and -demean(sum_k (k+1) c^k (slope_k qt + a_k xi)),
+            c being the centred lag."""
+            a = np.linalg.solve(gram, X.dot(q))
+            qt = q - a.dot(X)
+            qt -= qt.sum() / qt.size
+            r_lag = slope[0] * qt + a[0] * xi
+            if self.degree > 1:
+                c = X[0] + power_means[0]  # undo the demeaning of the first power
+                c_pow = np.ones_like(c)
+                for k in range(1, self.degree):
+                    c_pow = c_pow * c
+                    r_lag += (k + 1) * c_pow * (slope[k] * qt + a[k] * xi)
+            r_lag = r_lag.sum() / r_lag.size - r_lag
+            r = np.zeros(self.fitted.size)
+            r[self.cur] = qt
+            r[self.lag] += r_lag
+            return r
+
+        return xi, pullback
+
+    def coefficients(self, pred) -> np.ndarray:
+        lag_mean, w_mean, power_means, slope, _, _ = self._fit(pred)[1]
+        centred = np.concatenate([[w_mean - power_means @ slope], slope])
+        coef = np.zeros(self.degree + 1)
+        for k, c in enumerate(centred):
+            for j in range(k + 1):
+                coef[j] += c * math.comb(k, j) * (-lag_mean) ** (k - j)
+        return coef
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -384,19 +378,21 @@ def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarr
     bad = [n for n in names if n not in tokens]
     if bad:
         raise ValueError(f"unknown instrument tokens {bad}; known: {sorted(tokens)}")
+    if cur.size < len(names):
+        raise ValueError(f"the panel has {cur.size} lag rows for {len(names)} instruments; it needs at least as many rows")
     Z = np.column_stack([tokens[n] for n in names])
     # numpy's rank cutoff on a pivoted QR, whose |R_ii| fall and whose last pivot is the most dependent column
     R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
     d = np.abs(np.diag(R))
-    if d.size < len(names) or d[-1] <= np.finfo(float).eps * max(Z.shape) * d[0]:
+    if d[-1] <= np.finfo(float).eps * max(Z.shape) * d[0]:
         raise ValueError(f"instruments {' '.join(names)} are collinear on this panel: {names[piv[-1]]} depends on the others")
     return Z
 
 
-# A predictor maps theta to (prediction on all panel rows, penalty, derivatives),
-# where derivatives() returns the p x N Jacobian of the prediction and the
-# gradient of the penalty, computed from the arrays the prediction already
-# built.  Rows of coordinates the predictor never reads are exactly zero.
+# A predictor maps theta to (prediction, penalty, derivatives), where
+# derivatives() returns the p x N Jacobian of the prediction and the gradient
+# of the penalty, computed from the arrays the prediction already built.  Rows
+# of coordinates the predictor never reads are exactly zero.
 
 
 def _quantity_predictor(tech_kind: str, cols):
@@ -446,12 +442,13 @@ def _quantity_predictor(tech_kind: str, cols):
 REVENUE_COLUMNS = ("L", "M", "pL", "pM", "sL_star", "sM_star")
 
 
-def revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
-    """Parametric log target revenue, one closed form per family.
+def revenue_predictor(tech_kind: str, cols, which_v: str):
+    """Parametric log ex-ante expected revenue, one closed form per family.
 
     cols maps the names in REVENUE_COLUMNS to the logs of those columns
     (arrays or scalars); which_v picks the flexible input whose revenue
-    equation is used, and log_cal_e is subtracted from every prediction.
+    equation is used.  The target shares are defined against ex-ante expected
+    revenue, P * Qstar * E[exp eps], so that is what the formula predicts.
     Returns (predict, param_names): predict(theta), with theta ordered as
     param_names, gives (prediction, penalty, derivatives) as described above.
     The formula is built from h and the unit aggregate cost alone: it never
@@ -476,7 +473,7 @@ def revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
             w_v = a if which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
             lin = a * l_pl + (1.0 - a) * m_pm
-            pred = theta0 + lin - s - log_cal_e
+            pred = theta0 + lin - s
 
             def derivatives():
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
@@ -502,7 +499,7 @@ def revenue_predictor(tech_kind: str, cols, which_v: str, log_cal_e: float):
         cM = np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0))
         sum_a, sum_c = bL * el + bM * em, cL + cM
         agg, B = np.log(sum_a), np.log(sum_c)
-        pred = np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s - log_cal_e
+        pred = np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s
 
         def derivatives():
             # d log cV / d sg = (log bV - pV) / (sg - 1)^2 and d log cV / d bV
@@ -555,71 +552,50 @@ def build_quantity_moments(
         tech_kind=tech_kind,
         param_names=names,
         bounds=_bounds_tuple(tech_kind, names, bounds),
-        g_degree=g_degree,
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
         _predict=predict,
-        _fitted=fitted,
-        _cur=cur,
-        _lag=lag,
+        _residual=_MarkovInnovation(fitted, cur, lag, g_degree),
+        g_degree=g_degree,
     )
-
-
-DEFAULT_LEVEL_INSTRUMENTS = ("const", "k_t", "pl_t", "pm_t", "prel2_t")
 
 
 def build_revenue_moments(
     tech_kind: str,
-    fitted_rstar,
     panel: Panel,
-    g_degree: int = 1,
-    cal_e: Optional[float] = None,
     which_v: str = "M",
     instruments: Sequence[str] = DEFAULT_INSTRUMENTS,
-    level_instruments: Sequence[str] = DEFAULT_LEVEL_INSTRUMENTS,
     bounds=None,
 ) -> MomentSystem:
-    """Revenue analogue of the quantity system.
+    """Moment system on the revenue equation's ex-post shock.
 
-    cal_e defaults to the value implied by the first-stage residuals when a
-    FirstStage object is passed; which_v selects the flexible input whose
-    revenue equation is used.  level_instruments multiply the revenue-equation
-    residual itself (pass an empty sequence to drop the level block and run
-    the bare Markov analogue).
+    The residual is r = exp(log R - pred) - 1 on the current rows, pred being
+    revenue_predictor's log expected revenue; which_v selects the flexible
+    input whose revenue equation is used.
     """
-    if g_degree < 1:
-        raise ValueError("g_degree must be >= 1")
-    if isinstance(fitted_rstar, FirstStage):
-        if cal_e is None:
-            cal_e = fitted_rstar.cal_e_hat
-        fitted = fitted_rstar.fitted
-    else:
-        fitted = np.asarray(fitted_rstar, float)
-        if cal_e is None:
-            raise ValueError("cal_e is required when fitted values are passed as a raw array")
-    cur, lag, cols = _lag_bundle(panel, REVENUE_COLUMNS)
-    predict, names = revenue_predictor(tech_kind, cols, which_v, math.log(cal_e))
+    cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("R",))
+    log_r = logs.pop("R")[cur]
+    predict, names = revenue_predictor(tech_kind, {c: x[cur] for c, x in logs.items()}, which_v)
+
+    def residual(pred):
+        ratio = np.exp(log_r - pred)
+        return ratio - 1.0, lambda q: ratio * q
+
     Z = _instrument_matrix(panel, cur, lag, instruments)
-    level_Z = None
-    if level_instruments:
-        level_Z = _instrument_matrix(panel, cur, lag, level_instruments)
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
         param_names=names,
         bounds=_bounds_tuple(tech_kind, names, bounds),
-        g_degree=g_degree,
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
         _predict=predict,
-        _fitted=fitted,
-        _cur=cur,
-        _lag=lag,
-        level_Z=level_Z,
-        level_instrument_names=tuple(level_instruments),
+        _residual=residual,
     )
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +615,7 @@ class EstimateResult:
     weighting: str
     moment_cov: np.ndarray
     minima: list
-    g_coefficients: list
+    g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
     seed: int
 
@@ -648,7 +624,7 @@ class EstimateResult:
         return np.array([self.estimates[n] for n in self.param_names])
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "mode": self.mode,
             "tech_kind": self.tech_kind,
             "param_names": list(self.param_names),
@@ -657,10 +633,12 @@ class EstimateResult:
             "weighting": self.weighting,
             "moment_cov": [[float(x) for x in row] for row in np.asarray(self.moment_cov)],
             "minima": self.minima,
-            "g_coefficients": [float(c) for c in self.g_coefficients],
             "diagnostics": self.diagnostics,
             "seed": self.seed,
         }
+        if self.g_coefficients is not None:
+            payload["g_coefficients"] = [float(c) for c in self.g_coefficients]
+        return payload
 
 
 def _draw_starts(ms: MomentSystem, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
@@ -737,8 +715,8 @@ def _group_minima(minima, lo, hi, tol: float = _SAME_MINIMUM_TOL):
 
 
 def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
-    """Cholesky inverse of the moment covariance at theta.  With full-rank instruments
-    it fails only when the panel has too few lag rows for its moments."""
+    """Cholesky inverse of the moment covariance at theta.  With full-rank instruments on at
+    least as many lag rows, it fails only when the residual-weighted instruments lose rank."""
     import scipy.linalg
 
     try:
@@ -835,7 +813,18 @@ def gmm_minimize(
     n_converged = sum(1 for m in minima if m["converged"])
     if n_converged == 0:
         logger.warning("no restart reported clean convergence; returning best iterate")
-    result = EstimateResult(
+    diagnostics = {
+        "n_obs": int(ms.n_obs),
+        "n_moments": int(ms.n_moments),
+        "n_restarts": int(len(starts)),
+        "n_converged": int(n_converged),
+        "instruments": list(ms.instrument_names),
+    }
+    g_coefficients = None
+    if ms.g_degree is not None:
+        diagnostics["g_degree"] = int(ms.g_degree)
+        g_coefficients = list(ms.g_coefficients(theta_hat))
+    return EstimateResult(
         mode=ms.mode,
         tech_kind=ms.tech_kind,
         param_names=ms.param_names,
@@ -844,16 +833,7 @@ def gmm_minimize(
         weighting=weighting,
         moment_cov=ms.moment_covariance(theta_hat),
         minima=minima,
-        g_coefficients=list(ms.g_coefficients(theta_hat)),
-        diagnostics={
-            "n_obs": int(ms.n_obs),
-            "n_moments": int(ms.n_moments),
-            "n_restarts": int(len(starts)),
-            "n_converged": int(n_converged),
-            "instruments": list(ms.instrument_names),
-            "level_instruments": list(ms.level_instrument_names),
-            "g_degree": int(ms.g_degree),
-        },
+        g_coefficients=g_coefficients,
+        diagnostics=diagnostics,
         seed=seed,
     )
-    return result

@@ -170,6 +170,9 @@ def read_panel_csv(path) -> Panel:
         unknown = [c for c in header if c not in COLUMNS]
         if unknown:
             raise PanelFormatError(f"{path}: unknown columns {unknown}")
+        duplicated = sorted({c for c in header if header.count(c) > 1})
+        if duplicated:
+            raise PanelFormatError(f"{path}: duplicated columns {duplicated}")
         missing = [c for c in COLUMNS if c not in header and c not in OPTIONAL_COLUMNS]
         if missing:
             raise PanelFormatError(f"{path}: missing required columns {missing}")

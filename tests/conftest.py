@@ -84,9 +84,10 @@ def random_point(rng):
 
 
 def predicted_log_revenue(tech, l, m, pl, pm, s_log, cal_e, which_v):
-    """revenue_predictor evaluated at tech's parameters; arguments are logs
-    (inputs, input prices, target share of which_v) except cal_e."""
+    """Log target revenue P * Qstar: revenue_predictor's log expected revenue
+    at tech's parameters, less log cal_e.  Arguments are logs (inputs, input
+    prices, target share of which_v) except cal_e."""
     share = "sL_star" if which_v == "L" else "sM_star"
     cols = {"L": l, "M": m, "pL": pl, "pM": pm, share: s_log}
-    predict, names = revenue_predictor(tech.kind, cols, which_v, math.log(cal_e))
-    return predict(np.array([getattr(tech, n) for n in names]))[0]
+    predict, names = revenue_predictor(tech.kind, cols, which_v)
+    return predict(np.array([getattr(tech, n) for n in names]))[0] - math.log(cal_e)

@@ -142,8 +142,7 @@ def test_criterion_4_certificates(cd_panel, cd_config, ces_panel, ces_config):
     assert np.array_equal(c, d), "CES predictions differ across v"
 
     # objective profiles: v exactly flat, sigma at least 100x above the threshold
-    fs = first_stage_project(ces_panel, "revenue", 3)
-    ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+    ms = build_revenue_moments("CES", ces_panel)
     v_curve = profile_scan(ms, "v", np.linspace(0.7, 1.3, 25), THETA_CES)
     s_curve = profile_scan(ms, "sigma", np.linspace(0.3, 0.7, 25), THETA_CES)
     assert v_curve.flatness <= 1e-10, f"v flatness {v_curve.flatness:.2e}"
@@ -155,13 +154,11 @@ def test_criterion_4_certificates(cd_panel, cd_config, ces_panel, ces_config):
 
 @criterion(5, "moment-Jacobian rank deficiencies, stable across fd steps")
 def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
-    fs_r_ces = first_stage_project(ces_panel, "revenue", 3)
-    ms_r_ces = build_revenue_moments("CES", fs_r_ces, ces_panel, cal_e=ces_config.shocks.cal_e)
-    fs_r_cd = first_stage_project(cd_panel, "revenue", 3)
-    ms_r_cd = build_revenue_moments("CD", fs_r_cd, cd_panel, cal_e=cd_config.shocks.cal_e)
-    fs_q_ces = first_stage_project(ces_panel, "quantity", 3)
+    ms_r_ces = build_revenue_moments("CES", ces_panel)
+    ms_r_cd = build_revenue_moments("CD", cd_panel)
+    fs_q_ces = first_stage_project(ces_panel, 3)
     ms_q_ces = build_quantity_moments("CES", fs_q_ces, ces_panel)
-    fs_q_cd = first_stage_project(cd_panel, "quantity", 3)
+    fs_q_cd = first_stage_project(cd_panel, 3)
     ms_q_cd = build_quantity_moments("CD", fs_q_cd, cd_panel)
 
     for fd in (1e-4, 1e-5, 1e-6):
@@ -187,7 +184,7 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
 def test_criterion_6_productivity(cd_panel, cd_config, ces_panel, ces_config):
     details = []
     for panel, cfg in ((cd_panel, cd_config), (ces_panel, ces_config)):
-        rev = omega_recovery_attempt(panel, cfg.tech, "revenue", cal_e=cfg.shocks.cal_e)
+        rev = omega_recovery_attempt(panel, cfg.tech, "revenue")
         qty = omega_recovery_attempt(panel, cfg.tech, "quantity")
         assert abs(rev.correlation) <= rev.bound, (
             f"{cfg.tech.kind}: revenue corr {rev.correlation:.4f} above bound {rev.bound:.4f}"
@@ -202,11 +199,10 @@ def _mc_estimates(tech, mode, n_reps=20, seed0=9000):
     for rep in range(n_reps):
         cfg = SimConfig(tech=tech, seed=seed0 + rep)
         panel = simulate_panel(cfg)
-        fs = first_stage_project(panel, mode, 3)
         if mode == "quantity":
-            ms = build_quantity_moments(tech.kind, fs, panel)
+            ms = build_quantity_moments(tech.kind, first_stage_project(panel, 3), panel)
         else:
-            ms = build_revenue_moments(tech.kind, fs, panel, cal_e=cfg.shocks.cal_e)
+            ms = build_revenue_moments(tech.kind, panel)
         res = gmm_minimize(ms, weighting="two-step", restarts=3, seed=5)
         out.append([res.estimates[n] for n in res.param_names])
     return np.array(out)

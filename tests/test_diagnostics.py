@@ -19,26 +19,24 @@ from conftest import predicted_log_revenue
 
 
 @pytest.fixture(scope="module")
-def ces_revenue_ms(ces_panel, ces_config):
-    fs = first_stage_project(ces_panel, "revenue", 3)
-    return build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+def ces_revenue_ms(ces_panel):
+    return build_revenue_moments("CES", ces_panel)
 
 
 @pytest.fixture(scope="module")
-def cd_revenue_ms(cd_panel, cd_config):
-    fs = first_stage_project(cd_panel, "revenue", 3)
-    return build_revenue_moments("CD", fs, cd_panel, cal_e=cd_config.shocks.cal_e)
+def cd_revenue_ms(cd_panel):
+    return build_revenue_moments("CD", cd_panel)
 
 
 @pytest.fixture(scope="module")
 def ces_quantity_ms(ces_panel):
-    fs = first_stage_project(ces_panel, "quantity", 3)
+    fs = first_stage_project(ces_panel, 3)
     return build_quantity_moments("CES", fs, ces_panel)
 
 
 @pytest.fixture(scope="module")
 def cd_quantity_ms(cd_panel):
-    fs = first_stage_project(cd_panel, "quantity", 3)
+    fs = first_stage_project(cd_panel, 3)
     return build_quantity_moments("CD", fs, cd_panel)
 
 
@@ -139,7 +137,7 @@ class TestJacobianRank:
 
 class TestOmegaRecovery:
     def test_revenue_residual_carries_no_signal(self, ces_panel, ces_config):
-        rec = omega_recovery_attempt(ces_panel, ces_config.tech, "revenue", cal_e=ces_config.shocks.cal_e)
+        rec = omega_recovery_attempt(ces_panel, ces_config.tech, "revenue")
         assert abs(rec.correlation) <= rec.bound
         assert rec.carries_signal is False
 
@@ -168,14 +166,14 @@ class TestOmegaRecovery:
     def test_skipped_without_omega_column(self, small_ces_panel, ces_tech):
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["omega"] = None
-        rec = omega_recovery_attempt(Panel(data=data), ces_tech, "revenue", cal_e=1.005)
+        rec = omega_recovery_attempt(Panel(data=data), ces_tech, "revenue")
         assert rec.skipped
         assert rec.correlation is None
 
 
 class TestReport:
     def test_ces_revenue_verdicts(self, ces_panel, ces_config, ces_revenue_ms):
-        rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms, cal_e=ces_config.shocks.cal_e)
+        rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms)
         assert rep.verdicts == {
             "sigma": "identified",
             "beta_L": "identified-ratio-only",
@@ -187,7 +185,7 @@ class TestReport:
         assert rep.contrast_gap > 1e-3
 
     def test_cd_revenue_verdicts(self, cd_panel, cd_config, cd_revenue_ms):
-        rep = build_identification_report(cd_panel, cd_config.tech, cd_revenue_ms, cal_e=cd_config.shocks.cal_e)
+        rep = build_identification_report(cd_panel, cd_config.tech, cd_revenue_ms)
         assert rep.verdicts["beta_K"] == "not identified"
         assert rep.verdicts["beta_L"] == "identified-ratio-only"
         assert rep.verdicts["beta_M"] == "identified-ratio-only"
@@ -197,10 +195,10 @@ class TestReport:
         # a CES technology has a beta_K too, so without the check it would
         # silently centre a Cobb-Douglas system at (1 - beta_L - beta_M, ...)
         with pytest.raises(ValueError, match="does not match"):
-            build_identification_report(ces_panel, ces_config.tech, cd_revenue_ms, cal_e=ces_config.shocks.cal_e)
+            build_identification_report(ces_panel, ces_config.tech, cd_revenue_ms)
 
     def test_json_round_trip_identical(self, ces_panel, ces_config, ces_revenue_ms):
-        rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms, cal_e=ces_config.shocks.cal_e)
+        rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms)
         text = rep.to_json()
         back = IdentificationReport.from_json(text)
         assert back == rep

@@ -10,7 +10,6 @@ from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
     BASIC_INSTRUMENTS,
     DEFAULT_INSTRUMENTS,
-    DEFAULT_LEVEL_INSTRUMENTS,
     _group_minima,
     _instrument_matrix,
     _two_step_weight,
@@ -39,34 +38,30 @@ class TestFirstStage:
     def test_noise_free_panel_fits_exactly(self, cd_tech):
         cfg = SimConfig(tech=cd_tech, shocks=ShockConfig(sigma_eps=0.0), n_firms=60, n_periods=5, seed=3)
         panel = simulate_panel(cfg)
-        fs = first_stage_project(panel, "quantity", 3)
+        fs = first_stage_project(panel, 3)
         assert np.max(np.abs(fs.residuals)) < 1e-10
         assert np.allclose(fs.fitted, np.log(panel.col("Q")), atol=1e-10)
 
     def test_residual_mean_zero(self, ces_panel):
-        fs = first_stage_project(ces_panel, "quantity", 3)
+        fs = first_stage_project(ces_panel, 3)
         assert abs(fs.residuals.mean()) < 1e-12
 
     def test_fitted_tracks_planned_output(self, ces_panel):
-        fs = first_stage_project(ces_panel, "quantity", 3)
+        fs = first_stage_project(ces_panel, 3)
         corr = np.corrcoef(fs.fitted, np.log(ces_panel.qstar))[0, 1]
         assert corr >= 0.999
-
-    def test_cal_e_estimate_close_to_truth(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        assert fs.cal_e_hat == pytest.approx(ces_config.shocks.cal_e, abs=2e-3)
 
     def test_quantity_mode_requires_q(self, small_cd_panel):
         data = {c: small_cd_panel.col(c) for c in COLUMNS}
         data["Q"] = None
         panel = Panel(data=data)
         with pytest.raises(PanelFormatError, match="quantities unobserved"):
-            first_stage_project(panel, "quantity", 3)
+            first_stage_project(panel, 3)
 
     def test_degree_reduced_when_underdetermined(self, cd_tech):
         cfg = SimConfig(tech=cd_tech, n_firms=5, n_periods=2, seed=3)
         panel = simulate_panel(cfg)
-        fs = first_stage_project(panel, "quantity", 3)
+        fs = first_stage_project(panel, 3)
         assert fs.degree < 3
 
     @pytest.mark.parametrize("config", ["ces.ini", "cd.ini"])
@@ -76,35 +71,32 @@ class TestFirstStage:
         cfg = parse_config(ROOT / "configs" / config)
         panel = simulate_panel(cfg.sim)
         degree = cfg.estimation.first_stage_degree
-        for mode in ("quantity", "revenue"):
-            fs = first_stage_project(panel, mode, degree)
-            with monkeypatch.context() as m:
-                m.setattr(scipy.linalg, "lstsq", lambda a, b, cond=None: np.linalg.lstsq(a, b, rcond=None))
-                ref = first_stage_project(panel, mode, degree)
-            assert fs.rank == ref.rank < 56
-            assert np.array_equal(fs.fitted, ref.fitted)
+        fs = first_stage_project(panel, degree)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "lstsq", lambda a, b, cond=None: np.linalg.lstsq(a, b, rcond=None))
+            ref = first_stage_project(panel, degree)
+        assert fs.rank == ref.rank < 56
+        assert np.array_equal(fs.fitted, ref.fitted)
 
 
 class TestMomentSystems:
     def test_quantity_moments_small_at_truth(self, ces_panel, ces_config, cd_panel, cd_config):
         for panel, cfg in ((ces_panel, ces_config), (cd_panel, cd_config)):
-            fs = first_stage_project(panel, "quantity", 3)
+            fs = first_stage_project(panel, 3)
             ms = build_quantity_moments(cfg.tech.kind, fs, panel)
             m = ms.moments(theta_true(cfg.sim if hasattr(cfg, "sim") else cfg))
             assert np.max(np.abs(m)) < 4.0 / math.sqrt(ms.n_obs)
 
-    def test_revenue_moments_small_at_truth_any_v(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+    def test_revenue_moments_small_at_truth_any_v(self, ces_panel):
+        ms = build_revenue_moments("CES", ces_panel)
         bound = 4.0 / math.sqrt(ms.n_obs)
         for v in (0.6, 0.9, 1.25):
             m = ms.moments(np.array([0.5, 0.3, 0.4, v]))
             assert np.max(np.abs(m)) < bound
 
-    def test_revenue_moments_small_at_any_share_scale(self, ces_panel, ces_config):
+    def test_revenue_moments_small_at_any_share_scale(self, ces_panel):
         # only the ratio beta_L/beta_M is pinned; a common rescaling moves nothing
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+        ms = build_revenue_moments("CES", ces_panel)
         ref = ms.moments(np.array([0.5, 0.3, 0.4, 0.9]))
         for c in (0.5, 1.4):
             m = ms.moments(np.array([0.5, c * 0.3, c * 0.4, 0.9]))
@@ -115,7 +107,7 @@ class TestMomentSystems:
         perm = rng.permutation(len(small_ces_panel))
         shuffled = Panel(data={c: (None if small_ces_panel.col(c) is None else small_ces_panel.col(c)[perm]) for c in COLUMNS})
         for panel in (small_ces_panel, shuffled):
-            fs = first_stage_project(panel, "quantity", 3)
+            fs = first_stage_project(panel, 3)
             ms = build_quantity_moments("CES", fs, panel)
             m = ms.moments(theta_true(small_ces_config))
             if panel is small_ces_panel:
@@ -123,43 +115,40 @@ class TestMomentSystems:
         assert np.allclose(ref, m, atol=1e-12)
 
     def test_g_degree_one_recovers_ar1(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "quantity", 3)
+        fs = first_stage_project(ces_panel, 3)
         ms = build_quantity_moments("CES", fs, ces_panel, g_degree=1)
         g = ms.g_coefficients(theta_true(ces_config))
         assert g[0] == pytest.approx(ces_config.prod.c0, abs=0.03)
         assert g[1] == pytest.approx(ces_config.prod.rho, abs=0.05)
 
-    def test_revenue_objective_flat_in_v_bitwise(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+    def test_revenue_objective_flat_in_v_bitwise(self, ces_panel):
+        ms = build_revenue_moments("CES", ces_panel)
         a = ms.objective(np.array([0.5, 0.3, 0.4, 0.62]))
         b = ms.objective(np.array([0.5, 0.3, 0.4, 1.17]))
         assert a == b
 
-    def test_revenue_objective_flat_in_beta_k_bitwise(self, cd_panel, cd_config):
-        fs = first_stage_project(cd_panel, "revenue", 3)
-        ms = build_revenue_moments("CD", fs, cd_panel, cal_e=cd_config.shocks.cal_e)
+    def test_revenue_objective_flat_in_beta_k_bitwise(self, cd_panel):
+        ms = build_revenue_moments("CD", cd_panel)
         a = ms.objective(np.array([0.05, 0.3, 0.4]))
         b = ms.objective(np.array([0.85, 0.3, 0.4]))
         assert a == b
 
     def test_sigma_direction_not_flat(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+        ms = build_revenue_moments("CES", ces_panel)
         at_truth = ms.objective(theta_true(ces_config))
         for d in (-0.1, 0.1):
             shifted = theta_true(ces_config) + np.array([d, 0, 0, 0])
             assert ms.objective(shifted) > 10.0 * max(at_truth, 1e-12)
 
     def test_basic_instrument_subset_supported(self, small_ces_panel, small_ces_config):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel, instruments=BASIC_INSTRUMENTS)
         assert ms.Z.shape[1] == len(BASIC_INSTRUMENTS)
         m = ms.moments(theta_true(small_ces_config))
         assert np.max(np.abs(m)) < 4.0 / math.sqrt(ms.n_obs)
 
     def test_unknown_instrument_token(self, small_ces_panel):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         with pytest.raises(ValueError, match="unknown instrument"):
             build_quantity_moments("CES", fs, small_ces_panel, instruments=("const", "bogus"))
 
@@ -170,39 +159,40 @@ class TestMomentSystems:
         cfg = parse_config(ROOT / config)
         panel = simulate_panel(cfg.sim)
         cur, lag = panel.lag_index()
-        for names in (DEFAULT_INSTRUMENTS, DEFAULT_LEVEL_INSTRUMENTS):
-            Z = _instrument_matrix(panel, cur, lag, names)
-            assert np.linalg.matrix_rank(Z) == len(names)
-            R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
-            assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
+        Z = _instrument_matrix(panel, cur, lag, DEFAULT_INSTRUMENTS)
+        assert np.linalg.matrix_rank(Z) == len(DEFAULT_INSTRUMENTS)
+        R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
+        assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
         # so the moment covariance at the truth is well conditioned in both modes
-        for mode in ("quantity", "revenue"):
-            fs = first_stage_project(panel, mode, cfg.estimation.first_stage_degree)
-            build = build_quantity_moments if mode == "quantity" else build_revenue_moments
-            ms = build(cfg.sim.tech.kind, fs, panel)
+        fs = first_stage_project(panel, cfg.estimation.first_stage_degree)
+        kind = cfg.sim.tech.kind
+        for ms in (build_quantity_moments(kind, fs, panel), build_revenue_moments(kind, panel)):
             assert np.linalg.cond(ms.moment_covariance(theta_true(cfg.sim))) < 1e4
 
     def test_collinear_instrument_set_rejected(self, small_ces_panel):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         collinear = ("const", "l_lag", "m_lag", "pl_lag", "pm_lag")
         with pytest.raises(ValueError, match="instruments const l_lag m_lag pl_lag pm_lag are collinear"):
             build_quantity_moments("CES", fs, small_ces_panel, instruments=collinear)
         with pytest.raises(ValueError, match="collinear"):
-            build_revenue_moments("CES", fs, small_ces_panel, cal_e=1.0, level_instruments=("const", "const"))
+            build_revenue_moments("CES", small_ces_panel, instruments=("const", "k_t", "const"))
 
 
 class ReferenceCore:
-    """Moment core written the long way: separate current and lagged
-    predictions, then a least-squares fit of g on [1, w_lag, ..., w_lag^d]."""
+    """Moment core written the long way.  Quantity: separate current and
+    lagged predictions, then a least-squares fit of g on [1, w_lag, ...,
+    w_lag^d].  Revenue: the prediction on the current rows and
+    r = R / exp(prediction) - 1."""
 
-    def __init__(self, ms, panel, fitted, cal_e=1.0, which_v="M"):
+    def __init__(self, ms, panel, fitted=None, which_v="M"):
         cur, lag = panel.lag_index()
         self.ms = ms
-        self.y_t, self.y_lag = fitted[cur], fitted[lag]
+        if fitted is not None:
+            self.y_t, self.y_lag = fitted[cur], fitted[lag]
+        self.revenue_t = panel.col("R")[cur]
         logs = {c: np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM", "sL_star", "sM_star")}
         self.rows_t = {c: v[cur] for c, v in logs.items()}
         self.rows_lag = {c: v[lag] for c, v in logs.items()}
-        self.log_cal_e = math.log(cal_e)
         self.which_v = which_v
 
     def _predict(self, theta, x):
@@ -225,13 +215,13 @@ class ReferenceCore:
             a = bL / (bL + bM)
             w_v = a if self.which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
-            return theta0 + a * (l + pl) + (1.0 - a) * (m + pm) - s - self.log_cal_e, 0.0
+            return theta0 + a * (l + pl) + (1.0 - a) * (m + pm) - s, 0.0
         sg, bL, bM, _ = theta
         bV, v_in = (bL, l) if self.which_v == "L" else (bM, m)
         e = sg / (sg - 1.0)
         agg = np.log(bL * np.exp(sg * l) + bM * np.exp(sg * m))
         B = np.log(np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0)))
-        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s - self.log_cal_e, 0.0
+        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s, 0.0
 
     def _core(self, theta):
         pred_t, penalty = self._predict(theta, self.rows_t)
@@ -239,40 +229,46 @@ class ReferenceCore:
         w_t, w_lag = self.y_t - pred_t, self.y_lag - pred_lag
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         coef, *_ = np.linalg.lstsq(X, w_t, rcond=None)
-        return w_t - X @ coef, w_t, penalty, coef
+        return w_t - X @ coef, penalty, coef
+
+    def _residual(self, theta):
+        if self.ms.mode == "revenue":
+            pred_t, penalty = self._predict(theta, self.rows_t)
+            return self.revenue_t / np.exp(pred_t) - 1.0, penalty
+        return self._core(theta)[:2]
 
     def g_coefficients(self, theta):
-        return self._core(theta)[3]
+        return self._core(theta)[2]
 
     def g_tolerance(self, theta):
         """Relative accuracy of g_coefficients.  lstsq on raw powers of the
         lag is only good to a small multiple of cond(X) * eps, which exceeds
-        1e-10 when the lag has a large mean and a small spread (CD revenue,
-        degree 2 and 3); the fused core fits centred powers and is not the
-        limit there."""
+        1e-10 when the lag has a large mean and a small spread; the fused
+        core fits centred powers and is not the limit there."""
         pred_lag, _ = self._predict(theta, self.rows_lag)
         w_lag = self.y_lag - pred_lag
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         return max(1e-10, 10.0 * float(np.linalg.cond(X)) * np.finfo(float).eps)
 
     def moments(self, theta):
-        xi, w_t, _, _ = self._core(theta)
-        m = self.ms.Z.T @ xi / self.ms.n_obs
-        if self.ms.level_Z is None:
-            return m
-        return np.concatenate([m, self.ms.level_Z.T @ w_t / self.ms.n_obs])
+        return self.ms.Z.T @ self._residual(theta)[0] / self.ms.n_obs
 
     def moment_covariance(self, theta):
-        xi, w_t, _, _ = self._core(theta)
-        G = self.ms.Z * xi[:, None]
-        if self.ms.level_Z is not None:
-            G = np.column_stack([G, self.ms.level_Z * w_t[:, None]])
+        G = self.ms.Z * self._residual(theta)[0][:, None]
         return G.T @ G / self.ms.n_obs
 
     def objective(self, theta, weight=None):
         m = self.moments(theta)
         val = float(m @ m) if weight is None else float(m @ weight @ m)
-        return self.ms.n_obs * (val + self._core(theta)[2])
+        return self.ms.n_obs * (val + self._residual(theta)[1])
+
+
+def _system(kind, mode, g_degree, panel):
+    """Quantity system of Markov degree g_degree, or the revenue system, which has no Markov polynomial."""
+    if mode == "revenue":
+        return build_revenue_moments(kind, panel), None
+    fs = first_stage_project(panel, 3)
+    return build_quantity_moments(kind, fs, panel, g_degree=g_degree), fs.fitted
 
 
 def _rel_gap(a, b):
@@ -284,15 +280,11 @@ class TestFusedCore:
     @pytest.mark.parametrize("g_degree", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
-    def test_matches_reference_core(self, kind, mode, g_degree, cd_panel, cd_config, ces_panel, ces_config):
-        panel, cfg = (cd_panel, cd_config) if kind == "CD" else (ces_panel, ces_config)
-        fs = first_stage_project(panel, mode, 3)
-        if mode == "quantity":
-            ms = build_quantity_moments(kind, fs, panel, g_degree=g_degree)
-            ref = ReferenceCore(ms, panel, fs.fitted)
-        else:
-            ms = build_revenue_moments(kind, fs, panel, g_degree=g_degree, cal_e=cfg.shocks.cal_e)
-            ref = ReferenceCore(ms, panel, fs.fitted, cal_e=cfg.shocks.cal_e)
+    def test_matches_reference_core(self, kind, mode, g_degree, cd_panel, ces_panel):
+        # in revenue mode g_degree only changes the random draws
+        panel = cd_panel if kind == "CD" else ces_panel
+        ms, fitted = _system(kind, mode, g_degree, panel)
+        ref = ReferenceCore(ms, panel, fitted)
         rng = np.random.default_rng(100 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
@@ -303,15 +295,12 @@ class TestFusedCore:
             assert _rel_gap(ms.objective(theta, W), ref.objective(theta, W)) <= 1e-10
             assert _rel_gap(ms.moments(theta), ref.moments(theta)) <= 1e-10
             assert _rel_gap(ms.moment_covariance(theta), ref.moment_covariance(theta)) <= 1e-10
-            assert _rel_gap(ms.g_coefficients(theta), ref.g_coefficients(theta)) <= ref.g_tolerance(theta)
+            if mode == "quantity":
+                assert _rel_gap(ms.g_coefficients(theta), ref.g_coefficients(theta)) <= ref.g_tolerance(theta)
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     def test_objective_calls_predictor_once(self, mode, small_ces_panel, small_ces_config):
-        fs = first_stage_project(small_ces_panel, mode, 3)
-        if mode == "quantity":
-            ms = build_quantity_moments("CES", fs, small_ces_panel)
-        else:
-            ms = build_revenue_moments("CES", fs, small_ces_panel, cal_e=small_ces_config.shocks.cal_e)
+        ms = _system("CES", mode, 1, small_ces_panel)[0]
         calls = []
         predict = ms._predict
 
@@ -340,13 +329,9 @@ class TestGradient:
     @pytest.mark.parametrize("g_degree", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
-    def test_matches_central_difference(self, kind, mode, g_degree, cd_panel, cd_config, ces_panel, ces_config):
-        panel, cfg = (cd_panel, cd_config) if kind == "CD" else (ces_panel, ces_config)
-        fs = first_stage_project(panel, mode, 3)
-        if mode == "quantity":
-            ms = build_quantity_moments(kind, fs, panel, g_degree=g_degree)
-        else:
-            ms = build_revenue_moments(kind, fs, panel, g_degree=g_degree, cal_e=cfg.shocks.cal_e)
+    def test_matches_central_difference(self, kind, mode, g_degree, cd_panel, ces_panel):
+        # in revenue mode g_degree only changes the random draws
+        ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
         rng = np.random.default_rng(200 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
@@ -367,7 +352,7 @@ class TestGradient:
                     assert grad[flat] == 0.0
 
     def test_penalty_gradient_on_clipped_shares(self, small_ces_panel):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
         theta = np.array([0.5, 0.55, 0.5, 0.9])
         _, penalty, derivatives = ms._predict(theta)
@@ -377,27 +362,54 @@ class TestGradient:
         assert dpenalty == pytest.approx([0.0, 2e4 * excess, 2e4 * excess, 0.0], rel=1e-12)
 
 
+def _j_at_truth(tech, theta, n_firms, seed):
+    """J at the true parameters, weighted by the inverse moment covariance there, in both modes."""
+    panel = simulate_panel(SimConfig(tech=tech, n_firms=n_firms, n_periods=6, seed=seed))
+    fs = first_stage_project(panel, 3)
+    systems = {"quantity": build_quantity_moments(tech.kind, fs, panel), "revenue": build_revenue_moments(tech.kind, panel)}
+    return {mode: (ms.objective(theta, _two_step_weight(ms, theta)), ms.n_moments) for mode, ms in systems.items()}
+
+
+class TestJStatistic:
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_j_at_truth_is_a_j_statistic(self, kind, cd_tech, ces_tech):
+        # a J-statistic at the truth is asymptotically chi-squared: its median
+        # is about the moment count and does not grow with the panel.  Moments
+        # that fail in the population give a J that grows in proportion to n.
+        tech = cd_tech if kind == "CD" else ces_tech
+        theta = theta_true(SimConfig(tech=tech))
+        medians = {}
+        for n_firms in (50, 200):
+            runs = [_j_at_truth(tech, theta, n_firms, seed) for seed in range(1, 21)]
+            for mode in ("quantity", "revenue"):
+                medians[mode, n_firms] = float(np.median([r[mode][0] for r in runs]))
+                n_moments = runs[0][mode][1]
+                assert medians[mode, n_firms] <= 2.0 * n_moments, (mode, n_firms, medians)
+        for mode in ("quantity", "revenue"):
+            ratio = medians[mode, 200] / medians[mode, 50]
+            assert 1.0 / 1.5 <= ratio <= 1.5, (mode, medians)
+
+
 class TestGmmMinimize:
     def test_quantity_cd_recovers_truth(self, cd_panel, cd_config):
-        fs = first_stage_project(cd_panel, "quantity", 3)
+        fs = first_stage_project(cd_panel, 3)
         ms = build_quantity_moments("CD", fs, cd_panel)
         res = gmm_minimize(ms, weighting="two-step", restarts=3, seed=5)
         for name, true in zip(res.param_names, theta_true(cd_config)):
             assert res.estimates[name] == pytest.approx(true, abs=0.08)
 
     def test_quantity_ces_recovers_truth(self, ces_panel, ces_config):
-        fs = first_stage_project(ces_panel, "quantity", 3)
+        fs = first_stage_project(ces_panel, 3)
         ms = build_quantity_moments("CES", fs, ces_panel)
         res = gmm_minimize(ms, weighting="two-step", restarts=3, seed=5)
         for name, true in zip(res.param_names, theta_true(ces_config)):
             assert res.estimates[name] == pytest.approx(true, abs=0.12)
 
     @pytest.mark.parametrize("weighting", ["identity", "two-step"])
-    def test_revenue_ces_minima_span_flat_direction(self, ces_panel, ces_config, weighting):
+    def test_revenue_ces_minima_span_flat_direction(self, ces_panel, weighting):
         # minima spread along the flat v direction are distinct, so two-step
         # runs one stage-two search for each and the spread survives
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+        ms = build_revenue_moments("CES", ces_panel)
         res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
         assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"]
         objs = np.array([m["objective"] for m in res.minima])
@@ -408,7 +420,7 @@ class TestGmmMinimize:
         assert rel_spread < 1e-6
 
     def test_quantity_restarts_share_one_stage_two_search(self, ces_panel):
-        fs = first_stage_project(ces_panel, "quantity", 3)
+        fs = first_stage_project(ces_panel, 3)
         ms = build_quantity_moments("CES", fs, ces_panel)
         res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         assert len(res.minima) == 1
@@ -417,11 +429,10 @@ class TestGmmMinimize:
         assert only["converged"] is True
         assert only["at_bound"] == []
 
-    def test_corner_minimum_not_converged(self, ces_panel, ces_config):
+    def test_corner_minimum_not_converged(self, ces_panel):
         # the box corner sigma = 0.9, beta_L = 0.05, beta_M = 0.6 has a zero
         # projected gradient in revenue mode, which L-BFGS-B reports as success
-        fs = first_stage_project(ces_panel, "revenue", 3)
-        ms = build_revenue_moments("CES", fs, ces_panel, cal_e=ces_config.shocks.cal_e)
+        ms = build_revenue_moments("CES", ces_panel)
         res = gmm_minimize(ms, weighting="two-step", start=[0.9, 0.05, 0.6, 0.9], restarts=1)
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "beta_L", "beta_M"]
@@ -451,7 +462,7 @@ class TestGmmMinimize:
         assert [n for _, n in groups] == [1, 1]
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
         theta = theta_true(small_ces_config)
         W = _two_step_weight(ms, theta)
@@ -459,7 +470,7 @@ class TestGmmMinimize:
         assert np.max(np.abs(W @ ms.moment_covariance(theta) - np.eye(ms.n_moments))) < 1e-10
 
     def test_objective_nonnegative(self, small_ces_panel, small_ces_config):
-        fs = first_stage_project(small_ces_panel, "quantity", 3)
+        fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -467,7 +478,7 @@ class TestGmmMinimize:
             assert ms.objective(th) >= 0.0
 
     def test_result_serializable(self, small_cd_panel, small_cd_config):
-        fs = first_stage_project(small_cd_panel, "quantity", 3)
+        fs = first_stage_project(small_cd_panel, 3)
         ms = build_quantity_moments("CD", fs, small_cd_panel)
         res = gmm_minimize(ms, weighting="identity", restarts=2, seed=5, screen=32)
         import json
@@ -483,7 +494,7 @@ class TestConsistency:
         def run(n, seed):
             cfg = SimConfig(tech=ces_tech, n_firms=n, n_periods=10, seed=seed)
             panel = simulate_panel(cfg)
-            fs = first_stage_project(panel, "quantity", 3)
+            fs = first_stage_project(panel, 3)
             ms = build_quantity_moments("CES", fs, panel)
             res = gmm_minimize(ms, weighting="two-step", restarts=3, seed=5)
             true = np.array([ces_tech.sigma, ces_tech.beta_L, ces_tech.beta_M, ces_tech.v])

@@ -90,6 +90,15 @@ def test_unknown_column(tmp_path):
         read_panel_csv(path)
 
 
+def test_duplicated_column_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    lines = ["firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star,R",
+             "1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3,2.0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelFormatError, match=r"duplicated columns \['R'\]"):
+        read_panel_csv(path)
+
+
 def test_nonpositive_quantity_rejected(small_cd_panel):
     data = {c: (None if small_cd_panel.col(c) is None else small_cd_panel.col(c).copy()) for c in COLUMNS}
     data["K"][0] = -1.0
