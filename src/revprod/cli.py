@@ -163,15 +163,7 @@ def cmd_diagnose(args) -> int:
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = build_identification_report(
-        panel,
-        cfg.sim.tech,
-        ms,
-        fd_step=cfg.diagnostics.fd_step,
-        flat_tol=cfg.diagnostics.flat_tol,
-        rank_rtol=cfg.diagnostics.rank_rtol,
-        which_v=est.which_v,
-    )
+    report = build_identification_report(panel, cfg.sim.tech, ms, which_v=est.which_v)
     report_path = out_dir / "identification_report.json"
     _write_json(report.to_json_dict(), report_path, "identification_report.schema.json")
     logger.info("wrote %s", report_path)

@@ -15,7 +15,7 @@ from typing import Optional
 from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig
 from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig, Technology
 
-__all__ = ["ConfigError", "EstimationSettings", "DiagnosticSettings", "RunConfig", "parse_config"]
+__all__ = ["ConfigError", "EstimationSettings", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -34,18 +34,10 @@ class EstimationSettings:
     instruments: Optional[tuple] = None  # None: package default set
 
 
-@dataclass(frozen=True)
-class DiagnosticSettings:
-    fd_step: float = 1e-5
-    flat_tol: float = 1e-10
-    rank_rtol: float = 1e-8
-
-
 @dataclass
 class RunConfig:
     sim: SimConfig
     estimation: EstimationSettings
-    diagnostics: DiagnosticSettings
     out_dir: str
     config_sha256: str
     path: str
@@ -83,7 +75,7 @@ _KNOWN_KEYS = {
         "which_v",
         "instruments",
     },
-    "diagnostics": {"fd_step", "flat_tol", "rank_rtol"},
+    "diagnostics": set(),  # diagnose has no tunables; the section stays so old keys fail as unknown keys
 }
 
 
@@ -231,17 +223,9 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         which_v=which_v,
         instruments=tuple(e.get("instruments", "").split()) or None,
     )
-    dg = section("diagnostics")
-    diag = DiagnosticSettings(
-        fd_step=_getfloat(dg, "fd_step", 1e-5),
-        flat_tol=_getfloat(dg, "flat_tol", 1e-10),
-        rank_rtol=_getfloat(dg, "rank_rtol", 1e-8),
-    )
-
     return RunConfig(
         sim=sim,
         estimation=est,
-        diagnostics=diag,
         out_dir=out_dir,
         config_sha256=hashlib.sha256(text.encode()).hexdigest(),
         path=str(path),

@@ -8,8 +8,8 @@ pin down:
   * profile scans: is the GMM objective constant along a parameter axis or
     along the share-rescaling direction?  (global, objective-level)
   * Jacobian rank: how many directions does the moment system resolve
-    locally, and which axes span the numerical null space?  (local,
-    first-order)
+    locally, and which axes span the null space of its exact Jacobian?
+    (local, first-order)
 
 Flatness along coordinates the residual never reads is bit-exact, so the
 "not identified" verdicts certify structure rather than numerical accident.
@@ -163,11 +163,9 @@ def beta_scale_scan(
 
 @dataclass
 class RankDiagnostics:
-    """SVD of the finite-difference moment Jacobian at a parameter point."""
+    """SVD of the exact moment Jacobian (MomentSystem.jacobian) at a parameter point."""
 
     param_names: tuple
-    fd_step: float
-    rank_rtol: float
     singular_values: list
     rank: int
     deficiency: int
@@ -178,50 +176,30 @@ class RankDiagnostics:
     deficiency_after_ratio_projection: Optional[int] = None
 
 
-def jacobian_rank(
-    ms: MomentSystem,
-    theta: Sequence[float],
-    fd_step: float = 1e-5,
-    rank_rtol: float = RANK_RTOL,
-) -> RankDiagnostics:
-    """Central finite-difference Jacobian of the stacked moments, with SVD.
+def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
+    """SVD of the exact Jacobian of the stacked moments (MomentSystem.jacobian).
 
-    Uses the five-point (fourth-order) central stencil so that truncation
-    error stays below the rank threshold across the whole step range the
-    diagnostics are required to be stable over; with the plain two-point
-    stencil, a step of 1e-4 already pollutes analytically-null directions
-    above the 1e-8 relative cutoff.  Numerical rank uses the threshold
-    rank_rtol times the largest singular value.  For revenue systems the
-    report also projects the known share-rescaling direction out of the null
-    space so the remaining direction can be attributed to a single axis.
+    Its columns for coordinates the residual never reads are exact zeros,
+    and the share-rescaling direction is null up to rounding rather than up
+    to the truncation error of a difference step.  Numerical rank counts the
+    singular values above RANK_RTOL times the largest.  For revenue systems
+    the report also projects the known share-rescaling direction out of the
+    null space so the remaining direction can be attributed to a single axis.
     """
     theta = np.asarray(theta, float)
-    if fd_step <= 0.0 or not np.isfinite(fd_step):
-        raise ValueError("fd_step must be a positive finite number")
     p = theta.size
-    J = np.empty((ms.n_moments, p))
-    for j in range(p):
-        th = [theta.copy() for _ in range(4)]
-        th[0][j] += 2.0 * fd_step
-        th[1][j] += fd_step
-        th[2][j] -= fd_step
-        th[3][j] -= 2.0 * fd_step
-        J[:, j] = (
-            -ms.moments(th[0]) + 8.0 * ms.moments(th[1]) - 8.0 * ms.moments(th[2]) + ms.moments(th[3])
-        ) / (12.0 * fd_step)
-    U, s, Vt = np.linalg.svd(J)
-    cutoff = rank_rtol * (s[0] if s.size else 0.0)
+    U, s, Vt = np.linalg.svd(ms.jacobian(theta))
+    cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     null = Vt[rank:]
 
     diag = RankDiagnostics(
         param_names=ms.param_names,
-        fd_step=float(fd_step),
-        rank_rtol=float(rank_rtol),
-        singular_values=[float(v) for v in s],
+        # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0
+        singular_values=[float(v) + 0.0 for v in s],
         rank=rank,
         deficiency=p - rank,
-        null_directions=[[float(x) for x in v] for v in null],
+        null_directions=[[float(x) + 0.0 for x in v] for v in null],
     )
 
     if ms.mode == "revenue" and null.shape[0] > 0:
@@ -368,9 +346,6 @@ def build_identification_report(
     panel: Panel,
     tech: Technology,
     ms: MomentSystem,
-    fd_step: float = 1e-5,
-    flat_tol: float = FLAT_TOL,
-    rank_rtol: float = RANK_RTOL,
     which_v: str = "M",
 ) -> IdentificationReport:
     """End-to-end identification report for one panel and moment system."""
@@ -389,13 +364,13 @@ def build_identification_report(
         profiles[name] = profile_scan(ms, name, grid, theta0)
     profiles["beta_scale"] = beta_scale_scan(ms, theta0)
 
-    rank = jacobian_rank(ms, theta0, fd_step=fd_step, rank_rtol=rank_rtol)
+    rank = jacobian_rank(ms, theta0)
     omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v)
 
     verdicts = {}
-    scale_flat = profiles["beta_scale"].flatness <= flat_tol
+    scale_flat = profiles["beta_scale"].flatness <= FLAT_TOL
     for name in ms.param_names:
-        if profiles[name].flatness <= flat_tol:
+        if profiles[name].flatness <= FLAT_TOL:
             verdicts[name] = "not identified"
         elif name in ("beta_L", "beta_M") and scale_flat:
             verdicts[name] = "identified-ratio-only"
@@ -420,7 +395,6 @@ def build_identification_report(
         singular_values=rank.singular_values,
         null_directions=rank.null_directions,
         rank={
-            "fd_step": rank.fd_step,
             "rank": rank.rank,
             "deficiency": rank.deficiency,
             "deficiency_after_ratio_projection": rank.deficiency_after_ratio_projection,
@@ -436,5 +410,5 @@ def build_identification_report(
             "skipped": omega_rec.skipped,
         },
         verdicts=verdicts,
-        thresholds={"flat_tol": flat_tol, "rank_rtol": rank_rtol},
+        thresholds={"flat_tol": FLAT_TOL, "rank_rtol": RANK_RTOL},
     )

@@ -36,7 +36,10 @@ residual.  The local searches are L-BFGS-B with the exact gradient of the
 objective.  Each predictor also returns its Jacobian, built from the exp/log
 arrays of the prediction, and the gradient is propagated in reverse through
 the moments and the residual, so a value and its gradient cost one
-evaluation.  A search stops once an iteration lowers the objective by less
+evaluation.  The same pullback, applied to each instrument column, gives the
+exact moment Jacobian (MomentSystem.jacobian) whose SVD the rank
+diagnostics take; its columns for coordinates the residual never reads are
+exact zeros.  A search stops once an iteration lowers the objective by less
 than a relative 1e-12, about twice the measured rounding noise of J at the
 quantity minima; a tighter tolerance only ends searches ABNORMAL at their
 minimum.  Two-step weighting re-minimizes once per distinct stage-one
@@ -223,7 +226,9 @@ class MomentSystem:
     weights q on the current rows and returns the gradient of q'e with
     respect to minus the prediction, so the objective's gradient is
     -2 dpred pullback(Z u) + n grad penalty, u being the symmetrized W m, and
-    no n x p moment Jacobian is formed.
+    no n x p moment Jacobian is formed.  jacobian(theta) pulls back each
+    instrument column instead: the exact moment Jacobian is
+    -(dpred pullback(Z))' / n.
 
     The residual comes from the build function.  build_quantity_moments: the innovation
     of the recovered productivity's Markov process (_MarkovInnovation), whose
@@ -259,6 +264,11 @@ class MomentSystem:
 
     def moments(self, theta) -> np.ndarray:
         return self._evaluate(theta)[0].dot(self.Z) / self.n_obs
+
+    def jacobian(self, theta) -> np.ndarray:
+        """Exact n_moments x p Jacobian of moments(theta): one evaluation, one pullback per instrument."""
+        derivatives, pullback = self._evaluate(theta)[2:]
+        return -(derivatives()[0] @ np.column_stack([pullback(z) for z in self.Z.T])).T / self.n_obs
 
     def moment_covariance(self, theta) -> np.ndarray:
         G = self.Z * self._evaluate(theta)[0][:, None]

@@ -152,7 +152,7 @@ def test_criterion_4_certificates(cd_panel, cd_config, ces_panel, ces_config):
     return f"v flatness {v_curve.flatness:.1e}; sigma flatness {s_curve.flatness:.1e}"
 
 
-@criterion(5, "moment-Jacobian rank deficiencies, stable across fd steps")
+@criterion(5, "moment-Jacobian rank deficiencies (exact Jacobian)")
 def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
     ms_r_ces = build_revenue_moments("CES", ces_panel)
     ms_r_cd = build_revenue_moments("CD", cd_panel)
@@ -161,23 +161,22 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
     fs_q_cd = first_stage_project(cd_panel, 3)
     ms_q_cd = build_quantity_moments("CD", fs_q_cd, cd_panel)
 
-    for fd in (1e-4, 1e-5, 1e-6):
-        # CES revenue: two null directions before ratio projection, spanning
-        # the returns-to-scale axis and the share-rescaling direction
-        diag = jacobian_rank(ms_r_ces, THETA_CES, fd_step=fd)
-        assert diag.deficiency == 2, f"CES revenue deficiency {diag.deficiency} at step {fd}"
-        assert diag.scale_direction_in_null >= 0.999
-        assert diag.residual_axis == "v" and diag.residual_alignment >= 0.999
-        # CD revenue: after projecting out the identified-ratio (share
-        # rescaling) direction, exactly one null axis remains: beta_K
-        diag = jacobian_rank(ms_r_cd, THETA_CD, fd_step=fd)
-        assert diag.deficiency_after_ratio_projection == 1, f"CD projected deficiency at step {fd}"
-        assert diag.residual_axis == "beta_K" and diag.residual_alignment >= 0.999
-        assert diag.scale_direction_in_null >= 0.999
-        # quantity-mode benchmarks: full numerical rank
-        assert jacobian_rank(ms_q_ces, THETA_CES, fd_step=fd).deficiency == 0
-        assert jacobian_rank(ms_q_cd, THETA_CD, fd_step=fd).deficiency == 0
-    return "CES revenue: 2 (v + beta-scale); CD revenue: 1 (beta_K) after ratio projection; quantity: full rank at fd 1e-4/1e-5/1e-6"
+    # CES revenue: two null directions before ratio projection, spanning
+    # the returns-to-scale axis and the share-rescaling direction
+    diag = jacobian_rank(ms_r_ces, THETA_CES)
+    assert diag.deficiency == 2, f"CES revenue deficiency {diag.deficiency}"
+    assert diag.scale_direction_in_null >= 0.999
+    assert diag.residual_axis == "v" and diag.residual_alignment >= 0.999
+    # CD revenue: after projecting out the identified-ratio (share
+    # rescaling) direction, exactly one null axis remains: beta_K
+    diag = jacobian_rank(ms_r_cd, THETA_CD)
+    assert diag.deficiency_after_ratio_projection == 1, "CD projected deficiency"
+    assert diag.residual_axis == "beta_K" and diag.residual_alignment >= 0.999
+    assert diag.scale_direction_in_null >= 0.999
+    # quantity-mode benchmarks: full numerical rank
+    assert jacobian_rank(ms_q_ces, THETA_CES).deficiency == 0
+    assert jacobian_rank(ms_q_cd, THETA_CD).deficiency == 0
+    return "CES revenue: 2 (v + beta-scale); CD revenue: 1 (beta_K) after ratio projection; quantity: full rank"
 
 
 @criterion(6, "productivity: revenue residuals carry no signal, quantity recovery works")

@@ -265,10 +265,13 @@ def test_unknown_config_section_rejected(tmp_path):
     "section, line",
     [
         ("diagnostics", "equivalence_tol = 1e-10"),
+        ("diagnostics", "fd_step = 1e-5"),
+        ("diagnostics", "flat_tol = 1e-10"),
+        ("diagnostics", "rank_rtol = 1e-8"),
         ("estimation", "cal_e = 1.005"),
         ("estimation", "level_instruments = const k_t"),
     ],
-    ids=["equivalence_tol", "cal_e", "level_instruments"],
+    ids=["equivalence_tol", "fd_step", "flat_tol", "rank_rtol", "cal_e", "level_instruments"],
 )
 def test_removed_config_key_rejected(tmp_path, caplog, section, line):
     ini = tmp_path / "old.ini"
@@ -348,6 +351,12 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
     for out_name, schema_name in pairs:
         schema = json.loads(importlib.resources.files("revprod.schemas").joinpath(schema_name).read_text())
         jsonschema.validate(json.loads((tmp_path / out_name).read_text()), schema)
+    # a report carrying a deleted field, such as the old rank.fd_step, fails
+    for block, key in (("rank", "fd_step"), ("thresholds", "equivalence_tol")):
+        stale = json.loads((tmp_path / "identification_report.json").read_text())
+        stale[block][key] = 1e-5
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            _write_json(stale, tmp_path / "stale.json", "identification_report.schema.json")
 
 
 def test_shipped_schemas_pass_metaschema():

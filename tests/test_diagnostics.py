@@ -119,20 +119,16 @@ class TestJacobianRank:
         assert jacobian_rank(ces_quantity_ms, THETA_CES).deficiency == 0
         assert jacobian_rank(cd_quantity_ms, THETA_CD).deficiency == 0
 
-    @pytest.mark.parametrize("fd_step", [1e-4, 1e-5, 1e-6])
-    def test_rank_stable_across_steps(self, ces_revenue_ms, cd_quantity_ms, fd_step):
-        assert jacobian_rank(ces_revenue_ms, THETA_CES, fd_step=fd_step).deficiency == 2
-        assert jacobian_rank(cd_quantity_ms, THETA_CD, fd_step=fd_step).deficiency == 0
-
-    def test_singular_values_sorted_nonnegative(self, ces_revenue_ms):
-        diag = jacobian_rank(ces_revenue_ms, THETA_CES)
-        sv = np.array(diag.singular_values)
-        assert np.all(sv >= 0.0)
-        assert np.all(np.diff(sv) <= 0.0)
-
-    def test_bad_step_rejected(self, ces_revenue_ms):
-        with pytest.raises(ValueError):
-            jacobian_rank(ces_revenue_ms, THETA_CES, fd_step=0.0)
+    def test_singular_values_sorted_nonnegative(self, ces_revenue_ms, cd_revenue_ms):
+        for ms, theta in ((ces_revenue_ms, THETA_CES), (cd_revenue_ms, THETA_CD)):
+            diag = jacobian_rank(ms, theta)
+            sv = np.array(diag.singular_values)
+            assert np.all(sv >= 0.0)
+            assert np.all(np.diff(sv) <= 0.0)
+            # the exact zeros of the null space are written without a sign
+            nd = np.array(diag.null_directions)
+            assert not np.any(np.signbit(sv))
+            assert not np.any(np.signbit(nd[nd == 0.0]))
 
 
 class TestOmegaRecovery:

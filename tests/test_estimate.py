@@ -362,6 +362,38 @@ class TestGradient:
         assert dpenalty == pytest.approx([0.0, 2e4 * excess, 2e4 * excess, 0.0], rel=1e-12)
 
 
+def _five_point_jacobian(ms, theta, h):
+    """Reference moment Jacobian: the fourth-order central stencil in each coordinate."""
+    J = np.empty((ms.n_moments, theta.size))
+    for j in range(theta.size):
+        step = np.zeros(theta.size)
+        step[j] = h
+        J[:, j] = (
+            -ms.moments(theta + 2 * step) + 8 * ms.moments(theta + step) - 8 * ms.moments(theta - step) + ms.moments(theta - 2 * step)
+        ) / (12 * h)
+    return J
+
+
+class TestJacobian:
+    @pytest.mark.parametrize(
+        "mode, g_degree", [("quantity", 1), ("quantity", 2), ("quantity", 3), ("revenue", None)]
+    )
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_matches_five_point_stencil(self, kind, mode, g_degree, cd_panel, ces_panel):
+        ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
+        rng = np.random.default_rng(300 + (g_degree or 0))
+        lo = np.array([b[0] for b in ms.bounds])
+        hi = np.array([b[1] for b in ms.bounds])
+        flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
+        for theta in lo + rng.uniform(0.05, 0.95, size=(4, lo.size)) * (hi - lo):
+            J = ms.jacobian(theta)
+            assert J.shape == (ms.n_moments, lo.size)
+            for h in (1e-4, 1e-5, 1e-6):
+                assert np.max(np.abs(J - _five_point_jacobian(ms, theta, h))) <= 1e-8 * np.max(np.abs(J))
+            if mode == "revenue":
+                assert np.all(J[:, flat] == 0.0)
+
+
 def _j_at_truth(tech, theta, n_firms, seed):
     """J at the true parameters, weighted by the inverse moment covariance there, in both modes."""
     panel = simulate_panel(SimConfig(tech=tech, n_firms=n_firms, n_periods=6, seed=seed))
