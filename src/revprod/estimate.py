@@ -42,12 +42,12 @@ diagnostics take; its columns for coordinates the residual never reads are
 exact zeros.  A search stops once an iteration lowers the objective by less
 than a relative 1e-12, about twice the measured rounding noise of J at the
 quantity minima; a tighter tolerance only ends searches ABNORMAL at their
-minimum.  Two-step weighting re-minimizes once per distinct stage-one
-minimum: restarts that reach the same point (as every restart of an
-identified fit does) share one stage-two search and are counted in its
-n_starts, while minima spread along flat revenue directions keep a search
-each.  Every minimum lists the coordinates it left on a bound (at_bound); one
-on a bound is never reported converged.  There is no derivative-free polish.
+minimum.  Revenue searches move only what revenue identifies, mapped to theta
+at a stated normalisation of the flat coordinates (_search_chart).  Two-step
+weighting re-minimizes once per distinct stage-one minimum, which the restarts
+that reach it share.  Every minimum lists the coordinates it left on a bound
+(at_bound); one on a bound is never reported converged.  There is no
+derivative-free polish.
 """
 
 from __future__ import annotations
@@ -628,6 +628,7 @@ class EstimateResult:
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
     seed: int
+    identified: Optional[dict] = None  # revenue systems only
 
     @property
     def theta(self) -> np.ndarray:
@@ -648,39 +649,60 @@ class EstimateResult:
         }
         if self.g_coefficients is not None:
             payload["g_coefficients"] = [float(c) for c in self.g_coefficients]
+        if self.identified is not None:
+            payload["identified"] = {k: float(v) for k, v in self.identified.items()}
         return payload
 
 
-def _draw_starts(ms: MomentSystem, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
-    """Starting points for the local searches.
+def _draw_starts(ms: MomentSystem, lo, hi, to_theta, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
+    """Starting points for the local searches, in the coordinates x of the box [lo, hi].
 
-    Draws a seeded uniform cloud in the bounds box; when screen > restarts,
-    evaluates the identity-weight objective on the whole cloud and keeps the
-    best points, one per cloud draw, so narrow basins are still found.  The
-    kept points preserve the cloud's spread along flat directions (screening
-    cannot rank what the objective cannot see).
+    Draws a seeded uniform cloud in the box; when screen > restarts, evaluates the identity-weight
+    objective at to_theta(x) on the whole cloud and keeps the best points, one per cloud draw, so
+    narrow basins are still found.
     """
-    lo = np.array([b[0] for b in ms.bounds])
-    hi = np.array([b[1] for b in ms.bounds])
     rng = np.random.default_rng(seed)
     n_draw = max(screen, restarts, 1)
     u = rng.uniform(0.05, 0.95, size=(n_draw, lo.size))
     cloud = lo + u * (hi - lo)
-    if ms.tech_kind == "CES":
+    if ms.mode == "quantity" and ms.tech_kind == "CES":
         # keep CES starting shares jointly feasible for the quantity route
         j = [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]
         tot = cloud[:, j].sum(axis=1)
         for row in np.nonzero(tot > 0.85)[0]:
             cloud[row, j] *= 0.85 / tot[row]
+    starts = cloud
     if n_draw > restarts:
-        vals = np.array([ms.objective(x) for x in cloud])
-        keep = np.argsort(vals, kind="stable")[:restarts]
-        starts = cloud[np.sort(keep)]
-    else:
-        starts = cloud
+        vals = np.array([ms.objective(to_theta(x)) for x in cloud])
+        starts = cloud[np.sort(np.argsort(vals, kind="stable")[:restarts])]
     if start is not None:
         starts = np.vstack([np.asarray(start, float), starts[: max(restarts - 1, 0)]])
     return starts
+
+
+def _search_chart(ms: MomentSystem):
+    """(names, bounds, basis, origin, normalisation) of the x the searches move, theta = origin + basis x.
+
+    Quantity systems move theta.  Revenue systems move x = (sigma, a) (CES) or a (CD), a = beta_L/(beta_L+beta_M),
+    at beta_L + beta_M = c and constant returns (v = 1, or beta_K = 1 - c).  c = lo + hi on the default box, where
+    a's bounds span every ratio the box allows and keep both shares inside it.
+    """
+    p = len(ms.param_names)
+    if ms.mode == "quantity":
+        return ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}
+    at = {n: i for i, n in enumerate(ms.param_names)}
+    (lo_L, hi_L), (lo_M, hi_M) = ms.bounds[at["beta_L"]], ms.bounds[at["beta_M"]]
+    c = min(lo_L + hi_M, hi_L + lo_M)
+    flat = {"beta_K": round(1.0 - c, 12)} if ms.tech_kind == "CD" else {"v": 1.0}
+    fixed, moved = {"beta_M": c, **flat}, {"beta_L": c, "beta_M": -c}
+    origin = np.array([fixed.get(n, 0.0) for n in ms.param_names])
+    share = np.array([moved.get(n, 0.0) for n in ms.param_names])
+    share_bounds = (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c))
+    names, bounds, basis = ("share_ratio",), (share_bounds,), share[:, None]
+    if ms.tech_kind == "CES":
+        names, bounds = ("sigma",) + names, (ms.bounds[at["sigma"]],) + bounds
+        basis = np.column_stack([np.eye(p)[at["sigma"]], share])
+    return names, bounds, basis, origin, {"beta_L+beta_M": c, **flat}
 
 
 # L-BFGS-B stops once an iteration lowers J by less than this relative amount.
@@ -690,10 +712,9 @@ def _draw_starts(ms: MomentSystem, start, restarts: int, seed: int, screen: int 
 # hides, so searches end ABNORMAL in a failed line search at their minimum.
 _FTOL = 1e-12
 
-# Stage-one minima that agree to this fraction of the box width in every
-# coordinate are one minimum and share one stage-two search.  Restarts of an
-# identified fit land within ~3e-7 of each other; minima spread along flat
-# revenue directions lie at least ~2e-3 apart.
+# Stage-one minima within this fraction of the box width of x in every coordinate
+# are one minimum and share one stage-two search: restarts that reach one minimum
+# land within ~3e-7 (quantity) or ~2e-10 (revenue) of each other, distinct ones >= 0.18 apart.
 _SAME_MINIMUM_TOL = 1e-5
 
 # A coordinate this close to a bound (as a fraction of the box width) is
@@ -753,15 +774,15 @@ def gmm_minimize(
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum:
     minima that agree to _SAME_MINIMUM_TOL of the box width in every
     coordinate form one group (see _group_minima), whose stage-two search
-    starts from its lowest-J member and keeps that member's start_index.  So
-    an identified fit, whose restarts all reach one point, runs one stage-two
-    search, while minima spread along flat revenue directions keep one each.
+    starts from its lowest-J member and keeps that member's start_index.
+    Screening, searches, grouping, at_bound and start are in the x of _search_chart; minima and
+    estimates report the full theta.  A revenue fit adds its identified functionals and
+    diagnostics.normalisation; df is n_moments less the dimension of x.
 
-    All local minima are reported, not just the best: with flat directions
-    the set is the diagnostic object.  Each minimum records n_starts, the
-    number of stage-one minima it stands for (1 under identity weighting);
-    at_bound, the names of coordinates within _AT_BOUND_TOL of the box width
-    of a bound; L-BFGS-B's termination message and its count of
+    All local minima are reported, not just the best.  Each minimum records
+    n_starts, the number of stage-one minima it stands for (1 under identity
+    weighting); at_bound, the names of coordinates within _AT_BOUND_TOL of the
+    box width of a bound; L-BFGS-B's termination message and its count of
     value-and-gradient evaluations n_evals.  converged is L-BFGS-B's success
     flag for a minimum off the bounds; a minimum on a bound is never reported
     converged, since a zero projected gradient there can mark a box corner far
@@ -772,28 +793,33 @@ def gmm_minimize(
         raise ValueError("weighting must be 'identity' or 'two-step'")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    starts = _draw_starts(ms, start, restarts, seed, screen=screen)
-    lo = np.array([b[0] for b in ms.bounds])
-    hi = np.array([b[1] for b in ms.bounds])
+    names, bounds, basis, origin, normalisation = _search_chart(ms)
+    to_theta = lambda x: origin + basis.dot(x)
+    lo, hi = (np.array(b) for b in zip(*bounds))
+    starts = _draw_starts(ms, lo, hi, to_theta, start, restarts, seed, screen=screen)
     edge = _AT_BOUND_TOL * (hi - lo)
+
+    def objective_and_gradient(x, W):
+        value, grad = ms.objective_and_gradient(to_theta(x), W)
+        return value, basis.T.dot(grad)
 
     def solve_one(idx, x0, n_starts, W):
         res = minimize(
-            ms.objective_and_gradient,
+            objective_and_gradient,
             x0,
             args=(W,),
             jac=True,
             method="L-BFGS-B",
-            bounds=ms.bounds,
+            bounds=bounds,
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
         if not np.all(np.isfinite(res.x)):
             return {"start_index": int(idx), "failed": True, "message": str(res.message)}
         on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
-        at_bound = [n for n, b in zip(ms.param_names, on_bound) if b]
+        at_bound = [n for n, b in zip(names, on_bound) if b]
         return {
             "start_index": int(idx),
-            "theta": [float(v) for v in res.x],
+            "theta": [float(v) for v in res.x],  # x until the searches end
             "objective": float(res.fun),
             "converged": bool(res.success) and not at_bound,
             "at_bound": at_bound,
@@ -814,11 +840,13 @@ def gmm_minimize(
     best = min(minima, key=lambda m: m["objective"])
 
     if weighting == "two-step":
-        W = _two_step_weight(ms, best["theta"])
+        W = _two_step_weight(ms, to_theta(best["theta"]))
         groups = _group_minima(minima, lo, hi)
         minima = run_stage(W, [(rep["start_index"], rep["theta"], n) for rep, n in groups])
         best = min(minima, key=lambda m: m["objective"])
 
+    for m in minima:
+        m["theta"] = [float(v) for v in to_theta(m["theta"])]
     theta_hat = np.array(best["theta"])
     n_converged = sum(1 for m in minima if m["converged"])
     if n_converged == 0:
@@ -826,6 +854,7 @@ def gmm_minimize(
     diagnostics = {
         "n_obs": int(ms.n_obs),
         "n_moments": int(ms.n_moments),
+        "df": int(ms.n_moments - len(names)),
         "n_restarts": int(len(starts)),
         "n_converged": int(n_converged),
         "instruments": list(ms.instrument_names),
@@ -834,11 +863,19 @@ def gmm_minimize(
     if ms.g_degree is not None:
         diagnostics["g_degree"] = int(ms.g_degree)
         g_coefficients = list(ms.g_coefficients(theta_hat))
+    estimates = {n: float(v) for n, v in zip(ms.param_names, theta_hat)}
+    identified = None
+    if ms.mode == "revenue":
+        diagnostics["normalisation"] = normalisation
+        b_L, b_M = estimates["beta_L"], estimates["beta_M"]
+        identified = {"share_ratio": b_L / (b_L + b_M)}
+        if ms.tech_kind == "CES":
+            identified = {"sigma": estimates["sigma"], "beta_ratio": b_L / b_M}
     return EstimateResult(
         mode=ms.mode,
         tech_kind=ms.tech_kind,
         param_names=ms.param_names,
-        estimates={n: float(v) for n, v in zip(ms.param_names, theta_hat)},
+        estimates=estimates,
         objective=float(best["objective"]),
         weighting=weighting,
         moment_cov=ms.moment_covariance(theta_hat),
@@ -846,4 +883,5 @@ def gmm_minimize(
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,
         seed=seed,
+        identified=identified,
     )

@@ -13,6 +13,7 @@ cycle reproduces the in-memory panel bit for bit.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -161,6 +162,7 @@ def write_panel_csv(panel: Panel, path) -> None:
 
 
 def read_panel_csv(path) -> Panel:
+    """np.loadtxt reads the body; if it fails or finds no rows, the csv loop rereads it to name the bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -176,19 +178,28 @@ def read_panel_csv(path) -> Panel:
         missing = [c for c in COLUMNS if c not in header and c not in OPTIONAL_COLUMNS]
         if missing:
             raise PanelFormatError(f"{path}: missing required columns {missing}")
-        raw = {c: [] for c in header}
-        for lineno, rowvals in enumerate(reader, start=2):
-            if not rowvals:
-                continue
-            if len(rowvals) != len(header):
-                raise PanelFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(rowvals)}"
-                )
-            for c, v in zip(header, rowvals):
-                try:
-                    raw[c].append(int(v) if c in _INT_COLUMNS else float(v))
-                except ValueError:
-                    raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is not numeric")
+        dtype = [(c, np.int64 if c in _INT_COLUMNS else float) for c in header]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a body without rows
+                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+            raw = {c: np.ascontiguousarray(rows[c]) for c in header}
+        except (ValueError, UserWarning):
+            fh.seek(0)
+            next(reader)
+            raw = {c: [] for c in header}
+            for lineno, rowvals in enumerate(reader, start=2):
+                if not rowvals:
+                    continue
+                if len(rowvals) != len(header):
+                    raise PanelFormatError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(rowvals)}"
+                    )
+                for c, v in zip(header, rowvals):
+                    try:
+                        raw[c].append(int(v) if c in _INT_COLUMNS else float(v))
+                    except ValueError:
+                        raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is not numeric")
     data = {}
     for c in COLUMNS:
         if c in raw:

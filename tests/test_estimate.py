@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from revprod import estimate
 from revprod.config import parse_config
 from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
@@ -438,18 +439,36 @@ class TestGmmMinimize:
             assert res.estimates[name] == pytest.approx(true, abs=0.12)
 
     @pytest.mark.parametrize("weighting", ["identity", "two-step"])
-    def test_revenue_ces_minima_span_flat_direction(self, ces_panel, weighting):
-        # minima spread along the flat v direction are distinct, so two-step
-        # runs one stage-two search for each and the spread survives
-        ms = build_revenue_moments("CES", ces_panel)
-        res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
-        assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"]
-        objs = np.array([m["objective"] for m in res.minima])
-        near_best = objs <= objs.min() * (1.0 + 1e-6) + 1e-15
-        v_values = np.array([m["theta"][3] for m in res.minima])[near_best]
-        assert v_values.max() - v_values.min() >= 0.4
-        rel_spread = (objs[near_best].max() - objs[near_best].min()) / max(objs.min(), 1e-300)
-        assert rel_spread < 1e-6
+    def test_revenue_flat_coordinates_at_normalisation(self, ces_panel, cd_panel, weighting):
+        # the search moves only what revenue identifies, so every minimum sits
+        # at the stated normalisation in the flat coordinates
+        for kind, panel, flat in (("CES", ces_panel, "v"), ("CD", cd_panel, "beta_K")):
+            ms = build_revenue_moments(kind, panel)
+            res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
+            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == 20
+            norm = res.diagnostics["normalisation"]
+            assert set(norm) == {"beta_L+beta_M", flat}
+            for m in res.minima:
+                theta = dict(zip(ms.param_names, m["theta"]))
+                assert theta[flat] == norm[flat]
+                assert theta["beta_L"] + theta["beta_M"] == pytest.approx(norm["beta_L+beta_M"], abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_chart_fit_matches_full_box_search(self, kind, cd_panel, ces_panel, monkeypatch):
+        ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
+        chart = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
+        p = len(ms.param_names)
+        # the search over the whole box, as in quantity mode
+        monkeypatch.setattr(estimate, "_search_chart", lambda ms: (ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}))
+        full = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
+        assert chart.identified.keys() == full.identified.keys()
+        for name, value in chart.identified.items():
+            assert value == pytest.approx(full.identified[name], abs=1e-6), name
+        assert chart.objective == pytest.approx(full.objective, rel=1e-8)
+        assert chart.diagnostics["df"] == ms.n_moments - len(chart.identified)
+        assert full.diagnostics["df"] == ms.n_moments - p
+        # the chart ran one stage-two search per distinct minimum, not one per flat-direction spread
+        assert len(chart.minima) <= (1 if kind == "CD" else 3) < len(full.minima)
 
     def test_quantity_restarts_share_one_stage_two_search(self, ces_panel):
         fs = first_stage_project(ces_panel, 3)
@@ -462,12 +481,15 @@ class TestGmmMinimize:
         assert only["at_bound"] == []
 
     def test_corner_minimum_not_converged(self, ces_panel):
-        # the box corner sigma = 0.9, beta_L = 0.05, beta_M = 0.6 has a zero
-        # projected gradient in revenue mode, which L-BFGS-B reports as success
+        # the chart's corner sigma = 0.9, beta_L/(beta_L+beta_M) at its lower
+        # bound has a zero projected gradient in revenue mode, which L-BFGS-B
+        # reports as success
         ms = build_revenue_moments("CES", ces_panel)
-        res = gmm_minimize(ms, weighting="two-step", start=[0.9, 0.05, 0.6, 0.9], restarts=1)
+        (_, sigma_hi), (share_lo, _) = estimate._search_chart(ms)[1]
+        res = gmm_minimize(ms, weighting="two-step", start=[sigma_hi, share_lo], restarts=1)
         (corner,) = res.minima
-        assert corner["at_bound"] == ["sigma", "beta_L", "beta_M"]
+        assert corner["at_bound"] == ["sigma", "share_ratio"]
+        assert "PROJECTED GRADIENT" in corner["message"]
         assert corner["converged"] is False
         assert res.diagnostics["n_converged"] == 0
 

@@ -1,10 +1,16 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revprod import panel_io
+from revprod.cli import EXIT_VALIDATION, main
+from revprod.config import parse_config
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError, read_panel_csv, write_panel_csv
+from revprod.simulate import simulate_panel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_round_trip_bit_exact(small_cd_panel, tmp_path):
@@ -74,6 +80,69 @@ def test_wrong_field_count_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(PanelFormatError, match="line 2"):
         read_panel_csv(path)
+
+
+def _row_read(path, monkeypatch) -> dict:
+    # the columns of read_panel_csv's csv.reader loop, which it falls back on when np.loadtxt fails
+    def fail(*args, **kwargs):
+        raise ValueError("np.loadtxt disabled")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", fail)
+        return {c: v for c, v in read_panel_csv(path).data.items() if v is not None}
+
+
+def _assert_same_columns(panel, reference):
+    assert [c for c in COLUMNS if panel.has(c)] == [c for c in COLUMNS if c in reference]
+    for c, ref in reference.items():
+        got = panel.col(c)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), c
+
+
+@pytest.mark.parametrize("config", ["configs/ces.ini", "configs/cd.ini"])
+def test_shipped_panels_read_bit_identical(config, tmp_path, monkeypatch):
+    panel = simulate_panel(parse_config(ROOT / config).sim)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    back = read_panel_csv(path)
+    _assert_same_columns(back, _row_read(path, monkeypatch))
+    _assert_same_columns(back, {c: panel.col(c) for c in COLUMNS if panel.has(c)})
+    assert all(back.col(c).flags.c_contiguous for c in COLUMNS if back.has(c))
+
+
+def test_blank_lines_and_column_subset_read_as_before(small_cd_panel, tmp_path, monkeypatch):
+    # a subset of the optional columns, in the file's own order, with blank lines
+    data = {c: small_cd_panel.col(c) for c in COLUMNS}
+    data["Q"] = data["P"] = None
+    path = tmp_path / "subset.csv"
+    write_panel_csv(Panel(data=data), path)
+    lines = path.read_text().splitlines()
+    lines[3:3] = ["", ""]
+    path.write_text("\n".join(lines + [""]) + "\n")
+    back = read_panel_csv(path)
+    assert not back.has("Q") and not back.has("P") and back.has("omega")
+    _assert_same_columns(back, _row_read(path, monkeypatch))
+    _assert_same_columns(back, {c: v for c, v in data.items() if v is not None})
+
+
+@pytest.mark.parametrize("firm_id", ["1.5", "1.0", "1e0"])
+def test_non_integral_firm_id_names_line(tmp_path, caplog, firm_id):
+    path = tmp_path / "bad.csv"
+    lines = ["firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star",
+             "1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3",
+             f"{firm_id},2,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelFormatError, match=f"line 3: field firm_id='{firm_id}'"):
+        read_panel_csv(path)
+    assert main(["verify", str(path), "--config", str(ROOT / "configs/cd.ini"), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert "line 3" in caplog.text
+
+
+def test_header_only_file_has_no_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star\n\n")
+    back = read_panel_csv(path)
+    assert len(back) == 0 and back.col("firm_id").dtype == np.int64
 
 
 def test_missing_required_column(tmp_path):
