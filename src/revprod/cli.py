@@ -14,7 +14,7 @@ import importlib.resources
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +81,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = parse_config(args.config, require_seed=args.seed is None)
     if args.seed is not None:
-        import dataclasses
-
-        cfg.sim = dataclasses.replace(cfg.sim, seed=args.seed)
+        cfg.sim = replace(cfg.sim, seed=args.seed)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     panel = simulate_panel(cfg.sim)
@@ -101,8 +99,7 @@ def _moment_system(cfg: RunConfig, panel, mode: str):
     kind = cfg.sim.tech.kind
     kwargs = {} if est.instruments is None else {"instruments": est.instruments}
     if mode == "revenue":
-        ms = build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs)
-        return ms, {"non_identified_axes": ["beta_K"] if kind == "CD" else ["v"]}
+        return build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs), {}
     fs = first_stage_project(panel, est.first_stage_degree)
     ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
     return ms, {"first_stage": {"degree": fs.degree, "r_squared": fs.r_squared}}

@@ -1,19 +1,24 @@
 """Plain-text run configuration: INI-style sections, no binary formats.
 
-Every command reads the same file; sections it does not need are ignored at
-run time but still validated for spelling, so a typo fails loudly at parse
-time rather than silently falling back to a default.
+Each section is read into one dataclass (README, "Config", has the table):
+its keys are the dataclass's init fields, lowercased, and a key left out
+takes the default the dataclass declares.  [technology] accepts `kind` and
+only the fields of the family it names, CobbDouglas or CES.  Every command
+reads the same file; sections it does not need are ignored at run time but
+still validated, so a typo or a misplaced key fails loudly at parse time
+rather than silently falling back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig
-from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig, Technology
+from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
 __all__ = ["ConfigError", "EstimationSettings", "RunConfig", "parse_config"]
 
@@ -33,6 +38,14 @@ class EstimationSettings:
     which_v: str = "M"
     instruments: Optional[tuple] = None  # None: package default set
 
+    def __post_init__(self):
+        if self.weighting not in ("identity", "two-step"):
+            raise ParameterError("weighting must be identity or two-step")
+        if self.which_v not in ("L", "M"):
+            raise ParameterError("which_v must be L or M")
+        if self.restart_seed < 0:
+            raise ParameterError(f"restart_seed must be >= 0, got {self.restart_seed}")
+
 
 @dataclass
 class RunConfig:
@@ -43,78 +56,85 @@ class RunConfig:
     path: str
 
 
-_KNOWN_KEYS = {
-    "run": {"seed", "out_dir"},
-    "technology": {"kind", "beta_k", "beta_l", "beta_m", "sigma", "v"},
-    "demand": {"eta", "scale", "eta_dispersion"},
-    "productivity": {"rho", "c0", "sigma_xi"},
-    "capital": {"kappa0", "kappa_k", "kappa_w", "sigma_k"},
-    "prices": {
-        "mean_log_pl",
-        "mean_log_pm",
-        "mean_log_pk",
-        "rho_pl",
-        "rho_pm",
-        "rho_pk",
-        "sigma_pl",
-        "sigma_pm",
-        "sigma_pk",
-        "dispersion_pl",
-        "dispersion_pm",
-        "dispersion_pk",
-    },
-    "shocks": {"sigma_eps"},
-    "panel": {"n_firms", "n_periods", "burn_in", "input_solver"},
-    "estimation": {
-        "first_stage_degree",
-        "g_degree",
-        "weighting",
-        "restarts",
-        "screen",
-        "restart_seed",
-        "which_v",
-        "instruments",
-    },
-    "diagnostics": set(),  # diagnose has no tunables; the section stays so old keys fail as unknown keys
-}
+_SECTIONS = ("run", "technology", "demand", "productivity", "capital", "prices", "shocks", "panel", "estimation", "diagnostics")
+_TECHNOLOGIES = {"CD": CobbDouglas, "CES": CES}
 
 
-def _getfloat(sec, key, default):
+def _section(parser, name, keys):
+    """Section [name], once it is known to hold no key outside keys."""
+    sec = parser[name] if parser.has_section(name) else parser["DEFAULT"]
+    unknown = set(sec) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+    return sec
+
+
+def _value(field, text):
+    """A key's text as the type of its field's default."""
+    if field.name == "instruments":
+        return tuple(text.split()) or None
+    if field.name == "which_v":
+        return text.strip().upper()
+    return type(field.default)(text)
+
+
+def _load(parser, name, cls, keys=(), **given):
+    """cls built from section [name].
+
+    The section's keys are cls's init fields that are not given, lowercased,
+    plus the extra keys, which the caller reads.
+    """
+    fields = {f.name.lower(): f for f in dataclasses.fields(cls) if f.init and f.name not in given}
+    sec = _section(parser, name, [*fields, *keys])
+    for key, field in fields.items():
+        if key in sec:
+            try:
+                given[field.name] = _value(field, sec[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from exc
     try:
-        return sec.getfloat(key, default)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key}: {exc}") from exc
+        return cls(**given)
+    except ParameterError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
 
 
-def _getint(sec, key, default):
+def _run_config(parser, require_seed):
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+    _section(parser, "diagnostics", ())
+
+    run = _section(parser, "run", ("seed", "out_dir"))
     try:
-        return sec.getint(key, default)
+        seed = run.getint("seed")
     except ValueError as exc:
-        raise ConfigError(f"[{sec.name}] {key}: {exc}") from exc
+        raise ConfigError(f"[run] seed: {exc}") from exc
+    if seed is None:
+        if require_seed:
+            raise ConfigError("[run] seed is required for simulation")
+        seed = 0
+    if seed < 0:
+        raise ConfigError(f"[run] seed must be >= 0, got {seed}")
 
-
-def _technology(parser) -> Technology:
     if not parser.has_section("technology"):
         raise ConfigError("config must have a [technology] section")
-    sec = parser["technology"]
-    kind = sec.get("kind", "").strip().upper()
-    try:
-        if kind == "CD":
-            return CobbDouglas(
-                beta_K=_getfloat(sec, "beta_k", 0.25),
-                beta_L=_getfloat(sec, "beta_l", 0.30),
-                beta_M=_getfloat(sec, "beta_m", 0.40),
-            )
-        if kind == "CES":
-            return CES(
-                beta_L=_getfloat(sec, "beta_l", 0.30),
-                beta_M=_getfloat(sec, "beta_m", 0.40),
-                sigma=_getfloat(sec, "sigma", 0.50),
-                v=_getfloat(sec, "v", 0.90),
-            )
-    except ParameterError as exc:
-        raise ConfigError(f"[technology] {exc}") from exc
-    raise ConfigError(f"[technology] kind must be CD or CES, got {kind!r}")
+    kind = parser["technology"].get("kind", "").strip().upper()
+    if kind not in _TECHNOLOGIES:
+        raise ConfigError(f"[technology] kind must be CD or CES, got {kind!r}")
+
+    sim = _load(
+        parser,
+        "panel",
+        SimConfig,
+        tech=_load(parser, "technology", _TECHNOLOGIES[kind], keys=("kind",)),
+        demand=_load(parser, "demand", DemandConfig),
+        prod=_load(parser, "productivity", ProductivityProcess),
+        capital=_load(parser, "capital", CapitalPolicy),
+        prices=_load(parser, "prices", PriceProcess),
+        shocks=_load(parser, "shocks", ShockConfig),
+        seed=seed,
+    )
+    return sim, _load(parser, "estimation", EstimationSettings), run.get("out_dir", ".")
 
 
 def parse_config(path, require_seed: bool = False) -> RunConfig:
@@ -126,103 +146,9 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
+        sim, est, out_dir = _run_config(parser, require_seed)
+    except (configparser.Error, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys in [{section}]: {sorted(unknown)}")
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else parser["DEFAULT"]
-
-    run = section("run")
-    seed = _getint(run, "seed", None)
-    if seed is not None and seed < 0:
-        raise ConfigError(f"{path}: [run] seed must be >= 0, got {seed}")
-    if seed is None:
-        if require_seed:
-            raise ConfigError(f"{path}: [run] seed is required for simulation")
-        seed = 0
-    out_dir = run.get("out_dir", ".")
-
-    tech = _technology(parser)
-
-    d = section("demand")
-    demand = DemandConfig(
-        eta=_getfloat(d, "eta", 4.0),
-        scale=_getfloat(d, "scale", 2.0),
-        eta_dispersion=_getfloat(d, "eta_dispersion", 0.0),
-    )
-    p = section("productivity")
-    prod = ProductivityProcess(
-        rho=_getfloat(p, "rho", 0.7), c0=_getfloat(p, "c0", 0.0), sigma_xi=_getfloat(p, "sigma_xi", 0.3)
-    )
-    c = section("capital")
-    capital = CapitalPolicy(
-        kappa0=_getfloat(c, "kappa0", 0.0),
-        kappa_k=_getfloat(c, "kappa_k", 0.75),
-        kappa_w=_getfloat(c, "kappa_w", 0.4),
-        sigma_k=_getfloat(c, "sigma_k", 0.25),
-    )
-    pr = section("prices")
-    prices = PriceProcess(
-        mean_log_pL=_getfloat(pr, "mean_log_pl", 0.0),
-        mean_log_pM=_getfloat(pr, "mean_log_pm", 0.0),
-        mean_log_pK=_getfloat(pr, "mean_log_pk", 0.0),
-        rho_pL=_getfloat(pr, "rho_pl", 0.85),
-        rho_pM=_getfloat(pr, "rho_pm", 0.20),
-        rho_pK=_getfloat(pr, "rho_pk", 0.50),
-        sigma_pL=_getfloat(pr, "sigma_pl", 0.15),
-        sigma_pM=_getfloat(pr, "sigma_pm", 0.35),
-        sigma_pK=_getfloat(pr, "sigma_pk", 0.15),
-        dispersion_pL=_getfloat(pr, "dispersion_pl", 0.25),
-        dispersion_pM=_getfloat(pr, "dispersion_pm", 0.60),
-        dispersion_pK=_getfloat(pr, "dispersion_pk", 0.10),
-    )
-    s = section("shocks")
-    shocks = ShockConfig(sigma_eps=_getfloat(s, "sigma_eps", 0.1))
-    pa = section("panel")
-    try:
-        sim = SimConfig(
-            tech=tech,
-            demand=demand,
-            prod=prod,
-            capital=capital,
-            prices=prices,
-            shocks=shocks,
-            n_firms=_getint(pa, "n_firms", 500),
-            n_periods=_getint(pa, "n_periods", 10),
-            burn_in=_getint(pa, "burn_in", 50),
-            seed=seed,
-            input_solver=pa.get("input_solver", "closed_form"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    e = section("estimation")
-    weighting = e.get("weighting", "two-step")
-    if weighting not in ("identity", "two-step"):
-        raise ConfigError(f"{path}: [estimation] weighting must be identity or two-step")
-    which_v = e.get("which_v", "M").strip().upper()
-    if which_v not in ("L", "M"):
-        raise ConfigError(f"{path}: [estimation] which_v must be L or M")
-    restart_seed = _getint(e, "restart_seed", 7)
-    if restart_seed < 0:
-        raise ConfigError(f"{path}: [estimation] restart_seed must be >= 0, got {restart_seed}")
-    est = EstimationSettings(
-        first_stage_degree=_getint(e, "first_stage_degree", 3),
-        g_degree=_getint(e, "g_degree", 1),
-        weighting=weighting,
-        restarts=_getint(e, "restarts", 20),
-        screen=_getint(e, "screen", 256),
-        restart_seed=restart_seed,
-        which_v=which_v,
-        instruments=tuple(e.get("instruments", "").split()) or None,
-    )
     return RunConfig(
         sim=sim,
         estimation=est,

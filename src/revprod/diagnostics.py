@@ -233,7 +233,6 @@ class OmegaRecovery:
     bound: float
     n_obs: int
     skipped: bool = False
-    note: str = ""
 
     @property
     def carries_signal(self) -> Optional[bool]:
@@ -264,7 +263,7 @@ def omega_recovery_attempt(
     n = len(panel)
     bound = 3.0 / math.sqrt(max(n, 1))
     if not panel.has("omega"):
-        return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True, note="panel has no omega column")
+        return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True)
     omega = panel.col("omega")
     if mode == "revenue":
         predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)

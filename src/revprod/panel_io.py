@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,9 +63,6 @@ class Panel:
     """Column-oriented firm panel, sorted by (firm_id, t)."""
 
     data: dict
-    config: object = None
-    seed: Optional[int] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._validate()

@@ -233,7 +233,7 @@ def simulate_panel(cfg: SimConfig) -> Panel:
     n, T, burn = cfg.n_firms, cfg.n_periods, cfg.burn_in
     if n == 0:
         data = {c: np.asarray([], dtype=np.int64 if c in ("firm_id", "t") else float) for c in COLUMNS}
-        return Panel(data=data, config=cfg, seed=cfg.seed)
+        return Panel(data=data)
 
     xi, u_k, e_pl, e_pm, e_pk, eps, shifts, eta_shift = _draw_firm_shocks(cfg)
     horizon = burn + T
@@ -317,7 +317,7 @@ def simulate_panel(cfg: SimConfig) -> Panel:
         "sL_star": sL,
         "sM_star": sM,
     }
-    return Panel(data=data, config=cfg, seed=cfg.seed)
+    return Panel(data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +336,6 @@ class PanelCheckReport:
     @property
     def passed(self) -> bool:
         return all(v == 0 for v in self.violations.values())
-
-    def total_violations(self) -> int:
-        return sum(self.violations.values())
 
 
 def verify_panel(panel: Panel, cfg: SimConfig, rtol_revenue: float = 1e-9, rtol_identity: float = 1e-7) -> PanelCheckReport:

@@ -80,9 +80,9 @@ class CobbDouglas:
     (degree one) and F(K, y) = K^beta_K * y^(beta_L+beta_M).
     """
 
-    beta_K: float
-    beta_L: float
-    beta_M: float
+    beta_K: float = 0.25
+    beta_L: float = 0.30
+    beta_M: float = 0.40
 
     kind = "CD"
 
@@ -159,10 +159,10 @@ class CES:
     sigma != 0; the Cobb-Douglas limit is a separate class, not sigma -> 0.
     """
 
-    beta_L: float
-    beta_M: float
-    sigma: float
-    v: float
+    beta_L: float = 0.30
+    beta_M: float = 0.40
+    sigma: float = 0.50
+    v: float = 0.90
 
     kind = "CES"
 

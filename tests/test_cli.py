@@ -11,7 +11,10 @@ import pytest
 
 import revprod
 from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
+from revprod.config import EstimationSettings, parse_config
 from revprod.panel_io import read_panel_csv
+from revprod.simulate import SimConfig
+from revprod.technology import CES, CobbDouglas
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,15 +140,14 @@ def test_estimate_quantity_writes_result(ces_ini, tmp_path):
     assert abs(res["estimates"]["sigma"] - 0.5) < 0.25  # small panel, loose check
 
 
-def test_estimate_revenue_reports_non_identified_axes(ces_ini, cd_ini, tmp_path):
-    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path / "ces")])
-    assert main(["estimate", str(tmp_path / "ces" / "panel.csv"), "--config", str(ces_ini), "--mode", "revenue", "--out", str(tmp_path / "ces")]) == EXIT_OK
-    res = json.loads((tmp_path / "ces" / "estimate_revenue.json").read_text())
-    assert res["non_identified_axes"] == ["v"]
-    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path / "cd")])
-    assert main(["estimate", str(tmp_path / "cd" / "panel.csv"), "--config", str(cd_ini), "--mode", "revenue", "--out", str(tmp_path / "cd")]) == EXIT_OK
-    res = json.loads((tmp_path / "cd" / "estimate_revenue.json").read_text())
-    assert res["non_identified_axes"] == ["beta_K"]
+def test_estimate_revenue_reports_normalisation(ces_ini, cd_ini, tmp_path):
+    # the flat coordinate is named once, with the value it is fixed at
+    for name, ini, flat in (("ces", ces_ini, {"v": 1.0}), ("cd", cd_ini, {"beta_K": 0.08})):
+        main(["simulate", "--config", str(ini), "--out", str(tmp_path / name)])
+        assert main(["estimate", str(tmp_path / name / "panel.csv"), "--config", str(ini), "--mode", "revenue", "--out", str(tmp_path / name)]) == EXIT_OK
+        res = json.loads((tmp_path / name / "estimate_revenue.json").read_text())
+        assert flat.items() <= res["diagnostics"]["normalisation"].items(), name
+        assert "non_identified_axes" not in res, name
 
 
 def test_quantity_mode_on_revenue_only_file(ces_ini, tmp_path, caplog):
@@ -278,6 +280,51 @@ def test_removed_config_key_rejected(tmp_path, caplog, section, line):
     ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[{section}]\n{line}\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_VALIDATION
     assert f"unknown keys in [{section}]: ['{line.split()[0]}']" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [("CES", "beta_k = 0.9"), ("CD", "sigma = 0.5"), ("CD", "v = 0.9")],
+    ids=["ces_beta_k", "cd_sigma", "cd_v"],
+)
+def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
+    # the chosen family reads none of the other family's keys, so one is a mistake
+    ini = tmp_path / "cross.ini"
+    ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = {kind}\n{line}\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert f"unknown keys in [technology]: ['{line.split()[0]}']" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("demand", "eta = 0.5"),
+        ("productivity", "rho = 1.5"),
+        ("capital", "kappa_k = 1.0"),
+        ("prices", "rho_pm = 1.0"),
+        ("shocks", "sigma_eps = -0.1"),
+        ("panel", "input_solver = foo"),
+        ("panel", "n_firms = 1.5"),
+    ],
+    ids=["demand", "productivity", "capital", "prices", "shocks", "panel", "panel_not_int"],
+)
+def test_bad_value_names_file_and_section(tmp_path, caplog, section, line):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[{section}]\n{line}\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert f"{ini}: [{section}] " in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("kind, family", [("CD", CobbDouglas), ("CES", CES)], ids=["CD", "CES"])
+def test_minimal_config_takes_dataclass_defaults(tmp_path, kind, family):
+    ini = tmp_path / "minimal.ini"
+    ini.write_text(f"[run]\nseed = 5\n\n[technology]\nkind = {kind}\n")
+    cfg = parse_config(ini)
+    assert cfg.estimation == EstimationSettings()
+    assert cfg.sim == SimConfig(tech=family(), seed=5)
+    assert cfg.out_dir == "."
 
 
 @pytest.mark.parametrize("restarts", [0, -2])
