@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig
+from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig, check_markup
 from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
 __all__ = ["ConfigError", "EstimationSettings", "RunConfig", "parse_config"]
@@ -39,6 +39,11 @@ class EstimationSettings:
     instruments: Optional[tuple] = None  # None: package default set
 
     def __post_init__(self):
+        for name in ("first_stage_degree", "g_degree", "restarts"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.screen < 0:
+            raise ParameterError(f"screen must be >= 0, got {self.screen}")
         if self.weighting not in ("identity", "two-step"):
             raise ParameterError("weighting must be identity or two-step")
         if self.which_v not in ("L", "M"):
@@ -122,12 +127,20 @@ def _run_config(parser, require_seed):
     if kind not in _TECHNOLOGIES:
         raise ConfigError(f"[technology] kind must be CD or CES, got {kind!r}")
 
+    tech = _load(parser, "technology", _TECHNOLOGIES[kind], keys=("kind",))
+    demand = _load(parser, "demand", DemandConfig)
+    try:
+        check_markup(tech, demand)
+    except ParameterError as exc:
+        # SimConfig makes this check too, but no [panel] key can fix it
+        scale = "beta_l + beta_m" if kind == "CD" else "v"
+        raise ConfigError(f"[technology] {scale} and [demand] eta: {exc}, or set [demand] eta_dispersion > 0") from exc
     sim = _load(
         parser,
         "panel",
         SimConfig,
-        tech=_load(parser, "technology", _TECHNOLOGIES[kind], keys=("kind",)),
-        demand=_load(parser, "demand", DemandConfig),
+        tech=tech,
+        demand=demand,
         prod=_load(parser, "productivity", ProductivityProcess),
         capital=_load(parser, "capital", CapitalPolicy),
         prices=_load(parser, "prices", PriceProcess),

@@ -31,23 +31,27 @@ for Cobb-Douglas, returns to scale for CES) so that downstream diagnostics
 can exhibit the resulting flat directions; the residual provably never
 touches them, which makes the flatness bit-exact rather than approximate.
 
-Each parameter vector goes through one evaluation: one prediction, then the
-residual.  The local searches are L-BFGS-B with the exact gradient of the
-objective.  Each predictor also returns its Jacobian, built from the exp/log
-arrays of the prediction, and the gradient is propagated in reverse through
-the moments and the residual, so a value and its gradient cost one
-evaluation.  The same pullback, applied to each instrument column, gives the
-exact moment Jacobian (MomentSystem.jacobian) whose SVD the rank
-diagnostics take; its columns for coordinates the residual never reads are
-exact zeros.  A search stops once an iteration lowers the objective by less
-than a relative 1e-12, about twice the measured rounding noise of J at the
-quantity minima; a tighter tolerance only ends searches ABNORMAL at their
-minimum.  Revenue searches move only what revenue identifies, mapped to theta
-at a stated normalisation of the flat coordinates (_search_chart).  Two-step
-weighting re-minimizes once per distinct stage-one minimum, which the restarts
-that reach it share.  Every minimum lists the coordinates it left on a bound
-(at_bound); one on a bound is never reported converged.  There is no
-derivative-free polish.
+Each parameter vector goes through one evaluation.  On the row path that is
+one prediction over the panel rows, then the residual.  The local searches
+are L-BFGS-B with the exact gradient of the objective.  Each predictor also
+returns its Jacobian, built from the exp/log arrays of the prediction, and
+the gradient is propagated in reverse through the moments and the residual,
+so a value and its gradient cost one evaluation.  The same pullback, applied
+to each instrument column, gives the exact moment Jacobian
+(MomentSystem.jacobian) whose SVD the rank diagnostics take; its columns for
+coordinates the residual never reads are exact zeros.  A Cobb-Douglas
+quantity system at Markov degree one skips the rows: its prediction is
+linear in theta, so its moments and their Jacobian are closed forms over
+cross-products of the panel taken once (_LinearMarkovMoments).  CES and
+higher Markov degrees keep the row path.  A search stops once an iteration
+lowers the objective by less than a relative 1e-12, about twice the measured
+rounding noise of J at the quantity minima; a tighter tolerance only ends
+searches ABNORMAL at their minimum.  Revenue searches move only what revenue
+identifies, mapped to theta at a stated normalisation of the flat
+coordinates (_search_chart).  Two-step weighting re-minimizes once per
+distinct stage-one minimum, which the restarts that reach it share.  Every
+minimum lists the coordinates it left on a bound (at_bound); one on a bound
+is never reported converged.  There is no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -220,15 +224,24 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 class MomentSystem:
     """Moment conditions E[z * e(theta)] = 0 on the current rows of a panel.
 
-    Every statistic at a parameter vector theta reads one private evaluation:
-    the predictor runs once, and _residual maps its prediction to the
-    residual e on the current rows and to e's pullback.  The pullback takes
-    weights q on the current rows and returns the gradient of q'e with
-    respect to minus the prediction, so the objective's gradient is
-    -2 dpred pullback(Z u) + n grad penalty, u being the symmetrized W m, and
-    no n x p moment Jacobian is formed.  jacobian(theta) pulls back each
-    instrument column instead: the exact moment Jacobian is
-    -(dpred pullback(Z))' / n.
+    Every statistic at a parameter vector theta reads one private
+    linearization (_linearize): the moments m, the penalty, the objective's
+    gradient as a function of the direction u (the symmetrized W m) and a
+    thunk for the exact n_moments x p moment Jacobian.
+
+    On the row path the predictor runs once, and _residual maps its
+    prediction to the residual e on the current rows and to e's pullback.
+    The pullback takes weights q on the current rows and returns the gradient
+    of q'e with respect to minus the prediction, so the objective's gradient
+    is -2 dpred pullback(Z u) + n grad penalty, and no n x p moment Jacobian
+    is formed.  jacobian(theta) pulls back each instrument column instead:
+    the exact moment Jacobian is -(dpred pullback(Z))' / n.
+
+    A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
+    (_LinearMarkovMoments): its moments and their Jacobian are closed forms in
+    theta over cross-products taken once, so a search evaluation never reads
+    the panel rows.  moment_covariance and g_coefficients always take the row
+    path.
 
     The residual comes from the build function.  build_quantity_moments: the innovation
     of the recovered productivity's Markov process (_MarkovInnovation), whose
@@ -247,12 +260,30 @@ class MomentSystem:
     _predict: callable = field(repr=False)  # theta -> (prediction, penalty, derivatives)
     _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
     g_degree: Optional[int] = None
+    _closed_form: Optional[callable] = field(default=None, repr=False)  # theta -> _linearize's tuple
 
     def _evaluate(self, theta):
         """Residual, penalty, predictor derivatives and residual pullback at theta."""
         pred, penalty, derivatives = self._predict(np.asarray(theta, float))
         e, pullback = self._residual(pred)
         return e, penalty, derivatives, pullback
+
+    def _linearize(self, theta):
+        """(m, penalty, gradient, jacobian) at theta: gradient(u) is the objective's gradient
+        for the direction u, jacobian() the exact moment Jacobian."""
+        if self._closed_form is not None:
+            return self._closed_form(theta)
+        e, penalty, derivatives, pullback = self._evaluate(theta)
+
+        def gradient(u):
+            r = pullback(self.Z.dot(u))
+            dpred, dpenalty = derivatives()
+            return -2.0 * dpred.dot(r) + self.n_obs * dpenalty
+
+        def jacobian():
+            return -(derivatives()[0] @ np.column_stack([pullback(z) for z in self.Z.T])).T / self.n_obs
+
+        return e.dot(self.Z) / self.n_obs, penalty, gradient, jacobian
 
     def g_coefficients(self, theta) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
@@ -263,12 +294,11 @@ class MomentSystem:
         return self.Z.shape[1]
 
     def moments(self, theta) -> np.ndarray:
-        return self._evaluate(theta)[0].dot(self.Z) / self.n_obs
+        return self._linearize(theta)[0]
 
     def jacobian(self, theta) -> np.ndarray:
-        """Exact n_moments x p Jacobian of moments(theta): one evaluation, one pullback per instrument."""
-        derivatives, pullback = self._evaluate(theta)[2:]
-        return -(derivatives()[0] @ np.column_stack([pullback(z) for z in self.Z.T])).T / self.n_obs
+        """Exact n_moments x p Jacobian of moments(theta)."""
+        return self._linearize(theta)[3]()
 
     def moment_covariance(self, theta) -> np.ndarray:
         G = self.Z * self._evaluate(theta)[0][:, None]
@@ -280,18 +310,14 @@ class MomentSystem:
 
     def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        e, penalty = self._evaluate(theta)[:2]
-        return self._quadratic_form(e.dot(self.Z) / self.n_obs, penalty, weight)[0]
+        m, penalty = self._linearize(theta)[:2]
+        return self._quadratic_form(m, penalty, weight)[0]
 
     def objective_and_gradient(self, theta, weight: Optional[np.ndarray] = None):
         """objective(theta, weight) and its exact gradient from one evaluation."""
-        e, penalty, derivatives, pullback = self._evaluate(theta)
-        m = e.dot(self.Z) / self.n_obs
+        m, penalty, gradient, _ = self._linearize(theta)
         value, mw = self._quadratic_form(m, penalty, weight)
-        u = m if weight is None else 0.5 * (mw + weight.dot(m))
-        r = pullback(self.Z.dot(u))
-        dpred, dpenalty = derivatives()
-        return value, -2.0 * dpred.dot(r) + self.n_obs * dpenalty
+        return value, gradient(m if weight is None else 0.5 * (mw + weight.dot(m)))
 
 
 class _MarkovInnovation:
@@ -363,6 +389,46 @@ class _MarkovInnovation:
             for j in range(k + 1):
                 coef[j] += c * math.comb(k, j) * (-lag_mean) ** (k - j)
         return coef
+
+
+class _LinearMarkovMoments:
+    """Closed-form moments of a Cobb-Douglas quantity system at Markov degree one.
+
+    Recovered productivity is linear in t = (1, -theta): w = t'U, U holding
+    the rows fitted, log K, log L and log M.  With U_t and U_l its current and
+    lagged columns, each demeaned, A_t = Z'U_t'/n, A_l = Z'U_l'/n,
+    S_ll = U_l U_l' and S_lt = U_l U_t', the slope of g is
+    b = t'S_lt t / t'S_ll t and the moments are m = (A_t - b A_l) t.  Their
+    derivative in t is A_t - b A_l - (A_l t) grad b', with
+    grad b = ((S_lt + S_lt') t - 2 b S_ll t) / t'S_ll t, and the Jacobian in
+    theta is minus its last three columns.  The cross-products are taken
+    once, so an evaluation costs a few 11 x 4 and 4 x 4 products, not passes
+    over the panel rows.
+    """
+
+    def __init__(self, fitted: np.ndarray, cols, cur: np.ndarray, lag: np.ndarray, Z: np.ndarray):
+        U = np.vstack([fitted, cols["K"], cols["L"], cols["M"]])
+        n = cur.size
+        U_t, U_l = U[:, cur], U[:, lag]
+        U_t -= U_t.sum(axis=1, keepdims=True) / n
+        U_l -= U_l.sum(axis=1, keepdims=True) / n
+        self.n = n
+        self.A_t, self.A_l = U_t.dot(Z).T / n, U_l.dot(Z).T / n
+        S_lt = U_l.dot(U_t.T)
+        self.S_ll, self.S_sym = U_l.dot(U_l.T), S_lt + S_lt.T
+
+    def __call__(self, theta):
+        t = np.concatenate(([1.0], -np.asarray(theta, float)))
+        a_t, a_l = self.A_t.dot(t), self.A_l.dot(t)
+        s_ll, s_sym = self.S_ll.dot(t), self.S_sym.dot(t)
+        den = t.dot(s_ll)
+        b = 0.5 * t.dot(s_sym) / den
+
+        def jacobian():
+            grad_b = (s_sym[1:] - 2.0 * b * s_ll[1:]) / den
+            return a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:]
+
+        return a_t - b * a_l, 0.0, lambda u: 2.0 * self.n * u.dot(jacobian()), jacobian
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -557,6 +623,9 @@ def build_quantity_moments(
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M"))
     predict, names = _quantity_predictor(tech_kind, cols)
     Z = _instrument_matrix(panel, cur, lag, instruments)
+    closed_form = None
+    if tech_kind == "CD" and g_degree == 1:
+        closed_form = _LinearMarkovMoments(fitted, cols, cur, lag, Z)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -568,6 +637,7 @@ def build_quantity_moments(
         _predict=predict,
         _residual=_MarkovInnovation(fitted, cur, lag, g_degree),
         g_degree=g_degree,
+        _closed_form=closed_form,
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "CapitalPolicy",
     "PriceProcess",
     "SimConfig",
+    "check_markup",
     "simulate_panel",
     "verify_panel",
     "PanelCheckReport",
@@ -147,14 +148,17 @@ class SimConfig:
             raise ParameterError("need n_firms >= 0, n_periods >= 1, burn_in >= 0")
         if self.input_solver not in ("closed_form", "numeric"):
             raise ParameterError("input_solver must be 'closed_form' or 'numeric'")
-        scale = (
-            self.tech.variable_scale if isinstance(self.tech, CobbDouglas) else self.tech.v
+        check_markup(self.tech, self.demand)
+
+
+def check_markup(tech: Technology, demand: DemandConfig):
+    """The pricing fixed point needs the short-run scale below the markup, unless eta varies by firm."""
+    scale = tech.variable_scale if isinstance(tech, CobbDouglas) else tech.v
+    if scale >= demand.mu and demand.eta_dispersion == 0.0:
+        raise ParameterError(
+            "pricing fixed point needs short-run scale below the markup "
+            f"(scale {scale:g} >= mu {demand.mu:g})"
         )
-        if scale >= self.demand.mu and self.demand.eta_dispersion == 0.0:
-            raise ParameterError(
-                "pricing fixed point needs short-run scale below the markup "
-                f"(scale {scale:g} >= mu {self.demand.mu:g})"
-            )
 
 
 def _draw_firm_shocks(cfg: SimConfig):

@@ -306,14 +306,41 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         ("shocks", "sigma_eps = -0.1"),
         ("panel", "input_solver = foo"),
         ("panel", "n_firms = 1.5"),
+        ("estimation", "g_degree = 0"),
+        ("estimation", "first_stage_degree = 0"),
+        ("estimation", "restarts = 0"),
+        ("estimation", "screen = -3"),
     ],
-    ids=["demand", "productivity", "capital", "prices", "shocks", "panel", "panel_not_int"],
+    ids=[
+        "demand",
+        "productivity",
+        "capital",
+        "prices",
+        "shocks",
+        "panel",
+        "panel_not_int",
+        "g_degree",
+        "first_stage_degree",
+        "restarts",
+        "screen",
+    ],
 )
 def test_bad_value_names_file_and_section(tmp_path, caplog, section, line):
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[{section}]\n{line}\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
     assert f"{ini}: [{section}] " in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_scale_above_markup_names_technology_and_demand(tmp_path, caplog):
+    # the check reads v and eta; no [panel] key can fix it
+    ini = tmp_path / "scale.ini"
+    ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CES\nv = 1.5\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert f"{ini}: [technology] v and [demand] eta: pricing fixed point needs short-run scale below the markup" in caplog.text
+    assert "eta_dispersion" in caplog.text
+    assert "[panel]" not in caplog.text
     assert not (tmp_path / "s").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -314,6 +315,53 @@ class TestFusedCore:
         assert len(calls) == 1
         ms.objective_and_gradient(theta_true(small_ces_config))
         assert len(calls) == 2
+
+
+class TestClosedForm:
+    """Cobb-Douglas quantity systems at g_degree 1 evaluate from precomputed cross-products."""
+
+    def test_only_cd_at_degree_one(self, cd_panel, ces_panel):
+        assert _system("CD", "quantity", 1, cd_panel)[0]._closed_form is not None
+        assert _system("CD", "quantity", 2, cd_panel)[0]._closed_form is None
+        assert _system("CES", "quantity", 1, ces_panel)[0]._closed_form is None
+        assert _system("CD", "revenue", None, cd_panel)[0]._closed_form is None
+
+    def test_matches_row_path(self, cd_panel):
+        ms = _system("CD", "quantity", 1, cd_panel)[0]
+        row = dataclasses.replace(ms, _closed_form=None)
+        rng = np.random.default_rng(400)
+        A = rng.normal(size=(ms.n_moments, ms.n_moments))
+        W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
+        lo = np.array([b[0] for b in ms.bounds])
+        hi = np.array([b[1] for b in ms.bounds])
+        for theta in lo + rng.uniform(size=(20, lo.size)) * (hi - lo):
+            assert _rel_gap(ms.moments(theta), ms._evaluate(theta)[0] @ ms.Z / ms.n_obs) <= 1e-10
+            assert _rel_gap(ms.jacobian(theta), row.jacobian(theta)) <= 1e-10
+            for weight in (None, W):
+                value, grad = ms.objective_and_gradient(theta, weight)
+                row_value, row_grad = row.objective_and_gradient(theta, weight)
+                assert _rel_gap(value, row_value) <= 1e-10
+                assert _rel_gap(ms.objective(theta, weight), row_value) <= 1e-10
+                assert _rel_gap(grad, row_grad) <= 1e-10
+
+    def test_search_never_predicts_rows(self, small_cd_panel):
+        # the predictor runs only for the moment covariance and g, not once per evaluation
+        ms = _system("CD", "quantity", 1, small_cd_panel)[0]
+        calls = {"predict": 0, "row statistics": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        ms._predict = counting("predict", ms._predict)
+        ms.moment_covariance = counting("row statistics", ms.moment_covariance)
+        ms.g_coefficients = counting("row statistics", ms.g_coefficients)
+        result = gmm_minimize(ms, restarts=4, seed=3, screen=32)
+        assert sum(m["n_evals"] for m in result.minima) > 10
+        assert calls["predict"] == calls["row statistics"] == 3  # weight, result covariance, g
 
 
 def _central_difference(ms, theta, weight):
