@@ -12,12 +12,8 @@ __version__ = "0.1.0"
 from .costmin import (
     CostSolution,
     SolverError,
-    c2_min,
-    closed_form_cost,
     conditional_demands,
     cost_min_numeric,
-    f_inverse_root,
-    factorization_check,
     foc_input_price,
     marginal_cost_closed_form,
     unit_cost_numeric,
@@ -63,12 +59,5 @@ from .technology import (
     ParameterError,
     ShockConfig,
     Technology,
-    ValidityReport,
-    evaluate_quantity,
-    h_separable,
-    markup_production_approach,
-    output_elasticity,
-    price_from_markup,
     revenue_pf_reduced_form,
-    validate_technology,
 )

@@ -162,7 +162,7 @@ def cmd_diagnose(args) -> int:
 
     report = build_identification_report(panel, cfg.sim.tech, ms, which_v=est.which_v)
     report_path = out_dir / "identification_report.json"
-    _write_json(report.to_json_dict(), report_path, "identification_report.schema.json")
+    _write_json(asdict(report), report_path, "identification_report.schema.json")
     logger.info("wrote %s", report_path)
 
     if args.scan:

@@ -1,4 +1,4 @@
-"""Cost minimization: numeric oracle, closed forms, and the factorized structure.
+"""Cost minimization: the numeric oracle and the closed forms it is checked against.
 
 The short-run program chooses flexible inputs (L, M) to minimize expenditure
 subject to producing at least a target level with the capital stock fixed:
@@ -12,8 +12,9 @@ the revenue predictors) is a composition of those two pieces.
 
 Two independent routes are kept side by side on purpose: a numeric solver in
 log-input space (the oracle), and the closed-form dual objects of the two
-parametric families.  Tests require them to agree; the closed forms are the
-fast production path.  The oracle takes arrays and solves every row in one
+parametric families (conditional_demands, marginal_cost_closed_form and the
+technologies' unit_cost).  Tests require them to agree; the closed forms are
+the fast production path.  The oracle takes arrays and solves every row in one
 damped-Newton pass on the stationarity/feasibility system, with a
 forward-difference Jacobian built from primal objects only (output,
 elasticities, h), so it never reads the duals it checks.  Rows whose KKT
@@ -22,7 +23,6 @@ residual stays above tolerance are named in the SolverError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +34,7 @@ __all__ = [
     "CostSolution",
     "cost_min_numeric",
     "unit_cost_numeric",
-    "c2_min",
     "conditional_demands",
-    "closed_form_cost",
-    "f_inverse_root",
-    "factorization_check",
     "marginal_cost_closed_form",
     "foc_input_price",
 ]
@@ -188,18 +184,6 @@ def unit_cost_numeric(tech: Technology, K, pL, pM) -> CostSolution:
     return _solve_log_program(tech, K, pL, pM, None)
 
 
-def c2_min(tech: Technology, K, pL, pM) -> float:
-    """Unit aggregate cost via the closed-form dual of the parametric family.
-
-    Both families are self-dual, so the minimum of the unit-aggregate program
-    has an explicit form (verified against unit_cost_numeric in the test
-    suite).  K is accepted for signature uniformity; h does not use it in
-    either family, so the value is capital-free.
-    """
-    _check_positive(K=K, pL=pL, pM=pM)
-    return tech.unit_cost(pL, pM)
-
-
 def conditional_demands(tech: Technology, K, pL, pM, target):
     """Closed-form cost-minimizing inputs for F(K, h) >= target (vectorized).
 
@@ -213,56 +197,6 @@ def conditional_demands(tech: Technology, K, pL, pM, target):
     c2 = tech.unit_cost(pL, pM)
     lam = c2 / tech.F_dy(K, hbar)
     return hbar * L1, hbar * M1, hbar * c2, lam
-
-
-def closed_form_cost(tech: Technology, K, pL, pM, target):
-    """Factorized cost function F_inverse(K, target) * C2(pL, pM)."""
-    _check_positive(K=K, pL=pL, pM=pM, target=target)
-    return tech.F_inverse(K, target) * tech.unit_cost(pL, pM)
-
-
-def f_inverse_root(tech: Technology, K: float, z: float, rtol: float = 1e-12) -> float:
-    """Invert y -> F(K, y) at fixed K by bracketed scalar root-finding.
-
-    Independent of the closed-form inverse: brackets the root by geometric
-    expansion and hands it to a bracketing solver on the log residual.
-    """
-    from scipy.optimize import brentq
-
-    _check_positive(K=K, z=z)
-
-    def resid(w):
-        return math.log(tech.F(K, math.exp(w))) - math.log(z)
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if resid(lo) < 0.0:
-            break
-        lo -= max(1.0, 0.5 * abs(lo))
-    else:
-        raise SolverError("failed to bracket F inverse from below", last_iterate=lo)
-    for _ in range(200):
-        if resid(hi) > 0.0:
-            break
-        hi += max(1.0, 0.5 * abs(hi))
-    else:
-        raise SolverError("failed to bracket F inverse from above", last_iterate=hi)
-    w = brentq(resid, lo, hi, xtol=1e-14, rtol=rtol, maxiter=300)
-    return math.exp(w)
-
-
-def factorization_check(tech: Technology, K: float, pL: float, pM: float, target: float, omega: float) -> float:
-    """Relative gap between the numeric cost and F_inverse(K, target/e^omega) * C2.
-
-    target is the planned output level gross of productivity; the inverse is
-    evaluated by root-finding rather than the closed form, so the check pits
-    three independently computed pieces against each other.
-    """
-    _check_positive(K=K, pL=pL, pM=pM, target=target)
-    net = target / math.exp(omega)
-    numeric = float(cost_min_numeric(tech, K, pL, pM, net).total_cost)
-    factored = f_inverse_root(tech, K, net) * c2_min(tech, K, pL, pM)
-    return abs(numeric - factored) / numeric
 
 
 def marginal_cost_closed_form(tech: Technology, K, L, M, pL, pM, omega, cal_e):
@@ -279,18 +213,16 @@ def marginal_cost_closed_form(tech: Technology, K, L, M, pL, pM, omega, cal_e):
     return c2 / (f2 * np.exp(np.asarray(omega, float)) * np.asarray(cal_e, float))
 
 
-def foc_input_price(tech: Technology, K, L, M, pL, pM, cal_e, which_v: str):
+def foc_input_price(tech: Technology, L, M, pL, pM, which_v: str):
     """Input price implied by the cost-minimization first-order condition.
 
     At an interior optimum the price of a flexible input equals the unit
     aggregate cost times the marginal contribution of that input to h
     (Shephard's lemma applied to the unit-aggregate program).  The ex-ante
-    shock expectation scales the marginal cost and the expected-output
-    gradient by offsetting factors, so cal_e does not move the implied
-    price; the argument is accepted so callers can pass the same bundle as
-    the marginal-cost function.
+    shock expectation cal_e scales the marginal cost and the expected-output
+    gradient by offsetting factors, so it cancels from the implied price.
     """
     if which_v not in ("L", "M"):
         raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
-    _check_positive(K=K, L=L, M=M, pL=pL, pM=pM, cal_e=cal_e)
+    _check_positive(L=L, M=M, pL=pL, pM=pM)
     return tech.unit_cost(pL, pM) * tech.h_dlevel(L, M, which_v)

@@ -20,7 +20,6 @@ residuals recover it almost perfectly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -87,10 +86,6 @@ class ProfileCurve:
     objective: list
     flatness: float
 
-    @property
-    def argmin(self) -> float:
-        return float(self.grid[int(np.argmin(self.objective))])
-
 
 def _flatness(values: np.ndarray) -> float:
     values = np.asarray(values, float)
@@ -98,11 +93,7 @@ def _flatness(values: np.ndarray) -> float:
 
 
 def profile_scan(
-    ms: MomentSystem,
-    param_name: str,
-    grid: Sequence[float],
-    other_params: Sequence[float],
-    weight: Optional[np.ndarray] = None,
+    ms: MomentSystem, param_name: str, grid: Sequence[float], other_params: Sequence[float]
 ) -> ProfileCurve:
     """Objective values along a grid for one parameter, others held fixed.
 
@@ -121,7 +112,7 @@ def profile_scan(
     for g in grid:
         theta_g = theta.copy()
         theta_g[j] = g
-        vals.append(ms.objective(theta_g, weight))
+        vals.append(ms.objective(theta_g))
     vals = np.asarray(vals)
     return ProfileCurve(
         param=param_name,
@@ -131,19 +122,15 @@ def profile_scan(
     )
 
 
-def beta_scale_scan(
-    ms: MomentSystem,
-    center: Sequence[float],
-    scale_grid: Sequence[float] = tuple(np.linspace(0.7, 1.3, 25)),
-    weight: Optional[np.ndarray] = None,
-) -> ProfileCurve:
-    """Objective along the common rescaling of (beta_L, beta_M).
+def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
+    """Objective along the common rescaling c * (beta_L, beta_M), c on 25 points in [0.7, 1.3].
 
     This is the direction a ratio-only identified flexible block leaves
     unresolved; for revenue systems it is exactly flat, for quantity systems
     it is not.
     """
     center = np.asarray(center, float)
+    scale_grid = np.linspace(0.7, 1.3, 25)
     jL = ms.param_names.index("beta_L")
     jM = ms.param_names.index("beta_M")
     vals = []
@@ -151,7 +138,7 @@ def beta_scale_scan(
         theta = center.copy()
         theta[jL] *= c
         theta[jM] *= c
-        vals.append(ms.objective(theta, weight))
+        vals.append(ms.objective(theta))
     vals = np.asarray(vals)
     return ProfileCurve(
         param="beta_scale",
@@ -211,10 +198,11 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
         diag.scale_direction_in_null = float(np.linalg.norm(proj))
         # Null space left after removing the scale component.  The SVD basis
         # is an arbitrary rotation of the null space, so the remaining
-        # dimension is the rank of the projected basis, not a row count.
+        # dimension is the rank of the projected basis, not a row count.  The
+        # basis rows are orthonormal, so RANK_RTOL cuts its singular values as is.
         residual = null - np.outer(proj, scale_dir)
         _, rs, rvt = np.linalg.svd(residual)
-        keep = rs > 1e-8
+        keep = rs > RANK_RTOL
         diag.deficiency_after_ratio_projection = int(np.sum(keep))
         if np.any(keep):
             r = rvt[0]
@@ -243,13 +231,7 @@ class OmegaRecovery:
         return self.correlation >= 0.95
 
 
-def omega_recovery_attempt(
-    panel: Panel,
-    tech: Technology,
-    mode: str,
-    which_v: str = "M",
-    first_stage_degree: int = 3,
-) -> OmegaRecovery:
+def omega_recovery_attempt(panel: Panel, tech: Technology, mode: str, which_v: str = "M") -> OmegaRecovery:
     """Try to recover simulated productivity from estimation residuals.
 
     Revenue mode computes log R minus the parametric revenue prediction
@@ -269,7 +251,7 @@ def omega_recovery_attempt(
         predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
         resid = np.log(panel.col("R")) - predict(_theta(tech, names))[0]
     else:
-        fs = first_stage_project(panel, first_stage_degree)
+        fs = first_stage_project(panel)
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
         resid = fs.fitted - q_pred
     if np.std(resid) == 0.0 or np.std(omega) == 0.0:
@@ -300,16 +282,6 @@ class IdentificationReport:
     omega_recovery: dict
     verdicts: dict
     thresholds: dict
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IdentificationReport":
-        return cls(**json.loads(text))
 
 
 def _default_grids(tech_kind: str, center: dict) -> dict:

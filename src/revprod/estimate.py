@@ -601,20 +601,12 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
 
-def _bounds_tuple(tech_kind: str, names, overrides=None):
-    table = dict(DEFAULT_BOUNDS[tech_kind])
-    if overrides:
-        table.update(overrides)
-    return tuple(table[n] for n in names)
-
-
 def build_quantity_moments(
     tech_kind: str,
     fitted_qstar,
     panel: Panel,
     g_degree: int = 1,
     instruments: Sequence[str] = DEFAULT_INSTRUMENTS,
-    bounds=None,
 ) -> MomentSystem:
     """Moment system on the quantity production function (identified benchmark)."""
     if g_degree < 1:
@@ -630,7 +622,7 @@ def build_quantity_moments(
         mode="quantity",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=_bounds_tuple(tech_kind, names, bounds),
+        bounds=tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names),
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
@@ -646,7 +638,6 @@ def build_revenue_moments(
     panel: Panel,
     which_v: str = "M",
     instruments: Sequence[str] = DEFAULT_INSTRUMENTS,
-    bounds=None,
 ) -> MomentSystem:
     """Moment system on the revenue equation's ex-post shock.
 
@@ -667,7 +658,7 @@ def build_revenue_moments(
         mode="revenue",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=_bounds_tuple(tech_kind, names, bounds),
+        bounds=tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names),
         Z=Z,
         instrument_names=tuple(instruments),
         n_obs=cur.size,
@@ -792,16 +783,17 @@ _SAME_MINIMUM_TOL = 1e-5
 _AT_BOUND_TOL = 1e-10
 
 
-def _group_minima(minima, lo, hi, tol: float = _SAME_MINIMUM_TOL):
+def _group_minima(minima, lo, hi):
     """Stage-one minima grouped as one minimum each, as (representative, size).
 
     Minima are taken in order of objective, ties broken by start_index; each
     joins the first group whose representative (its first member) lies within
-    tol * (hi - lo) of it in every coordinate, or else starts a new group.
+    _SAME_MINIMUM_TOL * (hi - lo) of it in every coordinate, or else starts a
+    new group.
     Groups are returned in the order of their representatives' start_index;
     lo and hi are the arrays of lower and upper bounds.
     """
-    reach = tol * (hi - lo)
+    reach = _SAME_MINIMUM_TOL * (hi - lo)
     groups = []  # [representative, its theta, size]
     for m in sorted(minima, key=lambda m: (m["objective"], m["start_index"])):
         x = np.array(m["theta"])

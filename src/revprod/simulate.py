@@ -27,7 +27,7 @@ import numpy as np
 
 from . import costmin
 from .panel_io import COLUMNS, Panel
-from .technology import CobbDouglas, DemandConfig, ParameterError, ShockConfig, Technology
+from .technology import CobbDouglas, DemandConfig, ParameterError, ShockConfig, Technology, revenue_pf_reduced_form
 
 __all__ = [
     "SimulationError",
@@ -342,11 +342,15 @@ class PanelCheckReport:
         return all(v == 0 for v in self.violations.values())
 
 
-def verify_panel(panel: Panel, cfg: SimConfig, rtol_revenue: float = 1e-9, rtol_identity: float = 1e-7) -> PanelCheckReport:
-    """Check the revenue identity, the reduced-form revenue equation, the
-    first-order-condition input prices, and markup consistency on every row."""
+def verify_panel(panel: Panel, cfg: SimConfig) -> PanelCheckReport:
+    """Check the model identities on every row, each only where its columns are present.
+
+    The input-price first-order conditions need only the required columns and
+    always run.  The revenue identity needs Q and P, the reduced-form revenue
+    equation eps (to form R*), and markup consistency P and omega; a check
+    whose columns are missing is not run and not listed in violations.
+    """
     tech, cal_e = cfg.tech, cfg.shocks.cal_e
-    n = len(panel)
     violations = {}
     first_bad = {}
 
@@ -356,40 +360,27 @@ def verify_panel(panel: Panel, cfg: SimConfig, rtol_revenue: float = 1e-9, rtol_
         if idx.size:
             first_bad[name] = idx[:10].tolist()
 
-    if n == 0:
-        for name in ("revenue_identity", "reduced_form_L", "reduced_form_M", "foc_price_L", "foc_price_M", "markup_consistency"):
-            violations[name] = 0
-        return PanelCheckReport(n_rows=0, violations=violations, first_bad_rows=first_bad)
-
     K, L, M = panel.col("K"), panel.col("L"), panel.col("M")
     pL, pM = panel.col("pL"), panel.col("pM")
     R = panel.col("R")
 
     if panel.has("Q") and panel.has("P"):
-        record("revenue_identity", np.abs(R - panel.col("P") * panel.col("Q")) > rtol_revenue * R)
-    else:
-        violations["revenue_identity"] = 0
+        record("revenue_identity", np.abs(R - panel.col("P") * panel.col("Q")) > 1e-9 * R)
 
     if panel.has("eps"):
         rstar = panel.rstar
-        from .technology import revenue_pf_reduced_form
-
         for v, share in (("L", panel.col("sL_star")), ("M", panel.col("sM_star"))):
-            pred = revenue_pf_reduced_form(tech, K, L, M, pL, pM, share, cal_e, v)
-            record(f"reduced_form_{v}", np.abs(pred - rstar) > rtol_identity * rstar)
-    else:
-        violations["reduced_form_L"] = violations["reduced_form_M"] = 0
+            pred = revenue_pf_reduced_form(tech, L, M, pL, pM, share, cal_e, v)
+            record(f"reduced_form_{v}", np.abs(pred - rstar) > 1e-7 * rstar)
 
     for v, price in (("L", pL), ("M", pM)):
-        implied = costmin.foc_input_price(tech, K, L, M, pL, pM, cal_e, v)
-        record(f"foc_price_{v}", np.abs(implied - price) > rtol_identity * price)
+        implied = costmin.foc_input_price(tech, L, M, pL, pM, v)
+        record(f"foc_price_{v}", np.abs(implied - price) > 1e-7 * price)
 
     if panel.has("P") and panel.has("omega"):
         lam = costmin.marginal_cost_closed_form(tech, K, L, M, pL, pM, panel.col("omega"), cal_e)
         mu_price = panel.col("P") / lam
         mu_share = tech.elasticity(K, L, M, "M") / panel.col("sM_star")
         record("markup_consistency", np.abs(mu_price - mu_share) > 1e-8 * mu_share)
-    else:
-        violations["markup_consistency"] = 0
 
-    return PanelCheckReport(n_rows=n, violations=violations, first_bad_rows=first_bad)
+    return PanelCheckReport(n_rows=len(panel), violations=violations, first_bad_rows=first_bad)

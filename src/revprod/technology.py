@@ -13,6 +13,8 @@ unit aggregate cost (the minimum flexible-input expenditure needed to reach
 h = 1) a well-defined object, which in turn makes target revenue purely a
 composition of h and that unit cost.
 
+Each primal and dual object (h, F, output, elasticity, unit_cost,
+unit_demand) is a method of the technology class and has no other name.
 revenue_pf_reduced_form below is the level form of that composition, built
 from a technology's unit_cost and h_dlog methods; the panel checks use it as
 the independent reference.  The parametric log-revenue formula that the
@@ -38,14 +40,7 @@ __all__ = [
     "Technology",
     "ShockConfig",
     "DemandConfig",
-    "ValidityReport",
-    "evaluate_quantity",
-    "h_separable",
-    "output_elasticity",
-    "markup_production_approach",
-    "price_from_markup",
     "revenue_pf_reduced_form",
-    "validate_technology",
 ]
 
 
@@ -300,137 +295,16 @@ class DemandConfig:
         return self.eta / (self.eta - 1.0)
 
 
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def evaluate_quantity(tech: Technology, K, L, M, omega, eps):
-    """Realized output F(K, h(L, M)) * exp(omega) * exp(eps)."""
-    _check_positive(K=K, L=L, M=M)
-    return tech.output(K, L, M) * np.exp(np.asarray(omega, float)) * np.exp(np.asarray(eps, float))
-
-
-def h_separable(tech: Technology, K, L, M):
-    """Degree-one flexible-input aggregate.
-
-    K is accepted for signature uniformity with the composite form; neither
-    parametric family uses it inside h.
-    """
-    _check_positive(L=L, M=M)
-    return tech.h(L, M)
-
-
-def output_elasticity(tech: Technology, K, L, M, which: str):
-    """Elasticity of output with respect to one input (log-derivative of output)."""
-    if which not in ("K", "L", "M"):
-        raise ValueError(f"unknown input name {which!r}; expected 'K', 'L' or 'M'")
-    _check_positive(K=K, L=L, M=M)
-    return tech.elasticity(K, L, M, which)
-
-
-def markup_production_approach(elasticity, revenue_share):
-    """Markup as the ratio of a flexible input's output elasticity to its revenue share."""
-    _check_positive(elasticity=elasticity, revenue_share=revenue_share)
-    return np.asarray(elasticity, float) / np.asarray(revenue_share, float)
-
-
-def price_from_markup(mu, marginal_cost):
-    """Output price as markup times marginal cost."""
-    _check_positive(mu=mu, marginal_cost=marginal_cost)
-    return np.asarray(mu, float) * np.asarray(marginal_cost, float)
-
-
-def revenue_pf_reduced_form(tech: Technology, K, L, M, pL, pM, s_star, cal_e, which_v: str):
+def revenue_pf_reduced_form(tech: Technology, L, M, pL, pM, s_star, cal_e, which_v: str):
     """Predicted target revenue P * Q~ built only from h and the unit aggregate cost.
 
     s_star is the level target revenue share of the chosen flexible input and
     cal_e the ex-ante expectation of exp(eps).  The computation touches only
-    the flexible-input block (unit cost and h), so it cannot depend on the
-    capital exponent, returns to scale, or productivity.
+    the flexible-input block (unit cost and h), so it cannot depend on
+    capital, the capital exponent, returns to scale, or productivity.
     """
     if which_v not in ("L", "M"):
         raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
-    _check_positive(K=K, L=L, M=M, pL=pL, pM=pM, s_star=s_star, cal_e=cal_e)
+    _check_positive(L=L, M=M, pL=pL, pM=pM, s_star=s_star, cal_e=cal_e)
     c2 = tech.unit_cost(pL, pM)
     return c2 * tech.h_dlog(L, M, which_v) / (np.asarray(s_star, float) * np.asarray(cal_e, float))
-
-
-# ---------------------------------------------------------------------------
-# Production-set validity checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidityReport:
-    """Grid-based check of monotonicity, weak essentiality and quasi-concavity."""
-
-    monotone: bool
-    essential: bool
-    quasiconcave: bool
-    monotone_violations: list
-    quasiconcave_violations: list
-    n_points: int
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone and self.essential and self.quasiconcave
-
-
-def validate_technology(tech: Technology, grid: np.ndarray, rel_tol: float = 1e-10) -> ValidityReport:
-    """Check production-set properties on a sample of strictly positive input points.
-
-    grid has shape (n, 3) with columns (K, L, M).  Monotonicity and
-    quasi-concavity are tested pairwise on the grid; weak essentiality is
-    tested by shrinking every point toward the origin and requiring output
-    to decay toward zero.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != 3 or grid.shape[0] == 0:
-        raise ValueError("grid must be a nonempty (n, 3) array of (K, L, M) points")
-    _check_positive(grid=grid)
-
-    n = grid.shape[0]
-    f = tech.output(grid[:, 0], grid[:, 1], grid[:, 2])
-
-    mono_viol = []
-    qc_viol = []
-    # Pairwise dominance test: x' >= x componentwise must not lower output.
-    dominates = np.all(grid[:, None, :] >= grid[None, :, :], axis=2)
-    for i in range(n):
-        for j in range(n):
-            if i != j and dominates[i, j] and f[i] < f[j] * (1.0 - rel_tol):
-                mono_viol.append((tuple(grid[j]), tuple(grid[i]), float(f[j]), float(f[i])))
-
-    # Quasi-concavity via midpoints: F(midpoint) >= min of the endpoints.
-    for i in range(n):
-        mid = 0.5 * (grid[i] + grid[i + 1 :])
-        if mid.size == 0:
-            continue
-        fm = tech.output(mid[:, 0], mid[:, 1], mid[:, 2])
-        floor = np.minimum(f[i], f[i + 1 :]) * (1.0 - rel_tol)
-        bad = np.nonzero(fm < floor)[0]
-        for b in bad:
-            qc_viol.append((tuple(grid[i]), tuple(grid[i + 1 + b]), float(fm[b])))
-
-    # Weak essentiality: output decays monotonically as all inputs shrink.
-    essential = True
-    scales = (1e-2, 1e-6, 1e-12, 1e-30)
-    prev = f.copy()
-    for t in scales:
-        ft = tech.output(t * grid[:, 0], t * grid[:, 1], t * grid[:, 2])
-        if np.any(ft > prev * (1.0 + rel_tol)):
-            essential = False
-            break
-        prev = ft
-    if essential and np.any(prev > 1e-2 * f):
-        essential = False
-
-    return ValidityReport(
-        monotone=not mono_viol,
-        essential=essential,
-        quasiconcave=not qc_viol,
-        monotone_violations=mono_viol,
-        quasiconcave_violations=qc_viol,
-        n_points=n,
-    )

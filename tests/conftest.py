@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from revprod.costmin import SolverError, cost_min_numeric
 from revprod.estimate import revenue_predictor
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas
@@ -91,3 +92,44 @@ def predicted_log_revenue(tech, l, m, pl, pm, s_log, cal_e, which_v):
     cols = {"L": l, "M": m, "pL": pl, "pM": pm, share: s_log}
     predict, names = revenue_predictor(tech.kind, cols, which_v)
     return predict(np.array([getattr(tech, n) for n in names]))[0] - math.log(cal_e)
+
+
+def f_inverse_root(tech, K: float, z: float, rtol: float = 1e-12) -> float:
+    """Invert y -> F(K, y) at fixed K by bracketed scalar root-finding.
+
+    Independent of the closed-form inverse: brackets the root by geometric
+    expansion and hands it to a bracketing solver on the log residual.
+    """
+    from scipy.optimize import brentq
+
+    def resid(w):
+        return math.log(tech.F(K, math.exp(w))) - math.log(z)
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        if resid(lo) < 0.0:
+            break
+        lo -= max(1.0, 0.5 * abs(lo))
+    else:
+        raise SolverError("failed to bracket F inverse from below", last_iterate=lo)
+    for _ in range(200):
+        if resid(hi) > 0.0:
+            break
+        hi += max(1.0, 0.5 * abs(hi))
+    else:
+        raise SolverError("failed to bracket F inverse from above", last_iterate=hi)
+    w = brentq(resid, lo, hi, xtol=1e-14, rtol=rtol, maxiter=300)
+    return math.exp(w)
+
+
+def factorization_check(tech, K: float, pL: float, pM: float, target: float, omega: float) -> float:
+    """Relative gap between the numeric cost and F_inverse(K, target/e^omega) * C2.
+
+    target is the planned output level gross of productivity; the inverse is
+    evaluated by root-finding rather than the closed form, so the check pits
+    three independently computed pieces against each other.
+    """
+    net = target / math.exp(omega)
+    numeric = float(cost_min_numeric(tech, K, pL, pM, net).total_cost)
+    factored = f_inverse_root(tech, K, net) * tech.unit_cost(pL, pM)
+    return abs(numeric - factored) / numeric

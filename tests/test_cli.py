@@ -165,6 +165,18 @@ def test_quantity_mode_on_revenue_only_file(ces_ini, tmp_path, caplog):
     # revenue mode on the same file still runs
     rc = main(["estimate", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--mode", "revenue", "--out", str(tmp_path)])
     assert rc == EXIT_OK
+    # verify lists only the checks whose columns the file has: the revenue
+    # identity, the reduced form and markup consistency need Q, P, eps or omega
+    rc = main(["verify", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "v1")])
+    assert rc == EXIT_OK
+    report = (tmp_path / "v1" / "verify_report.json").read_bytes()
+    assert set(json.loads(report)["violations"]) == {"foc_price_L", "foc_price_M"}
+    # and reads no shock variance: another sigma_eps gives the same bytes
+    other = tmp_path / "ces_eps.ini"
+    other.write_text(ces_ini.read_text() + "\n[shocks]\nsigma_eps = 0.25\n")
+    rc = main(["verify", str(tmp_path / "rev_only.csv"), "--config", str(other), "--out", str(tmp_path / "v2")])
+    assert rc == EXIT_OK
+    assert (tmp_path / "v2" / "verify_report.json").read_bytes() == report
 
 
 def test_malformed_row_exit_code_and_line(ces_ini, tmp_path, caplog):

@@ -6,19 +6,15 @@ import pytest
 from revprod import costmin
 from revprod.costmin import (
     SolverError,
-    c2_min,
-    closed_form_cost,
     conditional_demands,
     cost_min_numeric,
-    f_inverse_root,
-    factorization_check,
     foc_input_price,
     marginal_cost_closed_form,
     unit_cost_numeric,
 )
-from revprod.technology import CES, CobbDouglas, DomainError, evaluate_quantity
+from revprod.technology import CES, CobbDouglas, DomainError
 
-from conftest import random_point, random_technology
+from conftest import f_inverse_root, factorization_check, random_point, random_technology
 
 
 def draw_case(rng, kind):
@@ -53,10 +49,8 @@ class TestNumericOracle:
         for _ in range(200):
             tech, K, pL, pM, target = draw_case(rng, kind)
             sol = cost_min_numeric(tech, K, pL, pM, target)
-            cost = closed_form_cost(tech, K, pL, pM, target)
-            L, M, cost2, lam = conditional_demands(tech, K, pL, pM, target)
+            L, M, cost, lam = conditional_demands(tech, K, pL, pM, target)
             assert abs(sol.total_cost - cost) <= 1e-6 * cost
-            assert abs(sol.total_cost - cost2) <= 1e-6 * cost
             assert abs(sol.lam - lam) <= 1e-6 * lam
 
     def test_duality_round_trip(self):
@@ -66,7 +60,7 @@ class TestNumericOracle:
             for _ in range(30):
                 tech, K, pL, pM, target = draw_case(rng, kind)
                 sol = cost_min_numeric(tech, K, pL, pM, target)
-                q = evaluate_quantity(tech, K, sol.L_star, sol.M_star, 0.0, 0.0)
+                q = tech.output(K, sol.L_star, sol.M_star)
                 assert abs(q - target) <= 1e-8 * target
 
     def test_ces_unattainable_target_rejected(self):
@@ -108,7 +102,7 @@ class TestBatchedOracle:
         pL, pM = np.meshgrid(np.exp(np.linspace(-1.0, 1.0, 15)), np.exp(np.linspace(-1.0, 1.0, 15)))
         for tech in (CobbDouglas(0.2, 0.3, 0.45), CES(0.3, 0.4, 0.5, 0.9), CES(0.35, 0.3, -0.8, 1.1)):
             sol = unit_cost_numeric(tech, 1.0, pL, pM)
-            closed = c2_min(tech, 1.0, pL, pM)
+            closed = tech.unit_cost(pL, pM)
             assert sol.total_cost.shape == pL.shape
             assert np.max(np.abs(sol.total_cost - closed) / closed) <= 1e-12
 
@@ -126,7 +120,7 @@ class TestBatchedOracle:
 
 class TestUnitAggregateCost:
     def test_cd_symmetric_value(self):
-        assert c2_min(CobbDouglas(0.2, 0.3, 0.3), 1.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert CobbDouglas(0.2, 0.3, 0.3).unit_cost(1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_cd_closed_form_vs_numeric(self):
         rng = np.random.default_rng(37)
@@ -134,7 +128,7 @@ class TestUnitAggregateCost:
             for _ in range(25):
                 tech = random_technology(rng, kind)
                 _, _, _, pL, pM = random_point(rng)
-                closed = c2_min(tech, 1.0, pL, pM)
+                closed = tech.unit_cost(pL, pM)
                 numeric = unit_cost_numeric(tech, 1.0, pL, pM).total_cost
                 assert abs(closed - numeric) <= 1e-7 * closed
 
@@ -143,15 +137,9 @@ class TestUnitAggregateCost:
         for kind in ("CD", "CES"):
             tech = random_technology(rng, kind)
             _, _, _, pL, pM = random_point(rng)
-            c1 = c2_min(tech, 1.0, pL, pM)
-            c2 = c2_min(tech, 1.0, 2.0 * pL, 2.0 * pM)
+            c1 = tech.unit_cost(pL, pM)
+            c2 = tech.unit_cost(2.0 * pL, 2.0 * pM)
             assert abs(c2 - 2.0 * c1) <= 1e-10 * c1
-
-    def test_capital_free(self):
-        tech = CobbDouglas(0.3, 0.3, 0.4)
-        assert c2_min(tech, 0.5, 1.1, 0.9) == c2_min(tech, 8.0, 1.1, 0.9)
-        ces = CES(0.3, 0.4, 0.5, 0.9)
-        assert c2_min(ces, 0.5, 1.1, 0.9) == c2_min(ces, 8.0, 1.1, 0.9)
 
 
 class TestFactorization:
@@ -232,17 +220,17 @@ class TestMarginalCost:
 class TestFocInputPrice:
     def test_price_scaling(self):
         tech = CES(0.3, 0.4, 0.5, 0.9)
-        p1 = foc_input_price(tech, 1.0, 0.8, 1.1, 0.9, 1.1, 1.005, "M")
-        p2 = foc_input_price(tech, 1.0, 0.8, 1.1, 2.7 * 0.9, 2.7 * 1.1, 1.005, "M")
+        p1 = foc_input_price(tech, 0.8, 1.1, 0.9, 1.1, "M")
+        p2 = foc_input_price(tech, 0.8, 1.1, 2.7 * 0.9, 2.7 * 1.1, "M")
         assert p2 == pytest.approx(2.7 * p1, rel=1e-12)
 
     def test_implied_ratio_is_mrs(self):
         rng = np.random.default_rng(67)
         for kind in ("CD", "CES"):
             tech = random_technology(rng, kind)
-            K, L, M, pL, pM = random_point(rng)
-            pl_hat = foc_input_price(tech, K, L, M, pL, pM, 1.01, "L")
-            pm_hat = foc_input_price(tech, K, L, M, pL, pM, 1.01, "M")
+            _, L, M, pL, pM = random_point(rng)
+            pl_hat = foc_input_price(tech, L, M, pL, pM, "L")
+            pm_hat = foc_input_price(tech, L, M, pL, pM, "M")
             mrs = tech.h_dlevel(L, M, "L") / tech.h_dlevel(L, M, "M")
             assert pl_hat / pm_hat == pytest.approx(mrs, rel=1e-12)
 
@@ -253,5 +241,5 @@ class TestFocInputPrice:
                 tech, K, pL, pM, net = draw_case(rng, kind)
                 sol = cost_min_numeric(tech, K, pL, pM, net)
                 for which, price in (("L", pL), ("M", pM)):
-                    implied = foc_input_price(tech, K, sol.L_star, sol.M_star, pL, pM, 1.005, which)
+                    implied = foc_input_price(tech, sol.L_star, sol.M_star, pL, pM, which)
                     assert abs(implied - price) <= 1e-8 * price

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from revprod.diagnostics import (
-    IdentificationReport,
     beta_scale_scan,
     build_identification_report,
     jacobian_rank,
@@ -192,10 +191,3 @@ class TestReport:
         # silently centre a Cobb-Douglas system at (1 - beta_L - beta_M, ...)
         with pytest.raises(ValueError, match="does not match"):
             build_identification_report(ces_panel, ces_config.tech, cd_revenue_ms)
-
-    def test_json_round_trip_identical(self, ces_panel, ces_config, ces_revenue_ms):
-        rep = build_identification_report(ces_panel, ces_config.tech, ces_revenue_ms)
-        text = rep.to_json()
-        back = IdentificationReport.from_json(text)
-        assert back == rep
-        assert back.to_json() == text

@@ -1,21 +1,10 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from revprod.technology import (
-    CES,
-    CobbDouglas,
-    DomainError,
-    ParameterError,
-    evaluate_quantity,
-    h_separable,
-    markup_production_approach,
-    output_elasticity,
-    price_from_markup,
-    revenue_pf_reduced_form,
-    validate_technology,
-)
+from revprod.technology import CES, CobbDouglas, ParameterError, _check_positive, revenue_pf_reduced_form
 
 from conftest import predicted_log_revenue, random_point, random_technology
 
@@ -23,24 +12,17 @@ from conftest import predicted_log_revenue, random_point, random_technology
 class TestEvaluateQuantity:
     def test_cd_unit_inputs(self):
         tech = CobbDouglas(0.3, 0.3, 0.4)
-        assert evaluate_quantity(tech, 1.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert tech.output(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_ces_unit_inputs_shares_sum_one(self):
         tech = CES(beta_L=1 / 3, beta_M=1 / 3, sigma=0.5, v=1.1)
-        assert evaluate_quantity(tech, 1.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert tech.output(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_cd_log_linear_oracle(self):
         # independent evaluation in logs
         tech = CobbDouglas(0.3, 0.3, 0.4)
-        got = evaluate_quantity(tech, 2.0, 1.0, 1.0, 0.1, 0.0)
+        got = tech.output(2.0, 1.0, 1.0) * np.exp(0.1)
         assert got == pytest.approx(math.exp(0.3 * math.log(2.0) + 0.1), rel=1e-12)
-
-    def test_nonpositive_input_rejected(self):
-        tech = CobbDouglas(0.3, 0.3, 0.4)
-        with pytest.raises(DomainError):
-            evaluate_quantity(tech, -1.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            evaluate_quantity(tech, 1.0, 0.0, 1.0, 0.0, 0.0)
 
     def test_ces_sigma_zero_rejected_at_construction(self):
         with pytest.raises(ParameterError):
@@ -52,12 +34,12 @@ class TestEvaluateQuantity:
 class TestAggregate:
     def test_cd_unit(self):
         tech = CobbDouglas(0.1, 0.3, 0.4)
-        assert h_separable(tech, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert tech.h(1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_ces_value_two_paths(self):
         # direct evaluation and an independent log-space path
         tech = CES(beta_L=0.2, beta_M=0.3, sigma=0.5, v=1.0)
-        direct = h_separable(tech, 1.0, 4.0, 1.0)
+        direct = tech.h(4.0, 1.0)
         assert direct == pytest.approx(0.49, abs=1e-12)
         log_path = math.exp((1 / 0.5) * math.log(0.2 * 4.0**0.5 + 0.3 * 1.0**0.5))
         assert direct == pytest.approx(log_path, rel=1e-14)
@@ -67,21 +49,21 @@ class TestAggregate:
         rng = np.random.default_rng(3)
         for _ in range(50):
             tech = random_technology(rng, kind)
-            K, L, M, _, _ = random_point(rng)
+            _, L, M, _, _ = random_point(rng)
             for t in (2.5, rng.uniform(0.2, 5.0)):
-                h0 = h_separable(tech, K, L, M)
-                ht = h_separable(tech, K, t * L, t * M)
+                h0 = tech.h(L, M)
+                ht = tech.h(t * L, t * M)
                 assert abs(ht - t * h0) <= 1e-10 * t * h0
 
 
 class TestElasticities:
     def test_cd_constant(self):
         tech = CobbDouglas(0.3, 0.3, 0.4)
-        assert output_elasticity(tech, 2.0, 0.5, 3.0, "M") == pytest.approx(0.4, abs=1e-14)
+        assert tech.elasticity(2.0, 0.5, 3.0, "M") == pytest.approx(0.4, abs=1e-14)
 
     def test_ces_unit_point(self):
         tech = CES(beta_L=1 / 3, beta_M=1 / 3, sigma=0.5, v=1.2)
-        assert output_elasticity(tech, 1.0, 1.0, 1.0, "M") == pytest.approx(0.4, rel=1e-12)
+        assert tech.elasticity(1.0, 1.0, 1.0, "M") == pytest.approx(0.4, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_finite_difference_oracle(self, kind):
@@ -92,7 +74,7 @@ class TestElasticities:
             tech = random_technology(rng, kind)
             K, L, M, _, _ = random_point(rng)
             for which, args in (("K", (K, L, M)), ("L", (K, L, M)), ("M", (K, L, M))):
-                analytic = output_elasticity(tech, K, L, M, which)
+                analytic = tech.elasticity(K, L, M, which)
 
                 def logq(scale):
                     KK, LL, MM = K, L, M
@@ -102,7 +84,7 @@ class TestElasticities:
                         LL = L * scale
                     else:
                         MM = M * scale
-                    return math.log(evaluate_quantity(tech, KK, LL, MM, 0.0, 0.0))
+                    return math.log(tech.output(KK, LL, MM))
 
                 fd = (logq(math.exp(step)) - logq(math.exp(-step))) / (2 * step)
                 if analytic == 0.0:
@@ -110,40 +92,18 @@ class TestElasticities:
                 else:
                     assert abs(fd - analytic) <= 1e-6 * abs(analytic)
 
-    def test_unknown_input_name(self):
-        with pytest.raises(ValueError):
-            output_elasticity(CobbDouglas(0.3, 0.3, 0.4), 1, 1, 1, "X")
-
-
-class TestMarkupOps:
-    def test_direct_ratio(self):
-        assert markup_production_approach(0.4, 0.32) == pytest.approx(1.25, abs=1e-14)
-
-    def test_unit_markup(self):
-        assert markup_production_approach(0.37, 0.37) == pytest.approx(1.0, abs=1e-14)
-
-    def test_share_domain_error(self):
-        with pytest.raises(DomainError):
-            markup_production_approach(0.4, 0.0)
-        with pytest.raises(DomainError):
-            markup_production_approach(0.4, -0.1)
-
-    def test_price_from_markup(self):
-        assert price_from_markup(1.0, 2.0) == pytest.approx(2.0)
-        assert price_from_markup(4 / 3, 0.75) == pytest.approx(1.0, rel=1e-14)
-
 
 class TestRevenuePredictors:
     def test_cd_capital_exponent_absent(self, small_cd_panel):
         p = small_cd_panel
-        args = (p.col("K"), p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), 1.005, "M")
+        args = (p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), 1.005, "M")
         a = revenue_pf_reduced_form(CobbDouglas(0.2, 0.3, 0.4), *args)
         b = revenue_pf_reduced_form(CobbDouglas(0.4, 0.3, 0.4), *args)
         assert np.array_equal(a, b)
 
     def test_ces_returns_to_scale_absent(self, small_ces_panel):
         p = small_ces_panel
-        args = (p.col("K"), p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), 1.005, "M")
+        args = (p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), 1.005, "M")
         a = revenue_pf_reduced_form(CES(0.3, 0.4, 0.5, 0.8), *args)
         b = revenue_pf_reduced_form(CES(0.3, 0.4, 0.5, 1.2), *args)
         assert np.array_equal(a, b)
@@ -175,10 +135,10 @@ class TestRevenuePredictors:
         rng = np.random.default_rng(11)
         for _ in range(40):
             tech = random_technology(rng, kind)
-            K, L, M, pL, pM = random_point(rng)
+            _, L, M, pL, pM = random_point(rng)
             s_star = rng.uniform(0.1, 0.6)
             cal_e = math.exp(0.5 * rng.uniform(0.0, 0.3) ** 2)
-            red = revenue_pf_reduced_form(tech, K, L, M, pL, pM, s_star, cal_e, which_v)
+            red = revenue_pf_reduced_form(tech, L, M, pL, pM, s_star, cal_e, which_v)
             par = predicted_log_revenue(
                 tech, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, which_v
             )
@@ -212,19 +172,90 @@ class TestRevenuePredictors:
     def test_two_input_consistency_on_panel(self, ces_panel, ces_config):
         # both flexible-input variants predict the same planned revenue
         p, tech, cal = ces_panel, ces_config.tech, ces_config.shocks.cal_e
-        rl = revenue_pf_reduced_form(tech, p.col("K"), p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sL_star"), cal, "L")
-        rm = revenue_pf_reduced_form(tech, p.col("K"), p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), cal, "M")
+        rl = revenue_pf_reduced_form(tech, p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sL_star"), cal, "L")
+        rm = revenue_pf_reduced_form(tech, p.col("L"), p.col("M"), p.col("pL"), p.col("pM"), p.col("sM_star"), cal, "M")
         assert np.max(np.abs(rl - rm) / rm) < 1e-8
 
     def test_markup_consistency_on_panel(self, ces_panel, ces_config):
         p, tech = ces_panel, ces_config.tech
-        mu_l = markup_production_approach(
-            output_elasticity(tech, p.col("K"), p.col("L"), p.col("M"), "L"), p.col("sL_star")
-        )
-        mu_m = markup_production_approach(
-            output_elasticity(tech, p.col("K"), p.col("L"), p.col("M"), "M"), p.col("sM_star")
-        )
+        mu_l = tech.elasticity(p.col("K"), p.col("L"), p.col("M"), "L") / p.col("sL_star")
+        mu_m = tech.elasticity(p.col("K"), p.col("L"), p.col("M"), "M") / p.col("sM_star")
         assert np.max(np.abs(mu_l - mu_m)) < 1e-8
+
+
+@dataclass
+class ValidityReport:
+    """Grid-based check of monotonicity, weak essentiality and quasi-concavity."""
+
+    monotone: bool
+    essential: bool
+    quasiconcave: bool
+    monotone_violations: list
+    quasiconcave_violations: list
+    n_points: int
+
+    @property
+    def passed(self) -> bool:
+        return self.monotone and self.essential and self.quasiconcave
+
+
+def validate_technology(tech, grid: np.ndarray, rel_tol: float = 1e-10) -> ValidityReport:
+    """Check production-set properties on a sample of strictly positive input points.
+
+    grid has shape (n, 3) with columns (K, L, M).  Monotonicity and
+    quasi-concavity are tested pairwise on the grid; weak essentiality is
+    tested by shrinking every point toward the origin and requiring output
+    to decay toward zero.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != 3 or grid.shape[0] == 0:
+        raise ValueError("grid must be a nonempty (n, 3) array of (K, L, M) points")
+    _check_positive(grid=grid)
+
+    n = grid.shape[0]
+    f = tech.output(grid[:, 0], grid[:, 1], grid[:, 2])
+
+    mono_viol = []
+    qc_viol = []
+    # Pairwise dominance test: x' >= x componentwise must not lower output.
+    dominates = np.all(grid[:, None, :] >= grid[None, :, :], axis=2)
+    for i in range(n):
+        for j in range(n):
+            if i != j and dominates[i, j] and f[i] < f[j] * (1.0 - rel_tol):
+                mono_viol.append((tuple(grid[j]), tuple(grid[i]), float(f[j]), float(f[i])))
+
+    # Quasi-concavity via midpoints: F(midpoint) >= min of the endpoints.
+    for i in range(n):
+        mid = 0.5 * (grid[i] + grid[i + 1 :])
+        if mid.size == 0:
+            continue
+        fm = tech.output(mid[:, 0], mid[:, 1], mid[:, 2])
+        floor = np.minimum(f[i], f[i + 1 :]) * (1.0 - rel_tol)
+        bad = np.nonzero(fm < floor)[0]
+        for b in bad:
+            qc_viol.append((tuple(grid[i]), tuple(grid[i + 1 + b]), float(fm[b])))
+
+    # Weak essentiality: output decays monotonically as all inputs shrink.
+    essential = True
+    scales = (1e-2, 1e-6, 1e-12, 1e-30)
+    prev = f.copy()
+    for t in scales:
+        ft = tech.output(t * grid[:, 0], t * grid[:, 1], t * grid[:, 2])
+        if np.any(ft > prev * (1.0 + rel_tol)):
+            essential = False
+            break
+        prev = ft
+    if essential and np.any(prev > 1e-2 * f):
+        essential = False
+
+    return ValidityReport(
+        monotone=not mono_viol,
+        essential=essential,
+        quasiconcave=not qc_viol,
+        monotone_violations=mono_viol,
+        quasiconcave_violations=qc_viol,
+        n_points=n,
+    )
 
 
 class TestValidateTechnology:
