@@ -61,6 +61,13 @@ def _validator(schema_name: str):
 def _write_json(payload: dict, path: Path, schema_name: str) -> None:
     _validator(schema_name).validate(payload)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    logger.info("wrote %s", path)
+
+
+def _out_dir(args, cfg: RunConfig) -> Path:
+    out_dir = Path(args.out or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _provenance(command: str, cfg: RunConfig, outputs, extra=None) -> dict:
@@ -82,14 +89,13 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, require_seed=args.seed is None)
     if args.seed is not None:
         cfg.sim = replace(cfg.sim, seed=args.seed)
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, cfg)
     panel = simulate_panel(cfg.sim)
     panel_path = out_dir / "panel.csv"
     write_panel_csv(panel, panel_path)
+    logger.info("wrote %s (%d rows)", panel_path, len(panel))
     prov = _provenance("simulate", cfg, [panel_path.name], extra={"n_rows": len(panel)})
     _write_json(prov, out_dir / "provenance.json", "provenance.schema.json")
-    logger.info("wrote %s (%d rows)", panel_path, len(panel))
     return EXIT_OK
 
 
@@ -118,16 +124,12 @@ def cmd_estimate(args) -> int:
         seed=est.restart_seed,
         screen=est.screen,
     )
-    payload = result.to_dict()
+    payload = {k: v for k, v in asdict(result).items() if v is not None}
     payload.update(extra)
     payload["provenance"] = _provenance(
         "estimate", cfg, [], extra={"panel": Path(args.panel).name, "mode": mode}
     )
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"estimate_{mode}.json"
-    _write_json(payload, out_path, "estimate_result.schema.json")
-    logger.info("wrote %s", out_path)
+    _write_json(payload, _out_dir(args, cfg) / f"estimate_{mode}.json", "estimate_result.schema.json")
     return EXIT_OK
 
 
@@ -157,13 +159,10 @@ def cmd_diagnose(args) -> int:
         if args.grid:
             center = [getattr(cfg.sim.tech, n) for n in ms.param_names]
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, cfg)
 
     report = build_identification_report(panel, cfg.sim.tech, ms, which_v=est.which_v)
-    report_path = out_dir / "identification_report.json"
-    _write_json(asdict(report), report_path, "identification_report.schema.json")
-    logger.info("wrote %s", report_path)
+    _write_json(asdict(report), out_dir / "identification_report.json", "identification_report.schema.json")
 
     if args.scan:
         if curve is None:
@@ -183,17 +182,7 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     report = verify_panel(panel, cfg.sim)
-    payload = {
-        "n_rows": report.n_rows,
-        "violations": report.violations,
-        "first_bad_rows": report.first_bad_rows,
-        "passed": report.passed,
-    }
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "verify_report.json"
-    _write_json(payload, out_path, "verify_report.schema.json")
-    logger.info("wrote %s", out_path)
+    _write_json(asdict(report), _out_dir(args, cfg) / "verify_report.json", "verify_report.schema.json")
     if not report.passed:
         logger.error("panel failed verification: %s", report.violations)
         return EXIT_VALIDATION

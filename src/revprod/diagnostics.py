@@ -152,7 +152,6 @@ def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
 class RankDiagnostics:
     """SVD of the exact moment Jacobian (MomentSystem.jacobian) at a parameter point."""
 
-    param_names: tuple
     singular_values: list
     rank: int
     deficiency: int
@@ -181,7 +180,6 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     null = Vt[rank:]
 
     diag = RankDiagnostics(
-        param_names=ms.param_names,
         # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0
         singular_values=[float(v) + 0.0 for v in s],
         rank=rank,
@@ -335,7 +333,7 @@ def build_identification_report(
         profiles[name] = profile_scan(ms, name, grid, theta0)
     profiles["beta_scale"] = beta_scale_scan(ms, theta0)
 
-    rank = jacobian_rank(ms, theta0)
+    rank = asdict(jacobian_rank(ms, theta0))
     omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v)
 
     verdicts = {}
@@ -349,8 +347,6 @@ def build_identification_report(
             verdicts[name] = "identified"
     if omega_rec.skipped:
         verdicts["omega"] = "unknown (no omega column)"
-    elif ms.mode == "revenue":
-        verdicts["omega"] = "not identified" if not omega_rec.carries_signal else "identified"
     else:
         verdicts["omega"] = "identified" if omega_rec.carries_signal else "not identified"
 
@@ -363,23 +359,10 @@ def build_identification_report(
         contrast_gap=gap_contrast,
         contrast_param=contrast_param,
         profiles={k: asdict(v) for k, v in profiles.items()},
-        singular_values=rank.singular_values,
-        null_directions=rank.null_directions,
-        rank={
-            "rank": rank.rank,
-            "deficiency": rank.deficiency,
-            "deficiency_after_ratio_projection": rank.deficiency_after_ratio_projection,
-            "scale_direction_in_null": rank.scale_direction_in_null,
-            "residual_axis": rank.residual_axis,
-            "residual_alignment": rank.residual_alignment,
-        },
-        omega_recovery={
-            "mode": omega_rec.mode,
-            "correlation": omega_rec.correlation,
-            "bound": omega_rec.bound,
-            "n_obs": omega_rec.n_obs,
-            "skipped": omega_rec.skipped,
-        },
+        singular_values=rank.pop("singular_values"),
+        null_directions=rank.pop("null_directions"),
+        rank=rank,
+        omega_recovery=asdict(omega_rec),
         verdicts=verdicts,
         thresholds={"flat_tol": FLAT_TOL, "rank_rtol": RANK_RTOL},
     )

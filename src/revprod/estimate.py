@@ -111,7 +111,7 @@ _MIN_CAPITAL_SHARE = 5e-3
 
 
 class EstimationError(RuntimeError):
-    """Raised when every GMM restart fails or there is no two-step weight."""
+    """Raised when the moment covariance gives no two-step weight."""
 
 
 # ---------------------------------------------------------------------------
@@ -676,43 +676,25 @@ def build_revenue_moments(
 
 @dataclass
 class EstimateResult:
-    """Point estimates plus the full set of local minima found by multi-start."""
+    """Point estimates plus the full set of local minima found by multi-start.
+
+    Every value is stored JSON-ready (lists, dicts, Python floats), so that
+    dataclasses.asdict of a result, less its None fields, is the estimate
+    artifact.
+    """
 
     mode: str
     tech_kind: str
-    param_names: tuple
+    param_names: list
     estimates: dict
     objective: float
     weighting: str
-    moment_cov: np.ndarray
+    moment_cov: list
     minima: list
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
     seed: int
     identified: Optional[dict] = None  # revenue systems only
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([self.estimates[n] for n in self.param_names])
-
-    def to_dict(self) -> dict:
-        payload = {
-            "mode": self.mode,
-            "tech_kind": self.tech_kind,
-            "param_names": list(self.param_names),
-            "estimates": {k: float(v) for k, v in self.estimates.items()},
-            "objective": float(self.objective),
-            "weighting": self.weighting,
-            "moment_cov": [[float(x) for x in row] for row in np.asarray(self.moment_cov)],
-            "minima": self.minima,
-            "diagnostics": self.diagnostics,
-            "seed": self.seed,
-        }
-        if self.g_coefficients is not None:
-            payload["g_coefficients"] = [float(c) for c in self.g_coefficients]
-        if self.identified is not None:
-            payload["identified"] = {k: float(v) for k, v in self.identified.items()}
-        return payload
 
 
 def _draw_starts(ms: MomentSystem, lo, hi, to_theta, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
@@ -875,8 +857,6 @@ def gmm_minimize(
             bounds=bounds,
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
-        if not np.all(np.isfinite(res.x)):
-            return {"start_index": int(idx), "failed": True, "message": str(res.message)}
         on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
         at_bound = [n for n, b in zip(names, on_bound) if b]
         return {
@@ -891,20 +871,13 @@ def gmm_minimize(
             "n_evals": int(res.nfev),
         }
 
-    def run_stage(W, jobs):
-        outcomes = [solve_one(idx, x0, n, W) for idx, x0, n in jobs]
-        found = [o for o in outcomes if not o.get("failed")]
-        if not found:
-            raise EstimationError("all GMM restarts failed to converge")
-        return found
-
-    minima = run_stage(None, [(idx, x0, 1) for idx, x0 in enumerate(starts)])
+    minima = [solve_one(idx, x0, 1, None) for idx, x0 in enumerate(starts)]
     best = min(minima, key=lambda m: m["objective"])
 
     if weighting == "two-step":
         W = _two_step_weight(ms, to_theta(best["theta"]))
         groups = _group_minima(minima, lo, hi)
-        minima = run_stage(W, [(rep["start_index"], rep["theta"], n) for rep, n in groups])
+        minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in groups]
         best = min(minima, key=lambda m: m["objective"])
 
     for m in minima:
@@ -924,7 +897,7 @@ def gmm_minimize(
     g_coefficients = None
     if ms.g_degree is not None:
         diagnostics["g_degree"] = int(ms.g_degree)
-        g_coefficients = list(ms.g_coefficients(theta_hat))
+        g_coefficients = ms.g_coefficients(theta_hat).tolist()
     estimates = {n: float(v) for n, v in zip(ms.param_names, theta_hat)}
     identified = None
     if ms.mode == "revenue":
@@ -936,11 +909,11 @@ def gmm_minimize(
     return EstimateResult(
         mode=ms.mode,
         tech_kind=ms.tech_kind,
-        param_names=ms.param_names,
+        param_names=list(ms.param_names),
         estimates=estimates,
         objective=float(best["objective"]),
         weighting=weighting,
-        moment_cov=ms.moment_covariance(theta_hat),
+        moment_cov=ms.moment_covariance(theta_hat).tolist(),
         minima=minima,
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,

@@ -109,13 +109,6 @@ class Panel:
         return self.data.get(name) is not None
 
     @property
-    def qstar(self) -> np.ndarray:
-        """Planned output Q / exp(eps); requires the Q and eps columns."""
-        if not (self.has("Q") and self.has("eps")):
-            raise PanelFormatError("Qstar requires the Q and eps columns")
-        return self.data["Q"] / np.exp(self.data["eps"])
-
-    @property
     def rstar(self) -> np.ndarray:
         """Planned revenue P * Qstar = R / exp(eps)."""
         if not self.has("eps"):

@@ -336,10 +336,7 @@ class PanelCheckReport:
     n_rows: int
     violations: dict
     first_bad_rows: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(v == 0 for v in self.violations.values())
+    passed: bool
 
 
 def verify_panel(panel: Panel, cfg: SimConfig) -> PanelCheckReport:
@@ -383,4 +380,5 @@ def verify_panel(panel: Panel, cfg: SimConfig) -> PanelCheckReport:
         mu_share = tech.elasticity(K, L, M, "M") / panel.col("sM_star")
         record("markup_consistency", np.abs(mu_price - mu_share) > 1e-8 * mu_share)
 
-    return PanelCheckReport(n_rows=len(panel), violations=violations, first_bad_rows=first_bad)
+    passed = all(v == 0 for v in violations.values())
+    return PanelCheckReport(n_rows=len(panel), violations=violations, first_bad_rows=first_bad, passed=passed)

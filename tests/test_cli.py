@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -12,8 +13,10 @@ import pytest
 import revprod
 from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
 from revprod.config import EstimationSettings, parse_config
+from revprod.diagnostics import build_identification_report
+from revprod.estimate import build_quantity_moments, build_revenue_moments, first_stage_project, gmm_minimize
 from revprod.panel_io import read_panel_csv
-from revprod.simulate import SimConfig
+from revprod.simulate import SimConfig, verify_panel
 from revprod.technology import CES, CobbDouglas
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -443,6 +446,37 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
         stale[block][key] = 1e-5
         with pytest.raises(jsonschema.ValidationError, match=key):
             _write_json(stale, tmp_path / "stale.json", "identification_report.schema.json")
+
+
+def test_artifacts_are_asdict_of_results(cd_ini, tmp_path):
+    # each command writes asdict of what the API returns on the same inputs, less its None fields
+    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
+    panel_path = str(tmp_path / "panel.csv")
+    for argv in (["verify"], ["estimate", "--mode", "quantity"], ["estimate", "--mode", "revenue"], ["diagnose"]):
+        assert main([argv[0], panel_path, *argv[1:], "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
+    cfg = parse_config(cd_ini)
+    est = cfg.estimation
+    panel = read_panel_csv(panel_path)
+    kind = cfg.sim.tech.kind
+    revenue = build_revenue_moments(kind, panel, which_v=est.which_v)
+    fs = first_stage_project(panel, est.first_stage_degree)
+    quantity = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree)
+
+    def fit(ms):
+        return gmm_minimize(ms, weighting=est.weighting, restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
+
+    expected = {
+        "verify_report.json": verify_panel(panel, cfg.sim),
+        "estimate_quantity.json": fit(quantity),
+        "estimate_revenue.json": fit(revenue),
+        "identification_report.json": build_identification_report(panel, cfg.sim.tech, revenue, which_v=est.which_v),
+    }
+    for name, result in expected.items():
+        written = json.loads((tmp_path / name).read_text())
+        for key in ("provenance", "first_stage"):
+            written.pop(key, None)
+        payload = json.loads(json.dumps(asdict(result)))
+        assert written == {k: v for k, v in payload.items() if v is not None}, name
 
 
 def test_shipped_schemas_pass_metaschema():

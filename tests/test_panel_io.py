@@ -59,8 +59,6 @@ def test_revenue_only_file(small_cd_panel, tmp_path):
     back = read_panel_csv(path)
     assert not back.has("Q") and not back.has("omega")
     assert back.has("R")
-    with pytest.raises(PanelFormatError):
-        back.qstar
 
 
 def test_malformed_row_names_line(tmp_path):

@@ -72,8 +72,11 @@ class TestShockHandling:
         assert np.array_equal(panel.col("R"), panel.rstar)
         assert np.all(panel.col("eps") == 0.0)
 
-    def test_realized_vs_planned_output(self, ces_panel):
-        assert np.allclose(ces_panel.col("Q"), ces_panel.qstar * np.exp(ces_panel.col("eps")), rtol=1e-14)
+    def test_realized_vs_planned_output(self, ces_panel, ces_config):
+        # planned output Q / exp(eps) is the technology's output times exp(omega)
+        planned = ces_panel.col("Q") / np.exp(ces_panel.col("eps"))
+        K, L, M = ces_panel.col("K"), ces_panel.col("L"), ces_panel.col("M")
+        assert np.allclose(planned, ces_config.tech.output(K, L, M) * np.exp(ces_panel.col("omega")), rtol=1e-14)
 
 
 class TestVerifyPanel:
