@@ -59,6 +59,13 @@ def _check_positive(**named) -> None:
             raise DomainError(f"{name} must be finite and strictly positive")
 
 
+def _pick(which: str, **by_input):
+    """The value for the input named which; any other name raises a ValueError listing the inputs."""
+    if which not in by_input:
+        raise ValueError(f"unknown input {which!r}; expected one of {', '.join(by_input)}")
+    return by_input[which]
+
+
 def _const_like(value: float, *refs):
     """Broadcast a constant to the common shape of the reference arrays."""
     shape = np.broadcast(*[np.asarray(r) for r in refs]).shape
@@ -106,11 +113,11 @@ class CobbDouglas:
     def h_dlog(self, L, M, which: str):
         """Derivative of h with respect to the log of one flexible input."""
         a = self.labor_weight
-        w = {"L": a, "M": 1.0 - a}[which]
+        w = _pick(which, L=a, M=1.0 - a)
         return w * self.h(L, M)
 
     def h_dlevel(self, L, M, which: str):
-        V = {"L": L, "M": M}[which]
+        V = _pick(which, L=L, M=M)
         return self.h_dlog(L, M, which) / np.asarray(V, float)
 
     def F(self, K, y):
@@ -128,7 +135,7 @@ class CobbDouglas:
         return self.F(K, self.h(L, M))
 
     def elasticity(self, K, L, M, which: str):
-        beta = {"K": self.beta_K, "L": self.beta_L, "M": self.beta_M}[which]
+        beta = _pick(which, K=self.beta_K, L=self.beta_L, M=self.beta_M)
         return _const_like(beta, K, L, M)
 
     # -- dual objects (self-dual family, closed forms) -------------------
@@ -184,12 +191,12 @@ class CES:
 
     def h_dlog(self, L, M, which: str):
         s = self.sigma
-        bV = {"L": self.beta_L, "M": self.beta_M}[which]
-        V = np.asarray({"L": L, "M": M}[which], float)
+        bV = _pick(which, L=self.beta_L, M=self.beta_M)
+        V = np.asarray(_pick(which, L=L, M=M), float)
         return bV * V ** s * self.h(L, M) ** (1.0 - s)
 
     def h_dlevel(self, L, M, which: str):
-        V = np.asarray({"L": L, "M": M}[which], float)
+        V = np.asarray(_pick(which, L=L, M=M), float)
         return self.h_dlog(L, M, which) / V
 
     def F(self, K, y):
@@ -220,8 +227,8 @@ class CES:
 
     def elasticity(self, K, L, M, which: str):
         s = self.sigma
-        bV = {"K": self.beta_K, "L": self.beta_L, "M": self.beta_M}[which]
-        V = np.asarray({"K": K, "L": L, "M": M}[which], float)
+        bV = _pick(which, K=self.beta_K, L=self.beta_L, M=self.beta_M)
+        V = np.asarray(_pick(which, K=K, L=L, M=M), float)
         den = (
             self.beta_K * np.asarray(K, float) ** s
             + self.beta_L * np.asarray(L, float) ** s

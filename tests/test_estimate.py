@@ -11,8 +11,10 @@ from revprod.cli import _validator
 from revprod.config import parse_config
 from revprod.estimate import (
     _MIN_CAPITAL_SHARE,
+    _SAME_J_RTOL,
     BASIC_INSTRUMENTS,
     DEFAULT_INSTRUMENTS,
+    _expects_no_new_minimum,
     _group_minima,
     _instrument_matrix,
     _two_step_weight,
@@ -491,10 +493,13 @@ class TestGmmMinimize:
     def test_revenue_flat_coordinates_at_normalisation(self, ces_panel, cd_panel, weighting):
         # the search moves only what revenue identifies, so every minimum sits
         # at the stated normalisation in the flat coordinates
-        for kind, panel, flat in (("CES", ces_panel, "v"), ("CD", cd_panel, "beta_K")):
+        # CES revenue holds three minima, so its searches run to the cap; CD revenue holds one
+        cases = (("CES", ces_panel, "v", 20, "restart cap"), ("CD", cd_panel, "beta_K", 8, "no new minimum expected"))
+        for kind, panel, flat, searches, stop_reason in cases:
             ms = build_revenue_moments(kind, panel)
             res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
-            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == 20
+            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == searches
+            assert res.diagnostics["stop_reason"] == stop_reason
             norm = res.diagnostics["normalisation"]
             assert set(norm) == {"beta_L+beta_M", flat}
             for m in res.minima:
@@ -525,7 +530,9 @@ class TestGmmMinimize:
         res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         assert len(res.minima) == 1
         (only,) = res.minima
-        assert only["n_starts"] == 20 == res.diagnostics["n_restarts"]
+        # one minimum: the stopping rule ends the stage-one searches after 8 of the 20 allowed
+        assert only["n_starts"] == 8 == res.diagnostics["n_restarts"]
+        assert res.diagnostics["stop_reason"] == "no new minimum expected"
         assert only["converged"] is True
         assert only["at_bound"] == []
 
@@ -555,6 +562,12 @@ class TestGmmMinimize:
         # equal J: the lower start_index represents the group
         groups = _group_minima([minimum(3, 1.0, 1e-6), minimum(2, 1.0, 0.0)], lo, hi)
         assert [(rep["start_index"], n) for rep, n in groups] == [(2, 2)]
+        # J within _SAME_J_RTOL of the best is a tie, so rounding does not pick the representative
+        near = 1.0 + 0.5 * _SAME_J_RTOL
+        groups = _group_minima([minimum(4, near, 0.0), minimum(6, 1.0, 1e-6), minimum(5, 1.0, 0.0)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(4, 3)]
+        groups = _group_minima([minimum(4, 1.0 + 2.0 * _SAME_J_RTOL, 0.0), minimum(6, 1.0, 1e-6)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(6, 2)]
         # 1e-3 of the width apart: two minima
         groups = _group_minima([minimum(0, 1.0, 0.0), minimum(1, 1.0, 1e-3)], lo, hi)
         assert [(rep["start_index"], n) for rep, n in groups] == [(0, 1), (1, 1)]
@@ -563,6 +576,38 @@ class TestGmmMinimize:
         far["theta"][1] += 1e-3 * width[1]
         groups = _group_minima([minimum(0, 1.0, 0.0), far], lo, hi)
         assert [n for _, n in groups] == [1, 1]
+
+    def test_stopping_rule_arithmetic(self):
+        # the first search count at which the rule stops, for w distinct minima found
+        first_stop = {w: next((n for n in range(1, 21) if _expects_no_new_minimum(n, w)), None) for w in (1, 2, 3)}
+        assert first_stop == {1: 8, 2: 17, 3: None}
+        assert not any(_expects_no_new_minimum(n, w) for w in range(1, 21) for n in range(1, 8))
+
+    @pytest.mark.parametrize("weighting", ["identity", "two-step"])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_stopping_rule_keeps_every_minimum(self, kind, mode, weighting, cd_panel, ces_panel, monkeypatch):
+        panel = cd_panel if kind == "CD" else ces_panel
+        if mode == "quantity":
+            ms = build_quantity_moments(kind, first_stage_project(panel, 3), panel)
+        else:
+            ms = build_revenue_moments(kind, panel)
+
+        def distinct(res):
+            found = []
+            for m in sorted(res.minima, key=lambda m: m["objective"]):
+                if not any(m["at_bound"] == b and m["objective"] == pytest.approx(j, rel=1e-8) for j, b in found):
+                    found.append((m["objective"], m["at_bound"]))
+            return found
+
+        ruled = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
+        monkeypatch.setattr(estimate, "_expects_no_new_minimum", lambda n, w: False)
+        full = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
+        assert full.diagnostics["n_restarts"] == 20
+        assert full.diagnostics["stop_reason"] == "restart cap"
+        assert [b for _, b in distinct(ruled)] == [b for _, b in distinct(full)]
+        for (j, _), (j_full, _) in zip(distinct(ruled), distinct(full)):
+            assert j == pytest.approx(j_full, rel=1e-8)
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)

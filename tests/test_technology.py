@@ -93,6 +93,22 @@ class TestElasticities:
                     assert abs(fd - analytic) <= 1e-6 * abs(analytic)
 
 
+@pytest.mark.parametrize("tech", [CobbDouglas(), CES()], ids=["CD", "CES"])
+@pytest.mark.parametrize(
+    "method, args, allowed",
+    [
+        ("elasticity", (2.0, 0.5, 3.0), "K, L, M"),
+        ("h_dlog", (0.5, 3.0), "L, M"),
+        ("h_dlevel", (0.5, 3.0), "L, M"),
+    ],
+)
+def test_unknown_input_name_rejected(tech, method, args, allowed):
+    # names are case-sensitive, and K is an input of the technology but not of the aggregate h
+    for which in sorted({"X", "l", "K"} - set(allowed.split(", "))):
+        with pytest.raises(ValueError, match=f"unknown input '{which}'; expected one of {allowed}$"):
+            getattr(tech, method)(*args, which)
+
+
 class TestRevenuePredictors:
     def test_cd_capital_exponent_absent(self, small_cd_panel):
         p = small_cd_panel
