@@ -70,17 +70,9 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out_dir
 
 
-def _provenance(command: str, cfg: RunConfig, outputs, extra=None) -> dict:
-    record = {
-        "command": command,
-        "config_sha256": cfg.config_sha256,
-        "seed": int(cfg.sim.seed),
-        "version": __version__,
-        "outputs": [str(o) for o in outputs],
-    }
-    if extra:
-        record.update(extra)
-    return record
+def _provenance(command: str, cfg: RunConfig, **fields) -> dict:
+    """Command, config hash and version, plus the fields the command has to record."""
+    return {"command": command, "config_sha256": cfg.config_sha256, "version": __version__, **fields}
 
 
 def cmd_simulate(args) -> int:
@@ -94,7 +86,7 @@ def cmd_simulate(args) -> int:
     panel_path = out_dir / "panel.csv"
     write_panel_csv(panel, panel_path)
     logger.info("wrote %s (%d rows)", panel_path, len(panel))
-    prov = _provenance("simulate", cfg, [panel_path.name], extra={"n_rows": len(panel)})
+    prov = _provenance("simulate", cfg, seed=int(cfg.sim.seed), outputs=[panel_path.name], n_rows=len(panel))
     _write_json(prov, out_dir / "provenance.json", "provenance.schema.json")
     return EXIT_OK
 
@@ -126,9 +118,7 @@ def cmd_estimate(args) -> int:
     )
     payload = {k: v for k, v in asdict(result).items() if v is not None}
     payload.update(extra)
-    payload["provenance"] = _provenance(
-        "estimate", cfg, [], extra={"panel": Path(args.panel).name, "mode": mode}
-    )
+    payload["provenance"] = _provenance("estimate", cfg, panel=Path(args.panel).name, mode=mode)
     _write_json(payload, _out_dir(args, cfg) / f"estimate_{mode}.json", "estimate_result.schema.json")
     return EXIT_OK
 

@@ -58,7 +58,6 @@ class RunConfig:
     estimation: EstimationSettings
     out_dir: str
     config_sha256: str
-    path: str
 
 
 _SECTIONS = ("run", "technology", "demand", "productivity", "capital", "prices", "shocks", "panel", "estimation", "diagnostics")
@@ -167,5 +166,4 @@ def parse_config(path, require_seed: bool = False) -> RunConfig:
         estimation=est,
         out_dir=out_dir,
         config_sha256=hashlib.sha256(text.encode()).hexdigest(),
-        path=str(path),
     )

@@ -92,6 +92,12 @@ def _flatness(values: np.ndarray) -> float:
     return float((values.max() - values.min()) / max(1.0, values.min()))
 
 
+def _scan(ms: MomentSystem, param: str, grid: Sequence[float], thetas: np.ndarray) -> ProfileCurve:
+    """The objective at each row of thetas, as the curve of param over grid."""
+    vals = np.array([ms.objective(theta) for theta in thetas])
+    return ProfileCurve(param=param, grid=[float(g) for g in grid], objective=vals.tolist(), flatness=_flatness(vals))
+
+
 def profile_scan(
     ms: MomentSystem, param_name: str, grid: Sequence[float], other_params: Sequence[float]
 ) -> ProfileCurve:
@@ -106,20 +112,9 @@ def profile_scan(
         singular = [float(g) for g in grid if g in (0.0, 1.0)]
         if singular:
             raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
-    j = ms.param_names.index(param_name)
-    theta = np.asarray(other_params, float).copy()
-    vals = []
-    for g in grid:
-        theta_g = theta.copy()
-        theta_g[j] = g
-        vals.append(ms.objective(theta_g))
-    vals = np.asarray(vals)
-    return ProfileCurve(
-        param=param_name,
-        grid=[float(g) for g in grid],
-        objective=[float(v) for v in vals],
-        flatness=_flatness(vals),
-    )
+    thetas = np.tile(np.asarray(other_params, float), (len(grid), 1))
+    thetas[:, ms.param_names.index(param_name)] = grid
+    return _scan(ms, param_name, grid, thetas)
 
 
 def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
@@ -129,23 +124,10 @@ def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
     unresolved; for revenue systems it is exactly flat, for quantity systems
     it is not.
     """
-    center = np.asarray(center, float)
     scale_grid = np.linspace(0.7, 1.3, 25)
-    jL = ms.param_names.index("beta_L")
-    jM = ms.param_names.index("beta_M")
-    vals = []
-    for c in scale_grid:
-        theta = center.copy()
-        theta[jL] *= c
-        theta[jM] *= c
-        vals.append(ms.objective(theta))
-    vals = np.asarray(vals)
-    return ProfileCurve(
-        param="beta_scale",
-        grid=[float(c) for c in scale_grid],
-        objective=[float(v) for v in vals],
-        flatness=_flatness(vals),
-    )
+    thetas = np.tile(np.asarray(center, float), (scale_grid.size, 1))
+    thetas[:, [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]] *= scale_grid[:, None]
+    return _scan(ms, "beta_scale", scale_grid, thetas)
 
 
 @dataclass

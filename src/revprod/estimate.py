@@ -606,7 +606,7 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
 
 def build_quantity_moments(
     tech_kind: str,
-    fitted_qstar,
+    first_stage: FirstStage,
     panel: Panel,
     g_degree: int = 1,
     instruments: Sequence[str] = DEFAULT_INSTRUMENTS,
@@ -614,13 +614,12 @@ def build_quantity_moments(
     """Moment system on the quantity production function (identified benchmark)."""
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
-    fitted = fitted_qstar.fitted if isinstance(fitted_qstar, FirstStage) else np.asarray(fitted_qstar, float)
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M"))
     predict, names = _quantity_predictor(tech_kind, cols)
     Z = _instrument_matrix(panel, cur, lag, instruments)
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
-        closed_form = _LinearMarkovMoments(fitted, cols, cur, lag, Z)
+        closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -630,7 +629,7 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         n_obs=cur.size,
         _predict=predict,
-        _residual=_MarkovInnovation(fitted, cur, lag, g_degree),
+        _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
         g_degree=g_degree,
         _closed_form=closed_form,
     )
@@ -774,7 +773,7 @@ _AT_BOUND_TOL = 1e-10
 
 
 def _group_minima(minima, lo, hi):
-    """Stage-one minima grouped as one minimum each, as (representative, size).
+    """Minima grouped as one minimum each, as (representative, total n_starts of its members).
 
     Minima are taken in order of objective, ties broken by start_index; each
     joins the first group whose best member lies within
@@ -796,7 +795,7 @@ def _group_minima(minima, lo, hi):
     reps = []
     for g in groups:
         near = [m for m in g if m["objective"] <= g[0]["objective"] * (1.0 + _SAME_J_RTOL)]
-        reps.append((min(near, key=lambda m: m["start_index"]), len(g)))
+        reps.append((min(near, key=lambda m: m["start_index"]), sum(m["n_starts"] for m in g)))
     return sorted(reps, key=lambda r: r[0]["start_index"])
 
 
@@ -837,7 +836,9 @@ def gmm_minimize(
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum
-    (_group_minima), from the group's representative, keeping its start_index.
+    (_group_minima), from the group's representative, keeping its start_index;
+    the stage-two minima are grouped once more, so that two searches that end
+    at one minimum are reported once, with their n_starts summed.
     Screening, searches, grouping, at_bound and start are in the x of _search_chart; minima and
     estimates report the full theta.  A revenue fit adds its identified functionals and
     diagnostics.normalisation; df is n_moments less the dimension of x.
@@ -900,8 +901,9 @@ def gmm_minimize(
 
     if weighting == "two-step":
         W = _two_step_weight(ms, to_theta(best["theta"]))
-        groups = _group_minima(minima, lo, hi)
-        minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in groups]
+        minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in _group_minima(minima, lo, hi)]
+        # searches from two stage-one groups can end at one stage-two minimum
+        minima = [dict(rep, n_starts=n) for rep, n in _group_minima(minima, lo, hi)]
         best = min(minima, key=lambda m: m["objective"])
 
     for m in minima:

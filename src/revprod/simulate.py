@@ -16,6 +16,10 @@ identities from the recorded columns.
 Target revenue is ex-ante expected revenue P * Qstar * cal_e (the mean of
 realized revenue given the information set), so target shares are
 pV * V / (P * Qstar * cal_e).
+
+Reproducibility contract: each firm draws its shocks from its own substream
+of the seed in the fixed order _draw_firm_shocks documents, so a panel's CSV
+bytes depend on the config and seed alone.
 """
 
 from __future__ import annotations
@@ -116,16 +120,8 @@ class PriceProcess:
         for r in (self.rho_pL, self.rho_pM, self.rho_pK):
             if not abs(r) < 1.0:
                 raise ParameterError("price processes must be stationary (|rho| < 1)")
-        for s in (
-            self.sigma_pL,
-            self.sigma_pM,
-            self.sigma_pK,
-            self.dispersion_pL,
-            self.dispersion_pM,
-            self.dispersion_pK,
-        ):
-            if s < 0.0:
-                raise ParameterError("price volatilities must be nonnegative")
+        if min(self.sigma_pL, self.sigma_pM, self.sigma_pK, self.dispersion_pL, self.dispersion_pM, self.dispersion_pK) < 0:
+            raise ParameterError("price volatilities must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -151,9 +147,14 @@ class SimConfig:
         check_markup(self.tech, self.demand)
 
 
+def _short_run_scale(tech: Technology) -> float:
+    """Returns to the flexible inputs at fixed capital: beta_L + beta_M for CD, v for CES."""
+    return tech.variable_scale if isinstance(tech, CobbDouglas) else tech.v
+
+
 def check_markup(tech: Technology, demand: DemandConfig):
     """The pricing fixed point needs the short-run scale below the markup, unless eta varies by firm."""
-    scale = tech.variable_scale if isinstance(tech, CobbDouglas) else tech.v
+    scale = _short_run_scale(tech)
     if scale >= demand.mu and demand.eta_dispersion == 0.0:
         raise ParameterError(
             "pricing fixed point needs short-run scale below the markup "
@@ -162,28 +163,29 @@ def check_markup(tech: Technology, demand: DemandConfig):
 
 
 def _draw_firm_shocks(cfg: SimConfig):
-    """Independent per-firm substreams; each firm draws a fixed-length plan."""
-    n, horizon = cfg.n_firms, cfg.burn_in + cfg.n_periods
-    streams = np.random.SeedSequence(cfg.seed).spawn(n)
-    xi = np.empty((n, horizon))
-    u_k = np.empty((n, horizon))
-    e_pl = np.empty((n, horizon))
-    e_pm = np.empty((n, horizon))
-    e_pk = np.empty((n, horizon))
-    eps = np.empty((n, cfg.n_periods))
-    shifts = np.empty((n, 3))
-    eta_shift = np.empty(n)
-    for i, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        shifts[i] = rng.normal(0.0, 1.0, 3)
-        xi[i] = rng.normal(0.0, cfg.prod.sigma_xi, horizon)
-        u_k[i] = rng.normal(0.0, cfg.capital.sigma_k, horizon)
-        e_pl[i] = rng.normal(0.0, cfg.prices.sigma_pL, horizon)
-        e_pm[i] = rng.normal(0.0, cfg.prices.sigma_pM, horizon)
-        e_pk[i] = rng.normal(0.0, cfg.prices.sigma_pK, horizon)
-        eps[i] = rng.normal(0.0, cfg.shocks.sigma_eps, cfg.n_periods)
-        eta_shift[i] = rng.normal(0.0, 1.0)
-    return xi, u_k, e_pl, e_pm, e_pk, eps, shifts, eta_shift
+    """Each firm's shocks, from its own substream of SeedSequence(seed).
+
+    The draw order is the reproducibility contract: firm i draws one block
+    of 3 + 5*H + T + 1 standard normals, H = burn_in + n_periods, read in
+    order as the price shifts (L, M, K); xi, u_k, e_pL, e_pM, e_pK (H each);
+    eps (T); the eta shift.  Each path is 0.0 + sigma * z, what
+    Generator.normal(0.0, sigma) computes, scaled in place (the 0.0 + turns
+    a zero sigma's -0.0 into 0.0).  The price innovations come back stacked
+    as (3, n, H), eps flattened firm by firm.
+    """
+    n, T, H = cfg.n_firms, cfg.n_periods, cfg.burn_in + cfg.n_periods
+    pr = cfg.prices
+    sd = np.repeat(
+        [1.0, cfg.prod.sigma_xi, cfg.capital.sigma_k, pr.sigma_pL, pr.sigma_pM, pr.sigma_pK, cfg.shocks.sigma_eps, 1.0],
+        [3, H, H, H, H, H, T, 1],
+    )
+    z = np.empty((n, sd.size))
+    for z_i, ss in zip(z, np.random.SeedSequence(cfg.seed).spawn(n)):
+        np.random.default_rng(ss).standard_normal(out=z_i)
+    z *= sd
+    z += 0.0
+    paths = z[:, 3 : 3 + 5 * H].reshape(n, 5, H).swapaxes(0, 1)
+    return z[:, :3], paths[0], paths[1], paths[2:], z[:, 3 + 5 * H : -1].ravel(), z[:, -1]
 
 
 def _pricing_root(tech: Technology, K, omega, pL, pM, mu, eta, scale, cal_e):
@@ -239,50 +241,40 @@ def simulate_panel(cfg: SimConfig) -> Panel:
         data = {c: np.asarray([], dtype=np.int64 if c in ("firm_id", "t") else float) for c in COLUMNS}
         return Panel(data=data)
 
-    xi, u_k, e_pl, e_pm, e_pk, eps, shifts, eta_shift = _draw_firm_shocks(cfg)
+    shifts, xi, u_k, e_p, eps, eta_shift = _draw_firm_shocks(cfg)
     horizon = burn + T
 
-    # Firm-level permanent heterogeneity.
-    m_pl = cfg.prices.mean_log_pL + cfg.prices.dispersion_pL * shifts[:, 0]
-    m_pm = cfg.prices.mean_log_pM + cfg.prices.dispersion_pM * shifts[:, 1]
-    m_pk = cfg.prices.mean_log_pK + cfg.prices.dispersion_pK * shifts[:, 2]
+    # Firm-level permanent heterogeneity; the three input prices stacked as (L, M, K).
+    pr = cfg.prices
+    mean = np.array([[pr.mean_log_pL], [pr.mean_log_pM], [pr.mean_log_pK]])
+    dispersion = np.array([[pr.dispersion_pL], [pr.dispersion_pM], [pr.dispersion_pK]])
+    rho = np.array([[pr.rho_pL], [pr.rho_pM], [pr.rho_pK]])
+    m_p = mean + dispersion * shifts.T
     if demand.eta_dispersion > 0.0:
         eta_i = 1.0 + (demand.eta - 1.0) * np.exp(demand.eta_dispersion * eta_shift)
     else:
         eta_i = np.full(n, demand.eta)
     mu_i = eta_i / (eta_i - 1.0)
-    scale_sr = tech.variable_scale if isinstance(tech, CobbDouglas) else tech.v
-    if np.any(mu_i <= scale_sr):
-        bad = np.nonzero(mu_i <= scale_sr)[0]
-        raise SimulationError(
-            f"drawn demand elasticities leave no pricing fixed point for firms {bad[:10].tolist()}"
-        )
+    bad = np.nonzero(mu_i <= _short_run_scale(tech))[0]
+    if bad.size:
+        raise SimulationError(f"drawn demand elasticities leave no pricing fixed point for firms {bad[:10].tolist()}")
 
     # Time recursions, vectorized across firms.
     omega = np.empty((n, horizon))
     logK = np.empty((n, horizon))
-    lpl = np.empty((n, horizon))
-    lpm = np.empty((n, horizon))
-    lpk = np.empty((n, horizon))
+    log_p = np.empty((3, n, horizon))
     w_prev = np.full(n, cfg.prod.mean)
     k_prev = np.full(n, (cfg.capital.kappa0 + cfg.capital.kappa_w * cfg.prod.mean) / (1.0 - cfg.capital.kappa_k))
-    pl_prev, pm_prev, pk_prev = m_pl.copy(), m_pm.copy(), m_pk.copy()
+    p_prev = m_p
     for s in range(horizon):
         logK[:, s] = cfg.capital.kappa0 + cfg.capital.kappa_k * k_prev + cfg.capital.kappa_w * w_prev + u_k[:, s]
         omega[:, s] = cfg.prod.c0 + cfg.prod.rho * w_prev + xi[:, s]
-        lpl[:, s] = m_pl + cfg.prices.rho_pL * (pl_prev - m_pl) + e_pl[:, s]
-        lpm[:, s] = m_pm + cfg.prices.rho_pM * (pm_prev - m_pm) + e_pm[:, s]
-        lpk[:, s] = m_pk + cfg.prices.rho_pK * (pk_prev - m_pk) + e_pk[:, s]
-        w_prev, k_prev = omega[:, s], logK[:, s]
-        pl_prev, pm_prev, pk_prev = lpl[:, s], lpm[:, s], lpk[:, s]
+        log_p[:, :, s] = m_p + rho * (p_prev - m_p) + e_p[:, :, s]
+        w_prev, k_prev, p_prev = omega[:, s], logK[:, s], log_p[:, :, s]
 
-    keep = slice(burn, horizon)
-    w = omega[:, keep].ravel()
-    K = np.exp(logK[:, keep]).ravel()
-    pL = np.exp(lpl[:, keep]).ravel()
-    pM = np.exp(lpm[:, keep]).ravel()
-    pK = np.exp(lpk[:, keep]).ravel()
-    eps_flat = eps.ravel()
+    w = omega[:, burn:].ravel()
+    K = np.exp(logK[:, burn:]).ravel()
+    pL, pM, pK = np.exp(log_p[:, :, burn:]).reshape(3, -1)
     mu = np.repeat(mu_i, T)
     eta = np.repeat(eta_i, T)
 
@@ -298,29 +290,16 @@ def simulate_panel(cfg: SimConfig) -> Panel:
         L1, M1 = tech.unit_demand(pL, pM)
         L, M = y * L1, y * M1
 
-    Q = qtilde * np.exp(eps_flat)
+    Q = qtilde * np.exp(eps)
     R = P * Q
     target_revenue = P * qtilde * shocks.cal_e
     sL = pL * L / target_revenue
     sM = pM * M / target_revenue
 
-    data = {
-        "firm_id": np.repeat(np.arange(1, n + 1, dtype=np.int64), T),
-        "t": np.tile(np.arange(1, T + 1, dtype=np.int64), n),
-        "K": K,
-        "L": L,
-        "M": M,
-        "pL": pL,
-        "pM": pM,
-        "pK": pK,
-        "omega": w,
-        "eps": eps_flat,
-        "Q": Q,
-        "P": P,
-        "R": R,
-        "sL_star": sL,
-        "sM_star": sM,
-    }
+    data = dict(
+        firm_id=np.repeat(np.arange(1, n + 1, dtype=np.int64), T), t=np.tile(np.arange(1, T + 1, dtype=np.int64), n),
+        K=K, L=L, M=M, pL=pL, pM=pM, pK=pK, omega=w, eps=eps, Q=Q, P=P, R=R, sL_star=sL, sM_star=sM,
+    )
     return Panel(data=data)
 
 

@@ -143,6 +143,24 @@ def test_estimate_quantity_writes_result(ces_ini, tmp_path):
     assert abs(res["estimates"]["sigma"] - 0.5) < 0.25  # small panel, loose check
 
 
+def test_provenance_records_what_each_command_used(cd_ini, tmp_path):
+    # simulate reads the [run] seed and writes the panel; estimate reads neither (its restart
+    # seed is the artifact's top-level seed) and names the panel it read and the mode
+    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov.keys() == {"command", "config_sha256", "version", "seed", "outputs", "n_rows"}
+    assert (prov["seed"], prov["outputs"], prov["n_rows"]) == (777, ["panel.csv"], 800)
+    assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(cd_ini), "--mode", "revenue", "--out", str(tmp_path)]) == EXIT_OK
+    res = json.loads((tmp_path / "estimate_revenue.json").read_text())
+    assert res["provenance"] == {
+        "command": "estimate",
+        "config_sha256": prov["config_sha256"],
+        "version": revprod.__version__,
+        "panel": "panel.csv",
+        "mode": "revenue",
+    }
+
+
 def test_estimate_revenue_reports_normalisation(ces_ini, cd_ini, tmp_path):
     # the flat coordinate is named once, with the value it is fixed at
     for name, ini, flat in (("ces", ces_ini, {"v": 1.0}), ("cd", cd_ini, {"beta_K": 0.08})):

@@ -536,6 +536,17 @@ class TestGmmMinimize:
         assert only["converged"] is True
         assert only["at_bound"] == []
 
+    def test_stage_two_searches_that_meet_are_one_minimum(self, cd_panel):
+        # stage-one restart 5 stops on a box corner, a second stage-one group; its stage-two
+        # search reaches the interior minimum, which is then reported once for all 17 searches
+        fs = first_stage_project(cd_panel, 3)
+        ms = build_quantity_moments("CD", fs, cd_panel)
+        res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
+        assert res.diagnostics["n_restarts"] == 17
+        (only,) = res.minima
+        assert (only["start_index"], only["n_starts"]) == (0, 17)
+        assert only["converged"] is True and only["at_bound"] == []
+
     def test_corner_minimum_not_converged(self, ces_panel):
         # the chart's corner sigma = 0.9, beta_L/(beta_L+beta_M) at its lower
         # bound has a zero projected gradient in revenue mode, which L-BFGS-B
@@ -553,8 +564,8 @@ class TestGmmMinimize:
         lo, hi = np.array([0.0, 1.0]), np.array([2.0, 5.0])
         width = hi - lo
 
-        def minimum(idx, objective, offset):
-            return {"start_index": idx, "objective": objective, "theta": list(1.5 + offset * width)}
+        def minimum(idx, objective, offset, n_starts=1):
+            return {"start_index": idx, "objective": objective, "theta": list(1.5 + offset * width), "n_starts": n_starts}
 
         # 1e-6 of the width apart: one minimum, represented by the lower J
         groups = _group_minima([minimum(0, 2.0, 0.0), minimum(1, 1.0, 1e-6)], lo, hi)
@@ -576,6 +587,9 @@ class TestGmmMinimize:
         far["theta"][1] += 1e-3 * width[1]
         groups = _group_minima([minimum(0, 1.0, 0.0), far], lo, hi)
         assert [n for _, n in groups] == [1, 1]
+        # a group stands for the searches its members stand for
+        groups = _group_minima([minimum(5, 1.0, 1e-6), minimum(0, 1.0, 0.0, n_starts=16)], lo, hi)
+        assert [(rep["start_index"], n) for rep, n in groups] == [(0, 17)]
 
     def test_stopping_rule_arithmetic(self):
         # the first search count at which the rule stops, for w distinct minima found

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from revprod.costmin import marginal_cost_closed_form
-from revprod.panel_io import COLUMNS, Panel
+from revprod.panel_io import COLUMNS, Panel, write_panel_csv
 from revprod.simulate import (
     CapitalPolicy,
     PriceProcess,
@@ -14,7 +15,7 @@ from revprod.simulate import (
     simulate_panel,
     verify_panel,
 )
-from revprod.technology import CES, DemandConfig, ParameterError, ShockConfig
+from revprod.technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
 
 class TestFocIdentities:
@@ -62,6 +63,48 @@ class TestDeterminism:
         a = simulate_panel(ces_config)
         b = simulate_panel(dataclasses.replace(ces_config, seed=ces_config.seed + 1))
         assert not np.array_equal(a.col("omega"), b.col("omega"))
+
+
+class TestPanelBytes:
+    # SHA-256 of each panel's CSV: the draw order, the scaling of the paths and the recursions
+    # of simulate_panel fix these bytes, so a rewrite of any of them must keep them
+    CASES = {
+        "sigma_eps_zero": (
+            dict(tech=CobbDouglas(0.25, 0.3, 0.4), shocks=ShockConfig(sigma_eps=0.0), n_firms=20, n_periods=4, seed=5),
+            "9c77b8bfc7ed9d246ed1d5ff2f2f5a4d060783d238d4a0aba268aabc12c2f3eb",
+        ),
+        "eta_dispersion": (
+            dict(tech=CES(0.3, 0.4, 0.5, 1.0), demand=DemandConfig(eta_dispersion=0.05), n_firms=20, n_periods=4, seed=9),
+            "7c32b59b49cf569362b2a61daef9e5c3c3fd1838f186d4445902aca9bef2793c",
+        ),
+        "numeric_solver": (
+            dict(tech=CES(0.3, 0.4, 0.5, 0.9), input_solver="numeric", n_firms=12, n_periods=3, seed=77),
+            "3dcef954efb795cffd97f309cb4215c8247d70284da4a0ee0ca393cd1d975ba6",
+        ),
+        "one_period_no_burn_in": (
+            dict(tech=CobbDouglas(0.25, 0.3, 0.4), n_firms=3, n_periods=1, burn_in=0, seed=3),
+            "6d9a7e656f9407d456e80fb69e1eddec7ac06d14ce521f4792fc9b00d0024ded",
+        ),
+        "all_sigmas_zero": (
+            dict(
+                tech=CES(0.3, 0.4, 0.5, 0.9),
+                prod=ProductivityProcess(sigma_xi=0.0),
+                capital=CapitalPolicy(sigma_k=0.0),
+                prices=PriceProcess(sigma_pL=0.0, sigma_pM=0.0, sigma_pK=0.0, dispersion_pL=0.0),
+                shocks=ShockConfig(sigma_eps=0.0),
+                n_firms=10,
+                n_periods=3,
+                seed=11,
+            ),
+            "df0281b235e4f2dd814e872d7628c1422e0ec78ca41854eb4f9ced6d72085190",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_panel_csv_bytes_pinned(self, case, tmp_path):
+        kwargs, sha256 = self.CASES[case]
+        write_panel_csv(simulate_panel(SimConfig(**kwargs)), tmp_path / "panel.csv")
+        assert hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest() == sha256
 
 
 class TestShockHandling:
