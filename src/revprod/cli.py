@@ -152,7 +152,8 @@ def cmd_diagnose(args) -> int:
     out_dir = _out_dir(args, cfg)
 
     report = build_identification_report(panel, cfg.sim.tech, ms, which_v=est.which_v)
-    _write_json(asdict(report), out_dir / "identification_report.json", "identification_report.schema.json")
+    payload = dict(asdict(report), provenance=_provenance("diagnose", cfg, panel=Path(args.panel).name))
+    _write_json(payload, out_dir / "identification_report.json", "identification_report.schema.json")
 
     if args.scan:
         if curve is None:
@@ -172,7 +173,8 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     report = verify_panel(panel, cfg.sim)
-    _write_json(asdict(report), _out_dir(args, cfg) / "verify_report.json", "verify_report.schema.json")
+    payload = dict(asdict(report), provenance=_provenance("verify", cfg, panel=Path(args.panel).name))
+    _write_json(payload, _out_dir(args, cfg) / "verify_report.json", "verify_report.schema.json")
     if not report.passed:
         logger.error("panel failed verification: %s", report.violations)
         return EXIT_VALIDATION

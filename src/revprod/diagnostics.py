@@ -150,9 +150,9 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     Its columns for coordinates the residual never reads are exact zeros,
     and the share-rescaling direction is null up to rounding rather than up
     to the truncation error of a difference step.  Numerical rank counts the
-    singular values above RANK_RTOL times the largest.  For revenue systems
-    the report also projects the known share-rescaling direction out of the
-    null space so the remaining direction can be attributed to a single axis.
+    singular values above RANK_RTOL times the largest.  When the Jacobian has
+    a null space, the report also projects the share-rescaling direction out
+    of it, so that the remaining direction can be attributed to a single axis.
     """
     theta = np.asarray(theta, float)
     p = theta.size
@@ -169,11 +169,10 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
         null_directions=[[float(x) + 0.0 for x in v] for v in null],
     )
 
-    if ms.mode == "revenue" and null.shape[0] > 0:
+    if null.shape[0] > 0:
+        shares = [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]
         scale_dir = np.zeros(p)
-        scale_dir[ms.param_names.index("beta_L")] = theta[ms.param_names.index("beta_L")]
-        scale_dir[ms.param_names.index("beta_M")] = theta[ms.param_names.index("beta_M")]
-        scale_dir /= np.linalg.norm(scale_dir)
+        scale_dir[shares] = theta[shares] / np.linalg.norm(theta[shares])
         proj = null @ scale_dir
         diag.scale_direction_in_null = float(np.linalg.norm(proj))
         # Null space left after removing the scale component.  The SVD basis

@@ -46,15 +46,16 @@ cross-products of the panel taken once (_LinearMarkovMoments).  CES and
 higher Markov degrees keep the row path.  A search stops once an iteration
 lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
-searches ABNORMAL at their minimum.  Revenue searches move only what revenue
-identifies, mapped to theta at a stated normalisation of the flat
-coordinates (_search_chart).  The stage-one searches run one at a time and
-stop once Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond
-the distinct ones found (_expects_no_new_minimum); restarts is only a cap.
-Two-step weighting re-minimizes once per distinct stage-one minimum, which
-the restarts that reach it share.  Every minimum lists the coordinates it
-left on a bound (at_bound); one on a bound is never reported converged.
-There is no derivative-free polish.
+searches ABNORMAL at their minimum.  A revenue system carries the chart of
+what revenue identifies (SearchChart), mapped to theta at a stated
+normalisation of the flat coordinates; a quantity system has none and is
+searched in theta.  The stage-one searches run one at a time and stop once
+Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond the
+distinct ones found (_expects_no_new_minimum); restarts is only a cap.
+Two-step weighting re-minimizes once per distinct stage-one minimum, and
+either weighting reports each distinct minimum once.  Every minimum lists
+the coordinates it left on a bound (at_bound); one on a bound is never
+reported converged.  There is no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "EstimationError",
     "FirstStage",
     "MomentSystem",
+    "SearchChart",
     "EstimateResult",
     "first_stage_project",
     "build_quantity_moments",
@@ -223,6 +225,19 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SearchChart:
+    """Coordinates x that a search moves, theta = origin + basis x; normalisation gives the values at which the
+    coordinates off the chart are fixed, identified(estimates) the functionals of theta the system identifies."""
+
+    names: tuple
+    bounds: tuple
+    basis: np.ndarray
+    origin: np.ndarray
+    normalisation: dict
+    identified: callable
+
+
 @dataclass
 class MomentSystem:
     """Moment conditions E[z * e(theta)] = 0 on the current rows of a panel.
@@ -246,24 +261,31 @@ class MomentSystem:
     the panel rows.  moment_covariance and g_coefficients always take the row
     path.
 
-    The residual comes from the build function.  build_quantity_moments: the innovation
-    of the recovered productivity's Markov process (_MarkovInnovation), whose
-    degree is g_degree.  build_revenue_moments: r = exp(log R - pred) - 1,
-    the ex-post shock relative to its mean at the true parameters; revenue
-    systems have no productivity process, so their g_degree is None.
+    The residual and the chart come from the build function.  build_quantity_moments: the
+    innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
+    is g_degree, and no chart.  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post
+    shock relative to its mean at the true parameters, and the chart of what revenue identifies;
+    revenue systems have no productivity process, so their g_degree is None.
     """
 
     mode: str
     tech_kind: str
     param_names: tuple
-    bounds: tuple
     Z: np.ndarray
     instrument_names: tuple
-    n_obs: int
     _predict: callable = field(repr=False)  # theta -> (prediction, penalty, derivatives)
     _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
     g_degree: Optional[int] = None
     _closed_form: Optional[callable] = field(default=None, repr=False)  # theta -> _linearize's tuple
+    chart: Optional[SearchChart] = None
+
+    @property
+    def bounds(self) -> tuple:
+        return tuple(DEFAULT_BOUNDS[self.tech_kind][n] for n in self.param_names)
+
+    @property
+    def n_obs(self) -> int:
+        return self.Z.shape[0]
 
     def _evaluate(self, theta):
         """Residual, penalty, predictor derivatives and residual pullback at theta."""
@@ -624,10 +646,8 @@ def build_quantity_moments(
         mode="quantity",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names),
         Z=Z,
         instrument_names=tuple(instruments),
-        n_obs=cur.size,
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
         g_degree=g_degree,
@@ -645,7 +665,11 @@ def build_revenue_moments(
 
     The residual is r = exp(log R - pred) - 1 on the current rows, pred being
     revenue_predictor's log expected revenue; which_v selects the flexible
-    input whose revenue equation is used.
+    input whose revenue equation is used.  pred reads neither v (CES) nor beta_K (CD), and beta_L
+    and beta_M only through their ratio, so the chart moves x = (sigma, a) (CES) or a (CD),
+    a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant returns (v = 1, or
+    beta_K = 1 - c).  c = lo + hi on the default box, where a's bounds span every ratio the box
+    allows and keep both shares inside it.  A fit reports sigma and beta_L/beta_M, or a.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("R",))
     log_r = logs.pop("R")[cur]
@@ -655,20 +679,30 @@ def build_revenue_moments(
         ratio = np.exp(log_r - pred)
         return ratio - 1.0, lambda q: ratio * q
 
-    Z = _instrument_matrix(panel, cur, lag, instruments)
+    box = DEFAULT_BOUNDS[tech_kind]
+    (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
+    c = min(lo_L + hi_M, hi_L + lo_M)
+    flat = {"beta_K": round(1.0 - c, 12)} if tech_kind == "CD" else {"v": 1.0}
+    fixed, moved = {"beta_M": c, **flat}, {"beta_L": c, "beta_M": -c}
+    share = np.array([moved.get(n, 0.0) for n in names])
+    share_bounds = (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c))
+    chart_names, chart_bounds, basis = ("share_ratio",), (share_bounds,), share[:, None]
+    identified = lambda est: {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
+    if tech_kind == "CES":
+        chart_names, chart_bounds = ("sigma",) + chart_names, (box["sigma"],) + chart_bounds
+        basis = np.column_stack([np.eye(len(names))[names.index("sigma")], share])
+        identified = lambda est: {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]}
+    origin = np.array([fixed.get(n, 0.0) for n in names])
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
         param_names=names,
-        bounds=tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names),
-        Z=Z,
+        Z=_instrument_matrix(panel, cur, lag, instruments),
         instrument_names=tuple(instruments),
-        n_obs=cur.size,
         _predict=predict,
         _residual=residual,
+        chart=SearchChart(chart_names, chart_bounds, basis, origin, {"beta_L+beta_M": c, **flat}, identified),
     )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -696,58 +730,24 @@ class EstimateResult:
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
     seed: int
-    identified: Optional[dict] = None  # revenue systems only
+    identified: Optional[dict] = None  # systems with a chart only
 
 
-def _draw_starts(ms: MomentSystem, lo, hi, to_theta, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
+def _draw_starts(screening, lo, hi, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
     """Starting points for the local searches, in the coordinates x of the box [lo, hi].
 
-    Draws a seeded uniform cloud in the box; when screen > restarts, evaluates the identity-weight
-    objective at to_theta(x) on the whole cloud and keeps the best points, one per cloud draw, so
-    narrow basins are still found.
+    Draws a seeded uniform cloud in the box; when screen > restarts, evaluates screening(x) on the
+    whole cloud and keeps the best points, one per cloud draw, so narrow basins are still found.
     """
     rng = np.random.default_rng(seed)
     n_draw = max(screen, restarts, 1)
-    u = rng.uniform(0.05, 0.95, size=(n_draw, lo.size))
-    cloud = lo + u * (hi - lo)
-    if ms.mode == "quantity" and ms.tech_kind == "CES":
-        # keep CES starting shares jointly feasible for the quantity route
-        j = [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]
-        tot = cloud[:, j].sum(axis=1)
-        for row in np.nonzero(tot > 0.85)[0]:
-            cloud[row, j] *= 0.85 / tot[row]
-    starts = cloud
+    starts = lo + rng.uniform(0.05, 0.95, size=(n_draw, lo.size)) * (hi - lo)
     if n_draw > restarts:
-        vals = np.array([ms.objective(to_theta(x)) for x in cloud])
-        starts = cloud[np.sort(np.argsort(vals, kind="stable")[:restarts])]
+        vals = np.array([screening(x) for x in starts])
+        starts = starts[np.sort(np.argsort(vals, kind="stable")[:restarts])]
     if start is not None:
         starts = np.vstack([np.asarray(start, float), starts[: max(restarts - 1, 0)]])
     return starts
-
-
-def _search_chart(ms: MomentSystem):
-    """(names, bounds, basis, origin, normalisation) of the x the searches move, theta = origin + basis x.
-
-    Quantity systems move theta.  Revenue systems move x = (sigma, a) (CES) or a (CD), a = beta_L/(beta_L+beta_M),
-    at beta_L + beta_M = c and constant returns (v = 1, or beta_K = 1 - c).  c = lo + hi on the default box, where
-    a's bounds span every ratio the box allows and keep both shares inside it.
-    """
-    p = len(ms.param_names)
-    if ms.mode == "quantity":
-        return ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}
-    at = {n: i for i, n in enumerate(ms.param_names)}
-    (lo_L, hi_L), (lo_M, hi_M) = ms.bounds[at["beta_L"]], ms.bounds[at["beta_M"]]
-    c = min(lo_L + hi_M, hi_L + lo_M)
-    flat = {"beta_K": round(1.0 - c, 12)} if ms.tech_kind == "CD" else {"v": 1.0}
-    fixed, moved = {"beta_M": c, **flat}, {"beta_L": c, "beta_M": -c}
-    origin = np.array([fixed.get(n, 0.0) for n in ms.param_names])
-    share = np.array([moved.get(n, 0.0) for n in ms.param_names])
-    share_bounds = (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c))
-    names, bounds, basis = ("share_ratio",), (share_bounds,), share[:, None]
-    if ms.tech_kind == "CES":
-        names, bounds = ("sigma",) + names, (ms.bounds[at["sigma"]],) + bounds
-        basis = np.column_stack([np.eye(p)[at["sigma"]], share])
-    return names, bounds, basis, origin, {"beta_L+beta_M": c, **flat}
 
 
 # L-BFGS-B stops once an iteration lowers J by less than this relative amount.
@@ -836,36 +836,38 @@ def gmm_minimize(
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum
-    (_group_minima), from the group's representative, keeping its start_index;
-    the stage-two minima are grouped once more, so that two searches that end
-    at one minimum are reported once, with their n_starts summed.
-    Screening, searches, grouping, at_bound and start are in the x of _search_chart; minima and
-    estimates report the full theta.  A revenue fit adds its identified functionals and
-    diagnostics.normalisation; df is n_moments less the dimension of x.
+    (_group_minima), from the group's representative, keeping its start_index.
+    Under both weightings the final minima are grouped once more, so that each
+    distinct minimum is reported once, with the n_starts of its searches summed.
+    Screening, searches, grouping, at_bound and start are in the x of ms.chart, or in theta
+    when the system has no chart; minima and estimates report the full theta.  A fit on a
+    chart adds its identified functionals and diagnostics.normalisation; df is n_moments less
+    the dimension of x.
 
-    All local minima are reported, not just the best.  Each minimum records
-    n_starts, the number of stage-one minima it stands for (1 under identity
-    weighting); at_bound, the names of coordinates within _AT_BOUND_TOL of the
-    box width of a bound; L-BFGS-B's termination message and its count of
-    value-and-gradient evaluations n_evals.  converged is L-BFGS-B's success
-    flag for a minimum off the bounds; a minimum on a bound is never reported
-    converged, since a zero projected gradient there can mark a box corner far
-    above the best J.  Searches stop at the relative decrease _FTOL, set from
-    the rounding noise of J.
+    All distinct local minima are reported, not just the best.  Each records
+    n_starts, the number of stage-one searches it stands for; at_bound, the
+    names of coordinates within _AT_BOUND_TOL of the box width of a bound;
+    L-BFGS-B's termination message and its count of value-and-gradient
+    evaluations n_evals.  converged is L-BFGS-B's success flag for a minimum
+    off the bounds; a minimum on a bound is never reported converged, since a
+    zero projected gradient there can mark a box corner far above the best J.
+    Searches stop at the relative decrease _FTOL, set from the rounding noise
+    of J.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    names, bounds, basis, origin, normalisation = _search_chart(ms)
-    to_theta = lambda x: origin + basis.dot(x)
-    lo, hi = (np.array(b) for b in zip(*bounds))
-    starts = _draw_starts(ms, lo, hi, to_theta, start, restarts, seed, screen=screen)
+    p = len(ms.param_names)
+    chart = ms.chart or SearchChart(ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}, lambda est: None)
+    to_theta = lambda x: chart.origin + chart.basis.dot(x)
+    lo, hi = (np.array(b) for b in zip(*chart.bounds))
+    starts = _draw_starts(lambda x: ms.objective(to_theta(x)), lo, hi, start, restarts, seed, screen=screen)
     edge = _AT_BOUND_TOL * (hi - lo)
 
     def objective_and_gradient(x, W):
         value, grad = ms.objective_and_gradient(to_theta(x), W)
-        return value, basis.T.dot(grad)
+        return value, chart.basis.T.dot(grad)
 
     def solve_one(idx, x0, n_starts, W):
         res = minimize(
@@ -874,11 +876,11 @@ def gmm_minimize(
             args=(W,),
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=chart.bounds,
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
         on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
-        at_bound = [n for n, b in zip(names, on_bound) if b]
+        at_bound = [n for n, b in zip(chart.names, on_bound) if b]
         return {
             "start_index": int(idx),
             "theta": [float(v) for v in res.x],  # x until the searches end
@@ -897,14 +899,13 @@ def gmm_minimize(
         if _expects_no_new_minimum(len(minima), len(_group_minima(minima, lo, hi))):
             stop_reason = "no new minimum expected"
             break
-    best = min(minima, key=lambda m: m["objective"])
 
     if weighting == "two-step":
-        W = _two_step_weight(ms, to_theta(best["theta"]))
+        W = _two_step_weight(ms, to_theta(min(minima, key=lambda m: m["objective"])["theta"]))
         minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in _group_minima(minima, lo, hi)]
-        # searches from two stage-one groups can end at one stage-two minimum
-        minima = [dict(rep, n_starts=n) for rep, n in _group_minima(minima, lo, hi)]
-        best = min(minima, key=lambda m: m["objective"])
+    # stage-one searches, or stage-two searches from two stage-one groups, can end at one minimum
+    minima = [dict(rep, n_starts=n) for rep, n in _group_minima(minima, lo, hi)]
+    best = min(minima, key=lambda m: m["objective"])
 
     for m in minima:
         m["theta"] = [float(v) for v in to_theta(m["theta"])]
@@ -915,24 +916,19 @@ def gmm_minimize(
     diagnostics = {
         "n_obs": int(ms.n_obs),
         "n_moments": int(ms.n_moments),
-        "df": int(ms.n_moments - len(names)),
+        "df": int(ms.n_moments - len(chart.names)),
         "n_restarts": sum(m["n_starts"] for m in minima),
         "stop_reason": stop_reason,
         "n_converged": int(n_converged),
         "instruments": list(ms.instrument_names),
     }
+    if chart.normalisation:
+        diagnostics["normalisation"] = chart.normalisation
     g_coefficients = None
     if ms.g_degree is not None:
         diagnostics["g_degree"] = int(ms.g_degree)
         g_coefficients = ms.g_coefficients(theta_hat).tolist()
     estimates = {n: float(v) for n, v in zip(ms.param_names, theta_hat)}
-    identified = None
-    if ms.mode == "revenue":
-        diagnostics["normalisation"] = normalisation
-        b_L, b_M = estimates["beta_L"], estimates["beta_M"]
-        identified = {"share_ratio": b_L / (b_L + b_M)}
-        if ms.tech_kind == "CES":
-            identified = {"sigma": estimates["sigma"], "beta_ratio": b_L / b_M}
     return EstimateResult(
         mode=ms.mode,
         tech_kind=ms.tech_kind,
@@ -945,5 +941,5 @@ def gmm_minimize(
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,
         seed=seed,
-        identified=identified,
+        identified=chart.identified(estimates),
     )

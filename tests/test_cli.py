@@ -159,6 +159,15 @@ def test_provenance_records_what_each_command_used(cd_ini, tmp_path):
         "panel": "panel.csv",
         "mode": "revenue",
     }
+    # verify and diagnose name the panel they read, as estimate does
+    for command, artifact in (("verify", "verify_report.json"), ("diagnose", "identification_report.json")):
+        assert main([command, str(tmp_path / "panel.csv"), "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / artifact).read_text())["provenance"] == {
+            "command": command,
+            "config_sha256": prov["config_sha256"],
+            "version": revprod.__version__,
+            "panel": "panel.csv",
+        }, command
 
 
 def test_estimate_revenue_reports_normalisation(ces_ini, cd_ini, tmp_path):
@@ -190,14 +199,22 @@ def test_quantity_mode_on_revenue_only_file(ces_ini, tmp_path, caplog):
     # identity, the reduced form and markup consistency need Q, P, eps or omega
     rc = main(["verify", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "v1")])
     assert rc == EXIT_OK
-    report = (tmp_path / "v1" / "verify_report.json").read_bytes()
-    assert set(json.loads(report)["violations"]) == {"foc_price_L", "foc_price_M"}
-    # and reads no shock variance: another sigma_eps gives the same bytes
+    report = json.loads((tmp_path / "v1" / "verify_report.json").read_text())
+    assert set(report["violations"]) == {"foc_price_L", "foc_price_M"}
+    # and reads no shock variance: another sigma_eps gives the same report, under the other config's hash
     other = tmp_path / "ces_eps.ini"
     other.write_text(ces_ini.read_text() + "\n[shocks]\nsigma_eps = 0.25\n")
     rc = main(["verify", str(tmp_path / "rev_only.csv"), "--config", str(other), "--out", str(tmp_path / "v2")])
     assert rc == EXIT_OK
-    assert (tmp_path / "v2" / "verify_report.json").read_bytes() == report
+    report_other = json.loads((tmp_path / "v2" / "verify_report.json").read_text())
+    assert report_other.pop("provenance")["config_sha256"] != report.pop("provenance")["config_sha256"]
+    assert report_other == report
+    # diagnose gives the full panel's verdicts, except that it cannot check productivity
+    for name, path in (("full", tmp_path / "panel.csv"), ("rev_only", tmp_path / "rev_only.csv")):
+        assert main(["diagnose", str(path), "--config", str(ces_ini), "--out", str(tmp_path / name)]) == EXIT_OK
+    full, rev_only = (json.loads((tmp_path / name / "identification_report.json").read_text())["verdicts"] for name in ("full", "rev_only"))
+    assert full["omega"] != "unknown (no omega column)"
+    assert rev_only == {**full, "omega": "unknown (no omega column)"}
 
 
 def test_malformed_row_exit_code_and_line(ces_ini, tmp_path, caplog):
@@ -283,6 +300,30 @@ def test_diagnose_empty_grid_rejected(ces_ini, tmp_path, caplog):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--scan", "sigma", "--grid", "0.3:0.7"], "--grid expects start:stop:count"), (["--scan", "rho"], "--scan: unknown parameter 'rho'")],
+    ids=["grid_without_count", "unknown_scan"],
+)
+def test_diagnose_bad_option_rejected(ces_ini, tmp_path, caplog, argv, message):
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), *argv, "--out", str(tmp_path / "d")])
+    assert rc == EXIT_VALIDATION
+    assert message in caplog.text
+    assert not (tmp_path / "d").exists()
+
+
+def test_instruments_key_sets_the_estimate_instruments(cd_ini, tmp_path):
+    tokens = ("const", "k_t", "l_lag", "pl_lag", "pm_lag", "pl_t", "pm_t")
+    cd_ini.write_text(cd_ini.read_text() + f"instruments = {' '.join(tokens)}\n")
+    assert parse_config(cd_ini).estimation.instruments == tokens
+    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
+    assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(cd_ini), "--mode", "revenue", "--out", str(tmp_path)]) == EXIT_OK
+    diagnostics = json.loads((tmp_path / "estimate_revenue.json").read_text())["diagnostics"]
+    assert diagnostics["instruments"] == list(tokens)
+    assert diagnostics["n_moments"] == len(tokens)
+
+
 def test_diagnose_deterministic_report(ces_ini, tmp_path):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "r1")])
@@ -343,6 +384,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         ("estimation", "first_stage_degree = 0"),
         ("estimation", "restarts = 0"),
         ("estimation", "screen = -3"),
+        ("estimation", "weighting = three-step"),
+        ("estimation", "which_v = K"),
     ],
     ids=[
         "demand",
@@ -356,6 +399,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         "first_stage_degree",
         "restarts",
         "screen",
+        "weighting",
+        "which_v",
     ],
 )
 def test_bad_value_names_file_and_section(tmp_path, caplog, section, line):
@@ -548,7 +593,9 @@ def test_revenue_results_ignore_shocks_section(ces_ini, tmp_path):
     a, b = (json.loads((tmp_path / name / "estimate_revenue.json").read_text()) for name in configs)
     for key in ("estimates", "objective", "minima"):
         assert a[key] == b[key], key
-    reports = [(tmp_path / name / "identification_report.json").read_bytes() for name in configs]
+    reports = [json.loads((tmp_path / name / "identification_report.json").read_text()) for name in configs]
+    # the same report, under each config's own hash
+    assert reports[0].pop("provenance")["config_sha256"] != reports[1].pop("provenance")["config_sha256"]
     assert reports[0] == reports[1]
 
 

@@ -269,9 +269,10 @@ class ReferenceCore:
 
 
 def _system(kind, mode, g_degree, panel):
-    """Quantity system of Markov degree g_degree, or the revenue system, which has no Markov polynomial."""
-    if mode == "revenue":
-        return build_revenue_moments(kind, panel), None
+    """Quantity system of Markov degree g_degree, or the revenue system, which has no Markov polynomial
+    ("revenue-L": on the revenue equation of L rather than M)."""
+    if mode.startswith("revenue"):
+        return build_revenue_moments(kind, panel, which_v="L" if mode == "revenue-L" else "M"), None
     fs = first_stage_project(panel, 3)
     return build_quantity_moments(kind, fs, panel, g_degree=g_degree), fs.fitted
 
@@ -379,7 +380,7 @@ def _central_difference(ms, theta, weight):
 
 class TestGradient:
     @pytest.mark.parametrize("g_degree", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_matches_central_difference(self, kind, mode, g_degree, cd_panel, ces_panel):
         # in revenue mode g_degree only changes the random draws
@@ -400,7 +401,7 @@ class TestGradient:
                 assert _rel_gap(value, ms.objective(theta, weight)) <= 1e-12
                 fd = _central_difference(ms, theta, weight)
                 assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
-                if mode == "revenue":
+                if mode != "quantity":
                     assert grad[flat] == 0.0
 
     def test_penalty_gradient_on_clipped_shares(self, small_ces_panel):
@@ -428,7 +429,7 @@ def _five_point_jacobian(ms, theta, h):
 
 class TestJacobian:
     @pytest.mark.parametrize(
-        "mode, g_degree", [("quantity", 1), ("quantity", 2), ("quantity", 3), ("revenue", None)]
+        "mode, g_degree", [("quantity", 1), ("quantity", 2), ("quantity", 3), ("revenue", None), ("revenue-L", None)]
     )
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_matches_five_point_stencil(self, kind, mode, g_degree, cd_panel, ces_panel):
@@ -442,7 +443,7 @@ class TestJacobian:
             assert J.shape == (ms.n_moments, lo.size)
             for h in (1e-4, 1e-5, 1e-6):
                 assert np.max(np.abs(J - _five_point_jacobian(ms, theta, h))) <= 1e-8 * np.max(np.abs(J))
-            if mode == "revenue":
+            if mode != "quantity":
                 assert np.all(J[:, flat] == 0.0)
 
 
@@ -508,16 +509,17 @@ class TestGmmMinimize:
                 assert theta["beta_L"] + theta["beta_M"] == pytest.approx(norm["beta_L+beta_M"], abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
-    def test_chart_fit_matches_full_box_search(self, kind, cd_panel, ces_panel, monkeypatch):
+    def test_chart_fit_matches_full_box_search(self, kind, cd_panel, ces_panel):
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
         chart = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         p = len(ms.param_names)
-        # the search over the whole box, as in quantity mode
-        monkeypatch.setattr(estimate, "_search_chart", lambda ms: (ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}))
-        full = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
-        assert chart.identified.keys() == full.identified.keys()
+        # the search over the whole box, as in quantity mode: a system with no chart searches theta
+        full_ms = dataclasses.replace(ms, chart=None)
+        full = gmm_minimize(full_ms, weighting="two-step", restarts=20, seed=5)
+        identified = ms.chart.identified(full.estimates)
+        assert chart.identified.keys() == identified.keys()
         for name, value in chart.identified.items():
-            assert value == pytest.approx(full.identified[name], abs=1e-6), name
+            assert value == pytest.approx(identified[name], abs=1e-6), name
         assert chart.objective == pytest.approx(full.objective, rel=1e-8)
         assert chart.diagnostics["df"] == ms.n_moments - len(chart.identified)
         assert full.diagnostics["df"] == ms.n_moments - p
@@ -536,6 +538,19 @@ class TestGmmMinimize:
         assert only["converged"] is True
         assert only["at_bound"] == []
 
+    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_identity_fit_lists_each_minimum_once(self, kind, mode, cd_panel, ces_panel):
+        # identity weighting groups its searches as two-step does: no two minima repeat one
+        # another, and each stands for the searches that reach it
+        ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
+        res = gmm_minimize(ms, weighting="identity", restarts=20, seed=5)
+        assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] >= 8
+        for i, a in enumerate(res.minima):
+            for b in res.minima[i + 1 :]:
+                assert not (a["at_bound"] == b["at_bound"] and a["objective"] == pytest.approx(b["objective"], rel=1e-8)), (a, b)
+        assert res.objective == min(m["objective"] for m in res.minima)
+
     def test_stage_two_searches_that_meet_are_one_minimum(self, cd_panel):
         # stage-one restart 5 stops on a box corner, a second stage-one group; its stage-two
         # search reaches the interior minimum, which is then reported once for all 17 searches
@@ -552,7 +567,7 @@ class TestGmmMinimize:
         # bound has a zero projected gradient in revenue mode, which L-BFGS-B
         # reports as success
         ms = build_revenue_moments("CES", ces_panel)
-        (_, sigma_hi), (share_lo, _) = estimate._search_chart(ms)[1]
+        (_, sigma_hi), (share_lo, _) = ms.chart.bounds
         res = gmm_minimize(ms, weighting="two-step", start=[sigma_hi, share_lo], restarts=1)
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
