@@ -51,11 +51,11 @@ what revenue identifies (SearchChart), mapped to theta at a stated
 normalisation of the flat coordinates; a quantity system has none and is
 searched in theta.  The stage-one searches run one at a time and stop once
 Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond the
-distinct ones found (_expects_no_new_minimum); restarts is only a cap.
-Two-step weighting re-minimizes once per distinct stage-one minimum, and
-either weighting reports each distinct minimum once.  Every minimum lists
-the coordinates it left on a bound (at_bound); one on a bound is never
-reported converged.  There is no derivative-free polish.
+distinct ones found off the bounds (_expects_no_new_minimum); restarts is
+only a cap.  Two-step weighting re-minimizes once per distinct stage-one
+minimum, and either weighting reports each distinct minimum once.  Every
+minimum lists the coordinates it left on a bound (at_bound); one on a bound
+is never reported converged.  There is no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -361,26 +361,27 @@ class _MarkovInnovation:
 
     def _fit(self, pred):
         """Innovation and the pieces of g: lag mean, current mean, power
-        means, slope, the demeaned powers X and their Gram matrix X X'."""
+        means, slope, the demeaned powers X and (X X')^-1."""
         w = self.fitted - pred
-        w_t, w_lag = w[self.cur], w[self.lag]
-        n = w_t.size
-        lag_mean = w_lag.sum() / n
+        y = w.take(self.cur)
+        n = y.size
         powers = np.empty((self.degree, n))
-        powers[0] = w_lag - lag_mean
+        w.take(self.lag, out=powers[0])
+        lag_mean = powers[0].sum() / n
+        powers[0] -= lag_mean
         for d in range(1, self.degree):
-            powers[d] = powers[d - 1] * powers[0]
+            np.multiply(powers[d - 1], powers[0], out=powers[d])
         power_means = powers.sum(axis=1) / n
         powers -= power_means[:, None]
-        w_mean = w_t.sum() / n
-        y = w_t - w_mean
-        gram = powers.dot(powers.T)
-        slope = np.linalg.solve(gram, powers.dot(y))
+        w_mean = y.sum() / n
+        y -= w_mean
+        gram_inv = np.linalg.solve(powers.dot(powers.T), np.eye(self.degree))
+        slope = gram_inv.dot(powers.dot(y))
         xi = y - slope.dot(powers)
-        return xi, (lag_mean, w_mean, power_means, slope, powers, gram)
+        return xi, (lag_mean, w_mean, power_means, slope, powers, gram_inv)
 
     def __call__(self, pred):
-        xi, (_, _, power_means, slope, X, gram) = self._fit(pred)
+        xi, (_, _, power_means, slope, X, gram_inv) = self._fit(pred)
 
         def pullback(q):
             """Through the concentrated-out g, the derivative of q'xi is a
@@ -388,7 +389,7 @@ class _MarkovInnovation:
             rows'.  With a = (X X')^-1 X q and qt the demeaned residual of q on
             X, they are qt and -demean(sum_k (k+1) c^k (slope_k qt + a_k xi)),
             c being the centred lag."""
-            a = np.linalg.solve(gram, X.dot(q))
+            a = gram_inv.dot(X.dot(q))
             qt = q - a.dot(X)
             qt -= qt.sum() / qt.size
             r_lag = slope[0] * qt + a[0] * xi
@@ -509,6 +510,8 @@ def _quantity_predictor(tech_kind: str, cols):
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
+    lk, mk = l - k, m - k  # exp(sigma k) factored out of the aggregate: pred = v k + (v/sigma) log agg
+
     def predict(theta):
         sg, bL, bM, v = theta
         bK_raw = bK = 1.0 - bL - bM
@@ -517,19 +520,17 @@ def _quantity_predictor(tech_kind: str, cols):
         if clipped:
             penalty = 1e4 * (_MIN_CAPITAL_SHARE - bK) ** 2
             bK = _MIN_CAPITAL_SHARE
-        ek, el, em = np.exp(sg * k), np.exp(sg * l), np.exp(sg * m)
-        agg = bK * ek + bL * el + bM * em
+        el, em = np.exp(sg * lk), np.exp(sg * mk)
+        agg = bK + bL * el + bM * em
         log_agg = np.log(agg)
-        pred = (v / sg) * log_agg
+        pred = v * k + (v / sg) * log_agg
 
         def derivatives():
             # the capital share 1 - bL - bM moves with bL and bM unless clipped
-            d_bL, d_bM = el, em
-            if not clipped:
-                d_bL, d_bM = el - ek, em - ek
+            d_bL, d_bM = (el, em) if clipped else (el - 1.0, em - 1.0)
             scale = (v / sg) / agg
-            d_sg = (v * (bK * k * ek + bL * l * el + bM * m * em) / agg - pred) / sg
-            jac = np.vstack([d_sg, scale * d_bL, scale * d_bM, log_agg / sg])
+            d_sg = (v * (bL * lk * el + bM * mk * em) / agg - (v / sg) * log_agg) / sg
+            jac = np.vstack([d_sg, scale * d_bL, scale * d_bM, k + log_agg / sg])
             dpen = np.zeros(4)
             if clipped:
                 dpen[1:3] = 2e4 * (_MIN_CAPITAL_SHARE - bK_raw)
@@ -555,7 +556,11 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
     The formula is built from h and the unit aggregate cost alone: it never
     reads the capital exponent (Cobb-Douglas) or returns to scale (CES), so
     parameter vectors that differ only there give bit-identical predictions,
-    and (beta_L, beta_M) enter only through their ratio.
+    and (beta_L, beta_M) enter only through their ratio.  CES takes the
+    expenditure-ratio form: with O the other flexible input and
+    kappa = beta_O/beta_V,
+    log R = log(p_V V / s*_V) + ((1 - sigma)/sigma) log[(1 + u1)/(1 + u2)],
+    u1 = kappa (O/V)^sigma, u2 = kappa^(1/(1 - sigma)) (p_O/p_V)^(sigma/(sigma - 1)).
     """
     if which_v not in ("L", "M"):
         raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
@@ -589,37 +594,27 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
-    v_in = l if which_v == "L" else m
+    # O is the other flexible input; its log gaps to V, in quantity and in price
+    v_in, p_v, o_in, p_o = (l, pl, m, pm) if which_v == "L" else (m, pm, l, pl)
+    gap, price_gap, base = o_in - v_in, p_o - p_v, v_in + p_v - s
 
     def predict(theta):
         sg, bL, bM, _ = theta  # v never read
-        bV = bL if which_v == "L" else bM
-        e = sg / (sg - 1.0)
-        el, em = np.exp(sg * l), np.exp(sg * m)
-        cL = np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0))
-        cM = np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0))
-        sum_a, sum_c = bL * el + bM * em, cL + cM
-        agg, B = np.log(sum_a), np.log(sum_c)
-        pred = np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s
+        bV, bO = (bL, bM) if which_v == "L" else (bM, bL)
+        log_k, phi = math.log(bO / bV), (1.0 - sg) / sg
+        u1 = np.exp(sg * gap + log_k)
+        u2 = np.exp((log_k - sg * price_gap) / (1.0 - sg))
+        lr = np.log((1.0 + u1) / (1.0 + u2))
+        pred = base + phi * lr
 
         def derivatives():
-            # d log cV / d sg = (log bV - pV) / (sg - 1)^2 and d log cV / d bV
-            # = -1 / ((sg - 1) bV); the v row stays zero
-            sA = ((1.0 - sg) / sg) / sum_a
-            sB = (1.0 / sg) / sum_c
-            d_sg = (
-                v_in
-                + (B - agg) / sg**2
-                + sA * (bL * l * el + bM * m * em)
-                + (sB / (sg - 1.0)) * (cL * (math.log(bL) - pl) + cM * (math.log(bM) - pm))
-            )
-            d_bL = sA * el - sB * cL / bL
-            d_bM = sA * em - sB * cM / bM
-            if which_v == "L":
-                d_bL += 1.0 / bL
-            else:
-                d_bM += 1.0 / bM
-            return np.vstack([d_sg, d_bL, d_bM, np.zeros(el.size)]), np.zeros(4)
+            # through phi and log u1, log u2; kappa's derivative is chained to beta_V and beta_O,
+            # and the v row stays zero
+            w1, w2 = u1 / (1.0 + u1), u2 / (1.0 + u2)
+            d_sg = phi * (gap * w1 - w2 * (log_k - price_gap) / (1.0 - sg) ** 2) - lr / sg**2
+            d_k = phi * (w1 - w2 / (1.0 - sg))  # kappa * d pred / d kappa
+            d_bL, d_bM = (-d_k / bL, d_k / bM) if which_v == "L" else (d_k / bL, -d_k / bM)
+            return np.vstack([d_sg, d_bL, d_bM, np.zeros(lr.size)]), np.zeros(4)
 
         return pred, 0.0, derivatives
 
@@ -737,7 +732,7 @@ def _draw_starts(screening, lo, hi, start, restarts: int, seed: int, screen: int
     """Starting points for the local searches, in the coordinates x of the box [lo, hi].
 
     Draws a seeded uniform cloud in the box; when screen > restarts, evaluates screening(x) on the
-    whole cloud and keeps the best points, one per cloud draw, so narrow basins are still found.
+    whole cloud and keeps the restarts lowest draws, in draw order, so narrow basins are still found.
     """
     rng = np.random.default_rng(seed)
     n_draw = max(screen, restarts, 1)
@@ -801,9 +796,9 @@ def _group_minima(minima, lo, hi):
 
 def _expects_no_new_minimum(n: int, w: int) -> bool:
     """Boender and Rinnooy Kan's (1987) Bayesian stopping rule: after n searches found w distinct
-    minima, the posterior mean number of minima w(n-1)/(n-w-2) is below w + 1/2 (n = 8 for w = 1,
-    17 for w = 2, never below 8)."""
-    return n > w + 2 and w * (n - 1) / (n - w - 2) < w + 0.5
+    minima off the bounds, the posterior mean number of minima w(n-1)/(n-w-2) is below w + 1/2
+    (n = 8 for w = 1, 17 for w = 2, never below 8, never while w = 0)."""
+    return 0 < w < n - 2 and w * (n - 1) / (n - w - 2) < w + 0.5
 
 
 def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
@@ -831,8 +826,9 @@ def gmm_minimize(
     """Multi-start minimization of the GMM quadratic form.
 
     Stage one searches from each start in turn until _expects_no_new_minimum
-    (after 8 searches for one distinct minimum, 17 for two) or the restarts
-    cap; diagnostics gives the searches run (n_restarts) and stop_reason.
+    (after 8 searches for one distinct minimum off the bounds, 17 for two; a search that stops on
+    a bound is a search, not a minimum) or the restarts cap; diagnostics gives the searches run
+    (n_restarts) and stop_reason.
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum
@@ -896,7 +892,8 @@ def gmm_minimize(
     minima, stop_reason = [], "restart cap"
     for idx, x0 in enumerate(starts):
         minima.append(solve_one(idx, x0, 1, None))
-        if _expects_no_new_minimum(len(minima), len(_group_minima(minima, lo, hi))):
+        interior = _group_minima([m for m in minima if not m["at_bound"]], lo, hi)
+        if _expects_no_new_minimum(len(minima), len(interior)):
             stop_reason = "no new minimum expected"
             break
 

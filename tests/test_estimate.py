@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from revprod import estimate
 from revprod.cli import _validator
@@ -284,13 +285,13 @@ def _rel_gap(a, b):
 
 class TestFusedCore:
     @pytest.mark.parametrize("g_degree", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_matches_reference_core(self, kind, mode, g_degree, cd_panel, ces_panel):
         # in revenue mode g_degree only changes the random draws
         panel = cd_panel if kind == "CD" else ces_panel
         ms, fitted = _system(kind, mode, g_degree, panel)
-        ref = ReferenceCore(ms, panel, fitted)
+        ref = ReferenceCore(ms, panel, fitted, which_v="L" if mode == "revenue-L" else "M")
         rng = np.random.default_rng(100 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
@@ -494,13 +495,13 @@ class TestGmmMinimize:
     def test_revenue_flat_coordinates_at_normalisation(self, ces_panel, cd_panel, weighting):
         # the search moves only what revenue identifies, so every minimum sits
         # at the stated normalisation in the flat coordinates
-        # CES revenue holds three minima, so its searches run to the cap; CD revenue holds one
-        cases = (("CES", ces_panel, "v", 20, "restart cap"), ("CD", cd_panel, "beta_K", 8, "no new minimum expected"))
-        for kind, panel, flat, searches, stop_reason in cases:
+        # each holds one minimum off the bounds, the stopping rule's only count, so the searches
+        # stop after 8 of the 20 allowed, CES revenue's stops on the sigma bound among them
+        for kind, panel, flat in (("CES", ces_panel, "v"), ("CD", cd_panel, "beta_K")):
             ms = build_revenue_moments(kind, panel)
             res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
-            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == searches
-            assert res.diagnostics["stop_reason"] == stop_reason
+            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == 8
+            assert res.diagnostics["stop_reason"] == "no new minimum expected"
             norm = res.diagnostics["normalisation"]
             assert set(norm) == {"beta_L+beta_M", flat}
             for m in res.minima:
@@ -551,15 +552,28 @@ class TestGmmMinimize:
                 assert not (a["at_bound"] == b["at_bound"] and a["objective"] == pytest.approx(b["objective"], rel=1e-8)), (a, b)
         assert res.objective == min(m["objective"] for m in res.minima)
 
-    def test_stage_two_searches_that_meet_are_one_minimum(self, cd_panel):
-        # stage-one restart 5 stops on a box corner, a second stage-one group; its stage-two
-        # search reaches the interior minimum, which is then reported once for all 17 searches
+    def test_stage_two_searches_that_meet_are_one_minimum(self, cd_panel, monkeypatch):
+        # stage-one restart 5 stops on a box corner, a second stage-one group that the stopping
+        # rule does not count; its stage-two search reaches the interior minimum, which is then
+        # reported once for all 8 searches
         fs = first_stage_project(cd_panel, 3)
         ms = build_quantity_moments("CD", fs, cd_panel)
+        ends = []
+
+        def recording(*args, **kwargs):
+            res = scipy.optimize.minimize(*args, **kwargs)
+            ends.append(res.x)
+            return res
+
+        monkeypatch.setattr(estimate, "minimize", recording)
         res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
-        assert res.diagnostics["n_restarts"] == 17
+        assert res.diagnostics["n_restarts"] == 8
+        # eight stage-one searches, restart 5's on the corner, then one stage-two search per group
+        lo, hi = (np.array(b) for b in zip(*ms.bounds))
+        assert len(ends) == 10
+        assert np.sum(np.minimum(ends[5] - lo, hi - ends[5]) <= 1e-10 * (hi - lo)) >= 2
         (only,) = res.minima
-        assert (only["start_index"], only["n_starts"]) == (0, 17)
+        assert (only["start_index"], only["n_starts"]) == (0, 8)
         assert only["converged"] is True and only["at_bound"] == []
 
     def test_corner_minimum_not_converged(self, ces_panel):
@@ -611,6 +625,25 @@ class TestGmmMinimize:
         first_stop = {w: next((n for n in range(1, 21) if _expects_no_new_minimum(n, w)), None) for w in (1, 2, 3)}
         assert first_stop == {1: 8, 2: 17, 3: None}
         assert not any(_expects_no_new_minimum(n, w) for w in range(1, 21) for n in range(1, 8))
+        # with no minimum off the bounds found, nothing says the search is done
+        assert not any(_expects_no_new_minimum(n, 0) for n in range(1, 21))
+
+    def test_fit_with_only_bound_minima_runs_to_cap(self, small_cd_panel, monkeypatch):
+        # every stage-one search ends on the share bound, a minimum the stopping rule does not count
+        ms = build_revenue_moments("CD", small_cd_panel)
+        starts = []
+
+        def to_lower_bound(fun, x0, args, bounds, **kwargs):
+            starts.append(x0)
+            x = np.array([b[0] for b in bounds])
+            return scipy.optimize.OptimizeResult(x=x, fun=fun(x, *args)[0], success=True, message="at bound", nit=1, nfev=1)
+
+        monkeypatch.setattr(estimate, "minimize", to_lower_bound)
+        res = gmm_minimize(ms, weighting="identity", restarts=20, seed=3, screen=32)
+        assert len(starts) == res.diagnostics["n_restarts"] == 20
+        assert res.diagnostics["stop_reason"] == "restart cap"
+        (corner,) = res.minima
+        assert corner["at_bound"] == ["share_ratio"] and corner["converged"] is False
 
     @pytest.mark.parametrize("weighting", ["identity", "two-step"])
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
