@@ -151,7 +151,9 @@ def cmd_diagnose(args) -> int:
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
     out_dir = _out_dir(args, cfg)
 
-    report = build_identification_report(panel, cfg.sim.tech, ms, which_v=est.which_v)
+    report = build_identification_report(
+        panel, cfg.sim.tech, ms, which_v=est.which_v, first_stage_degree=est.first_stage_degree
+    )
     payload = dict(asdict(report), provenance=_provenance("diagnose", cfg, panel=Path(args.panel).name))
     _write_json(payload, out_dir / "identification_report.json", "identification_report.schema.json")
 

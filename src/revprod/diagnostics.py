@@ -210,14 +210,17 @@ class OmegaRecovery:
         return self.correlation >= 0.95
 
 
-def omega_recovery_attempt(panel: Panel, tech: Technology, mode: str, which_v: str = "M") -> OmegaRecovery:
+def omega_recovery_attempt(
+    panel: Panel, tech: Technology, mode: str, which_v: str = "M", first_stage_degree: int = 3
+) -> OmegaRecovery:
     """Try to recover simulated productivity from estimation residuals.
 
     Revenue mode computes log R minus the parametric revenue prediction
     (which should carry only the ex-post shock, less the constant
     log E[exp eps], which no correlation sees); quantity mode computes the
-    proxy-recovered series fitted minus predicted log output.  Panels without
-    a true productivity column yield a skipped report.
+    proxy-recovered series fitted minus predicted log output, with the first
+    stage fitted at first_stage_degree.  Panels without a true productivity
+    column yield a skipped report.
     """
     if mode not in ("quantity", "revenue"):
         raise ValueError(f"mode must be 'quantity' or 'revenue', got {mode!r}")
@@ -230,7 +233,7 @@ def omega_recovery_attempt(panel: Panel, tech: Technology, mode: str, which_v: s
         predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
         resid = np.log(panel.col("R")) - predict(_theta(tech, names))[0]
     else:
-        fs = first_stage_project(panel)
+        fs = first_stage_project(panel, first_stage_degree)
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
         resid = fs.fitted - q_pred
     if np.std(resid) == 0.0 or np.std(omega) == 0.0:
@@ -297,8 +300,13 @@ def build_identification_report(
     tech: Technology,
     ms: MomentSystem,
     which_v: str = "M",
+    first_stage_degree: int = 3,
 ) -> IdentificationReport:
-    """End-to-end identification report for one panel and moment system."""
+    """End-to-end identification report for one panel and moment system.
+
+    first_stage_degree is the degree of the quantity first stage that the
+    productivity recovery fits in quantity mode; revenue mode reads no first stage.
+    """
     if tech.kind != ms.tech_kind:
         raise ValueError(f"technology kind {tech.kind} does not match the {ms.tech_kind} moment system")
     center = {n: getattr(tech, n) for n in ms.param_names}
@@ -315,7 +323,7 @@ def build_identification_report(
     profiles["beta_scale"] = beta_scale_scan(ms, theta0)
 
     rank = asdict(jacobian_rank(ms, theta0))
-    omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v)
+    omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v, first_stage_degree=first_stage_degree)
 
     verdicts = {}
     scale_flat = profiles["beta_scale"].flatness <= FLAT_TOL

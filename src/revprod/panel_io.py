@@ -8,13 +8,24 @@ prices and quantities not).
 
 Floats are written with shortest round-trip formatting so that a write/read
 cycle reproduces the in-memory panel bit for bit.
+
+Beside each CSV it writes, write_panel_csv leaves a column cache
+(`panel.csv.cache` next to `panel.csv`): the SHA-256 of the CSV's bytes, then
+the columns in the .npy format.  read_panel_csv hashes the CSV it is given and
+takes the columns from the cache only when the digests agree, so an edited or
+replaced CSV is parsed afresh.  The CSV stays the only interchange format, and
+deleting the cache only costs the next read a parse.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import logging
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -52,6 +63,8 @@ OPTIONAL_COLUMNS = {"omega", "eps", "Q", "P"}
 _POSITIVE_COLUMNS = {"K", "L", "M", "pL", "pM", "pK", "Q", "P", "R", "sL_star", "sM_star"}
 
 _INT_COLUMNS = {"firm_id", "t"}
+
+logger = logging.getLogger(__name__)
 
 
 class PanelFormatError(ValueError):
@@ -136,24 +149,85 @@ def _format_column(col: str, values) -> list:
     return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
+def _row_dtype(header) -> np.dtype:
+    """One field per column of the header, in its order: what np.loadtxt returns for the body."""
+    return np.dtype([(c, np.int64 if c in _INT_COLUMNS else float) for c in header])
+
+
+def _cache_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".cache")
+
+
 def write_panel_csv(panel: Panel, path) -> None:
-    """Write the panel column by column, in the csv module's default dialect.
+    """Write the panel column by column, in the csv module's default dialect, and its column cache.
 
     No field can contain a delimiter or a quote character, so rows are joined
-    directly and end in the CRLF terminator that csv.writer uses.
+    directly and end in the CRLF terminator that csv.writer uses.  The cache
+    beside the CSV holds the 32-byte SHA-256 of the CSV's bytes followed by
+    the structured array that np.loadtxt parses from its body, in the .npy
+    format (version 1.0, no pickles); both files are byte-identical for equal
+    panels.
     """
     present = [c for c in COLUMNS if panel.has(c)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(present) + "\r\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def write(text):
+            chunk = text.encode("ascii")
+            digest.update(chunk)
+            fh.write(chunk)
+
+        write(",".join(present) + "\r\n")
         for start in range(0, len(panel), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
             columns = [_format_column(c, panel.data[c][block]) for c in present]
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+            write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+    rows = np.empty(len(panel), _row_dtype(present))
+    for c in present:
+        rows[c] = np.asarray(panel.data[c]).astype(rows.dtype[c])
+    with open(_cache_path(path), "wb") as fh:
+        fh.write(digest.digest())
+        np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
+
+
+def _cached_rows(path, digest: bytes, dtype: np.dtype) -> Optional[np.ndarray]:
+    """The rows cached beside `path` if they were cached from a CSV of this digest and dtype, else None.
+
+    The array is checked against the cache's length before it is read, so a
+    cache whose header claims more rows than it holds is passed over too.
+    """
+    try:
+        blob = _cache_path(path).read_bytes()
+    except OSError:
+        return None
+    fh = io.BytesIO(blob)
+    if fh.read(len(digest)) != digest:
+        return None
+    try:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            return None
+        shape, fortran_order, cached = np.lib.format.read_array_header_1_0(fh)
+    except ValueError:
+        return None
+    if cached != dtype or fortran_order or len(shape) != 1 or len(blob) - fh.tell() != shape[0] * dtype.itemsize:
+        return None
+    return np.frombuffer(blob, dtype, count=shape[0], offset=fh.tell())
 
 
 def read_panel_csv(path) -> Panel:
-    """np.loadtxt reads the body; if it fails or finds no rows, the csv loop rereads it to name the bad line."""
-    with open(path, newline="") as fh:
+    """Read a panel CSV: from its column cache when the cache matches, else by parsing.
+
+    The header is checked either way.  The columns come from the cache beside
+    the file when the cache's digest is the SHA-256 of the file's bytes and its
+    dtype matches the header; a missing, stale, truncated or unreadable cache
+    is ignored.  Otherwise np.loadtxt parses the body; if it fails or finds no
+    rows, the csv loop rereads it to name the bad line.  Both ways give the
+    same columns bit for bit, and the Panel validates them.
+    """
+    content = Path(path).read_bytes()
+    digest = hashlib.sha256(content).digest()
+    with io.TextIOWrapper(io.BytesIO(content), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -168,11 +242,14 @@ def read_panel_csv(path) -> Panel:
         missing = [c for c in COLUMNS if c not in header and c not in OPTIONAL_COLUMNS]
         if missing:
             raise PanelFormatError(f"{path}: missing required columns {missing}")
-        dtype = [(c, np.int64 if c in _INT_COLUMNS else float) for c in header]
+        dtype = _row_dtype(header)
+        rows = _cached_rows(path, digest, dtype)
+        logger.debug("%s: columns %s", path, "parsed" if rows is None else "read from the cache beside it")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt only warns on a body without rows
-                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+            if rows is None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt only warns on a body without rows
+                    rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
             raw = {c: np.ascontiguousarray(rows[c]) for c in header}
         except (ValueError, UserWarning):
             fh.seek(0)

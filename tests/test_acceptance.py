@@ -233,8 +233,9 @@ def test_criterion_9_determinism(tmp_path):
         panel = str(tmp_path / d / "panel.csv")
         assert main(["estimate", panel, "--config", str(ini), "--mode", "revenue", "--out", str(tmp_path / d)]) == 0
         assert main(["diagnose", panel, "--config", str(ini), "--out", str(tmp_path / d)]) == 0
-    for name in ("panel.csv", "provenance.json", "estimate_revenue.json", "identification_report.json"):
+    names = ("panel.csv", "panel.csv.cache", "provenance.json", "estimate_revenue.json", "identification_report.json")
+    for name in names:
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between runs"
-    return "panel.csv, provenance.json, estimate_revenue.json, identification_report.json byte-identical"
+    return ", ".join(names) + " byte-identical"

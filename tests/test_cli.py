@@ -150,6 +150,8 @@ def test_provenance_records_what_each_command_used(cd_ini, tmp_path):
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov.keys() == {"command", "config_sha256", "version", "seed", "outputs", "n_rows"}
     assert (prov["seed"], prov["outputs"], prov["n_rows"]) == (777, ["panel.csv"], 800)
+    # the column cache beside the panel is not an output: it can be deleted at no cost but a parse
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cd.ini", "panel.csv", "panel.csv.cache", "provenance.json"]
     assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(cd_ini), "--mode", "revenue", "--out", str(tmp_path)]) == EXIT_OK
     res = json.loads((tmp_path / "estimate_revenue.json").read_text())
     assert res["provenance"] == {

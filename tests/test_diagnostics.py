@@ -158,6 +158,19 @@ class TestOmegaRecovery:
         resid = np.log(panel.col("R")) - predicted_log_revenue(ces_tech, *logs, cfg.shocks.cal_e, "M")
         assert np.var(resid) == pytest.approx(0.12**2, rel=0.1)
 
+    def test_quantity_recovery_fits_the_given_first_stage_degree(self, small_ces_panel, ces_tech):
+        # the first stage that estimate --mode quantity fits, at the configured degree, not always 3
+        panel = small_ces_panel
+        q_pred = np.log(ces_tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
+        got = {}
+        for degree in (2, 3):
+            resid = first_stage_project(panel, degree).fitted - q_pred
+            rec = omega_recovery_attempt(panel, ces_tech, "quantity", first_stage_degree=degree)
+            assert rec.correlation == float(np.corrcoef(resid, panel.col("omega"))[0, 1])
+            got[degree] = rec.correlation
+        assert got[2] != got[3]
+        assert omega_recovery_attempt(panel, ces_tech, "quantity").correlation == got[3]
+
     def test_skipped_without_omega_column(self, small_ces_panel, ces_tech):
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["omega"] = None
@@ -185,6 +198,14 @@ class TestReport:
         assert rep.verdicts["beta_L"] == "identified-ratio-only"
         assert rep.verdicts["beta_M"] == "identified-ratio-only"
         assert rep.verdicts["omega"] == "not identified"
+
+    def test_quantity_report_passes_the_first_stage_degree(self, small_cd_panel, cd_tech):
+        fs = first_stage_project(small_cd_panel, 2)
+        ms = build_quantity_moments("CD", fs, small_cd_panel)
+        rep = build_identification_report(small_cd_panel, cd_tech, ms, first_stage_degree=2)
+        expected = omega_recovery_attempt(small_cd_panel, cd_tech, "quantity", first_stage_degree=2)
+        assert rep.omega_recovery["correlation"] == expected.correlation
+        assert expected.correlation != omega_recovery_attempt(small_cd_panel, cd_tech, "quantity").correlation
 
     def test_technology_kind_must_match_system(self, ces_panel, ces_config, cd_revenue_ms):
         # a CES technology has a beta_K too, so without the check it would

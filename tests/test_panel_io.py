@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,10 @@ from revprod import panel_io
 from revprod.cli import EXIT_VALIDATION, main
 from revprod.config import parse_config
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError, read_panel_csv, write_panel_csv
-from revprod.simulate import simulate_panel
+from revprod.simulate import SimConfig, simulate_panel
+from revprod.technology import CobbDouglas
+
+import test_simulate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,7 +93,32 @@ def _row_read(path, monkeypatch) -> dict:
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "loadtxt", fail)
+        patch.setattr(panel_io, "_cached_rows", lambda *args: None)
         return {c: v for c, v in read_panel_csv(path).data.items() if v is not None}
+
+
+def _cache_path(path) -> Path:
+    return path.with_name(path.name + ".cache")
+
+
+def _read(path, caplog, source) -> Panel:
+    """read_panel_csv(path), checking from its debug line that the columns came from `source`."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="revprod.panel_io"):
+        panel = read_panel_csv(path)
+    assert f"{path}: columns {source}" in caplog.text
+    return panel
+
+
+def _assert_same_panel(panel, reference):
+    assert len(panel) == len(reference)
+    for c in COLUMNS:
+        got, ref = panel.col(c), reference.col(c)
+        if ref is None:
+            assert got is None, c
+        else:
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), c
+            assert got.flags.c_contiguous, c
 
 
 def _assert_same_columns(panel, reference):
@@ -97,15 +128,117 @@ def _assert_same_columns(panel, reference):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), c
 
 
-@pytest.mark.parametrize("config", ["configs/ces.ini", "configs/cd.ini"])
-def test_shipped_panels_read_bit_identical(config, tmp_path, monkeypatch):
+@pytest.mark.parametrize("config", ["configs/ces.ini", "configs/cd.ini", "perfbench/configs/cd-oracle.ini"])
+def test_shipped_panels_read_bit_identical(config, tmp_path, monkeypatch, caplog):
     panel = simulate_panel(parse_config(ROOT / config).sim)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
-    back = read_panel_csv(path)
+    back = _read(path, caplog, "read from the cache beside it")
     _assert_same_columns(back, _row_read(path, monkeypatch))
     _assert_same_columns(back, {c: panel.col(c) for c in COLUMNS if panel.has(c)})
     assert all(back.col(c).flags.c_contiguous for c in COLUMNS if back.has(c))
+    _cache_path(path).unlink()
+    _assert_same_panel(back, _read(path, caplog, "parsed"))
+
+
+def _revenue_only(panel) -> Panel:
+    return Panel(data={c: None if c in panel_io.OPTIONAL_COLUMNS else panel.col(c) for c in COLUMNS})
+
+
+def _edge_panel(case) -> Panel:
+    # the edge-case panels whose CSV bytes test_simulate pins, a revenue-only copy of one, and no rows
+    if case == "revenue_only":
+        return _revenue_only(_edge_panel("eta_dispersion"))
+    if case == "no_rows":
+        return simulate_panel(SimConfig(tech=CobbDouglas(0.25, 0.3, 0.4), n_firms=0, n_periods=1, seed=1))
+    return simulate_panel(SimConfig(**test_simulate.TestPanelBytes.CASES[case][0]))
+
+
+@pytest.mark.parametrize("case", [*test_simulate.TestPanelBytes.CASES, "revenue_only", "no_rows"])
+def test_cached_read_equals_parsed_read(case, tmp_path, caplog):
+    panel = _edge_panel(case)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    cache = _cache_path(path).read_bytes()
+    # the cache is keyed by the CSV's own digest, so it names the pinned panel bytes
+    assert cache[:32] == hashlib.sha256(path.read_bytes()).digest()
+    if case in test_simulate.TestPanelBytes.CASES:
+        assert cache[:32].hex() == test_simulate.TestPanelBytes.CASES[case][1]
+    cached = _read(path, caplog, "read from the cache beside it")
+    _assert_same_panel(cached, panel)
+    _cache_path(path).unlink()
+    _assert_same_panel(cached, _read(path, caplog, "parsed"))
+    # a second write of the panel gives the same bytes, cache included
+    write_panel_csv(panel, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.csv.cache").read_bytes() == cache
+
+
+def test_edited_csv_is_parsed_not_read_from_stale_cache(small_cd_panel, tmp_path, caplog):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(small_cd_panel, path)
+    lines = path.read_bytes().split(b"\r\n")
+    header = lines[0].split(b",")
+    row = lines[5].split(b",")
+    k = header.index(b"K")
+    edited = 2.0 * float(row[k])
+    row[k] = repr(edited).encode()
+    lines[5] = b",".join(row)
+    path.write_bytes(b"\r\n".join(lines))
+    back = _read(path, caplog, "parsed")
+    assert back.col("K")[4] == edited
+    expected = small_cd_panel.col("K").copy()
+    expected[4] = edited
+    assert back.col("K").tobytes() == expected.tobytes()
+
+
+# caches read_panel_csv must pass over, made from the panel's own cache and another panel's
+_UNUSABLE_CACHES = {
+    "truncated in the digest": lambda own, other: own[:20],
+    "truncated after the digest": lambda own, other: own[:32],
+    "truncated in the array": lambda own, other: own[: len(own) // 2],
+    "garbage": lambda own, other: bytes(range(256)) * 8,
+    "digest then a zip header": lambda own, other: own[:32] + b"PK\x03\x04" + bytes(64),
+    "another panel's cache": lambda own, other: other,
+    "digest then other columns": lambda own, other: own[:32] + other[32:],
+    "empty": lambda own, other: b"",
+}
+
+
+@pytest.mark.parametrize("case", [*_UNUSABLE_CACHES, "missing"])
+def test_unusable_cache_gives_parsed_result(case, small_ces_panel, tmp_path, caplog):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(small_ces_panel, path)
+    # the other panel is the same rows without Q and P
+    data = {c: small_ces_panel.col(c) for c in COLUMNS}
+    data["Q"] = data["P"] = None
+    write_panel_csv(Panel(data=data), tmp_path / "other.csv")
+    if case == "missing":
+        _cache_path(path).unlink()
+    else:
+        own, other = _cache_path(path).read_bytes(), (tmp_path / "other.csv.cache").read_bytes()
+        _cache_path(path).write_bytes(_UNUSABLE_CACHES[case](own, other))
+    _assert_same_panel(_read(path, caplog, "parsed"), small_ces_panel)
+
+
+_REVENUE_HEADER = "firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star"
+_GOOD_ROW = "1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"
+
+
+@pytest.mark.parametrize("body, message", [
+    ([_GOOD_ROW, "1,2,1.0,oops,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], "line 3: field L='oops' is not numeric"),
+    (["1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3"], "line 2: expected 11 fields, got 10"),
+    ([_GOOD_ROW, "1.5,2,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], "line 3: field firm_id='1.5' is not numeric"),
+], ids=["non-numeric", "short-row", "non-integral-firm-id"])
+def test_malformed_file_beside_stale_cache_names_line(body, message, small_cd_panel, tmp_path):
+    # a revenue-only panel written at the same path leaves a cache whose dtype matches the
+    # malformed file's header, so only the digest tells the two files apart
+    path = tmp_path / "bad.csv"
+    write_panel_csv(_revenue_only(small_cd_panel), path)
+    assert _cache_path(path).exists()
+    path.write_text("\n".join([_REVENUE_HEADER, *body]) + "\n")
+    with pytest.raises(PanelFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_panel_csv(path)
 
 
 def test_blank_lines_and_column_subset_read_as_before(small_cd_panel, tmp_path, monkeypatch):
