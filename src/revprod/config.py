@@ -32,7 +32,7 @@ class EstimationSettings:
     first_stage_degree: int = 3
     g_degree: int = 1
     weighting: str = "two-step"
-    restarts: int = 20  # a cap: the stage-one searches stop sooner once no new minimum is expected
+    restarts: int = 20  # a cap on quantity mode's stage-one searches, which stop sooner once no new minimum is expected
     screen: int = 256
     restart_seed: int = 7
     which_v: str = "M"

@@ -150,7 +150,8 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     Its columns for coordinates the residual never reads are exact zeros,
     and the share-rescaling direction is null up to rounding rather than up
     to the truncation error of a difference step.  Numerical rank counts the
-    singular values above RANK_RTOL times the largest.  When the Jacobian has
+    singular values above RANK_RTOL times the largest; each null direction is
+    signed so that its largest-magnitude component is positive.  When the Jacobian has
     a null space, the report also projects the share-rescaling direction out
     of it, so that the remaining direction can be attributed to a single axis.
     """
@@ -160,6 +161,9 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     null = Vt[rank:]
+    # the SVD leaves each direction's sign arbitrary, so rounding can flip it: make the
+    # largest-magnitude component positive
+    null = null * np.sign(null[np.arange(len(null)), np.argmax(np.abs(null), axis=1)])[:, None]
 
     diag = RankDiagnostics(
         # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0

@@ -33,13 +33,14 @@ touches them, which makes the flatness bit-exact rather than approximate.
 
 Each parameter vector goes through one evaluation.  On the row path that is
 one prediction over the panel rows, then the residual.  The local searches
-are L-BFGS-B with the exact gradient of the objective.  Each predictor also
-returns its Jacobian, built from the exp/log arrays of the prediction, and
-the gradient is propagated in reverse through the moments and the residual,
-so a value and its gradient cost one evaluation.  The same pullback, applied
-to each instrument column, gives the exact moment Jacobian
-(MomentSystem.jacobian) whose SVD the rank diagnostics take; its columns for
-coordinates the residual never reads are exact zeros.  A Cobb-Douglas
+are L-BFGS-B with the exact gradient of the objective.  The gradient is
+propagated in reverse through the moments and the residual and ends in the
+predictor's vector-Jacobian product, built from the exp/log arrays of the
+prediction, so a value and its gradient cost one evaluation and no p x N
+Jacobian is formed.  The same pullback, applied to each instrument column,
+gives the exact moment Jacobian (MomentSystem.jacobian) whose SVD the rank
+diagnostics take; its columns for coordinates the residual never reads are
+exact zeros.  A Cobb-Douglas
 quantity system at Markov degree one skips the rows: its prediction is
 linear in theta, so its moments and their Jacobian are closed forms over
 cross-products of the panel taken once (_LinearMarkovMoments).  CES and
@@ -48,12 +49,14 @@ lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
 searches ABNORMAL at their minimum.  A revenue system carries the chart of
 what revenue identifies (SearchChart), mapped to theta at a stated
-normalisation of the flat coordinates; a quantity system has none and is
-searched in theta.  The stage-one searches run one at a time and stop once
-Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond the
-distinct ones found off the bounds (_expects_no_new_minimum); restarts is
-only a cap.  Two-step weighting re-minimizes once per distinct stage-one
-minimum, and either weighting reports each distinct minimum once.  Every
+normalisation of the flat coordinates, and starts on it at the closed-form
+expenditure-ratio estimate of sigma and beta_L/beta_M, from which one search
+runs, with no screening.  A quantity system has no chart and no closed form:
+it is searched in theta from screened starts, one at a time, until Boender
+and Rinnooy Kan's Bayesian rule expects no minimum beyond the distinct ones
+found off the bounds (_expects_no_new_minimum); restarts is only a cap.
+Two-step weighting re-minimizes once per distinct stage-one minimum, and
+either weighting reports each distinct minimum once.  Every
 minimum lists the coordinates it left on a bound (at_bound); one on a bound
 is never reported converged.  There is no derivative-free polish.
 """
@@ -228,7 +231,8 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 @dataclass(frozen=True)
 class SearchChart:
     """Coordinates x that a search moves, theta = origin + basis x; normalisation gives the values at which the
-    coordinates off the chart are fixed, identified(estimates) the functionals of theta the system identifies."""
+    coordinates off the chart are fixed, identified(estimates) the functionals of theta the system identifies.
+    start, when the system has a closed-form estimate, is that estimate in x, inside the bounds."""
 
     names: tuple
     bounds: tuple
@@ -236,6 +240,7 @@ class SearchChart:
     origin: np.ndarray
     normalisation: dict
     identified: callable
+    start: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -264,7 +269,8 @@ class MomentSystem:
     The residual and the chart come from the build function.  build_quantity_moments: the
     innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
     is g_degree, and no chart.  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post
-    shock relative to its mean at the true parameters, and the chart of what revenue identifies;
+    shock relative to its mean at the true parameters, and the chart of what revenue identifies,
+    which starts at the expenditure-ratio estimate;
     revenue systems have no productivity process, so their g_degree is None.
     """
 
@@ -301,12 +307,12 @@ class MomentSystem:
         e, penalty, derivatives, pullback = self._evaluate(theta)
 
         def gradient(u):
-            r = pullback(self.Z.dot(u))
-            dpred, dpenalty = derivatives()
-            return -2.0 * dpred.dot(r) + self.n_obs * dpenalty
+            dpred_r, dpenalty = derivatives(pullback(self.Z.dot(u)))
+            return -2.0 * dpred_r + self.n_obs * dpenalty
 
         def jacobian():
-            return -(derivatives()[0] @ np.column_stack([pullback(z) for z in self.Z.T])).T / self.n_obs
+            # the pulled-back instrument columns, stored row by row so that derivatives reads them contiguously
+            return -derivatives(np.array([pullback(z) for z in self.Z.T]).T)[0].T / self.n_obs
 
         return e.dot(self.Z) / self.n_obs, penalty, gradient, jacobian
 
@@ -375,7 +381,9 @@ class _MarkovInnovation:
         powers -= power_means[:, None]
         w_mean = y.sum() / n
         y -= w_mean
-        gram_inv = np.linalg.solve(powers.dot(powers.T), np.eye(self.degree))
+        gram = powers.dot(powers.T)
+        # a 1 x 1 solve is a division; 1 / gram is bit-identical and skips LAPACK
+        gram_inv = 1.0 / gram if self.degree == 1 else np.linalg.solve(gram, np.eye(self.degree))
         slope = gram_inv.dot(powers.dot(y))
         xi = y - slope.dot(powers)
         return xi, (lag_mean, w_mean, power_means, slope, powers, gram_inv)
@@ -492,9 +500,11 @@ def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarr
 
 
 # A predictor maps theta to (prediction, penalty, derivatives), where
-# derivatives() returns the p x N Jacobian of the prediction and the gradient
-# of the penalty, computed from the arrays the prediction already built.  Rows
-# of coordinates the predictor never reads are exactly zero.
+# derivatives(r) returns the vector-Jacobian product dpred r and the gradient
+# of the penalty.  r has shape (N,) or (N, k), and dpred r shape (p,) or
+# (p, k); it is computed from the arrays the prediction already built, without
+# forming the p x N Jacobian.  Rows of coordinates the predictor never reads
+# are exactly zero.
 
 
 def _quantity_predictor(tech_kind: str, cols):
@@ -502,7 +512,7 @@ def _quantity_predictor(tech_kind: str, cols):
 
     if tech_kind == "CD":
         jac = np.vstack([k, l, m])
-        derivatives = lambda: (jac, np.zeros(3))
+        derivatives = lambda r: (jac.dot(r), np.zeros(3))
 
         def predict(theta):
             bK, bL, bM = theta
@@ -525,16 +535,22 @@ def _quantity_predictor(tech_kind: str, cols):
         log_agg = np.log(agg)
         pred = v * k + (v / sg) * log_agg
 
-        def derivatives():
-            # the capital share 1 - bL - bM moves with bL and bM unless clipped
-            d_bL, d_bM = (el, em) if clipped else (el - 1.0, em - 1.0)
-            scale = (v / sg) / agg
-            d_sg = (v * (bL * lk * el + bM * mk * em) / agg - (v / sg) * log_agg) / sg
-            jac = np.vstack([d_sg, scale * d_bL, scale * d_bM, k + log_agg / sg])
+        def derivatives(r):
+            # with q = r / agg: d_v r = k r + (log_agg r) / sigma, d_bL r = (v/sigma)(el q - sum q), d_bM alike
+            # (the capital share 1 - bL - bM moves with bL and bM unless clipped, which drops the sum q),
+            # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma)
+            rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
+            q = rt / agg
+            el_q, em_q = el * q, em * q
+            s_el, s_em, lr = el_q.sum(axis=-1), em_q.sum(axis=-1), rt.dot(log_agg) / sg
+            if not clipped:
+                s_q = q.sum(axis=-1)
+                s_el, s_em = s_el - s_q, s_em - s_q
+            d_sg = (v / sg) * (bL * el_q.dot(lk) + bM * em_q.dot(mk) - lr)
             dpen = np.zeros(4)
             if clipped:
                 dpen[1:3] = 2e4 * (_MIN_CAPITAL_SHARE - bK_raw)
-            return jac, dpen
+            return np.array([d_sg, (v / sg) * s_el, (v / sg) * s_em, rt.dot(k) + lr]), dpen
 
         return pred, penalty, derivatives
 
@@ -581,14 +597,12 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
             lin = a * l_pl + (1.0 - a) * m_pm
             pred = theta0 + lin - s
 
-            def derivatives():
+            def derivatives(r):
+                # d pred / d a = d_wv + log(1 - a) - log(a) + gap, chained to beta_L and beta_M
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
-                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) + gap
+                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum(axis=0) + gap.dot(r)
                 tot2 = (bL + bM) ** 2
-                jac = np.zeros((3, gap.size))
-                jac[1] = d_a * (bM / tot2)
-                jac[2] = d_a * (-bL / tot2)
-                return jac, np.zeros(3)
+                return np.array([np.zeros_like(d_a), d_a * (bM / tot2), d_a * (-bL / tot2)]), np.zeros(3)
 
             return pred, 0.0, derivatives
 
@@ -604,17 +618,22 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
         log_k, phi = math.log(bO / bV), (1.0 - sg) / sg
         u1 = np.exp(sg * gap + log_k)
         u2 = np.exp((log_k - sg * price_gap) / (1.0 - sg))
-        lr = np.log((1.0 + u1) / (1.0 + u2))
+        a1, a2 = 1.0 + u1, 1.0 + u2
+        lr = np.log(a1 / a2)
         pred = base + phi * lr
 
-        def derivatives():
-            # through phi and log u1, log u2; kappa's derivative is chained to beta_V and beta_O,
-            # and the v row stays zero
-            w1, w2 = u1 / (1.0 + u1), u2 / (1.0 + u2)
-            d_sg = phi * (gap * w1 - w2 * (log_k - price_gap) / (1.0 - sg) ** 2) - lr / sg**2
-            d_k = phi * (w1 - w2 / (1.0 - sg))  # kappa * d pred / d kappa
+        def derivatives(r):
+            # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
+            # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
+            # kappa d pred / d kappa = phi (w1 - w2 / (1 - sigma)), chained to beta_V and beta_O;
+            # the v row stays zero
+            rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
+            w1_r, w2_r = rt * (u1 / a1), rt * (u2 / a2)
+            s1, s2 = w1_r.sum(axis=-1), w2_r.sum(axis=-1)
+            d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - rt.dot(lr) / sg**2
+            d_k = phi * (s1 - s2 / (1.0 - sg))
             d_bL, d_bM = (-d_k / bL, d_k / bM) if which_v == "L" else (d_k / bL, -d_k / bM)
-            return np.vstack([d_sg, d_bL, d_bM, np.zeros(lr.size)]), np.zeros(4)
+            return np.array([d_sg, d_bL, d_bM, np.zeros_like(d_k)]), np.zeros(4)
 
         return pred, 0.0, derivatives
 
@@ -650,6 +669,35 @@ def build_quantity_moments(
     )
 
 
+# A closed-form start is moved at least this fraction of the box width inside each bound.
+_START_MARGIN = 1e-3
+
+
+def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
+    """(sigma, log(beta_L/beta_M)) from the expenditure ratio, or None if the instruments leave them undetermined.
+
+    Cost minimisation gives log(pL L / (pM M)) = log(beta_L/beta_M) + sigma log(L/M) on every row
+    (Doraszelski and Jaumandreu, 2018); Cobb-Douglas has sigma = 0, which leaves the constant.  The fit
+    is 2SLS of the log ratio on a constant and, for CES, log(L/M), with the instruments Z; cols holds the
+    logs of L, M, pL and pM on Z's rows.
+    """
+    import scipy.linalg
+
+    y = cols["L"] + cols["pL"] - cols["M"] - cols["pM"]
+    X = np.ones((y.size, 1)) if tech_kind == "CD" else np.column_stack([np.ones(y.size), cols["L"] - cols["M"]])
+    try:
+        R = scipy.linalg.cholesky(Z.T.dot(Z))
+    except scipy.linalg.LinAlgError:
+        return None
+    # with Z'Z = R'R, R^-T Z'[X y] is [X y] projected on the span of Z, in an orthonormal basis of it
+    proj = scipy.linalg.solve_triangular(R, Z.T.dot(np.column_stack([X, y])), trans="T")
+    # a log(L/M) whose projection is a constant to within 1e-10 of its size leaves sigma undetermined
+    coef, _, rank, _ = scipy.linalg.lstsq(proj[:, :-1], proj[:, -1], cond=1e-10)
+    if rank < X.shape[1]:
+        return None
+    return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
+
+
 def build_revenue_moments(
     tech_kind: str,
     panel: Panel,
@@ -665,10 +713,16 @@ def build_revenue_moments(
     a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant returns (v = 1, or
     beta_K = 1 - c).  c = lo + hi on the default box, where a's bounds span every ratio the box
     allows and keep both shares inside it.  A fit reports sigma and beta_L/beta_M, or a.
+
+    The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M
+    (_expenditure_ratio_fit), moved _START_MARGIN of the box width inside the bounds; it has no
+    start when that fit leaves them undetermined.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("R",))
     log_r = logs.pop("R")[cur]
-    predict, names = revenue_predictor(tech_kind, {c: x[cur] for c, x in logs.items()}, which_v)
+    current = {c: x[cur] for c, x in logs.items()}
+    predict, names = revenue_predictor(tech_kind, current, which_v)
+    Z = _instrument_matrix(panel, cur, lag, instruments)
 
     def residual(pred):
         ratio = np.exp(log_r - pred)
@@ -688,15 +742,22 @@ def build_revenue_moments(
         basis = np.column_stack([np.eye(len(names))[names.index("sigma")], share])
         identified = lambda est: {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]}
     origin = np.array([fixed.get(n, 0.0) for n in names])
+    start, fit = None, _expenditure_ratio_fit(tech_kind, current, Z)
+    if fit is not None:
+        sigma, log_ratio = fit
+        share_ratio = 0.5 + 0.5 * math.tanh(0.5 * log_ratio)  # beta_L/(beta_L+beta_M), with no overflow
+        lo, hi = (np.array(b) for b in zip(*chart_bounds))
+        x = np.array([sigma, share_ratio] if tech_kind == "CES" else [share_ratio])
+        start = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
         param_names=names,
-        Z=_instrument_matrix(panel, cur, lag, instruments),
+        Z=Z,
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=SearchChart(chart_names, chart_bounds, basis, origin, {"beta_L+beta_M": c, **flat}, identified),
+        chart=SearchChart(chart_names, chart_bounds, basis, origin, {"beta_L+beta_M": c, **flat}, identified, start),
     )
 
 
@@ -733,7 +794,11 @@ def _draw_starts(screening, lo, hi, start, restarts: int, seed: int, screen: int
 
     Draws a seeded uniform cloud in the box; when screen > restarts, evaluates screening(x) on the
     whole cloud and keeps the restarts lowest draws, in draw order, so narrow basins are still found.
+    A given start comes first and takes the last of those slots; when it takes the only slot,
+    nothing is drawn or screened.
     """
+    if start is not None and restarts == 1:
+        return np.asarray(start, float)[None, :]
     rng = np.random.default_rng(seed)
     n_draw = max(screen, restarts, 1)
     starts = lo + rng.uniform(0.05, 0.95, size=(n_draw, lo.size)) * (hi - lo)
@@ -741,7 +806,7 @@ def _draw_starts(screening, lo, hi, start, restarts: int, seed: int, screen: int
         vals = np.array([screening(x) for x in starts])
         starts = starts[np.sort(np.argsort(vals, kind="stable")[:restarts])]
     if start is not None:
-        starts = np.vstack([np.asarray(start, float), starts[: max(restarts - 1, 0)]])
+        starts = np.vstack([np.asarray(start, float), starts[: restarts - 1]])
     return starts
 
 
@@ -823,12 +888,14 @@ def gmm_minimize(
     seed: int = 7,
     screen: int = 256,
 ) -> EstimateResult:
-    """Multi-start minimization of the GMM quadratic form.
+    """Minimization of the GMM quadratic form, from a closed-form start or from many.
 
-    Stage one searches from each start in turn until _expects_no_new_minimum
-    (after 8 searches for one distinct minimum off the bounds, 17 for two; a search that stops on
-    a bound is a search, not a minimum) or the restarts cap; diagnostics gives the searches run
-    (n_restarts) and stop_reason.
+    When ms.chart carries a closed-form start and no start is given, stage one is one search from
+    it, with no screening, and stop_reason is 'closed-form start'; restarts, seed and screen are
+    not read.  Otherwise stage one searches from each of the screened starts (_draw_starts, which
+    puts a given start first) in turn until _expects_no_new_minimum (after 8 searches for one
+    distinct minimum off the bounds, 17 for two; a search that stops on a bound is a search, not a
+    minimum) or the restarts cap.  diagnostics gives the searches run (n_restarts) and stop_reason.
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum
@@ -840,7 +907,7 @@ def gmm_minimize(
     chart adds its identified functionals and diagnostics.normalisation; df is n_moments less
     the dimension of x.
 
-    All distinct local minima are reported, not just the best.  Each records
+    Every distinct local minimum the searches reach is reported, not just the best.  Each records
     n_starts, the number of stage-one searches it stands for; at_bound, the
     names of coordinates within _AT_BOUND_TOL of the box width of a bound;
     L-BFGS-B's termination message and its count of value-and-gradient
@@ -858,7 +925,11 @@ def gmm_minimize(
     chart = ms.chart or SearchChart(ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}, lambda est: None)
     to_theta = lambda x: chart.origin + chart.basis.dot(x)
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    starts = _draw_starts(lambda x: ms.objective(to_theta(x)), lo, hi, start, restarts, seed, screen=screen)
+    closed_form = start is None and chart.start is not None
+    if closed_form:
+        starts = [chart.start]
+    else:
+        starts = _draw_starts(lambda x: ms.objective(to_theta(x)), lo, hi, start, restarts, seed, screen=screen)
     edge = _AT_BOUND_TOL * (hi - lo)
 
     def objective_and_gradient(x, W):
@@ -889,7 +960,7 @@ def gmm_minimize(
             "n_evals": int(res.nfev),
         }
 
-    minima, stop_reason = [], "restart cap"
+    minima, stop_reason = [], "closed-form start" if closed_form else "restart cap"
     for idx, x0 in enumerate(starts):
         minima.append(solve_one(idx, x0, 1, None))
         interior = _group_minima([m for m in minima if not m["at_bound"]], lo, hi)

@@ -130,6 +130,23 @@ class TestJacobianRank:
             assert not np.any(np.signbit(nd[nd == 0.0]))
 
 
+    def test_null_directions_signed_by_largest_component(self, ces_revenue_ms, cd_revenue_ms, monkeypatch):
+        # an SVD may return any singular vector negated; the report's directions do not follow it
+        svd = np.linalg.svd
+
+        def negated_svd(a, *args, **kwargs):
+            U, s, Vt = svd(a, *args, **kwargs)
+            return -U, s, -Vt
+
+        for ms, theta in ((ces_revenue_ms, THETA_CES), (cd_revenue_ms, THETA_CD)):
+            diag = jacobian_rank(ms, theta)
+            for v in diag.null_directions:
+                assert v[int(np.argmax(np.abs(v)))] > 0.0
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", negated_svd)
+                assert jacobian_rank(ms, theta).null_directions == diag.null_directions
+
+
 class TestOmegaRecovery:
     def test_revenue_residual_carries_no_signal(self, ces_panel, ces_config):
         rec = omega_recovery_attempt(ces_panel, ces_config.tech, "revenue")

@@ -278,6 +278,11 @@ def _system(kind, mode, g_degree, panel):
     return build_quantity_moments(kind, fs, panel, g_degree=g_degree), fs.fitted
 
 
+def _multistart(ms):
+    """The system with its chart's closed-form start removed, so that gmm_minimize screens and multistarts."""
+    return ms if ms.chart is None else dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=None))
+
+
 def _rel_gap(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
@@ -410,10 +415,45 @@ class TestGradient:
         ms = build_quantity_moments("CES", fs, small_ces_panel)
         theta = np.array([0.5, 0.55, 0.5, 0.9])
         _, penalty, derivatives = ms._predict(theta)
-        _, dpenalty = derivatives()
+        _, dpenalty = derivatives(np.ones(len(small_ces_panel)))
         excess = theta[1] + theta[2] - (1.0 - _MIN_CAPITAL_SHARE)
         assert penalty == pytest.approx(1e4 * excess**2, rel=1e-12)
         assert dpenalty == pytest.approx([0.0, 2e4 * excess, 2e4 * excess, 0.0], rel=1e-12)
+
+
+def _five_point_prediction_jacobian(predict, theta, h):
+    """Reference p x N Jacobian of a predictor's prediction: the fourth-order central stencil."""
+    rows = []
+    for j in range(theta.size):
+        step = np.zeros(theta.size)
+        step[j] = h
+        at = lambda c: predict(theta + c * step)[0]
+        rows.append((-at(2) + 8 * at(1) - 8 * at(-1) + at(-2)) / (12 * h))
+    return np.array(rows)
+
+
+class TestVectorJacobianProduct:
+    """derivatives(r) of every predictor is the Jacobian of its prediction applied to r."""
+
+    @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_matches_five_point_jacobian(self, kind, mode, cd_panel, ces_panel):
+        ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
+        rng = np.random.default_rng(500)
+        lo, hi = (np.array(b) for b in zip(*ms.bounds))
+        thetas = list(lo + rng.uniform(0.1, 0.9, size=(3, lo.size)) * (hi - lo))
+        if kind == "CES":
+            thetas.append(np.array([0.4, 0.55, 0.5, 0.9]))  # the clipped-capital branch in quantity mode
+        never_read = None if mode == "quantity" else ("beta_K" if kind == "CD" else "v")
+        for theta in thetas:
+            pred, _, derivatives = ms._predict(theta)
+            jac = _five_point_prediction_jacobian(ms._predict, theta, 1e-4)
+            for r in (rng.normal(size=pred.size), rng.normal(size=(pred.size, 3))):
+                dpred_r = derivatives(r)[0]
+                assert dpred_r.shape == (theta.size,) + r.shape[1:]
+                assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
+                if never_read is not None:
+                    assert np.all(dpred_r[ms.param_names.index(never_read)] == 0.0)
 
 
 def _five_point_jacobian(ms, theta, h):
@@ -495,13 +535,12 @@ class TestGmmMinimize:
     def test_revenue_flat_coordinates_at_normalisation(self, ces_panel, cd_panel, weighting):
         # the search moves only what revenue identifies, so every minimum sits
         # at the stated normalisation in the flat coordinates
-        # each holds one minimum off the bounds, the stopping rule's only count, so the searches
-        # stop after 8 of the 20 allowed, CES revenue's stops on the sigma bound among them
+        # one search, from the chart's closed-form start, whatever the restarts cap
         for kind, panel, flat in (("CES", ces_panel, "v"), ("CD", cd_panel, "beta_K")):
             ms = build_revenue_moments(kind, panel)
             res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
-            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == 8
-            assert res.diagnostics["stop_reason"] == "no new minimum expected"
+            assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] == 1
+            assert res.diagnostics["stop_reason"] == "closed-form start"
             norm = res.diagnostics["normalisation"]
             assert set(norm) == {"beta_L+beta_M", flat}
             for m in res.minima:
@@ -524,8 +563,8 @@ class TestGmmMinimize:
         assert chart.objective == pytest.approx(full.objective, rel=1e-8)
         assert chart.diagnostics["df"] == ms.n_moments - len(chart.identified)
         assert full.diagnostics["df"] == ms.n_moments - p
-        # the chart ran one stage-two search per distinct minimum, not one per flat-direction spread
-        assert len(chart.minima) <= (1 if kind == "CD" else 3) < len(full.minima)
+        # the chart ran one search from its closed-form start, not one per flat-direction spread
+        assert len(chart.minima) == 1 < len(full.minima)
 
     def test_quantity_restarts_share_one_stage_two_search(self, ces_panel):
         fs = first_stage_project(ces_panel, 3)
@@ -543,8 +582,8 @@ class TestGmmMinimize:
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_identity_fit_lists_each_minimum_once(self, kind, mode, cd_panel, ces_panel):
         # identity weighting groups its searches as two-step does: no two minima repeat one
-        # another, and each stands for the searches that reach it
-        ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
+        # another, and each stands for the searches that reach it (revenue without its closed-form start)
+        ms = _multistart(_system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0])
         res = gmm_minimize(ms, weighting="identity", restarts=20, seed=5)
         assert sum(m["n_starts"] for m in res.minima) == res.diagnostics["n_restarts"] >= 8
         for i, a in enumerate(res.minima):
@@ -630,7 +669,7 @@ class TestGmmMinimize:
 
     def test_fit_with_only_bound_minima_runs_to_cap(self, small_cd_panel, monkeypatch):
         # every stage-one search ends on the share bound, a minimum the stopping rule does not count
-        ms = build_revenue_moments("CD", small_cd_panel)
+        ms = _multistart(build_revenue_moments("CD", small_cd_panel))
         starts = []
 
         def to_lower_bound(fun, x0, args, bounds, **kwargs):
@@ -653,7 +692,7 @@ class TestGmmMinimize:
         if mode == "quantity":
             ms = build_quantity_moments(kind, first_stage_project(panel, 3), panel)
         else:
-            ms = build_revenue_moments(kind, panel)
+            ms = _multistart(build_revenue_moments(kind, panel))
 
         def distinct(res):
             found = []
@@ -670,6 +709,59 @@ class TestGmmMinimize:
         assert [b for _, b in distinct(ruled)] == [b for _, b in distinct(full)]
         for (j, _), (j_full, _) in zip(distinct(ruled), distinct(full)):
             assert j == pytest.approx(j_full, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_closed_form_start_recovers_truth(self, kind, cd_panel, ces_panel, cd_config, ces_config):
+        # the simulated firms minimise cost exactly, so the expenditure ratio is exact in sigma and the ratio
+        tech = (cd_config if kind == "CD" else ces_config).tech
+        ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
+        share_ratio = ms.chart.start[-1]
+        if kind == "CES":
+            assert ms.chart.start[0] == pytest.approx(tech.sigma, abs=1e-12)
+            assert share_ratio / (1.0 - share_ratio) == pytest.approx(tech.beta_L / tech.beta_M, abs=1e-12)
+        else:
+            assert share_ratio == pytest.approx(tech.beta_L / (tech.beta_L + tech.beta_M), abs=1e-12)
+
+    def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
+        # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma
+        data = {c: small_ces_panel.col(c) for c in COLUMNS}
+        data["M"] = 2.0 * data["L"]
+        ms = build_revenue_moments("CES", Panel(data=data))
+        assert ms.chart.start is None
+        res = gmm_minimize(ms, weighting="identity", restarts=2, seed=5, screen=16)
+        assert res.diagnostics["stop_reason"] != "closed-form start"
+
+    @pytest.mark.parametrize("weighting", ["identity", "two-step"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_closed_form_start_matches_multistart(self, kind, weighting, cd_panel, ces_panel):
+        ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
+        res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
+        multi = gmm_minimize(_multistart(ms), weighting=weighting, restarts=20, seed=5)
+        assert (res.diagnostics["n_restarts"], res.diagnostics["stop_reason"]) == (1, "closed-form start")
+        assert multi.diagnostics["n_restarts"] >= 8
+        assert res.objective == pytest.approx(multi.objective, rel=1e-8)
+        assert res.identified.keys() == multi.identified.keys()
+        for name, value in res.identified.items():
+            assert value == pytest.approx(multi.identified[name], rel=1e-8), name
+        (only,) = res.minima
+        assert only["converged"] is True and only["at_bound"] == []
+
+    def test_given_start_alone_is_not_screened(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([2.0, 5.0])
+        calls = []
+
+        def screening(x):
+            calls.append(x)
+            return float(np.sum((x - 1.5) ** 2))
+
+        start = [0.3, 4.5]
+        assert np.array_equal(estimate._draw_starts(screening, lo, hi, start, 1, seed=3, screen=64), [start])
+        assert calls == []
+        # with more slots, the given start takes the first and the screened draws the rest, as before
+        for restarts in (2, 5):
+            screened = estimate._draw_starts(screening, lo, hi, None, restarts, seed=3, screen=64)
+            given = estimate._draw_starts(screening, lo, hi, start, restarts, seed=3, screen=64)
+            assert np.array_equal(given, np.vstack([start, screened[: restarts - 1]]))
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
