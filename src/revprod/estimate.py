@@ -47,14 +47,15 @@ cross-products of the panel taken once (_LinearMarkovMoments).  CES and
 higher Markov degrees keep the row path.  A search stops once an iteration
 lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
-searches ABNORMAL at their minimum.  A revenue system carries the chart of
-what revenue identifies (SearchChart), mapped to theta at a stated
-normalisation of the flat coordinates, and starts on it at the closed-form
-expenditure-ratio estimate of sigma and beta_L/beta_M, from which one search
-runs, with no screening.  A quantity system has no chart and no closed form:
-it is searched in theta from screened starts, one at a time, until Boender
-and Rinnooy Kan's Bayesian rule expects no minimum beyond the distinct ones
-found off the bounds (_expects_no_new_minimum); restarts is only a cap.
+searches ABNORMAL at their minimum.  Each system carries the chart that its
+searches move in (SearchChart, _share_chart): CES quantity x = (sigma, a, c, v),
+a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M <= 0.995, so capital keeps a
+share; revenue holds c and v (or beta_K), which it never reads, at a stated
+normalisation, and starts at the closed-form expenditure-ratio estimate, from
+which one search runs, with no screening.  Cobb-Douglas quantity searches theta.
+A quantity system is searched from screened starts, one at a time, until
+Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond the distinct
+ones found off the bounds (_expects_no_new_minimum); restarts is only a cap.
 Two-step weighting re-minimizes once per distinct stage-one minimum, and
 either weighting reports each distinct minimum once.  Every
 minimum lists the coordinates it left on a bound (at_bound); one on a bound
@@ -66,7 +67,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,9 +115,6 @@ DEFAULT_BOUNDS = {
     "CD": {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)},
     "CES": {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)},
 }
-
-_MIN_CAPITAL_SHARE = 5e-3
-
 
 class EstimationError(RuntimeError):
     """Raised when the moment covariance gives no two-step weight."""
@@ -230,16 +228,16 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 
 @dataclass(frozen=True)
 class SearchChart:
-    """Coordinates x that a search moves, theta = origin + basis x; normalisation gives the values at which the
-    coordinates off the chart are fixed, identified(estimates) the functionals of theta the system identifies.
-    start, when the system has a closed-form estimate, is that estimate in x, inside the bounds."""
+    """Coordinates x that a search moves in the box bounds, and to_theta(x) = (theta, dtheta/dx); normalisation
+    gives the values at which the coordinates off the chart are fixed, identified(estimates) the functionals of
+    theta the system identifies, if it states them.  start, when the system has a closed-form estimate, is that
+    estimate in x, inside the bounds."""
 
     names: tuple
     bounds: tuple
-    basis: np.ndarray
-    origin: np.ndarray
-    normalisation: dict
-    identified: callable
+    to_theta: callable
+    normalisation: dict = field(default_factory=dict)
+    identified: callable = lambda est: None
     start: Optional[np.ndarray] = None
 
 
@@ -248,15 +246,15 @@ class MomentSystem:
     """Moment conditions E[z * e(theta)] = 0 on the current rows of a panel.
 
     Every statistic at a parameter vector theta reads one private
-    linearization (_linearize): the moments m, the penalty, the objective's
-    gradient as a function of the direction u (the symmetrized W m) and a
-    thunk for the exact n_moments x p moment Jacobian.
+    linearization (_linearize): the moments m, the objective's gradient as a
+    function of the direction u (the symmetrized W m) and a thunk for the
+    exact n_moments x p moment Jacobian.
 
     On the row path the predictor runs once, and _residual maps its
     prediction to the residual e on the current rows and to e's pullback.
     The pullback takes weights q on the current rows and returns the gradient
     of q'e with respect to minus the prediction, so the objective's gradient
-    is -2 dpred pullback(Z u) + n grad penalty, and no n x p moment Jacobian
+    is -2 dpred pullback(Z u), and no n x p moment Jacobian
     is formed.  jacobian(theta) pulls back each instrument column instead:
     the exact moment Jacobian is -(dpred pullback(Z))' / n.
 
@@ -268,10 +266,11 @@ class MomentSystem:
 
     The residual and the chart come from the build function.  build_quantity_moments: the
     innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
-    is g_degree, and no chart.  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post
-    shock relative to its mean at the true parameters, and the chart of what revenue identifies,
-    which starts at the expenditure-ratio estimate;
-    revenue systems have no productivity process, so their g_degree is None.
+    is g_degree, and the chart of every coordinate (_share_chart for CES, theta itself for
+    Cobb-Douglas).  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post shock relative
+    to its mean at the true parameters, and the chart of what revenue identifies, which starts at
+    the expenditure-ratio estimate; revenue systems have no productivity process, so their
+    g_degree is None.
     """
 
     mode: str
@@ -279,42 +278,37 @@ class MomentSystem:
     param_names: tuple
     Z: np.ndarray
     instrument_names: tuple
-    _predict: callable = field(repr=False)  # theta -> (prediction, penalty, derivatives)
+    _predict: callable = field(repr=False)  # theta -> (prediction, derivatives)
     _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
+    chart: SearchChart
     g_degree: Optional[int] = None
     _closed_form: Optional[callable] = field(default=None, repr=False)  # theta -> _linearize's tuple
-    chart: Optional[SearchChart] = None
-
-    @property
-    def bounds(self) -> tuple:
-        return tuple(DEFAULT_BOUNDS[self.tech_kind][n] for n in self.param_names)
 
     @property
     def n_obs(self) -> int:
         return self.Z.shape[0]
 
     def _evaluate(self, theta):
-        """Residual, penalty, predictor derivatives and residual pullback at theta."""
-        pred, penalty, derivatives = self._predict(np.asarray(theta, float))
+        """Residual, predictor derivatives and residual pullback at theta."""
+        pred, derivatives = self._predict(np.asarray(theta, float))
         e, pullback = self._residual(pred)
-        return e, penalty, derivatives, pullback
+        return e, derivatives, pullback
 
     def _linearize(self, theta):
-        """(m, penalty, gradient, jacobian) at theta: gradient(u) is the objective's gradient
+        """(m, gradient, jacobian) at theta: gradient(u) is the objective's gradient
         for the direction u, jacobian() the exact moment Jacobian."""
         if self._closed_form is not None:
             return self._closed_form(theta)
-        e, penalty, derivatives, pullback = self._evaluate(theta)
+        e, derivatives, pullback = self._evaluate(theta)
 
         def gradient(u):
-            dpred_r, dpenalty = derivatives(pullback(self.Z.dot(u)))
-            return -2.0 * dpred_r + self.n_obs * dpenalty
+            return -2.0 * derivatives(pullback(self.Z.dot(u)))
 
         def jacobian():
             # the pulled-back instrument columns, stored row by row so that derivatives reads them contiguously
-            return -derivatives(np.array([pullback(z) for z in self.Z.T]).T)[0].T / self.n_obs
+            return -derivatives(np.array([pullback(z) for z in self.Z.T]).T).T / self.n_obs
 
-        return e.dot(self.Z) / self.n_obs, penalty, gradient, jacobian
+        return e.dot(self.Z) / self.n_obs, gradient, jacobian
 
     def g_coefficients(self, theta) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
@@ -329,25 +323,24 @@ class MomentSystem:
 
     def jacobian(self, theta) -> np.ndarray:
         """Exact n_moments x p Jacobian of moments(theta)."""
-        return self._linearize(theta)[3]()
+        return self._linearize(theta)[2]()
 
     def moment_covariance(self, theta) -> np.ndarray:
         G = self.Z * self._evaluate(theta)[0][:, None]
         return G.T @ G / self.n_obs
 
-    def _quadratic_form(self, m, penalty, weight):
+    def _quadratic_form(self, m, weight):
         mw = m if weight is None else m.dot(weight)
-        return self.n_obs * (float(mw.dot(m)) + penalty), mw
+        return self.n_obs * float(mw.dot(m)), mw
 
     def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        m, penalty = self._linearize(theta)[:2]
-        return self._quadratic_form(m, penalty, weight)[0]
+        return self._quadratic_form(self._linearize(theta)[0], weight)[0]
 
     def objective_and_gradient(self, theta, weight: Optional[np.ndarray] = None):
         """objective(theta, weight) and its exact gradient from one evaluation."""
-        m, penalty, gradient, _ = self._linearize(theta)
-        value, mw = self._quadratic_form(m, penalty, weight)
+        m, gradient, _ = self._linearize(theta)
+        value, mw = self._quadratic_form(m, weight)
         return value, gradient(m if weight is None else 0.5 * (mw + weight.dot(m)))
 
 
@@ -462,7 +455,7 @@ class _LinearMarkovMoments:
             grad_b = (s_sym[1:] - 2.0 * b * s_ll[1:]) / den
             return a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:]
 
-        return a_t - b * a_l, 0.0, lambda u: 2.0 * self.n * u.dot(jacobian()), jacobian
+        return a_t - b * a_l, lambda u: 2.0 * self.n * u.dot(jacobian()), jacobian
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -499,12 +492,11 @@ def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarr
     return Z
 
 
-# A predictor maps theta to (prediction, penalty, derivatives), where
-# derivatives(r) returns the vector-Jacobian product dpred r and the gradient
-# of the penalty.  r has shape (N,) or (N, k), and dpred r shape (p,) or
-# (p, k); it is computed from the arrays the prediction already built, without
-# forming the p x N Jacobian.  Rows of coordinates the predictor never reads
-# are exactly zero.
+# A predictor maps theta to (prediction, derivatives), where derivatives(r)
+# returns the vector-Jacobian product dpred r.  r has shape (N,) or (N, k), and
+# dpred r shape (p,) or (p, k); it is computed from the arrays the prediction
+# already built, without forming the p x N Jacobian.  Rows of coordinates the
+# predictor never reads are exactly zero.
 
 
 def _quantity_predictor(tech_kind: str, cols):
@@ -512,11 +504,10 @@ def _quantity_predictor(tech_kind: str, cols):
 
     if tech_kind == "CD":
         jac = np.vstack([k, l, m])
-        derivatives = lambda r: (jac.dot(r), np.zeros(3))
 
         def predict(theta):
             bK, bL, bM = theta
-            return bK * k + bL * l + bM * m, 0.0, derivatives
+            return bK * k + bL * l + bM * m, jac.dot
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
@@ -524,12 +515,9 @@ def _quantity_predictor(tech_kind: str, cols):
 
     def predict(theta):
         sg, bL, bM, v = theta
-        bK_raw = bK = 1.0 - bL - bM
-        clipped = bK < _MIN_CAPITAL_SHARE
-        penalty = 0.0
-        if clipped:
-            penalty = 1e4 * (_MIN_CAPITAL_SHARE - bK) ** 2
-            bK = _MIN_CAPITAL_SHARE
+        bK = 1.0 - bL - bM
+        if bK <= 0.0:
+            raise ValueError(f"the CES quantity prediction needs beta_L + beta_M < 1; theta = {list(map(float, theta))}")
         el, em = np.exp(sg * lk), np.exp(sg * mk)
         agg = bK + bL * el + bM * em
         log_agg = np.log(agg)
@@ -537,22 +525,17 @@ def _quantity_predictor(tech_kind: str, cols):
 
         def derivatives(r):
             # with q = r / agg: d_v r = k r + (log_agg r) / sigma, d_bL r = (v/sigma)(el q - sum q), d_bM alike
-            # (the capital share 1 - bL - bM moves with bL and bM unless clipped, which drops the sum q),
+            # (the capital share 1 - bL - bM moves with bL and bM),
             # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma)
             rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
             q = rt / agg
             el_q, em_q = el * q, em * q
-            s_el, s_em, lr = el_q.sum(axis=-1), em_q.sum(axis=-1), rt.dot(log_agg) / sg
-            if not clipped:
-                s_q = q.sum(axis=-1)
-                s_el, s_em = s_el - s_q, s_em - s_q
+            s_q, lr = q.sum(axis=-1), rt.dot(log_agg) / sg
+            s_el, s_em = el_q.sum(axis=-1) - s_q, em_q.sum(axis=-1) - s_q
             d_sg = (v / sg) * (bL * el_q.dot(lk) + bM * em_q.dot(mk) - lr)
-            dpen = np.zeros(4)
-            if clipped:
-                dpen[1:3] = 2e4 * (_MIN_CAPITAL_SHARE - bK_raw)
-            return np.array([d_sg, (v / sg) * s_el, (v / sg) * s_em, rt.dot(k) + lr]), dpen
+            return np.array([d_sg, (v / sg) * s_el, (v / sg) * s_em, rt.dot(k) + lr])
 
-        return pred, penalty, derivatives
+        return pred, derivatives
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
@@ -568,7 +551,7 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
     equation is used.  The target shares are defined against ex-ante expected
     revenue, P * Qstar * E[exp eps], so that is what the formula predicts.
     Returns (predict, param_names): predict(theta), with theta ordered as
-    param_names, gives (prediction, penalty, derivatives) as described above.
+    param_names, gives (prediction, derivatives) as described above.
     The formula is built from h and the unit aggregate cost alone: it never
     reads the capital exponent (Cobb-Douglas) or returns to scale (CES), so
     parameter vectors that differ only there give bit-identical predictions,
@@ -602,9 +585,9 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
                 d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum(axis=0) + gap.dot(r)
                 tot2 = (bL + bM) ** 2
-                return np.array([np.zeros_like(d_a), d_a * (bM / tot2), d_a * (-bL / tot2)]), np.zeros(3)
+                return np.array([np.zeros_like(d_a), d_a * (bM / tot2), d_a * (-bL / tot2)])
 
-            return pred, 0.0, derivatives
+            return pred, derivatives
 
         return predict, ("beta_K", "beta_L", "beta_M")
 
@@ -633,9 +616,9 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
             d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - rt.dot(lr) / sg**2
             d_k = phi * (s1 - s2 / (1.0 - sg))
             d_bL, d_bM = (-d_k / bL, d_k / bM) if which_v == "L" else (d_k / bL, -d_k / bM)
-            return np.array([d_sg, d_bL, d_bM, np.zeros_like(d_k)]), np.zeros(4)
+            return np.array([d_sg, d_bL, d_bM, np.zeros_like(d_k)])
 
-        return pred, 0.0, derivatives
+        return pred, derivatives
 
     return predict, ("sigma", "beta_L", "beta_M", "v")
 
@@ -664,9 +647,47 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
+        chart=_share_chart("CES", normalised=False) if tech_kind == "CES" else _box_chart(tech_kind, names),
         g_degree=g_degree,
         _closed_form=closed_form,
     )
+
+
+def _box_chart(tech_kind: str, names) -> SearchChart:
+    """The identity chart x = theta over the default box."""
+    eye = np.eye(len(names))
+    return SearchChart(tuple(names), tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names), lambda x: (np.array(x, float), eye))
+
+
+def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
+    """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: x = (sigma, a, c, v)
+    (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a).  normalised holds c at
+    lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and
+    v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps beta_K >= 0.005, inside the CES domain."""
+    box = DEFAULT_BOUNDS[tech_kind]
+    (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
+    c = min(lo_L + hi_M, hi_L + lo_M)
+    shares = {"share_ratio": (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c)), "beta_L+beta_M": (lo_L + lo_M, 0.995)}
+    if tech_kind == "CES":
+        coords, flat = {"sigma": box["sigma"], **shares, "v": box["v"]}, {"v": 1.0}  # in theta's order
+    else:
+        coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
+    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
+    free = np.array([i for i, n in enumerate(coords) if n not in normalisation])
+    fixed = np.array([normalisation.get(n, 0.0) for n in coords])
+    eye = np.eye(len(coords))
+
+    def to_theta(x):
+        theta = fixed.copy()
+        theta[free] = x
+        ratio, scale = float(theta[1]), float(theta[2])
+        theta[1], theta[2] = scale * ratio, scale - scale * ratio
+        jac = eye.copy()
+        jac[1, 1], jac[1, 2], jac[2, 1], jac[2, 2] = scale, ratio, -scale, 1.0 - ratio
+        return theta, jac[:, free]
+
+    names = [n for n in coords if n not in normalisation]
+    return SearchChart(tuple(names), tuple(coords[n] for n in names), to_theta, normalisation)
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -709,10 +730,9 @@ def build_revenue_moments(
     The residual is r = exp(log R - pred) - 1 on the current rows, pred being
     revenue_predictor's log expected revenue; which_v selects the flexible
     input whose revenue equation is used.  pred reads neither v (CES) nor beta_K (CD), and beta_L
-    and beta_M only through their ratio, so the chart moves x = (sigma, a) (CES) or a (CD),
-    a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant returns (v = 1, or
-    beta_K = 1 - c).  c = lo + hi on the default box, where a's bounds span every ratio the box
-    allows and keep both shares inside it.  A fit reports sigma and beta_L/beta_M, or a.
+    and beta_M only through their ratio, so the chart is the normalised _share_chart: it moves
+    x = (sigma, a) (CES) or a (CD), a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant
+    returns.  A fit reports sigma and beta_L/beta_M, or a.
 
     The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M
     (_expenditure_ratio_fit), moved _START_MARGIN of the box width inside the bounds; it has no
@@ -728,25 +748,15 @@ def build_revenue_moments(
         ratio = np.exp(log_r - pred)
         return ratio - 1.0, lambda q: ratio * q
 
-    box = DEFAULT_BOUNDS[tech_kind]
-    (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
-    c = min(lo_L + hi_M, hi_L + lo_M)
-    flat = {"beta_K": round(1.0 - c, 12)} if tech_kind == "CD" else {"v": 1.0}
-    fixed, moved = {"beta_M": c, **flat}, {"beta_L": c, "beta_M": -c}
-    share = np.array([moved.get(n, 0.0) for n in names])
-    share_bounds = (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c))
-    chart_names, chart_bounds, basis = ("share_ratio",), (share_bounds,), share[:, None]
+    chart = _share_chart(tech_kind, normalised=True)
     identified = lambda est: {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
     if tech_kind == "CES":
-        chart_names, chart_bounds = ("sigma",) + chart_names, (box["sigma"],) + chart_bounds
-        basis = np.column_stack([np.eye(len(names))[names.index("sigma")], share])
         identified = lambda est: {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]}
-    origin = np.array([fixed.get(n, 0.0) for n in names])
     start, fit = None, _expenditure_ratio_fit(tech_kind, current, Z)
     if fit is not None:
         sigma, log_ratio = fit
         share_ratio = 0.5 + 0.5 * math.tanh(0.5 * log_ratio)  # beta_L/(beta_L+beta_M), with no overflow
-        lo, hi = (np.array(b) for b in zip(*chart_bounds))
+        lo, hi = (np.array(b) for b in zip(*chart.bounds))
         x = np.array([sigma, share_ratio] if tech_kind == "CES" else [share_ratio])
         start = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
     return MomentSystem(
@@ -757,7 +767,7 @@ def build_revenue_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=SearchChart(chart_names, chart_bounds, basis, origin, {"beta_L+beta_M": c, **flat}, identified, start),
+        chart=replace(chart, identified=identified, start=start),
     )
 
 
@@ -786,27 +796,21 @@ class EstimateResult:
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
     seed: int
-    identified: Optional[dict] = None  # systems with a chart only
+    identified: Optional[dict] = None  # systems whose chart states them (revenue) only
 
 
-def _draw_starts(screening, lo, hi, start, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
+def _draw_starts(screening, lo, hi, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
     """Starting points for the local searches, in the coordinates x of the box [lo, hi].
 
     Draws a seeded uniform cloud in the box; when screen > restarts, evaluates screening(x) on the
     whole cloud and keeps the restarts lowest draws, in draw order, so narrow basins are still found.
-    A given start comes first and takes the last of those slots; when it takes the only slot,
-    nothing is drawn or screened.
     """
-    if start is not None and restarts == 1:
-        return np.asarray(start, float)[None, :]
     rng = np.random.default_rng(seed)
     n_draw = max(screen, restarts, 1)
     starts = lo + rng.uniform(0.05, 0.95, size=(n_draw, lo.size)) * (hi - lo)
     if n_draw > restarts:
         vals = np.array([screening(x) for x in starts])
         starts = starts[np.sort(np.argsort(vals, kind="stable")[:restarts])]
-    if start is not None:
-        starts = np.vstack([np.asarray(start, float), starts[: restarts - 1]])
     return starts
 
 
@@ -883,29 +887,27 @@ def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
 def gmm_minimize(
     ms: MomentSystem,
     weighting: str = "two-step",
-    start=None,
     restarts: int = 20,
     seed: int = 7,
     screen: int = 256,
 ) -> EstimateResult:
     """Minimization of the GMM quadratic form, from a closed-form start or from many.
 
-    When ms.chart carries a closed-form start and no start is given, stage one is one search from
-    it, with no screening, and stop_reason is 'closed-form start'; restarts, seed and screen are
-    not read.  Otherwise stage one searches from each of the screened starts (_draw_starts, which
-    puts a given start first) in turn until _expects_no_new_minimum (after 8 searches for one
-    distinct minimum off the bounds, 17 for two; a search that stops on a bound is a search, not a
-    minimum) or the restarts cap.  diagnostics gives the searches run (n_restarts) and stop_reason.
+    When ms.chart carries a closed-form start, stage one is one search from it, with no screening, and stop_reason
+    is 'closed-form start'; restarts, seed and screen are not read.  Otherwise stage one searches from each of the
+    screened starts (_draw_starts) in turn until _expects_no_new_minimum (after 8 searches for one distinct minimum
+    off the bounds, 17 for two; a search that stops on a bound is a search, not a minimum) or the restarts cap.
+    diagnostics gives the searches run (n_restarts) and stop_reason.
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
     (_two_step_weight) and re-minimizes once per distinct stage-one minimum
     (_group_minima), from the group's representative, keeping its start_index.
     Under both weightings the final minima are grouped once more, so that each
     distinct minimum is reported once, with the n_starts of its searches summed.
-    Screening, searches, grouping, at_bound and start are in the x of ms.chart, or in theta
-    when the system has no chart; minima and estimates report the full theta.  A fit on a
-    chart adds its identified functionals and diagnostics.normalisation; df is n_moments less
-    the dimension of x.
+    Screening, searches, grouping, at_bound and start are in the x of ms.chart, whose Jacobian
+    pulls the gradient back from theta; minima and estimates report the full theta.  A fit on a
+    normalised chart adds its identified functionals and diagnostics.normalisation; df is
+    n_moments less the dimension of x.
 
     Every distinct local minimum the searches reach is reported, not just the best.  Each records
     n_starts, the number of stage-one searches it stands for; at_bound, the
@@ -921,20 +923,17 @@ def gmm_minimize(
         raise ValueError("weighting must be 'identity' or 'two-step'")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    p = len(ms.param_names)
-    chart = ms.chart or SearchChart(ms.param_names, ms.bounds, np.eye(p), np.zeros(p), {}, lambda est: None)
-    to_theta = lambda x: chart.origin + chart.basis.dot(x)
+    chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    closed_form = start is None and chart.start is not None
-    if closed_form:
-        starts = [chart.start]
-    else:
-        starts = _draw_starts(lambda x: ms.objective(to_theta(x)), lo, hi, start, restarts, seed, screen=screen)
+    closed_form = chart.start is not None
+    screening = lambda x: ms.objective(chart.to_theta(x)[0])
+    starts = [chart.start] if closed_form else _draw_starts(screening, lo, hi, restarts, seed, screen=screen)
     edge = _AT_BOUND_TOL * (hi - lo)
 
     def objective_and_gradient(x, W):
-        value, grad = ms.objective_and_gradient(to_theta(x), W)
-        return value, chart.basis.T.dot(grad)
+        theta, jac = chart.to_theta(x)
+        value, grad = ms.objective_and_gradient(theta, W)
+        return value, jac.T.dot(grad)
 
     def solve_one(idx, x0, n_starts, W):
         res = minimize(
@@ -969,14 +968,14 @@ def gmm_minimize(
             break
 
     if weighting == "two-step":
-        W = _two_step_weight(ms, to_theta(min(minima, key=lambda m: m["objective"])["theta"]))
+        W = _two_step_weight(ms, chart.to_theta(min(minima, key=lambda m: m["objective"])["theta"])[0])
         minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in _group_minima(minima, lo, hi)]
     # stage-one searches, or stage-two searches from two stage-one groups, can end at one minimum
     minima = [dict(rep, n_starts=n) for rep, n in _group_minima(minima, lo, hi)]
     best = min(minima, key=lambda m: m["objective"])
 
     for m in minima:
-        m["theta"] = [float(v) for v in to_theta(m["theta"])]
+        m["theta"] = [float(v) for v in chart.to_theta(m["theta"])[0]]
     theta_hat = np.array(best["theta"])
     n_converged = sum(1 for m in minima if m["converged"])
     if n_converged == 0:

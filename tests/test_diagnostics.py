@@ -93,6 +93,12 @@ class TestProfiles:
         assert rev.flatness <= 1e-10
         assert qty.flatness >= 100.0 * max(rev.flatness, 1e-10)
 
+    def test_quantity_scan_past_the_ces_domain_rejected(self, ces_quantity_ms):
+        # from scale 1.075 on (1.02 there, 1.235 at 1.3) beta_L + beta_M leaves no capital share, where the CES
+        # aggregate is undefined; the first such point is named
+        with pytest.raises(ValueError, match=r"beta_L \+ beta_M < 1; theta = \[0\.5, 0\.48375, 0\.5375, 0\.9\]"):
+            beta_scale_scan(ces_quantity_ms, [0.5, 0.45, 0.5, 0.9])
+
     def test_unknown_parameter_rejected(self, ces_revenue_ms):
         with pytest.raises(ValueError, match="unknown parameter"):
             profile_scan(ces_revenue_ms, "gamma", [0.1], THETA_CES)

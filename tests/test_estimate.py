@@ -11,10 +11,11 @@ from revprod import estimate
 from revprod.cli import _validator
 from revprod.config import parse_config
 from revprod.estimate import (
-    _MIN_CAPITAL_SHARE,
     _SAME_J_RTOL,
     BASIC_INSTRUMENTS,
+    DEFAULT_BOUNDS,
     DEFAULT_INSTRUMENTS,
+    _box_chart,
     _expects_no_new_minimum,
     _group_minima,
     _instrument_matrix,
@@ -26,7 +27,7 @@ from revprod.estimate import (
 )
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError
 from revprod.simulate import SimConfig, simulate_panel
-from revprod.technology import ShockConfig
+from revprod.technology import CES, ShockConfig
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -206,67 +207,59 @@ class ReferenceCore:
         k, l, m, pl, pm = x["K"], x["L"], x["M"], x["pL"], x["pM"]
         if mode == "quantity" and kind == "CD":
             bK, bL, bM = theta
-            return bK * k + bL * l + bM * m, 0.0
+            return bK * k + bL * l + bM * m
         if mode == "quantity":
             sg, bL, bM, v = theta
             bK = 1.0 - bL - bM
-            penalty = 0.0
-            if bK < _MIN_CAPITAL_SHARE:
-                penalty = 1e4 * (_MIN_CAPITAL_SHARE - bK) ** 2
-                bK = _MIN_CAPITAL_SHARE
-            return (v / sg) * np.log(bK * np.exp(sg * k) + bL * np.exp(sg * l) + bM * np.exp(sg * m)), penalty
+            return (v / sg) * np.log(bK * np.exp(sg * k) + bL * np.exp(sg * l) + bM * np.exp(sg * m))
         s = x["sL_star" if self.which_v == "L" else "sM_star"]
         if kind == "CD":
             _, bL, bM = theta
             a = bL / (bL + bM)
             w_v = a if self.which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
-            return theta0 + a * (l + pl) + (1.0 - a) * (m + pm) - s, 0.0
+            return theta0 + a * (l + pl) + (1.0 - a) * (m + pm) - s
         sg, bL, bM, _ = theta
         bV, v_in = (bL, l) if self.which_v == "L" else (bM, m)
         e = sg / (sg - 1.0)
         agg = np.log(bL * np.exp(sg * l) + bM * np.exp(sg * m))
         B = np.log(np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0)))
-        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s, 0.0
+        return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s
 
     def _core(self, theta):
-        pred_t, penalty = self._predict(theta, self.rows_t)
-        pred_lag, _ = self._predict(theta, self.rows_lag)
-        w_t, w_lag = self.y_t - pred_t, self.y_lag - pred_lag
+        w_t = self.y_t - self._predict(theta, self.rows_t)
+        w_lag = self.y_lag - self._predict(theta, self.rows_lag)
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         coef, *_ = np.linalg.lstsq(X, w_t, rcond=None)
-        return w_t - X @ coef, penalty, coef
+        return w_t - X @ coef, coef
 
     def _residual(self, theta):
         if self.ms.mode == "revenue":
-            pred_t, penalty = self._predict(theta, self.rows_t)
-            return self.revenue_t / np.exp(pred_t) - 1.0, penalty
-        return self._core(theta)[:2]
+            return self.revenue_t / np.exp(self._predict(theta, self.rows_t)) - 1.0
+        return self._core(theta)[0]
 
     def g_coefficients(self, theta):
-        return self._core(theta)[2]
+        return self._core(theta)[1]
 
     def g_tolerance(self, theta):
         """Relative accuracy of g_coefficients.  lstsq on raw powers of the
         lag is only good to a small multiple of cond(X) * eps, which exceeds
         1e-10 when the lag has a large mean and a small spread; the fused
         core fits centred powers and is not the limit there."""
-        pred_lag, _ = self._predict(theta, self.rows_lag)
-        w_lag = self.y_lag - pred_lag
+        w_lag = self.y_lag - self._predict(theta, self.rows_lag)
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         return max(1e-10, 10.0 * float(np.linalg.cond(X)) * np.finfo(float).eps)
 
     def moments(self, theta):
-        return self.ms.Z.T @ self._residual(theta)[0] / self.ms.n_obs
+        return self.ms.Z.T @ self._residual(theta) / self.ms.n_obs
 
     def moment_covariance(self, theta):
-        G = self.ms.Z * self._residual(theta)[0][:, None]
+        G = self.ms.Z * self._residual(theta)[:, None]
         return G.T @ G / self.ms.n_obs
 
     def objective(self, theta, weight=None):
         m = self.moments(theta)
-        val = float(m @ m) if weight is None else float(m @ weight @ m)
-        return self.ms.n_obs * (val + self._residual(theta)[1])
+        return self.ms.n_obs * (float(m @ m) if weight is None else float(m @ weight @ m))
 
 
 def _system(kind, mode, g_degree, panel):
@@ -280,7 +273,19 @@ def _system(kind, mode, g_degree, panel):
 
 def _multistart(ms):
     """The system with its chart's closed-form start removed, so that gmm_minimize screens and multistarts."""
-    return ms if ms.chart is None else dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=None))
+    return dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=None))
+
+
+def _draw_thetas(ms, rng, n, low=0.0, high=1.0):
+    """n parameter vectors, each coordinate drawn in [low, high] of its box width.  A revenue system's chart
+    fixes the coordinates revenue never reads, so its theta is drawn in DEFAULT_BOUNDS, flat coordinates
+    included; any other system's x is drawn in its chart's box and mapped to theta."""
+    if ms.mode == "revenue":
+        bounds, to_theta = [DEFAULT_BOUNDS[ms.tech_kind][n] for n in ms.param_names], lambda x: x
+    else:
+        bounds, to_theta = ms.chart.bounds, lambda x: ms.chart.to_theta(x)[0]
+    lo, hi = (np.array(b) for b in zip(*bounds))
+    return [to_theta(x) for x in lo + rng.uniform(low, high, size=(n, lo.size)) * (hi - lo)]
 
 
 def _rel_gap(a, b):
@@ -300,9 +305,7 @@ class TestFusedCore:
         rng = np.random.default_rng(100 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        lo = np.array([b[0] for b in ms.bounds])
-        hi = np.array([b[1] for b in ms.bounds])
-        for theta in lo + rng.uniform(size=(20, lo.size)) * (hi - lo):
+        for theta in _draw_thetas(ms, rng, 20):
             assert _rel_gap(ms.objective(theta), ref.objective(theta)) <= 1e-10
             assert _rel_gap(ms.objective(theta, W), ref.objective(theta, W)) <= 1e-10
             assert _rel_gap(ms.moments(theta), ref.moments(theta)) <= 1e-10
@@ -342,9 +345,7 @@ class TestClosedForm:
         rng = np.random.default_rng(400)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        lo = np.array([b[0] for b in ms.bounds])
-        hi = np.array([b[1] for b in ms.bounds])
-        for theta in lo + rng.uniform(size=(20, lo.size)) * (hi - lo):
+        for theta in _draw_thetas(ms, rng, 20):
             assert _rel_gap(ms.moments(theta), ms._evaluate(theta)[0] @ ms.Z / ms.n_obs) <= 1e-10
             assert _rel_gap(ms.jacobian(theta), row.jacobian(theta)) <= 1e-10
             for weight in (None, W):
@@ -374,6 +375,20 @@ class TestClosedForm:
         assert calls["predict"] == calls["row statistics"] == 3  # weight, result covariance, g
 
 
+class TestCharts:
+    @pytest.mark.parametrize("mode", ["quantity", "revenue"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_jacobian_matches_central_difference(self, kind, mode, small_cd_panel, small_ces_panel):
+        # theta is at most bilinear in x, so the central difference is exact up to rounding
+        chart = _system(kind, mode, 1, small_cd_panel if kind == "CD" else small_ces_panel)[0].chart
+        lo, hi = (np.array(b) for b in zip(*chart.bounds))
+        for x in lo + np.random.default_rng(600).uniform(size=(5, lo.size)) * (hi - lo):
+            jac = chart.to_theta(x)[1]
+            for j, step in enumerate(1e-6 * np.eye(x.size)):
+                fd = (chart.to_theta(x + step)[0] - chart.to_theta(x - step)[0]) / 2e-6
+                assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+
+
 def _central_difference(ms, theta, weight):
     grad = np.zeros(theta.size)
     for i in range(theta.size):
@@ -394,14 +409,8 @@ class TestGradient:
         rng = np.random.default_rng(200 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        lo = np.array([b[0] for b in ms.bounds])
-        hi = np.array([b[1] for b in ms.bounds])
-        thetas = list(lo + rng.uniform(0.05, 0.95, size=(6, lo.size)) * (hi - lo))
-        if kind == "CES":
-            # beta_L + beta_M above 1 - _MIN_CAPITAL_SHARE: the clipped-capital branch
-            thetas += [np.array([0.4, 0.55, 0.5, 0.9]), np.array([0.7, 0.45, 0.58, 1.1])]
         flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
-        for theta in thetas:
+        for theta in _draw_thetas(ms, rng, 6, 0.05, 0.95):
             for weight in (None, W):
                 value, grad = ms.objective_and_gradient(theta, weight)
                 assert _rel_gap(value, ms.objective(theta, weight)) <= 1e-12
@@ -409,16 +418,6 @@ class TestGradient:
                 assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
                 if mode != "quantity":
                     assert grad[flat] == 0.0
-
-    def test_penalty_gradient_on_clipped_shares(self, small_ces_panel):
-        fs = first_stage_project(small_ces_panel, 3)
-        ms = build_quantity_moments("CES", fs, small_ces_panel)
-        theta = np.array([0.5, 0.55, 0.5, 0.9])
-        _, penalty, derivatives = ms._predict(theta)
-        _, dpenalty = derivatives(np.ones(len(small_ces_panel)))
-        excess = theta[1] + theta[2] - (1.0 - _MIN_CAPITAL_SHARE)
-        assert penalty == pytest.approx(1e4 * excess**2, rel=1e-12)
-        assert dpenalty == pytest.approx([0.0, 2e4 * excess, 2e4 * excess, 0.0], rel=1e-12)
 
 
 def _five_point_prediction_jacobian(predict, theta, h):
@@ -440,16 +439,12 @@ class TestVectorJacobianProduct:
     def test_matches_five_point_jacobian(self, kind, mode, cd_panel, ces_panel):
         ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
         rng = np.random.default_rng(500)
-        lo, hi = (np.array(b) for b in zip(*ms.bounds))
-        thetas = list(lo + rng.uniform(0.1, 0.9, size=(3, lo.size)) * (hi - lo))
-        if kind == "CES":
-            thetas.append(np.array([0.4, 0.55, 0.5, 0.9]))  # the clipped-capital branch in quantity mode
         never_read = None if mode == "quantity" else ("beta_K" if kind == "CD" else "v")
-        for theta in thetas:
-            pred, _, derivatives = ms._predict(theta)
+        for theta in _draw_thetas(ms, rng, 3, 0.1, 0.9):
+            pred, derivatives = ms._predict(theta)
             jac = _five_point_prediction_jacobian(ms._predict, theta, 1e-4)
             for r in (rng.normal(size=pred.size), rng.normal(size=(pred.size, 3))):
-                dpred_r = derivatives(r)[0]
+                dpred_r = derivatives(r)
                 assert dpred_r.shape == (theta.size,) + r.shape[1:]
                 assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
                 if never_read is not None:
@@ -476,12 +471,10 @@ class TestJacobian:
     def test_matches_five_point_stencil(self, kind, mode, g_degree, cd_panel, ces_panel):
         ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
         rng = np.random.default_rng(300 + (g_degree or 0))
-        lo = np.array([b[0] for b in ms.bounds])
-        hi = np.array([b[1] for b in ms.bounds])
         flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
-        for theta in lo + rng.uniform(0.05, 0.95, size=(4, lo.size)) * (hi - lo):
+        for theta in _draw_thetas(ms, rng, 4, 0.05, 0.95):
             J = ms.jacobian(theta)
-            assert J.shape == (ms.n_moments, lo.size)
+            assert J.shape == (ms.n_moments, theta.size)
             for h in (1e-4, 1e-5, 1e-6):
                 assert np.max(np.abs(J - _five_point_jacobian(ms, theta, h))) <= 1e-8 * np.max(np.abs(J))
             if mode != "quantity":
@@ -553,9 +546,9 @@ class TestGmmMinimize:
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
         chart = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         p = len(ms.param_names)
-        # the search over the whole box, as in quantity mode: a system with no chart searches theta
-        full_ms = dataclasses.replace(ms, chart=None)
-        full = gmm_minimize(full_ms, weighting="two-step", restarts=20, seed=5)
+        # the search over the whole box, on the identity chart x = theta
+        box = dataclasses.replace(ms, chart=_box_chart(kind, ms.param_names))
+        full = gmm_minimize(box, weighting="two-step", restarts=20, seed=5)
         identified = ms.chart.identified(full.estimates)
         assert chart.identified.keys() == identified.keys()
         for name, value in chart.identified.items():
@@ -577,6 +570,20 @@ class TestGmmMinimize:
         assert res.diagnostics["stop_reason"] == "no new minimum expected"
         assert only["converged"] is True
         assert only["at_bound"] == []
+
+    def test_quantity_search_keeps_a_capital_share(self):
+        # at beta_L + beta_M = 0.95 every search stays inside the CES domain: the chart caps the share
+        # scale at 0.995, so no search stops on a kink at the edge and one minimum is found in 8 searches
+        cfg = parse_config(ROOT / "configs" / "ces.ini")
+        tech = CES(beta_L=0.45, beta_M=0.5, sigma=cfg.sim.tech.sigma, v=cfg.sim.tech.v)
+        panel = simulate_panel(dataclasses.replace(cfg.sim, tech=tech, seed=102))
+        est = cfg.estimation
+        ms = build_quantity_moments("CES", first_stage_project(panel, est.first_stage_degree), panel, g_degree=est.g_degree)
+        res = gmm_minimize(ms, weighting="identity", restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
+        assert res.diagnostics["n_restarts"] == 8
+        (only,) = res.minima
+        assert only["converged"] is True and only["at_bound"] == []
+        assert 1.0 - res.estimates["beta_L"] - res.estimates["beta_M"] >= 0.005 - 1e-12
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
@@ -608,7 +615,7 @@ class TestGmmMinimize:
         res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         assert res.diagnostics["n_restarts"] == 8
         # eight stage-one searches, restart 5's on the corner, then one stage-two search per group
-        lo, hi = (np.array(b) for b in zip(*ms.bounds))
+        lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
         assert len(ends) == 10
         assert np.sum(np.minimum(ends[5] - lo, hi - ends[5]) <= 1e-10 * (hi - lo)) >= 2
         (only,) = res.minima
@@ -621,7 +628,8 @@ class TestGmmMinimize:
         # reports as success
         ms = build_revenue_moments("CES", ces_panel)
         (_, sigma_hi), (share_lo, _) = ms.chart.bounds
-        res = gmm_minimize(ms, weighting="two-step", start=[sigma_hi, share_lo], restarts=1)
+        corner = dataclasses.replace(ms.chart, start=np.array([sigma_hi, share_lo]))
+        res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
         assert "PROJECTED GRADIENT" in corner["message"]
@@ -746,22 +754,23 @@ class TestGmmMinimize:
         (only,) = res.minima
         assert only["converged"] is True and only["at_bound"] == []
 
-    def test_given_start_alone_is_not_screened(self):
-        lo, hi = np.array([0.0, 1.0]), np.array([2.0, 5.0])
+    def test_chart_start_is_not_screened(self, small_ces_panel, small_ces_config):
+        # a quantity system given a chart start searches once from it and evaluates no screening draw
+        ms = _system("CES", "quantity", 1, small_ces_panel)[0]
+        tech = small_ces_config.tech
+        start = np.array([tech.sigma, tech.beta_L / (tech.beta_L + tech.beta_M), tech.beta_L + tech.beta_M, tech.v])
+        ms = dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=start))
         calls = []
+        objective = ms.objective
 
-        def screening(x):
-            calls.append(x)
-            return float(np.sum((x - 1.5) ** 2))
+        def counting(*args):
+            calls.append(args)
+            return objective(*args)
 
-        start = [0.3, 4.5]
-        assert np.array_equal(estimate._draw_starts(screening, lo, hi, start, 1, seed=3, screen=64), [start])
+        ms.objective = counting
+        res = gmm_minimize(ms, weighting="identity", restarts=20, seed=3, screen=64)
         assert calls == []
-        # with more slots, the given start takes the first and the screened draws the rest, as before
-        for restarts in (2, 5):
-            screened = estimate._draw_starts(screening, lo, hi, None, restarts, seed=3, screen=64)
-            given = estimate._draw_starts(screening, lo, hi, start, restarts, seed=3, screen=64)
-            assert np.array_equal(given, np.vstack([start, screened[: restarts - 1]]))
+        assert (res.diagnostics["n_restarts"], res.diagnostics["stop_reason"]) == (1, "closed-form start")
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
@@ -774,10 +783,8 @@ class TestGmmMinimize:
     def test_objective_nonnegative(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            th = np.array([rng.uniform(lo, hi) for lo, hi in ms.bounds])
-            assert ms.objective(th) >= 0.0
+        for theta in _draw_thetas(ms, np.random.default_rng(0), 10):
+            assert ms.objective(theta) >= 0.0
 
     def test_result_serializable(self, small_cd_panel, small_cd_config):
         fs = first_stage_project(small_cd_panel, 3)
