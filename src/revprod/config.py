@@ -32,7 +32,10 @@ class EstimationSettings:
     first_stage_degree: int = 3
     g_degree: int = 1
     weighting: str = "two-step"
-    restarts: int = 20  # a cap on quantity mode's stage-one searches, which stop sooner once no new minimum is expected
+    # restarts caps the stage-one searches of a system without a closed-form start (Cobb-Douglas quantity, or an
+    # undetermined expenditure-ratio fit), which stop sooner once no new minimum is expected; screen and restart_seed
+    # apply to those systems only
+    restarts: int = 20
     screen: int = 256
     restart_seed: int = 7
     which_v: str = "M"

@@ -51,11 +51,15 @@ searches ABNORMAL at their minimum.  Each system carries the chart that its
 searches move in (SearchChart, _share_chart): CES quantity x = (sigma, a, c, v),
 a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M <= 0.995, so capital keeps a
 share; revenue holds c and v (or beta_K), which it never reads, at a stated
-normalisation, and starts at the closed-form expenditure-ratio estimate, from
-which one search runs, with no screening.  Cobb-Douglas quantity searches theta.
-A quantity system is searched from screened starts, one at a time, until
-Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond the distinct
-ones found off the bounds (_expects_no_new_minimum); restarts is only a cap.
+normalisation.  Cobb-Douglas quantity searches theta.  The revenue charts and
+the CES quantity chart start at the closed-form expenditure-ratio estimate of
+sigma and a (_ratio_start), with no screening: revenue runs one search from
+it, and CES quantity first searches c and v from the centre of their box,
+with sigma and a held, then all four.  Cobb-Douglas quantity, and any system
+whose ratio fit is undetermined, is searched from screened starts, one at a
+time, until Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond
+the distinct ones found off the bounds (_expects_no_new_minimum); restarts is
+only a cap.  restarts, screen and the restart seed apply to these systems only.
 Two-step weighting re-minimizes once per distinct stage-one minimum, and
 either weighting reports each distinct minimum once.  Every
 minimum lists the coordinates it left on a bound (at_bound); one on a bound
@@ -230,15 +234,17 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 class SearchChart:
     """Coordinates x that a search moves in the box bounds, and to_theta(x) = (theta, dtheta/dx); normalisation
     gives the values at which the coordinates off the chart are fixed, identified(estimates) the functionals of
-    theta the system identifies, if it states them.  start, when the system has a closed-form estimate, is that
-    estimate in x, inside the bounds."""
+    theta the system identifies, if it states them.  start, when the system has a closed-form estimate, returns
+    that estimate in x, inside the bounds, or None where the data leave it undetermined; only a fit calls it.
+    start_open names the coordinates the closed form leaves open, which start at the centre of their box."""
 
     names: tuple
     bounds: tuple
     to_theta: callable
     normalisation: dict = field(default_factory=dict)
     identified: callable = lambda est: None
-    start: Optional[np.ndarray] = None
+    start: Optional[callable] = None
+    start_open: tuple = ()
 
 
 @dataclass
@@ -266,11 +272,11 @@ class MomentSystem:
 
     The residual and the chart come from the build function.  build_quantity_moments: the
     innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
-    is g_degree, and the chart of every coordinate (_share_chart for CES, theta itself for
-    Cobb-Douglas).  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post shock relative
-    to its mean at the true parameters, and the chart of what revenue identifies, which starts at
-    the expenditure-ratio estimate; revenue systems have no productivity process, so their
-    g_degree is None.
+    is g_degree, and the chart of every coordinate (_share_chart for CES, which starts at the
+    expenditure-ratio estimate, theta itself for Cobb-Douglas).  build_revenue_moments:
+    r = exp(log R - pred) - 1, the ex-post shock relative to its mean at the true parameters,
+    and the chart of what revenue identifies, which starts at the expenditure-ratio estimate;
+    revenue systems have no productivity process, so their g_degree is None.
     """
 
     mode: str
@@ -633,12 +639,17 @@ def build_quantity_moments(
     """Moment system on the quantity production function (identified benchmark)."""
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
-    cur, lag, cols = _lag_bundle(panel, ("K", "L", "M"))
+    cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
     predict, names = _quantity_predictor(tech_kind, cols)
     Z = _instrument_matrix(panel, cur, lag, instruments)
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
+    if tech_kind == "CES":
+        current = {c: cols[c][cur] for c in ("L", "M", "pL", "pM")}
+        chart = _ratio_start(_share_chart("CES", normalised=False), "CES", current, Z)
+    else:
+        chart = _box_chart(tech_kind, names)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -647,7 +658,7 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
-        chart=_share_chart("CES", normalised=False) if tech_kind == "CES" else _box_chart(tech_kind, names),
+        chart=chart,
         g_degree=g_degree,
         _closed_form=closed_form,
     )
@@ -719,6 +730,27 @@ def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
     return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
 
 
+def _ratio_start(chart: SearchChart, tech_kind: str, cols, Z: np.ndarray) -> SearchChart:
+    """chart with the expenditure-ratio start: sigma and a = beta_L/(beta_L+beta_M) at _expenditure_ratio_fit's
+    estimate, the coordinates that fit leaves open (the share scale and v, on the CES quantity chart) at the centre
+    of their box, all moved _START_MARGIN of the box width inside the bounds.  The fit runs when a search asks for
+    the start, which is None where the fit leaves sigma or the ratio undetermined."""
+    lo, hi = (np.array(b) for b in zip(*chart.bounds))
+    fixed = [i for i, n in enumerate(chart.names) if n in ("sigma", "share_ratio")]
+
+    def start():
+        fit = _expenditure_ratio_fit(tech_kind, cols, Z)
+        if fit is None:
+            return None
+        sigma, log_ratio = fit
+        closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
+        x = 0.5 * (lo + hi)
+        x[fixed] = [closed[chart.names[i]] for i in fixed]
+        return np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+
+    return replace(chart, start=start, start_open=tuple(n for i, n in enumerate(chart.names) if i not in fixed))
+
+
 def build_revenue_moments(
     tech_kind: str,
     panel: Panel,
@@ -734,9 +766,7 @@ def build_revenue_moments(
     x = (sigma, a) (CES) or a (CD), a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant
     returns.  A fit reports sigma and beta_L/beta_M, or a.
 
-    The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M
-    (_expenditure_ratio_fit), moved _START_MARGIN of the box width inside the bounds; it has no
-    start when that fit leaves them undetermined.
+    The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M (_ratio_start).
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("R",))
     log_r = logs.pop("R")[cur]
@@ -748,17 +778,10 @@ def build_revenue_moments(
         ratio = np.exp(log_r - pred)
         return ratio - 1.0, lambda q: ratio * q
 
-    chart = _share_chart(tech_kind, normalised=True)
     identified = lambda est: {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
     if tech_kind == "CES":
         identified = lambda est: {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]}
-    start, fit = None, _expenditure_ratio_fit(tech_kind, current, Z)
-    if fit is not None:
-        sigma, log_ratio = fit
-        share_ratio = 0.5 + 0.5 * math.tanh(0.5 * log_ratio)  # beta_L/(beta_L+beta_M), with no overflow
-        lo, hi = (np.array(b) for b in zip(*chart.bounds))
-        x = np.array([sigma, share_ratio] if tech_kind == "CES" else [share_ratio])
-        start = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+    chart = _ratio_start(_share_chart(tech_kind, normalised=True), tech_kind, current, Z)
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
@@ -767,7 +790,7 @@ def build_revenue_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=replace(chart, identified=identified, start=start),
+        chart=replace(chart, identified=identified),
     )
 
 
@@ -893,10 +916,13 @@ def gmm_minimize(
 ) -> EstimateResult:
     """Minimization of the GMM quadratic form, from a closed-form start or from many.
 
-    When ms.chart carries a closed-form start, stage one is one search from it, with no screening, and stop_reason
-    is 'closed-form start'; restarts, seed and screen are not read.  Otherwise stage one searches from each of the
-    screened starts (_draw_starts) in turn until _expects_no_new_minimum (after 8 searches for one distinct minimum
-    off the bounds, 17 for two; a search that stops on a bound is a search, not a minimum) or the restarts cap.
+    When ms.chart has a closed-form start (revenue and CES quantity systems whose ratio fit is determined), stage
+    one is one search from it, with no screening, and stop_reason is 'closed-form start'; restarts, seed and screen
+    are not read.  If the chart names coordinates the closed form leaves open (start_open), a search of those alone,
+    the others held at the start, runs first, and its iterations and evaluations count in the minimum's.  Otherwise
+    (Cobb-Douglas quantity, or an undetermined ratio fit) stage one searches from each of the screened starts
+    (_draw_starts) in turn until _expects_no_new_minimum (after 8 searches for one distinct minimum off the bounds,
+    17 for two; a search that stops on a bound is a search, not a minimum) or the restarts cap.
     diagnostics gives the searches run (n_restarts) and stop_reason.
     weighting 'identity' runs a single stage.  'two-step' reweights by the
     Cholesky inverse of the moment covariance at the best stage-one minimum
@@ -925,9 +951,7 @@ def gmm_minimize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    closed_form = chart.start is not None
-    screening = lambda x: ms.objective(chart.to_theta(x)[0])
-    starts = [chart.start] if closed_form else _draw_starts(screening, lo, hi, restarts, seed, screen=screen)
+    start = None if chart.start is None else chart.start()
     edge = _AT_BOUND_TOL * (hi - lo)
 
     def objective_and_gradient(x, W):
@@ -935,16 +959,19 @@ def gmm_minimize(
         value, grad = ms.objective_and_gradient(theta, W)
         return value, jac.T.dot(grad)
 
-    def solve_one(idx, x0, n_starts, W):
-        res = minimize(
+    def search(x0, W, bounds=chart.bounds):
+        return minimize(
             objective_and_gradient,
             x0,
             args=(W,),
             jac=True,
             method="L-BFGS-B",
-            bounds=chart.bounds,
+            bounds=bounds,
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
+
+    def solve_one(idx, x0, n_starts, W, spent=(0, 0)):
+        res = search(x0, W)
         on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
         at_bound = [n for n, b in zip(chart.names, on_bound) if b]
         return {
@@ -955,17 +982,27 @@ def gmm_minimize(
             "at_bound": at_bound,
             "n_starts": int(n_starts),
             "message": str(res.message),
-            "n_iter": int(res.nit),
-            "n_evals": int(res.nfev),
+            "n_iter": int(res.nit) + spent[0],
+            "n_evals": int(res.nfev) + spent[1],
         }
 
-    minima, stop_reason = [], "closed-form start" if closed_form else "restart cap"
-    for idx, x0 in enumerate(starts):
-        minima.append(solve_one(idx, x0, 1, None))
-        interior = _group_minima([m for m in minima if not m["at_bound"]], lo, hi)
-        if _expects_no_new_minimum(len(minima), len(interior)):
-            stop_reason = "no new minimum expected"
-            break
+    if start is not None:
+        spent = (0, 0)
+        if chart.start_open:
+            # the coordinates the closed form leaves open are searched first, the others held at the start
+            held = [b if n in chart.start_open else (x, x) for n, b, x in zip(chart.names, chart.bounds, start)]
+            pinned = search(start, None, held)
+            start, spent = pinned.x, (int(pinned.nit), int(pinned.nfev))
+        minima, stop_reason = [solve_one(0, start, 1, None, spent)], "closed-form start"
+    else:
+        screening = lambda x: ms.objective(chart.to_theta(x)[0])
+        minima, stop_reason = [], "restart cap"
+        for idx, x0 in enumerate(_draw_starts(screening, lo, hi, restarts, seed, screen=screen)):
+            minima.append(solve_one(idx, x0, 1, None))
+            interior = _group_minima([m for m in minima if not m["at_bound"]], lo, hi)
+            if _expects_no_new_minimum(len(minima), len(interior)):
+                stop_reason = "no new minimum expected"
+                break
 
     if weighting == "two-step":
         W = _two_step_weight(ms, chart.to_theta(min(minima, key=lambda m: m["objective"])["theta"])[0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import revprod
+from revprod import estimate
 from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
 from revprod.config import EstimationSettings, parse_config
 from revprod.diagnostics import build_identification_report
@@ -248,6 +249,20 @@ def test_diagnose_cd_verdicts(cd_ini, tmp_path):
     rep = json.loads((tmp_path / "identification_report.json").read_text())
     assert rep["verdicts"]["beta_K"] == "not identified"
     assert rep["verdicts"]["beta_L"] == "identified-ratio-only"
+
+
+def test_diagnose_fits_no_expenditure_ratio(ces_ini, tmp_path, monkeypatch):
+    # the ratio fit is a search's closed-form start, so diagnose, which searches nothing, never runs it
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    calls = []
+    fit = estimate._expenditure_ratio_fit
+    monkeypatch.setattr(estimate, "_expenditure_ratio_fit", lambda *args: calls.append(args) or fit(*args))
+    assert main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == []
+    # each CES estimate runs it once
+    for mode in ("quantity", "revenue"):
+        assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--mode", mode, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_diagnose_scan_writes_profile_csv(ces_ini, tmp_path):

@@ -276,6 +276,16 @@ def _multistart(ms):
     return dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=None))
 
 
+def _shares_045_05_system(seed):
+    """The CES quantity system of configs/ces.ini at beta_L, beta_M = 0.45, 0.5 and the given panel seed,
+    with the config's estimation settings."""
+    cfg = parse_config(ROOT / "configs" / "ces.ini")
+    tech = CES(beta_L=0.45, beta_M=0.5, sigma=cfg.sim.tech.sigma, v=cfg.sim.tech.v)
+    panel = simulate_panel(dataclasses.replace(cfg.sim, tech=tech, seed=seed))
+    est = cfg.estimation
+    return build_quantity_moments("CES", first_stage_project(panel, est.first_stage_degree), panel, g_degree=est.g_degree), est
+
+
 def _draw_thetas(ms, rng, n, low=0.0, high=1.0):
     """n parameter vectors, each coordinate drawn in [low, high] of its box width.  A revenue system's chart
     fixes the coordinates revenue never reads, so its theta is drawn in DEFAULT_BOUNDS, flat coordinates
@@ -560,8 +570,9 @@ class TestGmmMinimize:
         assert len(chart.minima) == 1 < len(full.minima)
 
     def test_quantity_restarts_share_one_stage_two_search(self, ces_panel):
+        # the CES quantity multistart, without the chart's closed-form start
         fs = first_stage_project(ces_panel, 3)
-        ms = build_quantity_moments("CES", fs, ces_panel)
+        ms = _multistart(build_quantity_moments("CES", fs, ces_panel))
         res = gmm_minimize(ms, weighting="two-step", restarts=20, seed=5)
         assert len(res.minima) == 1
         (only,) = res.minima
@@ -573,17 +584,31 @@ class TestGmmMinimize:
 
     def test_quantity_search_keeps_a_capital_share(self):
         # at beta_L + beta_M = 0.95 every search stays inside the CES domain: the chart caps the share
-        # scale at 0.995, so no search stops on a kink at the edge and one minimum is found in 8 searches
-        cfg = parse_config(ROOT / "configs" / "ces.ini")
-        tech = CES(beta_L=0.45, beta_M=0.5, sigma=cfg.sim.tech.sigma, v=cfg.sim.tech.v)
-        panel = simulate_panel(dataclasses.replace(cfg.sim, tech=tech, seed=102))
-        est = cfg.estimation
-        ms = build_quantity_moments("CES", first_stage_project(panel, est.first_stage_degree), panel, g_degree=est.g_degree)
-        res = gmm_minimize(ms, weighting="identity", restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
-        assert res.diagnostics["n_restarts"] == 8
-        (only,) = res.minima
-        assert only["converged"] is True and only["at_bound"] == []
-        assert 1.0 - res.estimates["beta_L"] - res.estimates["beta_M"] >= 0.005 - 1e-12
+        # scale at 0.995, so no multistart search stops on a kink at the edge and one minimum is found
+        # in 8 searches; the search from the closed-form start ends there too
+        ms, est = _shares_045_05_system(102)
+        multi = gmm_minimize(_multistart(ms), weighting="identity", restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
+        assert multi.diagnostics["n_restarts"] == 8
+        res = gmm_minimize(ms, weighting="identity")
+        assert res.objective == pytest.approx(multi.objective, rel=1e-8)
+        for fit in (multi, res):
+            (only,) = fit.minima
+            assert only["converged"] is True and only["at_bound"] == []
+            assert 1.0 - fit.estimates["beta_L"] - fit.estimates["beta_M"] >= 0.005 - 1e-12
+
+    def test_quantity_start_searches_the_open_coordinates_first(self):
+        # on this panel one free search from sigma and the share ratio at their closed form, with the share
+        # scale and v at the centre of their box, stops at J ~ 3.31; searching the scale and v first, with
+        # sigma and the ratio held, reaches the multistart's best minimum
+        ms, est = _shares_045_05_system(114)
+        multi = gmm_minimize(_multistart(ms), weighting="identity", restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
+        res = gmm_minimize(ms, weighting="identity")
+        assert ms.chart.start_open == ("beta_L+beta_M", "v")
+        assert res.objective == pytest.approx(multi.objective, rel=1e-8) and res.objective < 0.1
+        best = min(multi.minima, key=lambda m: m["objective"])
+        assert res.minima[0]["at_bound"] == best["at_bound"]
+        unpinned = gmm_minimize(dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start_open=())), weighting="identity")
+        assert unpinned.objective == pytest.approx(3.31, abs=0.01)
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
@@ -628,7 +653,7 @@ class TestGmmMinimize:
         # reports as success
         ms = build_revenue_moments("CES", ces_panel)
         (_, sigma_hi), (share_lo, _) = ms.chart.bounds
-        corner = dataclasses.replace(ms.chart, start=np.array([sigma_hi, share_lo]))
+        corner = dataclasses.replace(ms.chart, start=lambda: np.array([sigma_hi, share_lo]))
         res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
@@ -696,11 +721,9 @@ class TestGmmMinimize:
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_stopping_rule_keeps_every_minimum(self, kind, mode, weighting, cd_panel, ces_panel, monkeypatch):
+        # the multistart, without the closed-form start that revenue and CES quantity systems carry
         panel = cd_panel if kind == "CD" else ces_panel
-        if mode == "quantity":
-            ms = build_quantity_moments(kind, first_stage_project(panel, 3), panel)
-        else:
-            ms = _multistart(build_revenue_moments(kind, panel))
+        ms = _multistart(_system(kind, mode, 1, panel)[0])
 
         def distinct(res):
             found = []
@@ -723,9 +746,10 @@ class TestGmmMinimize:
         # the simulated firms minimise cost exactly, so the expenditure ratio is exact in sigma and the ratio
         tech = (cd_config if kind == "CD" else ces_config).tech
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
-        share_ratio = ms.chart.start[-1]
+        start = ms.chart.start()
+        share_ratio = start[-1]
         if kind == "CES":
-            assert ms.chart.start[0] == pytest.approx(tech.sigma, abs=1e-12)
+            assert start[0] == pytest.approx(tech.sigma, abs=1e-12)
             assert share_ratio / (1.0 - share_ratio) == pytest.approx(tech.beta_L / tech.beta_M, abs=1e-12)
         else:
             assert share_ratio == pytest.approx(tech.beta_L / (tech.beta_L + tech.beta_M), abs=1e-12)
@@ -735,42 +759,57 @@ class TestGmmMinimize:
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["M"] = 2.0 * data["L"]
         ms = build_revenue_moments("CES", Panel(data=data))
-        assert ms.chart.start is None
+        assert ms.chart.start() is None
         res = gmm_minimize(ms, weighting="identity", restarts=2, seed=5, screen=16)
         assert res.diagnostics["stop_reason"] != "closed-form start"
 
     @pytest.mark.parametrize("weighting", ["identity", "two-step"])
-    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    @pytest.mark.parametrize("kind", ["CD", "CES", "CES-quantity"])
     def test_closed_form_start_matches_multistart(self, kind, weighting, cd_panel, ces_panel):
-        ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
+        # revenue systems, and the CES quantity system, whose start fixes sigma and the share ratio only;
+        # two-step quantity Js are within 5e-8: the weights at two stage-one minima a rounding apart differ
+        mode = "quantity" if kind == "CES-quantity" else "revenue"
+        ms = _system(kind.split("-")[0], mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
         res = gmm_minimize(ms, weighting=weighting, restarts=20, seed=5)
         multi = gmm_minimize(_multistart(ms), weighting=weighting, restarts=20, seed=5)
         assert (res.diagnostics["n_restarts"], res.diagnostics["stop_reason"]) == (1, "closed-form start")
         assert multi.diagnostics["n_restarts"] >= 8
-        assert res.objective == pytest.approx(multi.objective, rel=1e-8)
-        assert res.identified.keys() == multi.identified.keys()
-        for name, value in res.identified.items():
-            assert value == pytest.approx(multi.identified[name], rel=1e-8), name
+        rtol = 5e-8 if (mode, weighting) == ("quantity", "two-step") else 1e-8
+        assert res.objective == pytest.approx(multi.objective, rel=rtol)
+        if mode == "revenue":
+            assert res.identified.keys() == multi.identified.keys()
+            for name, value in res.identified.items():
+                assert value == pytest.approx(multi.identified[name], rel=1e-8), name
         (only,) = res.minima
-        assert only["converged"] is True and only["at_bound"] == []
+        assert only["converged"] is True and only["at_bound"] == min(multi.minima, key=lambda m: m["objective"])["at_bound"] == []
 
-    def test_chart_start_is_not_screened(self, small_ces_panel, small_ces_config):
-        # a quantity system given a chart start searches once from it and evaluates no screening draw
+    def test_chart_start_is_not_screened(self, small_ces_panel, monkeypatch):
+        # a CES quantity fit evaluates no screening draw: it searches the share scale and v from the
+        # closed-form start, the others held, then every coordinate, and reports one search
         ms = _system("CES", "quantity", 1, small_ces_panel)[0]
-        tech = small_ces_config.tech
-        start = np.array([tech.sigma, tech.beta_L / (tech.beta_L + tech.beta_M), tech.beta_L + tech.beta_M, tech.v])
-        ms = dataclasses.replace(ms, chart=dataclasses.replace(ms.chart, start=start))
-        calls = []
+        calls, searches = [], []
         objective = ms.objective
 
         def counting(*args):
             calls.append(args)
             return objective(*args)
 
+        def recording(fun, x0, args, bounds, **kwargs):
+            res = scipy.optimize.minimize(fun, x0, args, bounds=bounds, **kwargs)
+            searches.append((bounds, res.nit, res.nfev))
+            return res
+
         ms.objective = counting
+        monkeypatch.setattr(estimate, "minimize", recording)
         res = gmm_minimize(ms, weighting="identity", restarts=20, seed=3, screen=64)
         assert calls == []
         assert (res.diagnostics["n_restarts"], res.diagnostics["stop_reason"]) == (1, "closed-form start")
+        (held, *_), (free, *_) = searches
+        start = ms.chart.start()
+        assert held == [(start[0], start[0]), (start[1], start[1]), *ms.chart.bounds[2:]] and free == ms.chart.bounds
+        # the pre-search's iterations and evaluations are the minimum's too
+        (only,) = res.minima
+        assert (only["n_iter"], only["n_evals"]) == tuple(np.sum([s[1:] for s in searches], axis=0))
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
