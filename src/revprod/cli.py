@@ -108,14 +108,7 @@ def cmd_estimate(args) -> int:
     panel = read_panel_csv(args.panel)
     mode = args.mode
     ms, extra = _moment_system(cfg, panel, mode)
-    est = cfg.estimation
-    result = gmm_minimize(
-        ms,
-        weighting=est.weighting,
-        restarts=est.restarts,
-        seed=est.restart_seed,
-        screen=est.screen,
-    )
+    result = gmm_minimize(ms, weighting=cfg.estimation.weighting)
     payload = {k: v for k, v in asdict(result).items() if v is not None}
     payload.update(extra)
     payload["provenance"] = _provenance("estimate", cfg, panel=Path(args.panel).name, mode=mode)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,8 @@ from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfi
 from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
 __all__ = ["ConfigError", "EstimationSettings", "RunConfig", "parse_config"]
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -32,27 +35,17 @@ class EstimationSettings:
     first_stage_degree: int = 3
     g_degree: int = 1
     weighting: str = "two-step"
-    # restarts caps the stage-one searches of a system without a closed-form start (Cobb-Douglas quantity, or an
-    # undetermined expenditure-ratio fit), which stop sooner once no new minimum is expected; screen and restart_seed
-    # apply to those systems only
-    restarts: int = 20
-    screen: int = 256
-    restart_seed: int = 7
     which_v: str = "M"
     instruments: Optional[tuple] = None  # None: package default set
 
     def __post_init__(self):
-        for name in ("first_stage_degree", "g_degree", "restarts"):
+        for name in ("first_stage_degree", "g_degree"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.screen < 0:
-            raise ParameterError(f"screen must be >= 0, got {self.screen}")
         if self.weighting not in ("identity", "two-step"):
             raise ParameterError("weighting must be identity or two-step")
         if self.which_v not in ("L", "M"):
             raise ParameterError("which_v must be L or M")
-        if self.restart_seed < 0:
-            raise ParameterError(f"restart_seed must be >= 0, got {self.restart_seed}")
 
 
 @dataclass
@@ -63,6 +56,9 @@ class RunConfig:
     config_sha256: str
 
 
+# [estimation] keys of the multistart that every fit's one search replaced: accepted, so that older configs
+# still parse, and ignored
+_RETIRED_ESTIMATION_KEYS = ("restarts", "screen", "restart_seed")
 _SECTIONS = ("run", "technology", "demand", "productivity", "capital", "prices", "shocks", "panel", "estimation", "diagnostics")
 _TECHNOLOGIES = {"CD": CobbDouglas, "CES": CES}
 
@@ -149,7 +145,11 @@ def _run_config(parser, require_seed):
         shocks=_load(parser, "shocks", ShockConfig),
         seed=seed,
     )
-    return sim, _load(parser, "estimation", EstimationSettings), run.get("out_dir", ".")
+    est = _load(parser, "estimation", EstimationSettings, keys=_RETIRED_ESTIMATION_KEYS)
+    retired = [key for key in _RETIRED_ESTIMATION_KEYS if parser.has_option("estimation", key)]
+    if retired:
+        logger.info("[estimation] %s ignored: every fit runs one search from its start", ", ".join(retired))
+    return sim, est, run.get("out_dir", ".")
 
 
 def parse_config(path, require_seed: bool = False) -> RunConfig:

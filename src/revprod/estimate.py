@@ -48,22 +48,18 @@ higher Markov degrees keep the row path.  A search stops once an iteration
 lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
 searches ABNORMAL at their minimum.  Each system carries the chart that its
-searches move in (SearchChart, _share_chart): CES quantity x = (sigma, a, c, v),
-a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M <= 0.995, so capital keeps a
-share; revenue holds c and v (or beta_K), which it never reads, at a stated
-normalisation.  Cobb-Douglas quantity searches theta.  The revenue charts and
-the CES quantity chart start at the closed-form expenditure-ratio estimate of
-sigma and a (_ratio_start), with no screening: revenue runs one search from
-it, and CES quantity first searches c and v from the centre of their box,
-with sigma and a held, then all four.  Cobb-Douglas quantity, and any system
-whose ratio fit is undetermined, is searched from screened starts, one at a
-time, until Boender and Rinnooy Kan's Bayesian rule expects no minimum beyond
-the distinct ones found off the bounds (_expects_no_new_minimum); restarts is
-only a cap.  restarts, screen and the restart seed apply to these systems only.
-Two-step weighting re-minimizes once per distinct stage-one minimum, and
-either weighting reports each distinct minimum once.  Every
-minimum lists the coordinates it left on a bound (at_bound); one on a bound
-is never reported converged.  There is no derivative-free polish.
+searches move in (SearchChart, _share_chart), in the share ratio
+a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: quantity
+x = (sigma, a, c, v) (CES, c <= 0.995, so capital keeps a share) or
+(beta_K, a, c) (Cobb-Douglas); revenue holds c and v (or beta_K), which it
+never reads, at a stated normalisation.  Every chart starts at the
+closed-form expenditure-ratio estimate of sigma and a (_ratio_start), or at
+the centre of its box where that estimate is undetermined.  Every fit takes
+one path: a search of the coordinates the closed form leaves open (c and v,
+or beta_K and c, in quantity mode), the others held, then one free search,
+and under two-step weighting one re-minimization.  The one minimum lists
+the coordinates it left on a bound (at_bound); one on a bound is never
+reported converged.  There is no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -234,9 +230,9 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 class SearchChart:
     """Coordinates x that a search moves in the box bounds, and to_theta(x) = (theta, dtheta/dx); normalisation
     gives the values at which the coordinates off the chart are fixed, identified(estimates) the functionals of
-    theta the system identifies, if it states them.  start, when the system has a closed-form estimate, returns
-    that estimate in x, inside the bounds, or None where the data leave it undetermined; only a fit calls it.
-    start_open names the coordinates the closed form leaves open, which start at the centre of their box."""
+    theta the system identifies, if it states them.  start() returns (x0, open, source): the point inside the
+    bounds a fit starts from, the names of the coordinates a first search moves with the others held at x0 (none:
+    no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
@@ -244,7 +240,6 @@ class SearchChart:
     normalisation: dict = field(default_factory=dict)
     identified: callable = lambda est: None
     start: Optional[callable] = None
-    start_open: tuple = ()
 
 
 @dataclass
@@ -272,8 +267,8 @@ class MomentSystem:
 
     The residual and the chart come from the build function.  build_quantity_moments: the
     innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
-    is g_degree, and the chart of every coordinate (_share_chart for CES, which starts at the
-    expenditure-ratio estimate, theta itself for Cobb-Douglas).  build_revenue_moments:
+    is g_degree, and the _share_chart of every coordinate, which starts at the expenditure-ratio
+    estimate.  build_revenue_moments:
     r = exp(log R - pred) - 1, the ex-post shock relative to its mean at the true parameters,
     and the chart of what revenue identifies, which starts at the expenditure-ratio estimate;
     revenue systems have no productivity process, so their g_degree is None.
@@ -645,11 +640,8 @@ def build_quantity_moments(
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
-    if tech_kind == "CES":
-        current = {c: cols[c][cur] for c in ("L", "M", "pL", "pM")}
-        chart = _ratio_start(_share_chart("CES", normalised=False), "CES", current, Z)
-    else:
-        chart = _box_chart(tech_kind, names)
+    current = {c: cols[c][cur] for c in ("L", "M", "pL", "pM")}
+    chart = _ratio_start(_share_chart(tech_kind, normalised=False), tech_kind, current, Z)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -664,21 +656,17 @@ def build_quantity_moments(
     )
 
 
-def _box_chart(tech_kind: str, names) -> SearchChart:
-    """The identity chart x = theta over the default box."""
-    eye = np.eye(len(names))
-    return SearchChart(tuple(names), tuple(DEFAULT_BOUNDS[tech_kind][n] for n in names), lambda x: (np.array(x, float), eye))
-
-
 def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
     """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: x = (sigma, a, c, v)
     (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a).  normalised holds c at
     lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and
-    v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps beta_K >= 0.005, inside the CES domain."""
+    v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside the CES
+    domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
-    shares = {"share_ratio": (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c)), "beta_L+beta_M": (lo_L + lo_M, 0.995)}
+    scale_hi = 0.995 if tech_kind == "CES" else hi_L + hi_M
+    shares = {"share_ratio": (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c)), "beta_L+beta_M": (lo_L + lo_M, scale_hi)}
     if tech_kind == "CES":
         coords, flat = {"sigma": box["sigma"], **shares, "v": box["v"]}, {"v": 1.0}  # in theta's order
     else:
@@ -732,23 +720,25 @@ def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
 
 def _ratio_start(chart: SearchChart, tech_kind: str, cols, Z: np.ndarray) -> SearchChart:
     """chart with the expenditure-ratio start: sigma and a = beta_L/(beta_L+beta_M) at _expenditure_ratio_fit's
-    estimate, the coordinates that fit leaves open (the share scale and v, on the CES quantity chart) at the centre
-    of their box, all moved _START_MARGIN of the box width inside the bounds.  The fit runs when a search asks for
-    the start, which is None where the fit leaves sigma or the ratio undetermined."""
+    estimate, the coordinates that fit leaves open (the share scale and v, or beta_K and the share scale, on the
+    quantity charts) at the centre of their box and searched first, all moved _START_MARGIN of the box width inside
+    the bounds.  The fit runs when a search asks for the start, which is the box centre, searched freely at once,
+    where the fit leaves sigma or the ratio undetermined."""
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
     fixed = [i for i, n in enumerate(chart.names) if n in ("sigma", "share_ratio")]
+    open_names = tuple(n for i, n in enumerate(chart.names) if i not in fixed)
 
     def start():
+        x = 0.5 * (lo + hi)
         fit = _expenditure_ratio_fit(tech_kind, cols, Z)
         if fit is None:
-            return None
+            return x, (), "box-centre"
         sigma, log_ratio = fit
         closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
-        x = 0.5 * (lo + hi)
         x[fixed] = [closed[chart.names[i]] for i in fixed]
-        return np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+        return np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo)), open_names, "expenditure-ratio"
 
-    return replace(chart, start=start, start_open=tuple(n for i, n in enumerate(chart.names) if i not in fixed))
+    return replace(chart, start=start)
 
 
 def build_revenue_moments(
@@ -801,7 +791,7 @@ def build_revenue_moments(
 
 @dataclass
 class EstimateResult:
-    """Point estimates plus the full set of local minima found by multi-start.
+    """Point estimates plus the minimum the search reached, as a one-entry list.
 
     Every value is stored JSON-ready (lists, dicts, Python floats), so that
     dataclasses.asdict of a result, less its None fields, is the estimate
@@ -818,23 +808,7 @@ class EstimateResult:
     minima: list
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
-    seed: int
     identified: Optional[dict] = None  # systems whose chart states them (revenue) only
-
-
-def _draw_starts(screening, lo, hi, restarts: int, seed: int, screen: int = 0) -> np.ndarray:
-    """Starting points for the local searches, in the coordinates x of the box [lo, hi].
-
-    Draws a seeded uniform cloud in the box; when screen > restarts, evaluates screening(x) on the
-    whole cloud and keeps the restarts lowest draws, in draw order, so narrow basins are still found.
-    """
-    rng = np.random.default_rng(seed)
-    n_draw = max(screen, restarts, 1)
-    starts = lo + rng.uniform(0.05, 0.95, size=(n_draw, lo.size)) * (hi - lo)
-    if n_draw > restarts:
-        vals = np.array([screening(x) for x in starts])
-        starts = starts[np.sort(np.argsort(vals, kind="stable")[:restarts])]
-    return starts
 
 
 # L-BFGS-B stops once an iteration lowers J by less than this relative amount.
@@ -844,53 +818,9 @@ def _draw_starts(screening, lo, hi, restarts: int, seed: int, screen: int = 0) -
 # hides, so searches end ABNORMAL in a failed line search at their minimum.
 _FTOL = 1e-12
 
-# Stage-one minima within this fraction of the box width of x in every coordinate
-# are one minimum and share one stage-two search: restarts that reach one minimum
-# land within ~3e-7 (quantity) or ~2e-10 (revenue) of each other, distinct ones >= 0.18 apart.
-# Their Js differ by rounding and the _FTOL stop, by up to 1.3e-11 relative (~1e-12 typical) on
-# the shipped configs at seeds 1-5, so which has the lowest J is chance: the representative is the
-# lowest start_index within _SAME_J_RTOL of the group's best J, ~100x the widest spread seen and
-# far below the gap between distinct minima (J 10.9, 200 and 283 on the CES revenue objective).
-_SAME_MINIMUM_TOL = 1e-5
-_SAME_J_RTOL = 1e-9
-
 # A coordinate this close to a bound (as a fraction of the box width) is
 # reported in at_bound.
 _AT_BOUND_TOL = 1e-10
-
-
-def _group_minima(minima, lo, hi):
-    """Minima grouped as one minimum each, as (representative, total n_starts of its members).
-
-    Minima are taken in order of objective, ties broken by start_index; each
-    joins the first group whose best member lies within
-    _SAME_MINIMUM_TOL * (hi - lo) of it in every coordinate, or else starts a
-    new group.  A group's representative is its lowest start_index among the
-    members whose objective is within _SAME_J_RTOL of the group's best.
-    Groups are returned in the order of their representatives' start_index;
-    lo and hi are the arrays of lower and upper bounds.
-    """
-    reach = _SAME_MINIMUM_TOL * (hi - lo)
-    groups = []  # each group's members, best J first
-    for m in sorted(minima, key=lambda m: (m["objective"], m["start_index"])):
-        for g in groups:
-            if np.all(np.abs(np.subtract(m["theta"], g[0]["theta"])) <= reach):
-                g.append(m)
-                break
-        else:
-            groups.append([m])
-    reps = []
-    for g in groups:
-        near = [m for m in g if m["objective"] <= g[0]["objective"] * (1.0 + _SAME_J_RTOL)]
-        reps.append((min(near, key=lambda m: m["start_index"]), sum(m["n_starts"] for m in g)))
-    return sorted(reps, key=lambda r: r[0]["start_index"])
-
-
-def _expects_no_new_minimum(n: int, w: int) -> bool:
-    """Boender and Rinnooy Kan's (1987) Bayesian stopping rule: after n searches found w distinct
-    minima off the bounds, the posterior mean number of minima w(n-1)/(n-w-2) is below w + 1/2
-    (n = 8 for w = 1, 17 for w = 2, never below 8, never while w = 0)."""
-    return 0 < w < n - 2 and w * (n - 1) / (n - w - 2) < w + 0.5
 
 
 def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
@@ -907,51 +837,28 @@ def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
         ) from exc
 
 
-def gmm_minimize(
-    ms: MomentSystem,
-    weighting: str = "two-step",
-    restarts: int = 20,
-    seed: int = 7,
-    screen: int = 256,
-) -> EstimateResult:
-    """Minimization of the GMM quadratic form, from a closed-form start or from many.
+def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
+    """Minimization of the GMM quadratic form from the start of ms.chart.
 
-    When ms.chart has a closed-form start (revenue and CES quantity systems whose ratio fit is determined), stage
-    one is one search from it, with no screening, and stop_reason is 'closed-form start'; restarts, seed and screen
-    are not read.  If the chart names coordinates the closed form leaves open (start_open), a search of those alone,
-    the others held at the start, runs first, and its iterations and evaluations count in the minimum's.  Otherwise
-    (Cobb-Douglas quantity, or an undetermined ratio fit) stage one searches from each of the screened starts
-    (_draw_starts) in turn until _expects_no_new_minimum (after 8 searches for one distinct minimum off the bounds,
-    17 for two; a search that stops on a bound is a search, not a minimum) or the restarts cap.
-    diagnostics gives the searches run (n_restarts) and stop_reason.
-    weighting 'identity' runs a single stage.  'two-step' reweights by the
-    Cholesky inverse of the moment covariance at the best stage-one minimum
-    (_two_step_weight) and re-minimizes once per distinct stage-one minimum
-    (_group_minima), from the group's representative, keeping its start_index.
-    Under both weightings the final minima are grouped once more, so that each
-    distinct minimum is reported once, with the n_starts of its searches summed.
-    Screening, searches, grouping, at_bound and start are in the x of ms.chart, whose Jacobian
-    pulls the gradient back from theta; minima and estimates report the full theta.  A fit on a
-    normalised chart adds its identified functionals and diagnostics.normalisation; df is
-    n_moments less the dimension of x.
+    The chart's start (SearchChart.start) gives x0, the coordinates a first search moves with the others held at
+    x0, and diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is that first search, if it moves
+    any coordinate, then one free search; the first search's iterations and evaluations count in the minimum's.
+    weighting 'identity' runs a single stage.  'two-step' reweights by the Cholesky inverse of the moment
+    covariance at the stage-one minimum (_two_step_weight) and re-minimizes once from it.  Searches, at_bound and
+    the start are in the x of ms.chart, whose Jacobian pulls the gradient back from theta; minima and estimates
+    report the full theta.  A fit on a normalised chart adds its identified functionals and
+    diagnostics.normalisation; df is n_moments less the dimension of x.
 
-    Every distinct local minimum the searches reach is reported, not just the best.  Each records
-    n_starts, the number of stage-one searches it stands for; at_bound, the
-    names of coordinates within _AT_BOUND_TOL of the box width of a bound;
-    L-BFGS-B's termination message and its count of value-and-gradient
-    evaluations n_evals.  converged is L-BFGS-B's success flag for a minimum
-    off the bounds; a minimum on a bound is never reported converged, since a
-    zero projected gradient there can mark a box corner far above the best J.
-    Searches stop at the relative decrease _FTOL, set from the rounding noise
-    of J.
+    minima lists the one minimum reached, with at_bound, the names of coordinates within _AT_BOUND_TOL of the box
+    width of a bound; L-BFGS-B's termination message and its count of value-and-gradient evaluations n_evals.
+    converged is L-BFGS-B's success flag for a minimum off the bounds; a minimum on a bound is never reported
+    converged, since a zero projected gradient there can mark a box corner far above the best J.  Searches stop at
+    the relative decrease _FTOL, set from the rounding noise of J.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    start = None if chart.start is None else chart.start()
     edge = _AT_BOUND_TOL * (hi - lo)
 
     def objective_and_gradient(x, W):
@@ -970,60 +877,40 @@ def gmm_minimize(
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
 
-    def solve_one(idx, x0, n_starts, W, spent=(0, 0)):
+    def solve(x0, W, spent=(0, 0)):
         res = search(x0, W)
         on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
         at_bound = [n for n, b in zip(chart.names, on_bound) if b]
         return {
-            "start_index": int(idx),
             "theta": [float(v) for v in res.x],  # x until the searches end
             "objective": float(res.fun),
             "converged": bool(res.success) and not at_bound,
             "at_bound": at_bound,
-            "n_starts": int(n_starts),
             "message": str(res.message),
             "n_iter": int(res.nit) + spent[0],
             "n_evals": int(res.nfev) + spent[1],
         }
 
-    if start is not None:
-        spent = (0, 0)
-        if chart.start_open:
-            # the coordinates the closed form leaves open are searched first, the others held at the start
-            held = [b if n in chart.start_open else (x, x) for n, b, x in zip(chart.names, chart.bounds, start)]
-            pinned = search(start, None, held)
-            start, spent = pinned.x, (int(pinned.nit), int(pinned.nfev))
-        minima, stop_reason = [solve_one(0, start, 1, None, spent)], "closed-form start"
-    else:
-        screening = lambda x: ms.objective(chart.to_theta(x)[0])
-        minima, stop_reason = [], "restart cap"
-        for idx, x0 in enumerate(_draw_starts(screening, lo, hi, restarts, seed, screen=screen)):
-            minima.append(solve_one(idx, x0, 1, None))
-            interior = _group_minima([m for m in minima if not m["at_bound"]], lo, hi)
-            if _expects_no_new_minimum(len(minima), len(interior)):
-                stop_reason = "no new minimum expected"
-                break
-
+    x0, open_names, source = chart.start()
+    spent = (0, 0)
+    if open_names:
+        held = [b if n in open_names else (x, x) for n, b, x in zip(chart.names, chart.bounds, x0)]
+        pinned = search(x0, None, held)
+        x0, spent = pinned.x, (int(pinned.nit), int(pinned.nfev))
+    minimum = solve(x0, None, spent)
     if weighting == "two-step":
-        W = _two_step_weight(ms, chart.to_theta(min(minima, key=lambda m: m["objective"])["theta"])[0])
-        minima = [solve_one(rep["start_index"], rep["theta"], n, W) for rep, n in _group_minima(minima, lo, hi)]
-    # stage-one searches, or stage-two searches from two stage-one groups, can end at one minimum
-    minima = [dict(rep, n_starts=n) for rep, n in _group_minima(minima, lo, hi)]
-    best = min(minima, key=lambda m: m["objective"])
+        minimum = solve(minimum["theta"], _two_step_weight(ms, chart.to_theta(minimum["theta"])[0]))
 
-    for m in minima:
-        m["theta"] = [float(v) for v in chart.to_theta(m["theta"])[0]]
-    theta_hat = np.array(best["theta"])
-    n_converged = sum(1 for m in minima if m["converged"])
-    if n_converged == 0:
-        logger.warning("no restart reported clean convergence; returning best iterate")
+    minimum["theta"] = [float(v) for v in chart.to_theta(minimum["theta"])[0]]
+    theta_hat = np.array(minimum["theta"])
+    if not minimum["converged"]:
+        logger.warning("the search did not report clean convergence; returning its last iterate")
     diagnostics = {
         "n_obs": int(ms.n_obs),
         "n_moments": int(ms.n_moments),
         "df": int(ms.n_moments - len(chart.names)),
-        "n_restarts": sum(m["n_starts"] for m in minima),
-        "stop_reason": stop_reason,
-        "n_converged": int(n_converged),
+        "start": source,
+        "n_converged": int(minimum["converged"]),
         "instruments": list(ms.instrument_names),
     }
     if chart.normalisation:
@@ -1038,12 +925,11 @@ def gmm_minimize(
         tech_kind=ms.tech_kind,
         param_names=list(ms.param_names),
         estimates=estimates,
-        objective=float(best["objective"]),
+        objective=float(minimum["objective"]),
         weighting=weighting,
         moment_cov=ms.moment_covariance(theta_hat).tolist(),
-        minima=minima,
+        minima=[minimum],
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,
-        seed=seed,
         identified=chart.identified(estimates),
     )

@@ -187,7 +187,7 @@ def _mc_estimates(tech, mode, n_reps=20, seed0=9000):
             ms = build_quantity_moments(tech.kind, first_stage_project(panel, 3), panel)
         else:
             ms = build_revenue_moments(tech.kind, panel)
-        res = gmm_minimize(ms, weighting="two-step", restarts=3, seed=5)
+        res = gmm_minimize(ms, weighting="two-step")
         out.append([res.estimates[n] for n in res.param_names])
     return np.array(out)
 
@@ -226,7 +226,7 @@ def test_criterion_9_determinism(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[run]\nseed = 515\n\n[technology]\nkind = CES\nbeta_l = 0.30\nbeta_m = 0.40\nsigma = 0.50\nv = 0.90\n\n"
-        "[panel]\nn_firms = 120\nn_periods = 8\n\n[estimation]\nrestarts = 3\nscreen = 128\n"
+        "[panel]\nn_firms = 120\nn_periods = 8\n"
     )
     for d in ("a", "b"):
         assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / d)]) == 0

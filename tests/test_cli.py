@@ -39,8 +39,7 @@ n_firms = 100
 n_periods = 8
 
 [estimation]
-restarts = 3
-screen = 128
+weighting = two-step
 """
 
 CD_CONFIG = """
@@ -59,8 +58,7 @@ n_firms = 100
 n_periods = 8
 
 [estimation]
-restarts = 3
-screen = 128
+weighting = two-step
 """
 
 
@@ -145,8 +143,8 @@ def test_estimate_quantity_writes_result(ces_ini, tmp_path):
 
 
 def test_provenance_records_what_each_command_used(cd_ini, tmp_path):
-    # simulate reads the [run] seed and writes the panel; estimate reads neither (its restart
-    # seed is the artifact's top-level seed) and names the panel it read and the mode
+    # simulate reads the [run] seed and writes the panel; estimate reads neither and names the
+    # panel it read and the mode
     main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov.keys() == {"command", "config_sha256", "version", "seed", "outputs", "n_rows"}
@@ -399,8 +397,6 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         ("panel", "n_firms = 1.5"),
         ("estimation", "g_degree = 0"),
         ("estimation", "first_stage_degree = 0"),
-        ("estimation", "restarts = 0"),
-        ("estimation", "screen = -3"),
         ("estimation", "weighting = three-step"),
         ("estimation", "which_v = K"),
     ],
@@ -414,8 +410,6 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         "panel_not_int",
         "g_degree",
         "first_stage_degree",
-        "restarts",
-        "screen",
         "weighting",
         "which_v",
     ],
@@ -449,24 +443,32 @@ def test_minimal_config_takes_dataclass_defaults(tmp_path, kind, family):
     assert cfg.out_dir == "."
 
 
-@pytest.mark.parametrize("restarts", [0, -2])
-def test_restarts_below_one_rejected(ces_ini, tmp_path, caplog, restarts):
-    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
-    ini = tmp_path / "restarts.ini"
-    ini.write_text(ces_ini.read_text().replace("restarts = 3", f"restarts = {restarts}"))
-    rc = main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ini), "--mode", "quantity", "--out", str(tmp_path / "e")])
-    assert rc == EXIT_VALIDATION
-    assert "restarts must be >= 1" in caplog.text
+def test_retired_estimation_keys_parse_and_change_nothing(cd_ini, tmp_path, caplog):
+    # restarts, screen and restart_seed set the multistart that one search per fit replaced: a config that
+    # still sets them, even to values the multistart rejected, parses, says once that they are ignored, and
+    # writes the estimates of the config without them, byte for byte but for the config's hash
+    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
+    retired = tmp_path / "retired.ini"
+    retired.write_text(cd_ini.read_text() + "restarts = 0\nscreen = -3\nrestart_seed = -3\n")
+    for ini, out in ((cd_ini, "plain"), (retired, "retired")):
+        caplog.clear()
+        for mode in ("quantity", "revenue"):
+            argv = ["estimate", str(tmp_path / "panel.csv"), "--config", str(ini), "--mode", mode, "--out", str(tmp_path / out)]
+            assert main(argv) == EXIT_OK
+        assert caplog.text.count("[estimation] restarts, screen, restart_seed ignored") == (2 if ini == retired else 0)
+    hashes = [parse_config(ini).config_sha256 for ini in (cd_ini, retired)]
+    for mode in ("quantity", "revenue"):
+        plain, old = ((tmp_path / out / f"estimate_{mode}.json").read_text() for out in ("plain", "retired"))
+        assert old == plain.replace(*hashes), mode
 
 
 @pytest.mark.parametrize(
     "old, new, extra, message",
     [
         ("seed = 4242", "seed = -1", [], "[run] seed must be >= 0, got -1"),
-        ("screen = 128", "screen = 128\nrestart_seed = -3", [], "[estimation] restart_seed must be >= 0, got -3"),
         ("", "", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
-    ids=["run_seed", "restart_seed", "seed_option"],
+    ids=["run_seed", "seed_option"],
 )
 def test_negative_seed_rejected(ces_ini, tmp_path, caplog, old, new, extra, message):
     # numpy's own error for a negative seed names neither the key nor the value
@@ -543,7 +545,7 @@ def test_artifacts_are_asdict_of_results(cd_ini, tmp_path):
     quantity = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree)
 
     def fit(ms):
-        return gmm_minimize(ms, weighting=est.weighting, restarts=est.restarts, seed=est.restart_seed, screen=est.screen)
+        return gmm_minimize(ms, weighting=est.weighting)
 
     expected = {
         "verify_report.json": verify_panel(panel, cfg.sim),
@@ -597,7 +599,7 @@ def test_revenue_results_ignore_shocks_section(ces_ini, tmp_path):
     # the revenue residual needs no shock variance, so a config written for
     # data from outside the simulator, with no [shocks] section, gives the
     # numbers a config naming the simulator's sigma_eps gives
-    base = ces_ini.read_text().split("[estimation]")[0] + "\n[estimation]\nrestarts = 2\nscreen = 16\n"
+    base = ces_ini.read_text()
     configs = {"shocks": base + "\n[shocks]\nsigma_eps = 0.25\n", "no_shocks": base}
     for name, text in configs.items():
         (tmp_path / f"{name}.ini").write_text(text)
