@@ -443,23 +443,46 @@ def test_minimal_config_takes_dataclass_defaults(tmp_path, kind, family):
     assert cfg.out_dir == "."
 
 
-def test_retired_estimation_keys_parse_and_change_nothing(cd_ini, tmp_path, caplog):
-    # restarts, screen and restart_seed set the multistart that one search per fit replaced: a config that
-    # still sets them, even to values the multistart rejected, parses, says once that they are ignored, and
-    # writes the estimates of the config without them, byte for byte but for the config's hash
-    main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
-    retired = tmp_path / "retired.ini"
-    retired.write_text(cd_ini.read_text() + "restarts = 0\nscreen = -3\nrestart_seed = -3\n")
-    for ini, out in ((cd_ini, "plain"), (retired, "retired")):
-        caplog.clear()
-        for mode in ("quantity", "revenue"):
-            argv = ["estimate", str(tmp_path / "panel.csv"), "--config", str(ini), "--mode", mode, "--out", str(tmp_path / out)]
-            assert main(argv) == EXIT_OK
-        assert caplog.text.count("[estimation] restarts, screen, restart_seed ignored") == (2 if ini == retired else 0)
-    hashes = [parse_config(ini).config_sha256 for ini in (cd_ini, retired)]
+@pytest.fixture(scope="module")
+def cd_plain_estimates(tmp_path_factory):
+    # the CD panel and both estimates of the config that sets no retired key, made once for every case below
+    out = tmp_path_factory.mktemp("plain")
+    ini = out / "cd.ini"
+    ini.write_text(CD_CONFIG.format(out=out))
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == EXIT_OK
     for mode in ("quantity", "revenue"):
-        plain, old = ((tmp_path / out / f"estimate_{mode}.json").read_text() for out in ("plain", "retired"))
-        assert old == plain.replace(*hashes), mode
+        assert main(["estimate", str(out / "panel.csv"), "--config", str(ini), "--mode", mode, "--out", str(out)]) == EXIT_OK
+    return ini
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["restarts = 0"],
+        ["restarts = -2"],
+        ["screen = -3"],
+        ["restart_seed = -3"],
+        ["restarts = 0", "screen = -3", "restart_seed = -3"],
+    ],
+    ids=["restarts_zero", "restarts_negative", "screen", "restart_seed", "all_three"],
+)
+def test_retired_estimation_keys_parse_and_change_nothing(cd_plain_estimates, tmp_path, caplog, lines):
+    # restarts, screen and restart_seed set the multistart that one search per fit replaced: a config that
+    # still sets them, even to values the multistart rejected, parses, says once per command that they are
+    # ignored, and writes the estimates of the config without them, byte for byte but for the config's hash
+    plain = cd_plain_estimates
+    retired = tmp_path / "retired.ini"
+    retired.write_text(plain.read_text() + "".join(f"{line}\n" for line in lines))
+    keys = ", ".join(line.split(" = ")[0] for line in lines)
+    caplog.clear()
+    for mode in ("quantity", "revenue"):
+        argv = ["estimate", str(plain.parent / "panel.csv"), "--config", str(retired), "--mode", mode, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+    assert caplog.text.count(f"[estimation] {keys} ignored") == 2
+    hashes = [parse_config(ini).config_sha256 for ini in (plain, retired)]
+    for mode in ("quantity", "revenue"):
+        expected = (plain.parent / f"estimate_{mode}.json").read_text()
+        assert (tmp_path / f"estimate_{mode}.json").read_text() == expected.replace(*hashes), mode
 
 
 @pytest.mark.parametrize(
