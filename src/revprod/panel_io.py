@@ -7,7 +7,9 @@ observability split that motivates the whole exercise (revenue observed,
 prices and quantities not).
 
 Floats are written with shortest round-trip formatting so that a write/read
-cycle reproduces the in-memory panel bit for bit.
+cycle reproduces the in-memory panel bit for bit.  Each field is the `repr`
+of its float (the `str` of its int), byte for byte, but orjson formats each
+column block in one call.
 
 Beside each CSV it writes, write_panel_csv leaves a column cache
 (`panel.csv.cache` next to `panel.csv`): the SHA-256 of the CSV's bytes, then
@@ -139,14 +141,21 @@ class Panel:
 
 
 # Rows are formatted in blocks of this many: each column of a block is
-# formatted in one pass, without holding every field of the panel as a string.
+# formatted by one orjson call, without holding every field of the panel as a
+# string.
 _WRITE_BLOCK_ROWS = 512
 
 
 def _format_column(col: str, values) -> list:
-    if col in _INT_COLUMNS:
-        return [str(v) for v in np.asarray(values).astype(np.int64).tolist()]
-    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+    import orjson
+
+    a = np.ascontiguousarray(values, dtype=np.int64 if col in _INT_COLUMNS else float)
+    fields = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    if a.dtype == float:  # orjson's notation differs from repr's outside 1e-4 <= |x| < 1e16
+        mag = np.abs(a)
+        for i in np.flatnonzero((mag != 0.0) & ((mag < 1e-4) | (mag >= 1e16))):
+            fields[i] = repr(float(a[i]))
+    return fields
 
 
 def _row_dtype(header) -> np.dtype:
@@ -163,7 +172,10 @@ def write_panel_csv(panel: Panel, path) -> None:
     """Write the panel column by column, in the csv module's default dialect, and its column cache.
 
     No field can contain a delimiter or a quote character, so rows are joined
-    directly and end in the CRLF terminator that csv.writer uses.  The cache
+    directly and end in the CRLF terminator that csv.writer uses.  Each column
+    block is one orjson.dumps call split on commas; where orjson's notation is
+    not repr's (nonzero |x| < 1e-4 or >= 1e16) the field is repr's, so the
+    bytes are those of repr and str on every value.  The cache
     beside the CSV holds the 32-byte SHA-256 of the CSV's bytes followed by
     the structured array that np.loadtxt parses from its body, in the .npy
     format (version 1.0, no pickles); both files are byte-identical for equal

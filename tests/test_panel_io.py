@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import logging
 import re
 from pathlib import Path
@@ -27,17 +28,18 @@ def test_round_trip_bit_exact(small_cd_panel, tmp_path):
         assert np.array_equal(small_cd_panel.col(c), back.col(c)), c
 
 
-def _reference_write(panel, path):
-    # one csv.writer row per firm-period, each value formatted on its own
+def _reference_bytes(panel) -> bytes:
+    # one csv.writer row per firm-period, each value formatted on its own by str or repr
     present = [c for c in COLUMNS if panel.has(c)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(present)
-        for i in range(len(panel)):
-            writer.writerow(
-                [str(int(panel.data[c][i])) if c in ("firm_id", "t") else repr(float(panel.data[c][i]))
-                 for c in present]
-            )
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(present)
+    for i in range(len(panel)):
+        writer.writerow(
+            [str(int(panel.data[c][i])) if c in ("firm_id", "t") else repr(float(panel.data[c][i]))
+             for c in present]
+        )
+    return fh.getvalue().encode("ascii")
 
 
 @pytest.mark.parametrize("block_rows", [7, panel_io._WRITE_BLOCK_ROWS])
@@ -51,8 +53,34 @@ def test_columnar_writer_matches_row_writer(small_ces_panel, tmp_path, monkeypat
             data[c] = None
     panel = Panel(data=data)
     write_panel_csv(panel, tmp_path / "columnar.csv")
-    _reference_write(panel, tmp_path / "rows.csv")
-    assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "columnar.csv").read_bytes() == _reference_bytes(panel)
+
+
+def _edge_value_panel() -> Panel:
+    # values at the edges of float formatting, then random finite bit patterns to fill each column
+    n_rows = 8000
+    edges = [0.0, 5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+             1.0, 100.0, 1e15, 9999999999999998.0, 2.0**53 + 2, 1.7976931348623157e308]
+    for x in (1e-4, 1e16):  # where repr switches notation
+        edges += [np.nextafter(x, 0), x, np.nextafter(x, np.inf)]
+    edges = np.array(edges + [-x for x in edges])
+    rng = np.random.default_rng(20261019)
+    data = {"firm_id": np.arange(1, n_rows + 1), "t": np.ones(n_rows, dtype=np.int64)}
+    for c in COLUMNS[2:]:
+        bits = np.frombuffer(rng.bytes(16 * n_rows), dtype=float)
+        values = np.concatenate([edges, bits[np.isfinite(bits)]])[:n_rows]
+        if c not in ("omega", "eps"):
+            values = np.abs(values)
+            values[values == 0.0] = 5e-324
+        data[c] = values
+    return Panel(data=data)
+
+
+def test_edge_values_match_repr_reference(tmp_path):
+    # the formatter's notation must be repr's for every finite double, in whichever orjson is installed
+    panel = _edge_value_panel()
+    write_panel_csv(panel, tmp_path / "columnar.csv")
+    assert (tmp_path / "columnar.csv").read_bytes() == _reference_bytes(panel)
 
 
 def test_revenue_only_file(small_cd_panel, tmp_path):
@@ -133,6 +161,7 @@ def test_shipped_panels_read_bit_identical(config, tmp_path, monkeypatch, caplog
     panel = simulate_panel(parse_config(ROOT / config).sim)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
+    assert path.read_bytes() == _reference_bytes(panel)  # 5,000 rows, several write blocks
     back = _read(path, caplog, "read from the cache beside it")
     _assert_same_columns(back, _row_read(path, monkeypatch))
     _assert_same_columns(back, {c: panel.col(c) for c in COLUMNS if panel.has(c)})
@@ -146,19 +175,21 @@ def _revenue_only(panel) -> Panel:
 
 
 def _edge_panel(case) -> Panel:
-    # the edge-case panels whose CSV bytes test_simulate pins, a revenue-only copy of one, and no rows
+    # the edge-case panels whose CSV bytes test_simulate pins, a revenue-only copy of one, one row and no rows
     if case == "revenue_only":
         return _revenue_only(_edge_panel("eta_dispersion"))
-    if case == "no_rows":
-        return simulate_panel(SimConfig(tech=CobbDouglas(0.25, 0.3, 0.4), n_firms=0, n_periods=1, seed=1))
+    if case in ("one_row", "no_rows"):
+        n_firms = 1 if case == "one_row" else 0
+        return simulate_panel(SimConfig(tech=CobbDouglas(0.25, 0.3, 0.4), n_firms=n_firms, n_periods=1, seed=1))
     return simulate_panel(SimConfig(**test_simulate.TestPanelBytes.CASES[case][0]))
 
 
-@pytest.mark.parametrize("case", [*test_simulate.TestPanelBytes.CASES, "revenue_only", "no_rows"])
+@pytest.mark.parametrize("case", [*test_simulate.TestPanelBytes.CASES, "revenue_only", "one_row", "no_rows"])
 def test_cached_read_equals_parsed_read(case, tmp_path, caplog):
     panel = _edge_panel(case)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
+    assert path.read_bytes() == _reference_bytes(panel)  # a panel without rows is its header alone
     cache = _cache_path(path).read_bytes()
     # the cache is keyed by the CSV's own digest, so it names the pinned panel bytes
     assert cache[:32] == hashlib.sha256(path.read_bytes()).digest()
