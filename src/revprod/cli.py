@@ -25,6 +25,7 @@ from .costmin import SolverError
 from .diagnostics import build_identification_report, profile_scan
 from .estimate import (
     EstimationError,
+    _share_chart,
     build_quantity_moments,
     build_revenue_moments,
     first_stage_project,
@@ -137,8 +138,9 @@ def cmd_diagnose(args) -> int:
     curve = None
     if args.scan:
         # checked before the report, so that a bad scan writes nothing
-        if args.scan not in ms.param_names:
-            raise ValueError(f"--scan: unknown parameter {args.scan!r}; have {list(ms.param_names)}")
+        coords = _share_chart(ms.tech_kind, normalised=False).names
+        if args.scan not in coords:
+            raise ValueError(f"--scan: unknown parameter {args.scan!r}; the chart coordinates are {list(coords)}")
         if args.grid:
             center = [getattr(cfg.sim.tech, n) for n in ms.param_names]
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
@@ -152,8 +154,7 @@ def cmd_diagnose(args) -> int:
 
     if args.scan:
         if curve is None:
-            # the report's own profile, on a grid that keeps CES sigma inside
-            # the estimator's bounds
+            # the report's own profile, over the coordinate's chart box
             curve = report.profiles[args.scan]
         scan_path = out_dir / f"profile_{args.scan}.csv"
         with open(scan_path, "w") as fh:
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="identification diagnostics on a panel")
     diag.add_argument("panel")
     diag.add_argument("--config", required=True)
-    diag.add_argument("--scan", default=None, help="parameter to profile (writes a CSV)")
+    diag.add_argument("--scan", default=None, help="chart coordinate to profile (writes a CSV)")
     diag.add_argument("--grid", default=None, help="profile grid start:stop:count")
     diag.add_argument("--out", default=None)
     diag.set_defaults(func=cmd_diagnose)

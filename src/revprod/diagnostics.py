@@ -5,14 +5,21 @@ pin down:
 
   * observational equivalence: do two parameter vectors predict identical
     revenues on every observation?  (global, prediction-level)
-  * profile scans: is the GMM objective constant along a parameter axis or
-    along the share-rescaling direction?  (global, objective-level)
+  * profile scans: is the GMM objective constant along a coordinate of the
+    share chart that the fits search, x = (sigma, share_ratio,
+    beta_L+beta_M, v) or (beta_K, share_ratio, beta_L+beta_M), over that
+    coordinate's box?  (global, objective-level)
   * Jacobian rank: how many directions does the moment system resolve
     locally, and which axes span the null space of its exact Jacobian?
     (local, first-order)
 
-Flatness along coordinates the residual never reads is bit-exact, so the
-"not identified" verdicts certify structure rather than numerical accident.
+Flatness along coordinates the residual never reads is bit-exact (v, beta_K)
+or at rounding level (beta_L+beta_M, which the revenue predictor reads as
+beta_L and beta_M), so the "not identified" verdicts certify structure rather
+than numerical accident.  The verdicts name theta's coordinates: sigma, v and
+beta_K read their own profile; beta_L and beta_M are not identified when the
+share_ratio profile is flat, identified up to their ratio when the
+beta_L+beta_M profile is flat, and identified otherwise.
 A recovery check on the productivity series rounds out the picture: revenue
 residuals carry no signal about Hicks-neutral productivity, quantity
 residuals recover it almost perfectly.
@@ -26,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor
+from .estimate import REVENUE_COLUMNS, MomentSystem, _share_chart, first_stage_project, revenue_predictor
 from .panel_io import Panel
 from .technology import CES, CobbDouglas, Technology
 
@@ -79,7 +86,7 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
 
 @dataclass
 class ProfileCurve:
-    """GMM objective along one parameter axis, everything else held fixed."""
+    """GMM objective along one coordinate of the share chart, everything else held fixed."""
 
     param: str
     grid: list
@@ -92,42 +99,43 @@ def _flatness(values: np.ndarray) -> float:
     return float((values.max() - values.min()) / max(1.0, values.min()))
 
 
-def _scan(ms: MomentSystem, param: str, grid: Sequence[float], thetas: np.ndarray) -> ProfileCurve:
-    """The objective at each row of thetas, as the curve of param over grid."""
-    vals = np.array([ms.objective(theta) for theta in thetas])
-    return ProfileCurve(param=param, grid=[float(g) for g in grid], objective=vals.tolist(), flatness=_flatness(vals))
-
-
 def profile_scan(
     ms: MomentSystem, param_name: str, grid: Sequence[float], other_params: Sequence[float]
 ) -> ProfileCurve:
-    """Objective values along a grid for one parameter, others held fixed.
+    """Objective values along a grid for one coordinate of the share chart, the others held fixed.
 
-    A CES sigma grid may not contain 0 or 1, where the CES formulas divide
-    by sigma or by sigma - 1.
+    The chart is the one the quantity fits search, estimate._share_chart(ms.tech_kind, normalised=False):
+    x = (sigma, share_ratio, beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas),
+    share_ratio being beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, mapped into
+    the chart; each grid point replaces param_name's coordinate, and the objective is taken at its theta.
+    A CES sigma grid may not contain 0 or 1, where the CES formulas divide by sigma or by sigma - 1.
     """
-    if param_name not in ms.param_names:
-        raise ValueError(f"unknown parameter {param_name!r}; have {ms.param_names}")
+    chart = _share_chart(ms.tech_kind, normalised=False)
+    if param_name not in chart.names:
+        raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
     if ms.tech_kind == "CES" and param_name == "sigma":
         singular = [float(g) for g in grid if g in (0.0, 1.0)]
         if singular:
             raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
-    thetas = np.tile(np.asarray(other_params, float), (len(grid), 1))
-    thetas[:, ms.param_names.index(param_name)] = grid
-    return _scan(ms, param_name, grid, thetas)
+    x = np.array(other_params, float)
+    x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]  # (beta_L, beta_M) to (share_ratio, beta_L+beta_M)
+    i = chart.names.index(param_name)
+    vals = []
+    for g in grid:
+        x[i] = g
+        vals.append(ms.objective(chart.to_theta(x)[0]))
+    return ProfileCurve(param=param_name, grid=[float(g) for g in grid], objective=vals, flatness=_flatness(vals))
 
 
 def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
-    """Objective along the common rescaling c * (beta_L, beta_M), c on 25 points in [0.7, 1.3].
+    """profile_scan along beta_L+beta_M, on 25 points from 0.7 to 1.3 times its value at center.
 
     This is the direction a ratio-only identified flexible block leaves
-    unresolved; for revenue systems it is exactly flat, for quantity systems
-    it is not.
+    unresolved; for revenue systems it is flat up to rounding, for quantity
+    systems it is not.
     """
-    scale_grid = np.linspace(0.7, 1.3, 25)
-    thetas = np.tile(np.asarray(center, float), (scale_grid.size, 1))
-    thetas[:, [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]] *= scale_grid[:, None]
-    return _scan(ms, "beta_scale", scale_grid, thetas)
+    scale = center[ms.param_names.index("beta_L")] + center[ms.param_names.index("beta_M")]
+    return profile_scan(ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * scale, center)
 
 
 @dataclass
@@ -270,20 +278,6 @@ class IdentificationReport:
     thresholds: dict
 
 
-def _default_grids(tech_kind: str, center: dict) -> dict:
-    grids = {}
-    if tech_kind == "CES":
-        grids["sigma"] = np.linspace(max(0.05, center["sigma"] - 0.2), min(0.9, center["sigma"] + 0.2), 25)
-        grids["beta_L"] = np.linspace(0.6 * center["beta_L"], 1.4 * center["beta_L"], 25)
-        grids["beta_M"] = np.linspace(0.6 * center["beta_M"], 1.4 * center["beta_M"], 25)
-        grids["v"] = np.linspace(0.7, 1.3, 25)
-    else:
-        grids["beta_K"] = np.linspace(max(0.02, center["beta_K"] - 0.2), center["beta_K"] + 0.2, 25)
-        grids["beta_L"] = np.linspace(0.6 * center["beta_L"], 1.4 * center["beta_L"], 25)
-        grids["beta_M"] = np.linspace(0.6 * center["beta_M"], 1.4 * center["beta_M"], 25)
-    return grids
-
-
 def _free_param_variant(tech: Technology):
     if isinstance(tech, CobbDouglas):
         alt = CobbDouglas(beta_K=tech.beta_K + 0.3, beta_L=tech.beta_L, beta_M=tech.beta_M)
@@ -308,6 +302,8 @@ def build_identification_report(
 ) -> IdentificationReport:
     """End-to-end identification report for one panel and moment system.
 
+    Each coordinate of the share chart is profiled over its box on 25 points, the others held at tech
+    mapped into the chart; the verdicts are read off those profiles as the module docstring says.
     first_stage_degree is the degree of the quantity first stage that the
     productivity recovery fits in quantity mode; revenue mode reads no first stage.
     """
@@ -321,20 +317,19 @@ def build_identification_report(
     contrast_param, contrast_alt = _contrast_variant(tech)
     gap_contrast = observational_equivalence(tech, contrast_alt, panel)
 
-    profiles = {}
-    for name, grid in _default_grids(tech.kind, center).items():
-        profiles[name] = profile_scan(ms, name, grid, theta0)
-    profiles["beta_scale"] = beta_scale_scan(ms, theta0)
+    chart = _share_chart(ms.tech_kind, normalised=False)
+    profiles = {n: profile_scan(ms, n, np.linspace(*box, 25), theta0) for n, box in zip(chart.names, chart.bounds)}
 
     rank = asdict(jacobian_rank(ms, theta0))
     omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v, first_stage_degree=first_stage_degree)
 
+    flat = {n: p.flatness <= FLAT_TOL for n, p in profiles.items()}
     verdicts = {}
-    scale_flat = profiles["beta_scale"].flatness <= FLAT_TOL
     for name in ms.param_names:
-        if profiles[name].flatness <= FLAT_TOL:
+        axis = "share_ratio" if name in ("beta_L", "beta_M") else name
+        if flat[axis]:
             verdicts[name] = "not identified"
-        elif name in ("beta_L", "beta_M") and scale_flat:
+        elif axis == "share_ratio" and flat["beta_L+beta_M"]:
             verdicts[name] = "identified-ratio-only"
         else:
             verdicts[name] = "identified"

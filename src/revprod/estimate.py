@@ -467,14 +467,14 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
     return cur, lag, {name: np.log(panel.col(name)) for name in names}
 
 
-def _instrument_matrix(panel: Panel, cur, lag, names: Sequence[str]) -> np.ndarray:
-    """Named instrument columns over the current rows; rejects a set without full column rank."""
+def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
+    """Named instrument columns over the current rows, from _lag_bundle's logs of K, L, M, pL and pM; rejects a
+    set without full column rank."""
     import scipy.linalg
 
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
-        x = np.log(panel.col(col))
-        tokens[tok + "_t"], tokens[tok + "_lag"] = x[cur], x[lag]
+        tokens[tok + "_t"], tokens[tok + "_lag"] = logs[col][cur], logs[col][lag]
     for tok in ("k", "pl", "pm"):
         tokens[tok + "2_t"] = tokens[tok + "_t"] ** 2
     for when in ("_t", "_lag"):
@@ -636,7 +636,7 @@ def build_quantity_moments(
         raise ValueError("g_degree must be >= 1")
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
     predict, names = _quantity_predictor(tech_kind, cols)
-    Z = _instrument_matrix(panel, cur, lag, instruments)
+    Z = _instrument_matrix(cols, cur, lag, instruments)
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
@@ -758,11 +758,11 @@ def build_revenue_moments(
 
     The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M (_ratio_start).
     """
-    cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("R",))
-    log_r = logs.pop("R")[cur]
-    current = {c: x[cur] for c, x in logs.items()}
+    cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("K", "R"))
+    log_r = logs["R"][cur]
+    current = {c: logs[c][cur] for c in REVENUE_COLUMNS}
     predict, names = revenue_predictor(tech_kind, current, which_v)
-    Z = _instrument_matrix(panel, cur, lag, instruments)
+    Z = _instrument_matrix(logs, cur, lag, instruments)
 
     def residual(pred):
         ratio = np.exp(log_r - pred)

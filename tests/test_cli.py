@@ -317,8 +317,12 @@ def test_diagnose_empty_grid_rejected(ces_ini, tmp_path, caplog):
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(["--scan", "sigma", "--grid", "0.3:0.7"], "--grid expects start:stop:count"), (["--scan", "rho"], "--scan: unknown parameter 'rho'")],
-    ids=["grid_without_count", "unknown_scan"],
+    [
+        (["--scan", "sigma", "--grid", "0.3:0.7"], "--grid expects start:stop:count"),
+        (["--scan", "rho"], "--scan: unknown parameter 'rho'"),
+        (["--scan", "beta_L"], "--scan: unknown parameter 'beta_L'; the chart coordinates are ['sigma', 'share_ratio', 'beta_L+beta_M', 'v']"),
+    ],
+    ids=["grid_without_count", "unknown_scan", "theta_axis_scan"],
 )
 def test_diagnose_bad_option_rejected(ces_ini, tmp_path, caplog, argv, message):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])

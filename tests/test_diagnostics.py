@@ -222,6 +222,39 @@ class TestReport:
         assert rep.verdicts["beta_M"] == "identified-ratio-only"
         assert rep.verdicts["omega"] == "not identified"
 
+    @pytest.mark.parametrize(
+        "kind, names, flat",
+        [
+            ("ces", ("sigma", "share_ratio", "beta_L+beta_M", "v"), ("beta_L+beta_M", "v")),
+            ("cd", ("beta_K", "share_ratio", "beta_L+beta_M"), ("beta_K", "beta_L+beta_M")),
+        ],
+    )
+    def test_profiles_are_the_chart_coordinates(self, request, kind, names, flat):
+        # revenue reads sigma and the share ratio, never the share scale or returns to scale; quantity reads them all
+        panel, cfg, rev, qty = (request.getfixturevalue(f"{kind}_{x}") for x in ("panel", "config", "revenue_ms", "quantity_ms"))
+        rep = build_identification_report(panel, cfg.tech, rev)
+        assert tuple(rep.profiles) == names
+        for name, profile in rep.profiles.items():
+            assert profile["param"] == name and len(profile["grid"]) == 25
+            if name in flat:
+                assert profile["flatness"] <= 1e-10, name
+            else:
+                assert profile["flatness"] >= 1e3, name
+        for name, profile in build_identification_report(panel, cfg.tech, qty).profiles.items():
+            assert profile["flatness"] >= 10.0, name
+
+    def test_quantity_report_inside_the_ces_domain(self):
+        # the chart caps beta_L + beta_M at 0.995, so a truth near 1 gets a report
+        tech = CES(0.45, 0.5, 0.5, 0.9)
+        panel = simulate_panel(SimConfig(tech=tech, n_firms=80, n_periods=6, seed=3))
+        ms = build_quantity_moments("CES", first_stage_project(panel, 3), panel)
+        rep = build_identification_report(panel, tech, ms)
+        assert rep.verdicts == dict.fromkeys(("sigma", "beta_L", "beta_M", "v", "omega"), "identified")
+        assert tuple(rep.profiles) == ("sigma", "share_ratio", "beta_L+beta_M", "v")
+        assert max(rep.profiles["beta_L+beta_M"]["grid"]) == 0.995
+        for profile in rep.profiles.values():
+            assert np.all(np.isfinite(profile["objective"]))
+
     def test_quantity_report_passes_the_first_stage_degree(self, small_cd_panel, cd_tech):
         fs = first_stage_project(small_cd_panel, 2)
         ms = build_quantity_moments("CD", fs, small_cd_panel)

@@ -16,6 +16,7 @@ from revprod.estimate import (
     DEFAULT_INSTRUMENTS,
     SearchChart,
     _instrument_matrix,
+    _lag_bundle,
     _two_step_weight,
     build_quantity_moments,
     build_revenue_moments,
@@ -162,8 +163,8 @@ class TestMomentSystems:
         # the default sets must not hold both input lags with both price lags
         cfg = parse_config(ROOT / config)
         panel = simulate_panel(cfg.sim)
-        cur, lag = panel.lag_index()
-        Z = _instrument_matrix(panel, cur, lag, DEFAULT_INSTRUMENTS)
+        cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
+        Z = _instrument_matrix(logs, cur, lag, DEFAULT_INSTRUMENTS)
         assert np.linalg.matrix_rank(Z) == len(DEFAULT_INSTRUMENTS)
         R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
         assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
