@@ -25,7 +25,6 @@ from .costmin import SolverError
 from .diagnostics import build_identification_report, profile_scan
 from .estimate import (
     EstimationError,
-    _share_chart,
     build_quantity_moments,
     build_revenue_moments,
     first_stage_project,
@@ -138,9 +137,8 @@ def cmd_diagnose(args) -> int:
     curve = None
     if args.scan:
         # checked before the report, so that a bad scan writes nothing
-        coords = _share_chart(ms.tech_kind, normalised=False).names
-        if args.scan not in coords:
-            raise ValueError(f"--scan: unknown parameter {args.scan!r}; the chart coordinates are {list(coords)}")
+        if args.scan not in ms.chart.names:
+            raise ValueError(f"--scan: unknown parameter {args.scan!r}; the chart coordinates are {list(ms.chart.names)}")
         if args.grid:
             center = [getattr(cfg.sim.tech, n) for n in ms.param_names]
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))

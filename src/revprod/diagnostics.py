@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import REVENUE_COLUMNS, MomentSystem, _share_chart, first_stage_project, revenue_predictor
+from .estimate import REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor
 from .panel_io import Panel
 from .technology import CES, CobbDouglas, Technology
 
@@ -104,13 +104,13 @@ def profile_scan(
 ) -> ProfileCurve:
     """Objective values along a grid for one coordinate of the share chart, the others held fixed.
 
-    The chart is the one the quantity fits search, estimate._share_chart(ms.tech_kind, normalised=False):
-    x = (sigma, share_ratio, beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas),
-    share_ratio being beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, mapped into
-    the chart; each grid point replaces param_name's coordinate, and the objective is taken at its theta.
+    The chart is the system's own, ms.chart, normalised coordinates included: x = (sigma, share_ratio,
+    beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
+    beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, mapped into the chart; each grid
+    point replaces param_name's coordinate, and the objective is taken at its theta.
     A CES sigma grid may not contain 0 or 1, where the CES formulas divide by sigma or by sigma - 1.
     """
-    chart = _share_chart(ms.tech_kind, normalised=False)
+    chart = ms.chart
     if param_name not in chart.names:
         raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
     if ms.tech_kind == "CES" and param_name == "sigma":
@@ -317,8 +317,7 @@ def build_identification_report(
     contrast_param, contrast_alt = _contrast_variant(tech)
     gap_contrast = observational_equivalence(tech, contrast_alt, panel)
 
-    chart = _share_chart(ms.tech_kind, normalised=False)
-    profiles = {n: profile_scan(ms, n, np.linspace(*box, 25), theta0) for n, box in zip(chart.names, chart.bounds)}
+    profiles = {n: profile_scan(ms, n, np.linspace(*box, 25), theta0) for n, box in zip(ms.chart.names, ms.chart.bounds)}
 
     rank = asdict(jacobian_rank(ms, theta0))
     omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v, first_stage_degree=first_stage_degree)

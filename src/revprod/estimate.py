@@ -47,19 +47,19 @@ cross-products of the panel taken once (_LinearMarkovMoments).  CES and
 higher Markov degrees keep the row path.  A search stops once an iteration
 lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
-searches ABNORMAL at their minimum.  Each system carries the chart that its
-searches move in (SearchChart, _share_chart), in the share ratio
-a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: quantity
-x = (sigma, a, c, v) (CES, c <= 0.995, so capital keeps a share) or
-(beta_K, a, c) (Cobb-Douglas); revenue holds c and v (or beta_K), which it
-never reads, at a stated normalisation.  Every chart starts at the
+searches ABNORMAL at their minimum.  Each system carries its family's one
+chart (SearchChart, _share_chart) in a = beta_L/(beta_L+beta_M) and
+c = beta_L+beta_M, x = (sigma, a, c, v) (CES, c <= 0.995, so capital keeps a
+share) or (beta_K, a, c), in which revenue holds c and v (or beta_K), which
+it never reads, at a stated normalisation.  Every chart starts at the
 closed-form expenditure-ratio estimate of sigma and a (_ratio_start), or at
-the centre of its box where that estimate is undetermined.  Every fit takes
-one path: a search of the coordinates the closed form leaves open (c and v,
-or beta_K and c, in quantity mode), the others held, then one free search,
-and under two-step weighting one re-minimization.  The one minimum lists
-the coordinates it left on a bound (at_bound); one on a bound is never
-reported converged.  There is no derivative-free polish.
+the centre of its box where that estimate is undetermined.  Every search
+moves a subset of x, the others held: a fit searches the coordinates the
+closed form leaves open (c and v, or beta_K and c, in quantity mode), then
+all but the normalised ones, and under two-step weighting re-minimizes
+once.  The one minimum lists the coordinates it left on a bound
+(at_bound); one on a bound is never reported converged.  There is no
+derivative-free polish.
 """
 
 from __future__ import annotations
@@ -228,11 +228,11 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 
 @dataclass(frozen=True)
 class SearchChart:
-    """Coordinates x that a search moves in the box bounds, and to_theta(x) = (theta, dtheta/dx); normalisation
-    gives the values at which the coordinates off the chart are fixed, identified(estimates) the functionals of
-    theta the system identifies, if it states them.  start() returns (x0, open, source): the point inside the
-    bounds a fit starts from, the names of the coordinates a first search moves with the others held at x0 (none:
-    no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
+    """Coordinates x in the box bounds, to_theta(x) = (theta, square dtheta/dx); normalisation gives the values at
+    which a fit holds the coordinates the system never reads, identified(estimates) the functionals of theta the
+    system identifies, if it states them.  start() returns (x0, open, source): the point a fit starts from, inside
+    the bounds and at the normalisation, the names of the coordinates a first search moves with the others held
+    (none: no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
@@ -265,12 +265,11 @@ class MomentSystem:
     the panel rows.  moment_covariance and g_coefficients always take the row
     path.
 
-    The residual and the chart come from the build function.  build_quantity_moments: the
-    innovation of the recovered productivity's Markov process (_MarkovInnovation), whose degree
-    is g_degree, and the _share_chart of every coordinate, which starts at the expenditure-ratio
-    estimate.  build_revenue_moments:
-    r = exp(log R - pred) - 1, the ex-post shock relative to its mean at the true parameters,
-    and the chart of what revenue identifies, which starts at the expenditure-ratio estimate;
+    The residual and the chart come from the build function; both carry the family's _share_chart, which
+    starts at the expenditure-ratio estimate.  build_quantity_moments: the innovation of the recovered
+    productivity's Markov process (_MarkovInnovation), whose degree is g_degree, on the chart with no
+    normalisation.  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post shock relative to its
+    mean at the true parameters, on the chart that holds what revenue never reads at its normalisation;
     revenue systems have no productivity process, so their g_degree is None.
     """
 
@@ -671,22 +670,18 @@ def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
         coords, flat = {"sigma": box["sigma"], **shares, "v": box["v"]}, {"v": 1.0}  # in theta's order
     else:
         coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
-    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
-    free = np.array([i for i, n in enumerate(coords) if n not in normalisation])
-    fixed = np.array([normalisation.get(n, 0.0) for n in coords])
     eye = np.eye(len(coords))
 
     def to_theta(x):
-        theta = fixed.copy()
-        theta[free] = x
+        theta = np.array(x, float)
         ratio, scale = float(theta[1]), float(theta[2])
         theta[1], theta[2] = scale * ratio, scale - scale * ratio
         jac = eye.copy()
         jac[1, 1], jac[1, 2], jac[2, 1], jac[2, 2] = scale, ratio, -scale, 1.0 - ratio
-        return theta, jac[:, free]
+        return theta, jac
 
-    names = [n for n in coords if n not in normalisation]
-    return SearchChart(tuple(names), tuple(coords[n] for n in names), to_theta, normalisation)
+    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
+    return SearchChart(tuple(coords), tuple(coords.values()), to_theta, normalisation)
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -720,23 +715,25 @@ def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
 
 def _ratio_start(chart: SearchChart, tech_kind: str, cols, Z: np.ndarray) -> SearchChart:
     """chart with the expenditure-ratio start: sigma and a = beta_L/(beta_L+beta_M) at _expenditure_ratio_fit's
-    estimate, the coordinates that fit leaves open (the share scale and v, or beta_K and the share scale, on the
-    quantity charts) at the centre of their box and searched first, all moved _START_MARGIN of the box width inside
-    the bounds.  The fit runs when a search asks for the start, which is the box centre, searched freely at once,
-    where the fit leaves sigma or the ratio undetermined."""
+    estimate, the coordinates that fit leaves open (the share scale and v, or beta_K and the share scale) at the
+    centre of their box and, unless normalised, searched first, all moved _START_MARGIN of the box width inside the
+    bounds, then the normalisation written in.  The fit runs when a search asks for the start, which is the box
+    centre, searched freely at once, where the fit leaves sigma or the ratio undetermined."""
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
     fixed = [i for i, n in enumerate(chart.names) if n in ("sigma", "share_ratio")]
-    open_names = tuple(n for i, n in enumerate(chart.names) if i not in fixed)
+    held = [chart.names.index(n) for n in chart.normalisation]
+    open_names = tuple(n for i, n in enumerate(chart.names) if i not in fixed + held)
 
     def start():
         x = 0.5 * (lo + hi)
         fit = _expenditure_ratio_fit(tech_kind, cols, Z)
-        if fit is None:
-            return x, (), "box-centre"
-        sigma, log_ratio = fit
-        closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
-        x[fixed] = [closed[chart.names[i]] for i in fixed]
-        return np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo)), open_names, "expenditure-ratio"
+        if fit is not None:
+            sigma, log_ratio = fit
+            closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
+            x[fixed] = [closed[chart.names[i]] for i in fixed]
+            x = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+        x[held] = list(chart.normalisation.values())
+        return (x, (), "box-centre") if fit is None else (x, open_names, "expenditure-ratio")
 
     return replace(chart, start=start)
 
@@ -752,9 +749,9 @@ def build_revenue_moments(
     The residual is r = exp(log R - pred) - 1 on the current rows, pred being
     revenue_predictor's log expected revenue; which_v selects the flexible
     input whose revenue equation is used.  pred reads neither v (CES) nor beta_K (CD), and beta_L
-    and beta_M only through their ratio, so the chart is the normalised _share_chart: it moves
-    x = (sigma, a) (CES) or a (CD), a = beta_L/(beta_L+beta_M), at beta_L + beta_M = c and constant
-    returns.  A fit reports sigma and beta_L/beta_M, or a.
+    and beta_M only through their ratio, so the chart is the family's _share_chart with the share scale c
+    and v (or beta_K) normalised: a fit holds beta_L + beta_M = c and constant returns, and moves
+    sigma and a = beta_L/(beta_L+beta_M) (CES) or a (CD).  A fit reports sigma and beta_L/beta_M, or a.
 
     The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M (_ratio_start).
     """
@@ -840,17 +837,18 @@ def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
 def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
     """Minimization of the GMM quadratic form from the start of ms.chart.
 
-    The chart's start (SearchChart.start) gives x0, the coordinates a first search moves with the others held at
-    x0, and diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is that first search, if it moves
-    any coordinate, then one free search; the first search's iterations and evaluations count in the minimum's.
-    weighting 'identity' runs a single stage.  'two-step' reweights by the Cholesky inverse of the moment
-    covariance at the stage-one minimum (_two_step_weight) and re-minimizes once from it.  Searches, at_bound and
-    the start are in the x of ms.chart, whose Jacobian pulls the gradient back from theta; minima and estimates
-    report the full theta.  A fit on a normalised chart adds its identified functionals and
-    diagnostics.normalisation; df is n_moments less the dimension of x.
+    Every search is L-BFGS-B over a subset of the coordinates x of ms.chart, the others held, with the gradient
+    pulled back from theta through the chart's Jacobian.  The chart's start (SearchChart.start) gives x0, the
+    coordinates a first search moves, and diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is
+    that first search, if it moves any coordinate, then one free search of every coordinate the chart does not
+    normalise.  weighting 'identity' runs a single stage.  'two-step' reweights by the Cholesky inverse of the
+    moment covariance at the stage-one minimum (_two_step_weight) and re-minimizes the same coordinates once from
+    it.  Minima and estimates report the full theta.  A fit on a chart with a normalisation adds its identified
+    functionals and diagnostics.normalisation; df is n_moments less the number of coordinates the free search moves.
 
-    minima lists the one minimum reached, with at_bound, the names of coordinates within _AT_BOUND_TOL of the box
-    width of a bound; L-BFGS-B's termination message and its count of value-and-gradient evaluations n_evals.
+    minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
+    the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
+    and value-and-gradient evaluations summed over every search of the fit.
     converged is L-BFGS-B's success flag for a minimum off the bounds; a minimum on a bound is never reported
     converged, since a zero projected gradient there can mark a box corner far above the best J.  Searches stop at
     the relative decrease _FTOL, set from the rounding noise of J.
@@ -859,58 +857,60 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         raise ValueError("weighting must be 'identity' or 'two-step'")
     chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    edge = _AT_BOUND_TOL * (hi - lo)
+    free = tuple(n for n in chart.names if n not in chart.normalisation)
+    runs = []
 
-    def objective_and_gradient(x, W):
-        theta, jac = chart.to_theta(x)
-        value, grad = ms.objective_and_gradient(theta, W)
-        return value, jac.T.dot(grad)
+    def search(x0, W, moving):
+        """L-BFGS-B over the coordinates moving, the others held at x0; returns the full x it reached."""
+        x = np.array(x0, float)
+        i = [chart.names.index(n) for n in moving]
 
-    def search(x0, W, bounds=chart.bounds):
-        return minimize(
+        def objective_and_gradient(x_moving):
+            x[i] = x_moving
+            theta, jac = chart.to_theta(x)
+            value, grad = ms.objective_and_gradient(theta, W)
+            return value, jac[:, i].T.dot(grad)
+
+        res = minimize(
             objective_and_gradient,
-            x0,
-            args=(W,),
+            x[i],
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=[chart.bounds[k] for k in i],
             options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
         )
+        runs.append(res)
+        x[i] = res.x
+        return x
 
-    def solve(x0, W, spent=(0, 0)):
-        res = search(x0, W)
-        on_bound = (res.x - lo <= edge) | (hi - res.x <= edge)
-        at_bound = [n for n, b in zip(chart.names, on_bound) if b]
-        return {
-            "theta": [float(v) for v in res.x],  # x until the searches end
-            "objective": float(res.fun),
-            "converged": bool(res.success) and not at_bound,
-            "at_bound": at_bound,
-            "message": str(res.message),
-            "n_iter": int(res.nit) + spent[0],
-            "n_evals": int(res.nfev) + spent[1],
-        }
-
-    x0, open_names, source = chart.start()
-    spent = (0, 0)
+    x, open_names, source = chart.start()
     if open_names:
-        held = [b if n in open_names else (x, x) for n, b, x in zip(chart.names, chart.bounds, x0)]
-        pinned = search(x0, None, held)
-        x0, spent = pinned.x, (int(pinned.nit), int(pinned.nfev))
-    minimum = solve(x0, None, spent)
+        x = search(x, None, open_names)
+    x = search(x, None, free)
     if weighting == "two-step":
-        minimum = solve(minimum["theta"], _two_step_weight(ms, chart.to_theta(minimum["theta"])[0]))
+        x = search(x, _two_step_weight(ms, chart.to_theta(x)[0]), free)
 
-    minimum["theta"] = [float(v) for v in chart.to_theta(minimum["theta"])[0]]
-    theta_hat = np.array(minimum["theta"])
+    res = runs[-1]
+    edge = _AT_BOUND_TOL * (hi - lo)
+    on_bound = (x - lo <= edge) | (hi - x <= edge)
+    at_bound = [n for n, b in zip(chart.names, on_bound) if b and n in free]
+    theta_hat = chart.to_theta(x)[0]
+    minimum = {
+        "theta": [float(v) for v in theta_hat],
+        "objective": float(res.fun),
+        "converged": bool(res.success) and not at_bound,
+        "at_bound": at_bound,
+        "message": str(res.message),
+        "n_iter": sum(int(r.nit) for r in runs),
+        "n_evals": sum(int(r.nfev) for r in runs),
+    }
     if not minimum["converged"]:
         logger.warning("the search did not report clean convergence; returning its last iterate")
     diagnostics = {
         "n_obs": int(ms.n_obs),
         "n_moments": int(ms.n_moments),
-        "df": int(ms.n_moments - len(chart.names)),
+        "df": int(ms.n_moments - len(free)),
         "start": source,
-        "n_converged": int(minimum["converged"]),
         "instruments": list(ms.instrument_names),
     }
     if chart.normalisation:

@@ -280,9 +280,9 @@ def _shares_045_05_system(seed):
 
 
 def _draw_thetas(ms, rng, n, low=0.0, high=1.0):
-    """n parameter vectors, each coordinate drawn in [low, high] of its box width.  A revenue system's chart
-    fixes the coordinates revenue never reads, so its theta is drawn in DEFAULT_BOUNDS, flat coordinates
-    included; any other system's x is drawn in its chart's box and mapped to theta."""
+    """n parameter vectors, each coordinate drawn in [low, high] of its box width.  A revenue system's theta
+    is drawn in DEFAULT_BOUNDS, flat coordinates included; any other system's x is drawn in its chart's box
+    and mapped to theta."""
     if ms.mode == "revenue":
         bounds, to_theta = [DEFAULT_BOUNDS[ms.tech_kind][n] for n in ms.param_names], lambda x: x
     else:
@@ -401,6 +401,19 @@ class TestCharts:
         assert min(bL / (bL + bM) for bL, bM in corners) == pytest.approx(a_lo, abs=1e-15)
         assert max(bL / (bL + bM) for bL, bM in corners) == pytest.approx(a_hi, abs=1e-15)
         assert (min(map(sum, corners)), max(map(sum, corners))) == pytest.approx((c_lo, c_hi), abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_one_chart_per_family(self, kind, small_cd_panel, small_ces_panel):
+        # revenue holds the share scale and v (or beta_K) at its normalisation; otherwise its chart is the quantity one
+        panel = small_cd_panel if kind == "CD" else small_ces_panel
+        quantity, revenue = (_system(kind, mode, 1, panel)[0].chart for mode in ("quantity", "revenue"))
+        assert (quantity.names, quantity.bounds) == (revenue.names, revenue.bounds)
+        lo, hi = (np.array(b) for b in zip(*quantity.bounds))
+        for x in lo + np.random.default_rng(601).uniform(size=(5, lo.size)) * (hi - lo):
+            for q, r in zip(quantity.to_theta(x), revenue.to_theta(x)):
+                assert np.array_equal(q, r)
+        held = {"beta_L+beta_M": 0.65, "v": 1.0} if kind == "CES" else {"beta_L+beta_M": 0.92, "beta_K": 0.08}
+        assert quantity.normalisation == {} and revenue.normalisation == held
 
 
 def _central_difference(ms, theta, weight):
@@ -576,6 +589,37 @@ class TestGmmMinimize:
         assert chart.diagnostics["df"] == ms.n_moments - len(chart.identified)
         assert full.diagnostics["df"] == ms.n_moments - p
 
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_revenue_fit_moves_only_what_revenue_identifies(self, kind, small_cd_panel, small_ces_panel, monkeypatch):
+        # L-BFGS-B is handed the sigma and share-ratio bounds alone, in both stages
+        ms = _system(kind, "revenue", None, small_cd_panel if kind == "CD" else small_ces_panel)[0]
+        searches = []
+
+        def recording(fun, x0, bounds, **kwargs):
+            searches.append(bounds)
+            return scipy.optimize.minimize(fun, x0, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize", recording)
+        gmm_minimize(ms, weighting="two-step")
+        identified = [DEFAULT_BOUNDS[kind]["sigma"]] if kind == "CES" else []
+        identified.append(ms.chart.bounds[ms.chart.names.index("share_ratio")])
+        assert searches == [identified, identified]
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_at_bound_names_no_normalised_coordinate(self, kind, cd_panel, ces_panel):
+        # a normalisation on the lower bounds is held there and not reported: revenue never reads v or
+        # beta_K, and reads beta_L and beta_M only through their ratio, so the fit reaches the same J
+        ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
+        chart = ms.chart
+        lows = {n: lo for n, (lo, _) in zip(chart.names, chart.bounds) if n in chart.normalisation}
+        x0 = chart.start()[0]
+        x0[[chart.names.index(n) for n in lows]] = list(lows.values())
+        on_bounds = dataclasses.replace(chart, normalisation=lows, start=lambda: (x0, (), "expenditure-ratio"))
+        res = gmm_minimize(dataclasses.replace(ms, chart=on_bounds), weighting="identity")
+        (only,) = res.minima
+        assert only["at_bound"] == []
+        assert res.objective == pytest.approx(gmm_minimize(ms, weighting="identity").objective, rel=1e-8)
+
     def test_quantity_search_keeps_a_capital_share(self):
         # at beta_L + beta_M = 0.95 the search stays inside the CES domain: the chart caps the share scale
         # at 0.995, so it stops on no kink at the edge.  It ends at the one minimum that the earlier
@@ -607,14 +651,15 @@ class TestGmmMinimize:
         # bound has a zero projected gradient in revenue mode, which L-BFGS-B
         # reports as success
         ms = build_revenue_moments("CES", ces_panel)
-        (_, sigma_hi), (share_lo, _) = ms.chart.bounds
-        corner = dataclasses.replace(ms.chart, start=lambda: (np.array([sigma_hi, share_lo]), (), "box-centre"))
+        (_, sigma_hi), (share_lo, _) = ms.chart.bounds[:2]
+        x0 = ms.chart.start()[0]
+        x0[:2] = sigma_hi, share_lo
+        corner = dataclasses.replace(ms.chart, start=lambda: (x0, (), "box-centre"))
         res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
         assert "PROJECTED GRADIENT" in corner["message"]
         assert corner["converged"] is False
-        assert res.diagnostics["n_converged"] == 0
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_closed_form_start_recovers_truth(self, kind, cd_panel, ces_panel, cd_config, ces_config):
@@ -622,7 +667,7 @@ class TestGmmMinimize:
         tech = (cd_config if kind == "CD" else ces_config).tech
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
         start = ms.chart.start()[0]
-        share_ratio = start[-1]
+        share_ratio = start[ms.chart.names.index("share_ratio")]
         if kind == "CES":
             assert start[0] == pytest.approx(tech.sigma, abs=1e-12)
             assert share_ratio / (1.0 - share_ratio) == pytest.approx(tech.beta_L / tech.beta_M, abs=1e-12)
@@ -631,14 +676,15 @@ class TestGmmMinimize:
 
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit
-        # runs one free search from the centre of the box.  It ends at the best J that the earlier
+        # runs one free search from the centre of the box, with the share scale and v at their normalisation.  It ends at the best J that the earlier
         # multistart (20 searches from screened draws) found on this panel, with sigma on its lower bound
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["M"] = 2.0 * data["L"]
         ms = build_revenue_moments("CES", Panel(data=data))
         x0, open_names, source = ms.chart.start()
         lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
-        assert (open_names, source) == ((), "box-centre") and np.array_equal(x0, 0.5 * (lo + hi))
+        centre = dict(zip(ms.chart.names, 0.5 * (lo + hi)), **ms.chart.normalisation)
+        assert (open_names, source) == ((), "box-centre") and np.array_equal(x0, [centre[n] for n in ms.chart.names])
         res = gmm_minimize(ms, weighting="identity")
         assert res.diagnostics["start"] == "box-centre"
         assert res.objective == pytest.approx(11125.39057682651, rel=1e-8)
@@ -674,7 +720,8 @@ class TestGmmMinimize:
 
     def test_chart_start_is_not_screened(self, small_ces_panel, monkeypatch):
         # a CES quantity fit evaluates no screening draw: it searches the share scale and v from the
-        # closed-form start, the others held, then every coordinate, and reports one search
+        # closed-form start, the others held, then every coordinate (and under two-step weighting every
+        # coordinate again), and reports one minimum
         ms = _system("CES", "quantity", 1, small_ces_panel)[0]
         calls, searches = [], []
         objective = ms.objective
@@ -683,22 +730,23 @@ class TestGmmMinimize:
             calls.append(args)
             return objective(*args)
 
-        def recording(fun, x0, args, bounds, **kwargs):
-            res = scipy.optimize.minimize(fun, x0, args, bounds=bounds, **kwargs)
+        def recording(fun, x0, bounds, **kwargs):
+            res = scipy.optimize.minimize(fun, x0, bounds=bounds, **kwargs)
             searches.append((bounds, res.nit, res.nfev))
             return res
 
         ms.objective = counting
         monkeypatch.setattr(estimate, "minimize", recording)
-        res = gmm_minimize(ms, weighting="identity")
-        assert calls == []
-        assert res.diagnostics["start"] == "expenditure-ratio"
-        (held, *_), (free, *_) = searches
-        start = ms.chart.start()[0]
-        assert held == [(start[0], start[0]), (start[1], start[1]), *ms.chart.bounds[2:]] and free == ms.chart.bounds
-        # the pre-search's iterations and evaluations are the minimum's too
-        (only,) = res.minima
-        assert (only["n_iter"], only["n_evals"]) == tuple(np.sum([s[1:] for s in searches], axis=0))
+        free = list(ms.chart.bounds)
+        for weighting, stages in (("identity", [free[2:], free]), ("two-step", [free[2:], free, free])):
+            searches.clear()
+            res = gmm_minimize(ms, weighting=weighting)
+            assert calls == []
+            assert res.diagnostics["start"] == "expenditure-ratio"
+            assert [s[0] for s in searches] == stages
+            # every search's iterations and evaluations are the minimum's
+            (only,) = res.minima
+            assert (only["n_iter"], only["n_evals"]) == tuple(np.sum([s[1:] for s in searches], axis=0))
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
