@@ -60,7 +60,6 @@ class CostSolution:
     M_star: np.ndarray
     total_cost: np.ndarray
     lam: np.ndarray  # multiplier of the output constraint, currency per output unit
-    converged: bool
     iterations: int  # Newton steps taken by the batch
     kkt_residual: np.ndarray
 
@@ -156,7 +155,6 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
         M_star=M.reshape(shape),
         total_cost=(pL * L + pM * M).reshape(shape),
         lam=lam.reshape(shape),
-        converged=True,
         iterations=iters,
         kkt_residual=resid.reshape(shape),
     )

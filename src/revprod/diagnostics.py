@@ -10,9 +10,10 @@ pin down:
     beta_L+beta_M, v) or (beta_K, share_ratio, beta_L+beta_M), over that
     coordinate's box?  (global, objective-level)
   * Jacobian rank: how many directions does the moment system resolve
-    locally, and which axes span the null space of its exact Jacobian?
-    (local, first-order)
+    locally, and which axes of the same chart span the null space of its
+    exact Jacobian?  (local, first-order)
 
+Both views take the chart from ms.chart, through its to_chart and to_theta.
 Flatness along coordinates the residual never reads is bit-exact (v, beta_K)
 or at rounding level (beta_L+beta_M, which the revenue predictor reads as
 beta_L and beta_M), so the "not identified" verdicts certify structure rather
@@ -106,8 +107,8 @@ def profile_scan(
 
     The chart is the system's own, ms.chart, normalised coordinates included: x = (sigma, share_ratio,
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
-    beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, mapped into the chart; each grid
-    point replaces param_name's coordinate, and the objective is taken at its theta.
+    beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which ms.chart.to_chart maps into
+    the chart; each grid point replaces param_name's coordinate, and the objective is taken at its theta.
     A CES sigma grid may not contain 0 or 1, where the CES formulas divide by sigma or by sigma - 1.
     """
     chart = ms.chart
@@ -117,8 +118,7 @@ def profile_scan(
         singular = [float(g) for g in grid if g in (0.0, 1.0)]
         if singular:
             raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
-    x = np.array(other_params, float)
-    x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]  # (beta_L, beta_M) to (share_ratio, beta_L+beta_M)
+    x = chart.to_chart(other_params)
     i = chart.names.index(param_name)
     vals = []
     for g in grid:
@@ -134,38 +134,36 @@ def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
     unresolved; for revenue systems it is flat up to rounding, for quantity
     systems it is not.
     """
-    scale = center[ms.param_names.index("beta_L")] + center[ms.param_names.index("beta_M")]
+    scale = ms.chart.to_chart(center)[ms.chart.names.index("beta_L+beta_M")]
     return profile_scan(ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * scale, center)
 
 
 @dataclass
 class RankDiagnostics:
-    """SVD of the exact moment Jacobian (MomentSystem.jacobian) at a parameter point."""
+    """SVD of the exact moment Jacobian in the share chart, columns in ms.chart.names' order, at a parameter point."""
 
     singular_values: list
     rank: int
     deficiency: int
-    null_directions: list  # list of unit vectors in parameter coordinates
-    scale_direction_in_null: Optional[float] = None  # norm of its null-space projection
-    residual_axis: Optional[str] = None
-    residual_alignment: Optional[float] = None
-    deficiency_after_ratio_projection: Optional[int] = None
+    null_directions: list  # unit vectors in chart coordinates, in ms.chart.names' order
+    scale_direction_in_null: Optional[float] = None  # norm of the beta_L+beta_M axis's null-space projection
+    residual_axis: Optional[str] = None  # the other chart axis whose null-space projection is largest
+    residual_alignment: Optional[float] = None  # the norm of that projection
+    deficiency_after_ratio_projection: Optional[int] = None  # deficiency less one if the beta_L+beta_M axis is null
 
 
 def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
-    """SVD of the exact Jacobian of the stacked moments (MomentSystem.jacobian).
+    """SVD of the exact Jacobian of the stacked moments in the share chart, ms.jacobian(theta) dtheta/dx.
 
-    Its columns for coordinates the residual never reads are exact zeros,
-    and the share-rescaling direction is null up to rounding rather than up
-    to the truncation error of a difference step.  Numerical rank counts the
-    singular values above RANK_RTOL times the largest; each null direction is
-    signed so that its largest-magnitude component is positive.  When the Jacobian has
-    a null space, the report also projects the share-rescaling direction out
-    of it, so that the remaining direction can be attributed to a single axis.
+    The columns follow ms.chart.names, so each coordinate the residual never reads is one axis: its column
+    is an exact zero (v, beta_K) or zero up to rounding (beta_L+beta_M, which the revenue predictor reads
+    as beta_L and beta_M).  Numerical rank counts the singular values above RANK_RTOL times the largest;
+    each null direction is signed so that its largest-magnitude component is positive.  When the Jacobian
+    has a null space, each axis is attributed by the norm of its projection onto it.
     """
-    theta = np.asarray(theta, float)
-    p = theta.size
-    U, s, Vt = np.linalg.svd(ms.jacobian(theta))
+    chart = ms.chart
+    x = chart.to_chart(theta)
+    _, s, Vt = np.linalg.svd(ms.jacobian(theta) @ chart.to_theta(x)[1])
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     null = Vt[rank:]
@@ -177,29 +175,22 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
         # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0
         singular_values=[float(v) + 0.0 for v in s],
         rank=rank,
-        deficiency=p - rank,
-        null_directions=[[float(x) + 0.0 for x in v] for v in null],
+        deficiency=x.size - rank,
+        null_directions=[[float(v) + 0.0 for v in d] for d in null],
     )
 
     if null.shape[0] > 0:
-        shares = [ms.param_names.index("beta_L"), ms.param_names.index("beta_M")]
-        scale_dir = np.zeros(p)
-        scale_dir[shares] = theta[shares] / np.linalg.norm(theta[shares])
-        proj = null @ scale_dir
-        diag.scale_direction_in_null = float(np.linalg.norm(proj))
-        # Null space left after removing the scale component.  The SVD basis
-        # is an arbitrary rotation of the null space, so the remaining
-        # dimension is the rank of the projected basis, not a row count.  The
-        # basis rows are orthonormal, so RANK_RTOL cuts its singular values as is.
-        residual = null - np.outer(proj, scale_dir)
-        _, rs, rvt = np.linalg.svd(residual)
-        keep = rs > RANK_RTOL
-        diag.deficiency_after_ratio_projection = int(np.sum(keep))
-        if np.any(keep):
-            r = rvt[0]
-            axis = int(np.argmax(np.abs(r)))
-            diag.residual_axis = ms.param_names[axis]
-            diag.residual_alignment = float(abs(r[axis]))
+        norms = np.linalg.norm(null, axis=0)  # of each axis's projection onto the null space
+        scale = chart.names.index("beta_L+beta_M")
+        diag.scale_direction_in_null = float(norms[scale])
+        # the axis lies in the null space when its distance from its projection is within RANK_RTOL; the
+        # distance is taken directly, since sqrt(1 - norm**2) is ~1e-8 from rounding alone
+        in_null = np.linalg.norm(null[:, scale] @ null - np.eye(x.size)[scale]) <= RANK_RTOL
+        diag.deficiency_after_ratio_projection = diag.deficiency - int(in_null)
+        if diag.deficiency_after_ratio_projection:
+            axis = max((i for i in range(x.size) if i != scale), key=norms.__getitem__)
+            diag.residual_axis = chart.names[axis]
+            diag.residual_alignment = float(norms[axis])
     return diag
 
 

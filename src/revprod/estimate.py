@@ -228,15 +228,17 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 
 @dataclass(frozen=True)
 class SearchChart:
-    """Coordinates x in the box bounds, to_theta(x) = (theta, square dtheta/dx); normalisation gives the values at
-    which a fit holds the coordinates the system never reads, identified(estimates) the functionals of theta the
-    system identifies, if it states them.  start() returns (x0, open, source): the point a fit starts from, inside
-    the bounds and at the normalisation, the names of the coordinates a first search moves with the others held
-    (none: no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
+    """Coordinates x in the box bounds, to_theta(x) = (theta, square dtheta/dx), to_chart(theta) = x its inverse;
+    normalisation gives the values at which a fit holds the coordinates the system never reads, identified(estimates)
+    the functionals of theta the system identifies, to_chart and identified if the chart states them.  start() returns
+    (x0, open, source): the point a fit starts from, inside the bounds and at the normalisation, the names of the
+    coordinates a first search moves with the others held (none: no first search), and what x0 is, 'expenditure-ratio'
+    or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
     to_theta: callable
+    to_chart: Optional[callable] = None
     normalisation: dict = field(default_factory=dict)
     identified: callable = lambda est: None
     start: Optional[callable] = None
@@ -657,10 +659,10 @@ def build_quantity_moments(
 
 def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
     """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: x = (sigma, a, c, v)
-    (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a).  normalised holds c at
-    lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and
-    v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside the CES
-    domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box."""
+    (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a) and back.  normalised
+    holds c at lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for
+    CES), and v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
+    the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
@@ -680,8 +682,13 @@ def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
         jac[1, 1], jac[1, 2], jac[2, 1], jac[2, 2] = scale, ratio, -scale, 1.0 - ratio
         return theta, jac
 
+    def to_chart(theta):
+        x = np.array(theta, float)
+        x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]
+        return x
+
     normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
-    return SearchChart(tuple(coords), tuple(coords.values()), to_theta, normalisation)
+    return SearchChart(tuple(coords), tuple(coords.values()), to_theta, to_chart, normalisation)
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.

@@ -120,6 +120,24 @@ class TestJacobianRank:
         assert diag.residual_axis == "beta_K"
         assert diag.residual_alignment >= 0.999
 
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_oblique_null_direction_attributed_to_its_largest_axis(self, kind, ces_revenue_ms, cd_revenue_ms, monkeypatch):
+        # a stubbed Jacobian whose chart form has one null direction, mixing the first axis (sigma or beta_K)
+        # with share_ratio, and a share scale that every moment reads
+        ms, theta = (cd_revenue_ms, THETA_CD) if kind == "CD" else (ces_revenue_ms, THETA_CES)
+        chart = ms.chart
+        dtheta_dx = chart.to_theta(chart.to_chart(theta))[1]
+        u = np.zeros(len(chart.names))
+        u[:2] = 0.6, 0.8
+        chart_jac = np.random.default_rng(7).normal(size=(6, u.size)) @ (np.eye(u.size) - np.outer(u, u))
+        monkeypatch.setattr(ms, "jacobian", lambda th: chart_jac @ np.linalg.inv(dtheta_dx))
+        diag = jacobian_rank(ms, theta)
+        assert diag.deficiency == 1
+        assert diag.null_directions[0] == pytest.approx(u, abs=1e-12)
+        assert diag.scale_direction_in_null == pytest.approx(0.0, abs=1e-12)
+        assert diag.deficiency_after_ratio_projection == diag.deficiency
+        assert diag.residual_axis == "share_ratio" and diag.residual_alignment == pytest.approx(0.8, abs=1e-12)
+
     def test_quantity_systems_full_rank(self, ces_quantity_ms, cd_quantity_ms):
         assert jacobian_rank(ces_quantity_ms, THETA_CES).deficiency == 0
         assert jacobian_rank(cd_quantity_ms, THETA_CD).deficiency == 0

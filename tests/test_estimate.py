@@ -391,6 +391,16 @@ class TestCharts:
                 fd = (chart.to_theta(x + step)[0] - chart.to_theta(x - step)[0]) / 2e-6
                 assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_to_chart_inverts_to_theta(self, kind, small_cd_panel, small_ces_panel):
+        chart = _system(kind, "quantity", 1, small_cd_panel if kind == "CD" else small_ces_panel)[0].chart
+        lo, hi = (np.array(b) for b in zip(*chart.bounds))
+        for x in lo + np.random.default_rng(602).uniform(size=(200, lo.size)) * (hi - lo):
+            theta = chart.to_theta(x)[0]
+            back = chart.to_chart(theta)
+            assert np.all(np.abs(back - x) <= 1e-15 * np.abs(x))
+            assert np.all(np.abs(chart.to_theta(back)[0] - theta) <= 1e-15 * np.abs(theta))
+
     def test_cd_quantity_chart_covers_the_default_box(self, small_cd_panel):
         # the Cobb-Douglas share scale is not capped for a capital share, so the chart reaches every
         # (beta_L, beta_M) of the default box: the ratio and the scale of its corners span their ranges
