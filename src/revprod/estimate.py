@@ -130,24 +130,36 @@ def _poly_dim(k: int, degree: int) -> int:
 
 
 def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
-    """Full polynomial basis (with interactions) in the columns of X."""
+    """Full polynomial basis (with interactions) in the columns of X, column-major: each monomial is the column of
+    its combination less the last factor, times that factor."""
     n, k = X.shape
-    cols = [np.ones(n)]
+    design = np.empty((n, _poly_dim(k, degree)), order="F")
+    design[:, 0] = 1.0
+    index = {(): 0}
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(k), d):
-            col = np.ones(n)
-            for j in combo:
-                col = col * X[:, j]
-            cols.append(col)
-    return np.column_stack(cols)
+            index[combo] = len(index)
+            np.multiply(design[:, index[combo[:-1]]], X[:, combo[-1]], out=design[:, index[combo]])
+    return design
+
+
+def _pivoted_rank(A: np.ndarray):
+    """(rank, pivots) of A: numpy's rank cutoff (eps * max(n, p) relative to the largest) on a pivoted QR, whose
+    |R_ii| fall, so the first rank pivots are independent columns and the last pivot is the most dependent one."""
+    import scipy.linalg
+
+    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+    d = np.abs(np.diag(R))
+    return np.count_nonzero(d > np.finfo(float).eps * max(A.shape) * d[0]), piv
 
 
 @dataclass
 class FirstStage:
     """Polynomial projection of log output on observables.
 
-    rank is the numerical rank of the polynomial design, below its column
-    count whenever cost minimization makes the observables collinear.
+    rank is the numerical rank of the design, a polynomial in the observables
+    that are linearly independent on the panel; it equals the design's column
+    count unless that polynomial is itself collinear.
     """
 
     degree: int
@@ -161,10 +173,16 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     """Regress log Q on a polynomial in log inputs and log input prices;
     returns fitted values and residuals.
 
-    An underdetermined fit (fewer rows than polynomial columns) triggers
-    degree reduction with a warning; the structural collinearity that cost
-    minimization imposes on the observables is handled by the minimum-norm
-    projection instead.
+    Cost minimization at known prices makes log M an exact affine function of
+    log L, log pL and log pM, so the polynomial in all five observables has
+    rank 35 of 56 columns at degree 3.  The design expands only the
+    observables that are linearly independent on the panel (a pivoted QR of
+    the five standardised columns, under numpy's rank cutoff), so it spans
+    the same functions without the dependent columns; observables that are
+    not collinear are all expanded.  An underdetermined fit (fewer rows than
+    columns of the polynomial in all five) triggers degree reduction with a
+    warning; any collinearity left in the design is handled by the
+    minimum-norm projection.
 
     The projection goes through scipy.linalg, not numpy.linalg.  numpy and
     scipy each load their own OpenBLAS; numpy's lstsq on this design wakes
@@ -172,8 +190,7 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     and LAPACK calls inside L-BFGS-B wait for a CPU in scipy's pool.  The
     rank cutoff is numpy's (eps * max(n, p) relative to the largest singular
     value), which keeps the rank and the fitted values bit-identical to
-    numpy's; scipy's default cutoff keeps one more direction of the
-    collinear CES design and moves the fitted values by up to 1.6e-3.
+    numpy's.
     """
     import scipy.linalg
 
@@ -188,14 +205,12 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     # Standardize regressors before expansion; the fitted span is unchanged.
     mu = logs.mean(axis=0)
     sd = logs.std(axis=0)
-    sd[sd == 0.0] = 1.0
+    # a spread within the rounding error of the mean marks a constant column, which dividing by inf zeroes
+    sd[sd <= np.finfo(float).eps * len(y) * np.abs(mu)] = np.inf
     Xs = (logs - mu) / sd
 
-    # Cost minimization puts the observables on a lower-dimensional manifold
-    # (input and price logs obey an exact linear relation), so the expanded
-    # design is rank-deficient by construction; the minimum-norm projection
-    # is still the right fitted value.  Only genuinely underdetermined fits
-    # (more columns than rows) trigger degree reduction.
+    # Only genuinely underdetermined fits (more columns than rows of a design
+    # in all five observables) trigger degree reduction.
     used = degree
     while used > 1 and _poly_dim(Xs.shape[1], used) > Xs.shape[0]:
         logger.warning(
@@ -205,15 +220,12 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
             Xs.shape[0],
         )
         used -= 1
-    design = _poly_design(Xs, used)
+    independent, piv = _pivoted_rank(Xs)
+    keep = np.sort(piv[:independent])  # in column order
+    design = _poly_design(Xs[:, keep], used)
     # scipy.linalg with numpy's cutoff; see the docstring
     coef, _, rank, _ = scipy.linalg.lstsq(design, y, cond=np.finfo(float).eps * max(design.shape))
-    if rank < design.shape[1]:
-        logger.debug(
-            "first stage design spans %d of %d columns (collinear observables); using minimum-norm projection",
-            rank,
-            design.shape[1],
-        )
+    logger.debug("first stage expands %d of 5 observables into %d columns of rank %d", keep.size, design.shape[1], rank)
     fitted = design @ coef
     resid = y - fitted
     tss = float(np.sum((y - y.mean()) ** 2))
@@ -471,8 +483,6 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
 def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
     """Named instrument columns over the current rows, from _lag_bundle's logs of K, L, M, pL and pM; rejects a
     set without full column rank."""
-    import scipy.linalg
-
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
         tokens[tok + "_t"], tokens[tok + "_lag"] = logs[col][cur], logs[col][lag]
@@ -486,10 +496,8 @@ def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
     if cur.size < len(names):
         raise ValueError(f"the panel has {cur.size} lag rows for {len(names)} instruments; it needs at least as many rows")
     Z = np.column_stack([tokens[n] for n in names])
-    # numpy's rank cutoff on a pivoted QR, whose |R_ii| fall and whose last pivot is the most dependent column
-    R, piv = scipy.linalg.qr(Z, mode="r", pivoting=True)
-    d = np.abs(np.diag(R))
-    if d[-1] <= np.finfo(float).eps * max(Z.shape) * d[0]:
+    rank, piv = _pivoted_rank(Z)
+    if rank < Z.shape[1]:
         raise ValueError(f"instruments {' '.join(names)} are collinear on this panel: {names[piv[-1]]} depends on the others")
     return Z
 

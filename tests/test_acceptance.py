@@ -146,14 +146,15 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
     fs_q_cd = first_stage_project(cd_panel, 3)
     ms_q_cd = build_quantity_moments("CD", fs_q_cd, cd_panel)
 
-    # CES revenue: two null directions before ratio projection, spanning
-    # the returns-to-scale axis and the share-rescaling direction
+    # CES revenue: two null directions in the search chart, along the
+    # beta_L+beta_M and v axes, which revenue never reads
     diag = jacobian_rank(ms_r_ces, THETA_CES)
     assert diag.deficiency == 2, f"CES revenue deficiency {diag.deficiency}"
     assert diag.scale_direction_in_null >= 0.999
     assert diag.residual_axis == "v" and diag.residual_alignment >= 0.999
-    # CD revenue: after projecting out the identified-ratio (share
-    # rescaling) direction, exactly one null axis remains: beta_K
+    # CD revenue: two null directions in the search chart, along the beta_K
+    # and beta_L+beta_M axes; the beta_L+beta_M axis set aside (nothing is
+    # projected), one remains, and it is the beta_K axis
     diag = jacobian_rank(ms_r_cd, THETA_CD)
     assert diag.deficiency_after_ratio_projection == 1, "CD projected deficiency"
     assert diag.residual_axis == "beta_K" and diag.residual_alignment >= 0.999
@@ -161,7 +162,7 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
     # quantity-mode benchmarks: full numerical rank
     assert jacobian_rank(ms_q_ces, THETA_CES).deficiency == 0
     assert jacobian_rank(ms_q_cd, THETA_CD).deficiency == 0
-    return "CES revenue: 2 (v + beta-scale); CD revenue: 1 (beta_K) after ratio projection; quantity: full rank"
+    return "CES revenue: 2 (beta_L+beta_M and v axes); CD revenue: 2 (beta_K and beta_L+beta_M axes); quantity: full rank"
 
 
 @criterion(6, "productivity: revenue residuals carry no signal, quantity recovery works")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -69,19 +70,84 @@ class TestFirstStage:
         fs = first_stage_project(panel, 3)
         assert fs.degree < 3
 
+    def test_poly_design_multiplies_factors_in_order(self):
+        # each monomial is an earlier column times one observable: the product of its factors taken left to right,
+        # bit for bit
+        X = np.random.default_rng(7).normal(size=(50, 4))
+        ref = [np.ones(50)]
+        for d in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(range(4), d):
+                col = np.ones(50)
+                for j in combo:
+                    col = col * X[:, j]
+                ref.append(col)
+        assert np.array_equal(estimate._poly_design(X, 3), np.column_stack(ref))
+
     @pytest.mark.parametrize("config", ["ces.ini", "cd.ini"])
     def test_matches_numpy_lstsq_bitwise(self, config, monkeypatch):
-        # the projection runs through scipy.linalg with numpy's rank cutoff;
-        # scipy's default cutoff gives the CES design rank 36, not 35
+        # the projection runs through scipy.linalg with numpy's rank cutoff; cost
+        # minimization leaves four independent observables, so the design has the
+        # 35 columns of a cubic in four, at full rank
         cfg = parse_config(ROOT / "configs" / config)
         panel = simulate_panel(cfg.sim)
         degree = cfg.estimation.first_stage_degree
-        fs = first_stage_project(panel, degree)
+        fs, shape = _first_stage_and_design_shape(panel, degree, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(scipy.linalg, "lstsq", lambda a, b, cond=None: np.linalg.lstsq(a, b, rcond=None))
             ref = first_stage_project(panel, degree)
-        assert fs.rank == ref.rank < 56
+        assert fs.rank == ref.rank == shape[1] == 35
         assert np.array_equal(fs.fitted, ref.fitted)
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_matches_full_design_projection(self, config):
+        # the cubic in the independent observables spans the cubic in all five
+        cfg = parse_config(ROOT / config)
+        panel = simulate_panel(cfg.sim)
+        fs = first_stage_project(panel, cfg.estimation.first_stage_degree)
+        ref = _full_design_fit(panel, cfg.estimation.first_stage_degree)
+        assert np.max(np.abs(fs.fitted - ref)) < 1e-12
+
+    def test_independent_observables_keep_full_design(self, small_ces_panel, monkeypatch):
+        # M off the cost-minimizing manifold: all five observables are expanded
+        data = {c: small_ces_panel.col(c) for c in COLUMNS}
+        data["M"] = data["M"] * np.exp(np.random.default_rng(5).normal(0.0, 0.1, len(small_ces_panel)))
+        panel = Panel(data=data)
+        fs, shape = _first_stage_and_design_shape(panel, 3, monkeypatch)
+        assert fs.rank == shape[1] == 56
+        assert np.max(np.abs(fs.fitted - _full_design_fit(panel, 3))) < 1e-12
+
+    def test_constant_observable_dropped(self, small_cd_panel, monkeypatch):
+        data = {c: small_cd_panel.col(c) for c in COLUMNS}
+        data["K"] = np.full(len(small_cd_panel), 2.5)
+        panel = Panel(data=data)
+        fs, shape = _first_stage_and_design_shape(panel, 3, monkeypatch)
+        # K drops out, and so does one of L and M, which the prices tie together: a cubic in three
+        assert fs.degree == 3 and fs.rank == shape[1] == 20
+        assert np.max(np.abs(fs.fitted - _full_design_fit(panel, 3))) < 1e-12
+
+
+def _first_stage_and_design_shape(panel, degree, monkeypatch):
+    """first_stage_project's result and the shape of the design it projects on."""
+    shapes = []
+    lstsq = scipy.linalg.lstsq
+    with monkeypatch.context() as m:
+        m.setattr(scipy.linalg, "lstsq", lambda a, b, **kw: shapes.append(a.shape) or lstsq(a, b, **kw))
+        fs = first_stage_project(panel, degree)
+    (shape,) = shapes
+    return fs, shape
+
+
+def _full_design_fit(panel, degree):
+    """Fitted values of log Q on the cubic in all five standardised log observables, by numpy's minimum-norm lstsq."""
+    logs = np.column_stack([np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")])
+    sd = logs.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    Xs = (logs - logs.mean(axis=0)) / sd
+    design = np.column_stack(
+        [np.prod(Xs[:, list(c)], axis=1) for d in range(degree + 1) for c in itertools.combinations_with_replacement(range(5), d)]
+    )
+    coef = np.linalg.lstsq(design, np.log(panel.col("Q")), rcond=None)[0]
+    return design @ coef
 
 
 class TestMomentSystems:
