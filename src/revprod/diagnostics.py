@@ -146,20 +146,18 @@ class RankDiagnostics:
     rank: int
     deficiency: int
     null_directions: list  # unit vectors in chart coordinates, in ms.chart.names' order
-    scale_direction_in_null: Optional[float] = None  # norm of the beta_L+beta_M axis's null-space projection
-    residual_axis: Optional[str] = None  # the other chart axis whose null-space projection is largest
-    residual_alignment: Optional[float] = None  # the norm of that projection
-    deficiency_after_ratio_projection: Optional[int] = None  # deficiency less one if the beta_L+beta_M axis is null
+    null_alignment: dict  # chart axis -> norm of its projection onto the null space: 1 on it, 0 orthogonal to it
 
 
 def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     """SVD of the exact Jacobian of the stacked moments in the share chart, ms.jacobian(theta) dtheta/dx.
 
     The columns follow ms.chart.names, so each coordinate the residual never reads is one axis: its column
-    is an exact zero (v, beta_K) or zero up to rounding (beta_L+beta_M, which the revenue predictor reads
-    as beta_L and beta_M).  Numerical rank counts the singular values above RANK_RTOL times the largest;
-    each null direction is signed so that its largest-magnitude component is positive.  When the Jacobian
-    has a null space, each axis is attributed by the norm of its projection onto it.
+    is an exact zero, or zero up to rounding where the predictor reads theta's coordinates that the chart
+    coordinate moves together.  Numerical rank counts the singular values above RANK_RTOL times the largest;
+    each null direction is signed so that its largest-magnitude component is positive.  null_alignment
+    attributes the null space to the chart's axes by the norm of each axis's projection onto it, all zeros
+    when the Jacobian has full rank.
     """
     chart = ms.chart
     x = chart.to_chart(theta)
@@ -170,33 +168,24 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     # the SVD leaves each direction's sign arbitrary, so rounding can flip it: make the
     # largest-magnitude component positive
     null = null * np.sign(null[np.arange(len(null)), np.argmax(np.abs(null), axis=1)])[:, None]
-
-    diag = RankDiagnostics(
+    return RankDiagnostics(
         # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0
         singular_values=[float(v) + 0.0 for v in s],
         rank=rank,
         deficiency=x.size - rank,
         null_directions=[[float(v) + 0.0 for v in d] for d in null],
+        null_alignment={n: float(v) for n, v in zip(chart.names, np.linalg.norm(null, axis=0))},
     )
-
-    if null.shape[0] > 0:
-        norms = np.linalg.norm(null, axis=0)  # of each axis's projection onto the null space
-        scale = chart.names.index("beta_L+beta_M")
-        diag.scale_direction_in_null = float(norms[scale])
-        # the axis lies in the null space when its distance from its projection is within RANK_RTOL; the
-        # distance is taken directly, since sqrt(1 - norm**2) is ~1e-8 from rounding alone
-        in_null = np.linalg.norm(null[:, scale] @ null - np.eye(x.size)[scale]) <= RANK_RTOL
-        diag.deficiency_after_ratio_projection = diag.deficiency - int(in_null)
-        if diag.deficiency_after_ratio_projection:
-            axis = max((i for i in range(x.size) if i != scale), key=norms.__getitem__)
-            diag.residual_axis = chart.names[axis]
-            diag.residual_alignment = float(norms[axis])
-    return diag
 
 
 @dataclass
 class OmegaRecovery:
-    """Correlation between a residual-based productivity recovery and the truth."""
+    """Correlation between a residual-based productivity recovery and the truth.
+
+    One rule in both modes: the residual carries the productivity signal when it recovers it, at a correlation of
+    at least 0.95.  bound, 3/sqrt(n_obs), is the size of correlation a residual with no signal stays under at three
+    standard errors; it is reported, and decides no verdict, since a chance correlation above it is no recovery.
+    """
 
     mode: str
     correlation: Optional[float]
@@ -206,11 +195,7 @@ class OmegaRecovery:
 
     @property
     def carries_signal(self) -> Optional[bool]:
-        if self.skipped:
-            return None
-        if self.mode == "revenue":
-            return abs(self.correlation) > self.bound
-        return self.correlation >= 0.95
+        return None if self.skipped else self.correlation >= 0.95
 
 
 def omega_recovery_attempt(

@@ -48,18 +48,21 @@ higher Markov degrees keep the row path.  A search stops once an iteration
 lowers the objective by less than a relative 1e-12, about twice the measured
 rounding noise of J at the quantity minima; a tighter tolerance only ends
 searches ABNORMAL at their minimum.  Each system carries its family's one
-chart (SearchChart, _share_chart) in a = beta_L/(beta_L+beta_M) and
-c = beta_L+beta_M, x = (sigma, a, c, v) (CES, c <= 0.995, so capital keeps a
-share) or (beta_K, a, c), in which revenue holds c and v (or beta_K), which
-it never reads, at a stated normalisation.  Every chart starts at the
-closed-form expenditure-ratio estimate of sigma and a (_ratio_start), or at
-the centre of its box where that estimate is undetermined.  Every search
-moves a subset of x, the others held: a fit searches the coordinates the
-closed form leaves open (c and v, or beta_K and c, in quantity mode), then
-all but the normalised ones, and under two-step weighting re-minimizes
-once.  The one minimum lists the coordinates it left on a bound
-(at_bound); one on a bound is never reported converged.  There is no
-derivative-free polish.
+chart (SearchChart), built whole by _share_chart, in
+a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M, x = (sigma, a, c, v) (CES,
+c <= 0.995, so capital keeps a share) or (beta_K, a, c), in which revenue
+holds c and v (or beta_K), which it never reads, at a stated normalisation.
+That normalisation is the one statement of what revenue identifies: a fit
+reports the free coordinates at its minimum as identified (sigma and a, or
+a), and the rank diagnostics attribute the null space to the chart's axes.
+Every chart starts at the closed-form expenditure-ratio estimate of sigma
+and a, or at the centre of its box where that estimate is undetermined.
+Every search moves a subset of x, the others held: a fit searches the
+coordinates the closed form leaves open (c and v, or beta_K and c, in
+quantity mode), then all but the normalised ones, and under two-step
+weighting re-minimizes once.  The one minimum lists the coordinates it left
+on a bound (at_bound); one on a bound is never reported converged.  There is
+no derivative-free polish.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -241,19 +244,21 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 @dataclass(frozen=True)
 class SearchChart:
     """Coordinates x in the box bounds, to_theta(x) = (theta, square dtheta/dx), to_chart(theta) = x its inverse;
-    normalisation gives the values at which a fit holds the coordinates the system never reads, identified(estimates)
-    the functionals of theta the system identifies, to_chart and identified if the chart states them.  start() returns
-    (x0, open, source): the point a fit starts from, inside the bounds and at the normalisation, the names of the
-    coordinates a first search moves with the others held (none: no first search), and what x0 is, 'expenditure-ratio'
-    or 'box-centre'.  Only a fit calls it."""
+    normalisation gives the values at which a fit holds the coordinates the system never reads, and free names the
+    others, which a fit searches.  start() returns (x0, open, source): the point a fit starts from, inside the bounds
+    and at the normalisation, the names of the coordinates a first search moves with the others held (none: no first
+    search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
     to_theta: callable
-    to_chart: Optional[callable] = None
+    to_chart: callable
+    start: callable
     normalisation: dict = field(default_factory=dict)
-    identified: callable = lambda est: None
-    start: Optional[callable] = None
+
+    @property
+    def free(self) -> tuple:
+        return tuple(n for n in self.names if n not in self.normalisation)
 
 
 @dataclass
@@ -650,7 +655,6 @@ def build_quantity_moments(
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
     current = {c: cols[c][cur] for c in ("L", "M", "pL", "pM")}
-    chart = _ratio_start(_share_chart(tech_kind, normalised=False), tech_kind, current, Z)
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -659,18 +663,24 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
-        chart=chart,
+        chart=_share_chart(tech_kind, current, Z, normalised=False),
         g_degree=g_degree,
         _closed_form=closed_form,
     )
 
 
-def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
+def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> SearchChart:
     """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: x = (sigma, a, c, v)
     (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a) and back.  normalised
     holds c at lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for
     CES), and v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
-    the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box."""
+    the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box.
+
+    The chart starts at the expenditure-ratio estimate: sigma and a at _expenditure_ratio_fit's estimate on cols (the
+    logs of L, M, pL and pM on Z's rows), the coordinates that fit leaves open (c and v, or beta_K and c) at the centre
+    of their box and, unless normalised, searched first, all moved _START_MARGIN of the box width inside the bounds,
+    then the normalisation written in.  The fit runs when a search asks for the start, which is the box centre,
+    searched freely at once, where the fit leaves sigma or the ratio undetermined."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
@@ -680,7 +690,13 @@ def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
         coords, flat = {"sigma": box["sigma"], **shares, "v": box["v"]}, {"v": 1.0}  # in theta's order
     else:
         coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
-    eye = np.eye(len(coords))
+    names = tuple(coords)
+    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
+    eye = np.eye(len(names))
+    lo, hi = (np.array(b) for b in zip(*coords.values()))
+    fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
+    held = [names.index(n) for n in normalisation]
+    open_names = tuple(n for i, n in enumerate(names) if i not in fixed + held)
 
     def to_theta(x):
         theta = np.array(x, float)
@@ -695,8 +711,18 @@ def _share_chart(tech_kind: str, normalised: bool) -> SearchChart:
         x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]
         return x
 
-    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
-    return SearchChart(tuple(coords), tuple(coords.values()), to_theta, to_chart, normalisation)
+    def start():
+        x = 0.5 * (lo + hi)
+        fit = _expenditure_ratio_fit(tech_kind, cols, Z)
+        if fit is not None:
+            sigma, log_ratio = fit
+            closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
+            x[fixed] = [closed[names[i]] for i in fixed]
+            x = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+        x[held] = list(normalisation.values())
+        return (x, (), "box-centre") if fit is None else (x, open_names, "expenditure-ratio")
+
+    return SearchChart(names, tuple(coords.values()), to_theta, to_chart, start, normalisation)
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -728,31 +754,6 @@ def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
     return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
 
 
-def _ratio_start(chart: SearchChart, tech_kind: str, cols, Z: np.ndarray) -> SearchChart:
-    """chart with the expenditure-ratio start: sigma and a = beta_L/(beta_L+beta_M) at _expenditure_ratio_fit's
-    estimate, the coordinates that fit leaves open (the share scale and v, or beta_K and the share scale) at the
-    centre of their box and, unless normalised, searched first, all moved _START_MARGIN of the box width inside the
-    bounds, then the normalisation written in.  The fit runs when a search asks for the start, which is the box
-    centre, searched freely at once, where the fit leaves sigma or the ratio undetermined."""
-    lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    fixed = [i for i, n in enumerate(chart.names) if n in ("sigma", "share_ratio")]
-    held = [chart.names.index(n) for n in chart.normalisation]
-    open_names = tuple(n for i, n in enumerate(chart.names) if i not in fixed + held)
-
-    def start():
-        x = 0.5 * (lo + hi)
-        fit = _expenditure_ratio_fit(tech_kind, cols, Z)
-        if fit is not None:
-            sigma, log_ratio = fit
-            closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
-            x[fixed] = [closed[chart.names[i]] for i in fixed]
-            x = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
-        x[held] = list(chart.normalisation.values())
-        return (x, (), "box-centre") if fit is None else (x, open_names, "expenditure-ratio")
-
-    return replace(chart, start=start)
-
-
 def build_revenue_moments(
     tech_kind: str,
     panel: Panel,
@@ -766,9 +767,8 @@ def build_revenue_moments(
     input whose revenue equation is used.  pred reads neither v (CES) nor beta_K (CD), and beta_L
     and beta_M only through their ratio, so the chart is the family's _share_chart with the share scale c
     and v (or beta_K) normalised: a fit holds beta_L + beta_M = c and constant returns, and moves
-    sigma and a = beta_L/(beta_L+beta_M) (CES) or a (CD).  A fit reports sigma and beta_L/beta_M, or a.
-
-    The chart starts at the expenditure-ratio estimate of sigma and beta_L/beta_M (_ratio_start).
+    sigma and a = beta_L/(beta_L+beta_M) (CES) or a (CD), which a fit reports as identified.  The chart starts at
+    the expenditure-ratio estimate of sigma and a.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("K", "R"))
     log_r = logs["R"][cur]
@@ -780,10 +780,6 @@ def build_revenue_moments(
         ratio = np.exp(log_r - pred)
         return ratio - 1.0, lambda q: ratio * q
 
-    identified = lambda est: {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
-    if tech_kind == "CES":
-        identified = lambda est: {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]}
-    chart = _ratio_start(_share_chart(tech_kind, normalised=True), tech_kind, current, Z)
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
@@ -792,7 +788,7 @@ def build_revenue_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=replace(chart, identified=identified),
+        chart=_share_chart(tech_kind, current, Z, normalised=True),
     )
 
 
@@ -820,7 +816,7 @@ class EstimateResult:
     minima: list
     g_coefficients: Optional[list]  # quantity systems only
     diagnostics: dict
-    identified: Optional[dict] = None  # systems whose chart states them (revenue) only
+    identified: Optional[dict] = None  # the free chart coordinates, on charts with a normalisation (revenue) only
 
 
 # L-BFGS-B stops once an iteration lowers J by less than this relative amount.
@@ -858,8 +854,8 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     that first search, if it moves any coordinate, then one free search of every coordinate the chart does not
     normalise.  weighting 'identity' runs a single stage.  'two-step' reweights by the Cholesky inverse of the
     moment covariance at the stage-one minimum (_two_step_weight) and re-minimizes the same coordinates once from
-    it.  Minima and estimates report the full theta.  A fit on a chart with a normalisation adds its identified
-    functionals and diagnostics.normalisation; df is n_moments less the number of coordinates the free search moves.
+    it.  Minima and estimates report the full theta.  A fit on a chart with a normalisation adds identified, the free
+    coordinates at the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.
 
     minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
     the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
@@ -872,7 +868,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         raise ValueError("weighting must be 'identity' or 'two-step'")
     chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
-    free = tuple(n for n in chart.names if n not in chart.normalisation)
+    free = chart.free
     runs = []
 
     def search(x0, W, moving):
@@ -946,5 +942,5 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         minima=[minimum],
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,
-        identified=chart.identified(estimates),
+        identified={n: float(v) for n, v in zip(chart.names, x) if n in free} if chart.normalisation else None,
     )

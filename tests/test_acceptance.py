@@ -147,18 +147,17 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
     ms_q_cd = build_quantity_moments("CD", fs_q_cd, cd_panel)
 
     # CES revenue: two null directions in the search chart, along the
-    # beta_L+beta_M and v axes, which revenue never reads
-    diag = jacobian_rank(ms_r_ces, THETA_CES)
-    assert diag.deficiency == 2, f"CES revenue deficiency {diag.deficiency}"
-    assert diag.scale_direction_in_null >= 0.999
-    assert diag.residual_axis == "v" and diag.residual_alignment >= 0.999
-    # CD revenue: two null directions in the search chart, along the beta_K
-    # and beta_L+beta_M axes; the beta_L+beta_M axis set aside (nothing is
-    # projected), one remains, and it is the beta_K axis
-    diag = jacobian_rank(ms_r_cd, THETA_CD)
-    assert diag.deficiency_after_ratio_projection == 1, "CD projected deficiency"
-    assert diag.residual_axis == "beta_K" and diag.residual_alignment >= 0.999
-    assert diag.scale_direction_in_null >= 0.999
+    # beta_L+beta_M and v axes, which revenue never reads; CD revenue: two,
+    # along the beta_K and beta_L+beta_M axes.  The identified axes are
+    # orthogonal to the null space
+    for ms, theta, null_axes in ((ms_r_ces, THETA_CES, ("beta_L+beta_M", "v")), (ms_r_cd, THETA_CD, ("beta_K", "beta_L+beta_M"))):
+        diag = jacobian_rank(ms, theta)
+        assert diag.deficiency == 2, f"{ms.tech_kind} revenue deficiency {diag.deficiency}"
+        for axis, alignment in diag.null_alignment.items():
+            if axis in null_axes:
+                assert alignment >= 0.999, f"{ms.tech_kind} null axis {axis}: alignment {alignment}"
+            else:
+                assert alignment <= 1e-3, f"{ms.tech_kind} identified axis {axis}: alignment {alignment}"
     # quantity-mode benchmarks: full numerical rank
     assert jacobian_rank(ms_q_ces, THETA_CES).deficiency == 0
     assert jacobian_rank(ms_q_cd, THETA_CD).deficiency == 0

@@ -241,6 +241,17 @@ def test_diagnose_ces_verdicts(ces_ini, tmp_path):
     assert set(rep["thresholds"]) == {"flat_tol", "rank_rtol"}
 
 
+def test_diagnose_omega_verdict_is_recovery_not_a_chance_correlation(tmp_path):
+    # configs/ces.ini at seed 13: the revenue residual's correlation with omega crosses 3/sqrt(n_obs) by chance
+    # (0.0457 against 0.0424), and omega stays not identified, since the residual does not recover it
+    ini = ROOT / "configs" / "ces.ini"
+    main(["simulate", "--config", str(ini), "--seed", "13", "--out", str(tmp_path)])
+    assert main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    rep = json.loads((tmp_path / "identification_report.json").read_text())
+    assert abs(rep["omega_recovery"]["correlation"]) > rep["omega_recovery"]["bound"]
+    assert rep["verdicts"]["omega"] == "not identified"
+
+
 def test_diagnose_cd_verdicts(cd_ini, tmp_path):
     main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)])
     assert main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK

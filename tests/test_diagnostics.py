@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from revprod.diagnostics import (
+    OmegaRecovery,
     beta_scale_scan,
     build_identification_report,
     jacobian_rank,
@@ -108,17 +109,17 @@ class TestJacobianRank:
     def test_ces_revenue_two_null_directions(self, ces_revenue_ms):
         diag = jacobian_rank(ces_revenue_ms, THETA_CES)
         assert diag.deficiency == 2
-        assert diag.scale_direction_in_null >= 0.999
-        assert diag.deficiency_after_ratio_projection == 1
-        assert diag.residual_axis == "v"
-        assert diag.residual_alignment >= 0.999
+        assert diag.null_alignment["beta_L+beta_M"] >= 0.999
+        assert diag.null_alignment["v"] >= 0.999
+        assert diag.null_alignment["sigma"] <= 1e-3
+        assert diag.null_alignment["share_ratio"] <= 1e-3
 
     def test_cd_revenue_null_space_contains_beta_k(self, cd_revenue_ms):
         diag = jacobian_rank(cd_revenue_ms, THETA_CD)
         assert diag.deficiency == 2
-        assert diag.scale_direction_in_null >= 0.999
-        assert diag.residual_axis == "beta_K"
-        assert diag.residual_alignment >= 0.999
+        assert diag.null_alignment["beta_L+beta_M"] >= 0.999
+        assert diag.null_alignment["beta_K"] >= 0.999
+        assert diag.null_alignment["share_ratio"] <= 1e-3
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_oblique_null_direction_attributed_to_its_largest_axis(self, kind, ces_revenue_ms, cd_revenue_ms, monkeypatch):
@@ -134,13 +135,13 @@ class TestJacobianRank:
         diag = jacobian_rank(ms, theta)
         assert diag.deficiency == 1
         assert diag.null_directions[0] == pytest.approx(u, abs=1e-12)
-        assert diag.scale_direction_in_null == pytest.approx(0.0, abs=1e-12)
-        assert diag.deficiency_after_ratio_projection == diag.deficiency
-        assert diag.residual_axis == "share_ratio" and diag.residual_alignment == pytest.approx(0.8, abs=1e-12)
+        assert diag.null_alignment == pytest.approx(dict(zip(chart.names, u)), abs=1e-12)
 
     def test_quantity_systems_full_rank(self, ces_quantity_ms, cd_quantity_ms):
-        assert jacobian_rank(ces_quantity_ms, THETA_CES).deficiency == 0
-        assert jacobian_rank(cd_quantity_ms, THETA_CD).deficiency == 0
+        for ms, theta in ((ces_quantity_ms, THETA_CES), (cd_quantity_ms, THETA_CD)):
+            diag = jacobian_rank(ms, theta)
+            assert diag.deficiency == 0
+            assert diag.null_alignment == dict.fromkeys(ms.chart.names, 0.0)
 
     def test_singular_values_sorted_nonnegative(self, ces_revenue_ms, cd_revenue_ms):
         for ms, theta in ((ces_revenue_ms, THETA_CES), (cd_revenue_ms, THETA_CD)):
@@ -176,6 +177,10 @@ class TestOmegaRecovery:
         rec = omega_recovery_attempt(ces_panel, ces_config.tech, "revenue")
         assert abs(rec.correlation) <= rec.bound
         assert rec.carries_signal is False
+
+    def test_revenue_correlation_above_bound_is_no_recovery(self):
+        # one rule in both modes: a correlation that clears the zero-correlation bound but recovers nothing
+        assert OmegaRecovery("revenue", 0.3, bound=0.04, n_obs=5625).carries_signal is False
 
     def test_quantity_recovery_tracks_truth(self, ces_panel, ces_config):
         rec = omega_recovery_attempt(ces_panel, ces_config.tech, "quantity")

@@ -655,9 +655,14 @@ class TestGmmMinimize:
         bounds = tuple(DEFAULT_BOUNDS[kind][n] for n in ms.param_names)
         theta0 = ms.chart.to_theta(ms.chart.start()[0])[0]
         start = lambda: (theta0, (), "expenditure-ratio")
-        identity = SearchChart(ms.param_names, bounds, lambda x: (np.array(x, float), np.eye(p)), start=start)
+        to_theta, to_chart = lambda x: (np.array(x, float), np.eye(p)), lambda theta: np.array(theta, float)
+        identity = SearchChart(ms.param_names, bounds, to_theta, to_chart, start)
         full = gmm_minimize(dataclasses.replace(ms, chart=identity), weighting="two-step")
-        identified = ms.chart.identified(full.estimates)
+        assert full.identified is None
+        est = full.estimates
+        identified = {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
+        if kind == "CES":
+            identified = {"sigma": est["sigma"], **identified}
         assert chart.identified.keys() == identified.keys()
         for name, value in chart.identified.items():
             assert value == pytest.approx(identified[name], abs=1e-6), name
@@ -790,7 +795,15 @@ class TestGmmMinimize:
         assert res.diagnostics["start"] == "expenditure-ratio"
         rtol = 5e-8 if (mode, weighting) == ("quantity", "two-step") else 1e-8
         assert res.objective == pytest.approx(best_j, rel=rtol)
-        assert res.identified == pytest.approx(identified, rel=1e-8)
+        est = res.estimates
+        if kind == "CES":
+            # recorded as sigma and beta_L/beta_M; the fit reports sigma and the share ratio
+            assert {"sigma": est["sigma"], "beta_ratio": est["beta_L"] / est["beta_M"]} == pytest.approx(identified, rel=1e-8)
+            assert res.identified.keys() == {"sigma", "share_ratio"} and res.identified["sigma"] == est["sigma"]
+        else:
+            assert res.identified == pytest.approx(identified, rel=1e-8)
+        if mode == "revenue":
+            assert res.identified["share_ratio"] == pytest.approx(est["beta_L"] / (est["beta_L"] + est["beta_M"]), abs=1e-15)
         (only,) = res.minima
         assert only["converged"] is True and only["at_bound"] == []
 
