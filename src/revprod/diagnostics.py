@@ -13,11 +13,11 @@ pin down:
     locally, and which axes of the same chart span the null space of its
     exact Jacobian?  (local, first-order)
 
-Both views take the chart from ms.chart, through its to_chart and to_theta.
-Flatness along coordinates the residual never reads is bit-exact (v, beta_K)
-or at rounding level (beta_L+beta_M, which the revenue predictor reads as
-beta_L and beta_M), so the "not identified" verdicts certify structure rather
-than numerical accident.  The verdicts name theta's coordinates: sigma, v and
+Both views map theta into the chart once (estimate.to_chart) and evaluate the
+moment system there.  The revenue predictor reads sigma and share_ratio alone,
+so its profiles along beta_L+beta_M and v (or beta_K) are exactly flat and
+their Jacobian columns exact zeros: the verdicts certify structure rather than
+numerical accident.  The verdicts name theta's coordinates: sigma, v and
 beta_K read their own profile; beta_L and beta_M are not identified when the
 share_ratio profile is flat, identified up to their ratio when the
 beta_L+beta_M profile is flat, and identified otherwise.
@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor
+from .estimate import DEFAULT_BOUNDS, REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor, to_chart
 from .panel_io import Panel
 from .technology import CES, CobbDouglas, Technology
 
@@ -53,10 +53,11 @@ __all__ = [
 
 FLAT_TOL = 1e-10
 RANK_RTOL = 1e-8
+OMEGA_MIN_CORR = 0.95
 
 
-def _theta(tech: Technology, names) -> np.ndarray:
-    return np.array([getattr(tech, n) for n in names])
+def _theta(tech: Technology) -> np.ndarray:
+    return np.array([getattr(tech, n) for n in DEFAULT_BOUNDS[tech.kind]])
 
 
 def _revenue_columns(panel: Panel) -> dict:
@@ -70,17 +71,19 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
     A pair differing only in a coordinate the revenue predictor never reads
     gives exactly 0.0, because both predictions are the same float
     operations on the same columns.  The share columns cancel from the
-    difference, so only the technologies matter.
+    difference, so only the technologies matter.  Each technology is mapped
+    into the chart once.
     """
     if tech_a.kind != tech_b.kind:
         raise ValueError(f"technology kinds differ: {tech_a.kind} vs {tech_b.kind}")
     if len(panel) == 0:
         return 0.0
     cols = _revenue_columns(panel)
+    x_a, x_b = to_chart(_theta(tech_a)), to_chart(_theta(tech_b))
     gap = 0.0
     for v in ("L", "M"):
-        predict, names = revenue_predictor(tech_a.kind, cols, v)
-        d = np.abs(predict(_theta(tech_a, names))[0] - predict(_theta(tech_b, names))[0])
+        predict = revenue_predictor(tech_a.kind, cols, v)
+        d = np.abs(predict(x_a)[0] - predict(x_b)[0])
         gap = max(gap, float(np.max(d)))
     return gap
 
@@ -107,8 +110,8 @@ def profile_scan(
 
     The chart is the system's own, ms.chart, normalised coordinates included: x = (sigma, share_ratio,
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
-    beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which ms.chart.to_chart maps into
-    the chart; each grid point replaces param_name's coordinate, and the objective is taken at its theta.
+    beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which to_chart maps into the chart
+    once; each grid point replaces param_name's coordinate, and the objective is taken at that chart point.
     A CES sigma grid may not contain 0 or 1, where the CES formulas divide by sigma or by sigma - 1.
     """
     chart = ms.chart
@@ -118,12 +121,12 @@ def profile_scan(
         singular = [float(g) for g in grid if g in (0.0, 1.0)]
         if singular:
             raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
-    x = chart.to_chart(other_params)
+    x = to_chart(other_params)
     i = chart.names.index(param_name)
     vals = []
     for g in grid:
         x[i] = g
-        vals.append(ms.objective(chart.to_theta(x)[0]))
+        vals.append(ms.objective(x))
     return ProfileCurve(param=param_name, grid=[float(g) for g in grid], objective=vals, flatness=_flatness(vals))
 
 
@@ -131,10 +134,10 @@ def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
     """profile_scan along beta_L+beta_M, on 25 points from 0.7 to 1.3 times its value at center.
 
     This is the direction a ratio-only identified flexible block leaves
-    unresolved; for revenue systems it is flat up to rounding, for quantity
-    systems it is not.
+    unresolved; for revenue systems it is exactly flat, since the revenue
+    predictor never reads it, for quantity systems it is not.
     """
-    scale = ms.chart.to_chart(center)[ms.chart.names.index("beta_L+beta_M")]
+    scale = to_chart(center)[ms.chart.names.index("beta_L+beta_M")]
     return profile_scan(ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * scale, center)
 
 
@@ -150,18 +153,15 @@ class RankDiagnostics:
 
 
 def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
-    """SVD of the exact Jacobian of the stacked moments in the share chart, ms.jacobian(theta) dtheta/dx.
+    """SVD of the exact Jacobian of the stacked moments in the share chart, ms.jacobian at theta's chart point.
 
-    The columns follow ms.chart.names, so each coordinate the residual never reads is one axis: its column
-    is an exact zero, or zero up to rounding where the predictor reads theta's coordinates that the chart
-    coordinate moves together.  Numerical rank counts the singular values above RANK_RTOL times the largest;
+    The columns follow ms.chart.names, so each coordinate the residual never reads is one axis, whose column
+    is an exact zero.  Numerical rank counts the singular values above RANK_RTOL times the largest;
     each null direction is signed so that its largest-magnitude component is positive.  null_alignment
     attributes the null space to the chart's axes by the norm of each axis's projection onto it, all zeros
     when the Jacobian has full rank.
     """
-    chart = ms.chart
-    x = chart.to_chart(theta)
-    _, s, Vt = np.linalg.svd(ms.jacobian(theta) @ chart.to_theta(x)[1])
+    _, s, Vt = np.linalg.svd(ms.jacobian(to_chart(theta)))
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     null = Vt[rank:]
@@ -172,9 +172,9 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
         # + 0.0 turns the -0.0 that exact zeros can come out as into 0.0
         singular_values=[float(v) + 0.0 for v in s],
         rank=rank,
-        deficiency=x.size - rank,
+        deficiency=len(ms.chart.names) - rank,
         null_directions=[[float(v) + 0.0 for v in d] for d in null],
-        null_alignment={n: float(v) for n, v in zip(chart.names, np.linalg.norm(null, axis=0))},
+        null_alignment={n: float(v) for n, v in zip(ms.chart.names, np.linalg.norm(null, axis=0))},
     )
 
 
@@ -182,9 +182,9 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
 class OmegaRecovery:
     """Correlation between a residual-based productivity recovery and the truth.
 
-    One rule in both modes: the residual carries the productivity signal when it recovers it, at a correlation of
-    at least 0.95.  bound, 3/sqrt(n_obs), is the size of correlation a residual with no signal stays under at three
-    standard errors; it is reported, and decides no verdict, since a chance correlation above it is no recovery.
+    One rule in both modes: the residual carries the productivity signal when it recovers it, at a correlation of at
+    least OMEGA_MIN_CORR.  bound, 3/sqrt(n_obs), is the size of correlation a residual with no signal stays under at
+    three standard errors; it is reported, and decides no verdict, since a chance correlation above it is no recovery.
     """
 
     mode: str
@@ -195,7 +195,7 @@ class OmegaRecovery:
 
     @property
     def carries_signal(self) -> Optional[bool]:
-        return None if self.skipped else self.correlation >= 0.95
+        return None if self.skipped else self.correlation >= OMEGA_MIN_CORR
 
 
 def omega_recovery_attempt(
@@ -218,8 +218,8 @@ def omega_recovery_attempt(
         return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True)
     omega = panel.col("omega")
     if mode == "revenue":
-        predict, names = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
-        resid = np.log(panel.col("R")) - predict(_theta(tech, names))[0]
+        predict = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
+        resid = np.log(panel.col("R")) - predict(to_chart(_theta(tech)))[0]
     else:
         fs = first_stage_project(panel, first_stage_degree)
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
@@ -286,7 +286,7 @@ def build_identification_report(
     if tech.kind != ms.tech_kind:
         raise ValueError(f"technology kind {tech.kind} does not match the {ms.tech_kind} moment system")
     center = {n: getattr(tech, n) for n in ms.param_names}
-    theta0 = _theta(tech, ms.param_names)
+    theta0 = _theta(tech)
 
     free_param, free_alt = _free_param_variant(tech)
     gap_free = observational_equivalence(tech, free_alt, panel)
@@ -327,5 +327,5 @@ def build_identification_report(
         rank=rank,
         omega_recovery=asdict(omega_rec),
         verdicts=verdicts,
-        thresholds={"flat_tol": FLAT_TOL, "rank_rtol": RANK_RTOL},
+        thresholds={"flat_tol": FLAT_TOL, "rank_rtol": RANK_RTOL, "omega_min_corr": OMEGA_MIN_CORR},
     )

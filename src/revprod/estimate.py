@@ -1,68 +1,59 @@
 """GMM on the quantity production function and on the revenue equation.
 
 Both routes set instrument cross-products of a residual to zero,
-E[z * e(theta)] = 0, on the current rows of the panel (the firm-periods whose
+E[z * e(x)] = 0, on the current rows of the panel (the firm-periods whose
 firm is observed one period earlier), and share every line of the moment,
-covariance, objective and gradient code (MomentSystem).  They differ only in
-the residual e and its pullback.
+covariance, objective and gradient code (MomentSystem); they differ only in
+the residual e and its pullback.  Both work in the family's one chart,
+x = (sigma, a, c, v) (CES) or (beta_K, a, c), in the share ratio
+a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: the
+predictors, moments, Jacobian and searches take x and return derivatives in
+x.  theta exists only at the edges: to_theta gives a fit's estimates, and
+to_chart maps a technology coming into the diagnostics.
 
 The quantity route is the identified benchmark: project out the ex-post shock
 with a flexible polynomial first stage, recover the productivity series
 implied by a candidate parameter vector, and take as residual the innovation
 of its first-order Markov process.  The Markov conditional mean g(.) is a
 polynomial of configurable degree whose coefficients are concentrated out in
-closed form: at every parameter vector the demeaned current productivity is
-regressed on the demeaned powers of its centred lag (for degree one, the
-slope a.b / a.a) and the intercept is recovered from the means, so the GMM
-search space contains only technology parameters.
+closed form (for degree one, the slope a.b / a.a of the demeaned current
+productivity on its demeaned lag), so the GMM search space contains only
+technology parameters.  Its predictors form beta_L = c a, beta_M = c - c a
+and, for CES, the capital share 1 - c; _share_chain carries their
+derivatives to a and c.
 
 The revenue route rests on the paper's central fact: productivity cancels
 from the revenue equation.  revenue_predictor gives log ex-ante expected
-revenue, so at the true parameters log R minus the prediction is the ex-post
-shock eps less log E[exp eps], and the residual r = exp(log R - pred) - 1 is
+revenue, so at the true parameters the residual r = exp(log R - pred) - 1 is
 exp(eps) / E[exp eps] - 1, which has mean zero whatever the shock
-distribution.  There is no first stage, no productivity process and no value
-of E[exp eps] to supply.  revenue_predictor is the package's only parametric
-log-revenue formula, one closed form per family: the diagnostics evaluate it
-at a technology's parameters too, so the estimator and the equivalence
-certificates read the same expression.  Its parameter vector deliberately
-carries the coordinates that the formula never reads (the capital exponent
-for Cobb-Douglas, returns to scale for CES) so that downstream diagnostics
-can exhibit the resulting flat directions; the residual provably never
-touches them, which makes the flatness bit-exact rather than approximate.
+distribution: no first stage, no productivity process, no E[exp eps] to
+supply.  It is the package's only parametric log-revenue formula; the
+diagnostics evaluate it at a technology's chart point too.  It reads sigma
+and a, or a alone, never c, returns to scale or the capital exponent, so its
+rows for c and v (or beta_K and c) are literal zeros, and the flatness along
+them is exact by structure.
 
-Each parameter vector goes through one evaluation.  On the row path that is
-one prediction over the panel rows, then the residual.  The local searches
-are L-BFGS-B with the exact gradient of the objective.  The gradient is
-propagated in reverse through the moments and the residual and ends in the
-predictor's vector-Jacobian product, built from the exp/log arrays of the
-prediction, so a value and its gradient cost one evaluation and no p x N
-Jacobian is formed.  The same pullback, applied to each instrument column,
-gives the exact moment Jacobian (MomentSystem.jacobian) whose SVD the rank
-diagnostics take; its columns for coordinates the residual never reads are
-exact zeros.  A Cobb-Douglas
-quantity system at Markov degree one skips the rows: its prediction is
-linear in theta, so its moments and their Jacobian are closed forms over
-cross-products of the panel taken once (_LinearMarkovMoments).  CES and
-higher Markov degrees keep the row path.  A search stops once an iteration
-lowers the objective by less than a relative 1e-12, about twice the measured
-rounding noise of J at the quantity minima; a tighter tolerance only ends
-searches ABNORMAL at their minimum.  Each system carries its family's one
-chart (SearchChart), built whole by _share_chart, in
-a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M, x = (sigma, a, c, v) (CES,
-c <= 0.995, so capital keeps a share) or (beta_K, a, c), in which revenue
-holds c and v (or beta_K), which it never reads, at a stated normalisation.
-That normalisation is the one statement of what revenue identifies: a fit
-reports the free coordinates at its minimum as identified (sigma and a, or
-a), and the rank diagnostics attribute the null space to the chart's axes.
-Every chart starts at the closed-form expenditure-ratio estimate of sigma
-and a, or at the centre of its box where that estimate is undetermined.
-Every search moves a subset of x, the others held: a fit searches the
-coordinates the closed form leaves open (c and v, or beta_K and c, in
+A value and its exact gradient cost one evaluation: on the row path one
+prediction over the panel rows, then the residual, and the gradient is
+propagated in reverse through the moments and the residual into the
+predictor's vector-Jacobian product, with no p x N Jacobian formed.  The same
+pullback, applied to each instrument column, gives the exact moment Jacobian
+(MomentSystem.jacobian) whose SVD the rank diagnostics take.  A Cobb-Douglas
+quantity system at Markov degree one skips the rows: its moments and their
+Jacobian are closed forms over cross-products taken once
+(_LinearMarkovMoments).  The searches are L-BFGS-B; one stops once an
+iteration lowers the objective by less than a relative 1e-12, about twice
+the measured rounding noise of J at the quantity minima.  _share_chart builds
+each system's chart (SearchChart), with c <= 0.995 for CES so that capital
+keeps a share; revenue holds c and v (or beta_K) at a stated normalisation,
+the one statement of what revenue identifies: a fit reports the free
+coordinates at its minimum as identified (sigma and a, or a).  Every chart
+starts at the closed-form expenditure-ratio estimate of sigma and a, or at
+the centre of its box where that estimate is undetermined.  A fit searches
+the coordinates the closed form leaves open (c and v, or beta_K and c, in
 quantity mode), then all but the normalised ones, and under two-step
 weighting re-minimizes once.  The one minimum lists the coordinates it left
-on a bound (at_bound); one on a bound is never reported converged.  There is
-no derivative-free polish.
+on a bound (at_bound); one on a bound is never reported converged.
 """
 
 from __future__ import annotations
@@ -88,6 +79,8 @@ __all__ = [
     "build_revenue_moments",
     "revenue_predictor",
     "gmm_minimize",
+    "to_theta",
+    "to_chart",
     "DEFAULT_INSTRUMENTS",
     "DEFAULT_BOUNDS",
 ]
@@ -241,18 +234,30 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
 # ---------------------------------------------------------------------------
 
 
+def to_theta(x) -> np.ndarray:
+    """theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a) at the chart point (sigma, a, c, v) or (beta_K, a, c)."""
+    theta = np.array(x, float)
+    ratio, scale = theta[1], theta[2]
+    theta[1], theta[2] = scale * ratio, scale - scale * ratio
+    return theta
+
+
+def to_chart(theta) -> np.ndarray:
+    """The chart point of theta: to_theta's inverse, a = beta_L/(beta_L+beta_M) and c = beta_L+beta_M."""
+    x = np.array(theta, float)
+    x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]
+    return x
+
+
 @dataclass(frozen=True)
 class SearchChart:
-    """Coordinates x in the box bounds, to_theta(x) = (theta, square dtheta/dx), to_chart(theta) = x its inverse;
-    normalisation gives the values at which a fit holds the coordinates the system never reads, and free names the
-    others, which a fit searches.  start() returns (x0, open, source): the point a fit starts from, inside the bounds
-    and at the normalisation, the names of the coordinates a first search moves with the others held (none: no first
-    search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
+    """Coordinates x in the box bounds; normalisation holds the coordinates the system never reads at stated values,
+    and free names the others, which a fit searches.  start() returns (x0, open, source): the point a fit starts
+    from, inside the bounds and at the normalisation, the coordinates a first search moves with the others held
+    (none: no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
-    to_theta: callable
-    to_chart: callable
     start: callable
     normalisation: dict = field(default_factory=dict)
 
@@ -263,62 +268,55 @@ class SearchChart:
 
 @dataclass
 class MomentSystem:
-    """Moment conditions E[z * e(theta)] = 0 on the current rows of a panel.
+    """Moment conditions E[z * e(x)] = 0 on the current rows of a panel, at points x of chart.
 
-    Every statistic at a parameter vector theta reads one private
-    linearization (_linearize): the moments m, the objective's gradient as a
-    function of the direction u (the symmetrized W m) and a thunk for the
-    exact n_moments x p moment Jacobian.
+    Every statistic at x reads one private linearization (_linearize): the moments m, the objective's gradient as
+    a function of the direction u (the symmetrized W m) and a thunk for the exact n_moments x p moment Jacobian,
+    its columns in chart.names' order.  On the row path the predictor runs once, and _residual maps its prediction
+    to the residual e on the current rows and to e's pullback, which takes weights q on the current rows and
+    returns the gradient of q'e with respect to minus the prediction: the objective's gradient is
+    -2 dpred pullback(Z u), with no n x p moment Jacobian formed, and the exact moment Jacobian is
+    -(dpred pullback(Z))' / n.  A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
+    (_LinearMarkovMoments), so a search evaluation never reads the panel rows; moment_covariance and
+    g_coefficients always take the row path.
 
-    On the row path the predictor runs once, and _residual maps its
-    prediction to the residual e on the current rows and to e's pullback.
-    The pullback takes weights q on the current rows and returns the gradient
-    of q'e with respect to minus the prediction, so the objective's gradient
-    is -2 dpred pullback(Z u), and no n x p moment Jacobian
-    is formed.  jacobian(theta) pulls back each instrument column instead:
-    the exact moment Jacobian is -(dpred pullback(Z))' / n.
-
-    A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
-    (_LinearMarkovMoments): its moments and their Jacobian are closed forms in
-    theta over cross-products taken once, so a search evaluation never reads
-    the panel rows.  moment_covariance and g_coefficients always take the row
-    path.
-
-    The residual and the chart come from the build function; both carry the family's _share_chart, which
-    starts at the expenditure-ratio estimate.  build_quantity_moments: the innovation of the recovered
-    productivity's Markov process (_MarkovInnovation), whose degree is g_degree, on the chart with no
-    normalisation.  build_revenue_moments: r = exp(log R - pred) - 1, the ex-post shock relative to its
-    mean at the true parameters, on the chart that holds what revenue never reads at its normalisation;
-    revenue systems have no productivity process, so their g_degree is None.
+    The build function supplies the residual and the family's _share_chart: build_quantity_moments the innovation
+    of the recovered productivity's Markov process (_MarkovInnovation) of degree g_degree, on the chart with no
+    normalisation; build_revenue_moments r = exp(log R - pred) - 1, with g_degree None, on the chart that holds
+    what revenue never reads at its normalisation.
     """
 
     mode: str
     tech_kind: str
-    param_names: tuple
     Z: np.ndarray
     instrument_names: tuple
-    _predict: callable = field(repr=False)  # theta -> (prediction, derivatives)
+    _predict: callable = field(repr=False)  # x -> (prediction, derivatives)
     _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
     chart: SearchChart
     g_degree: Optional[int] = None
-    _closed_form: Optional[callable] = field(default=None, repr=False)  # theta -> _linearize's tuple
+    _closed_form: Optional[callable] = field(default=None, repr=False)  # x -> _linearize's tuple
+
+    @property
+    def param_names(self) -> tuple:  # theta's, which a fit reports
+        return tuple(DEFAULT_BOUNDS[self.tech_kind])
 
     @property
     def n_obs(self) -> int:
         return self.Z.shape[0]
 
-    def _evaluate(self, theta):
-        """Residual, predictor derivatives and residual pullback at theta."""
-        pred, derivatives = self._predict(np.asarray(theta, float))
+    def _evaluate(self, x):
+        """Residual, predictor derivatives and residual pullback at x."""
+        pred, derivatives = self._predict(np.asarray(x, float))
         e, pullback = self._residual(pred)
         return e, derivatives, pullback
 
-    def _linearize(self, theta):
-        """(m, gradient, jacobian) at theta: gradient(u) is the objective's gradient
+    def _linearize(self, x):
+        """(m, gradient, jacobian) at x: gradient(u) is the objective's gradient
         for the direction u, jacobian() the exact moment Jacobian."""
+        x = np.asarray(x, float)
         if self._closed_form is not None:
-            return self._closed_form(theta)
-        e, derivatives, pullback = self._evaluate(theta)
+            return self._closed_form(x)
+        e, derivatives, pullback = self._evaluate(x)
 
         def gradient(u):
             return -2.0 * derivatives(pullback(self.Z.dot(u)))
@@ -329,36 +327,36 @@ class MomentSystem:
 
         return e.dot(self.Z) / self.n_obs, gradient, jacobian
 
-    def g_coefficients(self, theta) -> np.ndarray:
+    def g_coefficients(self, x) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
-        return self._residual.coefficients(self._predict(np.asarray(theta, float))[0])
+        return self._residual.coefficients(self._predict(np.asarray(x, float))[0])
 
     @property
     def n_moments(self) -> int:
         return self.Z.shape[1]
 
-    def moments(self, theta) -> np.ndarray:
-        return self._linearize(theta)[0]
+    def moments(self, x) -> np.ndarray:
+        return self._linearize(x)[0]
 
-    def jacobian(self, theta) -> np.ndarray:
-        """Exact n_moments x p Jacobian of moments(theta)."""
-        return self._linearize(theta)[2]()
+    def jacobian(self, x) -> np.ndarray:
+        """Exact n_moments x p Jacobian of moments(x) in the chart."""
+        return self._linearize(x)[2]()
 
-    def moment_covariance(self, theta) -> np.ndarray:
-        G = self.Z * self._evaluate(theta)[0][:, None]
+    def moment_covariance(self, x) -> np.ndarray:
+        G = self.Z * self._evaluate(x)[0][:, None]
         return G.T @ G / self.n_obs
 
     def _quadratic_form(self, m, weight):
         mw = m if weight is None else m.dot(weight)
         return self.n_obs * float(mw.dot(m)), mw
 
-    def objective(self, theta, weight: Optional[np.ndarray] = None) -> float:
+    def objective(self, x, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
-        return self._quadratic_form(self._linearize(theta)[0], weight)[0]
+        return self._quadratic_form(self._linearize(x)[0], weight)[0]
 
-    def objective_and_gradient(self, theta, weight: Optional[np.ndarray] = None):
-        """objective(theta, weight) and its exact gradient from one evaluation."""
-        m, gradient, _ = self._linearize(theta)
+    def objective_and_gradient(self, x, weight: Optional[np.ndarray] = None):
+        """objective(x, weight) and its exact gradient in x from one evaluation."""
+        m, gradient, _ = self._linearize(x)
         value, mw = self._quadratic_form(m, weight)
         return value, gradient(m if weight is None else 0.5 * (mw + weight.dot(m)))
 
@@ -440,16 +438,17 @@ class _MarkovInnovation:
 class _LinearMarkovMoments:
     """Closed-form moments of a Cobb-Douglas quantity system at Markov degree one.
 
-    Recovered productivity is linear in t = (1, -theta): w = t'U, U holding
-    the rows fitted, log K, log L and log M.  With U_t and U_l its current and
-    lagged columns, each demeaned, A_t = Z'U_t'/n, A_l = Z'U_l'/n,
-    S_ll = U_l U_l' and S_lt = U_l U_t', the slope of g is
+    Recovered productivity is linear in t = (1, -beta_K, -beta_L, -beta_M):
+    w = t'U, U holding the rows fitted, log K, log L and log M.  With U_t and
+    U_l its current and lagged columns, each demeaned, A_t = Z'U_t'/n,
+    A_l = Z'U_l'/n, S_ll = U_l U_l' and S_lt = U_l U_t', the slope of g is
     b = t'S_lt t / t'S_ll t and the moments are m = (A_t - b A_l) t.  Their
     derivative in t is A_t - b A_l - (A_l t) grad b', with
-    grad b = ((S_lt + S_lt') t - 2 b S_ll t) / t'S_ll t, and the Jacobian in
-    theta is minus its last three columns.  The cross-products are taken
-    once, so an evaluation costs a few 11 x 4 and 4 x 4 products, not passes
-    over the panel rows.
+    grad b = ((S_lt + S_lt') t - 2 b S_ll t) / t'S_ll t; minus its last three
+    columns are the columns in the exponents, whose beta_L and beta_M columns
+    _share_chain turns into the a and c columns of the chart.  The
+    cross-products are taken once, so an evaluation costs a few 11 x 4 and
+    4 x 4 products, not passes over the panel rows.
     """
 
     def __init__(self, fitted: np.ndarray, cols, cur: np.ndarray, lag: np.ndarray, Z: np.ndarray):
@@ -463,18 +462,24 @@ class _LinearMarkovMoments:
         S_lt = U_l.dot(U_t.T)
         self.S_ll, self.S_sym = U_l.dot(U_l.T), S_lt + S_lt.T
 
-    def __call__(self, theta):
-        t = np.concatenate(([1.0], -np.asarray(theta, float)))
+    def __call__(self, x):
+        bK, a, c = x.tolist()
+        bL = c * a
+        t = np.array((1.0, -bK, -bL, bL - c))
         a_t, a_l = self.A_t.dot(t), self.A_l.dot(t)
         s_ll, s_sym = self.S_ll.dot(t), self.S_sym.dot(t)
         den = t.dot(s_ll)
         b = 0.5 * t.dot(s_sym) / den
 
-        def jacobian():
+        def in_exponents():
             grad_b = (s_sym[1:] - 2.0 * b * s_ll[1:]) / den
             return a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:]
 
-        return a_t - b * a_l, lambda u: 2.0 * self.n * u.dot(jacobian()), jacobian
+        def in_chart(d):  # d's last axis runs over beta_K, beta_L and beta_M: a gradient, or the Jacobian's rows
+            d[..., 1], d[..., 2] = _share_chain(d[..., 1], d[..., 2], a, c)
+            return d
+
+        return a_t - b * a_l, lambda u: in_chart(2.0 * self.n * u.dot(in_exponents())), lambda: in_chart(in_exponents())
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -507,11 +512,16 @@ def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
     return Z
 
 
-# A predictor maps theta to (prediction, derivatives), where derivatives(r)
-# returns the vector-Jacobian product dpred r.  r has shape (N,) or (N, k), and
-# dpred r shape (p,) or (p, k); it is computed from the arrays the prediction
-# already built, without forming the p x N Jacobian.  Rows of coordinates the
-# predictor never reads are exactly zero.
+# A predictor maps a chart point x to (prediction, derivatives), where
+# derivatives(r) returns the vector-Jacobian product dpred r in x.  r has shape
+# (N,) or (N, k), and dpred r shape (p,) or (p, k); it is computed from the
+# arrays the prediction already built, without forming the p x N Jacobian.
+# Rows of coordinates the predictor never reads are literal zeros.
+
+
+def _share_chain(d_L, d_M, a, c):
+    """Derivatives in the share ratio a and the share scale c from those in beta_L = c a and beta_M = c - c a."""
+    return c * (d_L - d_M), a * d_L + (1.0 - a) * d_M
 
 
 def _quantity_predictor(tech_kind: str, cols):
@@ -520,39 +530,46 @@ def _quantity_predictor(tech_kind: str, cols):
     if tech_kind == "CD":
         jac = np.vstack([k, l, m])
 
-        def predict(theta):
-            bK, bL, bM = theta
-            return bK * k + bL * l + bM * m, jac.dot
+        def predict(x):
+            bK, a, c = x
+            bL = c * a
 
-        return predict, ("beta_K", "beta_L", "beta_M")
+            def derivatives(r):
+                d_K, d_L, d_M = jac.dot(r)
+                return np.array([d_K, *_share_chain(d_L, d_M, a, c)])
+
+            return bK * k + bL * l + (c - bL) * m, derivatives
+
+        return predict
 
     lk, mk = l - k, m - k  # exp(sigma k) factored out of the aggregate: pred = v k + (v/sigma) log agg
 
-    def predict(theta):
-        sg, bL, bM, v = theta
-        bK = 1.0 - bL - bM
+    def predict(x):
+        sg, a, c, v = x
+        bL = c * a
+        bM, bK = c - bL, 1.0 - c
         if bK <= 0.0:
-            raise ValueError(f"the CES quantity prediction needs beta_L + beta_M < 1; theta = {list(map(float, theta))}")
+            raise ValueError(f"the CES quantity prediction needs beta_L + beta_M < 1; theta = {[float(t) for t in (sg, bL, bM, v)]}")
         el, em = np.exp(sg * lk), np.exp(sg * mk)
         agg = bK + bL * el + bM * em
         log_agg = np.log(agg)
         pred = v * k + (v / sg) * log_agg
 
         def derivatives(r):
-            # with q = r / agg: d_v r = k r + (log_agg r) / sigma, d_bL r = (v/sigma)(el q - sum q), d_bM alike
-            # (the capital share 1 - bL - bM moves with bL and bM),
-            # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma)
+            # with q = r / agg: d_v r = k r + (log_agg r) / sigma,
+            # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma), and in beta_L and beta_M,
+            # the capital share 1 - c held, (v/sigma)(el q - sum q) and (v/sigma)(em q - sum q), chained to a and c
             rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
             q = rt / agg
             el_q, em_q = el * q, em * q
             s_q, lr = q.sum(axis=-1), rt.dot(log_agg) / sg
-            s_el, s_em = el_q.sum(axis=-1) - s_q, em_q.sum(axis=-1) - s_q
             d_sg = (v / sg) * (bL * el_q.dot(lk) + bM * em_q.dot(mk) - lr)
-            return np.array([d_sg, (v / sg) * s_el, (v / sg) * s_em, rt.dot(k) + lr])
+            d_L, d_M = (v / sg) * (el_q.sum(axis=-1) - s_q), (v / sg) * (em_q.sum(axis=-1) - s_q)
+            return np.array([d_sg, *_share_chain(d_L, d_M, a, c), rt.dot(k) + lr])
 
         return pred, derivatives
 
-    return predict, ("sigma", "beta_L", "beta_M", "v")
+    return predict
 
 
 REVENUE_COLUMNS = ("L", "M", "pL", "pM", "sL_star", "sM_star")
@@ -565,14 +582,15 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
     (arrays or scalars); which_v picks the flexible input whose revenue
     equation is used.  The target shares are defined against ex-ante expected
     revenue, P * Qstar * E[exp eps], so that is what the formula predicts.
-    Returns (predict, param_names): predict(theta), with theta ordered as
-    param_names, gives (prediction, derivatives) as described above.
-    The formula is built from h and the unit aggregate cost alone: it never
-    reads the capital exponent (Cobb-Douglas) or returns to scale (CES), so
-    parameter vectors that differ only there give bit-identical predictions,
-    and (beta_L, beta_M) enter only through their ratio.  CES takes the
-    expenditure-ratio form: with O the other flexible input and
-    kappa = beta_O/beta_V,
+    Returns predict: predict(x), at a chart point x = (sigma, a, c, v) or
+    (beta_K, a, c), gives (prediction, derivatives) as described above.
+    The formula is built from h and the unit aggregate cost alone: it reads
+    sigma and the share ratio a = beta_L/(beta_L+beta_M) (CES) or a alone
+    (Cobb-Douglas), never the share scale c, the capital exponent or returns
+    to scale, so chart points that differ only there give bit-identical
+    predictions, and the derivative rows for c and v (or beta_K and c) are
+    literal zeros.  CES takes the expenditure-ratio form: with O the other
+    flexible input and kappa = beta_O/beta_V, a/(1 - a) or its inverse,
     log R = log(p_V V / s*_V) + ((1 - sigma)/sigma) log[(1 + u1)/(1 + u2)],
     u1 = kappa (O/V)^sigma, u2 = kappa^(1/(1 - sigma)) (p_O/p_V)^(sigma/(sigma - 1)).
     """
@@ -585,35 +603,31 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
         l_pl, m_pm = l + pl, m + pm
         gap = l_pl - m_pm
 
-        # beta_K occupies a slot in theta but is never read below; the ratio
-        # a = beta_L/(beta_L+beta_M) is the only flexible-block content.
-        def predict(theta):
-            _, bL, bM = theta
-            a = bL / (bL + bM)
+        def predict(x):
+            a = x[1]  # beta_K and the share scale are never read
             w_v = a if which_v == "L" else 1.0 - a
             theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
             lin = a * l_pl + (1.0 - a) * m_pm
             pred = theta0 + lin - s
 
             def derivatives(r):
-                # d pred / d a = d_wv + log(1 - a) - log(a) + gap, chained to beta_L and beta_M
+                # d pred / d a = d_wv + log(1 - a) - log(a) + gap
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
                 d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum(axis=0) + gap.dot(r)
-                tot2 = (bL + bM) ** 2
-                return np.array([np.zeros_like(d_a), d_a * (bM / tot2), d_a * (-bL / tot2)])
+                return np.array([np.zeros_like(d_a), d_a, np.zeros_like(d_a)])
 
             return pred, derivatives
 
-        return predict, ("beta_K", "beta_L", "beta_M")
+        return predict
 
     # O is the other flexible input; its log gaps to V, in quantity and in price
     v_in, p_v, o_in, p_o = (l, pl, m, pm) if which_v == "L" else (m, pm, l, pl)
     gap, price_gap, base = o_in - v_in, p_o - p_v, v_in + p_v - s
+    sign = 1.0 if which_v == "M" else -1.0  # log kappa = sign log(a/(1 - a))
 
-    def predict(theta):
-        sg, bL, bM, _ = theta  # v never read
-        bV, bO = (bL, bM) if which_v == "L" else (bM, bL)
-        log_k, phi = math.log(bO / bV), (1.0 - sg) / sg
+    def predict(x):
+        sg, a = x[0], x[1]  # the share scale and v are never read
+        log_k, phi = sign * math.log(a / (1.0 - a)), (1.0 - sg) / sg
         u1 = np.exp(sg * gap + log_k)
         u2 = np.exp((log_k - sg * price_gap) / (1.0 - sg))
         a1, a2 = 1.0 + u1, 1.0 + u2
@@ -623,19 +637,18 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
         def derivatives(r):
             # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
             # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
-            # kappa d pred / d kappa = phi (w1 - w2 / (1 - sigma)), chained to beta_V and beta_O;
-            # the v row stays zero
+            # d pred / d log kappa = phi (w1 - w2 / (1 - sigma)), and d log kappa / d a = sign / (a (1 - a))
             rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
             w1_r, w2_r = rt * (u1 / a1), rt * (u2 / a2)
             s1, s2 = w1_r.sum(axis=-1), w2_r.sum(axis=-1)
             d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - rt.dot(lr) / sg**2
-            d_k = phi * (s1 - s2 / (1.0 - sg))
-            d_bL, d_bM = (-d_k / bL, d_k / bM) if which_v == "L" else (d_k / bL, -d_k / bM)
-            return np.array([d_sg, d_bL, d_bM, np.zeros_like(d_k)])
+            d_a = sign * phi * (s1 - s2 / (1.0 - sg)) / (a * (1.0 - a))
+            zero = np.zeros_like(d_a)
+            return np.array([d_sg, d_a, zero, zero])
 
         return pred, derivatives
 
-    return predict, ("sigma", "beta_L", "beta_M", "v")
+    return predict
 
 
 def build_quantity_moments(
@@ -649,7 +662,7 @@ def build_quantity_moments(
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-    predict, names = _quantity_predictor(tech_kind, cols)
+    predict = _quantity_predictor(tech_kind, cols)
     Z = _instrument_matrix(cols, cur, lag, instruments)
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
@@ -658,7 +671,6 @@ def build_quantity_moments(
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
-        param_names=names,
         Z=Z,
         instrument_names=tuple(instruments),
         _predict=predict,
@@ -670,10 +682,10 @@ def build_quantity_moments(
 
 
 def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> SearchChart:
-    """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: x = (sigma, a, c, v)
-    (CES) or (beta_K, a, c) maps to theta = (sigma, c a, c - c a, v) or (beta_K, c a, c - c a) and back.  normalised
-    holds c at lo + hi of the default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for
-    CES), and v = 1 or beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
+    """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M, x = (sigma, a, c, v)
+    (CES) or (beta_K, a, c), which to_theta and to_chart map to theta and back.  normalised holds c at lo + hi of the
+    default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and v = 1 or
+    beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
     the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box.
 
     The chart starts at the expenditure-ratio estimate: sigma and a at _expenditure_ratio_fit's estimate on cols (the
@@ -692,24 +704,10 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
         coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
     names = tuple(coords)
     normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
-    eye = np.eye(len(names))
     lo, hi = (np.array(b) for b in zip(*coords.values()))
     fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
     held = [names.index(n) for n in normalisation]
     open_names = tuple(n for i, n in enumerate(names) if i not in fixed + held)
-
-    def to_theta(x):
-        theta = np.array(x, float)
-        ratio, scale = float(theta[1]), float(theta[2])
-        theta[1], theta[2] = scale * ratio, scale - scale * ratio
-        jac = eye.copy()
-        jac[1, 1], jac[1, 2], jac[2, 1], jac[2, 2] = scale, ratio, -scale, 1.0 - ratio
-        return theta, jac
-
-    def to_chart(theta):
-        x = np.array(theta, float)
-        x[1], x[2] = x[1] / (x[1] + x[2]), x[1] + x[2]
-        return x
 
     def start():
         x = 0.5 * (lo + hi)
@@ -722,7 +720,7 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
         x[held] = list(normalisation.values())
         return (x, (), "box-centre") if fit is None else (x, open_names, "expenditure-ratio")
 
-    return SearchChart(names, tuple(coords.values()), to_theta, to_chart, start, normalisation)
+    return SearchChart(names, tuple(coords.values()), start, normalisation)
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -764,16 +762,15 @@ def build_revenue_moments(
 
     The residual is r = exp(log R - pred) - 1 on the current rows, pred being
     revenue_predictor's log expected revenue; which_v selects the flexible
-    input whose revenue equation is used.  pred reads neither v (CES) nor beta_K (CD), and beta_L
-    and beta_M only through their ratio, so the chart is the family's _share_chart with the share scale c
-    and v (or beta_K) normalised: a fit holds beta_L + beta_M = c and constant returns, and moves
+    input whose revenue equation is used.  pred reads sigma and the share ratio a (CES) or a alone (CD),
+    so the chart is the family's _share_chart with the share scale c and v (or beta_K) normalised: a fit holds beta_L + beta_M = c and constant returns, and moves
     sigma and a = beta_L/(beta_L+beta_M) (CES) or a (CD), which a fit reports as identified.  The chart starts at
     the expenditure-ratio estimate of sigma and a.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("K", "R"))
     log_r = logs["R"][cur]
     current = {c: logs[c][cur] for c in REVENUE_COLUMNS}
-    predict, names = revenue_predictor(tech_kind, current, which_v)
+    predict = revenue_predictor(tech_kind, current, which_v)
     Z = _instrument_matrix(logs, cur, lag, instruments)
 
     def residual(pred):
@@ -783,7 +780,6 @@ def build_revenue_moments(
     return MomentSystem(
         mode="revenue",
         tech_kind=tech_kind,
-        param_names=names,
         Z=Z,
         instrument_names=tuple(instruments),
         _predict=predict,
@@ -831,13 +827,13 @@ _FTOL = 1e-12
 _AT_BOUND_TOL = 1e-10
 
 
-def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
-    """Cholesky inverse of the moment covariance at theta.  With full-rank instruments on at
+def _two_step_weight(ms: MomentSystem, x) -> np.ndarray:
+    """Cholesky inverse of the moment covariance at the chart point x.  With full-rank instruments on at
     least as many lag rows, it fails only when the residual-weighted instruments lose rank."""
     import scipy.linalg
 
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ms.moment_covariance(theta)), np.eye(ms.n_moments))
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ms.moment_covariance(x)), np.eye(ms.n_moments))
     except scipy.linalg.LinAlgError as exc:
         raise EstimationError(
             "two-step weighting: the moment covariance at the stage-one estimate is not positive "
@@ -848,14 +844,14 @@ def _two_step_weight(ms: MomentSystem, theta) -> np.ndarray:
 def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
     """Minimization of the GMM quadratic form from the start of ms.chart.
 
-    Every search is L-BFGS-B over a subset of the coordinates x of ms.chart, the others held, with the gradient
-    pulled back from theta through the chart's Jacobian.  The chart's start (SearchChart.start) gives x0, the
-    coordinates a first search moves, and diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is
-    that first search, if it moves any coordinate, then one free search of every coordinate the chart does not
-    normalise.  weighting 'identity' runs a single stage.  'two-step' reweights by the Cholesky inverse of the
-    moment covariance at the stage-one minimum (_two_step_weight) and re-minimizes the same coordinates once from
-    it.  Minima and estimates report the full theta.  A fit on a chart with a normalisation adds identified, the free
-    coordinates at the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.
+    Every search is L-BFGS-B on the objective and its gradient in x, over a subset of the coordinates x of ms.chart,
+    the others held.  The chart's start (SearchChart.start) gives x0, the coordinates a first search moves, and
+    diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is that first search, if it moves any
+    coordinate, then one free search of every coordinate the chart does not normalise.  weighting 'identity' runs a
+    single stage.  'two-step' reweights by the Cholesky inverse of the moment covariance at the stage-one minimum
+    (_two_step_weight) and re-minimizes the same coordinates once from it.  Minima and estimates report theta,
+    to_theta of the point reached.  A fit on a chart with a normalisation adds identified, the free coordinates at
+    the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.
 
     minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
     the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
@@ -878,9 +874,8 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
 
         def objective_and_gradient(x_moving):
             x[i] = x_moving
-            theta, jac = chart.to_theta(x)
-            value, grad = ms.objective_and_gradient(theta, W)
-            return value, jac[:, i].T.dot(grad)
+            value, grad = ms.objective_and_gradient(x, W)
+            return value, grad[i]
 
         res = minimize(
             objective_and_gradient,
@@ -899,13 +894,13 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         x = search(x, None, open_names)
     x = search(x, None, free)
     if weighting == "two-step":
-        x = search(x, _two_step_weight(ms, chart.to_theta(x)[0]), free)
+        x = search(x, _two_step_weight(ms, x), free)
 
     res = runs[-1]
     edge = _AT_BOUND_TOL * (hi - lo)
     on_bound = (x - lo <= edge) | (hi - x <= edge)
     at_bound = [n for n, b in zip(chart.names, on_bound) if b and n in free]
-    theta_hat = chart.to_theta(x)[0]
+    theta_hat = to_theta(x)
     minimum = {
         "theta": [float(v) for v in theta_hat],
         "objective": float(res.fun),
@@ -929,7 +924,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     g_coefficients = None
     if ms.g_degree is not None:
         diagnostics["g_degree"] = int(ms.g_degree)
-        g_coefficients = ms.g_coefficients(theta_hat).tolist()
+        g_coefficients = ms.g_coefficients(x).tolist()
     estimates = {n: float(v) for n, v in zip(ms.param_names, theta_hat)}
     return EstimateResult(
         mode=ms.mode,
@@ -938,7 +933,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         estimates=estimates,
         objective=float(minimum["objective"]),
         weighting=weighting,
-        moment_cov=ms.moment_covariance(theta_hat).tolist(),
+        moment_cov=ms.moment_covariance(x).tolist(),
         minima=[minimum],
         g_coefficients=g_coefficients,
         diagnostics=diagnostics,

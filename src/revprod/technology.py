@@ -22,6 +22,10 @@ estimator and the identification diagnostics evaluate lives in one place,
 revprod.estimate.revenue_predictor.  Neither reads the capital exponent
 (Cobb-Douglas), the returns-to-scale parameter (CES), or omega, so equality
 of predictions across those parameters is structural, not numerical.
+revenue_predictor reads the flexible block in the estimator's chart, as sigma
+and the share ratio beta_L/(beta_L+beta_M), so its predictions are
+bit-identical across the share scale beta_L+beta_M too; the level form reads
+beta_L and beta_M, from which the scale cancels only up to rounding.
 """
 
 from __future__ import annotations

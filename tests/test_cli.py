@@ -237,8 +237,8 @@ def test_diagnose_ces_verdicts(ces_ini, tmp_path):
     assert rep["verdicts"]["beta_L"] == "identified-ratio-only"
     assert rep["verdicts"]["v"] == "not identified"
     assert rep["verdicts"]["omega"] == "not identified"
-    # only thresholds that decide a verdict are reported
-    assert set(rep["thresholds"]) == {"flat_tol", "rank_rtol"}
+    # the thresholds that decide a verdict are reported, and only those
+    assert set(rep["thresholds"]) == {"flat_tol", "rank_rtol", "omega_min_corr"}
 
 
 def test_diagnose_omega_verdict_is_recovery_not_a_chance_correlation(tmp_path):

@@ -23,6 +23,8 @@ from revprod.estimate import (
     build_revenue_moments,
     first_stage_project,
     gmm_minimize,
+    to_chart,
+    to_theta,
 )
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError
 from revprod.simulate import SimConfig, simulate_panel
@@ -38,6 +40,10 @@ def theta_true(cfg):
     if tech.kind == "CD":
         return np.array([tech.beta_K, tech.beta_L, tech.beta_M])
     return np.array([tech.sigma, tech.beta_L, tech.beta_M, tech.v])
+
+
+def x_true(cfg):
+    return to_chart(theta_true(cfg))
 
 
 class TestFirstStage:
@@ -155,23 +161,25 @@ class TestMomentSystems:
         for panel, cfg in ((ces_panel, ces_config), (cd_panel, cd_config)):
             fs = first_stage_project(panel, 3)
             ms = build_quantity_moments(cfg.tech.kind, fs, panel)
-            m = ms.moments(theta_true(cfg.sim if hasattr(cfg, "sim") else cfg))
+            m = ms.moments(x_true(cfg.sim if hasattr(cfg, "sim") else cfg))
             assert np.max(np.abs(m)) < 4.0 / math.sqrt(ms.n_obs)
 
     def test_revenue_moments_small_at_truth_any_v(self, ces_panel):
         ms = build_revenue_moments("CES", ces_panel)
         bound = 4.0 / math.sqrt(ms.n_obs)
         for v in (0.6, 0.9, 1.25):
-            m = ms.moments(np.array([0.5, 0.3, 0.4, v]))
+            m = ms.moments(to_chart([0.5, 0.3, 0.4, v]))
             assert np.max(np.abs(m)) < bound
 
     def test_revenue_moments_small_at_any_share_scale(self, ces_panel):
-        # only the ratio beta_L/beta_M is pinned; a common rescaling moves nothing
+        # only the ratio beta_L/beta_M is pinned; a common rescaling moves nothing, to the bit, since the
+        # predictor never reads the share scale
         ms = build_revenue_moments("CES", ces_panel)
-        ref = ms.moments(np.array([0.5, 0.3, 0.4, 0.9]))
+        x = to_chart([0.5, 0.3, 0.4, 0.9])
+        ref = ms.moments(x)
         for c in (0.5, 1.4):
-            m = ms.moments(np.array([0.5, c * 0.3, c * 0.4, 0.9]))
-            assert np.max(np.abs(m - ref)) < 1e-12
+            x[2] = c * 0.7
+            assert np.array_equal(ms.moments(x), ref)
 
     def test_firm_order_irrelevant(self, small_ces_panel, small_ces_config):
         rng = np.random.default_rng(1)
@@ -180,7 +188,7 @@ class TestMomentSystems:
         for panel in (small_ces_panel, shuffled):
             fs = first_stage_project(panel, 3)
             ms = build_quantity_moments("CES", fs, panel)
-            m = ms.moments(theta_true(small_ces_config))
+            m = ms.moments(x_true(small_ces_config))
             if panel is small_ces_panel:
                 ref = m
         assert np.allclose(ref, m, atol=1e-12)
@@ -188,34 +196,34 @@ class TestMomentSystems:
     def test_g_degree_one_recovers_ar1(self, ces_panel, ces_config):
         fs = first_stage_project(ces_panel, 3)
         ms = build_quantity_moments("CES", fs, ces_panel, g_degree=1)
-        g = ms.g_coefficients(theta_true(ces_config))
+        g = ms.g_coefficients(x_true(ces_config))
         assert g[0] == pytest.approx(ces_config.prod.c0, abs=0.03)
         assert g[1] == pytest.approx(ces_config.prod.rho, abs=0.05)
 
     def test_revenue_objective_flat_in_v_bitwise(self, ces_panel):
         ms = build_revenue_moments("CES", ces_panel)
-        a = ms.objective(np.array([0.5, 0.3, 0.4, 0.62]))
-        b = ms.objective(np.array([0.5, 0.3, 0.4, 1.17]))
+        a = ms.objective(to_chart([0.5, 0.3, 0.4, 0.62]))
+        b = ms.objective(to_chart([0.5, 0.3, 0.4, 1.17]))
         assert a == b
 
     def test_revenue_objective_flat_in_beta_k_bitwise(self, cd_panel):
         ms = build_revenue_moments("CD", cd_panel)
-        a = ms.objective(np.array([0.05, 0.3, 0.4]))
-        b = ms.objective(np.array([0.85, 0.3, 0.4]))
+        a = ms.objective(to_chart([0.05, 0.3, 0.4]))
+        b = ms.objective(to_chart([0.85, 0.3, 0.4]))
         assert a == b
 
     def test_sigma_direction_not_flat(self, ces_panel, ces_config):
         ms = build_revenue_moments("CES", ces_panel)
-        at_truth = ms.objective(theta_true(ces_config))
+        at_truth = ms.objective(x_true(ces_config))
         for d in (-0.1, 0.1):
-            shifted = theta_true(ces_config) + np.array([d, 0, 0, 0])
+            shifted = x_true(ces_config) + np.array([d, 0, 0, 0])
             assert ms.objective(shifted) > 10.0 * max(at_truth, 1e-12)
 
     def test_basic_instrument_subset_supported(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel, instruments=BASIC_INSTRUMENTS)
         assert ms.Z.shape[1] == len(BASIC_INSTRUMENTS)
-        m = ms.moments(theta_true(small_ces_config))
+        m = ms.moments(x_true(small_ces_config))
         assert np.max(np.abs(m)) < 4.0 / math.sqrt(ms.n_obs)
 
     def test_unknown_instrument_token(self, small_ces_panel):
@@ -238,7 +246,7 @@ class TestMomentSystems:
         fs = first_stage_project(panel, cfg.estimation.first_stage_degree)
         kind = cfg.sim.tech.kind
         for ms in (build_quantity_moments(kind, fs, panel), build_revenue_moments(kind, panel)):
-            assert np.linalg.cond(ms.moment_covariance(theta_true(cfg.sim))) < 1e4
+            assert np.linalg.cond(ms.moment_covariance(x_true(cfg.sim))) < 1e4
 
     def test_collinear_instrument_set_rejected(self, small_ces_panel):
         fs = first_stage_project(small_ces_panel, 3)
@@ -250,10 +258,9 @@ class TestMomentSystems:
 
 
 class ReferenceCore:
-    """Moment core written the long way.  Quantity: separate current and
-    lagged predictions, then a least-squares fit of g on [1, w_lag, ...,
-    w_lag^d].  Revenue: the prediction on the current rows and
-    r = R / exp(prediction) - 1."""
+    """Moment core written the long way, at chart points x, which it maps to theta itself.  Quantity:
+    separate current and lagged predictions, then a least-squares fit of g on [1, w_lag, ...,
+    w_lag^d].  Revenue: the prediction on the current rows and r = R / exp(prediction) - 1."""
 
     def __init__(self, ms, panel, fitted=None, which_v="M"):
         cur, lag = panel.lag_index()
@@ -266,9 +273,12 @@ class ReferenceCore:
         self.rows_lag = {c: v[lag] for c, v in logs.items()}
         self.which_v = which_v
 
-    def _predict(self, theta, x):
+    def _predict(self, x, rows):
+        # theta from the chart point: beta_L = c a and beta_M = c (1 - a)
+        theta = np.array(x, float)
+        theta[1], theta[2] = x[2] * x[1], x[2] * (1.0 - x[1])
         kind, mode = self.ms.tech_kind, self.ms.mode
-        k, l, m, pl, pm = x["K"], x["L"], x["M"], x["pL"], x["pM"]
+        k, l, m, pl, pm = rows["K"], rows["L"], rows["M"], rows["pL"], rows["pM"]
         if mode == "quantity" and kind == "CD":
             bK, bL, bM = theta
             return bK * k + bL * l + bM * m
@@ -276,7 +286,7 @@ class ReferenceCore:
             sg, bL, bM, v = theta
             bK = 1.0 - bL - bM
             return (v / sg) * np.log(bK * np.exp(sg * k) + bL * np.exp(sg * l) + bM * np.exp(sg * m))
-        s = x["sL_star" if self.which_v == "L" else "sM_star"]
+        s = rows["sL_star" if self.which_v == "L" else "sM_star"]
         if kind == "CD":
             _, bL, bM = theta
             a = bL / (bL + bM)
@@ -290,39 +300,39 @@ class ReferenceCore:
         B = np.log(np.exp(e * pl) * bL ** (-1.0 / (sg - 1.0)) + np.exp(e * pm) * bM ** (-1.0 / (sg - 1.0)))
         return np.log(bV) + sg * v_in + (1.0 - sg) / sg * agg + (sg - 1.0) / sg * B - s
 
-    def _core(self, theta):
-        w_t = self.y_t - self._predict(theta, self.rows_t)
-        w_lag = self.y_lag - self._predict(theta, self.rows_lag)
+    def _core(self, x):
+        w_t = self.y_t - self._predict(x, self.rows_t)
+        w_lag = self.y_lag - self._predict(x, self.rows_lag)
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         coef, *_ = np.linalg.lstsq(X, w_t, rcond=None)
         return w_t - X @ coef, coef
 
-    def _residual(self, theta):
+    def _residual(self, x):
         if self.ms.mode == "revenue":
-            return self.revenue_t / np.exp(self._predict(theta, self.rows_t)) - 1.0
-        return self._core(theta)[0]
+            return self.revenue_t / np.exp(self._predict(x, self.rows_t)) - 1.0
+        return self._core(x)[0]
 
-    def g_coefficients(self, theta):
-        return self._core(theta)[1]
+    def g_coefficients(self, x):
+        return self._core(x)[1]
 
-    def g_tolerance(self, theta):
+    def g_tolerance(self, x):
         """Relative accuracy of g_coefficients.  lstsq on raw powers of the
         lag is only good to a small multiple of cond(X) * eps, which exceeds
         1e-10 when the lag has a large mean and a small spread; the fused
         core fits centred powers and is not the limit there."""
-        w_lag = self.y_lag - self._predict(theta, self.rows_lag)
+        w_lag = self.y_lag - self._predict(x, self.rows_lag)
         X = np.column_stack([w_lag**d for d in range(self.ms.g_degree + 1)])
         return max(1e-10, 10.0 * float(np.linalg.cond(X)) * np.finfo(float).eps)
 
-    def moments(self, theta):
-        return self.ms.Z.T @ self._residual(theta) / self.ms.n_obs
+    def moments(self, x):
+        return self.ms.Z.T @ self._residual(x) / self.ms.n_obs
 
-    def moment_covariance(self, theta):
-        G = self.ms.Z * self._residual(theta)[:, None]
+    def moment_covariance(self, x):
+        G = self.ms.Z * self._residual(x)[:, None]
         return G.T @ G / self.ms.n_obs
 
-    def objective(self, theta, weight=None):
-        m = self.moments(theta)
+    def objective(self, x, weight=None):
+        m = self.moments(x)
         return self.ms.n_obs * (float(m @ m) if weight is None else float(m @ weight @ m))
 
 
@@ -345,16 +355,15 @@ def _shares_045_05_system(seed):
     return build_quantity_moments("CES", first_stage_project(panel, est.first_stage_degree), panel, g_degree=est.g_degree)
 
 
-def _draw_thetas(ms, rng, n, low=0.0, high=1.0):
-    """n parameter vectors, each coordinate drawn in [low, high] of its box width.  A revenue system's theta
-    is drawn in DEFAULT_BOUNDS, flat coordinates included; any other system's x is drawn in its chart's box
-    and mapped to theta."""
-    if ms.mode == "revenue":
-        bounds, to_theta = [DEFAULT_BOUNDS[ms.tech_kind][n] for n in ms.param_names], lambda x: x
-    else:
-        bounds, to_theta = ms.chart.bounds, lambda x: ms.chart.to_theta(x)[0]
-    lo, hi = (np.array(b) for b in zip(*bounds))
-    return [to_theta(x) for x in lo + rng.uniform(low, high, size=(n, lo.size)) * (hi - lo)]
+def _draw_points(ms, rng, n, low=0.0, high=1.0):
+    """n chart points, each coordinate drawn in [low, high] of its box width, normalised coordinates included."""
+    lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
+    return list(lo + rng.uniform(low, high, size=(n, lo.size)) * (hi - lo))
+
+
+def _never_read(ms):
+    """The chart coordinates a revenue system's predictor never reads; none for a quantity system."""
+    return ("beta_L+beta_M", "v" if ms.tech_kind == "CES" else "beta_K") if ms.mode == "revenue" else ()
 
 
 def _rel_gap(a, b):
@@ -374,13 +383,13 @@ class TestFusedCore:
         rng = np.random.default_rng(100 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        for theta in _draw_thetas(ms, rng, 20):
-            assert _rel_gap(ms.objective(theta), ref.objective(theta)) <= 1e-10
-            assert _rel_gap(ms.objective(theta, W), ref.objective(theta, W)) <= 1e-10
-            assert _rel_gap(ms.moments(theta), ref.moments(theta)) <= 1e-10
-            assert _rel_gap(ms.moment_covariance(theta), ref.moment_covariance(theta)) <= 1e-10
+        for x in _draw_points(ms, rng, 20):
+            assert _rel_gap(ms.objective(x), ref.objective(x)) <= 1e-10
+            assert _rel_gap(ms.objective(x, W), ref.objective(x, W)) <= 1e-10
+            assert _rel_gap(ms.moments(x), ref.moments(x)) <= 1e-10
+            assert _rel_gap(ms.moment_covariance(x), ref.moment_covariance(x)) <= 1e-10
             if mode == "quantity":
-                assert _rel_gap(ms.g_coefficients(theta), ref.g_coefficients(theta)) <= ref.g_tolerance(theta)
+                assert _rel_gap(ms.g_coefficients(x), ref.g_coefficients(x)) <= ref.g_tolerance(x)
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     def test_objective_calls_predictor_once(self, mode, small_ces_panel, small_ces_config):
@@ -388,14 +397,14 @@ class TestFusedCore:
         calls = []
         predict = ms._predict
 
-        def counting(theta):
+        def counting(x):
             calls.append(1)
-            return predict(theta)
+            return predict(x)
 
         ms._predict = counting
-        ms.objective(theta_true(small_ces_config))
+        ms.objective(x_true(small_ces_config))
         assert len(calls) == 1
-        ms.objective_and_gradient(theta_true(small_ces_config))
+        ms.objective_and_gradient(x_true(small_ces_config))
         assert len(calls) == 2
 
 
@@ -414,14 +423,14 @@ class TestClosedForm:
         rng = np.random.default_rng(400)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        for theta in _draw_thetas(ms, rng, 20):
-            assert _rel_gap(ms.moments(theta), ms._evaluate(theta)[0] @ ms.Z / ms.n_obs) <= 1e-10
-            assert _rel_gap(ms.jacobian(theta), row.jacobian(theta)) <= 1e-10
+        for x in _draw_points(ms, rng, 20):
+            assert _rel_gap(ms.moments(x), ms._evaluate(x)[0] @ ms.Z / ms.n_obs) <= 1e-10
+            assert _rel_gap(ms.jacobian(x), row.jacobian(x)) <= 1e-10
             for weight in (None, W):
-                value, grad = ms.objective_and_gradient(theta, weight)
-                row_value, row_grad = row.objective_and_gradient(theta, weight)
+                value, grad = ms.objective_and_gradient(x, weight)
+                row_value, row_grad = row.objective_and_gradient(x, weight)
                 assert _rel_gap(value, row_value) <= 1e-10
-                assert _rel_gap(ms.objective(theta, weight), row_value) <= 1e-10
+                assert _rel_gap(ms.objective(x, weight), row_value) <= 1e-10
                 assert _rel_gap(grad, row_grad) <= 1e-10
 
     def test_search_never_predicts_rows(self, small_cd_panel):
@@ -448,24 +457,25 @@ class TestCharts:
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_jacobian_matches_central_difference(self, kind, mode, small_cd_panel, small_ces_panel):
-        # theta is at most bilinear in x, so the central difference is exact up to rounding
-        chart = _system(kind, mode, 1, small_cd_panel if kind == "CD" else small_ces_panel)[0].chart
-        lo, hi = (np.array(b) for b in zip(*chart.bounds))
-        for x in lo + np.random.default_rng(600).uniform(size=(5, lo.size)) * (hi - lo):
-            jac = chart.to_theta(x)[1]
-            for j, step in enumerate(1e-6 * np.eye(x.size)):
-                fd = (chart.to_theta(x + step)[0] - chart.to_theta(x - step)[0]) / 2e-6
-                assert np.max(np.abs(jac[:, j] - fd)) <= 1e-8
+        # the moment Jacobian in the chart against the fourth-order stencil of the reference moments, which
+        # write out the share map to theta and the predictions in theta: the chain from beta_L and beta_M
+        # to the share ratio and scale is checked against an independent route
+        panel = small_cd_panel if kind == "CD" else small_ces_panel
+        ms, fitted = _system(kind, mode, 1, panel)
+        ref = ReferenceCore(ms, panel, fitted)
+        for x in _draw_points(ms, np.random.default_rng(600), 5, 0.05, 0.95):
+            J = ms.jacobian(x)
+            assert np.max(np.abs(J - _five_point_jacobian(ref.moments, x, 1e-4))) <= 1e-8 * np.max(np.abs(J))
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_to_chart_inverts_to_theta(self, kind, small_cd_panel, small_ces_panel):
         chart = _system(kind, "quantity", 1, small_cd_panel if kind == "CD" else small_ces_panel)[0].chart
         lo, hi = (np.array(b) for b in zip(*chart.bounds))
         for x in lo + np.random.default_rng(602).uniform(size=(200, lo.size)) * (hi - lo):
-            theta = chart.to_theta(x)[0]
-            back = chart.to_chart(theta)
+            theta = to_theta(x)
+            back = to_chart(theta)
             assert np.all(np.abs(back - x) <= 1e-15 * np.abs(x))
-            assert np.all(np.abs(chart.to_theta(back)[0] - theta) <= 1e-15 * np.abs(theta))
+            assert np.all(np.abs(to_theta(back) - theta) <= 1e-15 * np.abs(theta))
 
     def test_cd_quantity_chart_covers_the_default_box(self, small_cd_panel):
         # the Cobb-Douglas share scale is not capped for a capital share, so the chart reaches every
@@ -484,21 +494,18 @@ class TestCharts:
         panel = small_cd_panel if kind == "CD" else small_ces_panel
         quantity, revenue = (_system(kind, mode, 1, panel)[0].chart for mode in ("quantity", "revenue"))
         assert (quantity.names, quantity.bounds) == (revenue.names, revenue.bounds)
-        lo, hi = (np.array(b) for b in zip(*quantity.bounds))
-        for x in lo + np.random.default_rng(601).uniform(size=(5, lo.size)) * (hi - lo):
-            for q, r in zip(quantity.to_theta(x), revenue.to_theta(x)):
-                assert np.array_equal(q, r)
+        assert quantity.names[1:3] == ("share_ratio", "beta_L+beta_M")
         held = {"beta_L+beta_M": 0.65, "v": 1.0} if kind == "CES" else {"beta_L+beta_M": 0.92, "beta_K": 0.08}
         assert quantity.normalisation == {} and revenue.normalisation == held
 
 
-def _central_difference(ms, theta, weight):
-    grad = np.zeros(theta.size)
-    for i in range(theta.size):
-        h = 1e-6 * max(1.0, abs(theta[i]))
-        step = np.zeros(theta.size)
+def _central_difference(ms, x, weight):
+    grad = np.zeros(x.size)
+    for i in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        step = np.zeros(x.size)
         step[i] = h
-        grad[i] = (ms.objective(theta + step, weight) - ms.objective(theta - step, weight)) / (2.0 * h)
+        grad[i] = (ms.objective(x + step, weight) - ms.objective(x - step, weight)) / (2.0 * h)
     return grad
 
 
@@ -512,24 +519,23 @@ class TestGradient:
         rng = np.random.default_rng(200 + g_degree)
         A = rng.normal(size=(ms.n_moments, ms.n_moments))
         W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
-        flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
-        for theta in _draw_thetas(ms, rng, 6, 0.05, 0.95):
+        never_read = [ms.chart.names.index(n) for n in _never_read(ms)]
+        for x in _draw_points(ms, rng, 6, 0.05, 0.95):
             for weight in (None, W):
-                value, grad = ms.objective_and_gradient(theta, weight)
-                assert _rel_gap(value, ms.objective(theta, weight)) <= 1e-12
-                fd = _central_difference(ms, theta, weight)
+                value, grad = ms.objective_and_gradient(x, weight)
+                assert _rel_gap(value, ms.objective(x, weight)) <= 1e-12
+                fd = _central_difference(ms, x, weight)
                 assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
-                if mode != "quantity":
-                    assert grad[flat] == 0.0
+                assert np.all(grad[never_read] == 0.0)
 
 
-def _five_point_prediction_jacobian(predict, theta, h):
+def _five_point_prediction_jacobian(predict, x, h):
     """Reference p x N Jacobian of a predictor's prediction: the fourth-order central stencil."""
     rows = []
-    for j in range(theta.size):
-        step = np.zeros(theta.size)
+    for j in range(x.size):
+        step = np.zeros(x.size)
         step[j] = h
-        at = lambda c: predict(theta + c * step)[0]
+        at = lambda c: predict(x + c * step)[0]
         rows.append((-at(2) + 8 * at(1) - 8 * at(-1) + at(-2)) / (12 * h))
     return np.array(rows)
 
@@ -542,28 +548,25 @@ class TestVectorJacobianProduct:
     def test_matches_five_point_jacobian(self, kind, mode, cd_panel, ces_panel):
         ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
         rng = np.random.default_rng(500)
-        never_read = None if mode == "quantity" else ("beta_K" if kind == "CD" else "v")
-        for theta in _draw_thetas(ms, rng, 3, 0.1, 0.9):
-            pred, derivatives = ms._predict(theta)
-            jac = _five_point_prediction_jacobian(ms._predict, theta, 1e-4)
+        never_read = [ms.chart.names.index(n) for n in _never_read(ms)]
+        for x in _draw_points(ms, rng, 3, 0.1, 0.9):
+            pred, derivatives = ms._predict(x)
+            jac = _five_point_prediction_jacobian(ms._predict, x, 1e-4)
             for r in (rng.normal(size=pred.size), rng.normal(size=(pred.size, 3))):
                 dpred_r = derivatives(r)
-                assert dpred_r.shape == (theta.size,) + r.shape[1:]
+                assert dpred_r.shape == (x.size,) + r.shape[1:]
                 assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
-                if never_read is not None:
-                    assert np.all(dpred_r[ms.param_names.index(never_read)] == 0.0)
+                assert np.all(dpred_r[never_read] == 0.0)
 
 
-def _five_point_jacobian(ms, theta, h):
-    """Reference moment Jacobian: the fourth-order central stencil in each coordinate."""
-    J = np.empty((ms.n_moments, theta.size))
-    for j in range(theta.size):
-        step = np.zeros(theta.size)
+def _five_point_jacobian(moments, x, h):
+    """Reference Jacobian of moments(x): the fourth-order central stencil in each coordinate."""
+    columns = []
+    for j in range(x.size):
+        step = np.zeros(x.size)
         step[j] = h
-        J[:, j] = (
-            -ms.moments(theta + 2 * step) + 8 * ms.moments(theta + step) - 8 * ms.moments(theta - step) + ms.moments(theta - 2 * step)
-        ) / (12 * h)
-    return J
+        columns.append((-moments(x + 2 * step) + 8 * moments(x + step) - 8 * moments(x - step) + moments(x - 2 * step)) / (12 * h))
+    return np.column_stack(columns)
 
 
 class TestJacobian:
@@ -574,22 +577,25 @@ class TestJacobian:
     def test_matches_five_point_stencil(self, kind, mode, g_degree, cd_panel, ces_panel):
         ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
         rng = np.random.default_rng(300 + (g_degree or 0))
-        flat = ms.param_names.index("v" if kind == "CES" else "beta_K")
-        for theta in _draw_thetas(ms, rng, 4, 0.05, 0.95):
-            J = ms.jacobian(theta)
-            assert J.shape == (ms.n_moments, theta.size)
-            for h in (1e-4, 1e-5, 1e-6):
-                assert np.max(np.abs(J - _five_point_jacobian(ms, theta, h))) <= 1e-8 * np.max(np.abs(J))
-            if mode != "quantity":
-                assert np.all(J[:, flat] == 0.0)
+        never_read = [ms.chart.names.index(n) for n in _never_read(ms)]
+        for x in _draw_points(ms, rng, 4, 0.05, 0.95):
+            J = ms.jacobian(x)
+            assert J.shape == (ms.n_moments, x.size)
+            # three steps over the decade where the stencil's own rounding (~1e-16 |m| / h) stays below 1e-8 |J|:
+            # in the chart the CES quantity Jacobian's a column is c times the beta_L and beta_M columns'
+            # difference, so max |J| falls to ~0.07 at c = 0.22, and at h = 1e-6 the stencil's rounding alone
+            # reaches 1.2e-8 |J| there
+            for h in (1e-4, 3e-5, 1e-5):
+                assert np.max(np.abs(J - _five_point_jacobian(ms.moments, x, h))) <= 1e-8 * np.max(np.abs(J))
+            assert np.all(J[:, never_read] == 0.0)
 
 
-def _j_at_truth(tech, theta, n_firms, seed):
-    """J at the true parameters, weighted by the inverse moment covariance there, in both modes."""
+def _j_at_truth(tech, x, n_firms, seed):
+    """J at the true chart point, weighted by the inverse moment covariance there, in both modes."""
     panel = simulate_panel(SimConfig(tech=tech, n_firms=n_firms, n_periods=6, seed=seed))
     fs = first_stage_project(panel, 3)
     systems = {"quantity": build_quantity_moments(tech.kind, fs, panel), "revenue": build_revenue_moments(tech.kind, panel)}
-    return {mode: (ms.objective(theta, _two_step_weight(ms, theta)), ms.n_moments) for mode, ms in systems.items()}
+    return {mode: (ms.objective(x, _two_step_weight(ms, x)), ms.n_moments) for mode, ms in systems.items()}
 
 
 class TestJStatistic:
@@ -599,10 +605,10 @@ class TestJStatistic:
         # is about the moment count and does not grow with the panel.  Moments
         # that fail in the population give a J that grows in proportion to n.
         tech = cd_tech if kind == "CD" else ces_tech
-        theta = theta_true(SimConfig(tech=tech))
+        x = x_true(SimConfig(tech=tech))
         medians = {}
         for n_firms in (50, 200):
-            runs = [_j_at_truth(tech, theta, n_firms, seed) for seed in range(1, 21)]
+            runs = [_j_at_truth(tech, x, n_firms, seed) for seed in range(1, 21)]
             for mode in ("quantity", "revenue"):
                 medians[mode, n_firms] = float(np.median([r[mode][0] for r in runs]))
                 n_moments = runs[0][mode][1]
@@ -648,16 +654,11 @@ class TestGmmMinimize:
     def test_chart_fit_matches_full_box_search(self, kind, cd_panel, ces_panel):
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
         chart = gmm_minimize(ms, weighting="two-step")
-        p = len(ms.param_names)
-        # the search over the whole box, on the identity chart x = theta, from the chart's closed-form start
-        # mapped to theta.  (From the centre of the box, its first unit-length step in theta runs to a corner
-        # that L-BFGS-B accepts: the beta_L and beta_M bounds for CD, sigma = 0.9 and both shares for CES.)
-        bounds = tuple(DEFAULT_BOUNDS[kind][n] for n in ms.param_names)
-        theta0 = ms.chart.to_theta(ms.chart.start()[0])[0]
-        start = lambda: (theta0, (), "expenditure-ratio")
-        to_theta, to_chart = lambda x: (np.array(x, float), np.eye(p)), lambda theta: np.array(theta, float)
-        identity = SearchChart(ms.param_names, bounds, to_theta, to_chart, start)
-        full = gmm_minimize(dataclasses.replace(ms, chart=identity), weighting="two-step")
+        p = len(ms.chart.names)
+        # the search over every coordinate of the chart, with no normalisation, from the chart's closed-form start
+        x0 = ms.chart.start()[0]
+        whole = SearchChart(ms.chart.names, ms.chart.bounds, lambda: (x0, (), "expenditure-ratio"))
+        full = gmm_minimize(dataclasses.replace(ms, chart=whole), weighting="two-step")
         assert full.identified is None
         est = full.estimates
         identified = {"share_ratio": est["beta_L"] / (est["beta_L"] + est["beta_M"])}
@@ -840,16 +841,16 @@ class TestGmmMinimize:
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
-        theta = theta_true(small_ces_config)
-        W = _two_step_weight(ms, theta)
+        x = x_true(small_ces_config)
+        W = _two_step_weight(ms, x)
         assert np.allclose(W, W.T, rtol=0.0, atol=1e-12 * np.max(np.abs(W)))
-        assert np.max(np.abs(W @ ms.moment_covariance(theta) - np.eye(ms.n_moments))) < 1e-10
+        assert np.max(np.abs(W @ ms.moment_covariance(x) - np.eye(ms.n_moments))) < 1e-10
 
     def test_objective_nonnegative(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)
         ms = build_quantity_moments("CES", fs, small_ces_panel)
-        for theta in _draw_thetas(ms, np.random.default_rng(0), 10):
-            assert ms.objective(theta) >= 0.0
+        for x in _draw_points(ms, np.random.default_rng(0), 10):
+            assert ms.objective(x) >= 0.0
 
     def test_result_serializable(self, small_cd_panel, small_cd_config):
         fs = first_stage_project(small_cd_panel, 3)
