@@ -14,11 +14,12 @@ Two independent routes are kept side by side on purpose: a numeric solver in
 log-input space (the oracle), and the closed-form dual objects of the two
 parametric families (conditional_demands, marginal_cost_closed_form and the
 technologies' unit_cost).  Tests require them to agree; the closed forms are
-the fast production path.  The oracle takes arrays and solves every row in one
-damped-Newton pass on the stationarity/feasibility system, with a
-forward-difference Jacobian built from primal objects only (output,
-elasticities, h), so it never reads the duals it checks.  Rows whose KKT
-residual stays above tolerance are named in the SolverError.
+the fast production path.  The oracle takes arrays and solves their rows
+together by damped Newton on the stationarity/feasibility system, each step
+evaluating only the rows still moving, with a forward-difference Jacobian
+built from primal objects only (output, elasticities, h), so it never reads
+the duals it checks.  Rows whose KKT residual stays above tolerance are named
+in the SolverError.
 """
 
 from __future__ import annotations
@@ -85,16 +86,19 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
     """Damped Newton on the KKT system of min pL*e^z1 + pM*e^z2 s.t. c(z) >= 0.
 
     target is None for the unit-aggregate program (c = log h) and the output
-    target otherwise (c = log F - log target).  All rows are solved in one
-    pass: from z = 0, each step solves the 2x2 system
-    [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the constraint's
-    elasticity in V, against a forward-difference Jacobian, and is clipped to
-    +-1 in each log input.  A row takes one more step after its relative KKT
-    residual first reaches NEWTON_TOL and then stops moving, so rows solved
-    together or alone end at the same point; the pass ends when every row
-    has stopped, or after MAX_ITER steps.  Only primal objects and finite
-    differences are used, so the solution stays independent of the
-    closed-form duals.
+    target otherwise (c = log F - log target).  From z = 0, each step solves
+    the 2x2 system [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the
+    constraint's elasticity in V, against a forward-difference Jacobian, and
+    is clipped to +-1 in each log input.  A row takes one more step after its
+    relative KKT residual first reaches NEWTON_TOL and then stops moving, so
+    rows solved together or alone end at the same point.  Each step
+    evaluates the system only on the rows that moved on the previous one:
+    the rows still moving, which also evaluate their two Jacobian probes one
+    after the other, and the rows that just took their last step, whose
+    post-step multiplier and residual are what the solution reports.  The
+    pass ends when every row has stopped, or after MAX_ITER steps.  Only
+    primal objects and finite differences are used, so the solution stays
+    independent of the closed-form duals.
     """
     shape = np.broadcast(K, pL, pM, 1.0 if target is None else target).shape
     K, pL, pM = (np.broadcast_to(np.asarray(x, float), shape).ravel() for x in (K, pL, pM))
@@ -102,7 +106,7 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
         target = np.broadcast_to(np.asarray(target, float), shape).ravel()
         log_target = np.log(target)
 
-    def kkt(z):
+    def kkt(z, K, pL, pM, log_target=None):
         L, M = np.exp(z)
         if target is None:
             h = tech.h(L, M)
@@ -111,32 +115,42 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
             c = np.log(tech.output(K, L, M)) - log_target
             aL, aM = tech.elasticity(K, L, M, "L"), tech.elasticity(K, L, M, "M")
         gL, gM = pL * L, pM * M
-        system = np.array([np.log(gL / aL) - np.log(gM / aM), c])
+        return np.array([np.log(gL / aL) - np.log(gM / aM), c]), gL, gM, aL, aM
+
+    hstep = 1e-7
+    z = np.zeros((2, K.size))
+    nu, resid = np.empty(K.size), np.empty(K.size)
+    # the rows that moved on the previous step, with their data and iterate,
+    # and which of them took their last step
+    rows = np.arange(K.size)
+    data = (K, pL, pM) if target is None else (K, pL, pM, log_target)
+    z_rows = z
+    last = np.zeros(K.size, dtype=bool)
+    for iters in range(MAX_ITER + 1):
+        Fz, gL, gM, aL, aM = kkt(z_rows, *data)
         # multiplier of the log-constraint (projection of the objective
         # gradient on the constraint gradient) and the relative residual
-        nu = (gL * aL + gM * aM) / (aL * aL + aM * aM)
-        stat = np.maximum(np.abs(gL - nu * aL), np.abs(gM - nu * aM)) / np.maximum(gL, gM)
-        return system, nu, np.maximum(stat, np.abs(c))
-
-    # each evaluation covers z and its two forward-difference probes
-    hstep = 1e-7
-    probes = np.array([[0.0, hstep, 0.0], [0.0, 0.0, hstep]])[:, :, None]
-    z = np.zeros((2, K.size))
-    moving = np.ones(K.size, dtype=bool)
-    for iters in range(MAX_ITER + 1):
-        system, nu, resid = kkt(z[:, None, :] + probes)
-        nu, resid = nu[0], resid[0]
-        if iters == MAX_ITER or not moving.any():
+        nu[rows] = nu_rows = (gL * aL + gM * aM) / (aL * aL + aM * aM)
+        stat = np.maximum(np.abs(gL - nu_rows * aL), np.abs(gM - nu_rows * aM)) / np.maximum(gL, gM)
+        resid[rows] = np.maximum(stat, np.abs(Fz[1]))
+        del gL, gM, aL, aM, nu_rows, stat  # free before the probes allocate theirs
+        if iters == MAX_ITER:
             break
-        Fz = system[:, 0]
-        (j11, j12), (j21, j22) = (system[:, 1:] - Fz[:, None]) / hstep
+        if last.any():
+            keep = ~last
+            rows, z_rows, Fz = rows[keep], z_rows[:, keep], Fz[:, keep]
+            data = tuple(x[keep] for x in data)
+        if not rows.size:
+            break
+        (j11, j21), (j12, j22) = ((kkt(z_rows + dz, *data)[0] - Fz) / hstep for dz in ([[hstep], [0.0]], [[0.0], [hstep]]))
         # A singular or non-finite Jacobian leaves its row in place; the
         # residual check below then reports the row.
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.array([j12 * Fz[1] - j22 * Fz[0], j21 * Fz[0] - j11 * Fz[1]]) / (j11 * j22 - j12 * j21)
-        z = z + np.where(moving & np.isfinite(step).all(axis=0), np.clip(step, -1.0, 1.0), 0.0)
+        z_rows = z_rows + np.where(np.isfinite(step).all(axis=0), np.clip(step, -1.0, 1.0), 0.0)
+        z[:, rows] = z_rows
         # the step taken from a residual within NEWTON_TOL is a row's last
-        moving &= ~(resid <= NEWTON_TOL)
+        last = resid[rows] <= NEWTON_TOL
 
     L, M = np.exp(z)
     bad = ~(resid <= KKT_TOL)
@@ -163,7 +177,7 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
 def cost_min_numeric(tech: Technology, K, pL, pM, target) -> CostSolution:
     """Numeric oracle for the short-run program min pL*L + pM*M s.t. F(K, h) >= target.
 
-    Arguments broadcast against each other; every row is solved in one
+    Arguments broadcast against each other; the rows are solved in one
     batched Newton pass and the solution fields are arrays of the broadcast
     shape (0-d for scalar arguments).  The target is expressed in output
     units net of productivity (the caller divides out exp(omega) first).

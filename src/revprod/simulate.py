@@ -242,7 +242,6 @@ def simulate_panel(cfg: SimConfig) -> Panel:
         return Panel(data=data)
 
     shifts, xi, u_k, e_p, eps, eta_shift = _draw_firm_shocks(cfg)
-    horizon = burn + T
 
     # Firm-level permanent heterogeneity; the three input prices stacked as (L, M, K).
     pr = cfg.prices
@@ -259,22 +258,24 @@ def simulate_panel(cfg: SimConfig) -> Panel:
     if bad.size:
         raise SimulationError(f"drawn demand elasticities leave no pricing fixed point for firms {bad[:10].tolist()}")
 
-    # Time recursions, vectorized across firms.
-    omega = np.empty((n, horizon))
-    logK = np.empty((n, horizon))
-    log_p = np.empty((3, n, horizon))
+    # Time recursions, vectorized across firms: each carries the previous
+    # period forward and stores only the n_periods recorded after the burn-in.
+    omega = np.empty((n, T))
+    logK = np.empty((n, T))
+    log_p = np.empty((3, n, T))
     w_prev = np.full(n, cfg.prod.mean)
     k_prev = np.full(n, (cfg.capital.kappa0 + cfg.capital.kappa_w * cfg.prod.mean) / (1.0 - cfg.capital.kappa_k))
     p_prev = m_p
-    for s in range(horizon):
-        logK[:, s] = cfg.capital.kappa0 + cfg.capital.kappa_k * k_prev + cfg.capital.kappa_w * w_prev + u_k[:, s]
-        omega[:, s] = cfg.prod.c0 + cfg.prod.rho * w_prev + xi[:, s]
-        log_p[:, :, s] = m_p + rho * (p_prev - m_p) + e_p[:, :, s]
-        w_prev, k_prev, p_prev = omega[:, s], logK[:, s], log_p[:, :, s]
+    for s in range(burn + T):
+        k_prev = cfg.capital.kappa0 + cfg.capital.kappa_k * k_prev + cfg.capital.kappa_w * w_prev + u_k[:, s]
+        w_prev = cfg.prod.c0 + cfg.prod.rho * w_prev + xi[:, s]
+        p_prev = m_p + rho * (p_prev - m_p) + e_p[:, :, s]
+        if s >= burn:
+            logK[:, s - burn], omega[:, s - burn], log_p[:, :, s - burn] = k_prev, w_prev, p_prev
 
-    w = omega[:, burn:].ravel()
-    K = np.exp(logK[:, burn:]).ravel()
-    pL, pM, pK = np.exp(log_p[:, :, burn:]).reshape(3, -1)
+    w = omega.ravel()
+    K = np.exp(logK).ravel()
+    pL, pM, pK = np.exp(log_p).reshape(3, -1)
     mu = np.repeat(mu_i, T)
     eta = np.repeat(eta_i, T)
 

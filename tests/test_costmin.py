@@ -116,6 +116,54 @@ class TestBatchedOracle:
         L, M = err.value.last_iterate
         assert L.shape == M.shape == (5,)
 
+    # Cobb-Douglas rows at their optimum from z = 0 (pL/beta_L = pM/beta_M and target F(1, 1, 1)),
+    # and rows whose targets take many clipped Newton steps
+    EASY, HARD = 40, [1e4, 1e-4, 3e3]
+
+    def mixed_batch(self, tech):
+        n = self.EASY + len(self.HARD)
+        pL = np.full(n, tech.beta_L)
+        pL[self.EASY :] = [1.0, 2.0, 0.5]
+        target = np.ones(n)
+        target[self.EASY :] = self.HARD
+        return pL, np.full(n, tech.beta_M), target
+
+    def test_stopped_rows_leave_the_pass(self):
+        seen = []
+
+        class Counting(CobbDouglas):
+            def output(self, K, L, M):
+                seen.append(np.broadcast(K, L, M).size)
+                return super().output(K, L, M)
+
+        tech = Counting(0.25, 0.3, 0.4)
+        pL, pM, target = self.mixed_batch(tech)
+        sol = cost_min_numeric(tech, 1.0, pL, pM, target)
+        # step 0 evaluates every row and its two probes; step 1 re-evaluates the easy rows after
+        # their last step, and from its probes on no call sees them again
+        assert seen[:4] == [target.size] * 4
+        assert len(seen) > 4 and max(seen[4:]) <= len(self.HARD), seen
+        for part in (slice(None, self.EASY), slice(self.EASY, None)):
+            alone = cost_min_numeric(CobbDouglas(0.25, 0.3, 0.4), 1.0, pL[part], pM[part], target[part])
+            for field in ("L_star", "M_star", "total_cost", "lam", "kkt_residual"):
+                assert np.array_equal(getattr(sol, field)[part], getattr(alone, field)), field
+
+    def test_capped_pass_names_only_unfinished_rows(self, monkeypatch):
+        tech = CobbDouglas(0.25, 0.3, 0.4)
+        pL, pM, target = self.mixed_batch(tech)
+        # interleave the rows so the unfinished ones sit among stopped ones
+        order = np.r_[0, self.EASY, 1, 2, self.EASY + 1, 3, self.EASY + 2, 4:self.EASY]
+        pL, pM, target = pL[order], pM[order], target[order]
+        uncapped = cost_min_numeric(tech, 1.0, pL, pM, target)
+        assert uncapped.iterations > 5
+        monkeypatch.setattr(costmin, "MAX_ITER", 5)
+        with pytest.raises(SolverError, match=rf"at 3 of {target.size} rows \[1, 4, 6\] ") as err:
+            cost_min_numeric(tech, 1.0, pL, pM, target)
+        stopped = order < self.EASY
+        L, M = err.value.last_iterate
+        assert np.array_equal(L[stopped], uncapped.L_star[stopped])
+        assert np.array_equal(M[stopped], uncapped.M_star[stopped])
+
 
 class TestUnitAggregateCost:
     def test_cd_symmetric_value(self):

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from revprod.config import parse_config
 from revprod.costmin import marginal_cost_closed_form
 from revprod.panel_io import COLUMNS, Panel, write_panel_csv
 from revprod.simulate import (
@@ -204,6 +207,25 @@ class TestInputSolverRoute:
         assert len(numeric) == 5000
         for c in ("L", "M"):
             np.testing.assert_allclose(numeric.col(c), closed.col(c), rtol=1e-12, atol=0.0, err_msg=c)
+
+    def test_numeric_route_working_set(self):
+        # The KKT oracle evaluates only the rows still moving, one probe at a time, so on the
+        # 500x10 cd-oracle panel the numeric route's traced peak stays within 1.25 MiB of the
+        # closed form's (it reads 0.80 MiB)
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "cd-oracle.ini").sim
+        assert cfg.input_solver == "numeric" and cfg.n_firms * cfg.n_periods == 5000
+
+        def traced_peak(sim):
+            simulate_panel(sim)  # warm-up: first-call allocations are not the route's
+            tracemalloc.start()
+            try:
+                simulate_panel(sim)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = traced_peak(cfg) - traced_peak(dataclasses.replace(cfg, input_solver="closed_form"))
+        assert extra < 1.25 * 2**20, extra / 2**20
 
 
 class TestConfigValidation:
