@@ -13,6 +13,7 @@ import functools
 import importlib.resources
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -119,12 +120,14 @@ def cmd_estimate(args) -> int:
 def _parse_grid(spec: str):
     try:
         start, stop, count = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"--grid expects start:stop:count, got {spec!r}") from exc
-    if grid.size == 0:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--grid bounds must be finite, got {spec!r}")
+    if count < 1:
         raise ConfigError(f"--grid count must be >= 1, got {spec!r}")
-    return grid
+    return np.linspace(start, stop, count)
 
 
 def cmd_diagnose(args) -> int:

@@ -103,6 +103,13 @@ def _flatness(values: np.ndarray) -> float:
     return float((values.max() - values.min()) / max(1.0, values.min()))
 
 
+# the chart coordinates whose values the model bounds (sigma is CES's alone), as (test, what it states)
+_DOMAIN = {
+    "sigma": (lambda g: g < 1.0 and g != 0.0, "CES needs sigma < 1 and sigma != 0"),
+    "share_ratio": (lambda g: 0.0 < g < 1.0, "0 < share_ratio < 1"),
+}
+
+
 def profile_scan(
     ms: MomentSystem, param_name: str, grid: Sequence[float], other_params: Sequence[float]
 ) -> ProfileCurve:
@@ -112,15 +119,18 @@ def profile_scan(
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
     beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which to_chart maps into the chart
     once; each grid point replaces param_name's coordinate, and the objective is taken at that chart point.
-    A CES sigma grid may not contain 0 or 1, where the CES formulas divide by sigma or by sigma - 1.
+    A grid is checked against the model before any evaluation: a CES sigma below 1 and not 0, where the CES
+    formulas divide by neither sigma nor 1 - sigma, and a share ratio strictly between 0 and 1.
     """
     chart = ms.chart
     if param_name not in chart.names:
         raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
-    if ms.tech_kind == "CES" and param_name == "sigma":
-        singular = [float(g) for g in grid if g in (0.0, 1.0)]
-        if singular:
-            raise ValueError(f"CES sigma grid contains sigma = {singular[0]!r}, where the CES formulas are undefined")
+    domain = _DOMAIN.get(param_name)
+    if domain is not None:
+        inside, stated = domain
+        bad = [float(g) for g in grid if not inside(g)]
+        if bad:
+            raise ValueError(f"{param_name} grid contains {param_name} = {bad[0]!r}, outside the model ({stated})")
     x = to_chart(other_params)
     i = chart.names.index(param_name)
     vals = []

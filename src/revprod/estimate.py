@@ -47,13 +47,13 @@ the measured rounding noise of J at the quantity minima.  _share_chart builds
 each system's chart (SearchChart), with c <= 0.995 for CES so that capital
 keeps a share; revenue holds c and v (or beta_K) at a stated normalisation,
 the one statement of what revenue identifies: a fit reports the free
-coordinates at its minimum as identified (sigma and a, or a).  Every chart
-starts at the closed-form expenditure-ratio estimate of sigma and a, or at
-the centre of its box where that estimate is undetermined.  A fit searches
-the coordinates the closed form leaves open (c and v, or beta_K and c, in
-quantity mode), then all but the normalised ones, and under two-step
-weighting re-minimizes once.  The one minimum lists the coordinates it left
-on a bound (at_bound); one on a bound is never reported converged.
+coordinates at its minimum as identified (sigma and a, or a).  Both modes
+start at one point: sigma and a at the closed-form expenditure-ratio
+estimate (their box centre where it is undetermined), c and v (or beta_K and
+c) at the normalisation.  A fit searches the free coordinates once, and
+under two-step weighting re-minimizes once.  The one minimum lists the
+coordinates it left on a bound (at_bound); one on a bound is never reported
+converged.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ def to_chart(theta) -> np.ndarray:
 @dataclass(frozen=True)
 class SearchChart:
     """Coordinates x in the box bounds; normalisation holds the coordinates the system never reads at stated values,
-    and free names the others, which a fit searches.  start() returns (x0, open, source): the point a fit starts
-    from, inside the bounds and at the normalisation, the coordinates a first search moves with the others held
-    (none: no first search), and what x0 is, 'expenditure-ratio' or 'box-centre'.  Only a fit calls it."""
+    and free names the others, which a fit searches.  start() returns (x0, source): the point a fit starts from,
+    inside the bounds and at the normalisation, and what x0 holds in sigma and the share ratio, 'expenditure-ratio'
+    or 'box-centre'.  Only a fit calls it."""
 
     names: tuple
     bounds: tuple
@@ -689,10 +689,10 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
     the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box.
 
     The chart starts at the expenditure-ratio estimate: sigma and a at _expenditure_ratio_fit's estimate on cols (the
-    logs of L, M, pL and pM on Z's rows), the coordinates that fit leaves open (c and v, or beta_K and c) at the centre
-    of their box and, unless normalised, searched first, all moved _START_MARGIN of the box width inside the bounds,
-    then the normalisation written in.  The fit runs when a search asks for the start, which is the box centre,
-    searched freely at once, where the fit leaves sigma or the ratio undetermined."""
+    logs of L, M, pL and pM on Z's rows), moved _START_MARGIN of the box width inside the bounds, and the coordinates
+    that fit leaves open (c and v, or beta_K and c) at the normalisation, whether normalised holds them or not, so a
+    family's quantity and revenue charts start at the same point.  The fit runs when a search asks for the start,
+    which is the centre of the box in sigma and a where the fit leaves them undetermined."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
@@ -703,11 +703,10 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
     else:
         coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
     names = tuple(coords)
-    normalisation = {"beta_L+beta_M": c, **flat} if normalised else {}
+    normalisation = {"beta_L+beta_M": c, **flat}
     lo, hi = (np.array(b) for b in zip(*coords.values()))
     fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
     held = [names.index(n) for n in normalisation]
-    open_names = tuple(n for i, n in enumerate(names) if i not in fixed + held)
 
     def start():
         x = 0.5 * (lo + hi)
@@ -718,9 +717,9 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
             x[fixed] = [closed[names[i]] for i in fixed]
             x = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
         x[held] = list(normalisation.values())
-        return (x, (), "box-centre") if fit is None else (x, open_names, "expenditure-ratio")
+        return x, "box-centre" if fit is None else "expenditure-ratio"
 
-    return SearchChart(names, tuple(coords.values()), start, normalisation)
+    return SearchChart(names, tuple(coords.values()), start, normalisation if normalised else {})
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -844,18 +843,18 @@ def _two_step_weight(ms: MomentSystem, x) -> np.ndarray:
 def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
     """Minimization of the GMM quadratic form from the start of ms.chart.
 
-    Every search is L-BFGS-B on the objective and its gradient in x, over a subset of the coordinates x of ms.chart,
-    the others held.  The chart's start (SearchChart.start) gives x0, the coordinates a first search moves, and
-    diagnostics.start, 'expenditure-ratio' or 'box-centre'.  Stage one is that first search, if it moves any
-    coordinate, then one free search of every coordinate the chart does not normalise.  weighting 'identity' runs a
-    single stage.  'two-step' reweights by the Cholesky inverse of the moment covariance at the stage-one minimum
-    (_two_step_weight) and re-minimizes the same coordinates once from it.  Minima and estimates report theta,
+    Every search is L-BFGS-B on the objective and its gradient in x over the free coordinates of ms.chart, those it
+    does not normalise, the others held.  The chart's start (SearchChart.start) gives x0 and diagnostics.start,
+    'expenditure-ratio' or 'box-centre'.  Stage one is one search from x0; weighting 'identity' stops there.
+    'two-step' reweights by the Cholesky inverse of the moment covariance at the stage-one minimum
+    (_two_step_weight) and re-minimizes once from it.  A system with fewer moments than free coordinates is not
+    identified, and raises ValueError before any search.  Minima and estimates report theta,
     to_theta of the point reached.  A fit on a chart with a normalisation adds identified, the free coordinates at
     the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.
 
     minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
     the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
-    and value-and-gradient evaluations summed over every search of the fit.
+    and value-and-gradient evaluations summed over the fit's one or two searches.
     converged is L-BFGS-B's success flag for a minimum off the bounds; a minimum on a bound is never reported
     converged, since a zero projected gradient there can mark a box corner far above the best J.  Searches stop at
     the relative decrease _FTOL, set from the rounding noise of J.
@@ -865,15 +864,17 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     chart = ms.chart
     lo, hi = (np.array(b) for b in zip(*chart.bounds))
     free = chart.free
+    if ms.n_moments < len(free):
+        raise ValueError(f"{ms.n_moments} moments cannot identify the {len(free)} free coordinates {', '.join(free)}")
+    i = [chart.names.index(n) for n in free]
     runs = []
 
-    def search(x0, W, moving):
-        """L-BFGS-B over the coordinates moving, the others held at x0; returns the full x it reached."""
+    def search(x0, W):
+        """L-BFGS-B over the free coordinates, the others held at x0; returns the full x it reached."""
         x = np.array(x0, float)
-        i = [chart.names.index(n) for n in moving]
 
-        def objective_and_gradient(x_moving):
-            x[i] = x_moving
+        def objective_and_gradient(x_free):
+            x[i] = x_free
             value, grad = ms.objective_and_gradient(x, W)
             return value, grad[i]
 
@@ -889,12 +890,10 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         x[i] = res.x
         return x
 
-    x, open_names, source = chart.start()
-    if open_names:
-        x = search(x, None, open_names)
-    x = search(x, None, free)
+    x, source = chart.start()
+    x = search(x, None)
     if weighting == "two-step":
-        x = search(x, _two_step_weight(ms, x), free)
+        x = search(x, _two_step_weight(ms, x))
 
     res = runs[-1]
     edge = _AT_BOUND_TOL * (hi - lo)

@@ -272,6 +272,8 @@ def simulate_panel(cfg: SimConfig) -> Panel:
         p_prev = m_p + rho * (p_prev - m_p) + e_p[:, :, s]
         if s >= burn:
             logK[:, s - burn], omega[:, s - burn], log_p[:, :, s - burn] = k_prev, w_prev, p_prev
+    # the shocks but eps are views of one block, burn-in draws included: drop them, and the block with them
+    del shifts, xi, u_k, e_p, eta_shift, m_p, w_prev, k_prev, p_prev
 
     w = omega.ravel()
     K = np.exp(logK).ravel()

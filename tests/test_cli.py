@@ -327,20 +327,49 @@ def test_diagnose_empty_grid_rejected(ces_ini, tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "config, argv, message",
     [
-        (["--scan", "sigma", "--grid", "0.3:0.7"], "--grid expects start:stop:count"),
-        (["--scan", "rho"], "--scan: unknown parameter 'rho'"),
-        (["--scan", "beta_L"], "--scan: unknown parameter 'beta_L'; the chart coordinates are ['sigma', 'share_ratio', 'beta_L+beta_M', 'v']"),
+        ("ces", ["--scan", "sigma", "--grid", "0.3:0.7"], "--grid expects start:stop:count"),
+        ("ces", ["--scan", "rho"], "--scan: unknown parameter 'rho'"),
+        ("ces", ["--scan", "beta_L"], "--scan: unknown parameter 'beta_L'; the chart coordinates are ['sigma', 'share_ratio', 'beta_L+beta_M', 'v']"),
+        # grids outside the model are rejected before any evaluation, so no warning is raised either
+        ("ces", ["--scan", "sigma", "--grid", "1.1:1.5:3"], "sigma grid contains sigma = 1.1, outside the model"),
+        ("ces", ["--scan", "sigma", "--grid=-0.5:0.5:3"], "sigma grid contains sigma = 0.0, outside the model"),
+        ("ces", ["--scan", "share_ratio", "--grid", "0.5:1.5:3"], "share_ratio grid contains share_ratio = 1.0, outside the model"),
+        ("cd", ["--scan", "share_ratio", "--grid", "0.5:1.5:3"], "share_ratio grid contains share_ratio = 1.0, outside the model"),
+        ("cd", ["--scan", "share_ratio", "--grid=-0.5:0.5:3"], "share_ratio grid contains share_ratio = -0.5, outside the model"),
+        ("ces", ["--scan", "sigma", "--grid", "nan:0.5:3"], "--grid bounds must be finite"),
+        ("ces", ["--scan", "sigma", "--grid", "0.3:inf:3"], "--grid bounds must be finite"),
     ],
-    ids=["grid_without_count", "unknown_scan", "theta_axis_scan"],
+    ids=[
+        "grid_without_count", "unknown_scan", "theta_axis_scan", "ces_sigma_above_one", "ces_sigma_zero",
+        "ces_share_ratio_above_one", "cd_share_ratio_above_one", "cd_negative_share_ratio", "nan_bound", "inf_bound",
+    ],
 )
-def test_diagnose_bad_option_rejected(ces_ini, tmp_path, caplog, argv, message):
-    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
-    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), *argv, "--out", str(tmp_path / "d")])
+def test_diagnose_bad_option_rejected(config, ces_ini, cd_ini, tmp_path, caplog, argv, message):
+    ini = str(ces_ini if config == "ces" else cd_ini)
+    main(["simulate", "--config", ini, "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", ini, *argv, "--out", str(tmp_path / "d")])
     assert rc == EXIT_VALIDATION
     assert message in caplog.text
     assert not (tmp_path / "d").exists()
+
+
+def test_estimate_with_fewer_moments_than_free_coordinates_rejected(ces_ini, tmp_path, caplog):
+    # three moments cannot identify the four coordinates of a CES quantity fit, whose J would be ~0 at a
+    # continuum of points: the fit is refused
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    base = ces_ini.read_text()
+    argv = ["estimate", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--mode", "quantity"]
+    ces_ini.write_text(base + "instruments = const k_t l_lag\n")
+    assert main([*argv, "--out", str(tmp_path / "under")]) == EXIT_VALIDATION
+    assert "3 moments cannot identify the 4 free coordinates sigma, share_ratio, beta_L+beta_M, v" in caplog.text
+    assert not (tmp_path / "under").exists()
+    # exactly identified: four moments for four coordinates
+    ces_ini.write_text(base + "instruments = const k_t l_lag pl_lag\n")
+    assert main([*argv, "--out", str(tmp_path / "exact")]) == EXIT_OK
+    diagnostics = json.loads((tmp_path / "exact" / "estimate_quantity.json").read_text())["diagnostics"]
+    assert (diagnostics["n_moments"], diagnostics["df"]) == (4, 0)
 
 
 def test_instruments_key_sets_the_estimate_instruments(cd_ini, tmp_path):

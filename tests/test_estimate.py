@@ -657,7 +657,7 @@ class TestGmmMinimize:
         p = len(ms.chart.names)
         # the search over every coordinate of the chart, with no normalisation, from the chart's closed-form start
         x0 = ms.chart.start()[0]
-        whole = SearchChart(ms.chart.names, ms.chart.bounds, lambda: (x0, (), "expenditure-ratio"))
+        whole = SearchChart(ms.chart.names, ms.chart.bounds, lambda: (x0, "expenditure-ratio"))
         full = gmm_minimize(dataclasses.replace(ms, chart=whole), weighting="two-step")
         assert full.identified is None
         est = full.estimates
@@ -696,7 +696,7 @@ class TestGmmMinimize:
         lows = {n: lo for n, (lo, _) in zip(chart.names, chart.bounds) if n in chart.normalisation}
         x0 = chart.start()[0]
         x0[[chart.names.index(n) for n in lows]] = list(lows.values())
-        on_bounds = dataclasses.replace(chart, normalisation=lows, start=lambda: (x0, (), "expenditure-ratio"))
+        on_bounds = dataclasses.replace(chart, normalisation=lows, start=lambda: (x0, "expenditure-ratio"))
         res = gmm_minimize(dataclasses.replace(ms, chart=on_bounds), weighting="identity")
         (only,) = res.minima
         assert only["at_bound"] == []
@@ -713,20 +713,23 @@ class TestGmmMinimize:
         assert only["converged"] is True and only["at_bound"] == []
         assert 1.0 - res.estimates["beta_L"] - res.estimates["beta_M"] >= 0.005 - 1e-12
 
-    def test_quantity_start_searches_the_open_coordinates_first(self):
-        # on this panel one free search from sigma and the share ratio at their closed form, with the share
-        # scale and v at the centre of their box, stops at J ~ 3.31; searching the scale and v first, with
-        # sigma and the ratio held, reaches the better of the two minima that the earlier multistart
-        # (17 searches from screened draws) found, off the bounds
+    def test_quantity_start_sits_at_the_normalisation(self):
+        # on this panel one search from sigma and the share ratio at their closed form, with the share scale
+        # and v at revenue's normalisation, reaches the better of the two minima that the earlier multistart
+        # (17 searches from screened draws) found, off the bounds.  The same search with the share scale and
+        # v at the centre of their box stops at J ~ 3.31: that is why the start sits at the normalisation
         ms = _shares_045_05_system(114)
-        x0, open_names, source = ms.chart.start()
-        assert (open_names, source) == (("beta_L+beta_M", "v"), "expenditure-ratio")
+        x0, source = ms.chart.start()
+        assert source == "expenditure-ratio"
         res = gmm_minimize(ms, weighting="identity")
         assert res.objective == pytest.approx(0.03534005119776842, rel=1e-8)
         assert res.minima[0]["at_bound"] == []
-        unpinned = dataclasses.replace(ms.chart, start=lambda: (x0, (), source))
-        unpinned_fit = gmm_minimize(dataclasses.replace(ms, chart=unpinned), weighting="identity")
-        assert unpinned_fit.objective == pytest.approx(3.31, abs=0.01)
+        centred = x0.copy()
+        lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
+        centred[2:] = 0.5 * (lo + hi)[2:]  # beta_L+beta_M and v
+        at_centre = dataclasses.replace(ms.chart, start=lambda: (centred, source))
+        centre_fit = gmm_minimize(dataclasses.replace(ms, chart=at_centre), weighting="identity")
+        assert centre_fit.objective == pytest.approx(3.31, abs=0.01)
 
     def test_corner_minimum_not_converged(self, ces_panel):
         # the chart's corner sigma = 0.9, beta_L/(beta_L+beta_M) at its lower
@@ -736,7 +739,7 @@ class TestGmmMinimize:
         (_, sigma_hi), (share_lo, _) = ms.chart.bounds[:2]
         x0 = ms.chart.start()[0]
         x0[:2] = sigma_hi, share_lo
-        corner = dataclasses.replace(ms.chart, start=lambda: (x0, (), "box-centre"))
+        corner = dataclasses.replace(ms.chart, start=lambda: (x0, "box-centre"))
         res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
@@ -756,6 +759,18 @@ class TestGmmMinimize:
         else:
             assert share_ratio == pytest.approx(tech.beta_L / (tech.beta_L + tech.beta_M), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_quantity_and_revenue_charts_share_one_start(self, kind, cd_panel, ces_panel):
+        # both modes start sigma and the ratio at the expenditure-ratio estimate and the share scale and v
+        # (or beta_K) at revenue's normalisation, so a family's fits start at one point
+        panel = cd_panel if kind == "CD" else ces_panel
+        quantity = build_quantity_moments(kind, first_stage_project(panel, 3), panel).chart
+        revenue = build_revenue_moments(kind, panel).chart
+        (x_q, source_q), (x_r, source_r) = quantity.start(), revenue.start()
+        assert source_q == source_r == "expenditure-ratio"
+        assert x_q.tobytes() == x_r.tobytes()
+        assert [x_r[revenue.names.index(n)] for n in revenue.normalisation] == list(revenue.normalisation.values())
+
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit
         # runs one free search from the centre of the box, with the share scale and v at their normalisation.  It ends at the best J that the earlier
@@ -763,10 +778,10 @@ class TestGmmMinimize:
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["M"] = 2.0 * data["L"]
         ms = build_revenue_moments("CES", Panel(data=data))
-        x0, open_names, source = ms.chart.start()
+        x0, source = ms.chart.start()
         lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
         centre = dict(zip(ms.chart.names, 0.5 * (lo + hi)), **ms.chart.normalisation)
-        assert (open_names, source) == ((), "box-centre") and np.array_equal(x0, [centre[n] for n in ms.chart.names])
+        assert source == "box-centre" and np.array_equal(x0, [centre[n] for n in ms.chart.names])
         res = gmm_minimize(ms, weighting="identity")
         assert res.diagnostics["start"] == "box-centre"
         assert res.objective == pytest.approx(11125.39057682651, rel=1e-8)
@@ -809,9 +824,8 @@ class TestGmmMinimize:
         assert only["converged"] is True and only["at_bound"] == []
 
     def test_chart_start_is_not_screened(self, small_ces_panel, monkeypatch):
-        # a CES quantity fit evaluates no screening draw: it searches the share scale and v from the
-        # closed-form start, the others held, then every coordinate (and under two-step weighting every
-        # coordinate again), and reports one minimum
+        # a CES quantity fit evaluates no screening draw: it searches every coordinate once from the
+        # closed-form start (and under two-step weighting once again), and reports one minimum
         ms = _system("CES", "quantity", 1, small_ces_panel)[0]
         calls, searches = [], []
         objective = ms.objective
@@ -828,7 +842,7 @@ class TestGmmMinimize:
         ms.objective = counting
         monkeypatch.setattr(estimate, "minimize", recording)
         free = list(ms.chart.bounds)
-        for weighting, stages in (("identity", [free[2:], free]), ("two-step", [free[2:], free, free])):
+        for weighting, stages in (("identity", [free]), ("two-step", [free, free])):
             searches.clear()
             res = gmm_minimize(ms, weighting=weighting)
             assert calls == []

@@ -20,6 +20,19 @@ from revprod.simulate import (
 )
 from revprod.technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced_peak(sim):
+    """tracemalloc's peak over a second simulate_panel call: first-call allocations are not the route's."""
+    simulate_panel(sim)
+    tracemalloc.start()
+    try:
+        simulate_panel(sim)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestFocIdentities:
     def test_cd_target_shares_are_elasticity_over_markup(self, cd_panel):
@@ -211,21 +224,19 @@ class TestInputSolverRoute:
     def test_numeric_route_working_set(self):
         # The KKT oracle evaluates only the rows still moving, one probe at a time, so on the
         # 500x10 cd-oracle panel the numeric route's traced peak stays within 1.25 MiB of the
-        # closed form's (it reads 0.80 MiB)
-        cfg = parse_config(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "cd-oracle.ini").sim
+        # closed form's (it reads 0.42 MiB)
+        cfg = parse_config(ROOT / "perfbench" / "configs" / "cd-oracle.ini").sim
         assert cfg.input_solver == "numeric" and cfg.n_firms * cfg.n_periods == 5000
-
-        def traced_peak(sim):
-            simulate_panel(sim)  # warm-up: first-call allocations are not the route's
-            tracemalloc.start()
-            try:
-                simulate_panel(sim)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        extra = traced_peak(cfg) - traced_peak(dataclasses.replace(cfg, input_solver="closed_form"))
+        extra = _traced_peak(cfg) - _traced_peak(dataclasses.replace(cfg, input_solver="closed_form"))
         assert extra < 1.25 * 2**20, extra / 2**20
+
+    def test_shock_block_released_after_the_recursions(self):
+        # the shocks, burn-in draws included, are dropped once the recursions have read them, so the
+        # 500x10 configs/ces.ini panel's traced peak stays below 2 MiB (it reads 1.50 MiB)
+        cfg = parse_config(ROOT / "configs" / "ces.ini").sim
+        assert cfg.n_firms * cfg.n_periods == 5000
+        peak = _traced_peak(cfg)
+        assert peak < 2.0 * 2**20, peak / 2**20
 
 
 class TestConfigValidation:
