@@ -93,25 +93,22 @@ def cmd_simulate(args) -> int:
 
 
 def _moment_system(cfg: RunConfig, panel, mode: str):
-    """The configured moment system, and what the estimate reports beside the fit in that mode."""
+    """The configured moment system in mode."""
     est = cfg.estimation
     kind = cfg.sim.tech.kind
     kwargs = {} if est.instruments is None else {"instruments": est.instruments}
     if mode == "revenue":
-        return build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs), {}
+        return build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs)
     fs = first_stage_project(panel, est.first_stage_degree)
-    ms = build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
-    return ms, {"first_stage": {"degree": fs.degree, "r_squared": fs.r_squared}}
+    return build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
 
 
 def cmd_estimate(args) -> int:
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
     mode = args.mode
-    ms, extra = _moment_system(cfg, panel, mode)
-    result = gmm_minimize(ms, weighting=cfg.estimation.weighting)
+    result = gmm_minimize(_moment_system(cfg, panel, mode), weighting=cfg.estimation.weighting)
     payload = {k: v for k, v in asdict(result).items() if v is not None}
-    payload.update(extra)
     payload["provenance"] = _provenance("estimate", cfg, panel=Path(args.panel).name, mode=mode)
     _write_json(payload, _out_dir(args, cfg) / f"estimate_{mode}.json", "estimate_result.schema.json")
     return EXIT_OK
@@ -135,8 +132,7 @@ def cmd_diagnose(args) -> int:
         raise ConfigError("--grid needs --scan to name the parameter it profiles")
     cfg = parse_config(args.config)
     panel = read_panel_csv(args.panel)
-    est = cfg.estimation
-    ms, _ = _moment_system(cfg, panel, "revenue")
+    ms = _moment_system(cfg, panel, "revenue")
     curve = None
     if args.scan:
         # checked before the report, so that a bad scan writes nothing
@@ -147,9 +143,7 @@ def cmd_diagnose(args) -> int:
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
     out_dir = _out_dir(args, cfg)
 
-    report = build_identification_report(
-        panel, cfg.sim.tech, ms, which_v=est.which_v, first_stage_degree=est.first_stage_degree
-    )
+    report = build_identification_report(panel, cfg.sim.tech, ms)
     payload = dict(asdict(report), provenance=_provenance("diagnose", cfg, panel=Path(args.panel).name))
     _write_json(payload, out_dir / "identification_report.json", "identification_report.schema.json")
 

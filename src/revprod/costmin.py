@@ -234,7 +234,5 @@ def foc_input_price(tech: Technology, L, M, pL, pM, which_v: str):
     shock expectation cal_e scales the marginal cost and the expected-output
     gradient by offsetting factors, so it cancels from the implied price.
     """
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
     _check_positive(L=L, M=M, pL=pL, pM=pM)
     return tech.unit_cost(pL, pM) * tech.h_dlevel(L, M, which_v)

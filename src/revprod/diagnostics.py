@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import DEFAULT_BOUNDS, REVENUE_COLUMNS, MomentSystem, first_stage_project, revenue_predictor, to_chart
+from .estimate import DEFAULT_BOUNDS, REVENUE_COLUMNS, MomentSystem, revenue_predictor, to_chart, to_theta
 from .panel_io import Panel
-from .technology import CES, CobbDouglas, Technology
+from .technology import CES, CobbDouglas, ParameterError, Technology
 
 __all__ = [
     "ProfileCurve",
@@ -103,13 +103,6 @@ def _flatness(values: np.ndarray) -> float:
     return float((values.max() - values.min()) / max(1.0, values.min()))
 
 
-# the chart coordinates whose values the model bounds (sigma is CES's alone), as (test, what it states)
-_DOMAIN = {
-    "sigma": (lambda g: g < 1.0 and g != 0.0, "CES needs sigma < 1 and sigma != 0"),
-    "share_ratio": (lambda g: 0.0 < g < 1.0, "0 < share_ratio < 1"),
-}
-
-
 def profile_scan(
     ms: MomentSystem, param_name: str, grid: Sequence[float], other_params: Sequence[float]
 ) -> ProfileCurve:
@@ -119,20 +112,21 @@ def profile_scan(
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
     beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which to_chart maps into the chart
     once; each grid point replaces param_name's coordinate, and the objective is taken at that chart point.
-    A grid is checked against the model before any evaluation: a CES sigma below 1 and not 0, where the CES
-    formulas divide by neither sigma nor 1 - sigma, and a share ratio strictly between 0 and 1.
+    The whole grid is checked before any evaluation: at each point, theta must make a technology of the family's
+    class, CES or CobbDouglas, whose ParameterError names the bound the first point outside the model breaks.
     """
     chart = ms.chart
     if param_name not in chart.names:
         raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
-    domain = _DOMAIN.get(param_name)
-    if domain is not None:
-        inside, stated = domain
-        bad = [float(g) for g in grid if not inside(g)]
-        if bad:
-            raise ValueError(f"{param_name} grid contains {param_name} = {bad[0]!r}, outside the model ({stated})")
+    family = CES if ms.tech_kind == "CES" else CobbDouglas
     x = to_chart(other_params)
     i = chart.names.index(param_name)
+    for g in grid:
+        x[i] = g
+        try:
+            family(**dict(zip(ms.param_names, to_theta(x))))
+        except ParameterError as exc:
+            raise ValueError(f"{param_name} grid contains {param_name} = {float(g)!r}, outside the model ({exc})") from exc
     vals = []
     for g in grid:
         x[i] = g
@@ -208,32 +202,26 @@ class OmegaRecovery:
         return None if self.skipped else self.correlation >= OMEGA_MIN_CORR
 
 
-def omega_recovery_attempt(
-    panel: Panel, tech: Technology, mode: str, which_v: str = "M", first_stage_degree: int = 3
-) -> OmegaRecovery:
-    """Try to recover simulated productivity from estimation residuals.
+def omega_recovery_attempt(panel: Panel, tech: Technology, ms: MomentSystem) -> OmegaRecovery:
+    """Try to recover simulated productivity from the residuals of the moment system ms, built on panel.
 
-    Revenue mode computes log R minus the parametric revenue prediction
-    (which should carry only the ex-post shock, less the constant
-    log E[exp eps], which no correlation sees); quantity mode computes the
-    proxy-recovered series fitted minus predicted log output, with the first
-    stage fitted at first_stage_degree.  Panels without a true productivity
-    column yield a skipped report.
+    A revenue system gives log R minus the parametric revenue prediction on its which_v equation (which should
+    carry only the ex-post shock, less the constant log E[exp eps], which no correlation sees); a quantity system
+    gives the proxy-recovered series, its first stage's fitted values minus predicted log output.  Panels without
+    a true productivity column yield a skipped report.
     """
-    if mode not in ("quantity", "revenue"):
-        raise ValueError(f"mode must be 'quantity' or 'revenue', got {mode!r}")
+    mode = ms.mode
     n = len(panel)
     bound = 3.0 / math.sqrt(max(n, 1))
     if not panel.has("omega"):
         return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True)
     omega = panel.col("omega")
     if mode == "revenue":
-        predict = revenue_predictor(tech.kind, _revenue_columns(panel), which_v)
+        predict = revenue_predictor(tech.kind, _revenue_columns(panel), ms.which_v)
         resid = np.log(panel.col("R")) - predict(to_chart(_theta(tech)))[0]
     else:
-        fs = first_stage_project(panel, first_stage_degree)
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
-        resid = fs.fitted - q_pred
+        resid = ms.first_stage.fitted - q_pred
     if np.std(resid) == 0.0 or np.std(omega) == 0.0:
         corr = 0.0
     else:
@@ -279,19 +267,12 @@ def _contrast_variant(tech: Technology):
     return "sigma", CES(tech.beta_L, tech.beta_M, tech.sigma + 0.1 if tech.sigma < 0.8 else tech.sigma - 0.1, tech.v)
 
 
-def build_identification_report(
-    panel: Panel,
-    tech: Technology,
-    ms: MomentSystem,
-    which_v: str = "M",
-    first_stage_degree: int = 3,
-) -> IdentificationReport:
-    """End-to-end identification report for one panel and moment system.
+def build_identification_report(panel: Panel, tech: Technology, ms: MomentSystem) -> IdentificationReport:
+    """End-to-end identification report for one panel and the moment system ms built on it.
 
     Each coordinate of the share chart is profiled over its box on 25 points, the others held at tech
-    mapped into the chart; the verdicts are read off those profiles as the module docstring says.
-    first_stage_degree is the degree of the quantity first stage that the
-    productivity recovery fits in quantity mode; revenue mode reads no first stage.
+    mapped into the chart; the verdicts are read off those profiles as the module docstring says.  The
+    productivity recovery reads the same system (omega_recovery_attempt).
     """
     if tech.kind != ms.tech_kind:
         raise ValueError(f"technology kind {tech.kind} does not match the {ms.tech_kind} moment system")
@@ -306,7 +287,7 @@ def build_identification_report(
     profiles = {n: profile_scan(ms, n, np.linspace(*box, 25), theta0) for n, box in zip(ms.chart.names, ms.chart.bounds)}
 
     rank = asdict(jacobian_rank(ms, theta0))
-    omega_rec = omega_recovery_attempt(panel, tech, ms.mode, which_v=which_v, first_stage_degree=first_stage_degree)
+    omega_rec = omega_recovery_attempt(panel, tech, ms)
 
     flat = {n: p.flatness <= FLAT_TOL for n, p in profiles.items()}
     verdicts = {}

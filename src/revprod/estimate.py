@@ -282,8 +282,9 @@ class MomentSystem:
 
     The build function supplies the residual and the family's _share_chart: build_quantity_moments the innovation
     of the recovered productivity's Markov process (_MarkovInnovation) of degree g_degree, on the chart with no
-    normalisation; build_revenue_moments r = exp(log R - pred) - 1, with g_degree None, on the chart that holds
-    what revenue never reads at its normalisation.
+    normalisation, and keeps the first_stage it recovers productivity from; build_revenue_moments
+    r = exp(log R - pred) - 1, with g_degree None, on the chart that holds what revenue never reads at its
+    normalisation, and keeps which_v, the flexible input whose revenue equation it uses.
     """
 
     mode: str
@@ -294,6 +295,8 @@ class MomentSystem:
     _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
     chart: SearchChart
     g_degree: Optional[int] = None
+    first_stage: Optional[FirstStage] = field(default=None, repr=False)  # quantity systems only
+    which_v: Optional[str] = None  # revenue systems only
     _closed_form: Optional[callable] = field(default=None, repr=False)  # x -> _linearize's tuple
 
     @property
@@ -677,6 +680,7 @@ def build_quantity_moments(
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
         chart=_share_chart(tech_kind, current, Z, normalised=False),
         g_degree=g_degree,
+        first_stage=first_stage,
         _closed_form=closed_form,
     )
 
@@ -784,6 +788,7 @@ def build_revenue_moments(
         _predict=predict,
         _residual=residual,
         chart=_share_chart(tech_kind, current, Z, normalised=True),
+        which_v=which_v,
     )
 
 
@@ -810,6 +815,7 @@ class EstimateResult:
     moment_cov: list
     minima: list
     g_coefficients: Optional[list]  # quantity systems only
+    first_stage: Optional[dict]  # quantity systems only: the first stage's degree and r_squared
     diagnostics: dict
     identified: Optional[dict] = None  # the free chart coordinates, on charts with a normalisation (revenue) only
 
@@ -850,7 +856,8 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     (_two_step_weight) and re-minimizes once from it.  A system with fewer moments than free coordinates is not
     identified, and raises ValueError before any search.  Minima and estimates report theta,
     to_theta of the point reached.  A fit on a chart with a normalisation adds identified, the free coordinates at
-    the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.
+    the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.  A fit on a
+    quantity system adds g_coefficients and first_stage, the degree and r_squared of the system's first stage.
 
     minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
     the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
@@ -920,10 +927,12 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     }
     if chart.normalisation:
         diagnostics["normalisation"] = chart.normalisation
-    g_coefficients = None
+    g_coefficients = first_stage = None
     if ms.g_degree is not None:
         diagnostics["g_degree"] = int(ms.g_degree)
         g_coefficients = ms.g_coefficients(x).tolist()
+    if ms.first_stage is not None:
+        first_stage = {"degree": int(ms.first_stage.degree), "r_squared": float(ms.first_stage.r_squared)}
     estimates = {n: float(v) for n, v in zip(ms.param_names, theta_hat)}
     return EstimateResult(
         mode=ms.mode,
@@ -935,6 +944,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         moment_cov=ms.moment_covariance(x).tolist(),
         minima=[minimum],
         g_coefficients=g_coefficients,
+        first_stage=first_stage,
         diagnostics=diagnostics,
         identified={n: float(v) for n, v in zip(chart.names, x) if n in free} if chart.normalisation else None,
     )

@@ -230,16 +230,18 @@ def _cached_rows(path, digest: bytes, dtype: np.dtype) -> Optional[np.ndarray]:
 def read_panel_csv(path) -> Panel:
     """Read a panel CSV: from its column cache when the cache matches, else by parsing.
 
-    The header is checked either way.  The columns come from the cache beside
-    the file when the cache's digest is the SHA-256 of the file's bytes and its
-    dtype matches the header; a missing, stale, truncated or unreadable cache
-    is ignored.  Otherwise np.loadtxt parses the body; if it fails or finds no
-    rows, the csv loop rereads it to name the bad line.  Both ways give the
-    same columns bit for bit, and the Panel validates them.
+    The file is UTF-8, a leading byte-order mark (as spreadsheet programs write
+    it) dropped.  The header's names are checked either way.  The columns come
+    from the cache beside the file when the cache's digest is the SHA-256 of
+    the file's bytes and its dtype matches the header; a missing, stale,
+    truncated or unreadable cache is ignored.  Otherwise np.loadtxt parses the
+    body; if it fails or finds no rows, the csv loop rereads it to name the bad
+    line.  Both ways give the same columns bit for bit, and the Panel
+    validates them, required columns included.
     """
     content = Path(path).read_bytes()
     digest = hashlib.sha256(content).digest()
-    with io.TextIOWrapper(io.BytesIO(content), newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -251,9 +253,6 @@ def read_panel_csv(path) -> Panel:
         duplicated = sorted({c for c in header if header.count(c) > 1})
         if duplicated:
             raise PanelFormatError(f"{path}: duplicated columns {duplicated}")
-        missing = [c for c in COLUMNS if c not in header and c not in OPTIONAL_COLUMNS]
-        if missing:
-            raise PanelFormatError(f"{path}: missing required columns {missing}")
         dtype = _row_dtype(header)
         rows = _cached_rows(path, digest, dtype)
         logger.debug("%s: columns %s", path, "parsed" if rows is None else "read from the cache beside it")
@@ -262,11 +261,10 @@ def read_panel_csv(path) -> Panel:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # loadtxt only warns on a body without rows
                     rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
-            raw = {c: np.ascontiguousarray(rows[c]) for c in header}
         except (ValueError, UserWarning):
             fh.seek(0)
             next(reader)
-            raw = {c: [] for c in header}
+            parsed = []
             for lineno, rowvals in enumerate(reader, start=2):
                 if not rowvals:
                     continue
@@ -274,19 +272,15 @@ def read_panel_csv(path) -> Panel:
                     raise PanelFormatError(
                         f"{path}: line {lineno}: expected {len(header)} fields, got {len(rowvals)}"
                     )
+                row = []
                 for c, v in zip(header, rowvals):
                     try:
-                        raw[c].append(int(v) if c in _INT_COLUMNS else float(v))
+                        row.append(int(v) if c in _INT_COLUMNS else float(v))
                     except ValueError:
                         raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is not numeric")
-    data = {}
-    for c in COLUMNS:
-        if c in raw:
-            dtype = np.int64 if c in _INT_COLUMNS else float
-            data[c] = np.asarray(raw[c], dtype=dtype)
-        elif c in OPTIONAL_COLUMNS:
-            data[c] = None
+                parsed.append(tuple(row))
+            rows = np.array(parsed, dtype)
     try:
-        return Panel(data=data)
+        return Panel(data={c: np.ascontiguousarray(rows[c]) for c in header})
     except PanelFormatError as exc:
         raise PanelFormatError(f"{path}: {exc}") from exc

@@ -95,7 +95,7 @@ class CobbDouglas:
     def __post_init__(self):
         if not (self.beta_L > 0.0 and self.beta_M > 0.0):
             raise ParameterError("beta_L and beta_M must be strictly positive")
-        if self.beta_K < 0.0:
+        if not self.beta_K >= 0.0:
             raise ParameterError("beta_K must be nonnegative")
 
     @property
@@ -177,7 +177,7 @@ class CES:
             raise ParameterError("beta_L and beta_M must be strictly positive")
         if not self.beta_L + self.beta_M < 1.0:
             raise ParameterError("beta_L + beta_M must be < 1 (positive capital share)")
-        if self.sigma == 0.0 or self.sigma >= 1.0:
+        if not (self.sigma < 1.0 and self.sigma != 0.0):
             raise ParameterError("sigma must satisfy sigma < 1, sigma != 0")
         if not self.v > 0.0:
             raise ParameterError("returns-to-scale v must be strictly positive")
@@ -314,8 +314,6 @@ def revenue_pf_reduced_form(tech: Technology, L, M, pL, pM, s_star, cal_e, which
     the flexible-input block (unit cost and h), so it cannot depend on
     capital, the capital exponent, returns to scale, or productivity.
     """
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
     _check_positive(L=L, M=M, pL=pL, pM=pM, s_star=s_star, cal_e=cal_e)
     c2 = tech.unit_cost(pL, pM)
     return c2 * tech.h_dlog(L, M, which_v) / (np.asarray(s_star, float) * np.asarray(cal_e, float))

@@ -168,8 +168,9 @@ def test_criterion_5_rank(cd_panel, cd_config, ces_panel, ces_config):
 def test_criterion_6_productivity(cd_panel, cd_config, ces_panel, ces_config):
     details = []
     for panel, cfg in ((cd_panel, cd_config), (ces_panel, ces_config)):
-        rev = omega_recovery_attempt(panel, cfg.tech, "revenue")
-        qty = omega_recovery_attempt(panel, cfg.tech, "quantity")
+        kind = cfg.tech.kind
+        rev = omega_recovery_attempt(panel, cfg.tech, build_revenue_moments(kind, panel))
+        qty = omega_recovery_attempt(panel, cfg.tech, build_quantity_moments(kind, first_stage_project(panel, 3), panel))
         assert abs(rev.correlation) <= rev.bound, (
             f"{cfg.tech.kind}: revenue corr {rev.correlation:.4f} above bound {rev.bound:.4f}"
         )

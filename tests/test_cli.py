@@ -14,7 +14,7 @@ import revprod
 from revprod import estimate
 from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
 from revprod.config import EstimationSettings, parse_config
-from revprod.diagnostics import build_identification_report
+from revprod.diagnostics import build_identification_report, omega_recovery_attempt
 from revprod.estimate import build_quantity_moments, build_revenue_moments, first_stage_project, gmm_minimize
 from revprod.panel_io import read_panel_csv
 from revprod.simulate import SimConfig, verify_panel
@@ -338,21 +338,54 @@ def test_diagnose_empty_grid_rejected(ces_ini, tmp_path, caplog):
         ("ces", ["--scan", "share_ratio", "--grid", "0.5:1.5:3"], "share_ratio grid contains share_ratio = 1.0, outside the model"),
         ("cd", ["--scan", "share_ratio", "--grid", "0.5:1.5:3"], "share_ratio grid contains share_ratio = 1.0, outside the model"),
         ("cd", ["--scan", "share_ratio", "--grid=-0.5:0.5:3"], "share_ratio grid contains share_ratio = -0.5, outside the model"),
+        # revenue reads none of these three coordinates, so the objective alone would give a flat profile
+        ("ces", ["--scan", "beta_L+beta_M", "--grid", "0.5:1.0:3"],
+         "beta_L+beta_M grid contains beta_L+beta_M = 1.0, outside the model (beta_L + beta_M must be < 1 (positive capital share))"),
+        ("ces", ["--scan", "v", "--grid", "0.0:1.0:3"], "v grid contains v = 0.0, outside the model (returns-to-scale v must be strictly positive)"),
+        ("cd", ["--scan", "beta_K", "--grid=-0.2:0.2:3"], "beta_K grid contains beta_K = -0.2, outside the model (beta_K must be nonnegative)"),
         ("ces", ["--scan", "sigma", "--grid", "nan:0.5:3"], "--grid bounds must be finite"),
         ("ces", ["--scan", "sigma", "--grid", "0.3:inf:3"], "--grid bounds must be finite"),
     ],
     ids=[
         "grid_without_count", "unknown_scan", "theta_axis_scan", "ces_sigma_above_one", "ces_sigma_zero",
-        "ces_share_ratio_above_one", "cd_share_ratio_above_one", "cd_negative_share_ratio", "nan_bound", "inf_bound",
+        "ces_share_ratio_above_one", "cd_share_ratio_above_one", "cd_negative_share_ratio",
+        "ces_share_scale_one", "ces_v_zero", "cd_negative_beta_k", "nan_bound", "inf_bound",
     ],
 )
-def test_diagnose_bad_option_rejected(config, ces_ini, cd_ini, tmp_path, caplog, argv, message):
+def test_diagnose_bad_option_rejected(config, ces_ini, cd_ini, tmp_path, caplog, monkeypatch, argv, message):
     ini = str(ces_ini if config == "ces" else cd_ini)
     main(["simulate", "--config", ini, "--out", str(tmp_path)])
+    calls = []
+    objective = estimate.MomentSystem.objective
+    monkeypatch.setattr(estimate.MomentSystem, "objective", lambda *args: calls.append(args) or objective(*args))
     rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", ini, *argv, "--out", str(tmp_path / "d")])
     assert rc == EXIT_VALIDATION
     assert message in caplog.text
+    assert calls == []
     assert not (tmp_path / "d").exists()
+
+
+def test_labour_equation_config_gives_the_papers_result(tmp_path):
+    # configs/ces.ini with which_v = L: revenue mode and diagnose use the labour revenue equation throughout
+    ini = tmp_path / "ces-L.ini"
+    text = (ROOT / "configs" / "ces.ini").read_text()
+    assert "\nwhich_v = M\n" in text
+    ini.write_text(text.replace("\nwhich_v = M\n", "\nwhich_v = L\n"))
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    panel_path = str(tmp_path / "panel.csv")
+    for argv in (["estimate", "--mode", "revenue"], ["diagnose"]):
+        assert main([argv[0], panel_path, *argv[1:], "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    identified = json.loads((tmp_path / "estimate_revenue.json").read_text())["identified"]
+    assert identified["sigma"] == pytest.approx(0.5, abs=0.03)
+    assert identified["share_ratio"] == pytest.approx(3 / 7, abs=0.03)
+    rep = json.loads((tmp_path / "identification_report.json").read_text())
+    ratio = {"beta_L": "identified-ratio-only", "beta_M": "identified-ratio-only"}
+    assert rep["verdicts"] == {"sigma": "identified", **ratio, "v": "not identified", "omega": "not identified"}
+    cfg = parse_config(ini)
+    assert cfg.estimation.which_v == "L"
+    panel = read_panel_csv(panel_path)
+    expected = omega_recovery_attempt(panel, cfg.sim.tech, build_revenue_moments("CES", panel, which_v="L"))
+    assert rep["omega_recovery"] == json.loads(json.dumps(asdict(expected)))
 
 
 def test_estimate_with_fewer_moments_than_free_coordinates_rejected(ces_ini, tmp_path, caplog):
@@ -618,12 +651,11 @@ def test_artifacts_are_asdict_of_results(cd_ini, tmp_path):
         "verify_report.json": verify_panel(panel, cfg.sim),
         "estimate_quantity.json": fit(quantity),
         "estimate_revenue.json": fit(revenue),
-        "identification_report.json": build_identification_report(panel, cfg.sim.tech, revenue, which_v=est.which_v),
+        "identification_report.json": build_identification_report(panel, cfg.sim.tech, revenue),
     }
     for name, result in expected.items():
         written = json.loads((tmp_path / name).read_text())
-        for key in ("provenance", "first_stage"):
-            written.pop(key, None)
+        written.pop("provenance", None)
         payload = json.loads(json.dumps(asdict(result)))
         assert written == {k: v for k, v in payload.items() if v is not None}, name
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,35 @@ class TestProfiles:
         assert rev.flatness == 0.0
         assert qty.flatness >= 100.0 * max(rev.flatness, 1e-10)
 
-    def test_quantity_scan_past_the_ces_domain_rejected(self, ces_quantity_ms):
+    def test_quantity_scan_past_the_ces_domain_rejected(self, ces_quantity_ms, monkeypatch):
         # from scale 1.075 on (1.02 there, 1.235 at 1.3) beta_L + beta_M leaves no capital share, where the CES
-        # aggregate is undefined; the first such point is named
-        with pytest.raises(ValueError, match=r"beta_L \+ beta_M < 1; theta = \[0\.5, 0\.48375, 0\.5375, 0\.9\]"):
+        # aggregate is undefined; the first such point is named, before the objective is taken anywhere
+        calls = []
+        monkeypatch.setattr(ces_quantity_ms, "objective", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^beta_L\+beta_M grid contains beta_L\+beta_M = 1\.02125\d*, outside the "
+                           r"model \(beta_L \+ beta_M must be < 1 \(positive capital share\)\)$"):
             beta_scale_scan(ces_quantity_ms, [0.5, 0.45, 0.5, 0.9])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "system, name, grid, bad, broken",
+        [
+            # revenue never reads beta_L+beta_M or v, so without the check these profiles come back flat
+            ("ces_revenue_ms", "beta_L+beta_M", [0.7, 1.0, 1.2], 1.0, "beta_L + beta_M must be < 1"),
+            ("ces_quantity_ms", "beta_L+beta_M", [0.7, 1.0, 1.2], 1.0, "beta_L + beta_M must be < 1"),
+            ("ces_revenue_ms", "v", [1.0, 0.0, -0.5], 0.0, "returns-to-scale v must be strictly positive"),
+            ("cd_revenue_ms", "beta_K", [0.2, -0.1], -0.1, "beta_K must be nonnegative"),
+            ("cd_quantity_ms", "beta_K", [0.2, -0.1], -0.1, "beta_K must be nonnegative"),
+        ],
+    )
+    def test_grid_outside_the_model_rejected_before_any_evaluation(self, request, monkeypatch, system, name, grid, bad, broken):
+        ms = request.getfixturevalue(system)
+        theta = THETA_CES if ms.tech_kind == "CES" else THETA_CD
+        calls = []
+        monkeypatch.setattr(ms, "objective", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(f"{name} grid contains {name} = {bad!r}, outside the model ({broken}")):
+            profile_scan(ms, name, grid, theta)
+        assert calls == []
 
     def test_unknown_parameter_rejected(self, ces_revenue_ms):
         with pytest.raises(ValueError, match="unknown parameter"):
@@ -172,8 +198,8 @@ class TestJacobianRank:
 
 
 class TestOmegaRecovery:
-    def test_revenue_residual_carries_no_signal(self, ces_panel, ces_config):
-        rec = omega_recovery_attempt(ces_panel, ces_config.tech, "revenue")
+    def test_revenue_residual_carries_no_signal(self, ces_panel, ces_config, ces_revenue_ms):
+        rec = omega_recovery_attempt(ces_panel, ces_config.tech, ces_revenue_ms)
         assert abs(rec.correlation) <= rec.bound
         assert rec.carries_signal is False
 
@@ -181,8 +207,8 @@ class TestOmegaRecovery:
         # one rule in both modes: a correlation that clears the zero-correlation bound but recovers nothing
         assert OmegaRecovery("revenue", 0.3, bound=0.04, n_obs=5625).carries_signal is False
 
-    def test_quantity_recovery_tracks_truth(self, ces_panel, ces_config):
-        rec = omega_recovery_attempt(ces_panel, ces_config.tech, "quantity")
+    def test_quantity_recovery_tracks_truth(self, ces_panel, ces_config, ces_quantity_ms):
+        rec = omega_recovery_attempt(ces_panel, ces_config.tech, ces_quantity_ms)
         assert rec.correlation >= 0.95
         assert rec.carries_signal is True
 
@@ -209,17 +235,19 @@ class TestOmegaRecovery:
         q_pred = np.log(ces_tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
         got = {}
         for degree in (2, 3):
-            resid = first_stage_project(panel, degree).fitted - q_pred
-            rec = omega_recovery_attempt(panel, ces_tech, "quantity", first_stage_degree=degree)
-            assert rec.correlation == float(np.corrcoef(resid, panel.col("omega"))[0, 1])
+            fs = first_stage_project(panel, degree)
+            rec = omega_recovery_attempt(panel, ces_tech, build_quantity_moments("CES", fs, panel))
+            assert rec.correlation == float(np.corrcoef(fs.fitted - q_pred, panel.col("omega"))[0, 1])
             got[degree] = rec.correlation
         assert got[2] != got[3]
-        assert omega_recovery_attempt(panel, ces_tech, "quantity").correlation == got[3]
+        default = build_quantity_moments("CES", first_stage_project(panel), panel)
+        assert omega_recovery_attempt(panel, ces_tech, default).correlation == got[3]
 
     def test_skipped_without_omega_column(self, small_ces_panel, ces_tech):
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["omega"] = None
-        rec = omega_recovery_attempt(Panel(data=data), ces_tech, "revenue")
+        panel = Panel(data=data)
+        rec = omega_recovery_attempt(panel, ces_tech, build_revenue_moments("CES", panel))
         assert rec.skipped
         assert rec.correlation is None
 
@@ -278,12 +306,24 @@ class TestReport:
             assert np.all(np.isfinite(profile["objective"]))
 
     def test_quantity_report_passes_the_first_stage_degree(self, small_cd_panel, cd_tech):
-        fs = first_stage_project(small_cd_panel, 2)
-        ms = build_quantity_moments("CD", fs, small_cd_panel)
-        rep = build_identification_report(small_cd_panel, cd_tech, ms, first_stage_degree=2)
-        expected = omega_recovery_attempt(small_cd_panel, cd_tech, "quantity", first_stage_degree=2)
-        assert rep.omega_recovery["correlation"] == expected.correlation
-        assert expected.correlation != omega_recovery_attempt(small_cd_panel, cd_tech, "quantity").correlation
+        # no degree is passed to the report: it reads the degree-2 first stage the system was built on
+        panel = small_cd_panel
+        fs = first_stage_project(panel, 2)
+        ms = build_quantity_moments("CD", fs, panel)
+        rep = build_identification_report(panel, cd_tech, ms)
+        q_pred = np.log(cd_tech.output(panel.col("K"), panel.col("L"), panel.col("M")))
+        expected = float(np.corrcoef(fs.fitted - q_pred, panel.col("omega"))[0, 1])
+        assert rep.omega_recovery["correlation"] == omega_recovery_attempt(panel, cd_tech, ms).correlation == expected
+        cubic = build_quantity_moments("CD", first_stage_project(panel, 3), panel)
+        assert expected != omega_recovery_attempt(panel, cd_tech, cubic).correlation
+
+    def test_revenue_report_recovers_omega_with_the_systems_equation(self, small_ces_panel, ces_tech):
+        # a which_v = "L" system's report takes the labour revenue equation's residual, not the materials one's
+        panel = small_ces_panel
+        rep = build_identification_report(panel, ces_tech, build_revenue_moments("CES", panel, which_v="L"))
+        logs = [np.log(panel.col(c)) for c in ("L", "M", "pL", "pM", "sL_star")]
+        resid = np.log(panel.col("R")) - predicted_log_revenue(ces_tech, *logs, 1.0, "L")
+        assert rep.omega_recovery["correlation"] == float(np.corrcoef(resid, panel.col("omega"))[0, 1])
 
     def test_technology_kind_must_match_system(self, ces_panel, ces_config, cd_revenue_ms):
         # a CES technology has a beta_K too, so without the check it would

@@ -95,6 +95,18 @@ def test_revenue_only_file(small_cd_panel, tmp_path):
     assert back.has("R")
 
 
+def test_byte_order_mark_dropped(small_cd_panel, tmp_path, monkeypatch):
+    # a spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order mark, which is no part of the first name
+    write_panel_csv(small_cd_panel, tmp_path / "panel.csv")
+    (tmp_path / "bom").mkdir()
+    bom = tmp_path / "bom" / "panel.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "panel.csv").read_bytes())
+    plain = read_panel_csv(tmp_path / "panel.csv")
+    for back in (read_panel_csv(bom).data, _row_read(bom, monkeypatch)):  # parsed by np.loadtxt, then by the csv loop
+        for c in COLUMNS:
+            assert back[c].dtype == plain.col(c).dtype and back[c].tobytes() == plain.col(c).tobytes(), c
+
+
 def test_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     lines = ["firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star",

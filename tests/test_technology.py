@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from revprod.costmin import foc_input_price
 from revprod.technology import CES, CobbDouglas, ParameterError, _check_positive, revenue_pf_reduced_form
 
 from conftest import predicted_log_revenue, random_point, random_technology
@@ -29,6 +30,13 @@ class TestEvaluateQuantity:
             CES(beta_L=0.3, beta_M=0.3, sigma=0.0, v=1.0)
         with pytest.raises(ParameterError):
             CES(beta_L=0.3, beta_M=0.3, sigma=1.0, v=1.0)
+
+    @pytest.mark.parametrize(
+        "cls, name", [(CES, "sigma"), (CES, "beta_L"), (CES, "v"), (CobbDouglas, "beta_K"), (CobbDouglas, "beta_M")]
+    )
+    def test_nan_parameter_rejected_at_construction(self, cls, name):
+        with pytest.raises(ParameterError):
+            cls(**{name: math.nan})
 
 
 class TestAggregate:
@@ -107,6 +115,15 @@ def test_unknown_input_name_rejected(tech, method, args, allowed):
     for which in sorted({"X", "l", "K"} - set(allowed.split(", "))):
         with pytest.raises(ValueError, match=f"unknown input '{which}'; expected one of {allowed}$"):
             getattr(tech, method)(*args, which)
+
+
+@pytest.mark.parametrize("tech", [CobbDouglas(), CES()], ids=["CD", "CES"])
+def test_flexible_input_formulas_reject_unknown_input(tech):
+    # the aggregate's input names are checked where it reads them, by _pick
+    with pytest.raises(ValueError, match="unknown input 'K'; expected one of L, M$"):
+        revenue_pf_reduced_form(tech, 0.5, 3.0, 1.0, 1.5, 0.3, 1.0, "K")
+    with pytest.raises(ValueError, match="unknown input 'K'; expected one of L, M$"):
+        foc_input_price(tech, 0.5, 3.0, 1.0, 1.5, "K")
 
 
 class TestRevenuePredictors:
