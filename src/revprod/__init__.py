@@ -16,7 +16,6 @@ from .costmin import (
     cost_min_numeric,
     foc_input_price,
     marginal_cost_closed_form,
-    unit_cost_numeric,
 )
 from .diagnostics import (
     IdentificationReport,

@@ -15,6 +15,7 @@ import configparser
 import dataclasses
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +79,10 @@ def _value(field, text):
         return tuple(text.split()) or None
     if field.name == "which_v":
         return text.strip().upper()
-    return type(field.default)(text)
+    value = type(field.default)(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()}")
+    return value
 
 
 def _load(parser, name, cls, keys=(), **given):

@@ -8,7 +8,9 @@ subject to producing at least a target level with the capital stock fixed:
 Because h is homogeneous of degree one, the cost function factorizes as
 C = F_inverse(K, T) * C2(pL, pM), with C2 the minimum expenditure needed to
 reach h = 1.  Everything downstream (marginal cost, input-price identities,
-the revenue predictors) is a composition of those two pieces.
+the revenue predictors) is a composition of those two pieces.  F is strictly
+increasing in h, so F(K, h) >= F(K, 1) exactly when h >= 1: the unit program
+is the output program at target F(K, 1), and C2 is its minimized cost.
 
 Two independent routes are kept side by side on purpose: a numeric solver in
 log-input space (the oracle), and the closed-form dual objects of the two
@@ -17,9 +19,9 @@ technologies' unit_cost).  Tests require them to agree; the closed forms are
 the fast production path.  The oracle takes arrays and solves their rows
 together by damped Newton on the stationarity/feasibility system, each step
 evaluating only the rows still moving, with a forward-difference Jacobian
-built from primal objects only (output, elasticities, h), so it never reads
-the duals it checks.  Rows whose KKT residual stays above tolerance are named
-in the SolverError.
+built from primal objects only (output and elasticities), so it never reads
+the duals it checks.  F_inverse decides attainability before the solve; rows
+whose KKT residual stays above tolerance are named in the SolverError.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .technology import CES, DomainError, Technology, _check_positive
+from .technology import Technology, _check_positive
 
 __all__ = [
     "SolverError",
     "CostSolution",
     "cost_min_numeric",
-    "unit_cost_numeric",
     "conditional_demands",
     "marginal_cost_closed_form",
     "foc_input_price",
@@ -65,31 +66,14 @@ class CostSolution:
     kkt_residual: np.ndarray
 
 
-def _attainability_guard(tech: Technology, K, target) -> None:
-    """Reject CES targets that no interior (L, M) reaches, naming the rows."""
-    if isinstance(tech, CES):
-        K, target = np.broadcast_arrays(np.asarray(K, float), np.asarray(target, float))
-        bound = tech.beta_K ** (tech.v / tech.sigma) * K**tech.v
-        if tech.sigma > 0.0:
-            bad, limit = target <= bound, "at or below the capital-only floor"
-        else:
-            bad, limit = target >= bound, "at or above the capacity ceiling implied by the fixed capital stock"
-        if np.any(bad):
-            rows = np.flatnonzero(bad)
-            raise DomainError(
-                f"target {target.flat[rows[0]]:g} {limit} {bound.flat[rows[0]]:g} at rows {rows[:10].tolist()}; "
-                "flexible-input demand is not interior"
-            )
-
-
 def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
     """Damped Newton on the KKT system of min pL*e^z1 + pM*e^z2 s.t. c(z) >= 0.
 
-    target is None for the unit-aggregate program (c = log h) and the output
-    target otherwise (c = log F - log target).  From z = 0, each step solves
-    the 2x2 system [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the
-    constraint's elasticity in V, against a forward-difference Jacobian, and
-    is clipped to +-1 in each log input.  A row takes one more step after its
+    The constraint is c = log output(K, e^z1, e^z2) - log target; the unit-
+    aggregate program is the one at target F(K, 1).  From z = 0, each step
+    solves the 2x2 system [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the
+    output elasticity in V, against a forward-difference Jacobian, and is
+    clipped to +-1 in each log input.  A row takes one more step after its
     relative KKT residual first reaches NEWTON_TOL and then stops moving, so
     rows solved together or alone end at the same point.  Each step
     evaluates the system only on the rows that moved on the previous one:
@@ -100,20 +84,13 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
     primal objects and finite differences are used, so the solution stays
     independent of the closed-form duals.
     """
-    shape = np.broadcast(K, pL, pM, 1.0 if target is None else target).shape
-    K, pL, pM = (np.broadcast_to(np.asarray(x, float), shape).ravel() for x in (K, pL, pM))
-    if target is not None:
-        target = np.broadcast_to(np.asarray(target, float), shape).ravel()
-        log_target = np.log(target)
+    shape = np.broadcast(K, pL, pM, target).shape
+    K, pL, pM, target = (np.broadcast_to(np.asarray(x, float), shape).ravel() for x in (K, pL, pM, target))
 
-    def kkt(z, K, pL, pM, log_target=None):
+    def kkt(z, K, pL, pM, log_target):
         L, M = np.exp(z)
-        if target is None:
-            h = tech.h(L, M)
-            c, aL, aM = np.log(h), tech.h_dlog(L, M, "L") / h, tech.h_dlog(L, M, "M") / h
-        else:
-            c = np.log(tech.output(K, L, M)) - log_target
-            aL, aM = tech.elasticity(K, L, M, "L"), tech.elasticity(K, L, M, "M")
+        c = np.log(tech.output(K, L, M)) - log_target
+        aL, aM = tech.elasticity(K, L, M, "L"), tech.elasticity(K, L, M, "M")
         gL, gM = pL * L, pM * M
         return np.array([np.log(gL / aL) - np.log(gM / aM), c]), gL, gM, aL, aM
 
@@ -123,7 +100,7 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
     # the rows that moved on the previous step, with their data and iterate,
     # and which of them took their last step
     rows = np.arange(K.size)
-    data = (K, pL, pM) if target is None else (K, pL, pM, log_target)
+    data = (K, pL, pM, np.log(target))
     z_rows = z
     last = np.zeros(K.size, dtype=bool)
     for iters in range(MAX_ITER + 1):
@@ -161,14 +138,11 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
             f"{rows[:10].tolist()} (worst residual {np.max(resid[bad]):.3e})",
             last_iterate=(L.reshape(shape), M.reshape(shape)),
         )
-    # nu is the multiplier of the log-constraint; divide by the target level
-    # to get currency per output unit.
-    lam = nu if target is None else nu / target
     return CostSolution(
         L_star=L.reshape(shape),
         M_star=M.reshape(shape),
         total_cost=(pL * L + pM * M).reshape(shape),
-        lam=lam.reshape(shape),
+        lam=(nu / target).reshape(shape),  # nu prices the log-constraint: / target gives currency per output unit
         iterations=iters,
         kkt_residual=resid.reshape(shape),
     )
@@ -186,14 +160,8 @@ def cost_min_numeric(tech: Technology, K, pL, pM, target) -> CostSolution:
     stays above KKT_TOL.
     """
     _check_positive(K=K, pL=pL, pM=pM, target=target)
-    _attainability_guard(tech, K, target)
+    tech.F_inverse(K, target)  # raises DomainError naming the rows no interior (L, M) reaches
     return _solve_log_program(tech, K, pL, pM, target)
-
-
-def unit_cost_numeric(tech: Technology, K, pL, pM) -> CostSolution:
-    """Numeric oracle for the unit-aggregate program min pL*L + pM*M s.t. h >= 1 (batched)."""
-    _check_positive(K=K, pL=pL, pM=pM)
-    return _solve_log_program(tech, K, pL, pM, None)
 
 
 def conditional_demands(tech: Technology, K, pL, pM, target):
@@ -235,4 +203,6 @@ def foc_input_price(tech: Technology, L, M, pL, pM, which_v: str):
     gradient by offsetting factors, so it cancels from the implied price.
     """
     _check_positive(L=L, M=M, pL=pL, pM=pM)
-    return tech.unit_cost(pL, pM) * tech.h_dlevel(L, M, which_v)
+    # h_dlog rejects a which_v other than L or M
+    V = np.asarray(L if which_v == "L" else M, float)
+    return tech.unit_cost(pL, pM) * (tech.h_dlog(L, M, which_v) / V)

@@ -264,7 +264,9 @@ def _contrast_variant(tech: Technology):
     if isinstance(tech, CobbDouglas):
         # shifting one flexible exponent moves the identified ratio
         return "beta_L", CobbDouglas(tech.beta_K, tech.beta_L * 1.2, tech.beta_M)
-    return "sigma", CES(tech.beta_L, tech.beta_M, tech.sigma + 0.1 if tech.sigma < 0.8 else tech.sigma - 0.1, tech.v)
+    # step up by 0.1 unless that leaves the model (sigma < 1, sigma != 0)
+    up = tech.sigma + 0.1
+    return "sigma", CES(tech.beta_L, tech.beta_M, up if tech.sigma < 0.8 and up != 0.0 else tech.sigma - 0.1, tech.v)
 
 
 def build_identification_report(panel: Panel, tech: Technology, ms: MomentSystem) -> IdentificationReport:

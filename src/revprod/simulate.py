@@ -228,7 +228,7 @@ def _pricing_root(tech: Technology, K, omega, pL, pM, mu, eta, scale, cal_e):
         if np.max(np.abs(g)) < 1e-13:
             break
     else:
-        bad = np.nonzero(np.abs(g) > 1e-10)[0]
+        bad = np.nonzero(~(np.abs(g) <= 1e-10))[0]
         raise SimulationError(f"pricing fixed point failed to converge at rows {bad[:10].tolist()}")
     return np.exp(x)
 

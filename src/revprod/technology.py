@@ -120,10 +120,6 @@ class CobbDouglas:
         w = _pick(which, L=a, M=1.0 - a)
         return w * self.h(L, M)
 
-    def h_dlevel(self, L, M, which: str):
-        V = _pick(which, L=L, M=M)
-        return self.h_dlog(L, M, which) / np.asarray(V, float)
-
     def F(self, K, y):
         return np.asarray(K, float) ** self.beta_K * np.asarray(y, float) ** self.variable_scale
 
@@ -199,46 +195,46 @@ class CES:
         V = np.asarray(_pick(which, L=L, M=M), float)
         return bV * V ** s * self.h(L, M) ** (1.0 - s)
 
-    def h_dlevel(self, L, M, which: str):
-        V = np.asarray(_pick(which, L=L, M=M), float)
-        return self.h_dlog(L, M, which) / V
+    def _outer(self, K, y):
+        """beta_K*K^sigma + y^sigma, the sum that F raises to v/sigma."""
+        return self.beta_K * np.asarray(K, float) ** self.sigma + np.asarray(y, float) ** self.sigma
 
     def F(self, K, y):
-        s = self.sigma
-        base = self.beta_K * np.asarray(K, float) ** s + np.asarray(y, float) ** s
-        return base ** (self.v / s)
+        return self._outer(K, y) ** (self.v / self.sigma)
 
     def F_dy(self, K, y):
         s = self.sigma
-        base = self.beta_K * np.asarray(K, float) ** s + np.asarray(y, float) ** s
-        return self.v * base ** (self.v / s - 1.0) * np.asarray(y, float) ** (s - 1.0)
+        return self.v * self._outer(K, y) ** (self.v / s - 1.0) * np.asarray(y, float) ** (s - 1.0)
 
     def F_inverse(self, K, z):
+        """Aggregate level y with F(K, y) = z; DomainError names the rows whose z no y > 0 reaches."""
         s = self.sigma
         base = np.asarray(z, float) ** (s / self.v) - self.beta_K * np.asarray(K, float) ** s
         if np.any(base <= 0.0):
-            raise DomainError("output level not attainable with the given capital stock")
+            z, K = np.broadcast_arrays(np.asarray(z, float), np.asarray(K, float))
+            rows = np.flatnonzero(base <= 0.0)
+            raise DomainError(
+                f"output level {z.flat[rows[0]]:g} not attainable with capital stock {K.flat[rows[0]]:g} "
+                f"at rows {rows[:10].tolist()}; flexible-input demand is not interior"
+            )
         return base ** (1.0 / s)
 
-    def output(self, K, L, M):
+    def _den(self, K, L, M):
+        """beta_K*K^sigma + beta_L*L^sigma + beta_M*M^sigma, the sum that output raises to v/sigma."""
         s = self.sigma
-        den = (
+        return (
             self.beta_K * np.asarray(K, float) ** s
             + self.beta_L * np.asarray(L, float) ** s
             + self.beta_M * np.asarray(M, float) ** s
         )
-        return den ** (self.v / s)
+
+    def output(self, K, L, M):
+        return self._den(K, L, M) ** (self.v / self.sigma)
 
     def elasticity(self, K, L, M, which: str):
-        s = self.sigma
         bV = _pick(which, K=self.beta_K, L=self.beta_L, M=self.beta_M)
         V = np.asarray(_pick(which, K=K, L=L, M=M), float)
-        den = (
-            self.beta_K * np.asarray(K, float) ** s
-            + self.beta_L * np.asarray(L, float) ** s
-            + self.beta_M * np.asarray(M, float) ** s
-        )
-        return self.v * bV * V ** s / den
+        return self.v * bV * V ** self.sigma / self._den(K, L, M)
 
     # -- dual objects -----------------------------------------------------
 
@@ -298,6 +294,8 @@ class DemandConfig:
     def __post_init__(self):
         if not self.eta > 1.0:
             raise ParameterError("demand elasticity eta must exceed 1")
+        if not self.scale > 0.0:
+            raise ParameterError("scale must be strictly positive")
         if self.eta_dispersion < 0.0:
             raise ParameterError("eta_dispersion must be nonnegative")
 

@@ -241,6 +241,20 @@ def test_diagnose_ces_verdicts(ces_ini, tmp_path):
     assert set(rep["thresholds"]) == {"flat_tol", "rank_rtol", "omega_min_corr"}
 
 
+def test_diagnose_ces_sigma_next_to_zero(tmp_path):
+    # the sigma contrast steps away from sigma = -0.1 without reaching sigma = 0, outside the model
+    ini = tmp_path / "ces-neg.ini"
+    ini.write_text(CES_CONFIG.format(out=tmp_path).replace("sigma = 0.50", "sigma = -0.1"))
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    rep = json.loads((tmp_path / "identification_report.json").read_text())
+    assert rep["contrast_param"] == "sigma" and rep["contrast_gap"] > 0.0
+    assert rep["verdicts"] == {
+        "sigma": "identified", "beta_L": "identified-ratio-only", "beta_M": "identified-ratio-only",
+        "v": "not identified", "omega": "not identified",
+    }
+
+
 def test_diagnose_omega_verdict_is_recovery_not_a_chance_correlation(tmp_path):
     # configs/ces.ini at seed 13: the revenue residual's correlation with omega crosses 3/sqrt(n_obs) by chance
     # (0.0457 against 0.0424), and omega stays not identified, since the residual does not recover it
@@ -466,6 +480,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
     "section, line",
     [
         ("demand", "eta = 0.5"),
+        ("demand", "scale = 0"),
+        ("demand", "scale = -1"),
         ("productivity", "rho = 1.5"),
         ("capital", "kappa_k = 1.0"),
         ("prices", "rho_pm = 1.0"),
@@ -479,6 +495,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
     ],
     ids=[
         "demand",
+        "demand_scale_zero",
+        "demand_scale_negative",
         "productivity",
         "capital",
         "prices",
@@ -496,6 +514,20 @@ def test_bad_value_names_file_and_section(tmp_path, caplog, section, line):
     ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[{section}]\n{line}\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
     assert f"{ini}: [{section}] " in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("technology", "beta_l"), ("demand", "scale"), ("productivity", "sigma_xi"), ("capital", "kappa0"), ("prices", "sigma_pl"), ("shocks", "sigma_eps")],
+)
+def test_non_finite_value_names_the_key(tmp_path, caplog, section, key, value):
+    ini = tmp_path / "bad.ini"
+    line = f"{key} = {value}\n" if section == "technology" else f"\n[{section}]\n{key} = {value}\n"
+    ini.write_text(f"[run]\nseed = 1\n\n[technology]\nkind = CD\n{line}")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert f"{ini}: [{section}] {key}: must be finite, got {value}" in caplog.text
     assert not (tmp_path / "s").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from revprod.costmin import (
     cost_min_numeric,
     foc_input_price,
     marginal_cost_closed_form,
-    unit_cost_numeric,
 )
 from revprod.technology import CES, CobbDouglas, DomainError
 
@@ -77,6 +77,34 @@ class TestNumericOracle:
         with pytest.raises(DomainError, match=r"rows \[3\]"):
             cost_min_numeric(tech, K, 1.0, 1.0, target)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda tech, K, target: tech.F_inverse(K, target), lambda tech, K, target: conditional_demands(tech, K, 1.0, 1.0, target)],
+        ids=["F_inverse", "conditional_demands"],
+    )
+    def test_closed_forms_name_the_unattainable_row(self, solve):
+        tech = CES(0.3, 0.4, 0.5, 0.9)
+        K = np.array([1.0, 1.0, 3.0, 1.0])
+        floor = tech.beta_K ** (tech.v / tech.sigma) * K**tech.v
+        target = 4.0 * floor
+        target[2] = 0.5 * floor[2]
+        message = f"output level {target[2]:g} not attainable with capital stock 3 at rows [2]; flexible-input demand is not interior"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            solve(tech, K, target)
+
+    def test_target_above_the_ces_capacity_ceiling_named(self):
+        # sigma < 0: F(K, y) rises to the ceiling beta_K^(v/sigma) * K^v as y grows, and never reaches it
+        tech = CES(0.3, 0.4, -0.5, 0.9)
+        K = np.array([1.0, 2.0, 1.0, 1.0, 2.0])
+        ceiling = tech.beta_K ** (tech.v / tech.sigma) * K**tech.v
+        target = 0.5 * ceiling
+        target[[1, 4]] = [1.2 * ceiling[1], 1.5 * ceiling[4]]
+        message = f"output level {target[1]:g} not attainable with capital stock 2 at rows [1, 4]; flexible-input demand is not interior"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cost_min_numeric(tech, K, 1.0, 1.0, target)
+        sol = cost_min_numeric(tech, K[[0, 2, 3]], 1.0, 1.0, target[[0, 2, 3]])
+        assert np.all(sol.kkt_residual <= 1e-9)
+
 
 class TestBatchedOracle:
     def test_batch_matches_row_by_row(self):
@@ -100,7 +128,8 @@ class TestBatchedOracle:
     def test_unit_cost_on_price_grid(self):
         pL, pM = np.meshgrid(np.exp(np.linspace(-1.0, 1.0, 15)), np.exp(np.linspace(-1.0, 1.0, 15)))
         for tech in (CobbDouglas(0.2, 0.3, 0.45), CES(0.3, 0.4, 0.5, 0.9), CES(0.35, 0.3, -0.8, 1.1)):
-            sol = unit_cost_numeric(tech, 1.0, pL, pM)
+            # F is increasing in h, so the unit program is the output program at target F(K, 1)
+            sol = cost_min_numeric(tech, 1.0, pL, pM, tech.F(1.0, 1.0))
             closed = tech.unit_cost(pL, pM)
             assert sol.total_cost.shape == pL.shape
             assert np.max(np.abs(sol.total_cost - closed) / closed) <= 1e-12
@@ -176,7 +205,7 @@ class TestUnitAggregateCost:
                 tech = random_technology(rng, kind)
                 _, _, _, pL, pM = random_point(rng)
                 closed = tech.unit_cost(pL, pM)
-                numeric = unit_cost_numeric(tech, 1.0, pL, pM).total_cost
+                numeric = cost_min_numeric(tech, 1.0, pL, pM, tech.F(1.0, 1.0)).total_cost
                 assert abs(closed - numeric) <= 1e-7 * closed
 
     def test_price_homogeneity(self):
@@ -278,7 +307,7 @@ class TestFocInputPrice:
             _, L, M, pL, pM = random_point(rng)
             pl_hat = foc_input_price(tech, L, M, pL, pM, "L")
             pm_hat = foc_input_price(tech, L, M, pL, pM, "M")
-            mrs = tech.h_dlevel(L, M, "L") / tech.h_dlevel(L, M, "M")
+            mrs = (tech.h_dlog(L, M, "L") / L) / (tech.h_dlog(L, M, "M") / M)
             assert pl_hat / pm_hat == pytest.approx(mrs, rel=1e-12)
 
     def test_matches_actual_prices_at_optimum(self):

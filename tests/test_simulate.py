@@ -15,6 +15,7 @@ from revprod.simulate import (
     PriceProcess,
     ProductivityProcess,
     SimConfig,
+    SimulationError,
     simulate_panel,
     verify_panel,
 )
@@ -252,3 +253,14 @@ class TestConfigValidation:
             CapitalPolicy(kappa_k=1.0)
         with pytest.raises(ParameterError):
             PriceProcess(rho_pL=1.01)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_non_positive_demand_scale_rejected(self, scale):
+        with pytest.raises(ParameterError, match="scale must be strictly positive"):
+            DemandConfig(scale=scale)
+
+    def test_unsolved_pricing_rows_named(self):
+        # a NaN volatility passes the price process's sign check and leaves every row's pricing residual NaN
+        cfg = SimConfig(tech=CES(), prices=PriceProcess(sigma_pL=math.nan), n_firms=20, n_periods=3, seed=1)
+        with pytest.raises(SimulationError, match=r"pricing fixed point failed to converge at rows \[0, 1, 2, "):
+            simulate_panel(cfg)

@@ -107,7 +107,6 @@ class TestElasticities:
     [
         ("elasticity", (2.0, 0.5, 3.0), "K, L, M"),
         ("h_dlog", (0.5, 3.0), "L, M"),
-        ("h_dlevel", (0.5, 3.0), "L, M"),
     ],
 )
 def test_unknown_input_name_rejected(tech, method, args, allowed):
