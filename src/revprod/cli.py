@@ -96,11 +96,10 @@ def _moment_system(cfg: RunConfig, panel, mode: str):
     """The configured moment system in mode."""
     est = cfg.estimation
     kind = cfg.sim.tech.kind
-    kwargs = {} if est.instruments is None else {"instruments": est.instruments}
     if mode == "revenue":
-        return build_revenue_moments(kind, panel, which_v=est.which_v, **kwargs)
+        return build_revenue_moments(kind, panel, which_v=est.which_v, instruments=est.instruments)
     fs = first_stage_project(panel, est.first_stage_degree)
-    return build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, **kwargs)
+    return build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, instruments=est.instruments)
 
 
 def cmd_estimate(args) -> int:

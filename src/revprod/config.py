@@ -3,10 +3,10 @@
 Each section is read into one dataclass (README, "Config", has the table):
 its keys are the dataclass's init fields, lowercased, and a key left out
 takes the default the dataclass declares.  [technology] accepts `kind` and
-only the fields of the family it names, CobbDouglas or CES.  Every command
-reads the same file; sections it does not need are ignored at run time but
-still validated, so a typo or a misplaced key fails loudly at parse time
-rather than silently falling back to a default.
+only the fields of the class technology.FAMILIES maps that kind to.  Every
+command reads the same file; sections it does not need are ignored at run
+time but still validated, so a typo or a misplaced key fails loudly at parse
+time rather than silently falling back to a default.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
+from .estimate import DEFAULT_INSTRUMENTS
 from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig, check_markup
-from .technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
+from .technology import FAMILIES, DemandConfig, ParameterError, ShockConfig
 
 __all__ = ["ConfigError", "EstimationSettings", "RunConfig", "parse_config"]
 
@@ -37,7 +37,7 @@ class EstimationSettings:
     g_degree: int = 1
     weighting: str = "two-step"
     which_v: str = "M"
-    instruments: Optional[tuple] = None  # None: package default set
+    instruments: tuple = DEFAULT_INSTRUMENTS
 
     def __post_init__(self):
         for name in ("first_stage_degree", "g_degree"):
@@ -61,7 +61,6 @@ class RunConfig:
 # still parse, and ignored
 _RETIRED_ESTIMATION_KEYS = ("restarts", "screen", "restart_seed")
 _SECTIONS = ("run", "technology", "demand", "productivity", "capital", "prices", "shocks", "panel", "estimation", "diagnostics")
-_TECHNOLOGIES = {"CD": CobbDouglas, "CES": CES}
 
 
 def _section(parser, name, keys):
@@ -76,7 +75,7 @@ def _section(parser, name, keys):
 def _value(field, text):
     """A key's text as the type of its field's default."""
     if field.name == "instruments":
-        return tuple(text.split()) or None
+        return tuple(text.split()) or field.default
     if field.name == "which_v":
         return text.strip().upper()
     value = type(field.default)(text)
@@ -126,16 +125,16 @@ def _run_config(parser, require_seed):
     if not parser.has_section("technology"):
         raise ConfigError("config must have a [technology] section")
     kind = parser["technology"].get("kind", "").strip().upper()
-    if kind not in _TECHNOLOGIES:
-        raise ConfigError(f"[technology] kind must be CD or CES, got {kind!r}")
+    if kind not in FAMILIES:
+        raise ConfigError(f"[technology] kind must be {' or '.join(FAMILIES)}, got {kind!r}")
 
-    tech = _load(parser, "technology", _TECHNOLOGIES[kind], keys=("kind",))
+    tech = _load(parser, "technology", FAMILIES[kind], keys=("kind",))
     demand = _load(parser, "demand", DemandConfig)
     try:
         check_markup(tech, demand)
     except ParameterError as exc:
         # SimConfig makes this check too, but no [panel] key can fix it
-        scale = "beta_l + beta_m" if kind == "CD" else "v"
+        scale = tech.variable_scale_fields.lower()
         raise ConfigError(f"[technology] {scale} and [demand] eta: {exc}, or set [demand] eta_dispersion > 0") from exc
     sim = _load(
         parser,

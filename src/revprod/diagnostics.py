@@ -29,14 +29,14 @@ residuals recover it almost perfectly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .estimate import DEFAULT_BOUNDS, REVENUE_COLUMNS, MomentSystem, revenue_predictor, to_chart, to_theta
 from .panel_io import Panel
-from .technology import CES, CobbDouglas, ParameterError, Technology
+from .technology import FAMILIES, ParameterError, Technology
 
 __all__ = [
     "ProfileCurve",
@@ -112,13 +112,13 @@ def profile_scan(
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
     beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which to_chart maps into the chart
     once; each grid point replaces param_name's coordinate, and the objective is taken at that chart point.
-    The whole grid is checked before any evaluation: at each point, theta must make a technology of the family's
-    class, CES or CobbDouglas, whose ParameterError names the bound the first point outside the model breaks.
+    The whole grid is checked before any evaluation: at each point, theta must make a technology of the class
+    FAMILIES[ms.tech_kind], whose ParameterError names the bound the first point outside the model breaks.
     """
     chart = ms.chart
     if param_name not in chart.names:
         raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
-    family = CES if ms.tech_kind == "CES" else CobbDouglas
+    family = FAMILIES[ms.tech_kind]
     x = to_chart(other_params)
     i = chart.names.index(param_name)
     for g in grid:
@@ -253,20 +253,18 @@ class IdentificationReport:
 
 
 def _free_param_variant(tech: Technology):
-    if isinstance(tech, CobbDouglas):
-        alt = CobbDouglas(beta_K=tech.beta_K + 0.3, beta_L=tech.beta_L, beta_M=tech.beta_M)
-        return "beta_K", alt
-    alt = CES(beta_L=tech.beta_L, beta_M=tech.beta_M, sigma=tech.sigma, v=tech.v + 0.3)
-    return "v", alt
+    """tech with + 0.3 on its one field that revenue never reads, beta_K or v."""
+    (name,) = {f.name for f in fields(tech)} - {"beta_L", "beta_M", "sigma"}
+    return name, replace(tech, **{name: getattr(tech, name) + 0.3})
 
 
 def _contrast_variant(tech: Technology):
-    if isinstance(tech, CobbDouglas):
+    if not hasattr(tech, "sigma"):
         # shifting one flexible exponent moves the identified ratio
-        return "beta_L", CobbDouglas(tech.beta_K, tech.beta_L * 1.2, tech.beta_M)
+        return "beta_L", replace(tech, beta_L=tech.beta_L * 1.2)
     # step up by 0.1 unless that leaves the model (sigma < 1, sigma != 0)
     up = tech.sigma + 0.1
-    return "sigma", CES(tech.beta_L, tech.beta_M, up if tech.sigma < 0.8 and up != 0.0 else tech.sigma - 0.1, tech.v)
+    return "sigma", replace(tech, sigma=up if tech.sigma < 0.8 and up != 0.0 else tech.sigma - 0.1)
 
 
 def build_identification_report(panel: Panel, tech: Technology, ms: MomentSystem) -> IdentificationReport:

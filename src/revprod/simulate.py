@@ -31,7 +31,7 @@ import numpy as np
 
 from . import costmin
 from .panel_io import COLUMNS, Panel
-from .technology import CobbDouglas, DemandConfig, ParameterError, ShockConfig, Technology, revenue_pf_reduced_form
+from .technology import DemandConfig, ParameterError, ShockConfig, Technology, _check_fields, revenue_pf_reduced_form
 
 __all__ = [
     "SimulationError",
@@ -63,8 +63,7 @@ class ProductivityProcess:
     def __post_init__(self):
         if not abs(self.rho) < 1.0:
             raise ParameterError("productivity process must be stationary (|rho| < 1)")
-        if self.sigma_xi < 0.0:
-            raise ParameterError("sigma_xi must be nonnegative")
+        _check_fields(self, nonnegative=("sigma_xi",))
 
     @property
     def mean(self) -> float:
@@ -86,8 +85,7 @@ class CapitalPolicy:
     def __post_init__(self):
         if not abs(self.kappa_k) < 1.0:
             raise ParameterError("capital policy must be stable (|kappa_k| < 1)")
-        if self.sigma_k < 0.0:
-            raise ParameterError("sigma_k must be nonnegative")
+        _check_fields(self, nonnegative=("sigma_k",))
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,10 @@ class PriceProcess:
     dispersion_pK: float = 0.10
 
     def __post_init__(self):
-        for r in (self.rho_pL, self.rho_pM, self.rho_pK):
-            if not abs(r) < 1.0:
-                raise ParameterError("price processes must be stationary (|rho| < 1)")
-        if min(self.sigma_pL, self.sigma_pM, self.sigma_pK, self.dispersion_pL, self.dispersion_pM, self.dispersion_pK) < 0:
-            raise ParameterError("price volatilities must be nonnegative")
+        for name in ("rho_pL", "rho_pM", "rho_pK"):
+            if not abs(getattr(self, name)) < 1.0:
+                raise ParameterError(f"price processes must be stationary (|{name}| < 1)")
+        _check_fields(self, nonnegative=("sigma_pL", "sigma_pM", "sigma_pK", "dispersion_pL", "dispersion_pM", "dispersion_pK"))
 
 
 @dataclass(frozen=True)
@@ -147,14 +144,9 @@ class SimConfig:
         check_markup(self.tech, self.demand)
 
 
-def _short_run_scale(tech: Technology) -> float:
-    """Returns to the flexible inputs at fixed capital: beta_L + beta_M for CD, v for CES."""
-    return tech.variable_scale if isinstance(tech, CobbDouglas) else tech.v
-
-
 def check_markup(tech: Technology, demand: DemandConfig):
     """The pricing fixed point needs the short-run scale below the markup, unless eta varies by firm."""
-    scale = _short_run_scale(tech)
+    scale = tech.variable_scale
     if scale >= demand.mu and demand.eta_dispersion == 0.0:
         raise ParameterError(
             "pricing fixed point needs short-run scale below the markup "
@@ -195,35 +187,24 @@ def _pricing_root(tech: Technology, K, omega, pL, pM, mu, eta, scale, cal_e):
     P = mu * marginal cost jointly clear the demand curve Qstar = scale * P^(-eta).
     The residual in x = log y is strictly increasing whenever the short-run
     returns stay below the markup, so Newton from x = 0 with step clipping
-    converges for every row at once.
+    converges for every row at once.  The slope, e_F - eta * e_Fy, reads
+    the technology's F_elasticities.
     """
     c2 = tech.unit_cost(pL, pM)
     log_mu_c2 = np.log(mu) + np.log(c2)
     omega = np.asarray(omega, float)
     log_scale = math.log(scale)
     log_cal_e = math.log(cal_e)
-
-    def resid_and_slope(x):
-        y = np.exp(x)
-        F = tech.F(K, y)
-        Fy = tech.F_dy(K, y)
-        log_qtilde = np.log(F) + omega
-        log_lam = log_mu_c2 - np.log(Fy) - omega - log_cal_e
-        g = log_qtilde - log_scale + np.asarray(eta) * log_lam
-        if isinstance(tech, CobbDouglas):
-            s = tech.variable_scale
-            slope = s + np.asarray(eta) * (1.0 - s)
-            slope = np.broadcast_to(slope, np.shape(g))
-        else:
-            sg = tech.sigma
-            w = y**sg / (tech.beta_K * K**sg + y**sg)
-            slope = tech.v * w + np.asarray(eta) * ((1.0 - sg) - (tech.v - sg) * w)
-        return g, slope
+    eta = np.asarray(eta)
 
     x = np.zeros(np.broadcast(K, omega, pL, pM).shape)
     for _ in range(80):
-        g, slope = resid_and_slope(x)
-        step = np.clip(-g / slope, -4.0, 4.0)
+        y = np.exp(x)
+        log_qtilde = np.log(tech.F(K, y)) + omega
+        log_lam = log_mu_c2 - np.log(tech.F_dy(K, y)) - omega - log_cal_e
+        g = log_qtilde - log_scale + eta * log_lam
+        e_F, e_Fy = tech.F_elasticities(K, y)
+        step = np.clip(-g / (e_F - eta * e_Fy), -4.0, 4.0)
         x = x + step
         if np.max(np.abs(g)) < 1e-13:
             break
@@ -254,7 +235,7 @@ def simulate_panel(cfg: SimConfig) -> Panel:
     else:
         eta_i = np.full(n, demand.eta)
     mu_i = eta_i / (eta_i - 1.0)
-    bad = np.nonzero(mu_i <= _short_run_scale(tech))[0]
+    bad = np.nonzero(mu_i <= tech.variable_scale)[0]
     if bad.size:
         raise SimulationError(f"drawn demand elasticities leave no pricing fixed point for firms {bad[:10].tolist()}")
 

@@ -14,24 +14,28 @@ h = 1) a well-defined object, which in turn makes target revenue purely a
 composition of h and that unit cost.
 
 Each primal and dual object (h, F, output, elasticity, unit_cost,
-unit_demand) is a method of the technology class and has no other name.
-revenue_pf_reduced_form below is the level form of that composition, built
-from a technology's unit_cost and h_dlog methods; the panel checks use it as
-the independent reference.  The parametric log-revenue formula that the
-estimator and the identification diagnostics evaluate lives in one place,
-revprod.estimate.revenue_predictor.  Neither reads the capital exponent
-(Cobb-Douglas), the returns-to-scale parameter (CES), or omega, so equality
-of predictions across those parameters is structural, not numerical.
-revenue_predictor reads the flexible block in the estimator's chart, as sigma
-and the share ratio beta_L/(beta_L+beta_M), so its predictions are
-bit-identical across the share scale beta_L+beta_M too; the level form reads
-beta_L and beta_M, from which the scale cancels only up to rounding.
+unit_demand) is a method of the technology class and has no other name, and
+the classes are the only place that names a family: FAMILIES maps a kind to
+its class, F_elasticities gives d log F/d log y and d log F_y/d log y (the
+pricing Newton slope), and variable_scale, the supremum of d log F/d log y,
+is the markup bound.  revenue_pf_reduced_form below is the level form of
+the revenue composition, built from a technology's unit_cost and h_dlog
+methods; the panel checks use it as the independent reference.  The
+parametric log-revenue formula that the estimator and the identification
+diagnostics evaluate lives in one place, revprod.estimate.revenue_predictor.
+Neither reads the capital exponent (Cobb-Douglas), the returns-to-scale
+parameter (CES), or omega, so equality of predictions across those
+parameters is structural, not numerical.  revenue_predictor reads the
+flexible block in the estimator's chart, as sigma and the share ratio
+beta_L/(beta_L+beta_M), so its predictions are bit-identical across the
+share scale beta_L+beta_M too; the level form reads beta_L and beta_M, from
+which the scale cancels only up to rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -42,6 +46,7 @@ __all__ = [
     "CobbDouglas",
     "CES",
     "Technology",
+    "FAMILIES",
     "ShockConfig",
     "DemandConfig",
     "revenue_pf_reduced_form",
@@ -61,6 +66,16 @@ def _check_positive(**named) -> None:
         arr = np.asarray(value, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise DomainError(f"{name} must be finite and strictly positive")
+
+
+def _check_fields(params, nonnegative=()) -> None:
+    """ParameterError naming the first init field of params that is negative and listed in nonnegative, or not finite."""
+    for name in (f.name for f in fields(params) if f.init):
+        value = getattr(params, name)
+        if name in nonnegative and value < 0.0:
+            raise ParameterError(f"{name} must be nonnegative")
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def _pick(which: str, **by_input):
@@ -91,12 +106,14 @@ class CobbDouglas:
     beta_M: float = 0.40
 
     kind = "CD"
+    variable_scale_fields = "beta_L + beta_M"
 
     def __post_init__(self):
         if not (self.beta_L > 0.0 and self.beta_M > 0.0):
             raise ParameterError("beta_L and beta_M must be strictly positive")
         if not self.beta_K >= 0.0:
             raise ParameterError("beta_K must be nonnegative")
+        _check_fields(self)
 
     @property
     def variable_scale(self) -> float:
@@ -130,6 +147,10 @@ class CobbDouglas:
     def F_inverse(self, K, z):
         """Aggregate level y with F(K, y) = z."""
         return (np.asarray(z, float) * np.asarray(K, float) ** (-self.beta_K)) ** (1.0 / self.variable_scale)
+
+    def F_elasticities(self, K, y):
+        """(d log F/d log y, d log F_y/d log y) at (K, y)."""
+        return self.variable_scale, self.variable_scale - 1.0
 
     def output(self, K, L, M):
         return self.F(K, self.h(L, M))
@@ -167,6 +188,7 @@ class CES:
     v: float = 0.90
 
     kind = "CES"
+    variable_scale_fields = "v"
 
     def __post_init__(self):
         if not (self.beta_L > 0.0 and self.beta_M > 0.0):
@@ -177,10 +199,16 @@ class CES:
             raise ParameterError("sigma must satisfy sigma < 1, sigma != 0")
         if not self.v > 0.0:
             raise ParameterError("returns-to-scale v must be strictly positive")
+        _check_fields(self)
 
     @property
     def beta_K(self) -> float:
         return 1.0 - self.beta_L - self.beta_M
+
+    @property
+    def variable_scale(self) -> float:
+        """Supremum of the short-run returns d log F/d log y, which is v; the markup must exceed it."""
+        return self.v
 
     # -- primal objects -------------------------------------------------
 
@@ -218,6 +246,11 @@ class CES:
                 f"at rows {rows[:10].tolist()}; flexible-input demand is not interior"
             )
         return base ** (1.0 / s)
+
+    def F_elasticities(self, K, y):
+        """(d log F/d log y, d log F_y/d log y) at (K, y)."""
+        w = np.asarray(y, float) ** self.sigma / self._outer(K, y)
+        return self.v * w, (self.v - self.sigma) * w - (1.0 - self.sigma)
 
     def _den(self, K, L, M):
         """beta_K*K^sigma + beta_L*L^sigma + beta_M*M^sigma, the sum that output raises to v/sigma."""
@@ -260,6 +293,7 @@ class CES:
 
 
 Technology = Union[CobbDouglas, CES]
+FAMILIES = {"CD": CobbDouglas, "CES": CES}
 
 
 @dataclass(frozen=True)
@@ -274,9 +308,11 @@ class ShockConfig:
     cal_e: float = field(init=False)
 
     def __post_init__(self):
-        if self.sigma_eps < 0.0:
-            raise ParameterError("sigma_eps must be nonnegative")
-        object.__setattr__(self, "cal_e", math.exp(0.5 * self.sigma_eps**2))
+        _check_fields(self, nonnegative=("sigma_eps",))
+        try:
+            object.__setattr__(self, "cal_e", math.exp(0.5 * self.sigma_eps**2))
+        except OverflowError:
+            raise ParameterError(f"sigma_eps = {self.sigma_eps:g} overflows cal_e = exp(sigma_eps^2/2)") from None
 
 
 @dataclass(frozen=True)
@@ -296,8 +332,7 @@ class DemandConfig:
             raise ParameterError("demand elasticity eta must exceed 1")
         if not self.scale > 0.0:
             raise ParameterError("scale must be strictly positive")
-        if self.eta_dispersion < 0.0:
-            raise ParameterError("eta_dispersion must be nonnegative")
+        _check_fields(self, nonnegative=("eta_dispersion",))
 
     @property
     def mu(self) -> float:

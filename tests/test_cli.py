@@ -12,7 +12,7 @@ import pytest
 
 import revprod
 from revprod import estimate
-from revprod.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _write_json, main
+from revprod.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, _write_json, main
 from revprod.config import EstimationSettings, parse_config
 from revprod.diagnostics import build_identification_report, omega_recovery_attempt
 from revprod.estimate import build_quantity_moments, build_revenue_moments, first_stage_project, gmm_minimize
@@ -430,6 +430,14 @@ def test_instruments_key_sets_the_estimate_instruments(cd_ini, tmp_path):
     assert diagnostics["n_moments"] == len(tokens)
 
 
+@pytest.mark.parametrize("line", ["", "instruments =\n"], ids=["no_key", "empty_key"])
+def test_estimation_settings_default_to_the_package_instruments(cd_ini, line):
+    # the library default and the parsed default are one tuple, estimate's
+    assert EstimationSettings().instruments is estimate.DEFAULT_INSTRUMENTS
+    cd_ini.write_text(cd_ini.read_text() + line)
+    assert parse_config(cd_ini).estimation.instruments is estimate.DEFAULT_INSTRUMENTS
+
+
 def test_diagnose_deterministic_report(ces_ini, tmp_path):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "r1")])
@@ -488,6 +496,7 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         ("shocks", "sigma_eps = -0.1"),
         ("panel", "input_solver = foo"),
         ("panel", "n_firms = 1.5"),
+        ("panel", "n_firms = -1"),
         ("estimation", "g_degree = 0"),
         ("estimation", "first_stage_degree = 0"),
         ("estimation", "weighting = three-step"),
@@ -503,6 +512,7 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         "shocks",
         "panel",
         "panel_not_int",
+        "panel_negative",
         "g_degree",
         "first_stage_degree",
         "weighting",
@@ -529,6 +539,60 @@ def test_non_finite_value_names_the_key(tmp_path, caplog, section, key, value):
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
     assert f"{ini}: [{section}] {key}: must be finite, got {value}" in caplog.text
     assert not (tmp_path / "s").exists()
+
+
+def test_overflowing_cal_e_names_sigma_eps(tmp_path, caplog):
+    # cal_e = exp(sigma_eps^2 / 2) overflows a float from sigma_eps = 37.68 on
+    ini = tmp_path / "eps.ini"
+    ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CD\n\n[shocks]\nsigma_eps = 40\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert f"{ini}: [shocks] sigma_eps = 40 overflows cal_e" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nseed = x\n\n[technology]\nkind = CD\n", "{ini}: [run] seed: invalid literal for int() with base 10: 'x'"),
+        ("[run]\nseed = 1\n", "{ini}: config must have a [technology] section"),
+        ("[run]\nseed = 1\n\n[technology]\nkind = CDX\n", "{ini}: [technology] kind must be CD or CES, got 'CDX'"),
+        (None, "cannot read config {ini}: [Errno 2] No such file or directory"),
+    ],
+    ids=["seed_text", "no_technology", "bad_kind", "unreadable"],
+)
+def test_unreadable_or_incomplete_config_rejected(tmp_path, caplog, text, message):
+    ini = tmp_path / "bad.ini"
+    if text is not None:
+        ini.write_text(text)
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert message.format(ini=ini) in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_seedless_config_parses_at_seed_zero_outside_simulate(tmp_path):
+    ini = tmp_path / "noseed.ini"
+    ini.write_text("[technology]\nkind = CD\n")
+    assert parse_config(ini).sim.seed == 0
+
+
+def test_drawn_markup_at_the_scale_exits_3(tmp_path, caplog):
+    # eta varies by firm, so the config's markup check passes, but some firms draw a markup at or below v = 1.2
+    ini = tmp_path / "markup.ini"
+    ini.write_text("[run]\nseed = 1\n\n[technology]\nkind = CES\nv = 1.2\n\n[demand]\neta_dispersion = 1.0\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_SOLVER
+    assert "drawn demand elasticities leave no pricing fixed point for firms" in caplog.text
+    assert not (tmp_path / "s" / "panel.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--mode", "quantity"], ["estimate", "--mode", "revenue"], ["diagnose"]])
+def test_one_period_panel_has_no_lags(cd_ini, tmp_path, caplog, argv):
+    ini = tmp_path / "one.ini"
+    ini.write_text(cd_ini.read_text().replace("n_periods = 8", "n_periods = 1"))
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    rc = main([argv[0], str(tmp_path / "panel.csv"), *argv[1:], "--config", str(ini), "--out", str(tmp_path / "e")])
+    assert rc == EXIT_VALIDATION
+    assert "panel has no consecutive firm-periods; lags unavailable" in caplog.text
+    assert not (tmp_path / "e").exists()
 
 
 def test_scale_above_markup_names_technology_and_demand(tmp_path, caplog):

@@ -14,7 +14,7 @@ from revprod.diagnostics import (
 )
 from revprod.estimate import build_quantity_moments, build_revenue_moments, first_stage_project
 from revprod.panel_io import COLUMNS, Panel
-from revprod.simulate import SimConfig, simulate_panel
+from revprod.simulate import ProductivityProcess, SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas, ShockConfig
 
 from conftest import predicted_log_revenue
@@ -62,6 +62,10 @@ class TestObservationalEquivalence:
     def test_symmetry(self, small_ces_panel):
         a, b = CES(0.3, 0.4, 0.5, 0.9), CES(0.3, 0.4, 0.55, 0.9)
         assert observational_equivalence(a, b, small_ces_panel) == observational_equivalence(b, a, small_ces_panel)
+
+    def test_empty_panel_gap_is_zero(self):
+        empty = simulate_panel(SimConfig(tech=CES(), n_firms=0))
+        assert observational_equivalence(CES(0.3, 0.4, 0.5, 0.9), CES(0.3, 0.4, 0.6, 0.9), empty) == 0.0
 
     def test_kind_mismatch_rejected(self, small_ces_panel):
         with pytest.raises(ValueError, match="kinds differ"):
@@ -228,6 +232,14 @@ class TestOmegaRecovery:
         logs = [np.log(panel.col(c)) for c in ("L", "M", "pL", "pM", "sM_star")]
         resid = np.log(panel.col("R")) - predicted_log_revenue(ces_tech, *logs, cfg.shocks.cal_e, "M")
         assert np.var(resid) == pytest.approx(0.12**2, rel=0.1)
+
+    def test_constant_productivity_correlates_with_nothing(self, ces_tech):
+        # sigma_xi = 0 and c0 = 0 hold omega at 0, so no residual correlates with it
+        prod = ProductivityProcess(rho=0.7, c0=0.0, sigma_xi=0.0)
+        panel = simulate_panel(SimConfig(tech=ces_tech, prod=prod, n_firms=40, n_periods=4, seed=31))
+        rec = omega_recovery_attempt(panel, ces_tech, build_revenue_moments("CES", panel))
+        assert rec.correlation == 0.0
+        assert rec.carries_signal is False
 
     def test_quantity_recovery_fits_the_given_first_stage_degree(self, small_ces_panel, ces_tech):
         # the first stage that estimate --mode quantity fits, at the configured degree, not always 3

@@ -15,6 +15,7 @@ from revprod.estimate import (
     BASIC_INSTRUMENTS,
     DEFAULT_BOUNDS,
     DEFAULT_INSTRUMENTS,
+    EstimationError,
     SearchChart,
     _instrument_matrix,
     _lag_bundle,
@@ -23,6 +24,7 @@ from revprod.estimate import (
     build_revenue_moments,
     first_stage_project,
     gmm_minimize,
+    revenue_predictor,
     to_chart,
     to_theta,
 )
@@ -255,6 +257,28 @@ class TestMomentSystems:
             build_quantity_moments("CES", fs, small_ces_panel, instruments=collinear)
         with pytest.raises(ValueError, match="collinear"):
             build_revenue_moments("CES", small_ces_panel, instruments=("const", "k_t", "const"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda panel: first_stage_project(panel, 0), r"^polynomial degree must be >= 1$"),
+        (lambda panel: build_quantity_moments("CD", first_stage_project(panel, 3), panel, g_degree=0), r"^g_degree must be >= 1$"),
+        (lambda panel: revenue_predictor("CD", {}, "K"), r"^which_v must be 'L' or 'M', got 'K'$"),
+        (lambda panel: gmm_minimize(build_revenue_moments("CD", panel), weighting="three-step"), r"^weighting must be 'identity' or 'two-step'$"),
+    ],
+    ids=["first_stage_degree", "g_degree", "which_v", "weighting"],
+)
+def test_library_argument_checks(small_cd_panel, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(small_cd_panel)
+
+
+def test_ces_quantity_prediction_outside_the_domain_rejected(small_ces_panel):
+    ms = build_quantity_moments("CES", first_stage_project(small_ces_panel, 3), small_ces_panel)
+    x = to_chart([0.5, 0.5, 0.5, 0.9])  # beta_L + beta_M = 1 leaves no capital share
+    with pytest.raises(ValueError, match=r"^the CES quantity prediction needs beta_L \+ beta_M < 1"):
+        ms.objective(x)
 
 
 class ReferenceCore:
@@ -851,6 +875,12 @@ class TestGmmMinimize:
             # every search's iterations and evaluations are the minimum's
             (only,) = res.minima
             assert (only["n_iter"], only["n_evals"]) == tuple(np.sum([s[1:] for s in searches], axis=0))
+
+    def test_singular_moment_covariance_stops_the_two_step_fit(self, small_cd_panel, monkeypatch):
+        ms = build_revenue_moments("CD", small_cd_panel)
+        monkeypatch.setattr(ms, "moment_covariance", lambda x: np.zeros((ms.n_moments, ms.n_moments)))
+        with pytest.raises(EstimationError, match="^two-step weighting: the moment covariance at the stage-one estimate is not positive definite"):
+            gmm_minimize(ms, weighting="two-step")
 
     def test_weight_matrix_symmetric_psd(self, small_ces_panel, small_ces_config):
         fs = first_stage_project(small_ces_panel, 3)

@@ -235,6 +235,13 @@ def test_edited_csv_is_parsed_not_read_from_stale_cache(small_cd_panel, tmp_path
     assert back.col("K").tobytes() == expected.tobytes()
 
 
+def _npy_v2(npy: bytes) -> bytes:
+    """The array of a version-1.0 .npy file, written as version 2.0."""
+    out = io.BytesIO()
+    np.lib.format.write_array(out, np.lib.format.read_array(io.BytesIO(npy)), version=(2, 0))
+    return out.getvalue()
+
+
 # caches read_panel_csv must pass over, made from the panel's own cache and another panel's
 _UNUSABLE_CACHES = {
     "truncated in the digest": lambda own, other: own[:20],
@@ -245,6 +252,7 @@ _UNUSABLE_CACHES = {
     "another panel's cache": lambda own, other: other,
     "digest then other columns": lambda own, other: own[:32] + other[32:],
     "empty": lambda own, other: b"",
+    "digest then a version-2 array": lambda own, other: own[:32] + _npy_v2(own[32:]),
 }
 
 
@@ -340,6 +348,36 @@ def test_duplicated_column_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(PanelFormatError, match=r"duplicated columns \['R'\]"):
         read_panel_csv(path)
+
+
+def test_empty_file_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(PanelFormatError, match=f"^{re.escape(str(path))}: empty file, expected a header row$"):
+        read_panel_csv(path)
+
+
+@pytest.mark.parametrize(
+    "column, edit, message",
+    [
+        ("R", lambda v: v[:-1], r"^panel columns have unequal lengths: \[479, 480\]$"),
+        ("omega", lambda v: np.where(np.arange(v.size) == 3, np.nan, v), "^column omega must be finite$"),
+        ("eps", lambda v: np.where(np.arange(v.size) == 3, np.inf, v), "^column eps must be finite$"),
+    ],
+    ids=["unequal_lengths", "omega_nan", "eps_inf"],
+)
+def test_malformed_columns_rejected(small_cd_panel, column, edit, message):
+    data = {c: small_cd_panel.col(c) for c in COLUMNS}
+    data[column] = edit(data[column])
+    with pytest.raises(PanelFormatError, match=message):
+        Panel(data=data)
+
+
+def test_rstar_needs_eps(small_cd_panel):
+    data = {c: small_cd_panel.col(c) for c in COLUMNS}
+    data["eps"] = None
+    with pytest.raises(PanelFormatError, match="^Rstar requires the eps column$"):
+        Panel(data=data).rstar
 
 
 def test_nonpositive_quantity_rejected(small_cd_panel):

@@ -16,12 +16,20 @@ from revprod.simulate import (
     ProductivityProcess,
     SimConfig,
     SimulationError,
+    _pricing_root,
     simulate_panel,
     verify_panel,
 )
 from revprod.technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+# every float field of every parameter dataclass
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (CobbDouglas, CES, DemandConfig, ShockConfig, ProductivityProcess, CapitalPolicy, PriceProcess)
+    for f in dataclasses.fields(cls)
+    if f.init and isinstance(f.default, float)
+]
 
 
 def _traced_peak(sim):
@@ -260,7 +268,13 @@ class TestConfigValidation:
             DemandConfig(scale=scale)
 
     def test_unsolved_pricing_rows_named(self):
-        # a NaN volatility passes the price process's sign check and leaves every row's pricing residual NaN
-        cfg = SimConfig(tech=CES(), prices=PriceProcess(sigma_pL=math.nan), n_firms=20, n_periods=3, seed=1)
+        # every parameter is finite by construction, so a NaN reaches the pricing root only in its input rows
+        ones = np.ones(20)
         with pytest.raises(SimulationError, match=r"pricing fixed point failed to converge at rows \[0, 1, 2, "):
-            simulate_panel(cfg)
+            _pricing_root(CES(), ones, np.full(20, math.nan), ones, ones, 4.0 / 3.0, 4.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+    def test_non_finite_parameter_names_the_field(self, cls, name, value):
+        with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+            cls(**{name: value})

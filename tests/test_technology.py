@@ -1,11 +1,13 @@
+import ast
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revprod.costmin import foc_input_price
-from revprod.technology import CES, CobbDouglas, ParameterError, _check_positive, revenue_pf_reduced_form
+from revprod.technology import CES, CobbDouglas, DomainError, ParameterError, _check_positive, revenue_pf_reduced_form
 
 from conftest import predicted_log_revenue, random_point, random_technology
 
@@ -100,6 +102,37 @@ class TestElasticities:
                 else:
                     assert abs(fd - analytic) <= 1e-6 * abs(analytic)
 
+    @pytest.mark.parametrize("tech", [CobbDouglas(), CES(sigma=0.5), CES(sigma=-0.5)], ids=["CD", "CES+0.5", "CES-0.5"])
+    def test_F_elasticities_match_central_differences(self, tech):
+        # d log F/d log y and d log F_y/d log y vs central differences of log F and log F_y in log y, step 1e-5
+        K, y = np.array([0.3, 1.0, 4.0, 2.0]), np.array([2.0, 0.5, 1.0, 30.0])
+        step = 1e-5
+        e_F, e_Fy = (np.broadcast_to(e, y.shape) for e in tech.F_elasticities(K, y))
+        for f, analytic in ((tech.F, e_F), (tech.F_dy, e_Fy)):
+            fd = (np.log(f(K, y * math.exp(step))) - np.log(f(K, y * math.exp(-step)))) / (2 * step)
+            np.testing.assert_allclose(analytic, fd, rtol=1e-7, atol=1e-9)
+        # the markup bound is the supremum of d log F/d log y
+        assert np.all(e_F <= tech.variable_scale)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "revprod"
+FAMILY_CLASSES = {"CobbDouglas", "CES"}
+
+
+def test_only_technology_names_a_family_class():
+    # outside technology.py (and __init__'s re-export) no module imports a family class, and none branches on one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and path.name not in ("technology.py", "__init__.py"):
+                found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names if a.name in FAMILY_CLASSES]
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+                if named & (FAMILY_CLASSES | {"Technology", "FAMILIES"}):
+                    found.append(f"{path.name}:{node.lineno} calls isinstance on a technology")
+    assert found == []
+
 
 @pytest.mark.parametrize("tech", [CobbDouglas(), CES()], ids=["CD", "CES"])
 @pytest.mark.parametrize(
@@ -114,6 +147,12 @@ def test_unknown_input_name_rejected(tech, method, args, allowed):
     for which in sorted({"X", "l", "K"} - set(allowed.split(", "))):
         with pytest.raises(ValueError, match=f"unknown input '{which}'; expected one of {allowed}$"):
             getattr(tech, method)(*args, which)
+
+
+@pytest.mark.parametrize("tech", [CobbDouglas(), CES()], ids=["CD", "CES"])
+def test_reduced_form_rejects_a_nonpositive_input(tech):
+    with pytest.raises(DomainError, match="^L must be finite and strictly positive$"):
+        revenue_pf_reduced_form(tech, 0.0, 3.0, 1.0, 1.5, 0.3, 1.0, "M")
 
 
 @pytest.mark.parametrize("tech", [CobbDouglas(), CES()], ids=["CD", "CES"])
