@@ -31,9 +31,8 @@ from .estimate import (
     first_stage_project,
     gmm_minimize,
 )
-from .panel_io import PanelFormatError, read_panel_csv, write_panel_csv
+from .panel_io import read_panel_csv, write_panel_csv
 from .simulate import SimulationError, simulate_panel, verify_panel
-from .technology import DomainError, ParameterError
 
 # named explicitly so that `python -m revprod.cli` logs under "revprod" too
 logger = logging.getLogger("revprod.cli")
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     logging.getLogger("revprod").setLevel(args.log_level)
     try:
         return args.func(args)
-    except (ConfigError, PanelFormatError, ParameterError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, PanelFormatError, ParameterError and DomainError among them
         logger.error("%s", exc)
         return EXIT_VALIDATION
     except (SolverError, SimulationError, EstimationError) as exc:

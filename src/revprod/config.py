@@ -17,6 +17,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 from .estimate import DEFAULT_INSTRUMENTS
 from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig, check_markup
@@ -28,7 +29,7 @@ logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
-    """Raised when a configuration file is missing, malformed, or inconsistent."""
+    """Raised when a configuration file does not decode, is malformed, or is inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -156,20 +157,16 @@ def _run_config(parser, require_seed):
 
 
 def parse_config(path, require_seed: bool = False) -> RunConfig:
+    """The run configuration in the file at path.
+
+    The file is UTF-8, a leading byte-order mark dropped, with LF or CRLF line ends; config_sha256 is the SHA-256 of
+    its bytes.  A file that cannot be read raises OSError; one that does not decode or parse raises ConfigError.
+    """
+    content = Path(path).read_bytes()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        parser.read_string(text)
+        parser.read_string(content.decode("utf-8-sig"))
         sim, est, out_dir = _run_config(parser, require_seed)
-    except (configparser.Error, ConfigError) as exc:
+    except (UnicodeDecodeError, configparser.Error, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return RunConfig(
-        sim=sim,
-        estimation=est,
-        out_dir=out_dir,
-        config_sha256=hashlib.sha256(text.encode()).hexdigest(),
-    )
+    return RunConfig(sim=sim, estimation=est, out_dir=out_dir, config_sha256=hashlib.sha256(content).hexdigest())

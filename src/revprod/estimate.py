@@ -252,13 +252,14 @@ def to_chart(theta) -> np.ndarray:
 @dataclass(frozen=True)
 class SearchChart:
     """Coordinates x in the box bounds; normalisation holds the coordinates the system never reads at stated values,
-    and free names the others, which a fit searches.  start() returns (x0, source): the point a fit starts from,
-    inside the bounds and at the normalisation, and what x0 holds in sigma and the share ratio, 'expenditure-ratio'
-    or 'box-centre'.  Only a fit calls it."""
+    and free names the others, which a fit searches.  x0 is the point a fit starts from, inside the bounds and at
+    the normalisation, and source says what x0 holds in sigma and the share ratio, 'expenditure-ratio' or
+    'box-centre'."""
 
     names: tuple
     bounds: tuple
-    start: callable
+    x0: np.ndarray
+    source: str
     normalisation: dict = field(default_factory=dict)
 
     @property
@@ -695,8 +696,8 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
     The chart starts at the expenditure-ratio estimate: sigma and a at _expenditure_ratio_fit's estimate on cols (the
     logs of L, M, pL and pM on Z's rows), moved _START_MARGIN of the box width inside the bounds, and the coordinates
     that fit leaves open (c and v, or beta_K and c) at the normalisation, whether normalised holds them or not, so a
-    family's quantity and revenue charts start at the same point.  The fit runs when a search asks for the start,
-    which is the centre of the box in sigma and a where the fit leaves them undetermined."""
+    family's quantity and revenue charts start at the same point.  Where the fit leaves sigma and a undetermined,
+    they start at the centre of the box.  x0 is read-only, so no fit can move a chart's start."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
@@ -710,20 +711,17 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
     normalisation = {"beta_L+beta_M": c, **flat}
     lo, hi = (np.array(b) for b in zip(*coords.values()))
     fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
-    held = [names.index(n) for n in normalisation]
-
-    def start():
-        x = 0.5 * (lo + hi)
-        fit = _expenditure_ratio_fit(tech_kind, cols, Z)
-        if fit is not None:
-            sigma, log_ratio = fit
-            closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
-            x[fixed] = [closed[names[i]] for i in fixed]
-            x = np.clip(x, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
-        x[held] = list(normalisation.values())
-        return x, "box-centre" if fit is None else "expenditure-ratio"
-
-    return SearchChart(names, tuple(coords.values()), start, normalisation if normalised else {})
+    x0 = 0.5 * (lo + hi)
+    fit = _expenditure_ratio_fit(tech_kind, cols, Z)
+    if fit is not None:
+        sigma, log_ratio = fit
+        closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
+        x0[fixed] = [closed[names[i]] for i in fixed]
+        x0 = np.clip(x0, lo + _START_MARGIN * (hi - lo), hi - _START_MARGIN * (hi - lo))
+    x0[[names.index(n) for n in normalisation]] = list(normalisation.values())
+    x0.flags.writeable = False
+    source = "box-centre" if fit is None else "expenditure-ratio"
+    return SearchChart(names, tuple(coords.values()), x0, source, normalisation if normalised else {})
 
 
 # A closed-form start is moved at least this fraction of the box width inside each bound.
@@ -850,7 +848,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     """Minimization of the GMM quadratic form from the start of ms.chart.
 
     Every search is L-BFGS-B on the objective and its gradient in x over the free coordinates of ms.chart, those it
-    does not normalise, the others held.  The chart's start (SearchChart.start) gives x0 and diagnostics.start,
+    does not normalise, the others held.  The chart's x0 is the start, and its source is diagnostics.start,
     'expenditure-ratio' or 'box-centre'.  Stage one is one search from x0; weighting 'identity' stops there.
     'two-step' reweights by the Cholesky inverse of the moment covariance at the stage-one minimum
     (_two_step_weight) and re-minimizes once from it.  A system with fewer moments than free coordinates is not
@@ -897,8 +895,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         x[i] = res.x
         return x
 
-    x, source = chart.start()
-    x = search(x, None)
+    x = search(chart.x0, None)
     if weighting == "two-step":
         x = search(x, _two_step_weight(ms, x))
 
@@ -922,7 +919,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
         "n_obs": int(ms.n_obs),
         "n_moments": int(ms.n_moments),
         "df": int(ms.n_moments - len(free)),
-        "start": source,
+        "start": chart.source,
         "instruments": list(ms.instrument_names),
     }
     if chart.normalisation:

@@ -241,45 +241,50 @@ def read_panel_csv(path) -> Panel:
     """
     content = Path(path).read_bytes()
     digest = hashlib.sha256(content).digest()
-    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file, expected a header row")
-        unknown = [c for c in header if c not in COLUMNS]
-        if unknown:
-            raise PanelFormatError(f"{path}: unknown columns {unknown}")
-        duplicated = sorted({c for c in header if header.count(c) > 1})
-        if duplicated:
-            raise PanelFormatError(f"{path}: duplicated columns {duplicated}")
-        dtype = _row_dtype(header)
-        rows = _cached_rows(path, digest, dtype)
-        logger.debug("%s: columns %s", path, "parsed" if rows is None else "read from the cache beside it")
-        try:
-            if rows is None:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # loadtxt only warns on a body without rows
-                    rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, UserWarning):
-            fh.seek(0)
-            next(reader)
-            parsed = []
-            for lineno, rowvals in enumerate(reader, start=2):
-                if not rowvals:
-                    continue
-                if len(rowvals) != len(header):
-                    raise PanelFormatError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(rowvals)}"
-                    )
-                row = []
-                for c, v in zip(header, rowvals):
-                    try:
-                        row.append(int(v) if c in _INT_COLUMNS else float(v))
-                    except ValueError:
-                        raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is not numeric")
-                parsed.append(tuple(row))
-            rows = np.array(parsed, dtype)
+    try:
+        with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise PanelFormatError(f"{path}: empty file, expected a header row")
+            unknown = [c for c in header if c not in COLUMNS]
+            if unknown:
+                raise PanelFormatError(f"{path}: unknown columns {unknown}")
+            duplicated = sorted({c for c in header if header.count(c) > 1})
+            if duplicated:
+                raise PanelFormatError(f"{path}: duplicated columns {duplicated}")
+            dtype = _row_dtype(header)
+            rows = _cached_rows(path, digest, dtype)
+            logger.debug("%s: columns %s", path, "parsed" if rows is None else "read from the cache beside it")
+            try:
+                if rows is None:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")  # loadtxt only warns on a body without rows
+                        rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, UserWarning):
+                fh.seek(0)
+                next(reader)
+                parsed = []
+                for lineno, rowvals in enumerate(reader, start=2):
+                    if not rowvals:
+                        continue
+                    if len(rowvals) != len(header):
+                        raise PanelFormatError(
+                            f"{path}: line {lineno}: expected {len(header)} fields, got {len(rowvals)}"
+                        )
+                    row = []
+                    for c, v in zip(header, rowvals):
+                        try:
+                            row.append(int(v) if c in _INT_COLUMNS else float(v))
+                        except ValueError:
+                            raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is not numeric")
+                        if c in _INT_COLUMNS and not -(2**63) <= row[-1] < 2**63:
+                            raise PanelFormatError(f"{path}: line {lineno}: field {c}={v!r} is outside the int64 range")
+                    parsed.append(tuple(row))
+                rows = np.array(parsed, dtype)
+    except UnicodeDecodeError as exc:  # its position is in the chunk that was decoded, not in the file
+        raise PanelFormatError(f"{path}: not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from exc
     try:
         return Panel(data={c: np.ascontiguousarray(rows[c]) for c in header})
     except PanelFormatError as exc:

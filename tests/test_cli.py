@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import math
@@ -274,20 +275,6 @@ def test_diagnose_cd_verdicts(cd_ini, tmp_path):
     assert rep["verdicts"]["beta_L"] == "identified-ratio-only"
 
 
-def test_diagnose_fits_no_expenditure_ratio(ces_ini, tmp_path, monkeypatch):
-    # the ratio fit is a search's closed-form start, so diagnose, which searches nothing, never runs it
-    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
-    calls = []
-    fit = estimate._expenditure_ratio_fit
-    monkeypatch.setattr(estimate, "_expenditure_ratio_fit", lambda *args: calls.append(args) or fit(*args))
-    assert main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--out", str(tmp_path)]) == EXIT_OK
-    assert calls == []
-    # each CES estimate runs it once
-    for mode in ("quantity", "revenue"):
-        assert main(["estimate", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--mode", mode, "--out", str(tmp_path)]) == EXIT_OK
-    assert len(calls) == 2
-
-
 def test_diagnose_scan_writes_profile_csv(ces_ini, tmp_path):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "v", "--grid", "0.7:1.3:25", "--out", str(tmp_path)])
@@ -551,21 +538,42 @@ def test_overflowing_cal_e_names_sigma_eps(tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, code",
     [
-        ("[run]\nseed = x\n\n[technology]\nkind = CD\n", "{ini}: [run] seed: invalid literal for int() with base 10: 'x'"),
-        ("[run]\nseed = 1\n", "{ini}: config must have a [technology] section"),
-        ("[run]\nseed = 1\n\n[technology]\nkind = CDX\n", "{ini}: [technology] kind must be CD or CES, got 'CDX'"),
-        (None, "cannot read config {ini}: [Errno 2] No such file or directory"),
+        ("[run]\nseed = x\n\n[technology]\nkind = CD\n", "{ini}: [run] seed: invalid literal for int() with base 10: 'x'", EXIT_VALIDATION),
+        ("[run]\nseed = 1\n", "{ini}: config must have a [technology] section", EXIT_VALIDATION),
+        ("[run]\nseed = 1\n\n[technology]\nkind = CDX\n", "{ini}: [technology] kind must be CD or CES, got 'CDX'", EXIT_VALIDATION),
+        (None, "[Errno 2] No such file or directory: '{ini}'", EXIT_IO),
     ],
     ids=["seed_text", "no_technology", "bad_kind", "unreadable"],
 )
-def test_unreadable_or_incomplete_config_rejected(tmp_path, caplog, text, message):
+def test_unreadable_or_incomplete_config_rejected(tmp_path, caplog, text, message, code):
     ini = tmp_path / "bad.ini"
     if text is not None:
         ini.write_text(text)
-    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == code
     assert message.format(ini=ini) in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("bom, newline", [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"\xef\xbb\xbf", b"\r\n")], ids=["bom", "crlf", "bom-crlf"])
+def test_bom_and_crlf_config_parse_as_the_plain_file(tmp_path, bom, newline):
+    # as a Windows editor saves the file; config_sha256 is what sha256sum prints for the copy, not the original's
+    plain = ROOT / "configs" / "cd.ini"
+    copy = tmp_path / "cd.ini"
+    copy.write_bytes(bom + plain.read_bytes().replace(b"\n", newline))
+    want, got = parse_config(plain), parse_config(copy)
+    assert (got.sim, got.estimation, got.out_dir) == (want.sim, want.estimation, want.out_dir)
+    assert want.config_sha256 == hashlib.sha256(plain.read_bytes()).hexdigest()
+    assert got.config_sha256 == hashlib.sha256(copy.read_bytes()).hexdigest() != want.config_sha256
+
+
+def test_non_utf8_config_names_the_file(tmp_path, caplog):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"; caf\xe9\n" + (ROOT / "configs" / "cd.ini").read_bytes())
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "s")]) == EXIT_VALIDATION
+    message = f"{ini}: 'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"
+    assert caplog.records[-1].getMessage() == message
     assert not (tmp_path / "s").exists()
 
 

@@ -680,8 +680,7 @@ class TestGmmMinimize:
         chart = gmm_minimize(ms, weighting="two-step")
         p = len(ms.chart.names)
         # the search over every coordinate of the chart, with no normalisation, from the chart's closed-form start
-        x0 = ms.chart.start()[0]
-        whole = SearchChart(ms.chart.names, ms.chart.bounds, lambda: (x0, "expenditure-ratio"))
+        whole = SearchChart(ms.chart.names, ms.chart.bounds, ms.chart.x0, "expenditure-ratio")
         full = gmm_minimize(dataclasses.replace(ms, chart=whole), weighting="two-step")
         assert full.identified is None
         est = full.estimates
@@ -718,9 +717,9 @@ class TestGmmMinimize:
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
         chart = ms.chart
         lows = {n: lo for n, (lo, _) in zip(chart.names, chart.bounds) if n in chart.normalisation}
-        x0 = chart.start()[0]
+        x0 = chart.x0.copy()
         x0[[chart.names.index(n) for n in lows]] = list(lows.values())
-        on_bounds = dataclasses.replace(chart, normalisation=lows, start=lambda: (x0, "expenditure-ratio"))
+        on_bounds = dataclasses.replace(chart, normalisation=lows, x0=x0, source="expenditure-ratio")
         res = gmm_minimize(dataclasses.replace(ms, chart=on_bounds), weighting="identity")
         (only,) = res.minima
         assert only["at_bound"] == []
@@ -743,7 +742,7 @@ class TestGmmMinimize:
         # (17 searches from screened draws) found, off the bounds.  The same search with the share scale and
         # v at the centre of their box stops at J ~ 3.31: that is why the start sits at the normalisation
         ms = _shares_045_05_system(114)
-        x0, source = ms.chart.start()
+        x0, source = ms.chart.x0, ms.chart.source
         assert source == "expenditure-ratio"
         res = gmm_minimize(ms, weighting="identity")
         assert res.objective == pytest.approx(0.03534005119776842, rel=1e-8)
@@ -751,7 +750,7 @@ class TestGmmMinimize:
         centred = x0.copy()
         lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
         centred[2:] = 0.5 * (lo + hi)[2:]  # beta_L+beta_M and v
-        at_centre = dataclasses.replace(ms.chart, start=lambda: (centred, source))
+        at_centre = dataclasses.replace(ms.chart, x0=centred, source=source)
         centre_fit = gmm_minimize(dataclasses.replace(ms, chart=at_centre), weighting="identity")
         assert centre_fit.objective == pytest.approx(3.31, abs=0.01)
 
@@ -761,9 +760,9 @@ class TestGmmMinimize:
         # reports as success
         ms = build_revenue_moments("CES", ces_panel)
         (_, sigma_hi), (share_lo, _) = ms.chart.bounds[:2]
-        x0 = ms.chart.start()[0]
+        x0 = ms.chart.x0.copy()
         x0[:2] = sigma_hi, share_lo
-        corner = dataclasses.replace(ms.chart, start=lambda: (x0, "box-centre"))
+        corner = dataclasses.replace(ms.chart, x0=x0, source="box-centre")
         res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
@@ -775,7 +774,7 @@ class TestGmmMinimize:
         # the simulated firms minimise cost exactly, so the expenditure ratio is exact in sigma and the ratio
         tech = (cd_config if kind == "CD" else ces_config).tech
         ms = build_revenue_moments(kind, cd_panel if kind == "CD" else ces_panel)
-        start = ms.chart.start()[0]
+        start = ms.chart.x0
         share_ratio = start[ms.chart.names.index("share_ratio")]
         if kind == "CES":
             assert start[0] == pytest.approx(tech.sigma, abs=1e-12)
@@ -790,10 +789,33 @@ class TestGmmMinimize:
         panel = cd_panel if kind == "CD" else ces_panel
         quantity = build_quantity_moments(kind, first_stage_project(panel, 3), panel).chart
         revenue = build_revenue_moments(kind, panel).chart
-        (x_q, source_q), (x_r, source_r) = quantity.start(), revenue.start()
+        (x_q, source_q), (x_r, source_r) = (quantity.x0, quantity.source), (revenue.x0, revenue.source)
         assert source_q == source_r == "expenditure-ratio"
         assert x_q.tobytes() == x_r.tobytes()
         assert [x_r[revenue.names.index(n)] for n in revenue.normalisation] == list(revenue.normalisation.values())
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_ratio_fit_runs_when_the_system_is_built(self, kind, small_cd_panel, small_ces_panel, monkeypatch):
+        # each build fits the expenditure ratio once, for its chart's start, and a fit only reads that start
+        panel = small_cd_panel if kind == "CD" else small_ces_panel
+        calls = []
+        fit = estimate._expenditure_ratio_fit
+        monkeypatch.setattr(estimate, "_expenditure_ratio_fit", lambda *args: calls.append(args) or fit(*args))
+        for mode in ("quantity", "revenue"):
+            calls.clear()
+            ms = _system(kind, mode, 1, panel)[0]
+            assert len(calls) == 1
+            gmm_minimize(ms, weighting="two-step")
+            assert len(calls) == 1
+
+    def test_chart_start_is_read_only(self, small_cd_panel):
+        # a fit searches from a copy of x0, so no fit moves the chart's start
+        ms = build_revenue_moments("CD", small_cd_panel)
+        before = ms.chart.x0.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            ms.chart.x0[0] = 0.5
+        gmm_minimize(ms, weighting="two-step")
+        assert ms.chart.x0.tobytes() == before.tobytes()
 
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit
@@ -802,7 +824,7 @@ class TestGmmMinimize:
         data = {c: small_ces_panel.col(c) for c in COLUMNS}
         data["M"] = 2.0 * data["L"]
         ms = build_revenue_moments("CES", Panel(data=data))
-        x0, source = ms.chart.start()
+        x0, source = ms.chart.x0, ms.chart.source
         lo, hi = (np.array(b) for b in zip(*ms.chart.bounds))
         centre = dict(zip(ms.chart.names, 0.5 * (lo + hi)), **ms.chart.normalisation)
         assert source == "box-centre" and np.array_equal(x0, [centre[n] for n in ms.chart.names])

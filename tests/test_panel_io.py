@@ -280,14 +280,17 @@ _GOOD_ROW = "1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"
     ([_GOOD_ROW, "1,2,1.0,oops,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], "line 3: field L='oops' is not numeric"),
     (["1,1,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3"], "line 2: expected 11 fields, got 10"),
     ([_GOOD_ROW, "1.5,2,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], "line 3: field firm_id='1.5' is not numeric"),
-], ids=["non-numeric", "short-row", "non-integral-firm-id"])
+    ([_GOOD_ROW, f"{10**23 - 1},2,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], f"line 3: field firm_id='{10**23 - 1}' is outside the int64 range"),
+    ([_GOOD_ROW, f"1,{2**63},1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3"], f"line 3: field t='{2**63}' is outside the int64 range"),
+    ([_GOOD_ROW, "1,2,1.0,1.0,1.0,1.0,1.0,1.0,2.0,0.3,0.3 caf\xe9"], "not UTF-8: invalid continuation byte b'\\xe9'"),
+], ids=["non-numeric", "short-row", "non-integral-firm-id", "23-digit-firm-id", "t-at-2**63", "latin-1-byte"])
 def test_malformed_file_beside_stale_cache_names_line(body, message, small_cd_panel, tmp_path):
     # a revenue-only panel written at the same path leaves a cache whose dtype matches the
     # malformed file's header, so only the digest tells the two files apart
     path = tmp_path / "bad.csv"
     write_panel_csv(_revenue_only(small_cd_panel), path)
     assert _cache_path(path).exists()
-    path.write_text("\n".join([_REVENUE_HEADER, *body]) + "\n")
+    path.write_bytes(("\n".join([_REVENUE_HEADER, *body]) + "\n").encode("latin-1"))
     with pytest.raises(PanelFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
         read_panel_csv(path)
 
@@ -307,7 +310,7 @@ def test_blank_lines_and_column_subset_read_as_before(small_cd_panel, tmp_path, 
     _assert_same_columns(back, {c: v for c, v in data.items() if v is not None})
 
 
-@pytest.mark.parametrize("firm_id", ["1.5", "1.0", "1e0"])
+@pytest.mark.parametrize("firm_id", ["1.5", "1.0", "1e0", str(10**23 - 1), str(2**63)])
 def test_non_integral_firm_id_names_line(tmp_path, caplog, firm_id):
     path = tmp_path / "bad.csv"
     lines = ["firm_id,t,K,L,M,pL,pM,pK,R,sL_star,sM_star",
