@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("panel")
     diag.add_argument("--config", required=True)
     diag.add_argument("--scan", default=None, help="chart coordinate to profile (writes a CSV)")
-    diag.add_argument("--grid", default=None, help="profile grid start:stop:count")
+    diag.add_argument("--grid", default=None, help="profile grid start:stop:count; give a negative start as --grid=-0.9:-0.1:3")
     diag.add_argument("--out", default=None)
     diag.set_defaults(func=cmd_diagnose)
 

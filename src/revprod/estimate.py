@@ -36,11 +36,12 @@ them is exact by structure.
 A value and its exact gradient cost one evaluation: on the row path one
 prediction over the panel rows, then the residual, and the gradient is
 propagated in reverse through the moments and the residual into the
-predictor's vector-Jacobian product, with no p x N Jacobian formed.  The same
-pullback, applied to each instrument column, gives the exact moment Jacobian
-(MomentSystem.jacobian) whose SVD the rank diagnostics take.  A Cobb-Douglas
+predictor's vector-Jacobian product, with no p x N Jacobian formed.  That
+gradient is the system's only derivative: it is 2 n J'u for the direction u,
+so the exact moment Jacobian J whose SVD the rank diagnostics take
+(MomentSystem.jacobian) is formed from it, one row per moment.  A Cobb-Douglas
 quantity system at Markov degree one skips the rows: its moments and their
-Jacobian are closed forms over cross-products taken once
+gradient are closed forms over cross-products taken once
 (_LinearMarkovMoments).  The searches are L-BFGS-B; one stops once an
 iteration lowers the objective by less than a relative 1e-12, about twice
 the measured rounding noise of J at the quantity minima.  _share_chart builds
@@ -271,13 +272,13 @@ class SearchChart:
 class MomentSystem:
     """Moment conditions E[z * e(x)] = 0 on the current rows of a panel, at points x of chart.
 
-    Every statistic at x reads one private linearization (_linearize): the moments m, the objective's gradient as
-    a function of the direction u (the symmetrized W m) and a thunk for the exact n_moments x p moment Jacobian,
-    its columns in chart.names' order.  On the row path the predictor runs once, and _residual maps its prediction
-    to the residual e on the current rows and to e's pullback, which takes weights q on the current rows and
-    returns the gradient of q'e with respect to minus the prediction: the objective's gradient is
-    -2 dpred pullback(Z u), with no n x p moment Jacobian formed, and the exact moment Jacobian is
-    -(dpred pullback(Z))' / n.  A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
+    Every statistic at x reads one private linearization (_linearize): the moments m and the objective's gradient
+    as a function of the direction u (the symmetrized W m), which is 2 n J'u for the exact n_moments x p moment
+    Jacobian J, its columns in chart.names' order; jacobian stacks the gradients at the unit directions.  On the row
+    path the predictor runs once, and _residual maps its prediction to the residual e on the current rows and to
+    e's pullback, which takes weights q on the current rows and returns the gradient of q'e with respect to minus
+    the prediction: the objective's gradient is -2 dpred pullback(Z u), with no n x p moment Jacobian formed.
+    A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
     (_LinearMarkovMoments), so a search evaluation never reads the panel rows; moment_covariance and
     g_coefficients always take the row path.
 
@@ -309,27 +310,18 @@ class MomentSystem:
         return self.Z.shape[0]
 
     def _evaluate(self, x):
-        """Residual, predictor derivatives and residual pullback at x."""
+        """(e, vjp) at x: the residual on the current rows, and vjp(q), minus the gradient of q'e in x."""
         pred, derivatives = self._predict(np.asarray(x, float))
         e, pullback = self._residual(pred)
-        return e, derivatives, pullback
+        return e, lambda q: derivatives(pullback(q))
 
     def _linearize(self, x):
-        """(m, gradient, jacobian) at x: gradient(u) is the objective's gradient
-        for the direction u, jacobian() the exact moment Jacobian."""
+        """(m, gradient) at x: gradient(u) is the objective's gradient for the direction u."""
         x = np.asarray(x, float)
         if self._closed_form is not None:
             return self._closed_form(x)
-        e, derivatives, pullback = self._evaluate(x)
-
-        def gradient(u):
-            return -2.0 * derivatives(pullback(self.Z.dot(u)))
-
-        def jacobian():
-            # the pulled-back instrument columns, stored row by row so that derivatives reads them contiguously
-            return -derivatives(np.array([pullback(z) for z in self.Z.T]).T).T / self.n_obs
-
-        return e.dot(self.Z) / self.n_obs, gradient, jacobian
+        e, vjp = self._evaluate(x)
+        return e.dot(self.Z) / self.n_obs, lambda u: -2.0 * vjp(self.Z.dot(u))
 
     def g_coefficients(self, x) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
@@ -343,8 +335,9 @@ class MomentSystem:
         return self._linearize(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
-        """Exact n_moments x p Jacobian of moments(x) in the chart."""
-        return self._linearize(x)[2]()
+        """Exact n_moments x p Jacobian of moments(x) in the chart: row j is the gradient at u = e_j, over 2 n."""
+        gradient = self._linearize(x)[1]
+        return np.array([gradient(u) for u in np.eye(self.n_moments)]) / (2.0 * self.n_obs)
 
     def moment_covariance(self, x) -> np.ndarray:
         G = self.Z * self._evaluate(x)[0][:, None]
@@ -360,7 +353,7 @@ class MomentSystem:
 
     def objective_and_gradient(self, x, weight: Optional[np.ndarray] = None):
         """objective(x, weight) and its exact gradient in x from one evaluation."""
-        m, gradient, _ = self._linearize(x)
+        m, gradient = self._linearize(x)
         value, mw = self._quadratic_form(m, weight)
         return value, gradient(m if weight is None else 0.5 * (mw + weight.dot(m)))
 
@@ -449,8 +442,9 @@ class _LinearMarkovMoments:
     b = t'S_lt t / t'S_ll t and the moments are m = (A_t - b A_l) t.  Their
     derivative in t is A_t - b A_l - (A_l t) grad b', with
     grad b = ((S_lt + S_lt') t - 2 b S_ll t) / t'S_ll t; minus its last three
-    columns are the columns in the exponents, whose beta_L and beta_M columns
-    _share_chain turns into the a and c columns of the chart.  The
+    columns are the moments' derivatives in the exponents.  The objective's
+    gradient for the direction u is 2 n u' times them, and _share_chain turns
+    its beta_L and beta_M entries into the chart's a and c.  The
     cross-products are taken once, so an evaluation costs a few 11 x 4 and
     4 x 4 products, not passes over the panel rows.
     """
@@ -475,15 +469,13 @@ class _LinearMarkovMoments:
         den = t.dot(s_ll)
         b = 0.5 * t.dot(s_sym) / den
 
-        def in_exponents():
+        def gradient(u):
             grad_b = (s_sym[1:] - 2.0 * b * s_ll[1:]) / den
-            return a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:]
-
-        def in_chart(d):  # d's last axis runs over beta_K, beta_L and beta_M: a gradient, or the Jacobian's rows
-            d[..., 1], d[..., 2] = _share_chain(d[..., 1], d[..., 2], a, c)
+            d = 2.0 * self.n * u.dot(a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:])
+            d[1], d[2] = _share_chain(d[1], d[2], a, c)  # beta_K, beta_L and beta_M to beta_K, a and c
             return d
 
-        return a_t - b * a_l, lambda u: in_chart(2.0 * self.n * u.dot(in_exponents())), lambda: in_chart(in_exponents())
+        return a_t - b * a_l, gradient
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
@@ -517,9 +509,9 @@ def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
 
 
 # A predictor maps a chart point x to (prediction, derivatives), where
-# derivatives(r) returns the vector-Jacobian product dpred r in x.  r has shape
-# (N,) or (N, k), and dpred r shape (p,) or (p, k); it is computed from the
-# arrays the prediction already built, without forming the p x N Jacobian.
+# derivatives(r) returns the vector-Jacobian product dpred r in x for one
+# weight vector r over the rows; it is computed from the arrays the prediction
+# already built, without forming the p x N Jacobian.
 # Rows of coordinates the predictor never reads are literal zeros.
 
 
@@ -563,13 +555,12 @@ def _quantity_predictor(tech_kind: str, cols):
             # with q = r / agg: d_v r = k r + (log_agg r) / sigma,
             # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma), and in beta_L and beta_M,
             # the capital share 1 - c held, (v/sigma)(el q - sum q) and (v/sigma)(em q - sum q), chained to a and c
-            rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
-            q = rt / agg
+            q = r / agg
             el_q, em_q = el * q, em * q
-            s_q, lr = q.sum(axis=-1), rt.dot(log_agg) / sg
+            s_q, lr = q.sum(), r.dot(log_agg) / sg
             d_sg = (v / sg) * (bL * el_q.dot(lk) + bM * em_q.dot(mk) - lr)
-            d_L, d_M = (v / sg) * (el_q.sum(axis=-1) - s_q), (v / sg) * (em_q.sum(axis=-1) - s_q)
-            return np.array([d_sg, *_share_chain(d_L, d_M, a, c), rt.dot(k) + lr])
+            d_L, d_M = (v / sg) * (el_q.sum() - s_q), (v / sg) * (em_q.sum() - s_q)
+            return np.array([d_sg, *_share_chain(d_L, d_M, a, c), r.dot(k) + lr])
 
         return pred, derivatives
 
@@ -617,8 +608,8 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
             def derivatives(r):
                 # d pred / d a = d_wv + log(1 - a) - log(a) + gap
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
-                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum(axis=0) + gap.dot(r)
-                return np.array([np.zeros_like(d_a), d_a, np.zeros_like(d_a)])
+                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum() + gap.dot(r)
+                return np.array([0.0, d_a, 0.0])
 
             return pred, derivatives
 
@@ -642,13 +633,11 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
             # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
             # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
             # d pred / d log kappa = phi (w1 - w2 / (1 - sigma)), and d log kappa / d a = sign / (a (1 - a))
-            rt = r.T  # rows last, so that one expression serves r of shape (N,) and (N, k)
-            w1_r, w2_r = rt * (u1 / a1), rt * (u2 / a2)
-            s1, s2 = w1_r.sum(axis=-1), w2_r.sum(axis=-1)
-            d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - rt.dot(lr) / sg**2
+            w1_r, w2_r = r * (u1 / a1), r * (u2 / a2)
+            s1, s2 = w1_r.sum(), w2_r.sum()
+            d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - r.dot(lr) / sg**2
             d_a = sign * phi * (s1 - s2 / (1.0 - sg)) / (a * (1.0 - a))
-            zero = np.zeros_like(d_a)
-            return np.array([d_sg, d_a, zero, zero])
+            return np.array([d_sg, d_a, 0.0, 0.0])
 
         return pred, derivatives
 

@@ -302,6 +302,17 @@ def test_diagnose_scan_defaults_to_report_grid(ces_ini, tmp_path):
     assert all(math.isfinite(v) for v in values)
 
 
+def test_diagnose_scan_grid_with_a_negative_start(ces_ini, tmp_path):
+    # a CES sigma below 0 is inside the model; a grid that starts there is given after an equals sign, since
+    # argparse takes a separate "-0.9:-0.1:3" for an option
+    main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
+    rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "sigma", "--grid=-0.9:-0.1:3", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    rows = (tmp_path / "profile_sigma.csv").read_text().splitlines()
+    assert rows[0] == "sigma,objective"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == np.linspace(-0.9, -0.1, 3).tolist()
+
+
 def test_diagnose_scan_grid_at_ces_sigma_one_rejected(ces_ini, tmp_path, caplog):
     main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path)])
     rc = main(["diagnose", str(tmp_path / "panel.csv"), "--config", str(ces_ini), "--scan", "sigma", "--grid", "0.7:1.3:25", "--out", str(tmp_path)])

@@ -552,6 +552,22 @@ class TestGradient:
                 assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
                 assert np.all(grad[never_read] == 0.0)
 
+    @pytest.mark.parametrize("g_degree", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_is_the_jacobian_transpose(self, kind, mode, g_degree, cd_panel, ces_panel):
+        # the gradient is 2 n J'u, u the symmetrised W m, with J the exact moment Jacobian: the two derivatives
+        # agree with each other, not only each with finite differences
+        ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
+        rng = np.random.default_rng(700 + g_degree)
+        A = rng.normal(size=(ms.n_moments, ms.n_moments))
+        W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
+        for x in _draw_points(ms, rng, 6, 0.05, 0.95):
+            m = ms.moments(x)
+            for weight, u in ((None, m), (W, 0.5 * (m @ W + W @ m))):
+                grad = ms.objective_and_gradient(x, weight)[1]
+                assert _rel_gap(grad, 2 * ms.n_obs * ms.jacobian(x).T @ u) <= 1e-12
+
 
 def _five_point_prediction_jacobian(predict, x, h):
     """Reference p x N Jacobian of a predictor's prediction: the fourth-order central stencil."""
@@ -565,7 +581,7 @@ def _five_point_prediction_jacobian(predict, x, h):
 
 
 class TestVectorJacobianProduct:
-    """derivatives(r) of every predictor is the Jacobian of its prediction applied to r."""
+    """derivatives(r) of every predictor is the Jacobian of its prediction applied to the weight vector r."""
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
@@ -576,11 +592,11 @@ class TestVectorJacobianProduct:
         for x in _draw_points(ms, rng, 3, 0.1, 0.9):
             pred, derivatives = ms._predict(x)
             jac = _five_point_prediction_jacobian(ms._predict, x, 1e-4)
-            for r in (rng.normal(size=pred.size), rng.normal(size=(pred.size, 3))):
-                dpred_r = derivatives(r)
-                assert dpred_r.shape == (x.size,) + r.shape[1:]
-                assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
-                assert np.all(dpred_r[never_read] == 0.0)
+            r = rng.normal(size=pred.size)
+            dpred_r = derivatives(r)
+            assert dpred_r.shape == (x.size,)
+            assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
+            assert np.all(dpred_r[never_read] == 0.0)
 
 
 def _five_point_jacobian(moments, x, h):
