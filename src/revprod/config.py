@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .estimate import DEFAULT_INSTRUMENTS
+from .estimate import DEFAULT_INSTRUMENTS, check_instruments
 from .simulate import CapitalPolicy, PriceProcess, ProductivityProcess, SimConfig, check_markup
 from .technology import FAMILIES, DemandConfig, ParameterError, ShockConfig
 
@@ -48,6 +48,7 @@ class EstimationSettings:
             raise ParameterError("weighting must be identity or two-step")
         if self.which_v not in ("L", "M"):
             raise ParameterError("which_v must be L or M")
+        check_instruments(self.instruments)
 
 
 @dataclass

@@ -68,6 +68,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .panel_io import Panel, PanelFormatError
+from .technology import ParameterError
 
 __all__ = [
     "EstimationError",
@@ -82,6 +83,8 @@ __all__ = [
     "gmm_minimize",
     "to_theta",
     "to_chart",
+    "INSTRUMENT_TOKENS",
+    "check_instruments",
     "DEFAULT_INSTRUMENTS",
     "DEFAULT_BOUNDS",
 ]
@@ -95,6 +98,25 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize
 
     return minimize(*args, **kwargs)
+
+
+# The instrument vocabulary: a constant; the current and lagged logs of K, L, M, pL and pM; the squared current
+# logs of K, pL and pM; and the squared log relative price log pL - log pM, current and lagged.
+INSTRUMENT_TOKENS = (
+    "const",
+    *(tok + when for tok in ("k", "l", "m", "pl", "pm") for when in ("_t", "_lag")),
+    *("k2_t", "pl2_t", "pm2_t", "prel2_t", "prel2_lag"),
+)
+
+
+def check_instruments(names: Sequence[str]) -> None:
+    """ParameterError naming the tokens of names that are not in INSTRUMENT_TOKENS, or that repeat."""
+    unknown = [n for n in names if n not in INSTRUMENT_TOKENS]
+    if unknown:
+        raise ParameterError(f"unknown instrument tokens {unknown}; known: {' '.join(INSTRUMENT_TOKENS)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ParameterError(f"instruments {' '.join(names)} repeat {' '.join(repeated)}: a repeated token is collinear on every panel")
 
 
 # The basic conditioning-set instruments alone leave the CES curvature
@@ -488,7 +510,8 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
 
 def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
     """Named instrument columns over the current rows, from _lag_bundle's logs of K, L, M, pL and pM; rejects a
-    set without full column rank."""
+    set that check_instruments rejects, or without full column rank."""
+    check_instruments(names)
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
         tokens[tok + "_t"], tokens[tok + "_lag"] = logs[col][cur], logs[col][lag]
@@ -496,9 +519,6 @@ def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
         tokens[tok + "2_t"] = tokens[tok + "_t"] ** 2
     for when in ("_t", "_lag"):
         tokens["prel2" + when] = (tokens["pl" + when] - tokens["pm" + when]) ** 2
-    bad = [n for n in names if n not in tokens]
-    if bad:
-        raise ValueError(f"unknown instrument tokens {bad}; known: {sorted(tokens)}")
     if cur.size < len(names):
         raise ValueError(f"the panel has {cur.size} lag rows for {len(names)} instruments; it needs at least as many rows")
     Z = np.column_stack([tokens[n] for n in names])

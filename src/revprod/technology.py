@@ -14,10 +14,11 @@ h = 1) a well-defined object, which in turn makes target revenue purely a
 composition of h and that unit cost.
 
 Each primal and dual object (h, F, output, elasticity, unit_cost,
-unit_demand) is a method of the technology class and has no other name, and
-the classes are the only place that names a family: FAMILIES maps a kind to
-its class, F_elasticities gives d log F/d log y and d log F_y/d log y (the
-pricing Newton slope), and variable_scale, the supremum of d log F/d log y,
+unit_demand) is a method of the technology class and has no other name;
+output is F(K, h(L, M)) in both families.  No other module imports a family
+class or calls isinstance on one; FAMILIES maps a kind to its class.
+F_elasticities gives d log F/d log y and d log F_y/d log y (the pricing
+Newton slope), and variable_scale, the supremum of d log F/d log y,
 is the markup bound.  revenue_pf_reduced_form below is the level form of
 the revenue composition, built from a technology's unit_cost and h_dlog
 methods; the panel checks use it as the independent reference.  The
@@ -252,22 +253,13 @@ class CES:
         w = np.asarray(y, float) ** self.sigma / self._outer(K, y)
         return self.v * w, (self.v - self.sigma) * w - (1.0 - self.sigma)
 
-    def _den(self, K, L, M):
-        """beta_K*K^sigma + beta_L*L^sigma + beta_M*M^sigma, the sum that output raises to v/sigma."""
-        s = self.sigma
-        return (
-            self.beta_K * np.asarray(K, float) ** s
-            + self.beta_L * np.asarray(L, float) ** s
-            + self.beta_M * np.asarray(M, float) ** s
-        )
-
     def output(self, K, L, M):
-        return self._den(K, L, M) ** (self.v / self.sigma)
+        return self.F(K, self.h(L, M))
 
     def elasticity(self, K, L, M, which: str):
         bV = _pick(which, K=self.beta_K, L=self.beta_L, M=self.beta_M)
         V = np.asarray(_pick(which, K=K, L=L, M=M), float)
-        return self.v * bV * V ** self.sigma / self._den(K, L, M)
+        return self.v * bV * V ** self.sigma / self._outer(K, self.h(L, M))
 
     # -- dual objects -----------------------------------------------------
 

@@ -499,6 +499,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         ("estimation", "first_stage_degree = 0"),
         ("estimation", "weighting = three-step"),
         ("estimation", "which_v = K"),
+        ("estimation", "instruments = const k_t bogus_t"),
+        ("estimation", "instruments = const k_t k_t"),
     ],
     ids=[
         "demand",
@@ -515,6 +517,8 @@ def test_other_family_technology_key_rejected(tmp_path, caplog, kind, line):
         "first_stage_degree",
         "weighting",
         "which_v",
+        "unknown_instrument",
+        "repeated_instrument",
     ],
 )
 def test_bad_value_names_file_and_section(tmp_path, caplog, section, line):

@@ -15,6 +15,7 @@ from revprod.estimate import (
     BASIC_INSTRUMENTS,
     DEFAULT_BOUNDS,
     DEFAULT_INSTRUMENTS,
+    INSTRUMENT_TOKENS,
     EstimationError,
     SearchChart,
     _instrument_matrix,
@@ -233,6 +234,13 @@ class TestMomentSystems:
         with pytest.raises(ValueError, match="unknown instrument"):
             build_quantity_moments("CES", fs, small_ces_panel, instruments=("const", "bogus"))
 
+    def test_every_token_builds_one_column(self, small_ces_panel):
+        # the vocabulary check_instruments accepts is the one _instrument_matrix builds
+        assert len(set(INSTRUMENT_TOKENS)) == 16
+        cur, lag, logs = _lag_bundle(small_ces_panel, ("K", "L", "M", "pL", "pM"))
+        for token in INSTRUMENT_TOKENS:
+            assert _instrument_matrix(logs, cur, lag, (token,)).shape == (cur.size, 1), token
+
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_default_instruments_full_rank_on_shipped_panels(self, config):
         # cost minimization ties log L - log M to log pL - log pM exactly, so
@@ -255,7 +263,7 @@ class TestMomentSystems:
         collinear = ("const", "l_lag", "m_lag", "pl_lag", "pm_lag")
         with pytest.raises(ValueError, match="instruments const l_lag m_lag pl_lag pm_lag are collinear"):
             build_quantity_moments("CES", fs, small_ces_panel, instruments=collinear)
-        with pytest.raises(ValueError, match="collinear"):
+        with pytest.raises(ValueError, match="instruments const k_t const repeat const: a repeated token is collinear on every panel"):
             build_revenue_moments("CES", small_ces_panel, instruments=("const", "k_t", "const"))
 
 

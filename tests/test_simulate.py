@@ -104,7 +104,7 @@ class TestPanelBytes:
         ),
         "numeric_solver": (
             dict(tech=CES(0.3, 0.4, 0.5, 0.9), input_solver="numeric", n_firms=12, n_periods=3, seed=77),
-            "3dcef954efb795cffd97f309cb4215c8247d70284da4a0ee0ca393cd1d975ba6",
+            "7426b08714c8db97d011344c1788838a1d0e5891456185576d071a08906e278d",
         ),
         "one_period_no_burn_in": (
             dict(tech=CobbDouglas(0.25, 0.3, 0.4), n_firms=3, n_periods=1, burn_in=0, seed=3),

@@ -27,6 +27,20 @@ class TestEvaluateQuantity:
         got = tech.output(2.0, 1.0, 1.0) * np.exp(0.1)
         assert got == pytest.approx(math.exp(0.3 * math.log(2.0) + 0.1), rel=1e-12)
 
+    def test_ces_matches_three_term_formula(self):
+        # Q = (beta_K K^sigma + beta_L L^sigma + beta_M M^sigma)^(v/sigma), evaluated in logs, against output's
+        # F(K, h(L, M)); the elasticities, whose denominator is the same sum, add up to v
+        rng = np.random.default_rng(44)
+        for _ in range(200):
+            tech = random_technology(rng, "CES")
+            K, L, M, _, _ = random_point(rng)
+            s = tech.sigma
+            terms = [math.log(b) + s * math.log(X) for b, X in ((tech.beta_K, K), (tech.beta_L, L), (tech.beta_M, M))]
+            log_q = tech.v / s * np.logaddexp.reduce(terms)
+            assert tech.output(K, L, M) == pytest.approx(math.exp(log_q), rel=1e-13, abs=0.0)
+            total = sum(tech.elasticity(K, L, M, which) for which in "KLM")
+            assert total == pytest.approx(tech.v, rel=1e-13, abs=0.0)
+
     def test_ces_sigma_zero_rejected_at_construction(self):
         with pytest.raises(ParameterError):
             CES(beta_L=0.3, beta_M=0.3, sigma=0.0, v=1.0)
