@@ -112,12 +112,15 @@ def profile_scan(
     beta_L+beta_M, v) (CES) or (beta_K, share_ratio, beta_L+beta_M) (Cobb-Douglas), share_ratio being
     beta_L/(beta_L+beta_M).  other_params is theta, in ms.param_names' order, which to_chart maps into the chart
     once; each grid point replaces param_name's coordinate, and the objective is taken at that chart point.
-    The whole grid is checked before any evaluation: at each point, theta must make a technology of the class
-    FAMILIES[ms.tech_kind], whose ParameterError names the bound the first point outside the model breaks.
+    The whole grid is checked before any evaluation: it must not be empty, and at each point theta must make a
+    technology of the class FAMILIES[ms.tech_kind], whose ParameterError names the bound the first point outside
+    the model breaks.
     """
     chart = ms.chart
     if param_name not in chart.names:
         raise ValueError(f"unknown parameter {param_name!r}; the chart coordinates are {list(chart.names)}")
+    if len(grid) == 0:
+        raise ValueError(f"{param_name} grid is empty; a profile needs at least one point")
     family = FAMILIES[ms.tech_kind]
     x = to_chart(other_params)
     i = chart.names.index(param_name)

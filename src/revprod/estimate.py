@@ -198,9 +198,11 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     observables that are linearly independent on the panel (a pivoted QR of
     the five standardised columns, under numpy's rank cutoff), so it spans
     the same functions without the dependent columns; observables that are
-    not collinear are all expanded.  An underdetermined fit (fewer rows than
-    columns of the polynomial in all five) triggers degree reduction with a
-    warning; any collinearity left in the design is handled by the
+    not collinear are all expanded.  Degree reduction, with a warning, counts
+    the columns of the polynomial in all five observables, not those of the
+    design: a 40-row panel is cut to degree 2 although its degree-3 design
+    has 35 columns, so the degree does not depend on which observables are
+    collinear.  Any collinearity left in the design is handled by the
     minimum-norm projection.
 
     The projection goes through scipy.linalg, not numpy.linalg.  numpy and
@@ -228,12 +230,13 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     sd[sd <= np.finfo(float).eps * len(y) * np.abs(mu)] = np.inf
     Xs = (logs - mu) / sd
 
-    # Only genuinely underdetermined fits (more columns than rows of a design
-    # in all five observables) trigger degree reduction.
+    # The degree is reduced while the polynomial in all five observables has more
+    # columns than there are rows, whatever the design below keeps of it.
     used = degree
     while used > 1 and _poly_dim(Xs.shape[1], used) > Xs.shape[0]:
         logger.warning(
-            "first stage degree %d needs %d columns but only %d rows; reducing degree",
+            "first stage degree %d: the polynomial in all five observables has %d columns, more than the %d rows; "
+            "reducing degree",
             used,
             _poly_dim(Xs.shape[1], used),
             Xs.shape[0],
@@ -331,15 +334,22 @@ class MomentSystem:
     def n_obs(self) -> int:
         return self.Z.shape[0]
 
+    def _point(self, x) -> np.ndarray:
+        """x as a float array, refused unless it has one entry per chart coordinate."""
+        x = np.asarray(x, float)
+        if x.shape != (len(self.chart.names),):
+            raise ValueError(f"a point has one entry per chart coordinate {', '.join(self.chart.names)}; got shape {x.shape}")
+        return x
+
     def _evaluate(self, x):
-        """(e, vjp) at x: the residual on the current rows, and vjp(q), minus the gradient of q'e in x."""
-        pred, derivatives = self._predict(np.asarray(x, float))
+        """(e, vjp) at x, a _point: the residual on the current rows, and vjp(q), minus the gradient of q'e in x."""
+        pred, derivatives = self._predict(x)
         e, pullback = self._residual(pred)
         return e, lambda q: derivatives(pullback(q))
 
     def _linearize(self, x):
         """(m, gradient) at x: gradient(u) is the objective's gradient for the direction u."""
-        x = np.asarray(x, float)
+        x = self._point(x)
         if self._closed_form is not None:
             return self._closed_form(x)
         e, vjp = self._evaluate(x)
@@ -347,7 +357,7 @@ class MomentSystem:
 
     def g_coefficients(self, x) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
-        return self._residual.coefficients(self._predict(np.asarray(x, float))[0])
+        return self._residual.coefficients(self._predict(self._point(x))[0])
 
     @property
     def n_moments(self) -> int:
@@ -362,7 +372,7 @@ class MomentSystem:
         return np.array([gradient(u) for u in np.eye(self.n_moments)]) / (2.0 * self.n_obs)
 
     def moment_covariance(self, x) -> np.ndarray:
-        G = self.Z * self._evaluate(x)[0][:, None]
+        G = self.Z * self._evaluate(self._point(x))[0][:, None]
         return G.T @ G / self.n_obs
 
     def _quadratic_form(self, m, weight):

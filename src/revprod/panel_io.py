@@ -17,6 +17,13 @@ the columns in the .npy format.  read_panel_csv hashes the CSV it is given and
 takes the columns from the cache only when the digests agree, so an edited or
 replaced CSV is parsed afresh.  The CSV stays the only interchange format, and
 deleting the cache only costs the next read a parse.
+
+In memory a Panel holds one array per present column, in COLUMNS order, 1-D,
+contiguous and of the dtype its CSV round-trips: int64 for firm_id and t,
+float64 for the rest.  An absent optional column has no key; None given for
+one means absent.  The Panel builds its own dict, rows sorted by (firm_id, t),
+and leaves the caller's alone; it copies a column only to convert, reorder or
+make it contiguous.  The writer and the reader rely on this and coerce nothing.
 """
 
 from __future__ import annotations
@@ -61,10 +68,10 @@ COLUMNS = [
 
 OPTIONAL_COLUMNS = {"omega", "eps", "Q", "P"}
 
-# Columns that must be strictly positive when present.
-_POSITIVE_COLUMNS = {"K", "L", "M", "pL", "pM", "pK", "Q", "P", "R", "sL_star", "sM_star"}
-
 _INT_COLUMNS = {"firm_id", "t"}
+
+# the dtype each column is stored in, and parsed as
+_DTYPES = {c: np.dtype(np.int64 if c in _INT_COLUMNS else np.float64) for c in COLUMNS}
 
 logger = logging.getLogger(__name__)
 
@@ -75,44 +82,39 @@ class PanelFormatError(ValueError):
 
 @dataclass
 class Panel:
-    """Column-oriented firm panel, sorted by (firm_id, t)."""
+    """Column-oriented firm panel, sorted by (firm_id, t); data holds what the module docstring states."""
 
     data: dict
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self):
-        cols = self.data
-        missing = [c for c in COLUMNS if c not in cols and c not in OPTIONAL_COLUMNS]
+        unknown = [c for c in self.data if c not in _DTYPES]
+        if unknown:
+            raise PanelFormatError(f"unknown columns {unknown}")
+        present = [c for c in COLUMNS if self.data.get(c) is not None]  # None means absent
+        missing = [c for c in COLUMNS if c not in present and c not in OPTIONAL_COLUMNS]
         if missing:
             raise PanelFormatError(f"panel missing required columns: {missing}")
-        lengths = {len(np.asarray(v)) for v in cols.values() if v is not None}
+        data = {}
+        for c in present:
+            v = np.asarray(self.data[c])
+            if v.ndim != 1 or not np.can_cast(v.dtype, _DTYPES[c]):
+                raise PanelFormatError(f"column {c} must be a 1-D array of {_DTYPES[c]}, got {v.dtype} of shape {v.shape}")
+            data[c] = np.ascontiguousarray(v, _DTYPES[c])
+        lengths = {v.size for v in data.values()}
         if len(lengths) > 1:
             raise PanelFormatError(f"panel columns have unequal lengths: {sorted(lengths)}")
-        n = lengths.pop() if lengths else 0
-        self._n = n
-        if n == 0:
-            return
-        fid = np.asarray(cols["firm_id"])
-        t = np.asarray(cols["t"])
-        order = np.lexsort((t, fid))
-        if not np.array_equal(order, np.arange(n)):
-            for c, v in cols.items():
-                if v is not None:
-                    cols[c] = np.asarray(v)[order]
-            fid, t = cols["firm_id"], cols["t"]
-        same_firm = fid[1:] == fid[:-1]
-        if np.any(same_firm & (t[1:] == t[:-1])):
+        self._n = lengths.pop()
+        order = np.lexsort((data["t"], data["firm_id"]))
+        if not np.array_equal(order, np.arange(self._n)):
+            data = {c: v[order] for c, v in data.items()}
+        fid, t = data["firm_id"], data["t"]
+        if np.any((fid[1:] == fid[:-1]) & (t[1:] == t[:-1])):
             raise PanelFormatError("duplicate (firm_id, t) rows")
-        for c in _POSITIVE_COLUMNS:
-            v = cols.get(c)
-            if v is not None and (not np.all(np.isfinite(v)) or np.any(np.asarray(v) <= 0.0)):
-                raise PanelFormatError(f"column {c} must be finite and strictly positive")
-        for c in ("omega", "eps"):
-            v = cols.get(c)
-            if v is not None and not np.all(np.isfinite(v)):
-                raise PanelFormatError(f"column {c} must be finite")
+        for c, v in data.items():
+            positive = c not in ("omega", "eps")
+            if c not in _INT_COLUMNS and not (np.all(np.isfinite(v)) and (not positive or np.all(v > 0.0))):
+                raise PanelFormatError(f"column {c} must be finite" + " and strictly positive" * positive)
+        self.data = data
 
     def __len__(self) -> int:
         return self._n
@@ -121,7 +123,7 @@ class Panel:
         return self.data.get(name)
 
     def has(self, name: str) -> bool:
-        return self.data.get(name) is not None
+        return name in self.data
 
     @property
     def rstar(self) -> np.ndarray:
@@ -132,11 +134,9 @@ class Panel:
 
     def lag_index(self):
         """Row indices (current, previous) for consecutive periods within a firm."""
-        fid = self.data["firm_id"]
-        t = self.data["t"]
+        fid, t = self.data["firm_id"], self.data["t"]
         cur = np.arange(1, self._n)
-        ok = (fid[cur] == fid[cur - 1]) & (t[cur] == t[cur - 1] + 1)
-        cur = cur[ok]
+        cur = cur[(fid[cur] == fid[cur - 1]) & (t[cur] == t[cur - 1] + 1)]
         return cur, cur - 1
 
 
@@ -146,10 +146,9 @@ class Panel:
 _WRITE_BLOCK_ROWS = 512
 
 
-def _format_column(col: str, values) -> list:
+def _format_column(a: np.ndarray) -> list:
     import orjson
 
-    a = np.ascontiguousarray(values, dtype=np.int64 if col in _INT_COLUMNS else float)
     fields = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
     if a.dtype == float:  # orjson's notation differs from repr's outside 1e-4 <= |x| < 1e16
         mag = np.abs(a)
@@ -160,7 +159,7 @@ def _format_column(col: str, values) -> list:
 
 def _row_dtype(header) -> np.dtype:
     """One field per column of the header, in its order: what np.loadtxt returns for the body."""
-    return np.dtype([(c, np.int64 if c in _INT_COLUMNS else float) for c in header])
+    return np.dtype([(c, _DTYPES[c]) for c in header])
 
 
 def _cache_path(path) -> Path:
@@ -181,7 +180,7 @@ def write_panel_csv(panel: Panel, path) -> None:
     format (version 1.0, no pickles); both files are byte-identical for equal
     panels.
     """
-    present = [c for c in COLUMNS if panel.has(c)]
+    present = list(panel.data)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
@@ -193,11 +192,11 @@ def write_panel_csv(panel: Panel, path) -> None:
         write(",".join(present) + "\r\n")
         for start in range(0, len(panel), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
-            columns = [_format_column(c, panel.data[c][block]) for c in present]
+            columns = [_format_column(panel.data[c][block]) for c in present]
             write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
     rows = np.empty(len(panel), _row_dtype(present))
     for c in present:
-        rows[c] = np.asarray(panel.data[c]).astype(rows.dtype[c])
+        rows[c] = panel.data[c]
     with open(_cache_path(path), "wb") as fh:
         fh.write(digest.digest())
         np.lib.format.write_array(fh, rows, version=(1, 0), allow_pickle=False)
@@ -286,6 +285,6 @@ def read_panel_csv(path) -> Panel:
     except UnicodeDecodeError as exc:  # its position is in the chunk that was decoded, not in the file
         raise PanelFormatError(f"{path}: not UTF-8: {exc.reason} {exc.object[exc.start:exc.end]!r}") from exc
     try:
-        return Panel(data={c: np.ascontiguousarray(rows[c]) for c in header})
+        return Panel(data={c: rows[c] for c in header})
     except PanelFormatError as exc:
         raise PanelFormatError(f"{path}: {exc}") from exc

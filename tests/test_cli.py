@@ -857,7 +857,7 @@ print(json.dumps(seen))
 
 
 def test_commands_import_only_the_scipy_they_call(tmp_path):
-    # scipy.linalg and scipy.optimize cost ~0.7 s of each command's start-up;
+    # scipy.linalg and scipy.optimize cost ~0.4 s of a command's start-up;
     # simulate and verify call neither, diagnose calls scipy.linalg only.  A
     # fresh interpreter, since this one has imported scipy already.
     proc = subprocess.run(

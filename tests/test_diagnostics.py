@@ -130,6 +130,33 @@ class TestProfiles:
             profile_scan(ms, name, grid, theta)
         assert calls == []
 
+    @pytest.mark.parametrize("grid", [[], np.array([])], ids=["list", "array"])
+    def test_empty_grid_rejected_before_any_evaluation(self, ces_revenue_ms, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(ces_revenue_ms, "objective", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^sigma grid is empty; a profile needs at least one point$"):
+            profile_scan(ces_revenue_ms, "sigma", grid, THETA_CES)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "system, theta",
+        [
+            ("ces_revenue_ms", THETA_CES[:3]),
+            ("ces_quantity_ms", THETA_CES[:3]),
+            ("cd_revenue_ms", np.append(THETA_CD, 0.9)),
+            ("cd_quantity_ms", np.append(THETA_CD, 0.9)),
+        ],
+    )
+    def test_theta_of_wrong_length_rejected(self, request, system, theta):
+        # before the check a three-entry CES theta took v from CES's default, and a CD one ignored the fourth entry
+        ms = request.getfixturevalue(system)
+        names = ", ".join(ms.chart.names)
+        message = f"^{re.escape(f'a point has one entry per chart coordinate {names}; got shape ({len(theta)},)')}$"
+        with pytest.raises(ValueError, match=message):
+            jacobian_rank(ms, theta)
+        with pytest.raises(ValueError, match=message):
+            profile_scan(ms, ms.chart.names[0], [theta[0]], theta)
+
     def test_unknown_parameter_rejected(self, ces_revenue_ms):
         with pytest.raises(ValueError, match="unknown parameter"):
             profile_scan(ces_revenue_ms, "gamma", [0.1], THETA_CES)

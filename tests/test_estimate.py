@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,16 @@ class TestFirstStage:
         panel = simulate_panel(cfg)
         fs = first_stage_project(panel, 3)
         assert fs.degree < 3
+
+    def test_degree_rule_counts_all_five_observables(self, cd_tech, monkeypatch, caplog):
+        # 40 rows would fit the 35-column degree-3 design, but the rule counts the 56 columns in all five
+        panel = simulate_panel(SimConfig(tech=cd_tech, n_firms=8, n_periods=5, seed=3))
+        with caplog.at_level(logging.WARNING, logger="revprod.estimate"):
+            fs, shape = _first_stage_and_design_shape(panel, 3, monkeypatch)
+        assert fs.degree == 2 and shape == (40, 15)
+        assert caplog.messages == [
+            "first stage degree 3: the polynomial in all five observables has 56 columns, more than the 40 rows; reducing degree"
+        ]
 
     def test_poly_design_multiplies_factors_in_order(self):
         # each monomial is an earlier column times one observable: the product of its factors taken left to right,
@@ -257,6 +269,22 @@ class TestMomentSystems:
         kind = cfg.sim.tech.kind
         for ms in (build_quantity_moments(kind, fs, panel), build_revenue_moments(kind, panel)):
             assert np.linalg.cond(ms.moment_covariance(x_true(cfg.sim))) < 1e4
+
+    @pytest.mark.parametrize(
+        "kind, mode, g_degree", [("CES", "revenue", None), ("CES", "quantity", 1), ("CD", "revenue", None), ("CD", "quantity", 1), ("CD", "quantity", 2)]
+    )
+    def test_chart_point_of_wrong_shape_rejected(self, request, kind, mode, g_degree):
+        # before the check a CES revenue system took two entries, and a CD system read only the first three of four
+        ms = _system(kind, mode, g_degree, request.getfixturevalue(f"small_{kind.lower()}_panel"))[0]
+        x0 = ms.chart.x0
+        calls = [ms.objective, ms.moments, ms.jacobian, ms.moment_covariance, ms.objective_and_gradient]
+        if mode == "quantity":
+            calls.append(ms.g_coefficients)
+        for x in (x0[:-1], np.append(x0, 0.5), x0[None, :], float(x0[0])):
+            names = ", ".join(ms.chart.names)
+            for call in calls:
+                with pytest.raises(ValueError, match=f"^{re.escape(f'a point has one entry per chart coordinate {names}; got shape {np.shape(x)}')}$"):
+                    call(x)
 
     def test_collinear_instrument_set_rejected(self, small_ces_panel):
         fs = first_stage_project(small_ces_panel, 3)

@@ -134,7 +134,7 @@ def _row_read(path, monkeypatch) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(np, "loadtxt", fail)
         patch.setattr(panel_io, "_cached_rows", lambda *args: None)
-        return {c: v for c, v in read_panel_csv(path).data.items() if v is not None}
+        return read_panel_csv(path).data
 
 
 def _cache_path(path) -> Path:
@@ -366,12 +366,22 @@ def test_empty_file_rejected(tmp_path):
         ("R", lambda v: v[:-1], r"^panel columns have unequal lengths: \[479, 480\]$"),
         ("omega", lambda v: np.where(np.arange(v.size) == 3, np.nan, v), "^column omega must be finite$"),
         ("eps", lambda v: np.where(np.arange(v.size) == 3, np.inf, v), "^column eps must be finite$"),
+        ("K", lambda v: None, r"^panel missing required columns: \['K'\]$"),
+        ("bogus", lambda v: np.ones(480), r"^unknown columns \['bogus'\]$"),
+        ("bogus", lambda v: None, r"^unknown columns \['bogus'\]$"),
+        ("firm_id", lambda v: v + 0.5, r"^column firm_id must be a 1-D array of int64, got float64 of shape \(480,\)$"),
+        ("t", lambda v: v.astype(str), r"^column t must be a 1-D array of int64, got <U\d+ of shape \(480,\)$"),
+        ("K", lambda v: v.reshape(-1, 1), r"^column K must be a 1-D array of float64, got float64 of shape \(480, 1\)$"),
+        ("L", lambda v: v + 1j, r"^column L must be a 1-D array of float64, got complex128 of shape \(480,\)$"),
+        ("M", lambda v: 3.0, r"^column M must be a 1-D array of float64, got float64 of shape \(\)$"),
     ],
-    ids=["unequal_lengths", "omega_nan", "eps_inf"],
+    ids=["unequal_lengths", "omega_nan", "eps_inf", "required_none", "unknown", "unknown_none", "float_firm_id", "text_t", "2-d",
+         "complex", "scalar"],
 )
 def test_malformed_columns_rejected(small_cd_panel, column, edit, message):
+    # a float firm_id used to be written as an int; a required column given as None, or an unknown column, was accepted
     data = {c: small_cd_panel.col(c) for c in COLUMNS}
-    data[column] = edit(data[column])
+    data[column] = edit(data.get(column))
     with pytest.raises(PanelFormatError, match=message):
         Panel(data=data)
 
@@ -412,3 +422,88 @@ def test_lag_index_respects_firm_boundaries(small_cd_panel):
     t = small_cd_panel.col("t")
     assert np.all(fid[cur] == fid[lag])
     assert np.all(t[cur] == t[lag] + 1)
+
+
+def _tiny(firm_id, t) -> dict:
+    # the required columns for these (firm_id, t) rows, floats 1.0, 2.0, ...
+    floats = {c: np.arange(1.0, len(t) + 1.0) for c in COLUMNS[2:] if c not in panel_io.OPTIONAL_COLUMNS}
+    return {"firm_id": np.array(firm_id), "t": np.array(t), **floats}
+
+
+def test_callers_dict_is_left_alone():
+    data = {**_tiny([2, 1, 1], [1, 2, 1]), "Q": None}
+    given = {c: v for c, v in data.items()}
+    firm_id = data["firm_id"].copy()
+    panel = Panel(data=data)
+    assert data.keys() == given.keys() and all(data[c] is given[c] for c in given)
+    assert data["firm_id"].tolist() == firm_id.tolist() == [2, 1, 1]
+    assert panel.col("firm_id").tolist() == [1, 1, 2] and panel.col("t").tolist() == [1, 2, 1]
+    assert panel.col("R").tolist() == [3.0, 2.0, 1.0]
+    assert "Q" not in panel.data and panel.col("Q") is None and not panel.has("Q")
+
+
+def test_list_columns_are_stored_as_arrays():
+    panel = Panel(data={c: v.tolist() for c, v in _tiny([1, 1, 2], [1, 2, 1]).items()})
+    cur, lag = panel.lag_index()
+    assert cur.tolist() == [1] and lag.tolist() == [0]
+    assert all(isinstance(v, np.ndarray) for v in panel.data.values())
+
+
+def test_columns_are_stored_in_their_dtype(small_cd_panel):
+    data = {c: small_cd_panel.col(c) for c in COLUMNS}
+    data["firm_id"] = data["firm_id"].astype(np.int32)
+    data["K"] = np.repeat(data["K"], 2)[::2]  # a strided view
+    data["Q"] = None
+    panel = Panel(data=data)
+    assert list(panel.data) == [c for c in COLUMNS if c != "Q"]
+    for c, v in panel.data.items():
+        assert v.dtype == (np.int64 if c in ("firm_id", "t") else np.float64), c
+        assert v.ndim == 1 and v.flags.c_contiguous, c
+        assert np.array_equal(v, small_cd_panel.col(c)), c
+    # a contiguous column of its dtype is stored as given, not copied
+    for c in ("t", "L", "R", "omega"):
+        assert np.shares_memory(panel.col(c), small_cd_panel.col(c)), c
+
+
+def test_simulated_columns_are_stored_without_a_copy(small_cd_config, monkeypatch):
+    from revprod import simulate
+
+    given = []
+    monkeypatch.setattr(simulate, "Panel", lambda data: given.append(data) or Panel(data=data))
+    panel = simulate_panel(small_cd_config)
+    assert [c for c in COLUMNS if panel.has(c)] == COLUMNS
+    for c in COLUMNS:
+        assert np.shares_memory(panel.col(c), given[0][c]), c
+
+
+def _messy_data(rng) -> dict:
+    # a panel as a caller may give it: int32 firm ids, rows shuffled, up to four optional columns None, three columns lists
+    n_firms, n_periods = rng.integers(2, 6), rng.integers(1, 6)
+    firm_id = np.repeat(rng.choice(10**6, n_firms, replace=False), n_periods).astype(np.int32)
+    t = np.tile(np.arange(1, n_periods + 1) + rng.integers(-3, 3), n_firms).astype(np.int32)
+    data = {"firm_id": firm_id, "t": t}
+    for c in COLUMNS[2:]:
+        data[c] = rng.standard_normal(t.size) if c in ("omega", "eps") else rng.lognormal(0.0, 3.0, t.size)
+    perm = rng.permutation(t.size)
+    data = {c: v[perm] for c, v in data.items()}
+    for c in rng.choice(sorted(panel_io.OPTIONAL_COLUMNS), rng.integers(0, 5), replace=False):
+        data[c] = None
+    for c in rng.choice([c for c in COLUMNS[1:] if data[c] is not None], 3, replace=False):
+        data[c] = data[c].tolist()
+    return data
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_messy_panels_read_back_column_equal(seed, tmp_path, caplog):
+    data = _messy_data(np.random.default_rng([20261020, seed]))
+    panel = Panel(data=data)
+    order = np.lexsort((np.asarray(data["t"]), np.asarray(data["firm_id"])))
+    assert [c for c in COLUMNS if panel.has(c)] == [c for c in COLUMNS if data[c] is not None]
+    for c in panel.data:
+        assert np.array_equal(panel.col(c), np.asarray(data[c])[order]), c
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    assert path.read_bytes() == _reference_bytes(panel)
+    _assert_same_panel(_read(path, caplog, "read from the cache beside it"), panel)
+    _cache_path(path).unlink()
+    _assert_same_panel(_read(path, caplog, "parsed"), panel)
