@@ -122,7 +122,7 @@ def profile_scan(
     if len(grid) == 0:
         raise ValueError(f"{param_name} grid is empty; a profile needs at least one point")
     family = FAMILIES[ms.tech_kind]
-    x = to_chart(other_params)
+    x = to_chart(ms._point(other_params))
     i = chart.names.index(param_name)
     for g in grid:
         x[i] = g
@@ -144,7 +144,7 @@ def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
     unresolved; for revenue systems it is exactly flat, since the revenue
     predictor never reads it, for quantity systems it is not.
     """
-    scale = to_chart(center)[ms.chart.names.index("beta_L+beta_M")]
+    scale = to_chart(ms._point(center))[ms.chart.names.index("beta_L+beta_M")]
     return profile_scan(ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * scale, center)
 
 
@@ -168,7 +168,7 @@ def jacobian_rank(ms: MomentSystem, theta: Sequence[float]) -> RankDiagnostics:
     attributes the null space to the chart's axes by the norm of each axis's projection onto it, all zeros
     when the Jacobian has full rank.
     """
-    _, s, Vt = np.linalg.svd(ms.jacobian(to_chart(theta)))
+    _, s, Vt = np.linalg.svd(ms.jacobian(to_chart(ms._point(theta))))
     cutoff = RANK_RTOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     null = Vt[rank:]

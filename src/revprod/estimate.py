@@ -42,19 +42,20 @@ so the exact moment Jacobian J whose SVD the rank diagnostics take
 (MomentSystem.jacobian) is formed from it, one row per moment.  A Cobb-Douglas
 quantity system at Markov degree one skips the rows: its moments and their
 gradient are closed forms over cross-products taken once
-(_LinearMarkovMoments).  The searches are L-BFGS-B; one stops once an
-iteration lowers the objective by less than a relative 1e-12, about twice
-the measured rounding noise of J at the quantity minima.  _share_chart builds
-each system's chart (SearchChart), with c <= 0.995 for CES so that capital
-keeps a share; revenue holds c and v (or beta_K) at a stated normalisation,
-the one statement of what revenue identifies: a fit reports the free
-coordinates at its minimum as identified (sigma and a, or a).  Both modes
-start at one point: sigma and a at the closed-form expenditure-ratio
-estimate (their box centre where it is undetermined), c and v (or beta_K and
-c) at the normalisation.  A fit searches the free coordinates once, and
-under two-step weighting re-minimizes once.  The one minimum lists the
-coordinates it left on a bound (at_bound); one on a bound is never reported
-converged.
+(_LinearMarkovMoments).  The searches are Levenberg-Marquardt on that Jacobian
+and gradient, on numpy alone (_lm_search); n_iter counts their steps and
+n_evals their moment evaluations.  _share_chart builds each system's chart
+(SearchChart), with c <= 0.995 for CES so that capital keeps a share; revenue
+holds c and v (or beta_K) at a stated normalisation, the one statement of what
+revenue identifies: a fit reports the free coordinates at its minimum as
+identified (sigma and a, or a).  Both modes start at one point: sigma and a at
+the closed-form expenditure-ratio estimate (their box centre where it is
+undetermined), c and v (or beta_K and c) at the normalisation.  A fit searches
+the free coordinates once, and under two-step weighting re-minimizes once.
+The one minimum lists the coordinates it left on a bound (at_bound) and the
+rule that stopped its search (message).  converged holds when that rule is the
+first-order test, the Gauss-Newton predicted_decrease within ten times J's
+measured rounding_noise, and at_bound is empty.
 """
 
 from __future__ import annotations
@@ -92,11 +93,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-# A module-level name that gmm_minimize looks up on each call, so callers can patch it (perfbench counts searches).
+# Uncalled: gmm_minimize runs _lm_search.  The name stays only because perfbench's tracer patches it.
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: only estimate searches need scipy.optimize."""
+    """scipy.optimize.minimize, imported on call."""
     from scipy.optimize import minimize
-
     return minimize(*args, **kwargs)
 
 
@@ -163,12 +163,18 @@ def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _pivoted_rank(A: np.ndarray):
-    """(rank, pivots) of A: numpy's rank cutoff (eps * max(n, p) relative to the largest) on a pivoted QR, whose
-    |R_ii| fall, so the first rank pivots are independent columns and the last pivot is the most dependent one."""
-    import scipy.linalg
-
-    R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-    d = np.abs(np.diag(R))
+    """(rank, pivots) of A: numpy's rank cutoff (eps * max(n, p) relative to the largest) on a QR with column
+    pivoting as LAPACK's geqp3 does it, so the first rank pivots are independent and the last is the most dependent
+    column.  Each step swaps forward the first column whose remaining squared norm is within 1e-10 of the largest,
+    so that no pivot rests on rounding; the trailing block of the triangle keeps A's remaining column norms, and
+    each step triangularizes it again."""
+    R, piv = np.linalg.qr(A, mode="r"), np.arange(A.shape[1])
+    for j in range(min(R.shape)):
+        squares = np.einsum("ij,ij->j", R[j:, j:], R[j:, j:])
+        k = j + int(np.argmax(squares >= (1.0 - 1e-10) * squares.max()))
+        R[:, [j, k]], piv[[j, k]] = R[:, [k, j]], piv[[k, j]]
+        R[j:, j:] = np.linalg.qr(R[j:, j:], mode="r")
+    d = np.abs(R.diagonal())
     return np.count_nonzero(d > np.finfo(float).eps * max(A.shape) * d[0]), piv
 
 
@@ -203,18 +209,8 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     design: a 40-row panel is cut to degree 2 although its degree-3 design
     has 35 columns, so the degree does not depend on which observables are
     collinear.  Any collinearity left in the design is handled by the
-    minimum-norm projection.
-
-    The projection goes through scipy.linalg, not numpy.linalg.  numpy and
-    scipy each load their own OpenBLAS; numpy's lstsq on this design wakes
-    numpy's thread pool, whose workers then spin for ~0.1 s while the BLAS
-    and LAPACK calls inside L-BFGS-B wait for a CPU in scipy's pool.  The
-    rank cutoff is numpy's (eps * max(n, p) relative to the largest singular
-    value), which keeps the rank and the fitted values bit-identical to
-    numpy's.
+    minimum-norm projection, numpy's lstsq at its default rank cutoff.
     """
-    import scipy.linalg
-
     if degree < 1:
         raise ValueError("polynomial degree must be >= 1")
     if not panel.has("Q"):
@@ -245,8 +241,7 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     independent, piv = _pivoted_rank(Xs)
     keep = np.sort(piv[:independent])  # in column order
     design = _poly_design(Xs[:, keep], used)
-    # scipy.linalg with numpy's cutoff; see the docstring
-    coef, _, rank, _ = scipy.linalg.lstsq(design, y, cond=np.finfo(float).eps * max(design.shape))
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     logger.debug("first stage expands %d of 5 observables into %d columns of rank %d", keep.size, design.shape[1], rank)
     fitted = design @ coef
     resid = y - fitted
@@ -348,12 +343,14 @@ class MomentSystem:
         return e, lambda q: derivatives(pullback(q))
 
     def _linearize(self, x):
-        """(m, gradient) at x: gradient(u) is the objective's gradient for the direction u."""
+        """(m, gradient, jacobian) at x: gradient(u) is the objective's gradient for the direction u, 2 n J'u, and
+        jacobian() is J, whose row j is the gradient at u = e_j over 2 n, on the row path one VJP per instrument."""
         x = self._point(x)
         if self._closed_form is not None:
-            return self._closed_form(x)
+            m, gradient = self._closed_form(x)
+            return m, gradient, lambda: np.array([gradient(u) for u in np.eye(self.n_moments)]) / (2.0 * self.n_obs)
         e, vjp = self._evaluate(x)
-        return e.dot(self.Z) / self.n_obs, lambda u: -2.0 * vjp(self.Z.dot(u))
+        return e.dot(self.Z) / self.n_obs, lambda u: -2.0 * vjp(self.Z.dot(u)), lambda: np.array([vjp(z) for z in self.Z.T.copy()]) / -self.n_obs
 
     def g_coefficients(self, x) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
@@ -367,17 +364,17 @@ class MomentSystem:
         return self._linearize(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
-        """Exact n_moments x p Jacobian of moments(x) in the chart: row j is the gradient at u = e_j, over 2 n."""
-        gradient = self._linearize(x)[1]
-        return np.array([gradient(u) for u in np.eye(self.n_moments)]) / (2.0 * self.n_obs)
+        """Exact n_moments x p Jacobian of moments(x) in the chart."""
+        return self._linearize(x)[2]()
 
     def moment_covariance(self, x) -> np.ndarray:
         G = self.Z * self._evaluate(self._point(x))[0][:, None]
         return G.T @ G / self.n_obs
 
     def _quadratic_form(self, m, weight):
+        """n m'Wm, and the direction u = (W + W')m / 2 whose gradient(u) is its gradient."""
         mw = m if weight is None else m.dot(weight)
-        return self.n_obs * float(mw.dot(m)), mw
+        return self.n_obs * float(mw.dot(m)), m if weight is None else 0.5 * (mw + weight.dot(m))
 
     def objective(self, x, weight: Optional[np.ndarray] = None) -> float:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
@@ -385,9 +382,9 @@ class MomentSystem:
 
     def objective_and_gradient(self, x, weight: Optional[np.ndarray] = None):
         """objective(x, weight) and its exact gradient in x from one evaluation."""
-        m, gradient = self._linearize(x)
-        value, mw = self._quadratic_form(m, weight)
-        return value, gradient(m if weight is None else 0.5 * (mw + weight.dot(m)))
+        m, gradient, _ = self._linearize(x)
+        value, u = self._quadratic_form(m, weight)
+        return value, gradient(u)
 
 
 class _MarkovInnovation:
@@ -755,18 +752,13 @@ def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
     is 2SLS of the log ratio on a constant and, for CES, log(L/M), with the instruments Z; cols holds the
     logs of L, M, pL and pM on Z's rows.
     """
-    import scipy.linalg
-
     y = cols["L"] + cols["pL"] - cols["M"] - cols["pM"]
     X = np.ones((y.size, 1)) if tech_kind == "CD" else np.column_stack([np.ones(y.size), cols["L"] - cols["M"]])
-    try:
-        R = scipy.linalg.cholesky(Z.T.dot(Z))
-    except scipy.linalg.LinAlgError:
-        return None
-    # with Z'Z = R'R, R^-T Z'[X y] is [X y] projected on the span of Z, in an orthonormal basis of it
-    proj = scipy.linalg.solve_triangular(R, Z.T.dot(np.column_stack([X, y])), trans="T")
+    # with Z = QR, the thin QR, Q'[X y] is [X y] projected on the span of Z, in an orthonormal basis of it; it is
+    # the upper right block of the triangle of [Z X y], whose first reflections are Z's
+    proj = np.linalg.qr(np.column_stack([Z, X, y]), mode="r")[: Z.shape[1], Z.shape[1]:]
     # a log(L/M) whose projection is a constant to within 1e-10 of its size leaves sigma undetermined
-    coef, _, rank, _ = scipy.linalg.lstsq(proj[:, :-1], proj[:, -1], cond=1e-10)
+    coef, _, rank, _ = np.linalg.lstsq(proj[:, :-1], proj[:, -1], rcond=1e-10)
     if rank < X.shape[1]:
         return None
     return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
@@ -837,51 +829,121 @@ class EstimateResult:
     identified: Optional[dict] = None  # the free chart coordinates, on charts with a normalisation (revenue) only
 
 
-# L-BFGS-B stops once an iteration lowers J by less than this relative amount.
-# It is about 2x the relative rounding noise of J at the quantity minima
-# (~5e-13, the sd of J under 1e-14 relative perturbations of theta; ~5e-14
-# at the revenue minima).  A tighter value asks for decreases that rounding
-# hides, so searches end ABNORMAL in a failed line search at their minimum.
-_FTOL = 1e-12
-
 # A coordinate this close to a bound (as a fraction of the box width) is
 # reported in at_bound.
 _AT_BOUND_TOL = 1e-10
 
+# _lm_search's damping at the start, and past which it gives up; its step limit; the factor by which each step
+# from an older Gauss-Newton matrix must cut the predicted decrease; the predicted decrease, relative to J, below
+# which it measures J's rounding noise; and the multiple of that noise within which the test holds.
+_DAMPING = 1e-1
+_MAX_DAMPING = 1e10
+_MAX_STEPS = 200
+_SLOW = 0.1
+_NOISE_FROM = 1e-8
+_NOISE_MULTIPLE = 10.0
+_FIRST_ORDER = "the Gauss-Newton predicted decrease is within the rounding noise of J"
+
 
 def _two_step_weight(ms: MomentSystem, x) -> np.ndarray:
-    """Cholesky inverse of the moment covariance at the chart point x.  With full-rank instruments on at
-    least as many lag rows, it fails only when the residual-weighted instruments lose rank."""
-    import scipy.linalg
-
+    """Inverse of the moment covariance at the chart point x, L^-T L^-1 from its Cholesky factor L.  With full-rank
+    instruments on at least as many lag rows, it fails only when the residual-weighted instruments lose rank."""
     try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ms.moment_covariance(x)), np.eye(ms.n_moments))
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(ms.moment_covariance(x))
+    except np.linalg.LinAlgError as exc:
         raise EstimationError(
             "two-step weighting: the moment covariance at the stage-one estimate is not positive "
             f"definite (n_obs = {ms.n_obs}, n_moments = {ms.n_moments}): {exc}"
         ) from exc
+    L_inv = np.linalg.solve(L, np.eye(ms.n_moments))
+    return L_inv.T.dot(L_inv)
+
+
+def _lm_search(ms: MomentSystem, x0, weight, free, lo, hi, jacobian0=None):
+    """Box-constrained Levenberg-Marquardt on J = n m'Wm over the coordinates free (indices into x, bounds lo and
+    hi), the others held at x0; jacobian0 is the moment Jacobian at x0, if the caller has it.  Returns the x it
+    stopped at and its record: steps tried, moment evaluations, the stopping rule, the first-order test at x, and
+    the Jacobian at x if it was taken there.
+
+    Each point reached takes one _linearize: m, the gradient g and, when asked, the Jacobian G; H = 2n G'WG over the
+    free coordinates sets the step (H + damping diag H) d = -g, clipped to the box, and a coordinate on a bound is
+    held where g points out of the box.  A step that lowers J is taken (damping / 10), else retried (damping x 10,
+    or a new H if H is older than x).  Gauss-Newton converges linearly on an overidentified J, so H is taken again
+    only then, after a step that cuts the predicted decrease by less than _SLOW, and before the test stops the
+    search.  The test holds when the predicted decrease g'H^+g / 2 is within _NOISE_MULTIPLE times J's rounding
+    noise: the largest change of J, less its first-order part, when the free coordinates are scaled by 1 + 1e-14 t,
+    t = -2, -1, 1, 2.  That takes four evaluations, where the predicted decrease falls below _NOISE_FROM J or a step
+    from a current H fails (an exactly identified J predicts a decrease of J itself), and again there once J halves."""
+    x, evals = np.array(x0, float), 0
+
+    def linearize(y):
+        nonlocal evals
+        evals += 1
+        return ms._linearize(y)
+
+    m, gradient, jacobian = linearize(x)
+    jacobian = jacobian if jacobian0 is None else lambda: jacobian0
+    J, u = ms._quadratic_form(m, weight)
+    damping, noise, noise_at, H, steps, stalled = _DAMPING, None, np.inf, None, 0, False
+
+    def rounding_noise():
+        ys = np.repeat(x[None], 4, axis=0)
+        ys[:, free] *= 1.0 + 1e-14 * np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        return float(max(abs(ms._quadratic_form(linearize(y)[0], weight)[0] - J - g.dot(y[free] - x[free])) for y in ys))
+
+    g = gradient(u)[free]
+    while True:
+        if H is None:
+            G = (full := jacobian())[:, free]
+            H, current = 2.0 * ms.n_obs * G.T.dot(G if weight is None else weight.dot(G)), True
+        move = ~(((x[free] <= lo) & (g > 0.0)) | ((x[free] >= hi) & (g < 0.0)))
+        H_m, g_m = H[np.ix_(move, move)], g[move]
+        predicted = 0.5 * float(g_m.dot(np.linalg.lstsq(H_m, g_m, rcond=None)[0]))
+        if (stalled or predicted <= _NOISE_FROM * J) and 2.0 * J < noise_at:
+            noise, noise_at = rounding_noise(), J
+        done = noise is not None and predicted <= _NOISE_MULTIPLE * noise
+        if not current and (done or predicted > _SLOW * before):
+            H = None
+            continue
+        if done or steps == _MAX_STEPS or damping > _MAX_DAMPING:
+            message = _FIRST_ORDER if done else f"{steps} steps taken" if steps == _MAX_STEPS else "no damped step lowers J"
+            break
+        before, steps = predicted, steps + 1
+        scale = np.maximum(H_m.diagonal(), np.finfo(float).eps * H_m.diagonal().max())
+        y = x.copy()
+        y[free[move]] = np.clip(x[free][move] + np.linalg.solve(H_m + damping * np.diag(scale), -g_m), lo[move], hi[move])
+        m_y, gradient_y, jacobian_y = linearize(y)
+        J_y, u_y = ms._quadratic_form(m_y, weight)
+        if J_y < J:
+            x, jacobian, J, current, stalled, g = y, jacobian_y, J_y, False, False, gradient_y(u_y)[free]
+            damping /= 10.0
+        elif current:
+            damping, stalled = 10.0 * damping, True
+        else:
+            H = None
+    noise = rounding_noise() if noise is None else noise
+    return x, {"objective": J, "n_iter": steps, "n_evals": evals, "message": message, "predicted_decrease": predicted,
+               "rounding_noise": noise, "jacobian": full if current else None}
 
 
 def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
     """Minimization of the GMM quadratic form from the start of ms.chart.
 
-    Every search is L-BFGS-B on the objective and its gradient in x over the free coordinates of ms.chart, those it
-    does not normalise, the others held.  The chart's x0 is the start, and its source is diagnostics.start,
-    'expenditure-ratio' or 'box-centre'.  Stage one is one search from x0; weighting 'identity' stops there.
-    'two-step' reweights by the Cholesky inverse of the moment covariance at the stage-one minimum
-    (_two_step_weight) and re-minimizes once from it.  A system with fewer moments than free coordinates is not
-    identified, and raises ValueError before any search.  Minima and estimates report theta,
-    to_theta of the point reached.  A fit on a chart with a normalisation adds identified, the free coordinates at
-    the minimum, and diagnostics.normalisation; df is n_moments less the number of free coordinates.  A fit on a
-    quantity system adds g_coefficients and first_stage, the degree and r_squared of the system's first stage.
+    Every search is _lm_search over the free coordinates of ms.chart, those it does not normalise, the others
+    held.  The chart's x0 is the start, and its source is diagnostics.start, 'expenditure-ratio' or 'box-centre'.
+    Stage one is one search from x0 with the identity weight; weighting 'identity' stops there.  'two-step'
+    reweights by the inverse of the moment covariance at the stage-one minimum (_two_step_weight) and
+    re-minimizes once from it.  A system with fewer moments than free coordinates is not identified, and raises
+    ValueError before any search.  Minima and estimates report theta, to_theta of the point reached.  A fit on a
+    chart with a normalisation adds identified, the free coordinates at the minimum, and
+    diagnostics.normalisation; df is n_moments less the number of free coordinates.  A fit on a quantity system
+    adds g_coefficients and first_stage, the degree and r_squared of the system's first stage.
 
-    minima lists the one minimum reached, with at_bound, the names of the moved coordinates within _AT_BOUND_TOL of
-    the box width of a bound; the last search's termination message; and n_iter and n_evals, L-BFGS-B's iterations
-    and value-and-gradient evaluations summed over the fit's one or two searches.
-    converged is L-BFGS-B's success flag for a minimum off the bounds; a minimum on a bound is never reported
-    converged, since a zero projected gradient there can mark a box corner far above the best J.  Searches stop at
-    the relative decrease _FTOL, set from the rounding noise of J.
+    minima lists the one minimum reached: at_bound, the names of the moved coordinates within _AT_BOUND_TOL of the
+    box width of a bound; the last search's message, predicted_decrease and rounding_noise; and n_iter and n_evals
+    summed over the fit's searches.  converged holds when the last search stopped on its first-order test and
+    at_bound is empty: on a bound the search holds the coordinates the gradient pushes out of the box, and the test
+    can then hold at a box corner far above the best J.
     """
     if weighting not in ("identity", "two-step"):
         raise ValueError("weighting must be 'identity' or 'two-step'")
@@ -890,47 +952,23 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     free = chart.free
     if ms.n_moments < len(free):
         raise ValueError(f"{ms.n_moments} moments cannot identify the {len(free)} free coordinates {', '.join(free)}")
-    i = [chart.names.index(n) for n in free]
-    runs = []
-
-    def search(x0, W):
-        """L-BFGS-B over the free coordinates, the others held at x0; returns the full x it reached."""
-        x = np.array(x0, float)
-
-        def objective_and_gradient(x_free):
-            x[i] = x_free
-            value, grad = ms.objective_and_gradient(x, W)
-            return value, grad[i]
-
-        res = minimize(
-            objective_and_gradient,
-            x[i],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[chart.bounds[k] for k in i],
-            options={"maxiter": 300, "ftol": _FTOL, "gtol": 1e-10},
-        )
-        runs.append(res)
-        x[i] = res.x
-        return x
-
-    x = search(chart.x0, None)
+    i = np.array([chart.names.index(n) for n in free], dtype=int)
+    runs = [_lm_search(ms, chart.x0, None, i, lo[i], hi[i])]
     if weighting == "two-step":
-        x = search(x, _two_step_weight(ms, x))
-
-    res = runs[-1]
+        runs.append(_lm_search(ms, runs[0][0], _two_step_weight(ms, runs[0][0]), i, lo[i], hi[i], runs[0][1]["jacobian"]))
+    x, last = runs[-1]
     edge = _AT_BOUND_TOL * (hi - lo)
     on_bound = (x - lo <= edge) | (hi - x <= edge)
     at_bound = [n for n, b in zip(chart.names, on_bound) if b and n in free]
     theta_hat = to_theta(x)
     minimum = {
         "theta": [float(v) for v in theta_hat],
-        "objective": float(res.fun),
-        "converged": bool(res.success) and not at_bound,
+        "objective": last["objective"],
+        "converged": last["message"] == _FIRST_ORDER and not at_bound,
         "at_bound": at_bound,
-        "message": str(res.message),
-        "n_iter": sum(int(r.nit) for r in runs),
-        "n_evals": sum(int(r.nfev) for r in runs),
+        "n_iter": sum(r["n_iter"] for _, r in runs),
+        "n_evals": sum(r["n_evals"] for _, r in runs),
+        **{k: last[k] for k in ("message", "predicted_decrease", "rounding_noise")},
     }
     if not minimum["converged"]:
         logger.warning("the search did not report clean convergence; returning its last iterate")

@@ -145,10 +145,15 @@ class TestProfiles:
             ("ces_quantity_ms", THETA_CES[:3]),
             ("cd_revenue_ms", np.append(THETA_CD, 0.9)),
             ("cd_quantity_ms", np.append(THETA_CD, 0.9)),
+            ("ces_revenue_ms", THETA_CES[:2]),
+            ("ces_quantity_ms", np.append(THETA_CES, 0.9)),
+            ("cd_revenue_ms", THETA_CD[:2]),
+            ("cd_quantity_ms", THETA_CD[:2]),
         ],
     )
     def test_theta_of_wrong_length_rejected(self, request, system, theta):
-        # before the check a three-entry CES theta took v from CES's default, and a CD one ignored the fourth entry
+        # before the check a three-entry CES theta took v from CES's default, and a CD one ignored the fourth entry;
+        # a two-entry theta raised IndexError in to_chart, before reaching the check
         ms = request.getfixturevalue(system)
         names = ", ".join(ms.chart.names)
         message = f"^{re.escape(f'a point has one entry per chart coordinate {names}; got shape ({len(theta)},)')}$"
@@ -156,6 +161,8 @@ class TestProfiles:
             jacobian_rank(ms, theta)
         with pytest.raises(ValueError, match=message):
             profile_scan(ms, ms.chart.names[0], [theta[0]], theta)
+        with pytest.raises(ValueError, match=message):
+            beta_scale_scan(ms, theta)
 
     def test_unknown_parameter_rejected(self, ces_revenue_ms):
         with pytest.raises(ValueError, match="unknown parameter"):

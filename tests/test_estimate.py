@@ -1,14 +1,17 @@
 import dataclasses
 import itertools
+import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.optimize
 
 from revprod import estimate
 from revprod.cli import _validator
@@ -105,16 +108,16 @@ class TestFirstStage:
         assert np.array_equal(estimate._poly_design(X, 3), np.column_stack(ref))
 
     @pytest.mark.parametrize("config", ["ces.ini", "cd.ini"])
-    def test_matches_numpy_lstsq_bitwise(self, config, monkeypatch):
-        # the projection runs through scipy.linalg with numpy's rank cutoff; cost
-        # minimization leaves four independent observables, so the design has the
-        # 35 columns of a cubic in four, at full rank
+    def test_matches_scipy_lstsq_bitwise(self, config, monkeypatch):
+        # the projection is numpy's lstsq, and its fitted values are bit-identical to scipy.linalg's at numpy's
+        # rank cutoff, which projected before; cost minimization leaves four independent observables, so the
+        # design has the 35 columns of a cubic in four, at full rank
         cfg = parse_config(ROOT / "configs" / config)
         panel = simulate_panel(cfg.sim)
         degree = cfg.estimation.first_stage_degree
         fs, shape = _first_stage_and_design_shape(panel, degree, monkeypatch)
         with monkeypatch.context() as m:
-            m.setattr(scipy.linalg, "lstsq", lambda a, b, cond=None: np.linalg.lstsq(a, b, rcond=None))
+            m.setattr(np.linalg, "lstsq", lambda a, b, rcond: scipy.linalg.lstsq(a, b, cond=np.finfo(float).eps * max(a.shape)))
             ref = first_stage_project(panel, degree)
         assert fs.rank == ref.rank == shape[1] == 35
         assert np.array_equal(fs.fitted, ref.fitted)
@@ -147,12 +150,58 @@ class TestFirstStage:
         assert np.max(np.abs(fs.fitted - _full_design_fit(panel, 3))) < 1e-12
 
 
+class TestPivotedRank:
+    @staticmethod
+    def _lapack(A):
+        """(rank, pivots) from LAPACK's geqp3 through scipy, at the same cutoff."""
+        R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+        d = np.abs(np.diag(R))
+        return int(np.count_nonzero(d > np.finfo(float).eps * max(A.shape) * d[0])), piv.tolist()
+
+    @staticmethod
+    def _same_span(A, rank, piv, other):
+        """Whether the first rank columns of A in the orders piv and other span one space."""
+        return np.linalg.matrix_rank(np.column_stack([A[:, piv[:rank]], A[:, other[:rank]]])) == rank
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_matches_lapack_on_shipped_panels(self, config):
+        # scipy.linalg.qr's rank, and the span of the columns it keeps: on the default instruments; on the
+        # standardised first-stage observables, whose equal norms tie at the first pivot (which one LAPACK
+        # takes rests on the rounding of its norms) and whose rank cost minimization cuts to four; and on the
+        # instruments with a planted dependent column
+        panel = simulate_panel(parse_config(ROOT / config).sim)
+        cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
+        Z = _instrument_matrix(logs, cur, lag, DEFAULT_INSTRUMENTS)
+        X = np.column_stack([np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")])
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        planted = np.column_stack([Z, 2.0 * Z[:, 2] - 0.5 * Z[:, 4]])
+        for A, rank in ((Z, 11), (Xs, 4), (planted, 11)):
+            got, piv = estimate._pivoted_rank(A)
+            lapack, lapack_piv = self._lapack(A)
+            assert got == lapack == rank
+            assert sorted(piv.tolist()) == list(range(A.shape[1]))
+            assert self._same_span(A, rank, piv, lapack_piv)
+
+    def test_planted_dependent_column_is_the_last_pivot(self):
+        A = np.random.default_rng(11).normal(size=(200, 6))
+        A[:, 3] = 3.0 * A[:, 0] - A[:, 5]
+        rank, piv = estimate._pivoted_rank(A)
+        assert rank == self._lapack(A)[0] == 5 and piv[-1] in (0, 3, 5)
+        assert self._same_span(A, rank, piv, self._lapack(A)[1])
+
+    def test_near_ties_go_to_the_first_column(self):
+        # orthonormal columns, whose norms differ by rounding alone, keep their order
+        Q = np.linalg.qr(np.random.default_rng(5).normal(size=(300, 5)))[0]
+        rank, piv = estimate._pivoted_rank(Q[:, ::-1])
+        assert rank == 5 and piv.tolist() == list(range(5))
+
+
 def _first_stage_and_design_shape(panel, degree, monkeypatch):
     """first_stage_project's result and the shape of the design it projects on."""
     shapes = []
-    lstsq = scipy.linalg.lstsq
+    lstsq = np.linalg.lstsq
     with monkeypatch.context() as m:
-        m.setattr(scipy.linalg, "lstsq", lambda a, b, **kw: shapes.append(a.shape) or lstsq(a, b, **kw))
+        m.setattr(np.linalg, "lstsq", lambda a, b, **kw: shapes.append(a.shape) or lstsq(a, b, **kw))
         fs = first_stage_project(panel, degree)
     (shape,) = shapes
     return fs, shape
@@ -403,6 +452,18 @@ def _system(kind, mode, g_degree, panel):
         return build_revenue_moments(kind, panel, which_v="L" if mode == "revenue-L" else "M"), None
     fs = first_stage_project(panel, 3)
     return build_quantity_moments(kind, fs, panel, g_degree=g_degree), fs.fitted
+
+
+def _record_linearizations(ms):
+    """The list to which ms now appends each point at which it takes its linearization."""
+    points, linearize = [], ms._linearize
+
+    def recording(x):
+        points.append(np.array(x, float))
+        return linearize(x)
+
+    ms._linearize = recording
+    return points
 
 
 def _shares_045_05_system(seed):
@@ -747,20 +808,25 @@ class TestGmmMinimize:
         assert full.diagnostics["df"] == ms.n_moments - p
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
-    def test_revenue_fit_moves_only_what_revenue_identifies(self, kind, small_cd_panel, small_ces_panel, monkeypatch):
-        # L-BFGS-B is handed the sigma and share-ratio bounds alone, in both stages
+    def test_revenue_fit_moves_only_what_revenue_identifies(self, kind, small_cd_panel, small_ces_panel):
+        # both stages search sigma and the share ratio alone, inside their bounds: every point at which the
+        # moments are evaluated holds the rest at the normalisation, and n_evals counts those points
         ms = _system(kind, "revenue", None, small_cd_panel if kind == "CD" else small_ces_panel)[0]
-        searches = []
-
-        def recording(fun, x0, bounds, **kwargs):
-            searches.append(bounds)
-            return scipy.optimize.minimize(fun, x0, bounds=bounds, **kwargs)
-
-        monkeypatch.setattr(estimate, "minimize", recording)
-        gmm_minimize(ms, weighting="two-step")
-        identified = [DEFAULT_BOUNDS[kind]["sigma"]] if kind == "CES" else []
-        identified.append(ms.chart.bounds[ms.chart.names.index("share_ratio")])
-        assert searches == [identified, identified]
+        points = _record_linearizations(ms)
+        res = gmm_minimize(ms, weighting="two-step")
+        (only,) = res.minima
+        assert len(points) == only["n_evals"] > only["n_iter"]
+        held = [ms.chart.names.index(n) for n in ms.chart.normalisation]
+        assert all(p[held].tolist() == list(ms.chart.normalisation.values()) for p in points)
+        identified = ["sigma", "share_ratio"] if kind == "CES" else ["share_ratio"]
+        assert list(res.identified) == identified
+        x = to_chart(only["theta"])
+        for name, value in zip(ms.chart.names, x):
+            lo, hi = ms.chart.bounds[ms.chart.names.index(name)]
+            if name in identified:
+                assert lo < value < hi and value != ms.chart.x0[ms.chart.names.index(name)]
+            else:
+                assert value == pytest.approx(ms.chart.normalisation[name], rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_at_bound_names_no_normalised_coordinate(self, kind, cd_panel, ces_panel):
@@ -791,8 +857,9 @@ class TestGmmMinimize:
     def test_quantity_start_sits_at_the_normalisation(self):
         # on this panel one search from sigma and the share ratio at their closed form, with the share scale
         # and v at revenue's normalisation, reaches the better of the two minima that the earlier multistart
-        # (17 searches from screened draws) found, off the bounds.  The same search with the share scale and
-        # v at the centre of their box stops at J ~ 3.31: that is why the start sits at the normalisation
+        # (17 searches from screened draws) found, off the bounds.  L-BFGS-B, which searched before, stopped
+        # at J ~ 3.31 from the share scale and v at the centre of their box, which is why the start sits at the
+        # normalisation; the Levenberg-Marquardt search reaches the same minimum from either start
         ms = _shares_045_05_system(114)
         x0, source = ms.chart.x0, ms.chart.source
         assert source == "expenditure-ratio"
@@ -804,12 +871,13 @@ class TestGmmMinimize:
         centred[2:] = 0.5 * (lo + hi)[2:]  # beta_L+beta_M and v
         at_centre = dataclasses.replace(ms.chart, x0=centred, source=source)
         centre_fit = gmm_minimize(dataclasses.replace(ms, chart=at_centre), weighting="identity")
-        assert centre_fit.objective == pytest.approx(3.31, abs=0.01)
+        assert centre_fit.objective == pytest.approx(0.03534005119776842, rel=1e-8)
 
     def test_corner_minimum_not_converged(self, ces_panel):
         # the chart's corner sigma = 0.9, beta_L/(beta_L+beta_M) at its lower
-        # bound has a zero projected gradient in revenue mode, which L-BFGS-B
-        # reports as success
+        # bound has a gradient that points out of the box in revenue mode: the
+        # search holds both coordinates there, so nothing is left to move and
+        # the first-order test holds, yet a minimum on a bound is not converged
         ms = build_revenue_moments("CES", ces_panel)
         (_, sigma_hi), (share_lo, _) = ms.chart.bounds[:2]
         x0 = ms.chart.x0.copy()
@@ -818,7 +886,8 @@ class TestGmmMinimize:
         res = gmm_minimize(dataclasses.replace(ms, chart=corner), weighting="two-step")
         (corner,) = res.minima
         assert corner["at_bound"] == ["sigma", "share_ratio"]
-        assert "PROJECTED GRADIENT" in corner["message"]
+        assert corner["message"] == "the Gauss-Newton predicted decrease is within the rounding noise of J"
+        assert corner["predicted_decrease"] == 0.0
         assert corner["converged"] is False
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
@@ -868,6 +937,24 @@ class TestGmmMinimize:
             ms.chart.x0[0] = 0.5
         gmm_minimize(ms, weighting="two-step")
         assert ms.chart.x0.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+    def test_ratio_fit_starts_wherever_the_instruments_are_accepted(self, small_cd_panel, delta):
+        # pM = pL exp(delta z) makes the instruments const pl_t pm_t collinear to about delta.  The rank rule
+        # accepts them down to 1e-13 on this panel, and wherever it does the expenditure ratio gives the start:
+        # the ratio fit projects on the thin QR of Z.  The Cholesky of Z'Z it took before failed or not by
+        # rounding below delta ~ 1e-8, so the start flipped to the box centre at 1e-8 and 1e-11 to 1e-13
+        data = {c: small_cd_panel.col(c) for c in COLUMNS}
+        data["pM"] = data["pL"] * np.exp(delta * np.random.default_rng(3).standard_normal(len(small_cd_panel)))
+        panel = Panel(data=data)
+        instruments = ("const", "pl_t", "pm_t")
+        cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
+        if delta > 1e-14:
+            _instrument_matrix(logs, cur, lag, instruments)
+            assert build_revenue_moments("CD", panel, instruments=instruments).chart.source == "expenditure-ratio"
+        else:
+            with pytest.raises(ValueError, match="are collinear on this panel"):
+                _instrument_matrix(logs, cur, lag, instruments)
 
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit
@@ -921,34 +1008,73 @@ class TestGmmMinimize:
         (only,) = res.minima
         assert only["converged"] is True and only["at_bound"] == []
 
-    def test_chart_start_is_not_screened(self, small_ces_panel, monkeypatch):
+    def test_chart_start_is_not_screened(self, small_ces_panel):
         # a CES quantity fit evaluates no screening draw: it searches every coordinate once from the
         # closed-form start (and under two-step weighting once again), and reports one minimum
         ms = _system("CES", "quantity", 1, small_ces_panel)[0]
-        calls, searches = [], []
+        calls = []
         objective = ms.objective
 
         def counting(*args):
             calls.append(args)
             return objective(*args)
 
-        def recording(fun, x0, bounds, **kwargs):
-            res = scipy.optimize.minimize(fun, x0, bounds=bounds, **kwargs)
-            searches.append((bounds, res.nit, res.nfev))
-            return res
-
         ms.objective = counting
-        monkeypatch.setattr(estimate, "minimize", recording)
-        free = list(ms.chart.bounds)
-        for weighting, stages in (("identity", [free]), ("two-step", [free, free])):
-            searches.clear()
+        points = _record_linearizations(ms)
+        for weighting in ("identity", "two-step"):
+            points.clear()
             res = gmm_minimize(ms, weighting=weighting)
             assert calls == []
             assert res.diagnostics["start"] == "expenditure-ratio"
-            assert [s[0] for s in searches] == stages
-            # every search's iterations and evaluations are the minimum's
+            # the first evaluation is at the chart start, and n_evals counts every evaluation of every search
             (only,) = res.minima
-            assert (only["n_iter"], only["n_evals"]) == tuple(np.sum([s[1:] for s in searches], axis=0))
+            assert points[0].tolist() == ms.chart.x0.tolist()
+            assert len(points) == only["n_evals"] > only["n_iter"]
+
+    @pytest.mark.parametrize("weighting", ["identity", "two-step"])
+    def test_converged_is_the_first_order_test(self, weighting, cd_panel, ces_panel):
+        # each fit on the fixture panels stops on the first-order test: the Gauss-Newton predicted decrease is
+        # within 10 times the rounding noise of J measured at the minimum, which is a few ulps of J
+        for kind, panel in (("CD", cd_panel), ("CES", ces_panel)):
+            for mode in ("quantity", "revenue"):
+                res = gmm_minimize(_system(kind, mode, 1, panel)[0], weighting=weighting)
+                (only,) = res.minima
+                assert only["message"] == "the Gauss-Newton predicted decrease is within the rounding noise of J"
+                assert 0.0 <= only["predicted_decrease"] <= 10.0 * only["rounding_noise"]
+                assert 0.0 < only["rounding_noise"] < 1e-12 * res.objective
+                assert only["converged"] is True and only["at_bound"] == []
+
+    @pytest.mark.parametrize("weighting", ["identity", "two-step"])
+    def test_exactly_identified_fit_converges_at_its_root(self, weighting, cd_panel, ces_panel):
+        # with as many moments as free coordinates the predicted decrease is J itself, so the test holds once
+        # J reaches its rounding noise, where a step no longer lowers it
+        cases = {
+            ("CD", "quantity"): ("const", "k_t", "l_lag"),
+            ("CES", "quantity"): ("const", "k_t", "l_lag", "pl_lag"),
+            ("CD", "revenue"): ("const",),
+            ("CES", "revenue"): ("const", "pl_t"),
+        }
+        for (kind, mode), instruments in cases.items():
+            panel = cd_panel if kind == "CD" else ces_panel
+            ms = (
+                build_quantity_moments(kind, first_stage_project(panel, 3), panel, instruments=instruments)
+                if mode == "quantity"
+                else build_revenue_moments(kind, panel, instruments=instruments)
+            )
+            res = gmm_minimize(ms, weighting=weighting)
+            (only,) = res.minima
+            assert res.diagnostics["df"] == 0, (kind, mode)
+            assert only["message"] == "the Gauss-Newton predicted decrease is within the rounding noise of J"
+            assert only["converged"] is True and only["at_bound"] == [], (kind, mode)
+            assert res.objective < 1e-12, (kind, mode)
+
+    def test_step_limit_is_not_converged(self, cd_panel, monkeypatch):
+        # a search cut short reports the rule that stopped it, and its minimum is not converged
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 2)
+        (only,) = gmm_minimize(build_revenue_moments("CES", cd_panel), weighting="identity").minima
+        assert (only["message"], only["n_iter"]) == ("2 steps taken", 2)
+        assert only["predicted_decrease"] > 10.0 * only["rounding_noise"]
+        assert only["converged"] is False
 
     def test_singular_moment_covariance_stops_the_two_step_fit(self, small_cd_panel, monkeypatch):
         ms = build_revenue_moments("CD", small_cd_panel)
@@ -979,8 +1105,36 @@ class TestGmmMinimize:
         _validator("estimate_result.schema.json").validate(payload)
 
 
+TEN_X_FIT = """
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+from revprod.config import parse_config
+from revprod.estimate import build_quantity_moments, first_stage_project, gmm_minimize
+from revprod.simulate import simulate_panel
+cfg = parse_config(sys.argv[2])
+panel = simulate_panel(dataclasses.replace(cfg.sim, n_firms=5000))
+fs = first_stage_project(panel, cfg.estimation.first_stage_degree)
+res = gmm_minimize(build_quantity_moments("CES", fs, panel, g_degree=cfg.estimation.g_degree), weighting="two-step")
+print(json.dumps(res.minima[0]))
+"""
+
+
 @pytest.mark.slow
 class TestConsistency:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ten_x_ces_quantity_fit_converges(self, threads):
+        # the two-step CES quantity fit on configs/ces.ini at 5,000 firms converges off the bounds whatever the
+        # BLAS thread count; L-BFGS-B, which searched before, ended ABNORMAL there at the default count.  Each
+        # count in its own interpreter, since OpenBLAS reads it at load
+        src = str(Path(estimate.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", TEN_X_FIT, src, str(ROOT / "configs" / "ces.ini")],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        minimum = json.loads(proc.stdout)
+        assert minimum["converged"] is True and minimum["at_bound"] == [], minimum
+
     def test_errors_shrink_with_n(self, ces_tech):
         # quantity-mode median absolute error falls as the cross-section grows
         def run(n, seed):
