@@ -126,7 +126,7 @@ def check_instruments(names: Sequence[str]) -> None:
 # innovation, plus squares that carry the substitution curvature.  m_lag is
 # not among them: cost minimization makes log L - log M an exact affine
 # function of log pL - log pM, so l_lag, m_lag, pl_lag, pm_lag and const are
-# collinear on every panel, and _instrument_matrix rejects such a set.
+# collinear on every panel, and _instruments rejects such a set.
 BASIC_INSTRUMENTS = ("const", "k_t", "l_lag", "pl_lag", "pm_lag")
 DEFAULT_INSTRUMENTS = BASIC_INSTRUMENTS + ("pl_t", "pm_t", "prel2_t", "k2_t", "pl2_t", "pm2_t")
 
@@ -145,7 +145,7 @@ class EstimationError(RuntimeError):
 
 
 def _poly_dim(k: int, degree: int) -> int:
-    return sum(math.comb(k + d - 1, d) for d in range(degree + 1))
+    return math.comb(k + degree, degree)
 
 
 def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
@@ -162,20 +162,20 @@ def _poly_design(X: np.ndarray, degree: int) -> np.ndarray:
     return design
 
 
-def _pivoted_rank(A: np.ndarray):
-    """(rank, pivots) of A: numpy's rank cutoff (eps * max(n, p) relative to the largest) on a QR with column
-    pivoting as LAPACK's geqp3 does it, so the first rank pivots are independent and the last is the most dependent
-    column.  Each step swaps forward the first column whose remaining squared norm is within 1e-10 of the largest,
-    so that no pivot rests on rounding; the trailing block of the triangle keeps A's remaining column norms, and
-    each step triangularizes it again."""
-    R, piv = np.linalg.qr(A, mode="r"), np.arange(A.shape[1])
+def _pivoted_rank(R: np.ndarray, n: int):
+    """(rank, pivots) of an n x p matrix A from its QR triangle R: numpy's rank cutoff (eps * max(n, p) relative to
+    the largest) on a QR with column pivoting as LAPACK's geqp3 does it, so the first rank pivots are independent and
+    the last is the most dependent column.  Each step swaps forward the first column whose remaining squared norm is
+    within 1e-10 of the largest, so that no pivot rests on rounding; the trailing block of the triangle keeps A's
+    remaining column norms, and each step triangularizes it again.  R itself is left as it was."""
+    R, piv = R.copy(), np.arange(R.shape[1])
     for j in range(min(R.shape)):
         squares = np.einsum("ij,ij->j", R[j:, j:], R[j:, j:])
         k = j + int(np.argmax(squares >= (1.0 - 1e-10) * squares.max()))
         R[:, [j, k]], piv[[j, k]] = R[:, [k, j]], piv[[k, j]]
         R[j:, j:] = np.linalg.qr(R[j:, j:], mode="r")
     d = np.abs(R.diagonal())
-    return np.count_nonzero(d > np.finfo(float).eps * max(A.shape) * d[0]), piv
+    return np.count_nonzero(d > np.finfo(float).eps * max(n, R.shape[1]) * d[0]), piv
 
 
 @dataclass
@@ -215,6 +215,8 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
         raise ValueError("polynomial degree must be >= 1")
     if not panel.has("Q"):
         raise PanelFormatError("quantity mode requires the Q column (quantities unobserved)")
+    if len(panel) == 0:
+        raise PanelFormatError("panel has no rows, so no consecutive firm-periods; lags unavailable")
     y = np.log(panel.col("Q"))
     logs = np.column_stack(
         [np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")]
@@ -238,7 +240,7 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
             Xs.shape[0],
         )
         used -= 1
-    independent, piv = _pivoted_rank(Xs)
+    independent, piv = _pivoted_rank(np.linalg.qr(Xs, mode="r"), Xs.shape[0])
     keep = np.sort(piv[:independent])  # in column order
     design = _poly_design(Xs[:, keep], used)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -515,9 +517,12 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
     return cur, lag, {name: np.log(panel.col(name)) for name in names}
 
 
-def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
-    """Named instrument columns over the current rows, from _lag_bundle's logs of K, L, M, pL and pM; rejects a
-    set that check_instruments rejects, or without full column rank."""
+def _instruments(tech_kind: str, logs, cur, lag, names: Sequence[str]):
+    """(Z, fit): the named instrument columns Z over the current rows, from _lag_bundle's logs of K, L, M, pL and pM,
+    and _expenditure_ratio_fit's start.  Both read one QR triangle of [Z X y], y the log expenditure ratio
+    log(pL L / (pM M)) and X a constant and, for CES, log(L/M), on the same rows: its leading block is Z's own
+    triangle, whose pivoted rank must be full, and its upper right block is [X y] projected on the span of Z, in an
+    orthonormal basis of it.  Rejects a set that check_instruments rejects, or without full column rank."""
     check_instruments(names)
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
@@ -528,11 +533,14 @@ def _instrument_matrix(logs, cur, lag, names: Sequence[str]) -> np.ndarray:
         tokens["prel2" + when] = (tokens["pl" + when] - tokens["pm" + when]) ** 2
     if cur.size < len(names):
         raise ValueError(f"the panel has {cur.size} lag rows for {len(names)} instruments; it needs at least as many rows")
-    Z = np.column_stack([tokens[n] for n in names])
-    rank, piv = _pivoted_rank(Z)
-    if rank < Z.shape[1]:
+    Z, p = np.column_stack([tokens[n] for n in names]), len(names)
+    y = tokens["l_t"] + tokens["pl_t"] - tokens["m_t"] - tokens["pm_t"]
+    X = [tokens["const"]] if tech_kind == "CD" else [tokens["const"], tokens["l_t"] - tokens["m_t"]]
+    R = np.linalg.qr(np.column_stack([Z, *X, y]), mode="r")
+    rank, piv = _pivoted_rank(R[:p, :p], cur.size)
+    if rank < p:
         raise ValueError(f"instruments {' '.join(names)} are collinear on this panel: {names[piv[-1]]} depends on the others")
-    return Z
+    return Z, _expenditure_ratio_fit(tech_kind, R[:p, p:])
 
 
 # A predictor maps a chart point x to (prediction, derivatives), where
@@ -683,11 +691,10 @@ def build_quantity_moments(
         raise ValueError("g_degree must be >= 1")
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
     predict = _quantity_predictor(tech_kind, cols)
-    Z = _instrument_matrix(cols, cur, lag, instruments)
+    Z, fit = _instruments(tech_kind, cols, cur, lag, instruments)
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
-    current = {c: cols[c][cur] for c in ("L", "M", "pL", "pM")}
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -695,25 +702,25 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
-        chart=_share_chart(tech_kind, current, Z, normalised=False),
+        chart=_share_chart(tech_kind, fit, normalised=False),
         g_degree=g_degree,
         first_stage=first_stage,
         _closed_form=closed_form,
     )
 
 
-def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> SearchChart:
+def _share_chart(tech_kind: str, fit, normalised: bool) -> SearchChart:
     """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M, x = (sigma, a, c, v)
     (CES) or (beta_K, a, c), which to_theta and to_chart map to theta and back.  normalised holds c at lo + hi of the
     default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and v = 1 or
     beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
     the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box.
 
-    The chart starts at the expenditure-ratio estimate: sigma and a at _expenditure_ratio_fit's estimate on cols (the
-    logs of L, M, pL and pM on Z's rows), moved _START_MARGIN of the box width inside the bounds, and the coordinates
-    that fit leaves open (c and v, or beta_K and c) at the normalisation, whether normalised holds them or not, so a
-    family's quantity and revenue charts start at the same point.  Where the fit leaves sigma and a undetermined,
-    they start at the centre of the box.  x0 is read-only, so no fit can move a chart's start."""
+    The chart starts at the expenditure-ratio estimate: sigma and a at fit, _expenditure_ratio_fit's estimate, moved
+    _START_MARGIN of the box width inside the bounds, and the coordinates that fit leaves open (c and v, or beta_K and
+    c) at the normalisation, whether normalised holds them or not, so a family's quantity and revenue charts start at
+    the same point.  Where fit is None, the instruments leaving sigma and a undetermined, they start at the centre of
+    the box.  x0 is read-only, so no fit can move a chart's start."""
     box = DEFAULT_BOUNDS[tech_kind]
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
@@ -728,7 +735,6 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
     lo, hi = (np.array(b) for b in zip(*coords.values()))
     fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
     x0 = 0.5 * (lo + hi)
-    fit = _expenditure_ratio_fit(tech_kind, cols, Z)
     if fit is not None:
         sigma, log_ratio = fit
         closed = {"sigma": sigma, "share_ratio": 0.5 + 0.5 * math.tanh(0.5 * log_ratio)}  # a with no overflow
@@ -744,22 +750,17 @@ def _share_chart(tech_kind: str, cols, Z: np.ndarray, normalised: bool) -> Searc
 _START_MARGIN = 1e-3
 
 
-def _expenditure_ratio_fit(tech_kind: str, cols, Z: np.ndarray):
+def _expenditure_ratio_fit(tech_kind: str, proj: np.ndarray):
     """(sigma, log(beta_L/beta_M)) from the expenditure ratio, or None if the instruments leave them undetermined.
 
     Cost minimisation gives log(pL L / (pM M)) = log(beta_L/beta_M) + sigma log(L/M) on every row
     (Doraszelski and Jaumandreu, 2018); Cobb-Douglas has sigma = 0, which leaves the constant.  The fit
-    is 2SLS of the log ratio on a constant and, for CES, log(L/M), with the instruments Z; cols holds the
-    logs of L, M, pL and pM on Z's rows.
+    is 2SLS of the log ratio y on a constant and, for CES, log(L/M), with the instruments Z; proj is [X y] projected
+    on the span of Z in an orthonormal basis of it, the block of _instruments' triangle.
     """
-    y = cols["L"] + cols["pL"] - cols["M"] - cols["pM"]
-    X = np.ones((y.size, 1)) if tech_kind == "CD" else np.column_stack([np.ones(y.size), cols["L"] - cols["M"]])
-    # with Z = QR, the thin QR, Q'[X y] is [X y] projected on the span of Z, in an orthonormal basis of it; it is
-    # the upper right block of the triangle of [Z X y], whose first reflections are Z's
-    proj = np.linalg.qr(np.column_stack([Z, X, y]), mode="r")[: Z.shape[1], Z.shape[1]:]
     # a log(L/M) whose projection is a constant to within 1e-10 of its size leaves sigma undetermined
     coef, _, rank, _ = np.linalg.lstsq(proj[:, :-1], proj[:, -1], rcond=1e-10)
-    if rank < X.shape[1]:
+    if rank < proj.shape[1] - 1:
         return None
     return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
 
@@ -783,7 +784,7 @@ def build_revenue_moments(
     log_r = logs["R"][cur]
     current = {c: logs[c][cur] for c in REVENUE_COLUMNS}
     predict = revenue_predictor(tech_kind, current, which_v)
-    Z = _instrument_matrix(logs, cur, lag, instruments)
+    Z, fit = _instruments(tech_kind, logs, cur, lag, instruments)
 
     def residual(pred):
         ratio = np.exp(log_r - pred)
@@ -796,7 +797,7 @@ def build_revenue_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=_share_chart(tech_kind, current, Z, normalised=True),
+        chart=_share_chart(tech_kind, fit, normalised=True),
         which_v=which_v,
     )
 

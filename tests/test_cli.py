@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -618,6 +619,38 @@ def test_one_period_panel_has_no_lags(cd_ini, tmp_path, caplog, argv):
     rc = main([argv[0], str(tmp_path / "panel.csv"), *argv[1:], "--config", str(ini), "--out", str(tmp_path / "e")])
     assert rc == EXIT_VALIDATION
     assert "panel has no consecutive firm-periods; lags unavailable" in caplog.text
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("header-only", "panel has no rows, so no consecutive firm-periods; lags unavailable"),
+        ("one-row", "panel has no consecutive firm-periods; lags unavailable"),
+        ("constant-observable", "are collinear on this panel"),
+    ],
+)
+def test_degenerate_panel_refused_in_quantity_mode(cd_ini, tmp_path, caplog, rows, message):
+    # a panel with no rows is refused before the first stage does any arithmetic; a one-row or constant-observable
+    # panel gets a first stage in no observables, a constant, and then the moment system's own refusal
+    assert main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
+    header, *lines = (tmp_path / "panel.csv").read_text().splitlines()
+    if rows == "header-only":
+        lines = []
+    elif rows == "one-row":
+        lines = lines[:1]
+    else:  # five firms over eight periods, every K, L, M, pL and pM at the first row's
+        fields = [line.split(",") for line in lines[:40]]
+        observed = [header.split(",").index(c) for c in ("K", "L", "M", "pL", "pM")]
+        lines = [",".join(fields[0][i] if i in observed else f for i, f in enumerate(row)) for row in fields]
+    path = tmp_path / f"{rows}.csv"
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["estimate", str(path), "--mode", "quantity", "--config", str(cd_ini), "--out", str(tmp_path / "e")])
+    assert rc == EXIT_VALIDATION
+    assert message in caplog.text and "Traceback" not in caplog.text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "e").exists()
 
 

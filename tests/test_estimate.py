@@ -23,7 +23,7 @@ from revprod.estimate import (
     INSTRUMENT_TOKENS,
     EstimationError,
     SearchChart,
-    _instrument_matrix,
+    _instruments,
     _lag_bundle,
     _two_step_weight,
     build_quantity_moments,
@@ -152,6 +152,11 @@ class TestFirstStage:
 
 class TestPivotedRank:
     @staticmethod
+    def _pivoted_rank(A):
+        """estimate._pivoted_rank on A's own QR triangle."""
+        return estimate._pivoted_rank(np.linalg.qr(A, mode="r"), A.shape[0])
+
+    @staticmethod
     def _lapack(A):
         """(rank, pivots) from LAPACK's geqp3 through scipy, at the same cutoff."""
         R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
@@ -169,30 +174,41 @@ class TestPivotedRank:
         # standardised first-stage observables, whose equal norms tie at the first pivot (which one LAPACK
         # takes rests on the rounding of its norms) and whose rank cost minimization cuts to four; and on the
         # instruments with a planted dependent column
-        panel = simulate_panel(parse_config(ROOT / config).sim)
+        sim = parse_config(ROOT / config).sim
+        panel = simulate_panel(sim)
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-        Z = _instrument_matrix(logs, cur, lag, DEFAULT_INSTRUMENTS)
+        Z = _instruments(sim.tech.kind, logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
         X = np.column_stack([np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")])
         Xs = (X - X.mean(axis=0)) / X.std(axis=0)
         planted = np.column_stack([Z, 2.0 * Z[:, 2] - 0.5 * Z[:, 4]])
         for A, rank in ((Z, 11), (Xs, 4), (planted, 11)):
-            got, piv = estimate._pivoted_rank(A)
+            got, piv = self._pivoted_rank(A)
             lapack, lapack_piv = self._lapack(A)
             assert got == lapack == rank
             assert sorted(piv.tolist()) == list(range(A.shape[1]))
             assert self._same_span(A, rank, piv, lapack_piv)
+        # the Z block of the triangle of [Z X y] that _instruments factors, X and y the expenditure ratio's
+        # regressors and log ratio, gives the rank and pivots of Z's own triangle, and is left as it was
+        l, m, pl, pm = (logs[c][cur] for c in ("L", "M", "pL", "pM"))
+        X = [np.ones(cur.size)] + ([l - m] if sim.tech.kind == "CES" else [])
+        R = np.linalg.qr(np.column_stack([Z, *X, l + pl - m - pm]), mode="r")
+        before = R.tobytes()
+        got, piv = estimate._pivoted_rank(R[:11, :11], cur.size)
+        own, own_piv = self._pivoted_rank(Z)
+        assert got == own == 11 and piv.tolist() == own_piv.tolist()
+        assert R.tobytes() == before
 
     def test_planted_dependent_column_is_the_last_pivot(self):
         A = np.random.default_rng(11).normal(size=(200, 6))
         A[:, 3] = 3.0 * A[:, 0] - A[:, 5]
-        rank, piv = estimate._pivoted_rank(A)
+        rank, piv = self._pivoted_rank(A)
         assert rank == self._lapack(A)[0] == 5 and piv[-1] in (0, 3, 5)
         assert self._same_span(A, rank, piv, self._lapack(A)[1])
 
     def test_near_ties_go_to_the_first_column(self):
         # orthonormal columns, whose norms differ by rounding alone, keep their order
         Q = np.linalg.qr(np.random.default_rng(5).normal(size=(300, 5)))[0]
-        rank, piv = estimate._pivoted_rank(Q[:, ::-1])
+        rank, piv = self._pivoted_rank(Q[:, ::-1])
         assert rank == 5 and piv.tolist() == list(range(5))
 
 
@@ -296,11 +312,11 @@ class TestMomentSystems:
             build_quantity_moments("CES", fs, small_ces_panel, instruments=("const", "bogus"))
 
     def test_every_token_builds_one_column(self, small_ces_panel):
-        # the vocabulary check_instruments accepts is the one _instrument_matrix builds
+        # the vocabulary check_instruments accepts is the one _instruments builds
         assert len(set(INSTRUMENT_TOKENS)) == 16
         cur, lag, logs = _lag_bundle(small_ces_panel, ("K", "L", "M", "pL", "pM"))
         for token in INSTRUMENT_TOKENS:
-            assert _instrument_matrix(logs, cur, lag, (token,)).shape == (cur.size, 1), token
+            assert _instruments("CES", logs, cur, lag, (token,))[0].shape == (cur.size, 1), token
 
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_default_instruments_full_rank_on_shipped_panels(self, config):
@@ -309,7 +325,7 @@ class TestMomentSystems:
         cfg = parse_config(ROOT / config)
         panel = simulate_panel(cfg.sim)
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-        Z = _instrument_matrix(logs, cur, lag, DEFAULT_INSTRUMENTS)
+        Z = _instruments(cfg.sim.tech.kind, logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
         assert np.linalg.matrix_rank(Z) == len(DEFAULT_INSTRUMENTS)
         R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
         assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
@@ -916,6 +932,19 @@ class TestGmmMinimize:
         assert [x_r[revenue.names.index(n)] for n in revenue.normalisation] == list(revenue.normalisation.values())
 
     @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_one_instrument_factorization_per_build(self, kind, small_cd_panel, small_ces_panel, monkeypatch):
+        # the rank check and the ratio start read one QR of [Z X y]: one numpy QR over the instrument rows per
+        # build; the first stage, which factors its own design, runs before the build
+        panel = small_cd_panel if kind == "CD" else small_ces_panel
+        fs = first_stage_project(panel, 3)
+        rows, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda A, *args, **kwargs: rows.append(np.shape(A)[0]) or qr(A, *args, **kwargs))
+        for build in (lambda: build_quantity_moments(kind, fs, panel), lambda: build_revenue_moments(kind, panel)):
+            rows.clear()
+            ms = build()
+            assert rows.count(ms.n_obs) == 1
+
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_ratio_fit_runs_when_the_system_is_built(self, kind, small_cd_panel, small_ces_panel, monkeypatch):
         # each build fits the expenditure ratio once, for its chart's start, and a fit only reads that start
         panel = small_cd_panel if kind == "CD" else small_ces_panel
@@ -942,19 +971,20 @@ class TestGmmMinimize:
     def test_ratio_fit_starts_wherever_the_instruments_are_accepted(self, small_cd_panel, delta):
         # pM = pL exp(delta z) makes the instruments const pl_t pm_t collinear to about delta.  The rank rule
         # accepts them down to 1e-13 on this panel, and wherever it does the expenditure ratio gives the start:
-        # the ratio fit projects on the thin QR of Z.  The Cholesky of Z'Z it took before failed or not by
-        # rounding below delta ~ 1e-8, so the start flipped to the box centre at 1e-8 and 1e-11 to 1e-13
+        # the rank check and the ratio fit read one QR triangle of [Z X y].  The Cholesky of Z'Z the fit took before
+        # failed or not by rounding below delta ~ 1e-8, so the start flipped to the box centre at 1e-8 and 1e-11 to
+        # 1e-13
         data = {c: small_cd_panel.col(c) for c in COLUMNS}
         data["pM"] = data["pL"] * np.exp(delta * np.random.default_rng(3).standard_normal(len(small_cd_panel)))
         panel = Panel(data=data)
         instruments = ("const", "pl_t", "pm_t")
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
         if delta > 1e-14:
-            _instrument_matrix(logs, cur, lag, instruments)
+            assert _instruments("CD", logs, cur, lag, instruments)[1] is not None
             assert build_revenue_moments("CD", panel, instruments=instruments).chart.source == "expenditure-ratio"
         else:
             with pytest.raises(ValueError, match="are collinear on this panel"):
-                _instrument_matrix(logs, cur, lag, instruments)
+                _instruments("CD", logs, cur, lag, instruments)
 
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit
