@@ -3,8 +3,8 @@
 Both routes set instrument cross-products of a residual to zero,
 E[z * e(x)] = 0, on the current rows of the panel (the firm-periods whose
 firm is observed one period earlier), and share every line of the moment,
-covariance, objective and gradient code (MomentSystem); they differ only in
-the residual e and its pullback.  Both work in the family's one chart,
+covariance, objective and Jacobian code (MomentSystem); they differ only in
+the residual e and its derivative.  Both work in the family's one chart,
 x = (sigma, a, c, v) (CES) or (beta_K, a, c), in the share ratio
 a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: the
 predictors, moments, Jacobian and searches take x and return derivatives in
@@ -33,18 +33,16 @@ and a, or a alone, never c, returns to scale or the capital exponent, so its
 rows for c and v (or beta_K and c) are literal zeros, and the flatness along
 them is exact by structure.
 
-A value and its exact gradient cost one evaluation: on the row path one
-prediction over the panel rows, then the residual, and the gradient is
-propagated in reverse through the moments and the residual into the
-predictor's vector-Jacobian product, with no p x N Jacobian formed.  That
-gradient is the system's only derivative: it is 2 n J'u for the direction u,
-so the exact moment Jacobian J whose SVD the rank diagnostics take
-(MomentSystem.jacobian) is formed from it, one row per moment.  A Cobb-Douglas
-quantity system at Markov degree one skips the rows: its moments and their
-gradient are closed forms over cross-products taken once
-(_LinearMarkovMoments).  The searches are Levenberg-Marquardt on that Jacobian
-and gradient, on numpy alone (_lm_search); n_iter counts their steps and
-n_evals their moment evaluations.  _share_chart builds each system's chart
+A value costs one prediction over the panel rows and the residual, and no
+derivative.  The exact moment Jacobian J, whose SVD the rank diagnostics take
+(MomentSystem.jacobian), is taken forward on demand: the predictor's p x N
+derivative, through the residual's derivative map to e's p x n one, times the
+instruments.  The objective's gradient is 2 n u'J for the direction u.  A
+Cobb-Douglas quantity system at Markov degree one skips the rows: its moments
+and their Jacobian are closed forms over cross-products taken once
+(_LinearMarkovMoments).  The searches are Levenberg-Marquardt on numpy alone
+(_lm_search), which take J at each point they reach; n_iter counts their steps
+and n_evals their moment evaluations.  _share_chart builds each system's chart
 (SearchChart), with c <= 0.995 for CES so that capital keeps a share; revenue
 holds c and v (or beta_K) at a stated normalisation, the one statement of what
 revenue identifies: a fit reports the free coordinates at its minimum as
@@ -144,6 +142,10 @@ class EstimationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# Both routes estimate on the current rows, so a panel without them is refused before any arithmetic.
+_NO_LAGS = "panel has no consecutive firm-periods; lags unavailable"
+
+
 def _poly_dim(k: int, degree: int) -> int:
     return math.comb(k + degree, degree)
 
@@ -209,14 +211,16 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     design: a 40-row panel is cut to degree 2 although its degree-3 design
     has 35 columns, so the degree does not depend on which observables are
     collinear.  Any collinearity left in the design is handled by the
-    minimum-norm projection, numpy's lstsq at its default rank cutoff.
+    minimum-norm projection, numpy's lstsq at its default rank cutoff.  A
+    panel with no consecutive firm-periods, on which no moment system can be
+    built, is refused before the degree is chosen.
     """
     if degree < 1:
         raise ValueError("polynomial degree must be >= 1")
     if not panel.has("Q"):
         raise PanelFormatError("quantity mode requires the Q column (quantities unobserved)")
-    if len(panel) == 0:
-        raise PanelFormatError("panel has no rows, so no consecutive firm-periods; lags unavailable")
+    if panel.lag_index()[0].size == 0:
+        raise PanelFormatError(_NO_LAGS)
     y = np.log(panel.col("Q"))
     logs = np.column_stack(
         [np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")]
@@ -294,15 +298,14 @@ class SearchChart:
 class MomentSystem:
     """Moment conditions E[z * e(x)] = 0 on the current rows of a panel, at points x of chart.
 
-    Every statistic at x reads one private linearization (_linearize): the moments m and the objective's gradient
-    as a function of the direction u (the symmetrized W m), which is 2 n J'u for the exact n_moments x p moment
-    Jacobian J, its columns in chart.names' order; jacobian stacks the gradients at the unit directions.  On the row
-    path the predictor runs once, and _residual maps its prediction to the residual e on the current rows and to
-    e's pullback, which takes weights q on the current rows and returns the gradient of q'e with respect to minus
-    the prediction: the objective's gradient is -2 dpred pullback(Z u), with no n x p moment Jacobian formed.
-    A Cobb-Douglas quantity system at g_degree 1 has a _closed_form instead
-    (_LinearMarkovMoments), so a search evaluation never reads the panel rows; moment_covariance and
-    g_coefficients always take the row path.
+    Every statistic at x reads one private linearization (_linearize): the moments m and jacobian, which forms the
+    exact n_moments x p moment Jacobian J on call, its columns in chart.names' order.  On the row path the predictor
+    runs once, and _residual maps its prediction to the residual e on the current rows and to e's forward
+    derivative, which takes the predictor's p x N derivative (derivatives) and returns e's p x n one, de: J is
+    de Z' / n.  Neither derivative is taken until jacobian is called, so a value costs one prediction.  The
+    objective's gradient is 2 n u'J for u the symmetrized W m.  A Cobb-Douglas quantity system at g_degree 1 has a
+    _closed_form instead (_LinearMarkovMoments), so a search evaluation never reads the panel rows;
+    moment_covariance and g_coefficients always take the row path.
 
     The build function supplies the residual and the family's _share_chart: build_quantity_moments the innovation
     of the recovered productivity's Markov process (_MarkovInnovation) of degree g_degree, on the chart with no
@@ -316,12 +319,12 @@ class MomentSystem:
     Z: np.ndarray
     instrument_names: tuple
     _predict: callable = field(repr=False)  # x -> (prediction, derivatives)
-    _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, pullback)
+    _residual: callable = field(repr=False)  # prediction -> (residual on the current rows, forward)
     chart: SearchChart
     g_degree: Optional[int] = None
     first_stage: Optional[FirstStage] = field(default=None, repr=False)  # quantity systems only
     which_v: Optional[str] = None  # revenue systems only
-    _closed_form: Optional[callable] = field(default=None, repr=False)  # x -> _linearize's tuple
+    _closed_form: Optional[callable] = field(default=None, repr=False)  # x -> _linearize's pair
 
     @property
     def param_names(self) -> tuple:  # theta's, which a fit reports
@@ -339,20 +342,18 @@ class MomentSystem:
         return x
 
     def _evaluate(self, x):
-        """(e, vjp) at x, a _point: the residual on the current rows, and vjp(q), minus the gradient of q'e in x."""
+        """(e, de) at x, a _point: the residual on the current rows, and de(), its p x n derivative in x."""
         pred, derivatives = self._predict(x)
-        e, pullback = self._residual(pred)
-        return e, lambda q: derivatives(pullback(q))
+        e, forward = self._residual(pred)
+        return e, lambda: forward(derivatives())
 
     def _linearize(self, x):
-        """(m, gradient, jacobian) at x: gradient(u) is the objective's gradient for the direction u, 2 n J'u, and
-        jacobian() is J, whose row j is the gradient at u = e_j over 2 n, on the row path one VJP per instrument."""
+        """(m, jacobian) at x: the moments, and jacobian(), their Jacobian J."""
         x = self._point(x)
         if self._closed_form is not None:
-            m, gradient = self._closed_form(x)
-            return m, gradient, lambda: np.array([gradient(u) for u in np.eye(self.n_moments)]) / (2.0 * self.n_obs)
-        e, vjp = self._evaluate(x)
-        return e.dot(self.Z) / self.n_obs, lambda u: -2.0 * vjp(self.Z.dot(u)), lambda: np.array([vjp(z) for z in self.Z.T.copy()]) / -self.n_obs
+            return self._closed_form(x)
+        e, de = self._evaluate(x)
+        return e.dot(self.Z) / self.n_obs, lambda: de().dot(self.Z).T / self.n_obs
 
     def g_coefficients(self, x) -> np.ndarray:
         """Markov polynomial coefficients in powers of the lag, constant first (quantity systems only)."""
@@ -367,14 +368,14 @@ class MomentSystem:
 
     def jacobian(self, x) -> np.ndarray:
         """Exact n_moments x p Jacobian of moments(x) in the chart."""
-        return self._linearize(x)[2]()
+        return self._linearize(x)[1]()
 
     def moment_covariance(self, x) -> np.ndarray:
         G = self.Z * self._evaluate(self._point(x))[0][:, None]
         return G.T @ G / self.n_obs
 
     def _quadratic_form(self, m, weight):
-        """n m'Wm, and the direction u = (W + W')m / 2 whose gradient(u) is its gradient."""
+        """n m'Wm, and the direction u = (W + W')m / 2, for which 2 n u'J is its gradient."""
         mw = m if weight is None else m.dot(weight)
         return self.n_obs * float(mw.dot(m)), m if weight is None else 0.5 * (mw + weight.dot(m))
 
@@ -383,10 +384,10 @@ class MomentSystem:
         return self._quadratic_form(self._linearize(x)[0], weight)[0]
 
     def objective_and_gradient(self, x, weight: Optional[np.ndarray] = None):
-        """objective(x, weight) and its exact gradient in x from one evaluation."""
-        m, gradient, _ = self._linearize(x)
+        """objective(x, weight) and its exact gradient in x, 2 n u'J, from one linearization."""
+        m, jacobian = self._linearize(x)
         value, u = self._quadratic_form(m, weight)
-        return value, gradient(u)
+        return value, 2.0 * self.n_obs * u.dot(jacobian())
 
 
 class _MarkovInnovation:
@@ -429,29 +430,28 @@ class _MarkovInnovation:
     def __call__(self, pred):
         xi, (_, _, power_means, slope, X, gram_inv) = self._fit(pred)
 
-        def pullback(q):
-            """Through the concentrated-out g, the derivative of q'xi is a
-            weight on the current rows' productivity plus one on the lagged
-            rows'.  With a = (X X')^-1 X q and qt the demeaned residual of q on
-            X, they are qt and -demean(sum_k (k+1) c^k (slope_k qt + a_k xi)),
-            c being the centred lag."""
-            a = gram_inv.dot(X.dot(q))
-            qt = q - a.dot(X)
-            qt -= qt.sum() / qt.size
-            r_lag = slope[0] * qt + a[0] * xi
-            if self.degree > 1:
-                c = X[0] + power_means[0]  # undo the demeaning of the first power
-                c_pow = np.ones_like(c)
-                for k in range(1, self.degree):
-                    c_pow = c_pow * c
-                    r_lag += (k + 1) * c_pow * (slope[k] * qt + a[k] * xi)
-            r_lag = r_lag.sum() / r_lag.size - r_lag
-            r = np.zeros(self.fitted.size)
-            r[self.cur] = qt
-            r[self.lag] += r_lag
-            return r
+        def forward(D):
+            """The p x n derivative of xi for the p x N derivative D of the prediction, through the concentrated-out
+            g: with dy and dX those of the demeaned current productivity and of the demeaned powers of the centred
+            lag c, dX_k = demean((k+1) c^k dX_0), and T = dy - slope dX, d slope = (X X')^-1 (dX xi + X T) and
+            d xi = T - d slope X."""
+            n = self.cur.size
+            dy = -D.take(self.cur, axis=1)
+            dy -= dy.sum(axis=1, keepdims=True) / n
+            dX = np.empty((self.degree, *dy.shape))
+            dX[0] = -D.take(self.lag, axis=1)
+            dX[0] -= dX[0].sum(axis=1, keepdims=True) / n
+            c = X[0] + power_means[0]  # undo the demeaning of the first power
+            c_pow = np.ones_like(c)
+            for k in range(1, self.degree):
+                c_pow = c_pow * c
+                dX[k] = (k + 1) * c_pow * dX[0]
+                dX[k] -= dX[k].sum(axis=1, keepdims=True) / n
+            T = dy - np.tensordot(slope, dX, 1)
+            d_slope = (dX.dot(xi).T + T.dot(X.T)).dot(gram_inv)
+            return T - d_slope.dot(X)
 
-        return xi, pullback
+        return xi, forward
 
     def coefficients(self, pred) -> np.ndarray:
         lag_mean, w_mean, power_means, slope, _, _ = self._fit(pred)[1]
@@ -473,9 +473,8 @@ class _LinearMarkovMoments:
     b = t'S_lt t / t'S_ll t and the moments are m = (A_t - b A_l) t.  Their
     derivative in t is A_t - b A_l - (A_l t) grad b', with
     grad b = ((S_lt + S_lt') t - 2 b S_ll t) / t'S_ll t; minus its last three
-    columns are the moments' derivatives in the exponents.  The objective's
-    gradient for the direction u is 2 n u' times them, and _share_chain turns
-    its beta_L and beta_M entries into the chart's a and c.  The
+    columns are the moments' derivatives in the exponents, and _share_chain
+    turns the beta_L and beta_M columns into the chart's a and c.  The
     cross-products are taken once, so an evaluation costs a few 11 x 4 and
     4 x 4 products, not passes over the panel rows.
     """
@@ -486,7 +485,6 @@ class _LinearMarkovMoments:
         U_t, U_l = U[:, cur], U[:, lag]
         U_t -= U_t.sum(axis=1, keepdims=True) / n
         U_l -= U_l.sum(axis=1, keepdims=True) / n
-        self.n = n
         self.A_t, self.A_l = U_t.dot(Z).T / n, U_l.dot(Z).T / n
         S_lt = U_l.dot(U_t.T)
         self.S_ll, self.S_sym = U_l.dot(U_l.T), S_lt + S_lt.T
@@ -500,20 +498,19 @@ class _LinearMarkovMoments:
         den = t.dot(s_ll)
         b = 0.5 * t.dot(s_sym) / den
 
-        def gradient(u):
+        def jacobian():
             grad_b = (s_sym[1:] - 2.0 * b * s_ll[1:]) / den
-            d = 2.0 * self.n * u.dot(a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:])
-            d[1], d[2] = _share_chain(d[1], d[2], a, c)  # beta_K, beta_L and beta_M to beta_K, a and c
-            return d
+            J_K, J_L, J_M = (a_l[:, None] * grad_b + b * self.A_l[:, 1:] - self.A_t[:, 1:]).T
+            return np.column_stack([J_K, *_share_chain(J_L, J_M, a, c)])  # beta_K, a and c
 
-        return a_t - b * a_l, gradient
+        return a_t - b * a_l, jacobian
 
 
 def _lag_bundle(panel: Panel, names: Sequence[str]):
     """Current/lagged row indices plus full-length log columns of the panel."""
     cur, lag = panel.lag_index()
     if cur.size == 0:
-        raise PanelFormatError("panel has no consecutive firm-periods; lags unavailable")
+        raise PanelFormatError(_NO_LAGS)
     return cur, lag, {name: np.log(panel.col(name)) for name in names}
 
 
@@ -544,10 +541,9 @@ def _instruments(tech_kind: str, logs, cur, lag, names: Sequence[str]):
 
 
 # A predictor maps a chart point x to (prediction, derivatives), where
-# derivatives(r) returns the vector-Jacobian product dpred r in x for one
-# weight vector r over the rows; it is computed from the arrays the prediction
-# already built, without forming the p x N Jacobian.
-# Rows of coordinates the predictor never reads are literal zeros.
+# derivatives() returns the p x N derivative of the prediction in x, formed on
+# call from the arrays the prediction already built.  Rows of coordinates the
+# predictor never reads are literal zeros.
 
 
 def _share_chain(d_L, d_M, a, c):
@@ -559,17 +555,11 @@ def _quantity_predictor(tech_kind: str, cols):
     k, l, m = cols["K"], cols["L"], cols["M"]
 
     if tech_kind == "CD":
-        jac = np.vstack([k, l, m])
 
         def predict(x):
             bK, a, c = x
             bL = c * a
-
-            def derivatives(r):
-                d_K, d_L, d_M = jac.dot(r)
-                return np.array([d_K, *_share_chain(d_L, d_M, a, c)])
-
-            return bK * k + bL * l + (c - bL) * m, derivatives
+            return bK * k + bL * l + (c - bL) * m, lambda: np.array([k, *_share_chain(l, m, a, c)])
 
         return predict
 
@@ -586,16 +576,12 @@ def _quantity_predictor(tech_kind: str, cols):
         log_agg = np.log(agg)
         pred = v * k + (v / sg) * log_agg
 
-        def derivatives(r):
-            # with q = r / agg: d_v r = k r + (log_agg r) / sigma,
-            # d_sigma r = (v/sigma)(bL (lk el) q + bM (mk em) q - (log_agg r) / sigma), and in beta_L and beta_M,
-            # the capital share 1 - c held, (v/sigma)(el q - sum q) and (v/sigma)(em q - sum q), chained to a and c
-            q = r / agg
-            el_q, em_q = el * q, em * q
-            s_q, lr = q.sum(), r.dot(log_agg) / sg
-            d_sg = (v / sg) * (bL * el_q.dot(lk) + bM * em_q.dot(mk) - lr)
-            d_L, d_M = (v / sg) * (el_q.sum() - s_q), (v / sg) * (em_q.sum() - s_q)
-            return np.array([d_sg, *_share_chain(d_L, d_M, a, c), r.dot(k) + lr])
+        def derivatives():
+            # with q = (v/sigma) / agg: d_sigma = q (bL lk el + bM mk em) - (v/sigma^2) log_agg, d_v = k + log_agg / sigma,
+            # and in beta_L and beta_M, the capital share 1 - c held, q (el - 1) and q (em - 1), chained to a and c
+            q = (v / sg) / agg
+            d_sg = q * (bL * lk * el + bM * mk * em) - (v / sg) * log_agg / sg
+            return np.array([d_sg, *_share_chain(q * (el - 1.0), q * (em - 1.0), a, c), k + log_agg / sg])
 
         return pred, derivatives
 
@@ -640,11 +626,12 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
             lin = a * l_pl + (1.0 - a) * m_pm
             pred = theta0 + lin - s
 
-            def derivatives(r):
+            def derivatives():
                 # d pred / d a = d_wv + log(1 - a) - log(a) + gap
                 d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
-                d_a = (d_wv + math.log(1.0 - a) - math.log(a)) * r.sum() + gap.dot(r)
-                return np.array([0.0, d_a, 0.0])
+                D = np.zeros((3, gap.size))
+                D[1] = (d_wv + math.log(1.0 - a) - math.log(a)) + gap
+                return D
 
             return pred, derivatives
 
@@ -664,15 +651,15 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
         lr = np.log(a1 / a2)
         pred = base + phi * lr
 
-        def derivatives(r):
+        def derivatives():
             # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
             # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
             # d pred / d log kappa = phi (w1 - w2 / (1 - sigma)), and d log kappa / d a = sign / (a (1 - a))
-            w1_r, w2_r = r * (u1 / a1), r * (u2 / a2)
-            s1, s2 = w1_r.sum(), w2_r.sum()
-            d_sg = phi * (w1_r.dot(gap) - (log_k * s2 - w2_r.dot(price_gap)) / (1.0 - sg) ** 2) - r.dot(lr) / sg**2
-            d_a = sign * phi * (s1 - s2 / (1.0 - sg)) / (a * (1.0 - a))
-            return np.array([d_sg, d_a, 0.0, 0.0])
+            w1, w2 = u1 / a1, u2 / a2
+            D = np.zeros((4, w1.size))
+            D[0] = phi * (gap * w1 - (log_k - price_gap) * w2 / (1.0 - sg) ** 2) - lr / sg**2
+            D[1] = (sign * phi / (a * (1.0 - a))) * (w1 - w2 / (1.0 - sg))
+            return D
 
         return pred, derivatives
 
@@ -788,7 +775,7 @@ def build_revenue_moments(
 
     def residual(pred):
         ratio = np.exp(log_r - pred)
-        return ratio - 1.0, lambda q: ratio * q
+        return ratio - 1.0, lambda D: -ratio * D
 
     return MomentSystem(
         mode="revenue",
@@ -834,13 +821,11 @@ class EstimateResult:
 # reported in at_bound.
 _AT_BOUND_TOL = 1e-10
 
-# _lm_search's damping at the start, and past which it gives up; its step limit; the factor by which each step
-# from an older Gauss-Newton matrix must cut the predicted decrease; the predicted decrease, relative to J, below
-# which it measures J's rounding noise; and the multiple of that noise within which the test holds.
+# _lm_search's damping at the start, and past which it gives up; its step limit; the predicted decrease, relative to
+# J, below which it measures J's rounding noise; and the multiple of that noise within which the test holds.
 _DAMPING = 1e-1
 _MAX_DAMPING = 1e10
 _MAX_STEPS = 200
-_SLOW = 0.1
 _NOISE_FROM = 1e-8
 _NOISE_MULTIPLE = 10.0
 _FIRST_ORDER = "the Gauss-Newton predicted decrease is within the rounding noise of J"
@@ -860,21 +845,20 @@ def _two_step_weight(ms: MomentSystem, x) -> np.ndarray:
     return L_inv.T.dot(L_inv)
 
 
-def _lm_search(ms: MomentSystem, x0, weight, free, lo, hi, jacobian0=None):
+def _lm_search(ms: MomentSystem, x0, weight, free, lo, hi):
     """Box-constrained Levenberg-Marquardt on J = n m'Wm over the coordinates free (indices into x, bounds lo and
-    hi), the others held at x0; jacobian0 is the moment Jacobian at x0, if the caller has it.  Returns the x it
-    stopped at and its record: steps tried, moment evaluations, the stopping rule, the first-order test at x, and
-    the Jacobian at x if it was taken there.
+    hi), the others held at x0 (Nocedal and Wright, 2006, ch. 10).  Returns the x it stopped at and its record: steps
+    tried, moment evaluations, the stopping rule and the first-order test at x.
 
-    Each point reached takes one _linearize: m, the gradient g and, when asked, the Jacobian G; H = 2n G'WG over the
-    free coordinates sets the step (H + damping diag H) d = -g, clipped to the box, and a coordinate on a bound is
-    held where g points out of the box.  A step that lowers J is taken (damping / 10), else retried (damping x 10,
-    or a new H if H is older than x).  Gauss-Newton converges linearly on an overidentified J, so H is taken again
-    only then, after a step that cuts the predicted decrease by less than _SLOW, and before the test stops the
-    search.  The test holds when the predicted decrease g'H^+g / 2 is within _NOISE_MULTIPLE times J's rounding
-    noise: the largest change of J, less its first-order part, when the free coordinates are scaled by 1 + 1e-14 t,
-    t = -2, -1, 1, 2.  That takes four evaluations, where the predicted decrease falls below _NOISE_FROM J or a step
-    from a current H fails (an exactly identified J predicts a decrease of J itself), and again there once J halves."""
+    Every point tried takes one _linearize and reads its moments alone.  At each point the search reaches, the start
+    and each step that lowers J, it forms the moment Jacobian G once, and with it the gradient g = 2n G'u and
+    H = 2n G'WG over the free coordinates.  They set the step (H + damping diag H) d = -g, clipped to the box, and a
+    coordinate on a bound is held where g points out of the box.  A step that lowers J is taken (damping / 10), and
+    one that does not raises the damping tenfold.  The test holds when the predicted decrease g'H^+g / 2 is within
+    _NOISE_MULTIPLE times J's rounding noise: the largest change of J, less its first-order part, when the free
+    coordinates are scaled by 1 + 1e-14 t, t = -2, -1, 1, 2.  That takes four evaluations, where the predicted
+    decrease falls below _NOISE_FROM J or a step fails (an exactly identified J predicts a decrease of J itself), and
+    again there once J halves."""
     x, evals = np.array(x0, float), 0
 
     def linearize(y):
@@ -882,49 +866,44 @@ def _lm_search(ms: MomentSystem, x0, weight, free, lo, hi, jacobian0=None):
         evals += 1
         return ms._linearize(y)
 
-    m, gradient, jacobian = linearize(x)
-    jacobian = jacobian if jacobian0 is None else lambda: jacobian0
+    def gauss_newton(u, jacobian):
+        G = jacobian()[:, free]
+        return 2.0 * ms.n_obs * u.dot(G), 2.0 * ms.n_obs * G.T.dot(G if weight is None else weight.dot(G))
+
+    m, jacobian = linearize(x)
     J, u = ms._quadratic_form(m, weight)
-    damping, noise, noise_at, H, steps, stalled = _DAMPING, None, np.inf, None, 0, False
+    g, H = gauss_newton(u, jacobian)
+    damping, noise, noise_at, steps, stalled = _DAMPING, None, np.inf, 0, False
 
     def rounding_noise():
         ys = np.repeat(x[None], 4, axis=0)
         ys[:, free] *= 1.0 + 1e-14 * np.array([[-2.0], [-1.0], [1.0], [2.0]])
         return float(max(abs(ms._quadratic_form(linearize(y)[0], weight)[0] - J - g.dot(y[free] - x[free])) for y in ys))
 
-    g = gradient(u)[free]
     while True:
-        if H is None:
-            G = (full := jacobian())[:, free]
-            H, current = 2.0 * ms.n_obs * G.T.dot(G if weight is None else weight.dot(G)), True
         move = ~(((x[free] <= lo) & (g > 0.0)) | ((x[free] >= hi) & (g < 0.0)))
         H_m, g_m = H[np.ix_(move, move)], g[move]
         predicted = 0.5 * float(g_m.dot(np.linalg.lstsq(H_m, g_m, rcond=None)[0]))
         if (stalled or predicted <= _NOISE_FROM * J) and 2.0 * J < noise_at:
             noise, noise_at = rounding_noise(), J
         done = noise is not None and predicted <= _NOISE_MULTIPLE * noise
-        if not current and (done or predicted > _SLOW * before):
-            H = None
-            continue
         if done or steps == _MAX_STEPS or damping > _MAX_DAMPING:
             message = _FIRST_ORDER if done else f"{steps} steps taken" if steps == _MAX_STEPS else "no damped step lowers J"
             break
-        before, steps = predicted, steps + 1
+        steps += 1
         scale = np.maximum(H_m.diagonal(), np.finfo(float).eps * H_m.diagonal().max())
         y = x.copy()
         y[free[move]] = np.clip(x[free][move] + np.linalg.solve(H_m + damping * np.diag(scale), -g_m), lo[move], hi[move])
-        m_y, gradient_y, jacobian_y = linearize(y)
+        m_y, jacobian_y = linearize(y)
         J_y, u_y = ms._quadratic_form(m_y, weight)
         if J_y < J:
-            x, jacobian, J, current, stalled, g = y, jacobian_y, J_y, False, False, gradient_y(u_y)[free]
-            damping /= 10.0
-        elif current:
-            damping, stalled = 10.0 * damping, True
+            x, J, damping, stalled = y, J_y, damping / 10.0, False
+            g, H = gauss_newton(u_y, jacobian_y)
         else:
-            H = None
+            damping, stalled = 10.0 * damping, True
     noise = rounding_noise() if noise is None else noise
     return x, {"objective": J, "n_iter": steps, "n_evals": evals, "message": message, "predicted_decrease": predicted,
-               "rounding_noise": noise, "jacobian": full if current else None}
+               "rounding_noise": noise}
 
 
 def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResult:
@@ -956,7 +935,7 @@ def gmm_minimize(ms: MomentSystem, weighting: str = "two-step") -> EstimateResul
     i = np.array([chart.names.index(n) for n in free], dtype=int)
     runs = [_lm_search(ms, chart.x0, None, i, lo[i], hi[i])]
     if weighting == "two-step":
-        runs.append(_lm_search(ms, runs[0][0], _two_step_weight(ms, runs[0][0]), i, lo[i], hi[i], runs[0][1]["jacobian"]))
+        runs.append(_lm_search(ms, runs[0][0], _two_step_weight(ms, runs[0][0]), i, lo[i], hi[i]))
     x, last = runs[-1]
     edge = _AT_BOUND_TOL * (hi - lo)
     on_bound = (x - lo <= edge) | (hi - x <= edge)

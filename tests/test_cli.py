@@ -625,14 +625,15 @@ def test_one_period_panel_has_no_lags(cd_ini, tmp_path, caplog, argv):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("header-only", "panel has no rows, so no consecutive firm-periods; lags unavailable"),
+        ("header-only", "panel has no consecutive firm-periods; lags unavailable"),
         ("one-row", "panel has no consecutive firm-periods; lags unavailable"),
         ("constant-observable", "are collinear on this panel"),
     ],
 )
 def test_degenerate_panel_refused_in_quantity_mode(cd_ini, tmp_path, caplog, rows, message):
-    # a panel with no rows is refused before the first stage does any arithmetic; a one-row or constant-observable
-    # panel gets a first stage in no observables, a constant, and then the moment system's own refusal
+    # a panel with no consecutive firm-periods, header-only or one-row, is refused before the first stage chooses
+    # its degree; a constant-observable panel gets a first stage in no observables, a constant, and then the
+    # moment system's own refusal
     assert main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
     header, *lines = (tmp_path / "panel.csv").read_text().splitlines()
     if rows == "header-only":
@@ -650,6 +651,8 @@ def test_degenerate_panel_refused_in_quantity_mode(cd_ini, tmp_path, caplog, row
         rc = main(["estimate", str(path), "--mode", "quantity", "--config", str(cd_ini), "--out", str(tmp_path / "e")])
     assert rc == EXIT_VALIDATION
     assert message in caplog.text and "Traceback" not in caplog.text
+    if rows != "constant-observable":  # whose 40 rows do cut the degree-3 polynomial in five observables to degree 2
+        assert "reducing degree" not in caplog.text
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "e").exists()
 

@@ -16,6 +16,7 @@ import scipy.linalg
 from revprod import estimate
 from revprod.cli import _validator
 from revprod.config import parse_config
+from revprod.diagnostics import profile_scan
 from revprod.estimate import (
     BASIC_INSTRUMENTS,
     DEFAULT_BOUNDS,
@@ -482,6 +483,32 @@ def _record_linearizations(ms):
     return points
 
 
+def _count_derivatives(ms):
+    """The dict in which ms now counts its predictions, the calls of their derivatives and those of the residual's
+    forward derivative."""
+    calls = {"predict": 0, "derivatives": 0, "forward": 0}
+    predict, residual = ms._predict, ms._residual
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def predicting(x):
+        pred, derivatives = counted("predict", predict)(x)
+        return pred, counted("derivatives", derivatives)
+
+    def residing(pred):
+        e, forward = residual(pred)
+        return e, counted("forward", forward)
+
+    residing.coefficients = getattr(residual, "coefficients", None)
+    ms._predict, ms._residual = predicting, residing
+    return calls
+
+
 def _shares_045_05_system(seed):
     """The CES quantity system of configs/ces.ini at beta_L, beta_M = 0.45, 0.5 and the given panel seed,
     with the config's estimation settings."""
@@ -590,6 +617,92 @@ class TestClosedForm:
         assert calls["predict"] == calls["row statistics"] == 3  # weight, result covariance, g
 
 
+class TestDerivativePolicy:
+    """A value takes one prediction and no derivative; a search takes the Jacobian once per point it reaches."""
+
+    @pytest.mark.parametrize(
+        "kind, mode, g_degree", [("CES", "quantity", 1), ("CD", "quantity", 2), ("CES", "revenue", None), ("CD", "revenue-L", None)]
+    )
+    def test_values_take_no_derivative(self, kind, mode, g_degree, small_cd_panel, small_ces_panel):
+        # so a profile scan costs one prediction per grid point
+        ms = _system(kind, mode, g_degree, small_cd_panel if kind == "CD" else small_ces_panel)[0]
+        calls = _count_derivatives(ms)
+        x = ms.chart.x0
+        values = [ms.objective, lambda x: ms.objective(x, np.eye(ms.n_moments)), ms.moments, ms.moment_covariance]
+        if mode == "quantity":
+            values.append(ms.g_coefficients)
+        for value in values:
+            value(x)
+        assert calls == {"predict": len(values), "derivatives": 0, "forward": 0}
+        grid = np.linspace(*ms.chart.bounds[1], 7)
+        profile_scan(ms, "share_ratio", grid, to_theta(x))
+        assert calls == {"predict": len(values) + grid.size, "derivatives": 0, "forward": 0}
+        # the Jacobian takes both, once
+        ms.jacobian(x)
+        assert calls == {"predict": len(values) + grid.size + 1, "derivatives": 1, "forward": 1}
+
+    @pytest.mark.parametrize(
+        "kind, mode, instruments",
+        [("CD", "quantity", None), ("CD", "revenue", None), ("CES", "quantity", None), ("CES", "revenue", None), ("CES", "revenue", ("const", "k_t"))],
+        ids=["CD-quantity", "CD-revenue", "CES-quantity", "CES-revenue", "CES-revenue-exactly-identified"],
+    )
+    def test_search_takes_the_jacobian_once_per_point_reached(self, kind, mode, instruments, small_cd_panel, small_ces_panel, monkeypatch):
+        # each search forms the Jacobian at its start and after each step that lowers J, never at a rejected step
+        # or a rounding-noise probe (x scaled by 1 + 1e-14 t on the free coordinates): 1 + accepted steps per search.
+        # The exactly identified CES revenue fit rejects steps on this panel
+        panel = small_cd_panel if kind == "CD" else small_ces_panel
+        if instruments is None:
+            ms = _system(kind, mode, 1, panel)[0]
+        else:
+            ms = build_revenue_moments(kind, panel, instruments=instruments)
+        calls = _count_derivatives(ms)
+        evaluations, linearize = [], ms._linearize
+
+        def recording(x):
+            m, jacobian = linearize(x)
+            evaluations.append([np.array(x, float), m, 0])
+
+            def counting(record=evaluations[-1]):
+                record[2] += 1
+                return jacobian()
+
+            return m, counting
+
+        ms._linearize = recording
+        searches, search = [], estimate._lm_search
+
+        def recording_search(ms, x0, weight, free, lo, hi):
+            searches.append((len(evaluations), weight, free))
+            return search(ms, x0, weight, free, lo, hi)
+
+        monkeypatch.setattr(estimate, "_lm_search", recording_search)
+        (only,) = gmm_minimize(ms, weighting="two-step").minima
+        assert len(searches) == 2 and len(evaluations) == only["n_evals"]
+        steps, reached, rejected = 0, 0, 0
+        for (start, weight, free), end in zip(searches, [s for s, _, _ in searches[1:]] + [len(evaluations)]):
+            x, m, taken = evaluations[start]
+            J, accepted = ms._quadratic_form(m, weight)[0], 0
+            assert taken == 1
+            for y, m_y, taken in evaluations[start + 1 : end]:
+                probes = [x[free] * (1.0 + 1e-14 * t) for t in (-2.0, -1.0, 1.0, 2.0)]
+                if any(np.array_equal(y[free], p) for p in probes):
+                    assert taken == 0 and np.delete(y, free).tolist() == np.delete(x, free).tolist()
+                    continue
+                steps += 1
+                J_y = ms._quadratic_form(m_y, weight)[0]
+                assert taken == (J_y < J)
+                if J_y < J:
+                    x, J, accepted = y, J_y, accepted + 1
+                else:
+                    rejected += 1
+            assert sum(taken for _, _, taken in evaluations[start:end]) == 1 + accepted
+            reached += 1 + accepted
+        assert steps == only["n_iter"] and reached > len(searches)
+        assert rejected > 0 or instruments is None
+        row_path = 0 if ms._closed_form is not None else reached
+        assert calls["derivatives"] == calls["forward"] == row_path
+
+
 class TestCharts:
     @pytest.mark.parametrize("mode", ["quantity", "revenue"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
@@ -693,23 +806,21 @@ def _five_point_prediction_jacobian(predict, x, h):
     return np.array(rows)
 
 
-class TestVectorJacobianProduct:
-    """derivatives(r) of every predictor is the Jacobian of its prediction applied to the weight vector r."""
+class TestPredictionDerivative:
+    """derivatives() of every predictor is the p x N Jacobian of its prediction, with literal zeros in the rows of
+    the coordinates it never reads."""
 
     @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
     @pytest.mark.parametrize("kind", ["CD", "CES"])
     def test_matches_five_point_jacobian(self, kind, mode, cd_panel, ces_panel):
         ms = _system(kind, mode, 1, cd_panel if kind == "CD" else ces_panel)[0]
-        rng = np.random.default_rng(500)
         never_read = [ms.chart.names.index(n) for n in _never_read(ms)]
-        for x in _draw_points(ms, rng, 3, 0.1, 0.9):
+        for x in _draw_points(ms, np.random.default_rng(500), 3, 0.1, 0.9):
             pred, derivatives = ms._predict(x)
-            jac = _five_point_prediction_jacobian(ms._predict, x, 1e-4)
-            r = rng.normal(size=pred.size)
-            dpred_r = derivatives(r)
-            assert dpred_r.shape == (x.size,)
-            assert _rel_gap(dpred_r, jac.dot(r)) <= 1e-10
-            assert np.all(dpred_r[never_read] == 0.0)
+            D = derivatives()
+            assert D.shape == (x.size, pred.size)
+            assert _rel_gap(D, _five_point_prediction_jacobian(ms._predict, x, 1e-4)) <= 1e-10
+            assert np.all(D[never_read] == 0.0)
 
 
 def _five_point_jacobian(moments, x, h):
