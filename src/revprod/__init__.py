@@ -1,10 +1,10 @@
 """Toolkit for studying what revenue data can and cannot say about production.
 
-Simulates cost-minimizing firm panels under markup pricing, estimates
-quantity and revenue production functions by proxy-variable GMM, and turns
-the identification structure of the revenue case (flat directions, rank
-deficiencies, observational-equivalence certificates, productivity
-non-recovery) into executable diagnostics.
+Simulates cost-minimizing firm panels under markup pricing, estimates the
+quantity production function by proxy-variable GMM and the revenue equation
+by GMM on its ex-post shock, and turns the identification structure of the
+revenue case (flat directions, rank deficiencies, observational-equivalence
+certificates, productivity non-recovery) into executable diagnostics.
 """
 
 __version__ = "0.1.0"

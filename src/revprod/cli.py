@@ -190,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
-    estp = sub.add_parser("estimate", help="run proxy-variable GMM on a panel")
+    estp = sub.add_parser("estimate", help="fit a panel by GMM, on the quantity or the revenue route")
     estp.add_argument("panel")
     estp.add_argument("--config", required=True)
-    estp.add_argument("--mode", choices=["quantity", "revenue"], default="quantity")
+    routes = "quantity: proxy-variable GMM, first stage on log Q; revenue: GMM on the ex-post revenue shock, no proxy or first stage"
+    estp.add_argument("--mode", choices=["quantity", "revenue"], default="quantity", help=routes)
     estp.add_argument("--out", default=None)
     estp.set_defaults(func=cmd_estimate)
 

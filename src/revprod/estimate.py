@@ -91,11 +91,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-# Uncalled: gmm_minimize runs _lm_search.  The name stays only because perfbench's tracer patches it.
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on call."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
+    """Never called: gmm_minimize runs _lm_search.  The name stays only because perfbench's tracer wraps it."""
+    raise NotImplementedError("estimate.minimize is never called; gmm_minimize runs its own search")
 
 
 # The instrument vocabulary: a constant; the current and lagged logs of K, L, M, pL and pM; the squared current

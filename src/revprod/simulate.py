@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costmin
-from .panel_io import COLUMNS, Panel
+from .panel_io import Panel
 from .technology import DemandConfig, ParameterError, ShockConfig, Technology, _check_fields, revenue_pf_reduced_form
 
 __all__ = [
@@ -206,7 +206,7 @@ def _pricing_root(tech: Technology, K, omega, pL, pM, mu, eta, scale, cal_e):
         e_F, e_Fy = tech.F_elasticities(K, y)
         step = np.clip(-g / (e_F - eta * e_Fy), -4.0, 4.0)
         x = x + step
-        if np.max(np.abs(g)) < 1e-13:
+        if np.all(np.abs(g) < 1e-13):
             break
     else:
         bad = np.nonzero(~(np.abs(g) <= 1e-10))[0]
@@ -218,10 +218,6 @@ def simulate_panel(cfg: SimConfig) -> Panel:
     """Generate a reproducible panel under the full assumption set."""
     tech, demand, shocks = cfg.tech, cfg.demand, cfg.shocks
     n, T, burn = cfg.n_firms, cfg.n_periods, cfg.burn_in
-    if n == 0:
-        data = {c: np.asarray([], dtype=np.int64 if c in ("firm_id", "t") else float) for c in COLUMNS}
-        return Panel(data=data)
-
     shifts, xi, u_k, e_p, eps, eta_shift = _draw_firm_shocks(cfg)
 
     # Firm-level permanent heterogeneity; the three input prices stacked as (L, M, K).

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import importlib.resources
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -878,20 +880,46 @@ for name, argv in (
 ):
     seen["rc"].append(main(["--log-level", "WARNING", *argv, "--config", cfg, "--out", out]))
     seen[name] = scipy_modules()
+seen["loaded"] = sorted({m.partition(".")[0] for m in sys.modules})
 print(json.dumps(seen))
 """
 
 
-def test_no_command_imports_scipy(tmp_path):
-    # every command's linear algebra and search run on numpy alone, so none pays for importing scipy (about
-    # 0.3 s of a cold start, and a second OpenBLAS whose thread pool competes with numpy's).  A fresh
-    # interpreter, since this one has imported scipy already.
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory):
+    """What the five commands import, run in turn in a fresh interpreter (this one has imported scipy already)."""
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, str(Path(revprod.__file__).parents[1]), str(tmp_path)],
+        [sys.executable, "-c", IMPORT_GRAPH, str(Path(revprod.__file__).parents[1]), str(tmp_path_factory.mktemp("imports"))],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen.pop("rc") == [EXIT_OK] * 5
+    return seen
+
+
+def test_no_command_imports_scipy(command_imports):
+    # every command's linear algebra and search run on numpy alone, so none loads scipy (about 0.3 s of a cold
+    # start, and a second OpenBLAS whose thread pool competes with numpy's), and scipy is a test dependency only
+    seen = {name: modules for name, modules in command_imports.items() if name != "loaded"}
     assert not seen.pop("orjson_on_import")  # only writing a panel needs orjson
     assert seen == {name: [] for name in ("import", "simulate", "verify", "diagnose", "estimate quantity", "estimate revenue")}
+
+
+def test_declared_dependencies_are_what_the_commands_load(command_imports):
+    # pyproject.toml declares every third-party module the package imports, at module level or inside a
+    # function, and nothing that no command loads; each declared distribution installs a module of its name
+    tomllib = pytest.importorskip("tomllib")
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+        for req in tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    }
+    imported = set()
+    for path in Path(revprod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) <= declared
+    assert declared <= set(command_imports["loaded"])

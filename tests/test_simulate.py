@@ -160,9 +160,16 @@ class TestVerifyPanel:
         assert report.violations["revenue_identity"] == len(bad)
         assert report.first_bad_rows["revenue_identity"] == bad
 
-    def test_empty_panel_passes(self, cd_tech):
-        cfg = SimConfig(tech=cd_tech, n_firms=0, n_periods=1, seed=1)
-        report = verify_panel(simulate_panel(cfg), cfg)
+    # zero firms take the general path: the pricing Newton, and the KKT oracle where it is asked for, run on
+    # zero rows and give a panel of the usual dtypes
+    @pytest.mark.parametrize("input_solver", ["closed_form", "numeric"])
+    @pytest.mark.parametrize("tech", ["cd_tech", "ces_tech"])
+    def test_empty_panel_passes(self, tech, input_solver, request):
+        cfg = SimConfig(tech=request.getfixturevalue(tech), input_solver=input_solver, n_firms=0, n_periods=1, seed=1)
+        panel = simulate_panel(cfg)
+        dtypes = {c: np.int64 if c in ("firm_id", "t") else np.float64 for c in COLUMNS}
+        assert {c: panel.col(c).dtype for c in COLUMNS} == dtypes
+        report = verify_panel(panel, cfg)
         assert report.n_rows == 0
         assert report.passed
 
