@@ -59,7 +59,11 @@ def _validator(schema_name: str):
 
 
 def _write_json(payload: dict, path: Path, schema_name: str) -> None:
-    _validator(schema_name).validate(payload)
+    import jsonschema
+    try:
+        _validator(schema_name).validate(payload)
+    except jsonschema.ValidationError as exc:  # not a ValueError, so main would not map it to exit code 2
+        raise ValueError(f"{schema_name}: {exc.json_path}: {exc.message}") from exc
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     logger.info("wrote %s", path)
 

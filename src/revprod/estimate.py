@@ -250,7 +250,8 @@ def first_stage_project(panel: Panel, degree: int = 3) -> FirstStage:
     fitted = design @ coef
     resid = y - fitted
     tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > 0 else 1.0
+    # a spread within the rounding error of the mean, the rule that marks a constant observable above, is a constant Q
+    r2 = 1.0 - float(np.sum(resid**2)) / tss if tss > len(y) * (np.finfo(float).eps * len(y) * y.mean()) ** 2 else 1.0
     return FirstStage(degree=used, fitted=fitted, residuals=resid, r_squared=r2, rank=int(rank))
 
 

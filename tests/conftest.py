@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from revprod.estimate import DEFAULT_BOUNDS, revenue_predictor, to_chart
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas
 
+ROOT = Path(__file__).resolve().parents[1]
 TRUE_CD = CobbDouglas(beta_K=0.25, beta_L=0.3, beta_M=0.4)
 TRUE_CES = CES(beta_L=0.3, beta_M=0.4, sigma=0.5, v=0.9)
 
@@ -60,6 +62,15 @@ def small_cd_panel(small_cd_config):
 @pytest.fixture(scope="session")
 def small_ces_panel(small_ces_config):
     return simulate_panel(small_ces_config)
+
+
+def edited_config(config, old, new, tmp_path):
+    """A copy, in tmp_path, of the shipped config (a path under the repository root) with its line old replaced by new."""
+    text = (ROOT / config).read_text()
+    assert f"\n{old}\n" in text
+    path = tmp_path / f"edited-{Path(config).name}"
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    return path
 
 
 def random_technology(rng, kind):

@@ -197,9 +197,17 @@ def test_quantity_mode_on_revenue_only_file(ces_ini, tmp_path, caplog):
     rc = main(["estimate", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--mode", "quantity", "--out", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     assert "quantities unobserved" in caplog.text
-    # revenue mode on the same file still runs
-    rc = main(["estimate", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--mode", "revenue", "--out", str(tmp_path)])
-    assert rc == EXIT_OK
+    # revenue mode on the same file still runs, and gives the full panel's estimate; so does a copy saved as
+    # spreadsheet programs save "CSV UTF-8", behind a byte-order mark, under the same name, to the byte
+    (tmp_path / "bom").mkdir()
+    (tmp_path / "bom" / "rev_only.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "rev_only.csv").read_bytes())
+    for path, out in (("panel.csv", "full"), ("rev_only.csv", "rev_only"), ("bom/rev_only.csv", "bom")):
+        rc = main(["estimate", str(tmp_path / path), "--config", str(ces_ini), "--mode", "revenue", "--out", str(tmp_path / out)])
+        assert rc == EXIT_OK
+    full, rev_only = (json.loads((tmp_path / out / "estimate_revenue.json").read_text()) for out in ("full", "rev_only"))
+    for key in ("estimates", "objective", "minima"):
+        assert full[key] == rev_only[key], key
+    assert (tmp_path / "bom" / "estimate_revenue.json").read_bytes() == (tmp_path / "rev_only" / "estimate_revenue.json").read_bytes()
     # verify lists only the checks whose columns the file has: the revenue
     # identity, the reduced form and markup consistency need Q, P, eps or omega
     rc = main(["verify", str(tmp_path / "rev_only.csv"), "--config", str(ces_ini), "--out", str(tmp_path / "v1")])
@@ -587,6 +595,11 @@ def test_bom_and_crlf_config_parse_as_the_plain_file(tmp_path, bom, newline):
     assert (got.sim, got.estimation, got.out_dir) == (want.sim, want.estimation, want.out_dir)
     assert want.config_sha256 == hashlib.sha256(plain.read_bytes()).hexdigest()
     assert got.config_sha256 == hashlib.sha256(copy.read_bytes()).hexdigest() != want.config_sha256
+    # and simulates the plain file's panel, byte for byte, under the copy's own hash
+    for ini, out in ((plain, tmp_path / "plain"), (copy, tmp_path / "copy")):
+        assert main(["simulate", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    assert (tmp_path / "copy" / "panel.csv").read_bytes() == (tmp_path / "plain" / "panel.csv").read_bytes()
+    assert json.loads((tmp_path / "copy" / "provenance.json").read_text())["config_sha256"] == got.config_sha256
 
 
 def test_non_utf8_config_names_the_file(tmp_path, caplog):
@@ -786,7 +799,7 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
     for block, key in (("rank", "fd_step"), ("thresholds", "equivalence_tol")):
         stale = json.loads((tmp_path / "identification_report.json").read_text())
         stale[block][key] = 1e-5
-        with pytest.raises(jsonschema.ValidationError, match=key):
+        with pytest.raises(ValueError, match=key):
             _write_json(stale, tmp_path / "stale.json", "identification_report.schema.json")
 
 
@@ -829,11 +842,25 @@ def test_shipped_schemas_pass_metaschema():
 
 
 def test_invalid_payload_rejected_and_not_written(tmp_path):
+    # a schema failure is a ValueError naming the schema and the JSON path, which main maps to exit code 2
     good = {"n_rows": 3, "violations": {}, "passed": True}
     _write_json(good, tmp_path / "good.json", "verify_report.schema.json")
-    with pytest.raises(jsonschema.ValidationError):
+    message = "verify_report.schema.json: $.n_rows: -1 is less than the minimum of 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         _write_json({**good, "n_rows": -1}, tmp_path / "bad.json", "verify_report.schema.json")
+    assert isinstance(raised.value.__cause__, jsonschema.ValidationError)
     assert (tmp_path / "good.json").exists() and not (tmp_path / "bad.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["estimate", "--mode", "revenue"], ["diagnose"]])
+def test_invalid_artifact_exits_2(cd_ini, tmp_path, caplog, monkeypatch, argv):
+    # README's exit-code table: a schema failure is a validation failure, not a traceback
+    assert main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
+    monkeypatch.setattr("revprod.cli._provenance", lambda *args, **fields: "bogus")
+    rc = main([argv[0], str(tmp_path / "panel.csv"), *argv[1:], "--config", str(cd_ini), "--out", str(tmp_path / "e")])
+    assert rc == EXIT_VALIDATION
+    assert ".schema.json: $.provenance: 'bogus' is not of type 'object'" in caplog.text and "Traceback" not in caplog.text
+    assert list((tmp_path / "e").iterdir()) == []  # the output directory is made before the artifact is checked
 
 
 def test_revenue_results_ignore_shocks_section(ces_ini, tmp_path):
@@ -864,22 +891,22 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from revprod.cli import main, parse_config
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def heavy_modules():
+    return sorted({m.partition(".")[0] for m in sys.modules} & {"orjson", "scipy"})
 
 cfg, out = "configs/ces.ini", sys.argv[2]
 parse_config(cfg)
-seen = {"import": scipy_modules(), "orjson_on_import": "orjson" in sys.modules, "rc": []}
+seen = {"import": heavy_modules(), "rc": []}
 panel = out + "/panel.csv"
 for name, argv in (
-    ("simulate", ["simulate"]),
     ("verify", ["verify", panel]),
+    ("simulate", ["simulate"]),
     ("diagnose", ["diagnose", panel]),
     ("estimate quantity", ["estimate", panel, "--mode", "quantity"]),
     ("estimate revenue", ["estimate", panel, "--mode", "revenue"]),
 ):
     seen["rc"].append(main(["--log-level", "WARNING", *argv, "--config", cfg, "--out", out]))
-    seen[name] = scipy_modules()
+    seen[name] = heavy_modules()
 seen["loaded"] = sorted({m.partition(".")[0] for m in sys.modules})
 print(json.dumps(seen))
 """
@@ -887,9 +914,14 @@ print(json.dumps(seen))
 
 @pytest.fixture(scope="module")
 def command_imports(tmp_path_factory):
-    """What the five commands import, run in turn in a fresh interpreter (this one has imported scipy already)."""
+    """What the five commands import, run in turn in a fresh interpreter (this one has imported scipy already).
+
+    verify runs first, on a panel simulated here, so that it is seen before simulate loads the panel writer.
+    """
+    out = tmp_path_factory.mktemp("imports")
+    assert main(["simulate", "--config", str(ROOT / "configs" / "ces.ini"), "--out", str(out)]) == EXIT_OK
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH, str(Path(revprod.__file__).parents[1]), str(tmp_path_factory.mktemp("imports"))],
+        [sys.executable, "-c", IMPORT_GRAPH, str(Path(revprod.__file__).parents[1]), str(out)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -900,10 +932,11 @@ def command_imports(tmp_path_factory):
 
 def test_no_command_imports_scipy(command_imports):
     # every command's linear algebra and search run on numpy alone, so none loads scipy (about 0.3 s of a cold
-    # start, and a second OpenBLAS whose thread pool competes with numpy's), and scipy is a test dependency only
+    # start, and a second OpenBLAS whose thread pool competes with numpy's), and scipy is a test dependency only;
+    # only writing a panel needs orjson, which simulate loads and which stays loaded for the commands after it
     seen = {name: modules for name, modules in command_imports.items() if name != "loaded"}
-    assert not seen.pop("orjson_on_import")  # only writing a panel needs orjson
-    assert seen == {name: [] for name in ("import", "simulate", "verify", "diagnose", "estimate quantity", "estimate revenue")}
+    after_simulate = ("simulate", "diagnose", "estimate quantity", "estimate revenue")
+    assert seen == {"import": [], "verify": [], **dict.fromkeys(after_simulate, ["orjson"])}
 
 
 def test_declared_dependencies_are_what_the_commands_load(command_imports):

@@ -141,6 +141,14 @@ class TestFirstStage:
         assert fs.rank == shape[1] == 56
         assert np.max(np.abs(fs.fitted - _full_design_fit(panel, 3))) < 1e-12
 
+    def test_constant_q_fits_exactly(self):
+        # log Q = log 2 on every row of the configs/cd.ini panel: rounding leaves its total sum of squares at
+        # 6.2e-29, not 0, and that is no spread to explain (it read r_squared = -4058.69)
+        panel = simulate_panel(parse_config(ROOT / "configs" / "cd.ini").sim)
+        data = {c: panel.col(c) if panel.has(c) else None for c in COLUMNS}
+        data["Q"] = np.full(len(panel), 2.0)
+        assert first_stage_project(Panel(data=data), 3).r_squared == 1.0
+
     def test_constant_observable_dropped(self, small_cd_panel, monkeypatch):
         data = {c: small_cd_panel.col(c) for c in COLUMNS}
         data["K"] = np.full(len(small_cd_panel), 2.5)

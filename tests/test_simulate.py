@@ -22,6 +22,8 @@ from revprod.simulate import (
 )
 from revprod.technology import CES, CobbDouglas, DemandConfig, ParameterError, ShockConfig
 
+from conftest import edited_config
+
 ROOT = Path(__file__).resolve().parents[1]
 # every float field of every parameter dataclass
 FLOAT_FIELDS = [
@@ -228,12 +230,26 @@ class TestInputSolverRoute:
         for c in ("L", "M", "R", "sM_star"):
             assert np.allclose(a.col(c), b.col(c), rtol=1e-8), c
 
-    @pytest.mark.parametrize("which", ["cd", "ces"])
-    def test_full_panel_numeric_matches_closed_form(self, which, request):
-        cfg = request.getfixturevalue(f"{which}_config")
-        closed = request.getfixturevalue(f"{which}_panel")
-        numeric = simulate_panel(dataclasses.replace(cfg, input_solver="numeric"))
-        assert len(numeric) == 5000
+    # shipped configs with one line changed: configs/ces.ini at sigma = -0.1, where the pricing Newton slope comes
+    # from a technology on the other side of sigma = 0, and the cd-oracle workload at 5,000 firms
+    EDITED_CONFIGS = {
+        "ces_sigma_neg": ("configs/ces.ini", "sigma = 0.50", "sigma = -0.1", 5000),
+        "cd_oracle_10x": ("perfbench/configs/cd-oracle.ini", "n_firms = 500", "n_firms = 5000", 50000),
+    }
+
+    @pytest.mark.parametrize("which", ["cd", "ces", *EDITED_CONFIGS])
+    def test_full_panel_numeric_matches_closed_form(self, which, request, tmp_path):
+        # the KKT oracle's panel passes verify, and its inputs match the closed form's
+        if which in self.EDITED_CONFIGS:
+            *edit, rows = self.EDITED_CONFIGS[which]
+            cfg = dataclasses.replace(parse_config(edited_config(*edit, tmp_path)).sim, input_solver="closed_form")
+            closed = simulate_panel(cfg)
+        else:
+            cfg, closed, rows = request.getfixturevalue(f"{which}_config"), request.getfixturevalue(f"{which}_panel"), 5000
+        cfg = dataclasses.replace(cfg, input_solver="numeric")
+        numeric = simulate_panel(cfg)
+        assert len(numeric) == len(closed) == rows
+        assert verify_panel(numeric, cfg).passed
         for c in ("L", "M"):
             np.testing.assert_allclose(numeric.col(c), closed.col(c), rtol=1e-12, atol=0.0, err_msg=c)
 
