@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import logging
 import math
@@ -43,35 +42,22 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-@functools.cache
-def _validator(schema_name: str):
-    """Validator of a shipped schema, checked against its metaschema once.
+def _json_artifact(payload: dict, schema_name: str) -> str:
+    """payload's JSON text, once it meets its shipped schema; else a ValueError (exit code 2) naming the JSON path."""
+    from .validator import validate  # loaded only by a command that has an artifact to write
 
-    Built once per process: the metaschema check is most of the cost of
-    jsonschema.validate, which repeats it on every call.
-    """
-    import jsonschema
-
-    schema = json.loads(importlib.resources.files("revprod.schemas").joinpath(schema_name).read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    validate(payload, schema_name)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(payload: dict, path: Path, schema_name: str) -> None:
-    import jsonschema
-    try:
-        _validator(schema_name).validate(payload)
-    except jsonschema.ValidationError as exc:  # not a ValueError, so main would not map it to exit code 2
-        raise ValueError(f"{schema_name}: {exc.json_path}: {exc.message}") from exc
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
     logger.info("wrote %s", path)
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+def _write_json(payload: dict, path: Path, schema_name: str) -> None:
+    _write(path, _json_artifact(payload, schema_name))
 
 
 def _provenance(command: str, cfg: RunConfig, **fields) -> dict:
@@ -85,13 +71,15 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(args.config, require_seed=args.seed is None)
     if args.seed is not None:
         cfg.sim = replace(cfg.sim, seed=args.seed)
-    out_dir = _out_dir(args, cfg)
+    out_dir = Path(args.out or cfg.out_dir)
     panel = simulate_panel(cfg.sim)
     panel_path = out_dir / "panel.csv"
+    prov = _provenance("simulate", cfg, seed=int(cfg.sim.seed), outputs=[panel_path.name], n_rows=len(panel))
+    prov_text = _json_artifact(prov, "provenance.schema.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_panel_csv(panel, panel_path)
     logger.info("wrote %s (%d rows)", panel_path, len(panel))
-    prov = _provenance("simulate", cfg, seed=int(cfg.sim.seed), outputs=[panel_path.name], n_rows=len(panel))
-    _write_json(prov, out_dir / "provenance.json", "provenance.schema.json")
+    _write(out_dir / "provenance.json", prov_text)
     return EXIT_OK
 
 
@@ -101,7 +89,7 @@ def _moment_system(cfg: RunConfig, panel, mode: str):
     kind = cfg.sim.tech.kind
     if mode == "revenue":
         return build_revenue_moments(kind, panel, which_v=est.which_v, instruments=est.instruments)
-    fs = first_stage_project(panel, est.first_stage_degree)
+    fs = functools.partial(first_stage_project, panel, est.first_stage_degree)  # run once the instruments pass
     return build_quantity_moments(kind, fs, panel, g_degree=est.g_degree, instruments=est.instruments)
 
 
@@ -112,7 +100,7 @@ def cmd_estimate(args) -> int:
     result = gmm_minimize(_moment_system(cfg, panel, mode), weighting=cfg.estimation.weighting)
     payload = {k: v for k, v in asdict(result).items() if v is not None}
     payload["provenance"] = _provenance("estimate", cfg, panel=Path(args.panel).name, mode=mode)
-    _write_json(payload, _out_dir(args, cfg) / f"estimate_{mode}.json", "estimate_result.schema.json")
+    _write_json(payload, Path(args.out or cfg.out_dir) / f"estimate_{mode}.json", "estimate_result.schema.json")
     return EXIT_OK
 
 
@@ -143,7 +131,7 @@ def cmd_diagnose(args) -> int:
         if args.grid:
             center = [getattr(cfg.sim.tech, n) for n in ms.param_names]
             curve = asdict(profile_scan(ms, args.scan, _parse_grid(args.grid), center))
-    out_dir = _out_dir(args, cfg)
+    out_dir = Path(args.out or cfg.out_dir)
 
     report = build_identification_report(panel, cfg.sim.tech, ms)
     payload = dict(asdict(report), provenance=_provenance("diagnose", cfg, panel=Path(args.panel).name))
@@ -167,7 +155,7 @@ def cmd_verify(args) -> int:
     panel = read_panel_csv(args.panel)
     report = verify_panel(panel, cfg.sim)
     payload = dict(asdict(report), provenance=_provenance("verify", cfg, panel=Path(args.panel).name))
-    _write_json(payload, _out_dir(args, cfg) / "verify_report.json", "verify_report.schema.json")
+    _write_json(payload, Path(args.out or cfg.out_dir) / "verify_report.json", "verify_report.schema.json")
     if not report.passed:
         logger.error("panel failed verification: %s", report.violations)
         return EXIT_VALIDATION

@@ -62,7 +62,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -667,7 +667,7 @@ def revenue_predictor(tech_kind: str, cols, which_v: str):
 
 def build_quantity_moments(
     tech_kind: str,
-    first_stage: FirstStage,
+    first_stage: FirstStage | Callable[[], FirstStage],
     panel: Panel,
     g_degree: int = 1,
     instruments: Sequence[str] = DEFAULT_INSTRUMENTS,
@@ -678,6 +678,8 @@ def build_quantity_moments(
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
     predict = _quantity_predictor(tech_kind, cols)
     Z, fit = _instruments(tech_kind, cols, cur, lag, instruments)
+    if callable(first_stage):  # called once the instruments pass, so that a panel they refuse costs no first stage
+        first_stage = first_stage()
     closed_form = None
     if tech_kind == "CD" and g_degree == 1:
         closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)

@@ -8,8 +8,8 @@ prices and quantities not).
 
 Floats are written with shortest round-trip formatting so that a write/read
 cycle reproduces the in-memory panel bit for bit.  Each field is the `repr`
-of its float (the `str` of its int), byte for byte, but orjson formats each
-column block in one call.
+of its float (the `str` of its int), byte for byte, but orjson formats a
+block of rows in two calls, its ints and its floats, one bytes object a row.
 
 Beside each CSV it writes, write_panel_csv leaves a column cache
 (`panel.csv.cache` next to `panel.csv`): the SHA-256 of the CSV's bytes, then
@@ -140,21 +140,21 @@ class Panel:
         return cur, cur - 1
 
 
-# Rows are formatted in blocks of this many: each column of a block is
-# formatted by one orjson call, without holding every field of the panel as a
-# string.
+# Rows are formatted in blocks of this many: each block is two orjson calls,
+# without holding every row of the panel as bytes.
 _WRITE_BLOCK_ROWS = 512
 
 
-def _format_column(a: np.ndarray) -> list:
+def _format_rows(a: np.ndarray) -> list:
+    """One bytes object per row of the 2-D block a, its fields joined by commas."""
     import orjson
 
-    fields = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    rows = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     if a.dtype == float:  # orjson's notation differs from repr's outside 1e-4 <= |x| < 1e16
         mag = np.abs(a)
-        for i in np.flatnonzero((mag != 0.0) & ((mag < 1e-4) | (mag >= 1e16))):
-            fields[i] = repr(float(a[i]))
-    return fields
+        for i in np.flatnonzero(((mag != 0.0) & ((mag < 1e-4) | (mag >= 1e16))).any(axis=1)):
+            rows[i] = ",".join(map(repr, a[i].tolist())).encode("ascii")
+    return rows
 
 
 def _row_dtype(header) -> np.dtype:
@@ -168,13 +168,14 @@ def _cache_path(path) -> Path:
 
 
 def write_panel_csv(panel: Panel, path) -> None:
-    """Write the panel column by column, in the csv module's default dialect, and its column cache.
+    """Write the panel in blocks of rows, in the csv module's default dialect, and its column cache.
 
     No field can contain a delimiter or a quote character, so rows are joined
-    directly and end in the CRLF terminator that csv.writer uses.  Each column
-    block is one orjson.dumps call split on commas; where orjson's notation is
-    not repr's (nonzero |x| < 1e-4 or >= 1e16) the field is repr's, so the
-    bytes are those of repr and str on every value.  The cache
+    directly and end in the CRLF terminator that csv.writer uses.  A block is
+    one orjson.dumps call on its int columns (firm_id and t, first in COLUMNS)
+    and one on its floats, each split into rows; a row with a float whose
+    orjson notation is not repr's (nonzero |x| < 1e-4 or >= 1e16) is repr's,
+    so the bytes are those of repr and str on every value.  The cache
     beside the CSV holds the 32-byte SHA-256 of the CSV's bytes followed by
     the structured array that np.loadtxt parses from its body, in the .npy
     format (version 1.0, no pickles); both files are byte-identical for equal
@@ -184,16 +185,16 @@ def write_panel_csv(panel: Panel, path) -> None:
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
-        def write(text):
-            chunk = text.encode("ascii")
+        def write(chunk):
             digest.update(chunk)
             fh.write(chunk)
 
-        write(",".join(present) + "\r\n")
+        write((",".join(present) + "\r\n").encode("ascii"))
         for start in range(0, len(panel), _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
-            columns = [_format_column(panel.data[c][block]) for c in present]
-            write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+            block = [panel.data[c][start : start + _WRITE_BLOCK_ROWS] for c in present]
+            lines = [b"", b",", b"", b"\r\n"] * len(block[0])  # int fields, comma, float fields, CRLF
+            lines[0::4], lines[2::4] = _format_rows(np.column_stack(block[:2])), _format_rows(np.column_stack(block[2:]))
+            write(b"".join(lines))
     rows = np.empty(len(panel), _row_dtype(present))
     for c in present:
         rows[c] = panel.data[c]

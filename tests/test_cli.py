@@ -647,8 +647,8 @@ def test_one_period_panel_has_no_lags(cd_ini, tmp_path, caplog, argv):
 )
 def test_degenerate_panel_refused_in_quantity_mode(cd_ini, tmp_path, caplog, rows, message):
     # a panel with no consecutive firm-periods, header-only or one-row, is refused before the first stage chooses
-    # its degree; a constant-observable panel gets a first stage in no observables, a constant, and then the
-    # moment system's own refusal
+    # its degree; a constant-observable panel is refused by the instruments' rank check, which runs before the
+    # first stage, so that no first stage is projected for a panel that is refused
     assert main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
     header, *lines = (tmp_path / "panel.csv").read_text().splitlines()
     if rows == "header-only":
@@ -666,8 +666,7 @@ def test_degenerate_panel_refused_in_quantity_mode(cd_ini, tmp_path, caplog, row
         rc = main(["estimate", str(path), "--mode", "quantity", "--config", str(cd_ini), "--out", str(tmp_path / "e")])
     assert rc == EXIT_VALIDATION
     assert message in caplog.text and "Traceback" not in caplog.text
-    if rows != "constant-observable":  # whose 40 rows do cut the degree-3 polynomial in five observables to degree 2
-        assert "reducing degree" not in caplog.text
+    assert "reducing degree" not in caplog.text
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "e").exists()
 
@@ -848,19 +847,22 @@ def test_invalid_payload_rejected_and_not_written(tmp_path):
     message = "verify_report.schema.json: $.n_rows: -1 is less than the minimum of 0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         _write_json({**good, "n_rows": -1}, tmp_path / "bad.json", "verify_report.schema.json")
-    assert isinstance(raised.value.__cause__, jsonschema.ValidationError)
+    assert raised.value.__cause__ is None  # raised by the package's own validator, wrapping no library's error
     assert (tmp_path / "good.json").exists() and not (tmp_path / "bad.json").exists()
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["estimate", "--mode", "revenue"], ["diagnose"]])
+@pytest.mark.parametrize("argv", [["simulate"], ["verify"], ["estimate", "--mode", "revenue"], ["diagnose"]])
 def test_invalid_artifact_exits_2(cd_ini, tmp_path, caplog, monkeypatch, argv):
-    # README's exit-code table: a schema failure is a validation failure, not a traceback
+    # README's exit-code table: a schema failure is a validation failure, not a traceback; simulate's artifact is the
+    # provenance record itself, and the others' holds it
     assert main(["simulate", "--config", str(cd_ini), "--out", str(tmp_path)]) == EXIT_OK
     monkeypatch.setattr("revprod.cli._provenance", lambda *args, **fields: "bogus")
-    rc = main([argv[0], str(tmp_path / "panel.csv"), *argv[1:], "--config", str(cd_ini), "--out", str(tmp_path / "e")])
+    panel = [] if argv[0] == "simulate" else [str(tmp_path / "panel.csv")]
+    rc = main([argv[0], *panel, *argv[1:], "--config", str(cd_ini), "--out", str(tmp_path / "e")])
     assert rc == EXIT_VALIDATION
-    assert ".schema.json: $.provenance: 'bogus' is not of type 'object'" in caplog.text and "Traceback" not in caplog.text
-    assert list((tmp_path / "e").iterdir()) == []  # the output directory is made before the artifact is checked
+    where = "$" if argv[0] == "simulate" else "$.provenance"
+    assert f".schema.json: {where}: 'bogus' is not of type 'object'" in caplog.text and "Traceback" not in caplog.text
+    assert not (tmp_path / "e").exists()  # the artifact is checked before anything, simulate's panel.csv too, is written
 
 
 def test_revenue_results_ignore_shocks_section(ces_ini, tmp_path):
@@ -892,7 +894,8 @@ sys.path.insert(0, sys.argv[1])
 from revprod.cli import main, parse_config
 
 def heavy_modules():
-    return sorted({m.partition(".")[0] for m in sys.modules} & {"orjson", "scipy"})
+    loaded = set(sys.modules) | {m.partition(".")[0] for m in sys.modules}
+    return sorted(loaded & {"jsonschema", "orjson", "revprod.validator", "scipy"})
 
 cfg, out = "configs/ces.ini", sys.argv[2]
 parse_config(cfg)
@@ -933,10 +936,12 @@ def command_imports(tmp_path_factory):
 def test_no_command_imports_scipy(command_imports):
     # every command's linear algebra and search run on numpy alone, so none loads scipy (about 0.3 s of a cold
     # start, and a second OpenBLAS whose thread pool competes with numpy's), and scipy is a test dependency only;
-    # only writing a panel needs orjson, which simulate loads and which stays loaded for the commands after it
+    # only writing a panel needs orjson, which simulate loads and which stays loaded for the commands after it;
+    # artifacts are checked by the package's own validator, not jsonschema, and only once a command writes one
     seen = {name: modules for name, modules in command_imports.items() if name != "loaded"}
     after_simulate = ("simulate", "diagnose", "estimate quantity", "estimate revenue")
-    assert seen == {"import": [], "verify": [], **dict.fromkeys(after_simulate, ["orjson"])}
+    validator = "revprod.validator"
+    assert seen == {"import": [], "verify": [validator], **dict.fromkeys(after_simulate, ["orjson", validator])}
 
 
 def test_declared_dependencies_are_what_the_commands_load(command_imports):

@@ -14,7 +14,6 @@ import pytest
 import scipy.linalg
 
 from revprod import estimate
-from revprod.cli import _validator
 from revprod.config import parse_config
 from revprod.diagnostics import profile_scan
 from revprod.estimate import (
@@ -38,6 +37,7 @@ from revprod.estimate import (
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, ShockConfig
+from revprod.validator import validate
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1251,7 +1251,7 @@ class TestGmmMinimize:
         res = gmm_minimize(ms, weighting="identity")
         # asdict of a result, less its None fields, is the estimate artifact
         payload = {k: v for k, v in dataclasses.asdict(res).items() if v is not None}
-        _validator("estimate_result.schema.json").validate(payload)
+        validate(payload, "estimate_result.schema.json")
 
 
 TEN_X_FIT = """

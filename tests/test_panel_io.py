@@ -42,11 +42,12 @@ def _reference_bytes(panel) -> bytes:
     return fh.getvalue().encode("ascii")
 
 
-@pytest.mark.parametrize("block_rows", [7, panel_io._WRITE_BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 7, panel_io._WRITE_BLOCK_ROWS, None], ids=["1", "7", "default", "whole"])
 @pytest.mark.parametrize("optional", [True, False], ids=["all-columns", "revenue-only"])
 def test_columnar_writer_matches_row_writer(small_ces_panel, tmp_path, monkeypatch, optional, block_rows):
-    # a 7-row block makes the 480-row panel end in a partial block
-    monkeypatch.setattr(panel_io, "_WRITE_BLOCK_ROWS", block_rows)
+    # one-row blocks; a 7-row block, so that the 480-row panel ends in a partial block; and the whole panel in one
+    # block, exactly
+    monkeypatch.setattr(panel_io, "_WRITE_BLOCK_ROWS", block_rows or len(small_ces_panel))
     data = {c: small_ces_panel.col(c) for c in COLUMNS}
     if not optional:
         for c in ("omega", "eps", "Q", "P"):
