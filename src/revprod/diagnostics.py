@@ -14,13 +14,13 @@ pin down:
     exact Jacobian?  (local, first-order)
 
 Both views map theta into the chart once (estimate.to_chart) and evaluate the
-moment system there.  The revenue predictor reads sigma and share_ratio alone,
-so its profiles along beta_L+beta_M and v (or beta_K) are exactly flat and
-their Jacobian columns exact zeros: the verdicts certify structure rather than
-numerical accident.  The verdicts name theta's coordinates: sigma, v and
-beta_K read their own profile; beta_L and beta_M are not identified when the
-share_ratio profile is flat, identified up to their ratio when the
-beta_L+beta_M profile is flat, and identified otherwise.
+moment system there.  Along the coordinates that the family's revenue
+predictor never reads (see revprod.technology), revenue profiles are exactly
+flat and their Jacobian columns exact zeros: the verdicts certify structure
+rather than numerical accident.  The verdicts name theta's coordinates:
+sigma, v and beta_K read their own profile; beta_L and beta_M are not
+identified when the share_ratio profile is flat, identified up to their ratio
+when the beta_L+beta_M profile is flat, and identified otherwise.
 A recovery check on the productivity series rounds out the picture: revenue
 residuals carry no signal about Hicks-neutral productivity, quantity
 residuals recover it almost perfectly.
@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimate import DEFAULT_BOUNDS, REVENUE_COLUMNS, MomentSystem, revenue_predictor, to_chart, to_theta
+from .estimate import REVENUE_COLUMNS, MomentSystem, to_chart, to_theta
 from .panel_io import Panel
 from .technology import FAMILIES, ParameterError, Technology
 
@@ -57,7 +57,7 @@ OMEGA_MIN_CORR = 0.95
 
 
 def _theta(tech: Technology) -> np.ndarray:
-    return np.array([getattr(tech, n) for n in DEFAULT_BOUNDS[tech.kind]])
+    return np.array([getattr(tech, n) for n in tech.bounds])
 
 
 def _revenue_columns(panel: Panel) -> dict:
@@ -81,10 +81,8 @@ def observational_equivalence(tech_a: Technology, tech_b: Technology, panel: Pan
     cols = _revenue_columns(panel)
     x_a, x_b = to_chart(_theta(tech_a)), to_chart(_theta(tech_b))
     gap = 0.0
-    for v in ("L", "M"):
-        predict = revenue_predictor(tech_a.kind, cols, v)
-        d = np.abs(predict(x_a)[0] - predict(x_b)[0])
-        gap = max(gap, float(np.max(d)))
+    for predict in (tech_a.revenue_predictor(cols, v) for v in ("L", "M")):
+        gap = max(gap, float(np.max(np.abs(predict(x_a)[0] - predict(x_b)[0]))))
     return gap
 
 
@@ -220,7 +218,7 @@ def omega_recovery_attempt(panel: Panel, tech: Technology, ms: MomentSystem) -> 
         return OmegaRecovery(mode=mode, correlation=None, bound=bound, n_obs=n, skipped=True)
     omega = panel.col("omega")
     if mode == "revenue":
-        predict = revenue_predictor(tech.kind, _revenue_columns(panel), ms.which_v)
+        predict = tech.revenue_predictor(_revenue_columns(panel), ms.which_v)
         resid = np.log(panel.col("R")) - predict(to_chart(_theta(tech)))[0]
     else:
         q_pred = np.log(tech.output(panel.col("K"), panel.col("L"), panel.col("M")))

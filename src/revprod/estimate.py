@@ -9,7 +9,10 @@ x = (sigma, a, c, v) (CES) or (beta_K, a, c), in the share ratio
 a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M: the
 predictors, moments, Jacobian and searches take x and return derivatives in
 x.  theta exists only at the edges: to_theta gives a fit's estimates, and
-to_chart maps a technology coming into the diagnostics.
+to_chart maps a technology coming into the diagnostics.  Every equation of a
+family's form, its box, its predictors and the facts below that the charts
+and the start read, is a member of its class in revprod.technology, looked
+up once through FAMILIES; no line of this module branches on the family.
 
 The quantity route is the identified benchmark: project out the ex-post shock
 with a flexible polynomial first stage, recover the productivity series
@@ -18,42 +21,38 @@ of its first-order Markov process.  The Markov conditional mean g(.) is a
 polynomial of configurable degree whose coefficients are concentrated out in
 closed form (for degree one, the slope a.b / a.a of the demeaned current
 productivity on its demeaned lag), so the GMM search space contains only
-technology parameters.  Its predictors form beta_L = c a, beta_M = c - c a
-and, for CES, the capital share 1 - c; _share_chain carries their
-derivatives to a and c.
+technology parameters.  Its residual reads the family's quantity_predictor.
 
 The revenue route rests on the paper's central fact: productivity cancels
-from the revenue equation.  revenue_predictor gives log ex-ante expected
-revenue, so at the true parameters the residual r = exp(log R - pred) - 1 is
-exp(eps) / E[exp eps] - 1, which has mean zero whatever the shock
-distribution: no first stage, no productivity process, no E[exp eps] to
-supply.  It is the package's only parametric log-revenue formula; the
-diagnostics evaluate it at a technology's chart point too.  It reads sigma
-and a, or a alone, never c, returns to scale or the capital exponent, so its
-rows for c and v (or beta_K and c) are literal zeros, and the flatness along
-them is exact by structure.
+from the revenue equation.  The family's revenue_predictor gives log ex-ante
+expected revenue, so at the true parameters the residual
+r = exp(log R - pred) - 1 is exp(eps) / E[exp eps] - 1, which has mean zero
+whatever the shock distribution: no first stage, no productivity process, no
+E[exp eps] to supply.  What that predictor reads, and so which chart
+coordinates are flat by structure, is stated with it, in revprod.technology.
 
 A value costs one prediction over the panel rows and the residual, and no
 derivative.  The exact moment Jacobian J, whose SVD the rank diagnostics take
 (MomentSystem.jacobian), is taken forward on demand: the predictor's p x N
 derivative, through the residual's derivative map to e's p x n one, times the
 instruments.  The objective's gradient is 2 n u'J for the direction u.  A
-Cobb-Douglas quantity system at Markov degree one skips the rows: its moments
-and their Jacobian are closed forms over cross-products taken once
-(_LinearMarkovMoments).  The searches are Levenberg-Marquardt on numpy alone
-(_lm_search), which take J at each point they reach; n_iter counts their steps
-and n_evals their moment evaluations.  _share_chart builds each system's chart
-(SearchChart), with c <= 0.995 for CES so that capital keeps a share; revenue
-holds c and v (or beta_K) at a stated normalisation, the one statement of what
-revenue identifies: a fit reports the free coordinates at its minimum as
-identified (sigma and a, or a).  Both modes start at one point: sigma and a at
-the closed-form expenditure-ratio estimate (their box centre where it is
-undetermined), c and v (or beta_K and c) at the normalisation.  A fit searches
-the free coordinates once, and under two-step weighting re-minimizes once.
-The one minimum lists the coordinates it left on a bound (at_bound) and the
-rule that stopped its search (message).  converged holds when that rule is the
-first-order test, the Gauss-Newton predicted_decrease within ten times J's
-measured rounding_noise, and at_bound is empty.
+quantity system at Markov degree one whose family is linear_in_logs
+(Cobb-Douglas) skips the rows: its moments and their Jacobian are closed forms
+over cross-products taken once (_LinearMarkovMoments).  The searches are
+Levenberg-Marquardt on numpy alone (_lm_search), which take J at each point
+they reach; n_iter counts their steps and n_evals their moment evaluations.
+_share_chart builds each system's chart (SearchChart) from the family's box,
+with c at most its share_scale_cap (0.995 for CES, so that capital keeps a
+share); revenue holds c and v (or beta_K) at a stated normalisation, the one
+statement of what revenue identifies: a fit reports the free coordinates at
+its minimum as identified (sigma and a, or a).  Both modes start at one point:
+sigma and a at the closed-form expenditure-ratio estimate (their box centre
+where it is undetermined), c and v (or beta_K and c) at the normalisation.  A
+fit searches the free coordinates once, and under two-step weighting
+re-minimizes once.  The one minimum lists the coordinates it left on a bound
+(at_bound) and the rule that stopped its search (message).  converged holds
+when that rule is the first-order test, the Gauss-Newton predicted_decrease
+within ten times J's measured rounding_noise, and at_bound is empty.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .panel_io import Panel, PanelFormatError
-from .technology import ParameterError
+from .technology import FAMILIES, ParameterError, _share_chain
 
 __all__ = [
     "EstimationError",
@@ -78,14 +77,12 @@ __all__ = [
     "first_stage_project",
     "build_quantity_moments",
     "build_revenue_moments",
-    "revenue_predictor",
     "gmm_minimize",
     "to_theta",
     "to_chart",
     "INSTRUMENT_TOKENS",
     "check_instruments",
     "DEFAULT_INSTRUMENTS",
-    "DEFAULT_BOUNDS",
 ]
 
 logger = logging.getLogger(__name__)
@@ -126,10 +123,6 @@ def check_instruments(names: Sequence[str]) -> None:
 BASIC_INSTRUMENTS = ("const", "k_t", "l_lag", "pl_lag", "pm_lag")
 DEFAULT_INSTRUMENTS = BASIC_INSTRUMENTS + ("pl_t", "pm_t", "prel2_t", "k2_t", "pl2_t", "pm2_t")
 
-DEFAULT_BOUNDS = {
-    "CD": {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)},
-    "CES": {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)},
-}
 
 class EstimationError(RuntimeError):
     """Raised when the moment covariance gives no two-step weight."""
@@ -302,9 +295,9 @@ class MomentSystem:
     runs once, and _residual maps its prediction to the residual e on the current rows and to e's forward
     derivative, which takes the predictor's p x N derivative (derivatives) and returns e's p x n one, de: J is
     de Z' / n.  Neither derivative is taken until jacobian is called, so a value costs one prediction.  The
-    objective's gradient is 2 n u'J for u the symmetrized W m.  A Cobb-Douglas quantity system at g_degree 1 has a
-    _closed_form instead (_LinearMarkovMoments), so a search evaluation never reads the panel rows;
-    moment_covariance and g_coefficients always take the row path.
+    objective's gradient is 2 n u'J for u the symmetrized W m.  A quantity system at g_degree 1 whose family is
+    linear_in_logs has a _closed_form instead (_LinearMarkovMoments), so a search evaluation never reads the panel
+    rows; moment_covariance and g_coefficients always take the row path.
 
     The build function supplies the residual and the family's _share_chart: build_quantity_moments the innovation
     of the recovered productivity's Markov process (_MarkovInnovation) of degree g_degree, on the chart with no
@@ -327,7 +320,7 @@ class MomentSystem:
 
     @property
     def param_names(self) -> tuple:  # theta's, which a fit reports
-        return tuple(DEFAULT_BOUNDS[self.tech_kind])
+        return tuple(FAMILIES[self.tech_kind].bounds)
 
     @property
     def n_obs(self) -> int:
@@ -513,12 +506,13 @@ def _lag_bundle(panel: Panel, names: Sequence[str]):
     return cur, lag, {name: np.log(panel.col(name)) for name in names}
 
 
-def _instruments(tech_kind: str, logs, cur, lag, names: Sequence[str]):
+def _instruments(family, logs, cur, lag, names: Sequence[str]):
     """(Z, fit): the named instrument columns Z over the current rows, from _lag_bundle's logs of K, L, M, pL and pM,
     and _expenditure_ratio_fit's start.  Both read one QR triangle of [Z X y], y the log expenditure ratio
-    log(pL L / (pM M)) and X a constant and, for CES, log(L/M), on the same rows: its leading block is Z's own
-    triangle, whose pivoted rank must be full, and its upper right block is [X y] projected on the span of Z, in an
-    orthonormal basis of it.  Rejects a set that check_instruments rejects, or without full column rank."""
+    log(pL L / (pM M)) and X a constant and, where the family's box has a sigma, log(L/M), on the same rows: its
+    leading block is Z's own triangle, whose pivoted rank must be full, and its upper right block is [X y] projected
+    on the span of Z, in an orthonormal basis of it.  Rejects a set that check_instruments rejects, or without full
+    column rank."""
     check_instruments(names)
     tokens = {"const": np.ones(cur.size)}
     for tok, col in (("k", "K"), ("l", "L"), ("m", "M"), ("pl", "pL"), ("pm", "pM")):
@@ -531,138 +525,15 @@ def _instruments(tech_kind: str, logs, cur, lag, names: Sequence[str]):
         raise ValueError(f"the panel has {cur.size} lag rows for {len(names)} instruments; it needs at least as many rows")
     Z, p = np.column_stack([tokens[n] for n in names]), len(names)
     y = tokens["l_t"] + tokens["pl_t"] - tokens["m_t"] - tokens["pm_t"]
-    X = [tokens["const"]] if tech_kind == "CD" else [tokens["const"], tokens["l_t"] - tokens["m_t"]]
+    X = [tokens["const"], tokens["l_t"] - tokens["m_t"]] if "sigma" in family.bounds else [tokens["const"]]
     R = np.linalg.qr(np.column_stack([Z, *X, y]), mode="r")
     rank, piv = _pivoted_rank(R[:p, :p], cur.size)
     if rank < p:
         raise ValueError(f"instruments {' '.join(names)} are collinear on this panel: {names[piv[-1]]} depends on the others")
-    return Z, _expenditure_ratio_fit(tech_kind, R[:p, p:])
-
-
-# A predictor maps a chart point x to (prediction, derivatives), where
-# derivatives() returns the p x N derivative of the prediction in x, formed on
-# call from the arrays the prediction already built.  Rows of coordinates the
-# predictor never reads are literal zeros.
-
-
-def _share_chain(d_L, d_M, a, c):
-    """Derivatives in the share ratio a and the share scale c from those in beta_L = c a and beta_M = c - c a."""
-    return c * (d_L - d_M), a * d_L + (1.0 - a) * d_M
-
-
-def _quantity_predictor(tech_kind: str, cols):
-    k, l, m = cols["K"], cols["L"], cols["M"]
-
-    if tech_kind == "CD":
-
-        def predict(x):
-            bK, a, c = x
-            bL = c * a
-            return bK * k + bL * l + (c - bL) * m, lambda: np.array([k, *_share_chain(l, m, a, c)])
-
-        return predict
-
-    lk, mk = l - k, m - k  # exp(sigma k) factored out of the aggregate: pred = v k + (v/sigma) log agg
-
-    def predict(x):
-        sg, a, c, v = x
-        bL = c * a
-        bM, bK = c - bL, 1.0 - c
-        if bK <= 0.0:
-            raise ValueError(f"the CES quantity prediction needs beta_L + beta_M < 1; theta = {[float(t) for t in (sg, bL, bM, v)]}")
-        el, em = np.exp(sg * lk), np.exp(sg * mk)
-        agg = bK + bL * el + bM * em
-        log_agg = np.log(agg)
-        pred = v * k + (v / sg) * log_agg
-
-        def derivatives():
-            # with q = (v/sigma) / agg: d_sigma = q (bL lk el + bM mk em) - (v/sigma^2) log_agg, d_v = k + log_agg / sigma,
-            # and in beta_L and beta_M, the capital share 1 - c held, q (el - 1) and q (em - 1), chained to a and c
-            q = (v / sg) / agg
-            d_sg = q * (bL * lk * el + bM * mk * em) - (v / sg) * log_agg / sg
-            return np.array([d_sg, *_share_chain(q * (el - 1.0), q * (em - 1.0), a, c), k + log_agg / sg])
-
-        return pred, derivatives
-
-    return predict
+    return Z, _expenditure_ratio_fit(R[:p, p:])
 
 
 REVENUE_COLUMNS = ("L", "M", "pL", "pM", "sL_star", "sM_star")
-
-
-def revenue_predictor(tech_kind: str, cols, which_v: str):
-    """Parametric log ex-ante expected revenue, one closed form per family.
-
-    cols maps the names in REVENUE_COLUMNS to the logs of those columns
-    (arrays or scalars); which_v picks the flexible input whose revenue
-    equation is used.  The target shares are defined against ex-ante expected
-    revenue, P * Qstar * E[exp eps], so that is what the formula predicts.
-    Returns predict: predict(x), at a chart point x = (sigma, a, c, v) or
-    (beta_K, a, c), gives (prediction, derivatives) as described above.
-    The formula is built from h and the unit aggregate cost alone: it reads
-    sigma and the share ratio a = beta_L/(beta_L+beta_M) (CES) or a alone
-    (Cobb-Douglas), never the share scale c, the capital exponent or returns
-    to scale, so chart points that differ only there give bit-identical
-    predictions, and the derivative rows for c and v (or beta_K and c) are
-    literal zeros.  CES takes the expenditure-ratio form: with O the other
-    flexible input and kappa = beta_O/beta_V, a/(1 - a) or its inverse,
-    log R = log(p_V V / s*_V) + ((1 - sigma)/sigma) log[(1 + u1)/(1 + u2)],
-    u1 = kappa (O/V)^sigma, u2 = kappa^(1/(1 - sigma)) (p_O/p_V)^(sigma/(sigma - 1)).
-    """
-    if which_v not in ("L", "M"):
-        raise ValueError(f"which_v must be 'L' or 'M', got {which_v!r}")
-    l, m, pl, pm = cols["L"], cols["M"], cols["pL"], cols["pM"]
-    s = cols["sL_star" if which_v == "L" else "sM_star"]
-
-    if tech_kind == "CD":
-        l_pl, m_pm = l + pl, m + pm
-        gap = l_pl - m_pm
-
-        def predict(x):
-            a = x[1]  # beta_K and the share scale are never read
-            w_v = a if which_v == "L" else 1.0 - a
-            theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
-            lin = a * l_pl + (1.0 - a) * m_pm
-            pred = theta0 + lin - s
-
-            def derivatives():
-                # d pred / d a = d_wv + log(1 - a) - log(a) + gap
-                d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
-                D = np.zeros((3, gap.size))
-                D[1] = (d_wv + math.log(1.0 - a) - math.log(a)) + gap
-                return D
-
-            return pred, derivatives
-
-        return predict
-
-    # O is the other flexible input; its log gaps to V, in quantity and in price
-    v_in, p_v, o_in, p_o = (l, pl, m, pm) if which_v == "L" else (m, pm, l, pl)
-    gap, price_gap, base = o_in - v_in, p_o - p_v, v_in + p_v - s
-    sign = 1.0 if which_v == "M" else -1.0  # log kappa = sign log(a/(1 - a))
-
-    def predict(x):
-        sg, a = x[0], x[1]  # the share scale and v are never read
-        log_k, phi = sign * math.log(a / (1.0 - a)), (1.0 - sg) / sg
-        u1 = np.exp(sg * gap + log_k)
-        u2 = np.exp((log_k - sg * price_gap) / (1.0 - sg))
-        a1, a2 = 1.0 + u1, 1.0 + u2
-        lr = np.log(a1 / a2)
-        pred = base + phi * lr
-
-        def derivatives():
-            # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
-            # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
-            # d pred / d log kappa = phi (w1 - w2 / (1 - sigma)), and d log kappa / d a = sign / (a (1 - a))
-            w1, w2 = u1 / a1, u2 / a2
-            D = np.zeros((4, w1.size))
-            D[0] = phi * (gap * w1 - (log_k - price_gap) * w2 / (1.0 - sg) ** 2) - lr / sg**2
-            D[1] = (sign * phi / (a * (1.0 - a))) * (w1 - w2 / (1.0 - sg))
-            return D
-
-        return pred, derivatives
-
-    return predict
 
 
 def build_quantity_moments(
@@ -675,14 +546,13 @@ def build_quantity_moments(
     """Moment system on the quantity production function (identified benchmark)."""
     if g_degree < 1:
         raise ValueError("g_degree must be >= 1")
+    family = FAMILIES[tech_kind]
     cur, lag, cols = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-    predict = _quantity_predictor(tech_kind, cols)
-    Z, fit = _instruments(tech_kind, cols, cur, lag, instruments)
+    predict = family.quantity_predictor(cols)
+    Z, fit = _instruments(family, cols, cur, lag, instruments)
     if callable(first_stage):  # called once the instruments pass, so that a panel they refuse costs no first stage
         first_stage = first_stage()
-    closed_form = None
-    if tech_kind == "CD" and g_degree == 1:
-        closed_form = _LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z)
+    linear = family.linear_in_logs and g_degree == 1
     return MomentSystem(
         mode="quantity",
         tech_kind=tech_kind,
@@ -690,36 +560,35 @@ def build_quantity_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=_MarkovInnovation(first_stage.fitted, cur, lag, g_degree),
-        chart=_share_chart(tech_kind, fit, normalised=False),
+        chart=_share_chart(family, fit, normalised=False),
         g_degree=g_degree,
         first_stage=first_stage,
-        _closed_form=closed_form,
+        _closed_form=_LinearMarkovMoments(first_stage.fitted, cols, cur, lag, Z) if linear else None,
     )
 
 
-def _share_chart(tech_kind: str, fit, normalised: bool) -> SearchChart:
-    """The chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M, x = (sigma, a, c, v)
-    (CES) or (beta_K, a, c), which to_theta and to_chart map to theta and back.  normalised holds c at lo + hi of the
-    default share box, where a's bounds span every ratio the box allows (1/13 to 12/13 for CES), and v = 1 or
-    beta_K = 1 - c, which revenue never reads.  c <= 0.995 keeps the CES beta_K >= 0.005, inside
-    the CES domain; the Cobb-Douglas c reaches hi_L + hi_M, so the chart covers the whole default box.
+def _share_chart(family, fit, normalised: bool) -> SearchChart:
+    """The family's chart in the share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M, its
+    box's theta order with (a, c) in place of (beta_L, beta_M), which to_theta and to_chart map to theta and back.
+    normalised holds c at lo + hi of the family's share box, where a's bounds span every ratio the box allows (1/13
+    to 12/13 for CES), and the coordinate revenue never reads at constant_returns.  c's upper bound is the smaller of
+    the family's share_scale_cap and hi_L + hi_M, so a family with no cap (Cobb-Douglas) has a chart that covers its
+    whole box.
 
     The chart starts at the expenditure-ratio estimate: sigma and a at fit, _expenditure_ratio_fit's estimate, moved
     _START_MARGIN of the box width inside the bounds, and the coordinates that fit leaves open (c and v, or beta_K and
     c) at the normalisation, whether normalised holds them or not, so a family's quantity and revenue charts start at
     the same point.  Where fit is None, the instruments leaving sigma and a undetermined, they start at the centre of
     the box.  x0 is read-only, so no fit can move a chart's start."""
-    box = DEFAULT_BOUNDS[tech_kind]
+    box = family.bounds
     (lo_L, hi_L), (lo_M, hi_M) = box["beta_L"], box["beta_M"]
     c = min(lo_L + hi_M, hi_L + lo_M)
-    scale_hi = 0.995 if tech_kind == "CES" else hi_L + hi_M
+    scale_hi = min(family.share_scale_cap, hi_L + hi_M)
     shares = {"share_ratio": (max(lo_L / c, 1 - hi_M / c), min(hi_L / c, 1 - lo_M / c)), "beta_L+beta_M": (lo_L + lo_M, scale_hi)}
-    if tech_kind == "CES":
-        coords, flat = {"sigma": box["sigma"], **shares, "v": box["v"]}, {"v": 1.0}  # in theta's order
-    else:
-        coords, flat = {"beta_K": box["beta_K"], **shares}, {"beta_K": round(1.0 - c, 12)}
+    first, _, _, *rest = box.items()  # theta's order puts beta_L and beta_M second and third
+    coords = dict([first, *shares.items(), *rest])
     names = tuple(coords)
-    normalisation = {"beta_L+beta_M": c, **flat}
+    normalisation = {"beta_L+beta_M": c, **family.constant_returns(c)}
     lo, hi = (np.array(b) for b in zip(*coords.values()))
     fixed = [i for i, n in enumerate(names) if n in ("sigma", "share_ratio")]
     x0 = 0.5 * (lo + hi)
@@ -738,19 +607,20 @@ def _share_chart(tech_kind: str, fit, normalised: bool) -> SearchChart:
 _START_MARGIN = 1e-3
 
 
-def _expenditure_ratio_fit(tech_kind: str, proj: np.ndarray):
+def _expenditure_ratio_fit(proj: np.ndarray):
     """(sigma, log(beta_L/beta_M)) from the expenditure ratio, or None if the instruments leave them undetermined.
 
     Cost minimisation gives log(pL L / (pM M)) = log(beta_L/beta_M) + sigma log(L/M) on every row
-    (Doraszelski and Jaumandreu, 2018); Cobb-Douglas has sigma = 0, which leaves the constant.  The fit
-    is 2SLS of the log ratio y on a constant and, for CES, log(L/M), with the instruments Z; proj is [X y] projected
-    on the span of Z in an orthonormal basis of it, the block of _instruments' triangle.
+    (Doraszelski and Jaumandreu, 2018); a family with no sigma in its box has sigma = 0, which leaves the
+    constant.  The fit is 2SLS of the log ratio y on _instruments' regressors X, a constant and perhaps log(L/M),
+    with the instruments Z; proj is [X y] projected on the span of Z in an orthonormal basis of it, the block of
+    _instruments' triangle.
     """
     # a log(L/M) whose projection is a constant to within 1e-10 of its size leaves sigma undetermined
     coef, _, rank, _ = np.linalg.lstsq(proj[:, :-1], proj[:, -1], rcond=1e-10)
     if rank < proj.shape[1] - 1:
         return None
-    return (0.0 if tech_kind == "CD" else coef[1]), coef[0]
+    return (coef[1] if coef.size == 2 else 0.0), coef[0]
 
 
 def build_revenue_moments(
@@ -761,18 +631,19 @@ def build_revenue_moments(
 ) -> MomentSystem:
     """Moment system on the revenue equation's ex-post shock.
 
-    The residual is r = exp(log R - pred) - 1 on the current rows, pred being
-    revenue_predictor's log expected revenue; which_v selects the flexible
-    input whose revenue equation is used.  pred reads sigma and the share ratio a (CES) or a alone (CD),
-    so the chart is the family's _share_chart with the share scale c and v (or beta_K) normalised: a fit holds beta_L + beta_M = c and constant returns, and moves
-    sigma and a = beta_L/(beta_L+beta_M) (CES) or a (CD), which a fit reports as identified.  The chart starts at
-    the expenditure-ratio estimate of sigma and a.
+    The residual is r = exp(log R - pred) - 1 on the current rows, pred being the family's revenue_predictor's
+    log expected revenue; which_v selects the flexible input whose revenue equation is used, and a name other than
+    L or M raises before any column is read.  The chart is the family's _share_chart with the coordinates pred never
+    reads normalised: a fit holds beta_L + beta_M = c and constant returns, and moves sigma and
+    a = beta_L/(beta_L+beta_M), or a alone, which it reports as identified.  The chart starts at the
+    expenditure-ratio estimate of sigma and a.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("K", "R"))
     log_r = logs["R"][cur]
     current = {c: logs[c][cur] for c in REVENUE_COLUMNS}
-    predict = revenue_predictor(tech_kind, current, which_v)
-    Z, fit = _instruments(tech_kind, logs, cur, lag, instruments)
+    family = FAMILIES[tech_kind]
+    predict = family.revenue_predictor(current, which_v)
+    Z, fit = _instruments(family, logs, cur, lag, instruments)
 
     def residual(pred):
         ratio = np.exp(log_r - pred)
@@ -785,7 +656,7 @@ def build_revenue_moments(
         instrument_names=tuple(instruments),
         _predict=predict,
         _residual=residual,
-        chart=_share_chart(tech_kind, fit, normalised=True),
+        chart=_share_chart(family, fit, normalised=True),
         which_v=which_v,
     )
 

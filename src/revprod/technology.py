@@ -16,21 +16,28 @@ composition of h and that unit cost.
 Each primal and dual object (h, F, output, elasticity, unit_cost,
 unit_demand) is a method of the technology class and has no other name;
 output is F(K, h(L, M)) in both families.  No other module imports a family
-class or calls isinstance on one; FAMILIES maps a kind to its class.
-F_elasticities gives d log F/d log y and d log F_y/d log y (the pricing
-Newton slope), and variable_scale, the supremum of d log F/d log y,
-is the markup bound.  revenue_pf_reduced_form below is the level form of
-the revenue composition, built from a technology's unit_cost and h_dlog
-methods; the panel checks use it as the independent reference.  The
-parametric log-revenue formula that the estimator and the identification
-diagnostics evaluate lives in one place, revprod.estimate.revenue_predictor.
-Neither reads the capital exponent (Cobb-Douglas), the returns-to-scale
-parameter (CES), or omega, so equality of predictions across those
-parameters is structural, not numerical.  revenue_predictor reads the
-flexible block in the estimator's chart, as sigma and the share ratio
-beta_L/(beta_L+beta_M), so its predictions are bit-identical across the
-share scale beta_L+beta_M too; the level form reads beta_L and beta_M, from
-which the scale cancels only up to rounding.
+class, calls isinstance on one or names a family; FAMILIES maps a kind to
+its class.  F_elasticities gives d log F/d log y and d log F_y/d log y (the
+pricing Newton slope), and variable_scale, the supremum of d log F/d log y,
+is the markup bound.
+
+Each class also holds its equations on the estimator's side, in the chart
+of revprod.estimate: x = (sigma, a, c, v) (CES) or (beta_K, a, c), in the
+share ratio a = beta_L/(beta_L+beta_M) and the share scale c = beta_L+beta_M.
+bounds is the estimator's box, in theta's order.  quantity_predictor and
+revenue_predictor take log columns and return predict: predict(x) gives
+(prediction, derivatives), derivatives() returning the p x N derivative of
+the prediction in x, formed on call from the arrays the prediction already
+built.  revenue_predictor is the package's one parametric log-revenue
+formula, which the fits and the identification diagnostics both evaluate.
+It is built from h and the unit aggregate cost alone: it reads sigma and a
+(CES) or a alone (Cobb-Douglas), never c, the capital exponent, returns to
+scale or omega, so chart points that differ only there give bit-identical
+predictions, and its derivative rows for c and v (or beta_K and c) are
+literal zeros.  revenue_pf_reduced_form below is the level form of the same
+composition, built from a technology's unit_cost and h_dlog methods; the
+panel checks use it as the independent reference.  It reads beta_L and
+beta_M, from which the share scale cancels only up to rounding.
 """
 
 from __future__ import annotations
@@ -92,6 +99,11 @@ def _const_like(value: float, *refs):
     if shape == ():
         return float(value)
     return np.full(shape, float(value))
+
+
+def _share_chain(d_L, d_M, a, c):
+    """Derivatives in the share ratio a and the share scale c from those in beta_L = c a and beta_M = c - c a."""
+    return c * (d_L - d_M), a * d_L + (1.0 - a) * d_M
 
 
 @dataclass(frozen=True)
@@ -172,6 +184,52 @@ class CobbDouglas:
         a = self.labor_weight
         c2 = self.unit_cost(pL, pM)
         return a * c2 / np.asarray(pL, float), (1.0 - a) * c2 / np.asarray(pM, float)
+
+    # -- the estimator's side, in the chart x = (beta_K, a, c) ----------------
+
+    bounds = {"beta_K": (0.01, 0.9), "beta_L": (0.02, 0.9), "beta_M": (0.02, 0.9)}
+    share_scale_cap = math.inf  # no capital share to keep, so c reaches beta_L's and beta_M's upper bounds together
+    linear_in_logs = True  # the quantity prediction, so a Markov degree one system has closed-form moments
+    # beta_K, which revenue never reads, at constant returns for the share scale c
+    constant_returns = staticmethod(lambda c: {"beta_K": round(1.0 - c, 12)})
+
+    @staticmethod
+    def quantity_predictor(cols):
+        """Log output less omega and eps, from the log columns K, L and M."""
+        k, l, m = cols["K"], cols["L"], cols["M"]
+
+        def predict(x):
+            bK, a, c = x
+            bL = c * a
+            return bK * k + bL * l + (c - bL) * m, lambda: np.array([k, *_share_chain(l, m, a, c)])
+
+        return predict
+
+    @staticmethod
+    def revenue_predictor(cols, which_v: str):
+        """Log ex-ante expected revenue on the revenue equation of which_v, from the log columns L, M, pL, pM and the
+        target share of which_v, sL_star or sM_star."""
+        s = cols[_pick(which_v, L="sL_star", M="sM_star")]
+        l_pl, m_pm = cols["L"] + cols["pL"], cols["M"] + cols["pM"]
+        gap = l_pl - m_pm
+
+        def predict(x):
+            a = x[1]  # beta_K and the share scale are never read
+            w_v = a if which_v == "L" else 1.0 - a
+            theta0 = np.log(w_v) - a * np.log(a) - (1.0 - a) * np.log(1.0 - a)
+            lin = a * l_pl + (1.0 - a) * m_pm
+            pred = theta0 + lin - s
+
+            def derivatives():
+                # d pred / d a = d_wv + log(1 - a) - log(a) + gap
+                d_wv = 1.0 / a if which_v == "L" else -1.0 / (1.0 - a)
+                D = np.zeros((3, gap.size))
+                D[1] = (d_wv + math.log(1.0 - a) - math.log(a)) + gap
+                return D
+
+            return pred, derivatives
+
+        return predict
 
 
 @dataclass(frozen=True)
@@ -282,6 +340,78 @@ class CES:
         L1 = B ** (-1.0 / s) * (np.asarray(pL, float) / self.beta_L) ** (1.0 / (s - 1.0))
         M1 = B ** (-1.0 / s) * (np.asarray(pM, float) / self.beta_M) ** (1.0 / (s - 1.0))
         return L1, M1
+
+    # -- the estimator's side, in the chart x = (sigma, a, c, v) --------------
+
+    bounds = {"sigma": (0.05, 0.9), "beta_L": (0.05, 0.6), "beta_M": (0.05, 0.6), "v": (0.5, 1.3)}
+    share_scale_cap = 0.995  # c <= 0.995 keeps beta_K = 1 - c >= 0.005, inside the domain
+    linear_in_logs = False
+    # v, which revenue never reads, at constant returns whatever the share scale c
+    constant_returns = staticmethod(lambda c: {"v": 1.0})
+
+    @staticmethod
+    def quantity_predictor(cols):
+        """Log output less omega and eps, from the log columns K, L and M."""
+        k = cols["K"]
+        # exp(sigma k) factored out of the aggregate: pred = v k + (v/sigma) log agg
+        lk, mk = cols["L"] - k, cols["M"] - k
+
+        def predict(x):
+            sg, a, c, v = x
+            bL = c * a
+            bM, bK = c - bL, 1.0 - c
+            if bK <= 0.0:
+                raise ValueError(f"the CES quantity prediction needs beta_L + beta_M < 1; theta = {[float(t) for t in (sg, bL, bM, v)]}")
+            el, em = np.exp(sg * lk), np.exp(sg * mk)
+            agg = bK + bL * el + bM * em
+            log_agg = np.log(agg)
+            pred = v * k + (v / sg) * log_agg
+
+            def derivatives():
+                # with q = (v/sigma) / agg: d_sigma = q (bL lk el + bM mk em) - (v/sigma^2) log_agg, d_v = k + log_agg / sigma,
+                # and in beta_L and beta_M, the capital share 1 - c held, q (el - 1) and q (em - 1), chained to a and c
+                q = (v / sg) / agg
+                d_sg = q * (bL * lk * el + bM * mk * em) - (v / sg) * log_agg / sg
+                return np.array([d_sg, *_share_chain(q * (el - 1.0), q * (em - 1.0), a, c), k + log_agg / sg])
+
+            return pred, derivatives
+
+        return predict
+
+    @staticmethod
+    def revenue_predictor(cols, which_v: str):
+        """Log ex-ante expected revenue on the revenue equation of which_v, from the log columns L, M, pL, pM and the
+        target share of which_v, sL_star or sM_star, in the expenditure-ratio form: with O the other flexible input
+        and kappa = beta_O/beta_V, a/(1 - a) or its inverse,
+        log R = log(p_V V / s*_V) + ((1 - sigma)/sigma) log[(1 + u1)/(1 + u2)],
+        u1 = kappa (O/V)^sigma, u2 = kappa^(1/(1 - sigma)) (p_O/p_V)^(sigma/(sigma - 1))."""
+        V, O, sign = _pick(which_v, L=("L", "M", -1.0), M=("M", "L", 1.0))  # log kappa = sign log(a/(1 - a))
+        # the log gaps of O to V, in quantity and in price
+        gap, price_gap = cols[O] - cols[V], cols["p" + O] - cols["p" + V]
+        base = cols[V] + cols["p" + V] - cols[f"s{V}_star"]
+
+        def predict(x):
+            sg, a = x[0], x[1]  # the share scale and v are never read
+            log_k, phi = sign * math.log(a / (1.0 - a)), (1.0 - sg) / sg
+            u1 = np.exp(sg * gap + log_k)
+            u2 = np.exp((log_k - sg * price_gap) / (1.0 - sg))
+            a1, a2 = 1.0 + u1, 1.0 + u2
+            lr = np.log(a1 / a2)
+            pred = base + phi * lr
+
+            def derivatives():
+                # through phi and log u1, log u2, with w_i = u_i / (1 + u_i):
+                # d_sigma = phi (gap w1 - (log_k - price_gap) w2 / (1 - sigma)^2) - lr / sigma^2 and
+                # d pred / d log kappa = phi (w1 - w2 / (1 - sigma)), and d log kappa / d a = sign / (a (1 - a))
+                w1, w2 = u1 / a1, u2 / a2
+                D = np.zeros((4, w1.size))
+                D[0] = phi * (gap * w1 - (log_k - price_gap) * w2 / (1.0 - sg) ** 2) - lr / sg**2
+                D[1] = (sign * phi / (a * (1.0 - a))) * (w1 - w2 / (1.0 - sg))
+                return D
+
+            return pred, derivatives
+
+        return predict
 
 
 Technology = Union[CobbDouglas, CES]

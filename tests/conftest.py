@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revprod.costmin import SolverError, cost_min_numeric
-from revprod.estimate import DEFAULT_BOUNDS, revenue_predictor, to_chart
+from revprod.estimate import to_chart
 from revprod.simulate import SimConfig, simulate_panel
 from revprod.technology import CES, CobbDouglas
 
@@ -96,13 +96,13 @@ def random_point(rng):
 
 
 def predicted_log_revenue(tech, l, m, pl, pm, s_log, cal_e, which_v):
-    """Log target revenue P * Qstar: revenue_predictor's log expected revenue
+    """Log target revenue P * Qstar: the family's revenue_predictor's log expected revenue
     at tech's parameters, less log cal_e.  Arguments are logs (inputs, input
     prices, target share of which_v) except cal_e."""
     share = "sL_star" if which_v == "L" else "sM_star"
     cols = {"L": l, "M": m, "pL": pl, "pM": pm, share: s_log}
-    x = to_chart([getattr(tech, n) for n in DEFAULT_BOUNDS[tech.kind]])
-    return revenue_predictor(tech.kind, cols, which_v)(x)[0] - math.log(cal_e)
+    x = to_chart([getattr(tech, n) for n in tech.bounds])
+    return tech.revenue_predictor(cols, which_v)(x)[0] - math.log(cal_e)
 
 
 def f_inverse_root(tech, K: float, z: float, rtol: float = 1e-12) -> float:

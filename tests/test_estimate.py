@@ -18,7 +18,6 @@ from revprod.config import parse_config
 from revprod.diagnostics import profile_scan
 from revprod.estimate import (
     BASIC_INSTRUMENTS,
-    DEFAULT_BOUNDS,
     DEFAULT_INSTRUMENTS,
     INSTRUMENT_TOKENS,
     EstimationError,
@@ -30,13 +29,12 @@ from revprod.estimate import (
     build_revenue_moments,
     first_stage_project,
     gmm_minimize,
-    revenue_predictor,
     to_chart,
     to_theta,
 )
 from revprod.panel_io import COLUMNS, Panel, PanelFormatError
 from revprod.simulate import SimConfig, simulate_panel
-from revprod.technology import CES, ShockConfig
+from revprod.technology import CES, CobbDouglas, ShockConfig
 from revprod.validator import validate
 
 
@@ -186,7 +184,7 @@ class TestPivotedRank:
         sim = parse_config(ROOT / config).sim
         panel = simulate_panel(sim)
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-        Z = _instruments(sim.tech.kind, logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
+        Z = _instruments(type(sim.tech), logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
         X = np.column_stack([np.log(panel.col(c)) for c in ("K", "L", "M", "pL", "pM")])
         Xs = (X - X.mean(axis=0)) / X.std(axis=0)
         planted = np.column_stack([Z, 2.0 * Z[:, 2] - 0.5 * Z[:, 4]])
@@ -325,7 +323,7 @@ class TestMomentSystems:
         assert len(set(INSTRUMENT_TOKENS)) == 16
         cur, lag, logs = _lag_bundle(small_ces_panel, ("K", "L", "M", "pL", "pM"))
         for token in INSTRUMENT_TOKENS:
-            assert _instruments("CES", logs, cur, lag, (token,))[0].shape == (cur.size, 1), token
+            assert _instruments(CES, logs, cur, lag, (token,))[0].shape == (cur.size, 1), token
 
     @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
     def test_default_instruments_full_rank_on_shipped_panels(self, config):
@@ -334,7 +332,7 @@ class TestMomentSystems:
         cfg = parse_config(ROOT / config)
         panel = simulate_panel(cfg.sim)
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
-        Z = _instruments(cfg.sim.tech.kind, logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
+        Z = _instruments(type(cfg.sim.tech), logs, cur, lag, DEFAULT_INSTRUMENTS)[0]
         assert np.linalg.matrix_rank(Z) == len(DEFAULT_INSTRUMENTS)
         R = scipy.linalg.qr(Z, mode="r", pivoting=True)[0]
         assert np.min(np.abs(np.diag(R))) / abs(R[0, 0]) > 1e-2
@@ -374,7 +372,7 @@ class TestMomentSystems:
     [
         (lambda panel: first_stage_project(panel, 0), r"^polynomial degree must be >= 1$"),
         (lambda panel: build_quantity_moments("CD", first_stage_project(panel, 3), panel, g_degree=0), r"^g_degree must be >= 1$"),
-        (lambda panel: revenue_predictor("CD", {}, "K"), r"^which_v must be 'L' or 'M', got 'K'$"),
+        (lambda panel: CobbDouglas.revenue_predictor({}, "K"), r"^unknown input 'K'; expected one of L, M$"),
         (lambda panel: gmm_minimize(build_revenue_moments("CD", panel), weighting="three-step"), r"^weighting must be 'identity' or 'two-step'$"),
     ],
     ids=["first_stage_degree", "g_degree", "which_v", "weighting"],
@@ -741,7 +739,7 @@ class TestCharts:
         chart = _system("CD", "quantity", 1, small_cd_panel)[0].chart
         assert chart.names == ("beta_K", "share_ratio", "beta_L+beta_M")
         _, (a_lo, a_hi), (c_lo, c_hi) = chart.bounds
-        corners = [(bL, bM) for bL in DEFAULT_BOUNDS["CD"]["beta_L"] for bM in DEFAULT_BOUNDS["CD"]["beta_M"]]
+        corners = [(bL, bM) for bL in CobbDouglas.bounds["beta_L"] for bM in CobbDouglas.bounds["beta_M"]]
         assert min(bL / (bL + bM) for bL, bM in corners) == pytest.approx(a_lo, abs=1e-15)
         assert max(bL / (bL + bM) for bL, bM in corners) == pytest.approx(a_hi, abs=1e-15)
         assert (min(map(sum, corners)), max(map(sum, corners))) == pytest.approx((c_lo, c_hi), abs=1e-15)
@@ -1099,11 +1097,11 @@ class TestGmmMinimize:
         instruments = ("const", "pl_t", "pm_t")
         cur, lag, logs = _lag_bundle(panel, ("K", "L", "M", "pL", "pM"))
         if delta > 1e-14:
-            assert _instruments("CD", logs, cur, lag, instruments)[1] is not None
+            assert _instruments(CobbDouglas, logs, cur, lag, instruments)[1] is not None
             assert build_revenue_moments("CD", panel, instruments=instruments).chart.source == "expenditure-ratio"
         else:
             with pytest.raises(ValueError, match="are collinear on this panel"):
-                _instruments("CD", logs, cur, lag, instruments)
+                _instruments(CobbDouglas, logs, cur, lag, instruments)
 
     def test_no_closed_form_start_without_input_ratio_variation(self, small_ces_panel):
         # M a fixed multiple of L: log(L/M) is constant, so the ratio does not determine sigma, and the fit

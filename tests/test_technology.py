@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from revprod.config import parse_config
 from revprod.costmin import foc_input_price
+from revprod.estimate import to_chart
+from revprod.simulate import simulate_panel
 from revprod.technology import CES, CobbDouglas, DomainError, ParameterError, _check_positive, revenue_pf_reduced_form
 
 from conftest import predicted_log_revenue, random_point, random_technology
@@ -129,15 +132,20 @@ class TestElasticities:
         assert np.all(e_F <= tech.variable_scale)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "revprod"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "revprod"
 FAMILY_CLASSES = {"CobbDouglas", "CES"}
+FAMILY_KINDS = ("CD", "CES")
 
 
 def test_only_technology_names_a_family_class():
-    # outside technology.py (and __init__'s re-export) no module imports a family class, and none branches on one
+    # outside technology.py (and __init__'s re-export) no module imports a family class, none branches on one, and
+    # none names a family kind: each reads its family's equations from the class that FAMILIES maps a kind to
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in FAMILY_KINDS and path.name != "technology.py":
+                found.append(f"{path.name}:{node.lineno} names the family {node.value!r}")
             if isinstance(node, ast.ImportFrom) and path.name not in ("technology.py", "__init__.py"):
                 found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names if a.name in FAMILY_CLASSES]
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
@@ -176,6 +184,22 @@ def test_flexible_input_formulas_reject_unknown_input(tech):
         revenue_pf_reduced_form(tech, 0.5, 3.0, 1.0, 1.5, 0.3, 1.0, "K")
     with pytest.raises(ValueError, match="unknown input 'K'; expected one of L, M$"):
         foc_input_price(tech, 0.5, 3.0, 1.0, 1.5, "K")
+    with pytest.raises(ValueError, match="unknown input 'K'; expected one of L, M$"):
+        tech.revenue_predictor({}, "K")  # checked before any column is read
+
+
+@pytest.mark.parametrize("config", ["configs/cd.ini", "configs/ces.ini"])
+def test_quantity_predictor_matches_the_primal(config):
+    # the chart-side quantity prediction is log output, the primal's, on each shipped panel: at the config's theta
+    # and at 20 seeded ones
+    sim = parse_config(ROOT / config).sim
+    panel = simulate_panel(sim)
+    K, L, M = (panel.col(c) for c in ("K", "L", "M"))
+    predict = sim.tech.quantity_predictor({"K": np.log(K), "L": np.log(L), "M": np.log(M)})
+    rng = np.random.default_rng(19)
+    for tech in [sim.tech] + [random_technology(rng, sim.tech.kind) for _ in range(20)]:
+        x = to_chart([getattr(tech, n) for n in tech.bounds])
+        assert np.max(np.abs(predict(x)[0] - np.log(tech.output(K, L, M)))) <= 1e-13, tech
 
 
 class TestRevenuePredictors:
@@ -227,7 +251,7 @@ class TestRevenuePredictors:
             par = predicted_log_revenue(
                 tech, math.log(L), math.log(M), math.log(pL), math.log(pM), math.log(s_star), cal_e, which_v
             )
-            assert math.log(red) == pytest.approx(par, abs=1e-8)
+            assert math.log(red) == pytest.approx(par, abs=1e-13)
 
         # on a shipped panel, the formula at the true parameters reproduces
         # the simulator's planned revenue R* = R / exp(eps)
