@@ -5,58 +5,27 @@ quantity production function by proxy-variable GMM and the revenue equation
 by GMM on its ex-post shock, and turns the identification structure of the
 revenue case (flat directions, rank deficiencies, observational-equivalence
 certificates, productivity non-recovery) into executable diagnostics.
+
+Names resolve on first use from each module's `__all__`, in _MODULES' order,
+and `import revprod.<module>` loads only that module's imports.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .costmin import (
-    CostSolution,
-    SolverError,
-    conditional_demands,
-    cost_min_numeric,
-    foc_input_price,
-    marginal_cost_closed_form,
-)
-from .diagnostics import (
-    IdentificationReport,
-    OmegaRecovery,
-    ProfileCurve,
-    RankDiagnostics,
-    beta_scale_scan,
-    build_identification_report,
-    jacobian_rank,
-    observational_equivalence,
-    omega_recovery_attempt,
-    profile_scan,
-)
-from .estimate import (
-    EstimateResult,
-    EstimationError,
-    FirstStage,
-    MomentSystem,
-    build_quantity_moments,
-    build_revenue_moments,
-    first_stage_project,
-    gmm_minimize,
-)
-from .panel_io import Panel, PanelFormatError, read_panel_csv, write_panel_csv
-from .simulate import (
-    CapitalPolicy,
-    PanelCheckReport,
-    PriceProcess,
-    ProductivityProcess,
-    SimConfig,
-    SimulationError,
-    simulate_panel,
-    verify_panel,
-)
-from .technology import (
-    CES,
-    CobbDouglas,
-    DemandConfig,
-    DomainError,
-    ParameterError,
-    ShockConfig,
-    Technology,
-    revenue_pf_reduced_form,
-)
+_MODULES = ("technology", "panel_io", "costmin", "simulate", "estimate", "diagnostics")
+
+
+def __getattr__(name):
+    if name in _MODULES:  # a submodule loads alone, so `from . import costmin` in simulate loads no other
+        return importlib.import_module(f"{__name__}.{name}")
+    names = []
+    for m in _MODULES:
+        module = importlib.import_module(f"{__name__}.{m}")
+        if name in module.__all__:
+            return getattr(module, name)
+        names += module.__all__
+    if name == "__all__":
+        return names
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

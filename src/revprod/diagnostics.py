@@ -29,7 +29,7 @@ residuals recover it almost perfectly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -254,13 +254,13 @@ class IdentificationReport:
 
 
 def _free_param_variant(tech: Technology):
-    """tech with + 0.3 on its one field that revenue never reads, beta_K or v."""
-    (name,) = {f.name for f in fields(tech)} - {"beta_L", "beta_M", "sigma"}
+    """tech with + 0.3 on its one field that revenue never reads, the one its class's constant_returns sets."""
+    (name,) = tech.constant_returns(1.0)
     return name, replace(tech, **{name: getattr(tech, name) + 0.3})
 
 
 def _contrast_variant(tech: Technology):
-    if not hasattr(tech, "sigma"):
+    if "sigma" not in tech.bounds:
         # shifting one flexible exponent moves the identified ratio
         return "beta_L", replace(tech, beta_L=tech.beta_L * 1.2)
     # step up by 0.1 unless that leaves the model (sigma < 1, sigma != 0)
