@@ -56,10 +56,6 @@ def _write(path: Path, text: str) -> None:
     logger.info("wrote %s", path)
 
 
-def _write_json(payload: dict, path: Path, schema_name: str) -> None:
-    _write(path, _json_artifact(payload, schema_name))
-
-
 def _provenance(command: str, cfg: RunConfig, **fields) -> dict:
     """Command, config hash and version, plus the fields the command has to record."""
     return {"command": command, "config_sha256": cfg.config_sha256, "version": __version__, **fields}
@@ -100,7 +96,7 @@ def cmd_estimate(args) -> int:
     result = gmm_minimize(_moment_system(cfg, panel, mode), weighting=cfg.estimation.weighting)
     payload = {k: v for k, v in asdict(result).items() if v is not None}
     payload["provenance"] = _provenance("estimate", cfg, panel=Path(args.panel).name, mode=mode)
-    _write_json(payload, Path(args.out or cfg.out_dir) / f"estimate_{mode}.json", "estimate_result.schema.json")
+    _write(Path(args.out or cfg.out_dir) / f"estimate_{mode}.json", _json_artifact(payload, "estimate_result.schema.json"))
     return EXIT_OK
 
 
@@ -135,18 +131,14 @@ def cmd_diagnose(args) -> int:
 
     report = build_identification_report(panel, cfg.sim.tech, ms)
     payload = dict(asdict(report), provenance=_provenance("diagnose", cfg, panel=Path(args.panel).name))
-    _write_json(payload, out_dir / "identification_report.json", "identification_report.schema.json")
+    _write(out_dir / "identification_report.json", _json_artifact(payload, "identification_report.schema.json"))
 
     if args.scan:
         if curve is None:
             # the report's own profile, over the coordinate's chart box
             curve = report.profiles[args.scan]
-        scan_path = out_dir / f"profile_{args.scan}.csv"
-        with open(scan_path, "w") as fh:
-            fh.write(f"{args.scan},objective\n")
-            for g, v in zip(curve["grid"], curve["objective"]):
-                fh.write(f"{g!r},{v!r}\n")
-        logger.info("wrote %s", scan_path)
+        rows = "".join(f"{g!r},{v!r}\n" for g, v in zip(curve["grid"], curve["objective"]))
+        _write(out_dir / f"profile_{args.scan}.csv", f"{args.scan},objective\n{rows}")
     return EXIT_OK
 
 
@@ -155,7 +147,7 @@ def cmd_verify(args) -> int:
     panel = read_panel_csv(args.panel)
     report = verify_panel(panel, cfg.sim)
     payload = dict(asdict(report), provenance=_provenance("verify", cfg, panel=Path(args.panel).name))
-    _write_json(payload, Path(args.out or cfg.out_dir) / "verify_report.json", "verify_report.schema.json")
+    _write(Path(args.out or cfg.out_dir) / "verify_report.json", _json_artifact(payload, "verify_report.schema.json"))
     if not report.passed:
         logger.error("panel failed verification: %s", report.violations)
         return EXIT_VALIDATION
@@ -175,33 +167,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="level of the package's log messages (default INFO)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", default=None, help="output directory (default: the config's [run] out_dir)")
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("panel")
 
-    sim = sub.add_parser("simulate", help="generate a panel from a config")
-    sim.add_argument("--config", required=True)
+    sim = sub.add_parser("simulate", parents=[common], help="generate a panel from a config")
     sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--out", default=None, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
-    estp = sub.add_parser("estimate", help="fit a panel by GMM, on the quantity or the revenue route")
-    estp.add_argument("panel")
-    estp.add_argument("--config", required=True)
+    estp = sub.add_parser("estimate", parents=[reads, common], help="fit a panel by GMM, on the quantity or the revenue route")
     routes = "quantity: proxy-variable GMM, first stage on log Q; revenue: GMM on the ex-post revenue shock, no proxy or first stage"
     estp.add_argument("--mode", choices=["quantity", "revenue"], default="quantity", help=routes)
-    estp.add_argument("--out", default=None)
     estp.set_defaults(func=cmd_estimate)
 
-    diag = sub.add_parser("diagnose", help="identification diagnostics on a panel")
-    diag.add_argument("panel")
-    diag.add_argument("--config", required=True)
+    diag = sub.add_parser("diagnose", parents=[reads, common], help="identification diagnostics on a panel")
     diag.add_argument("--scan", default=None, help="chart coordinate to profile (writes a CSV)")
     diag.add_argument("--grid", default=None, help="profile grid start:stop:count; give a negative start as --grid=-0.9:-0.1:3")
-    diag.add_argument("--out", default=None)
     diag.set_defaults(func=cmd_diagnose)
 
-    ver = sub.add_parser("verify", help="check model identities on a panel")
-    ver.add_argument("panel")
-    ver.add_argument("--config", required=True)
-    ver.add_argument("--out", default=None)
+    ver = sub.add_parser("verify", parents=[reads, common], help="check model identities on a panel")
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -66,16 +66,25 @@ class CostSolution:
     kkt_residual: np.ndarray
 
 
-def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
-    """Damped Newton on the KKT system of min pL*e^z1 + pM*e^z2 s.t. c(z) >= 0.
+def cost_min_numeric(tech: Technology, K, pL, pM, target) -> CostSolution:
+    """Numeric oracle for the short-run program min pL*L + pM*M s.t. F(K, h) >= target.
 
-    The constraint is c = log output(K, e^z1, e^z2) - log target; the unit-
-    aggregate program is the one at target F(K, 1).  From z = 0, each step
-    solves the 2x2 system [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with e_V the
-    output elasticity in V, against a forward-difference Jacobian, and is
-    clipped to +-1 in each log input.  A row takes one more step after its
-    relative KKT residual first reaches NEWTON_TOL and then stops moving, so
-    rows solved together or alone end at the same point.  Each step
+    Arguments broadcast against each other; the rows are solved in one
+    batched Newton pass and the solution fields are arrays of the broadcast
+    shape (0-d for scalar arguments).  The target is expressed in output
+    units net of productivity (the caller divides out exp(omega) first).
+    The reported multiplier is the derivative of minimized cost with respect
+    to the target.  Raises SolverError naming the rows whose KKT residual
+    stays above KKT_TOL.
+
+    The pass is damped Newton on the KKT system of min pL*e^z1 + pM*e^z2
+    s.t. c(z) >= 0, with c = log output(K, e^z1, e^z2) - log target; the
+    unit-aggregate program is the one at target F(K, 1).  From z = 0, each
+    step solves the 2x2 system [log(pL*L/e_L) - log(pM*M/e_M), c] = 0, with
+    e_V the output elasticity in V, against a forward-difference Jacobian,
+    and is clipped to +-1 in each log input.  A row takes one more step after
+    its relative KKT residual first reaches NEWTON_TOL and then stops moving,
+    so rows solved together or alone end at the same point.  Each step
     evaluates the system only on the rows that moved on the previous one:
     the rows still moving, which also evaluate their two Jacobian probes one
     after the other, and the rows that just took their last step, whose
@@ -84,6 +93,8 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
     primal objects and finite differences are used, so the solution stays
     independent of the closed-form duals.
     """
+    _check_positive(K=K, pL=pL, pM=pM, target=target)
+    tech.F_inverse(K, target)  # raises DomainError naming the rows no interior (L, M) reaches
     shape = np.broadcast(K, pL, pM, target).shape
     K, pL, pM, target = (np.broadcast_to(np.asarray(x, float), shape).ravel() for x in (K, pL, pM, target))
 
@@ -146,22 +157,6 @@ def _solve_log_program(tech: Technology, K, pL, pM, target) -> CostSolution:
         iterations=iters,
         kkt_residual=resid.reshape(shape),
     )
-
-
-def cost_min_numeric(tech: Technology, K, pL, pM, target) -> CostSolution:
-    """Numeric oracle for the short-run program min pL*L + pM*M s.t. F(K, h) >= target.
-
-    Arguments broadcast against each other; the rows are solved in one
-    batched Newton pass and the solution fields are arrays of the broadcast
-    shape (0-d for scalar arguments).  The target is expressed in output
-    units net of productivity (the caller divides out exp(omega) first).
-    The reported multiplier is the derivative of minimized cost with respect
-    to the target.  Raises SolverError naming the rows whose KKT residual
-    stays above KKT_TOL.
-    """
-    _check_positive(K=K, pL=pL, pM=pM, target=target)
-    tech.F_inverse(K, target)  # raises DomainError naming the rows no interior (L, M) reaches
-    return _solve_log_program(tech, K, pL, pM, target)
 
 
 def conditional_demands(tech: Technology, K, pL, pM, target):

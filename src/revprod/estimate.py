@@ -375,12 +375,6 @@ class MomentSystem:
         """GMM quadratic form in the conventional n-scaled (J-statistic) units."""
         return self._quadratic_form(self._linearize(x)[0], weight)[0]
 
-    def objective_and_gradient(self, x, weight: Optional[np.ndarray] = None):
-        """objective(x, weight) and its exact gradient in x, 2 n u'J, from one linearization."""
-        m, jacobian = self._linearize(x)
-        value, u = self._quadratic_form(m, weight)
-        return value, 2.0 * self.n_obs * u.dot(jacobian())
-
 
 class _MarkovInnovation:
     """Residual of quantity systems: the innovation of recovered productivity.
@@ -633,10 +627,10 @@ def build_revenue_moments(
 
     The residual is r = exp(log R - pred) - 1 on the current rows, pred being the family's revenue_predictor's
     log expected revenue; which_v selects the flexible input whose revenue equation is used, and a name other than
-    L or M raises before any column is read.  The chart is the family's _share_chart with the coordinates pred never
-    reads normalised: a fit holds beta_L + beta_M = c and constant returns, and moves sigma and
-    a = beta_L/(beta_L+beta_M), or a alone, which it reports as identified.  The chart starts at the
-    expenditure-ratio estimate of sigma and a.
+    L or M raises a ValueError once _lag_bundle has taken the logs of the eight columns, before any instrument is
+    built.  The chart is the family's _share_chart with the coordinates pred never reads normalised: a fit holds
+    beta_L + beta_M = c and constant returns, and moves sigma and a = beta_L/(beta_L+beta_M), or a alone, which it
+    reports as identified.  The chart starts at the expenditure-ratio estimate of sigma and a.
     """
     cur, lag, logs = _lag_bundle(panel, REVENUE_COLUMNS + ("K", "R"))
     log_r = logs["R"][cur]

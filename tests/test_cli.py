@@ -1,13 +1,14 @@
 import ast
 import hashlib
 import importlib.resources
+import inspect
 import json
 import math
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import jsonschema
@@ -16,7 +17,7 @@ import pytest
 
 import revprod
 from revprod import estimate
-from revprod.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, _write_json, main
+from revprod.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, _json_artifact, _write, main
 from revprod.config import EstimationSettings, parse_config
 from revprod.diagnostics import build_identification_report, omega_recovery_attempt
 from revprod.estimate import build_quantity_moments, build_revenue_moments, first_stage_project, gmm_minimize
@@ -103,6 +104,17 @@ def test_log_level_controls_info_lines(ces_ini, tmp_path, caplog):
     # the next call without the option is back at the INFO default
     assert main(["simulate", "--config", str(ces_ini), "--out", str(tmp_path / "c")]) == EXIT_OK
     assert "wrote" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "diagnose", "verify"])
+def test_help_names_the_shared_options(command, capsys):
+    # every command takes --config and --out, and each that reads a panel takes it as its positional argument
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0].split()
+    assert {"--config", "CONFIG", "[--out", "OUT]"} <= set(usage)
+    assert ("panel" in usage) == (command != "simulate")
 
 
 def test_empty_panel_header_only(tmp_path):
@@ -448,6 +460,18 @@ def test_estimation_settings_default_to_the_package_instruments(cd_ini, line):
     assert EstimationSettings().instruments is estimate.DEFAULT_INSTRUMENTS
     cd_ini.write_text(cd_ini.read_text() + line)
     assert parse_config(cd_ini).estimation.instruments is estimate.DEFAULT_INSTRUMENTS
+    # every field's default is the default of each call that consumes it
+    consumers = [
+        ("first_stage_degree", first_stage_project, "degree"),
+        ("g_degree", build_quantity_moments, "g_degree"),
+        ("which_v", build_revenue_moments, "which_v"),
+        ("weighting", gmm_minimize, "weighting"),
+        ("instruments", build_quantity_moments, "instruments"),
+        ("instruments", build_revenue_moments, "instruments"),
+    ]
+    assert {name for name, _, _ in consumers} == {f.name for f in fields(EstimationSettings)}
+    for name, call, parameter in consumers:
+        assert getattr(EstimationSettings(), name) == inspect.signature(call).parameters[parameter].default, name
 
 
 def test_diagnose_deterministic_report(ces_ini, tmp_path):
@@ -799,7 +823,7 @@ def test_outputs_validate_against_schemas(ces_ini, tmp_path):
         stale = json.loads((tmp_path / "identification_report.json").read_text())
         stale[block][key] = 1e-5
         with pytest.raises(ValueError, match=key):
-            _write_json(stale, tmp_path / "stale.json", "identification_report.schema.json")
+            _write(tmp_path / "stale.json", _json_artifact(stale, "identification_report.schema.json"))
 
 
 def test_artifacts_are_asdict_of_results(cd_ini, tmp_path):
@@ -843,10 +867,10 @@ def test_shipped_schemas_pass_metaschema():
 def test_invalid_payload_rejected_and_not_written(tmp_path):
     # a schema failure is a ValueError naming the schema and the JSON path, which main maps to exit code 2
     good = {"n_rows": 3, "violations": {}, "passed": True}
-    _write_json(good, tmp_path / "good.json", "verify_report.schema.json")
+    _write(tmp_path / "good.json", _json_artifact(good, "verify_report.schema.json"))
     message = "verify_report.schema.json: $.n_rows: -1 is less than the minimum of 0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
-        _write_json({**good, "n_rows": -1}, tmp_path / "bad.json", "verify_report.schema.json")
+        _write(tmp_path / "bad.json", _json_artifact({**good, "n_rows": -1}, "verify_report.schema.json"))
     assert raised.value.__cause__ is None  # raised by the package's own validator, wrapping no library's error
     assert (tmp_path / "good.json").exists() and not (tmp_path / "bad.json").exists()
 
