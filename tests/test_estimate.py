@@ -782,6 +782,26 @@ class TestGradient:
                 assert np.all(np.abs(grad - fd) <= 1e-6 * np.max(np.abs(fd)) + 1e-4 * np.abs(fd))
                 assert np.all(grad[never_read] == 0.0)
 
+    @pytest.mark.parametrize("g_degree", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["quantity", "revenue", "revenue-L"])
+    @pytest.mark.parametrize("kind", ["CD", "CES"])
+    def test_is_the_jacobian_transpose(self, kind, mode, g_degree, cd_panel, ces_panel):
+        # the gradient the search forms, 2 n u'J, is 2 n J'u with u the symmetrised W m: _quadratic_form's value is
+        # n m'Wm and its direction u is m under the identity and (W + W')m / 2 otherwise, also for a W that is not
+        # symmetric
+        ms = _system(kind, mode, g_degree, cd_panel if kind == "CD" else ces_panel)[0]
+        rng = np.random.default_rng(700 + g_degree)
+        A = rng.normal(size=(ms.n_moments, ms.n_moments))
+        W = A @ A.T / ms.n_moments + np.eye(ms.n_moments)
+        W_skew = W + 0.5 * (A - A.T) / ms.n_moments
+        for x in _draw_points(ms, rng, 6, 0.05, 0.95):
+            m, J = ms.moments(x), ms.jacobian(x)
+            for weight, u_ref in ((None, m), (W, W @ m), (W_skew, 0.5 * (m @ W_skew + W_skew @ m))):
+                value, u = ms._quadratic_form(m, weight)
+                assert _rel_gap(value, ms.n_obs * float(m @ (m if weight is None else weight @ m))) <= 1e-12
+                assert _rel_gap(u, u_ref) <= 1e-12
+                assert _rel_gap(2.0 * ms.n_obs * u.dot(J), 2.0 * ms.n_obs * J.T @ u_ref) <= 1e-12
+
 
 def _five_point_prediction_jacobian(predict, x, h):
     """Reference p x N Jacobian of a predictor's prediction: the fourth-order central stencil."""
