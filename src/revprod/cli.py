@@ -154,6 +154,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revprod",

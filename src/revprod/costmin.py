@@ -14,14 +14,15 @@ is the output program at target F(K, 1), and C2 is its minimized cost.
 
 Two independent routes are kept side by side on purpose: a numeric solver in
 log-input space (the oracle), and the closed-form dual objects of the two
-parametric families (conditional_demands, marginal_cost_closed_form and the
-technologies' unit_cost).  Tests require them to agree; the closed forms are
-the fast production path.  The oracle takes arrays and solves their rows
-together by damped Newton on the stationarity/feasibility system, each step
-evaluating only the rows still moving, with a forward-difference Jacobian
-built from primal objects only (output and elasticities), so it never reads
-the duals it checks.  F_inverse decides attainability before the solve; rows
-whose KKT residual stays above tolerance are named in the SolverError.
+parametric families.  Tests require them to agree.  simulate_panel forms its
+closed-form demands inline from unit_demand, unit_cost and F_dy, verify_panel
+reads marginal_cost_closed_form and foc_input_price, and only the tests call
+conditional_demands, as the oracle's reference.  The oracle solves the rows of
+its arrays together by damped Newton on the KKT system, each step evaluating
+only the rows still moving, with a forward-difference Jacobian built from
+primal objects only (output and elasticities), so it never reads the duals it
+checks.  F_inverse decides attainability before the solve; rows whose KKT
+residual stays above tolerance are named in the SolverError.
 """
 
 from __future__ import annotations

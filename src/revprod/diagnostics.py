@@ -45,7 +45,6 @@ __all__ = [
     "IdentificationReport",
     "observational_equivalence",
     "profile_scan",
-    "beta_scale_scan",
     "jacobian_rank",
     "omega_recovery_attempt",
     "build_identification_report",
@@ -135,15 +134,9 @@ def profile_scan(
     return ProfileCurve(param=param_name, grid=[float(g) for g in grid], objective=vals, flatness=_flatness(vals))
 
 
-def beta_scale_scan(ms: MomentSystem, center: Sequence[float]) -> ProfileCurve:
-    """profile_scan along beta_L+beta_M, on 25 points from 0.7 to 1.3 times its value at center.
-
-    This is the direction a ratio-only identified flexible block leaves
-    unresolved; for revenue systems it is exactly flat, since the revenue
-    predictor never reads it, for quantity systems it is not.
-    """
-    scale = to_chart(ms._point(center))[ms.chart.names.index("beta_L+beta_M")]
-    return profile_scan(ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * scale, center)
+def beta_scale_scan(*args, **kwargs):
+    """Never called: profile_scan along beta_L+beta_M is the scan.  The name stays only because perfbench's tracer wraps it."""
+    raise NotImplementedError("diagnostics.beta_scale_scan is never called; profile_scan along beta_L+beta_M is the scan")
 
 
 @dataclass

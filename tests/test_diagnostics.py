@@ -5,7 +5,6 @@ import pytest
 
 from revprod.diagnostics import (
     OmegaRecovery,
-    beta_scale_scan,
     build_identification_report,
     jacobian_rank,
     observational_equivalence,
@@ -95,19 +94,21 @@ class TestProfiles:
         assert curve.flatness >= 1e-2
 
     def test_beta_scale_flat_in_revenue_not_quantity(self, ces_revenue_ms, ces_quantity_ms):
-        rev = beta_scale_scan(ces_revenue_ms, THETA_CES)
-        qty = beta_scale_scan(ces_quantity_ms, THETA_CES)
+        grid = np.linspace(0.7, 1.3, 25) * (THETA_CES[1] + THETA_CES[2])
+        rev = profile_scan(ces_revenue_ms, "beta_L+beta_M", grid, THETA_CES)
+        qty = profile_scan(ces_quantity_ms, "beta_L+beta_M", grid, THETA_CES)
         assert rev.flatness == 0.0
         assert qty.flatness >= 100.0 * max(rev.flatness, 1e-10)
 
     def test_quantity_scan_past_the_ces_domain_rejected(self, ces_quantity_ms, monkeypatch):
-        # from scale 1.075 on (1.02 there, 1.235 at 1.3) beta_L + beta_M leaves no capital share, where the CES
-        # aggregate is undefined; the first such point is named, before the objective is taken anywhere
+        # on 0.7 to 1.3 times beta_L + beta_M = 0.95, from scale 1.075 on (1.02 there, 1.235 at 1.3) it leaves no
+        # capital share, where the CES aggregate is undefined; the first such point is named, before the objective
+        # is taken anywhere
         calls = []
         monkeypatch.setattr(ces_quantity_ms, "objective", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=r"^beta_L\+beta_M grid contains beta_L\+beta_M = 1\.02125\d*, outside the "
                            r"model \(beta_L \+ beta_M must be < 1 \(positive capital share\)\)$"):
-            beta_scale_scan(ces_quantity_ms, [0.5, 0.45, 0.5, 0.9])
+            profile_scan(ces_quantity_ms, "beta_L+beta_M", np.linspace(0.7, 1.3, 25) * 0.95, [0.5, 0.45, 0.5, 0.9])
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -161,8 +162,6 @@ class TestProfiles:
             jacobian_rank(ms, theta)
         with pytest.raises(ValueError, match=message):
             profile_scan(ms, ms.chart.names[0], [theta[0]], theta)
-        with pytest.raises(ValueError, match=message):
-            beta_scale_scan(ms, theta)
 
     def test_unknown_parameter_rejected(self, ces_revenue_ms):
         with pytest.raises(ValueError, match="unknown parameter"):

@@ -77,6 +77,16 @@ class TestFirstStage:
         with pytest.raises(PanelFormatError, match="quantities unobserved"):
             first_stage_project(panel, 3)
 
+    @pytest.mark.parametrize("n_rows", [0, 1], ids=["header-only", "one-row"])
+    def test_panel_without_lags_refused_before_the_degree_is_chosen(self, small_cd_panel, caplog, n_rows):
+        # the commands build the moment system first, which refuses such a panel, so only a library call gets here;
+        # at 0 or 1 rows the degree rule would cut the degree, with a warning, were the panel not refused first
+        panel = Panel(data={c: small_cd_panel.col(c)[:n_rows] for c in COLUMNS})
+        with caplog.at_level(logging.WARNING, logger="revprod.estimate"):
+            with pytest.raises(PanelFormatError, match=r"^panel has no consecutive firm-periods; lags unavailable$"):
+                first_stage_project(panel, 3)
+        assert caplog.messages == []
+
     def test_degree_reduced_when_underdetermined(self, cd_tech):
         cfg = SimConfig(tech=cd_tech, n_firms=5, n_periods=2, seed=3)
         panel = simulate_panel(cfg)
